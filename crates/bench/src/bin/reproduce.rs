@@ -17,9 +17,8 @@
 //! ```
 //!
 //! `json` (also run by `all`) writes `BENCH_results.json`: per-benchmark
-//! analysis time for the cached/parallel pipeline and for a cache-disabled
-//! sequential run of the same binary, triples checked, the solver cache
-//! hit rate, the `scheduler_suite` section comparing the whole suite
+//! analysis time, triples checked, the solver cache hit rate, the
+//! `scheduler_suite` section comparing the whole suite
 //! analyzed concurrently on the work-stealing pool against the sequential
 //! (`analysis_threads = 1`) configuration, the `runtime_load` section
 //! (every suite monitor hammered by the session load generator under the
@@ -142,8 +141,7 @@ fn run_table1() {
 struct AnalysisProfile {
     name: &'static str,
     group: &'static str,
-    cached_ms: f64,
-    uncached_ms: f64,
+    analysis_ms: f64,
     invariant_ms: f64,
     placement_ms: f64,
     quantifier_eliminations: usize,
@@ -159,16 +157,14 @@ struct AnalysisProfile {
     broadcasts: usize,
 }
 
-/// Analyses `monitor` `samples` times with `config`, returning the run with
-/// the minimum total time (the stable point estimate for short deterministic
-/// workloads).
+/// Analyses `monitor` `samples` times, returning the run with the minimum
+/// total time (the stable point estimate for short deterministic workloads).
 fn best_of(
     benchmark: &Benchmark,
     monitor: &expresso_monitor_lang::Monitor,
-    config: ExpressoConfig,
     samples: usize,
 ) -> expresso_core::AnalysisOutcome {
-    let pipeline = Expresso::with_config(config);
+    let pipeline = Expresso::new();
     let mut best: Option<expresso_core::AnalysisOutcome> = None;
     for _ in 0..samples {
         let outcome = pipeline
@@ -187,25 +183,10 @@ fn best_of(
 
 fn profile_benchmark(benchmark: &Benchmark) -> AnalysisProfile {
     let monitor = benchmark.monitor();
-    // 5 samples per configuration: the minimum of a deterministic workload
-    // converges quickly, and the extra samples keep scheduler noise out of
-    // the tracked trajectory (the perf tripwire compares absolute totals).
-    let cached = best_of(benchmark, &monitor, ExpressoConfig::default(), 5);
-    let uncached = best_of(
-        benchmark,
-        &monitor,
-        ExpressoConfig {
-            enable_solver_cache: false,
-            parallel_analysis: false,
-            ..ExpressoConfig::default()
-        },
-        5,
-    );
-    assert_eq!(
-        cached.explicit, uncached.explicit,
-        "{}: cached and uncached pipelines disagree",
-        benchmark.name
-    );
+    // 5 samples: the minimum of a deterministic workload converges quickly,
+    // and the extra samples keep scheduler noise out of the tracked
+    // trajectory (the perf tripwire compares absolute totals).
+    let best = best_of(benchmark, &monitor, 5);
     AnalysisProfile {
         name: benchmark.name,
         group: match benchmark.group {
@@ -213,21 +194,20 @@ fn profile_benchmark(benchmark: &Benchmark) -> AnalysisProfile {
             expresso_suite::BenchmarkGroup::GitHub => "GitHub",
             expresso_suite::BenchmarkGroup::Extended => "Extended",
         },
-        cached_ms: cached.stats.total_time.as_secs_f64() * 1e3,
-        uncached_ms: uncached.stats.total_time.as_secs_f64() * 1e3,
-        invariant_ms: cached.stats.invariant_time.as_secs_f64() * 1e3,
-        placement_ms: cached.stats.placement_time.as_secs_f64() * 1e3,
-        quantifier_eliminations: cached.stats.solver.quantifier_eliminations,
-        qe_cache_hits: cached.stats.solver.qe_cache_hits,
-        triples_checked: cached.report.triples_checked,
-        pairs_considered: cached.report.pairs_considered,
-        cache_hits: cached.stats.solver.cache_hits,
-        cache_misses: cached.stats.solver.cache_misses,
-        cache_hit_rate: cached.stats.solver.cache_hit_rate(),
-        wp_cache_hits: cached.stats.wp_cache.hits,
-        wp_cache_misses: cached.stats.wp_cache.misses,
-        notifications: cached.explicit.notification_count(),
-        broadcasts: cached.explicit.broadcast_count(),
+        analysis_ms: best.stats.total_time.as_secs_f64() * 1e3,
+        invariant_ms: best.stats.invariant_time.as_secs_f64() * 1e3,
+        placement_ms: best.stats.placement_time.as_secs_f64() * 1e3,
+        quantifier_eliminations: best.stats.solver.quantifier_eliminations,
+        qe_cache_hits: best.stats.solver.qe_cache_hits,
+        triples_checked: best.report.triples_checked,
+        pairs_considered: best.report.pairs_considered,
+        cache_hits: best.stats.solver.cache_hits,
+        cache_misses: best.stats.solver.cache_misses,
+        cache_hit_rate: best.stats.solver.cache_hit_rate(),
+        wp_cache_hits: best.stats.wp_cache.hits,
+        wp_cache_misses: best.stats.wp_cache.misses,
+        notifications: best.explicit.notification_count(),
+        broadcasts: best.explicit.broadcast_count(),
     }
 }
 
@@ -248,7 +228,6 @@ struct SharedArenaProfile {
     cross_analysis_hits: usize,
     cross_analysis_hit_rate: f64,
     formula_nodes: usize,
-    interner_shards: usize,
     arena_lock_contentions: usize,
     wp_cache_hits: usize,
     wp_cache_misses: usize,
@@ -294,7 +273,6 @@ fn profile_shared_arena() -> SharedArenaProfile {
         cross_analysis_hits: totals.cross_analysis_hits,
         cross_analysis_hit_rate: totals.cross_analysis_hit_rate(),
         formula_nodes: arena.formula_nodes,
-        interner_shards: arena.shard_count,
         arena_lock_contentions: arena.lock_contentions,
         wp_cache_hits,
         wp_cache_misses,
@@ -1121,19 +1099,13 @@ fn render_json(
     exploration: &ExplorationProfile,
     observability: &ObservabilityProfile,
 ) -> String {
-    let total_cached: f64 = profiles.iter().map(|p| p.cached_ms).sum();
-    let total_uncached: f64 = profiles.iter().map(|p| p.uncached_ms).sum();
-    let speedup = if total_cached > 0.0 {
-        total_uncached / total_cached
-    } else {
-        1.0
-    };
+    let total_analysis_ms: f64 = profiles.iter().map(|p| p.analysis_ms).sum();
     let mut out = String::from("{\n  \"benchmarks\": [\n");
     for (i, p) in profiles.iter().enumerate() {
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"group\": \"{}\", \"analysis_ms\": {:.3}, \
-             \"analysis_ms_uncached\": {:.3}, \"invariant_ms\": {:.3}, \
+             \"invariant_ms\": {:.3}, \
              \"placement_ms\": {:.3}, \"quantifier_eliminations\": {}, \
              \"qe_cache_hits\": {}, \"triples_checked\": {}, \
              \"pairs_considered\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
@@ -1141,8 +1113,7 @@ fn render_json(
              \"notifications\": {}, \"broadcasts\": {}}}",
             p.name,
             p.group,
-            p.cached_ms,
-            p.uncached_ms,
+            p.analysis_ms,
             p.invariant_ms,
             p.placement_ms,
             p.quantifier_eliminations,
@@ -1161,9 +1132,7 @@ fn render_json(
     }
     let _ = write!(
         out,
-        "  ],\n  \"total_analysis_ms\": {total_cached:.3},\n  \
-         \"total_analysis_ms_uncached\": {total_uncached:.3},\n  \
-         \"cache_speedup\": {speedup:.3},\n"
+        "  ],\n  \"total_analysis_ms\": {total_analysis_ms:.3},\n"
     );
     let _ = write!(out, "  \"shared_arena\": {{\n    \"per_monitor\": [\n");
     for (i, p) in shared.per_monitor.iter().enumerate() {
@@ -1183,7 +1152,7 @@ fn render_json(
         out,
         "    ],\n    \"total_analysis_ms\": {:.3},\n    \"cache_hits\": {},\n    \
          \"cross_monitor_cache_hits\": {},\n    \"cross_monitor_hit_rate\": {:.4},\n    \
-         \"formula_nodes\": {},\n    \"interner_shards\": {},\n    \
+         \"formula_nodes\": {},\n    \
          \"arena_lock_contentions\": {},\n    \"wp_cache_hits\": {},\n    \
          \"wp_cache_misses\": {}\n  }},\n",
         shared.total_ms,
@@ -1191,7 +1160,6 @@ fn render_json(
         shared.cross_analysis_hits,
         shared.cross_analysis_hit_rate,
         shared.formula_nodes,
-        shared.interner_shards,
         shared.arena_lock_contentions,
         shared.wp_cache_hits,
         shared.wp_cache_misses,
@@ -1536,18 +1504,10 @@ fn run_json() {
         &observability,
     );
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let total_cached: f64 = profiles.iter().map(|p| p.cached_ms).sum();
-    let total_uncached: f64 = profiles.iter().map(|p| p.uncached_ms).sum();
+    let total_analysis_ms: f64 = profiles.iter().map(|p| p.analysis_ms).sum();
     println!(
-        "wrote {path}: {} benchmarks, total analysis {:.1} ms cached vs {:.1} ms uncached ({:.2}x)",
+        "wrote {path}: {} benchmarks, total analysis {total_analysis_ms:.1} ms",
         profiles.len(),
-        total_cached,
-        total_uncached,
-        if total_cached > 0.0 {
-            total_uncached / total_cached
-        } else {
-            1.0
-        },
     );
     println!(
         "shared arena: {:.1} ms for the whole suite, {} / {} memo hits crossed a monitor \
@@ -1560,11 +1520,8 @@ fn run_json() {
     );
     println!(
         "wp cache: {} hits / {} misses across the shared-arena suite run; \
-         {} contended arena-lock acquisitions over {} shards",
-        shared.wp_cache_hits,
-        shared.wp_cache_misses,
-        shared.arena_lock_contentions,
-        shared.interner_shards,
+         {} contended arena-lock acquisitions",
+        shared.wp_cache_hits, shared.wp_cache_misses, shared.arena_lock_contentions,
     );
     println!(
         "scheduler suite: {} monitors analyzed concurrently in {:.1} ms on {} workers \
@@ -1753,15 +1710,16 @@ fn run_json() {
     // this run overwrote it). The new file is already written, so the artifact
     // still shows what happened.
     if let Some(baseline) = baseline {
-        if baseline > 0.0 && total_cached > 3.0 * baseline {
+        if baseline > 0.0 && total_analysis_ms > 3.0 * baseline {
             eprintln!(
-                "error: total suite analysis time {total_cached:.1} ms regressed more than \
-                 3x over the committed baseline {baseline:.1} ms"
+                "error: total suite analysis time {total_analysis_ms:.1} ms regressed more \
+                 than 3x over the committed baseline {baseline:.1} ms"
             );
             std::process::exit(1);
         }
         println!(
-            "perf tripwire: {total_cached:.1} ms vs committed baseline {baseline:.1} ms (limit 3x)"
+            "perf tripwire: {total_analysis_ms:.1} ms vs committed baseline {baseline:.1} ms \
+             (limit 3x)"
         );
     } else {
         println!("perf tripwire: no committed baseline found; skipping comparison");

@@ -31,8 +31,8 @@ pub mod scheduler;
 
 pub use codegen::to_java;
 pub use pipeline::{
-    AbductionExecutor, AnalysisOutcome, AnalysisStats, Expresso, ExpressoConfig, ExpressoError,
-    SharedAnalysisContext, CACHE_DIR_ENV, TRACE_ENV,
+    AnalysisOutcome, AnalysisStats, Expresso, ExpressoConfig, ExpressoError, SharedAnalysisContext,
+    CACHE_DIR_ENV, TRACE_ENV,
 };
 pub use placement::{
     place_signals, place_signals_with, PlacementConfig, PlacementReport, SignalDecision,

@@ -7,7 +7,7 @@ use expresso_exec::Executor;
 use expresso_logic::{Formula, Interner, InternerStats};
 use expresso_monitor_lang::{check_monitor, CheckError, ExplicitMonitor, Monitor, VarTable};
 use expresso_persist::{LoadResult, SaveReport, SeedReport};
-use expresso_smt::{Solver, SolverConfig, SolverStats};
+use expresso_smt::{Solver, SolverStats};
 use expresso_vcgen::{DisjointnessStats, DisjointnessStore, WpCacheStats, WpStore};
 use std::fmt;
 use std::io;
@@ -27,21 +27,6 @@ pub const CACHE_DIR_ENV: &str = "EXPRESSO_CACHE_DIR";
 /// recorded spans into a Perfetto-loadable artifact at that path.
 pub const TRACE_ENV: &str = "EXPRESSO_TRACE";
 
-/// Which [`Executor`] abduction's candidate-subset waves are dispatched on
-/// (see [`ExpressoConfig::abduction_executor`]). Results are bit-identical
-/// across both choices; only wall-clock time and pool counters differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbductionExecutor {
-    /// Evaluate candidate subsets inline on the thread running the analysis
-    /// (the zero-dependency `expresso_exec::Inline` executor).
-    Inline,
-    /// Fan candidate subsets out on the context's shared work-stealing
-    /// [`Scheduler`] — the same pool that runs suite- and pair-level tasks,
-    /// so abduction stays parallel under [`Expresso::analyze_suite`] without
-    /// oversubscribing the machine.
-    Pool,
-}
-
 /// Configuration of the [`Expresso`] pipeline.
 #[derive(Debug, Clone)]
 pub struct ExpressoConfig {
@@ -50,44 +35,14 @@ pub struct ExpressoConfig {
     pub infer_invariant: bool,
     /// Apply the §4.3 commutativity improvement.
     pub use_commutativity: bool,
-    /// Memoize solver queries on the shared formula arena. Disabling this
-    /// forces every Hoare triple to be re-derived from scratch; the
-    /// equivalence tests cross-check both settings.
-    pub enable_solver_cache: bool,
-    /// Fan the analysis out across threads: abduction's candidate
-    /// explorations and the independent placement pairs are discharged in
-    /// parallel. Disabling this yields a fully sequential analysis with
-    /// identical results.
-    pub parallel_analysis: bool,
-    /// Number of lock stripes per solver memo table (see
-    /// [`SolverConfig::cache_shards`]); values are clamped to at least 1.
-    pub solver_cache_shards: usize,
-    /// Number of shards the formula arena is split into (see
-    /// [`Interner::with_shards`]); rounded up to a power of two and clamped
-    /// to `[1, 256]`. `1` reproduces the old single-lock arena behaviour as a
-    /// differential baseline.
-    pub interner_shards: usize,
-    /// Memoize weakest preconditions per `(fingerprint, CCR body,
-    /// postcondition)` across the invariant fixpoint and the placement
-    /// obligations — and, through a [`SharedAnalysisContext`]'s suite-wide
-    /// store, across every analysis sharing that context. Disabling
-    /// recomputes every wp from scratch; the equivalence tests pin both
-    /// settings to identical results.
-    pub wp_cache: bool,
-    /// Concurrency of the work-stealing analysis [`Scheduler`]: `0` sizes
-    /// the pool automatically (one worker per available core — the thread
-    /// joining a scope always lends a hand too) and shares
-    /// the process-wide pool across contexts; `1` is the fully sequential
-    /// configuration (every task runs inline on the submitting thread, in
-    /// submission order); any other value builds a dedicated pool with that
-    /// many threads. Results are bit-identical across all settings.
+    /// Number of threads the analysis runs on. `0` sizes the work-stealing
+    /// [`Scheduler`] automatically (one worker per available core) and
+    /// shares the process-wide pool across contexts; `1` is the fully
+    /// sequential analysis (no worker threads: every suite, pair and
+    /// abduction task runs inline on the submitting thread, in submission
+    /// order); `n >= 2` builds a dedicated pool of `n` workers. Results are
+    /// bit-identical across all settings.
     pub analysis_threads: usize,
-    /// The executor abduction's candidate-subset evaluations fan out on:
-    /// the context's shared scheduler (the default) or the sequential inline
-    /// executor. Ignored — always inline — when
-    /// [`parallel_analysis`](ExpressoConfig::parallel_analysis) is off, which
-    /// keeps that flag the single switch for a fully sequential analysis.
-    pub abduction_executor: AbductionExecutor,
     /// Directory of the persistent warm-start cache. `None` (the default)
     /// consults the `EXPRESSO_CACHE_DIR` environment variable; when that is
     /// unset too, persistence is disabled and every run starts cold. With a
@@ -111,13 +66,7 @@ impl Default for ExpressoConfig {
         ExpressoConfig {
             infer_invariant: true,
             use_commutativity: true,
-            enable_solver_cache: true,
-            parallel_analysis: true,
-            solver_cache_shards: 16,
-            interner_shards: expresso_logic::DEFAULT_INTERNER_SHARDS,
-            wp_cache: true,
             analysis_threads: 0,
-            abduction_executor: AbductionExecutor::Pool,
             cache_dir: None,
             trace_path: None,
         }
@@ -160,8 +109,7 @@ pub struct SharedAnalysisContext {
 }
 
 impl SharedAnalysisContext {
-    /// Creates a context whose solver, WP store and scheduler follow
-    /// `config`'s cache and concurrency settings. With
+    /// Creates a context with a fresh arena, solver and WP store. With
     /// [`ExpressoConfig::analysis_threads`] `== 0` the context shares the
     /// process-wide [`Scheduler::global`] pool; any other value builds a
     /// dedicated pool (torn down when the context is dropped).
@@ -178,22 +126,13 @@ impl SharedAnalysisContext {
     /// warm-starts (and pays one artifact load) individually; suite harnesses
     /// should build one context and use [`Expresso::analyze_suite`].
     pub fn new(config: &ExpressoConfig) -> Self {
-        let interner = Arc::new(Interner::with_shards(config.interner_shards));
-        let solver = Arc::new(Solver::with_interner(
-            SolverConfig {
-                enable_cache: config.enable_solver_cache,
-                cache_shards: config.solver_cache_shards,
-                interner_shards: config.interner_shards,
-                ..SolverConfig::default()
-            },
-            interner,
-        ));
+        let solver = Arc::new(Solver::new());
         let scheduler = if config.analysis_threads == 0 {
             Arc::clone(Scheduler::global())
         } else {
             Arc::new(Scheduler::with_analysis_threads(config.analysis_threads))
         };
-        let wp_store = Arc::new(WpStore::new(config.wp_cache));
+        let wp_store = Arc::new(WpStore::new());
         let disjointness = Arc::new(DisjointnessStore::new());
         let cache_dir = config
             .cache_dir
@@ -413,9 +352,9 @@ pub struct AnalysisStats {
     /// served from another monitor's entries in a suite-wide store. Exact
     /// even under suite-level concurrency.
     pub wp_cache: WpCacheStats,
-    /// Snapshot of the shared arena after this analysis (node counts, shard
-    /// count and contended-lock counter). For a shared context the counters
-    /// are cumulative across every analysis run against it so far.
+    /// Snapshot of the shared arena after this analysis (node counts and
+    /// contended-lock counter). For a shared context the counters are
+    /// cumulative across every analysis run against it so far.
     pub interner: InternerStats,
     /// Snapshot of the work-stealing pool after this analysis (tasks
     /// executed, steals, per-worker utilization). Cumulative for the pool,
@@ -527,12 +466,12 @@ impl Expresso {
     /// suites).
     ///
     /// Abduction's candidate-subset waves run on the same pool as everything
-    /// else (see [`AbductionExecutor`]): a suite task mid-inference submits
-    /// its waves as nested scoped tasks and helps drain them while it joins,
-    /// so the most expensive phase — invariant inference — stays parallel
-    /// under suite analysis without spawning a single extra thread. The
-    /// pool's [`SchedulerStats::abduction_tasks`] counter attributes exactly
-    /// that work.
+    /// else: a suite task mid-inference submits its waves as nested scoped
+    /// tasks and helps drain them while it joins, so the most expensive
+    /// phase — invariant inference — stays parallel under suite analysis
+    /// without spawning a single extra thread. The pool's
+    /// [`SchedulerStats::abduction_tasks`] counter attributes exactly that
+    /// work.
     pub fn analyze_suite(
         &self,
         context: &SharedAnalysisContext,
@@ -549,19 +488,6 @@ impl Expresso {
             .into_iter()
             .map(|s| s.expect("every monitor analyzed"))
             .collect()
-    }
-
-    /// The executor handed to abduction: the context's shared scheduler when
-    /// the configuration asks for the pool, `None` (inline) otherwise.
-    /// `parallel_analysis = false` always forces inline, preserving that
-    /// flag's contract as the single fully-sequential switch.
-    fn abduction_executor(&self, context: &SharedAnalysisContext) -> Option<Arc<dyn Executor>> {
-        match self.config.abduction_executor {
-            AbductionExecutor::Pool if self.config.parallel_analysis => {
-                Some(Arc::clone(context.scheduler()) as Arc<dyn Executor>)
-            }
-            _ => None,
-        }
     }
 
     fn analyze_inner(
@@ -588,7 +514,7 @@ impl Expresso {
         let (invariant, candidates, conjuncts) = if self.config.infer_invariant {
             let _span = expresso_obs::span!("core.invariant", "{}", monitor.name);
             let abduction = AbductionConfig {
-                executor: self.abduction_executor(context),
+                executor: Some(Arc::clone(context.scheduler()) as Arc<dyn Executor>),
                 wp_cache: Some(Arc::clone(&wp_cache)),
                 ..AbductionConfig::default()
             };
@@ -608,7 +534,6 @@ impl Expresso {
             &invariant,
             &PlacementConfig {
                 use_commutativity: self.config.use_commutativity,
-                parallel: self.config.parallel_analysis,
                 wp_cache: Some(Arc::clone(&wp_cache)),
                 scheduler: Some(Arc::clone(context.scheduler())),
             },
@@ -699,22 +624,6 @@ mod tests {
         assert!(outcome.stats.solver.cache_hit_rate() > 0.0);
         assert!(outcome.report.pairs_considered > 0);
         assert!(outcome.report.triples_per_pair() > 0.0);
-    }
-
-    #[test]
-    fn cache_and_parallelism_flags_do_not_change_results() {
-        let monitor = parse_monitor(RW).unwrap();
-        let fast = Expresso::new().analyze(&monitor).unwrap();
-        let slow = Expresso::with_config(ExpressoConfig {
-            enable_solver_cache: false,
-            parallel_analysis: false,
-            ..ExpressoConfig::default()
-        })
-        .analyze(&monitor)
-        .unwrap();
-        assert_eq!(fast.explicit, slow.explicit);
-        assert_eq!(fast.invariant, slow.invariant);
-        assert_eq!(slow.stats.solver.cache_hits, 0);
     }
 
     #[test]
@@ -865,32 +774,23 @@ mod tests {
     }
 
     #[test]
-    fn abduction_executor_kinds_agree_and_pool_counts_tasks() {
+    fn abduction_waves_run_on_the_context_scheduler() {
         let monitor = parse_monitor(RW).unwrap();
-        let reference = Expresso::new().analyze(&monitor).unwrap();
-        for kind in [AbductionExecutor::Inline, AbductionExecutor::Pool] {
-            // analysis_threads != 0 builds a dedicated pool, so the counter
-            // below is exactly this analysis's traffic.
+        // analysis_threads != 0 builds a dedicated pool, so the counter below
+        // is exactly this analysis's traffic; `1` is the zero-worker pool,
+        // which still receives (and runs inline) every abduction task.
+        for threads in [1usize, 2] {
             let pipeline = Expresso::with_config(ExpressoConfig {
-                abduction_executor: kind,
-                analysis_threads: 2,
+                analysis_threads: threads,
                 ..ExpressoConfig::default()
             });
             let context = SharedAnalysisContext::new(pipeline.config());
             let outcome = pipeline.analyze_with_context(&context, &monitor).unwrap();
-            assert_eq!(outcome.explicit, reference.explicit, "{kind:?}");
-            assert_eq!(outcome.invariant, reference.invariant, "{kind:?}");
             let abduction_tasks = context.scheduler_stats().abduction_tasks;
-            match kind {
-                AbductionExecutor::Pool => assert!(
-                    abduction_tasks > 0,
-                    "pool executor dispatched no abduction tasks"
-                ),
-                AbductionExecutor::Inline => assert_eq!(
-                    abduction_tasks, 0,
-                    "inline executor leaked tasks onto the pool"
-                ),
-            }
+            assert!(
+                abduction_tasks > 0,
+                "threads={threads}: no abduction task reached the scheduler"
+            );
             assert_eq!(
                 outcome.stats.scheduler.abduction_tasks, abduction_tasks,
                 "AnalysisStats must surface the pool's abduction counter"
@@ -899,18 +799,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_results() {
-        let monitor = parse_monitor(RW).unwrap();
-        let reference = Expresso::new().analyze(&monitor).unwrap();
-        for shards in [1usize, 2, 64] {
-            let outcome = Expresso::with_config(ExpressoConfig {
-                solver_cache_shards: shards,
-                ..ExpressoConfig::default()
-            })
-            .analyze(&monitor)
-            .unwrap();
-            assert_eq!(outcome.explicit, reference.explicit, "shards={shards}");
-            assert_eq!(outcome.invariant, reference.invariant, "shards={shards}");
-        }
+    fn config_surface_is_exactly_five_fields() {
+        // Destructured without `..`: adding or removing a field fails to
+        // compile here, so the settable surface cannot grow unnoticed.
+        let ExpressoConfig {
+            infer_invariant,
+            use_commutativity,
+            analysis_threads,
+            cache_dir,
+            trace_path,
+        } = ExpressoConfig::default();
+        assert!(infer_invariant && use_commutativity);
+        assert_eq!(analysis_threads, 0);
+        assert!(cache_dir.is_none() && trace_path.is_none());
     }
 }

@@ -4,13 +4,13 @@
 //! interned formula ids ([`expresso_logic::FormulaId`]) against the solver's
 //! shared arena — no invariant or guard tree is ever cloned per pair — and
 //! independent pairs are submitted as tasks to the work-stealing
-//! [`Scheduler`] when [`PlacementConfig::parallel`] is on (the same pool the
-//! suite-level analysis tasks run on, so a pair decided inside one monitor's
-//! task can be stolen by a worker that finished another monitor). Within a
-//! pair, the no-signal and conditional obligations are discharged as one
-//! speculative cancellable batch after a free cached-verdict peek. Decisions
+//! [`Scheduler`] (the same pool the suite-level analysis tasks run on, so a
+//! pair decided inside one monitor's task can be stolen by a worker that
+//! finished another monitor). Within a pair, the no-signal and conditional
+//! obligations are discharged as one speculative cancellable batch after a
+//! free cached-verdict peek. Decisions
 //! are pure functions of the monitor and invariant, so the resulting
-//! [`ExplicitMonitor`] is identical in sequential and parallel runs (the
+//! [`ExplicitMonitor`] is identical whatever the pool's size (the
 //! equivalence tests in the workspace root assert exactly that).
 
 use crate::scheduler::Scheduler;
@@ -29,9 +29,6 @@ use std::sync::Arc;
 pub struct PlacementConfig {
     /// Apply the §4.3 commutativity improvement.
     pub use_commutativity: bool,
-    /// Discharge independent `(CCR, guard)` pairs as parallel scheduler
-    /// tasks.
-    pub parallel: bool,
     /// The WP memo session the placement VCs go through. `None` gives this
     /// run a fresh private cache; the pipeline passes the per-analysis
     /// session shared with invariant inference (whose store may be
@@ -48,7 +45,6 @@ impl Default for PlacementConfig {
     fn default() -> Self {
         PlacementConfig {
             use_commutativity: true,
-            parallel: true,
             wp_cache: None,
             scheduler: None,
         }
@@ -136,7 +132,7 @@ struct PairCtx<'a> {
 /// Runs the signal-placement algorithm with a given monitor invariant,
 /// producing the explicit-signal monitor and a decision report.
 ///
-/// Convenience wrapper over [`place_signals_with`] using the default parallel
+/// Convenience wrapper over [`place_signals_with`] using the default
 /// configuration; `use_commutativity` enables the §4.3 improvement that can
 /// downgrade a broadcast to a signal when the signalled CCR's body commutes
 /// with every other CCR.
@@ -230,18 +226,11 @@ pub fn place_signals_with(
         .flat_map(|ccr| (0..guards.len()).map(move |g| (ccr.id, g)))
         .collect();
 
-    let outcomes: Vec<(SignalDecision, usize)> = if config.parallel && pairs.len() > 1 {
-        let scheduler = config
-            .scheduler
-            .clone()
-            .unwrap_or_else(|| Arc::clone(Scheduler::global()));
-        discharge_on_scheduler(&scheduler, &ctx, &pairs)
-    } else {
-        pairs
-            .iter()
-            .map(|&(ccr, guard)| decide(&ctx, ccr, guard))
-            .collect()
-    };
+    let scheduler = config
+        .scheduler
+        .as_ref()
+        .unwrap_or_else(|| Scheduler::global());
+    let outcomes = discharge_on_scheduler(scheduler, &ctx, &pairs);
 
     let mut report = PlacementReport {
         pairs_considered: pairs.len(),
@@ -601,26 +590,20 @@ mod tests {
         let table = check_monitor(&monitor).unwrap();
         let solver = Solver::new();
         let inv = infer_monitor_invariant(&monitor, &table, &solver).invariant;
-        let (parallel, preport) = place_signals_with(
-            &monitor,
-            &table,
-            &solver,
-            &inv,
-            &PlacementConfig {
-                parallel: true,
-                ..PlacementConfig::default()
-            },
-        );
-        let (sequential, sreport) = place_signals_with(
-            &monitor,
-            &table,
-            &solver,
-            &inv,
-            &PlacementConfig {
-                parallel: false,
-                ..PlacementConfig::default()
-            },
-        );
+        let place_on = |threads: usize| {
+            place_signals_with(
+                &monitor,
+                &table,
+                &solver,
+                &inv,
+                &PlacementConfig {
+                    scheduler: Some(Arc::new(Scheduler::with_analysis_threads(threads))),
+                    ..PlacementConfig::default()
+                },
+            )
+        };
+        let (parallel, preport) = place_on(8);
+        let (sequential, sreport) = place_on(1);
         assert_eq!(parallel, sequential);
         assert_eq!(preport.decisions, sreport.decisions);
         assert_eq!(preport.triples_checked, sreport.triples_checked);

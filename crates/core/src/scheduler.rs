@@ -254,23 +254,20 @@ impl Scheduler {
         }
     }
 
-    /// Creates a pool sized by an `analysis_threads` knob: `0` asks for one
-    /// worker per available core (the thread joining a scope always lends a
-    /// hand too, so even a one-worker pool has two participants and an
-    /// exercised steal path), `1` is the sequential zero-worker pool, and
-    /// any other value `n` builds `n - 1` workers (the joining thread is the
-    /// `n`-th).
+    /// Creates a pool sized by `analysis_threads`: `0` asks for one worker
+    /// per available core, `1` is the sequential zero-worker pool (every
+    /// task runs inline on the joining thread), and `n >= 2` builds `n`
+    /// workers. A thread outside the pool that joins a scope is not counted:
+    /// it only steals in-flight subtasks, lazily, and never pops the
+    /// injector, so the workers alone provide the requested parallelism.
     pub fn with_analysis_threads(analysis_threads: usize) -> Self {
-        Scheduler::with_workers(Self::resolve_workers(analysis_threads))
-    }
-
-    fn resolve_workers(analysis_threads: usize) -> usize {
-        match analysis_threads {
+        Scheduler::with_workers(match analysis_threads {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            n => n.saturating_sub(1),
-        }
+            1 => 0,
+            n => n,
+        })
     }
 
     /// The process-wide default pool (auto-sized), shared by every analysis

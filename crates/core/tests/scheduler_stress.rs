@@ -161,3 +161,16 @@ fn results_are_deterministic_regardless_of_worker_count() {
         assert_eq!(compute(workers), reference, "workers={workers}");
     }
 }
+
+#[test]
+fn analysis_threads_maps_to_that_many_workers() {
+    // `1` is the inline zero-worker pool; every other `n` is `n` workers —
+    // a foreign joiner only steals lazily, so it is not the n-th thread.
+    for (threads, workers) in [(1usize, 0usize), (2, 2), (8, 8)] {
+        assert_eq!(
+            Scheduler::with_analysis_threads(threads).workers(),
+            workers,
+            "analysis_threads={threads}"
+        );
+    }
+}

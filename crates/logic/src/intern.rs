@@ -9,10 +9,9 @@
 //!
 //! # Sharding
 //!
-//! The arena is split into N hash-selected shards (`N` a power of two, see
-//! [`Interner::with_shards`]); a node lives in the shard its structural hash
-//! selects, and its id encodes `(shard, slot)` so handles stay stable `Copy`
-//! values. Each shard owns
+//! The arena is split into 16 hash-selected shards; a node lives in the shard
+//! its structural hash selects, and its id encodes `(shard, slot)` so handles
+//! stay stable `Copy` values. Each shard owns
 //!
 //! * an append-only node store whose reads are **lock-free** (published slots
 //!   are immutable and reached through two acquire loads),
@@ -119,11 +118,13 @@ impl Hasher for FxHasher {
 type FxBuild = BuildHasherDefault<FxHasher>;
 type FxMap<K, V> = HashMap<K, V, FxBuild>;
 
-/// Default shard count; matches the solver's default cache striping.
-pub const DEFAULT_INTERNER_SHARDS: usize = 16;
+/// Number of low id bits holding the shard index.
+const SHARD_BITS: u32 = 4;
 
-/// Hard upper bound on the shard count (the id encoding reserves 8 bits).
-const MAX_SHARDS: usize = 256;
+/// Number of shards the arena is split into; matches the solver's memo-table
+/// striping. A single shard waits on ~10x more lock acquisitions under the
+/// 500-monitor corpus on 2 CPUs; more than 16 buys no time.
+const SHARDS: usize = 1 << SHARD_BITS;
 
 /// A `Copy` handle to an interned [`Term`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -200,8 +201,6 @@ pub struct InternerStats {
     pub formula_nodes: usize,
     /// Number of distinct term nodes interned so far.
     pub term_nodes: usize,
-    /// Number of shards the arena is split into.
-    pub shard_count: usize,
     /// Number of shard-lock acquisitions (dedup maps and memo tables) that
     /// found the lock held by another thread and had to wait. Zero in
     /// sequential runs; a proxy for arena contention under parallel
@@ -216,7 +215,6 @@ impl InternerStats {
         vec![
             Metric::counter("formula_nodes", self.formula_nodes as u64),
             Metric::counter("term_nodes", self.term_nodes as u64),
-            Metric::counter("shard_count", self.shard_count as u64),
             Metric::counter("lock_contentions", self.lock_contentions as u64),
         ]
     }
@@ -381,12 +379,35 @@ impl Shard {
     }
 }
 
+// -- id encoding -------------------------------------------------------------
+
+fn encode(shard: usize, slot: usize) -> u32 {
+    let slot = u32::try_from(slot).expect("arena overflow");
+    assert!(
+        slot <= u32::MAX >> SHARD_BITS,
+        "arena overflow: slot does not fit the id encoding"
+    );
+    (slot << SHARD_BITS) | shard as u32
+}
+
+fn decode(id: u32) -> (usize, usize) {
+    ((id as usize) & (SHARDS - 1), (id >> SHARD_BITS) as usize)
+}
+
+fn shard_of<T: Hash>(node: &T) -> usize {
+    // FxHasher is deterministic, so the same node always lands on the same
+    // shard. Select from the *top* bits: the final step of a multiplicative
+    // hash mixes upward, so the low bits carry the least entropy (and are the
+    // ones the per-shard HashMaps consume).
+    let mut hasher = FxHasher::default();
+    node.hash(&mut hasher);
+    (hasher.finish() >> (64 - SHARD_BITS)) as usize
+}
+
 /// The hash-consing arena. See the module documentation.
 #[derive(Debug)]
 pub struct Interner {
-    shards: Box<[Shard]>,
-    /// Number of low id bits holding the shard index.
-    shard_bits: u32,
+    shards: [Shard; SHARDS],
     /// Pre-interned `true`/`false` ids: the smart constructors produce the
     /// constants constantly, and the fixed ids make `is_true`/`is_false` a
     /// plain id comparison.
@@ -397,25 +418,8 @@ pub struct Interner {
 
 impl Default for Interner {
     fn default() -> Self {
-        Interner::with_shards(DEFAULT_INTERNER_SHARDS)
-    }
-}
-
-impl Interner {
-    /// Creates an arena with the default shard count.
-    pub fn new() -> Self {
-        Interner::default()
-    }
-
-    /// Creates an arena split into `shards` shards. The count is rounded up
-    /// to a power of two and clamped to `[1, 256]`; `1` degenerates to a
-    /// single-shard arena (the closest analogue of the former global-lock
-    /// behaviour, useful as a differential baseline).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_SHARDS).next_power_of_two();
         let mut interner = Interner {
-            shards: (0..shards).map(|_| Shard::new()).collect::<Vec<_>>().into(),
-            shard_bits: shards.trailing_zeros(),
+            shards: std::array::from_fn(|_| Shard::new()),
             const_true: FormulaId(0),
             const_false: FormulaId(0),
             contended_locks: AtomicUsize::new(0),
@@ -424,10 +428,12 @@ impl Interner {
         interner.const_false = interner.put_formula(FormulaNode::False);
         interner
     }
+}
 
-    /// Number of shards the arena is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+impl Interner {
+    /// Creates an empty arena.
+    pub fn new() -> Self {
+        Interner::default()
     }
 
     /// Snapshot of the arena's node counts and lock-contention counter.
@@ -435,38 +441,8 @@ impl Interner {
         InternerStats {
             formula_nodes: self.formula_count(),
             term_nodes: self.term_count(),
-            shard_count: self.shards.len(),
             lock_contentions: self.contended_locks.load(Ordering::Relaxed),
         }
-    }
-
-    // -- id encoding ------------------------------------------------------
-
-    fn encode(&self, shard: usize, slot: usize) -> u32 {
-        let slot = u32::try_from(slot).expect("arena overflow");
-        assert!(
-            slot <= u32::MAX >> self.shard_bits,
-            "arena overflow: slot does not fit the id encoding"
-        );
-        (slot << self.shard_bits) | shard as u32
-    }
-
-    fn decode(&self, id: u32) -> (usize, usize) {
-        let mask = (1u32 << self.shard_bits) - 1;
-        ((id & mask) as usize, (id >> self.shard_bits) as usize)
-    }
-
-    fn shard_of<T: Hash>(&self, node: &T) -> usize {
-        if self.shard_bits == 0 {
-            return 0;
-        }
-        // FxHasher is deterministic, so the same node always lands on the
-        // same shard. Select from the *top* bits: the final step of a
-        // multiplicative hash mixes upward, so the low bits carry the least
-        // entropy (and are the ones the per-shard HashMaps consume).
-        let mut hasher = FxHasher::default();
-        node.hash(&mut hasher);
-        (hasher.finish() >> (64 - self.shard_bits)) as usize
     }
 
     // -- contention-counting lock helpers ---------------------------------
@@ -502,12 +478,12 @@ impl Interner {
     }
 
     fn memo_of_formula(&self, id: FormulaId) -> MutexGuard<'_, ShardMemo> {
-        let (shard, _) = self.decode(id.0);
+        let (shard, _) = decode(id.0);
         self.lock_memo(&self.shards[shard])
     }
 
     fn memo_of_term(&self, id: TermId) -> MutexGuard<'_, ShardMemo> {
-        let (shard, _) = self.decode(id.0);
+        let (shard, _) = decode(id.0);
         self.lock_memo(&self.shards[shard])
     }
 
@@ -515,18 +491,18 @@ impl Interner {
 
     /// Lock-free read of the node behind a formula id.
     fn fnode(&self, id: FormulaId) -> &FormulaNode {
-        let (shard, slot) = self.decode(id.0);
+        let (shard, slot) = decode(id.0);
         self.shards[shard].formulas.get(slot)
     }
 
     /// Lock-free read of the node behind a term id.
     fn tnode(&self, id: TermId) -> &TermNode {
-        let (shard, slot) = self.decode(id.0);
+        let (shard, slot) = decode(id.0);
         self.shards[shard].terms.get(slot)
     }
 
     fn put_formula(&self, node: FormulaNode) -> FormulaId {
-        let shard_idx = self.shard_of(&node);
+        let shard_idx = shard_of(&node);
         let shard = &self.shards[shard_idx];
         if let Some(&id) = self.read_map(&shard.formula_ids).get(&node) {
             return id;
@@ -536,13 +512,13 @@ impl Interner {
             return id;
         }
         let slot = shard.formulas.push(node.clone());
-        let id = FormulaId(self.encode(shard_idx, slot));
+        let id = FormulaId(encode(shard_idx, slot));
         map.insert(node, id);
         id
     }
 
     fn put_term(&self, node: TermNode) -> TermId {
-        let shard_idx = self.shard_of(&node);
+        let shard_idx = shard_of(&node);
         let shard = &self.shards[shard_idx];
         if let Some(&id) = self.read_map(&shard.term_ids).get(&node) {
             return id;
@@ -552,7 +528,7 @@ impl Interner {
             return id;
         }
         let slot = shard.terms.push(node.clone());
-        let id = TermId(self.encode(shard_idx, slot));
+        let id = TermId(encode(shard_idx, slot));
         map.insert(node, id);
         id
     }
@@ -1004,8 +980,8 @@ impl Interner {
                 self.put_term(TermNode::Select(arr, fi))
             }
         };
-        let (t_shard, _) = self.decode(t.0);
-        let (out_shard, _) = self.decode(out.0);
+        let (t_shard, _) = decode(t.0);
+        let (out_shard, _) = decode(out.0);
         let mut memo = self.lock_memo(&self.shards[t_shard]);
         memo.fold.insert(t, out);
         if out != t {
@@ -1132,8 +1108,8 @@ impl Interner {
         };
         // The result is its own fixpoint; record both facts, with one lock
         // when the two ids share a shard.
-        let (f_shard, _) = self.decode(f.0);
-        let (out_shard, _) = self.decode(out.0);
+        let (f_shard, _) = decode(f.0);
+        let (out_shard, _) = decode(out.0);
         let mut memo = self.lock_memo(&self.shards[f_shard]);
         memo.simplify.insert(f, out);
         if out != f {
@@ -1644,46 +1620,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_are_normalised_and_reported() {
-        assert_eq!(Interner::with_shards(1).shard_count(), 1);
-        assert_eq!(Interner::with_shards(3).shard_count(), 4);
-        assert_eq!(Interner::with_shards(16).shard_count(), 16);
-        assert_eq!(Interner::with_shards(0).shard_count(), 1);
-        assert_eq!(Interner::with_shards(100_000).shard_count(), 256);
-        let arena = Interner::with_shards(8);
-        arena.intern(&rw_invariant());
-        let stats = arena.stats();
-        assert_eq!(stats.shard_count, 8);
-        assert!(stats.formula_nodes > 0);
-        assert!(stats.term_nodes > 0);
-        assert_eq!(stats.lock_contentions, 0, "sequential use never contends");
-    }
-
-    #[test]
-    fn single_shard_and_many_shard_arenas_agree() {
-        let one = Interner::with_shards(1);
-        let many = Interner::with_shards(16);
-        let cases = vec![
-            rw_invariant(),
-            Formula::not(rw_invariant()),
-            Formula::implies(rw_invariant(), Formula::bool_var("p")),
-            Term::int(2).mul(Term::var("x")).le(Term::int(7)),
-            Formula::forall(vec!["x".into()], Term::var("x").ne(Term::int(0))),
-        ];
-        for f in &cases {
-            let a = one.intern(f);
-            let b = many.intern(f);
-            assert_eq!(one.formula(one.simplify(a)), many.formula(many.simplify(b)));
-            assert_eq!(one.formula(one.nnf(a)), many.formula(many.nnf(b)));
-            assert_eq!(one.free_vars(a), many.free_vars(b));
-            assert_eq!(one.size(a), many.size(b));
-        }
-        // Structural dedup is exact in both: the arenas hold the same node set.
-        assert_eq!(one.formula_count(), many.formula_count());
-        assert_eq!(one.term_count(), many.term_count());
-    }
-
-    #[test]
     fn chunk_locate_covers_the_slot_space_contiguously() {
         // Walking slots in order must walk chunks in order, starting each
         // chunk at offset 0 and filling it completely before the next.
@@ -1704,10 +1640,10 @@ mod tests {
 
     #[test]
     fn ids_encode_shard_and_slot_stably() {
-        let arena = Interner::with_shards(16);
+        let arena = Interner::new();
         let id = arena.intern(&rw_invariant());
-        let (shard, slot) = arena.decode(id.index() as u32);
-        assert!(shard < arena.shard_count());
-        assert_eq!(arena.encode(shard, slot), id.index() as u32);
+        let (shard, slot) = decode(id.index() as u32);
+        assert!(shard < SHARDS);
+        assert_eq!(encode(shard, slot), id.index() as u32);
     }
 }

@@ -33,10 +33,7 @@ mod term;
 
 pub use eval::{EvalError, Valuation};
 pub use formula::{CmpOp, Formula, Quantifier};
-pub use intern::{
-    FormulaId, FormulaNode, FxHasher, Interner, InternerStats, TermId, TermNode,
-    DEFAULT_INTERNER_SHARDS,
-};
+pub use intern::{FormulaId, FormulaNode, FxHasher, Interner, InternerStats, TermId, TermNode};
 // Test-support only: the deterministic generator every workspace harness
 // shares (the workspace vendors no `rand`). Hidden from the documented API.
 #[doc(hidden)]

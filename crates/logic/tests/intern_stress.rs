@@ -1,15 +1,15 @@
 //! Concurrency stress for the sharded lock-free-read interner: 8 scoped
-//! threads intern heavily overlapping formula populations into one 16-shard
-//! arena while also exercising the memoized derived queries (simplify, NNF,
-//! free vars, sizes). Overlap is the point — it forces distinct threads to
+//! threads intern heavily overlapping formula populations into one arena
+//! while also exercising the memoized derived queries (simplify, NNF, free
+//! vars, sizes). Overlap is the point — it forces distinct threads to
 //! race for the same dedup-map entries and memo slots, so shard selection,
 //! id publication and the benign memo races all see real contention.
 //!
-//! Afterwards everything is cross-checked against a fresh **single-shard**
-//! arena populated sequentially: ids must be stable (re-interning returns the
-//! same id), dedup must be structural (identical node counts in both arenas),
-//! and the memoized var sets / sizes / normal forms must agree with both the
-//! single-threaded arena and the reference tree implementations.
+//! Afterwards everything is cross-checked: ids must be stable (re-interning
+//! returns the same id and the tree round-trips), dedup must be structural
+//! (the same node counts as a fresh arena populated sequentially), and the
+//! memoized var sets / sizes / normal forms must agree with the reference
+//! tree implementations.
 
 use expresso_logic::{simplify, to_nnf, Formula, FormulaId, Interner, Lcg, Term};
 
@@ -84,8 +84,7 @@ fn pool() -> Vec<Formula> {
 #[test]
 fn concurrent_interning_is_stable_deduped_and_memo_consistent() {
     let formulas = pool();
-    let arena = Interner::with_shards(16);
-    assert_eq!(arena.shard_count(), 16);
+    let arena = Interner::new();
 
     // 8 threads, each interning an overlapping window (stride < window) so
     // most formulas are interned by several threads at once. Every thread
@@ -140,45 +139,30 @@ fn concurrent_interning_is_stable_deduped_and_memo_consistent() {
         assert_eq!(arena.formula(re), *f, "formula {idx} roundtrip mangled");
     }
 
-    // Structural dedup across shards: a single-shard arena running the same
-    // operations sequentially holds exactly the same node set (every node —
-    // raw or derived by simplify/NNF — is a pure function of the pool, so
-    // thread interleaving cannot change the closure), and the counts match.
-    let reference = Interner::with_shards(1);
-    let reference_ids: Vec<FormulaId> = formulas
-        .iter()
-        .map(|f| {
-            let rid = reference.intern(f);
-            let _ = reference.simplify(rid);
-            let _ = reference.nnf(rid);
-            rid
-        })
-        .collect();
+    // Structural dedup under races: a fresh arena running the same operations
+    // sequentially holds exactly the same node set (every node — raw or
+    // derived by simplify/NNF — is a pure function of the pool, so thread
+    // interleaving cannot change the closure), and the counts match.
+    let sequential = Interner::new();
+    for f in &formulas {
+        let id = sequential.intern(f);
+        let _ = sequential.simplify(id);
+        let _ = sequential.nnf(id);
+    }
     assert_eq!(
         arena.formula_count(),
-        reference.formula_count(),
-        "sharded arena deduplicated differently from the single-shard arena"
+        sequential.formula_count(),
+        "racing threads deduplicated differently from a sequential run"
     );
-    assert_eq!(arena.term_count(), reference.term_count());
+    assert_eq!(arena.term_count(), sequential.term_count());
 
-    // Memoized derived queries agree with the single-threaded arena and with
-    // the reference tree implementations, even after the concurrent races
-    // populated the memo tables.
+    // Memoized derived queries agree with the reference tree implementations,
+    // even after the concurrent races populated the memo tables.
     for (idx, f) in formulas.iter().enumerate() {
         let id = canonical[idx].unwrap_or_else(|| arena.intern(f));
-        let rid = reference_ids[idx];
-        assert_eq!(
-            arena.free_vars(id),
-            f.free_vars(),
-            "formula {idx}: concurrent arena free_vars diverged from the tree"
-        );
-        assert_eq!(
-            arena.free_vars(id),
-            reference.free_vars(rid),
-            "formula {idx}: free_vars diverged between sharded and single-shard arenas"
-        );
-        assert_eq!(arena.int_vars(id), reference.int_vars(rid), "formula {idx}");
-        assert_eq!(arena.size(id), reference.size(rid), "formula {idx}");
+        assert_eq!(arena.free_vars(id), f.free_vars(), "formula {idx}");
+        assert_eq!(arena.int_vars(id), f.int_vars(), "formula {idx}");
+        assert_eq!(arena.size(id), f.size(), "formula {idx}");
         assert_eq!(
             arena.formula(arena.simplify(id)),
             simplify(f),
@@ -189,22 +173,16 @@ fn concurrent_interning_is_stable_deduped_and_memo_consistent() {
             to_nnf(f),
             "formula {idx}: nnf diverged under contention"
         );
-        assert_eq!(
-            reference.formula(reference.simplify(rid)),
-            simplify(f),
-            "formula {idx}: single-shard simplify baseline diverged"
-        );
     }
 }
 
 #[test]
 fn contention_counter_only_moves_under_parallel_load() {
     // Sequential interning never waits on a shard lock.
-    let arena = Interner::with_shards(16);
+    let arena = Interner::new();
     for f in pool() {
         let id = arena.intern(&f);
         let _ = arena.simplify(id);
     }
     assert_eq!(arena.stats().lock_contentions, 0);
-    assert_eq!(arena.stats().shard_count, 16);
 }

@@ -939,7 +939,7 @@ mod tests {
         // solver (fresh arena — ids cannot survive) and check the entry
         // counts and a served verdict.
         let cold = Solver::new();
-        let store = WpStore::new(true);
+        let store = WpStore::new();
         let disjointness = DisjointnessStore::new();
         let guard = Formula::Cmp(CmpOp::Lt, Term::Var("count".into()), Term::Int(4));
         let contradiction = Formula::And(vec![
@@ -952,7 +952,7 @@ mod tests {
         assert!(!artifact.sat.is_empty());
 
         let warm = Solver::new();
-        let warm_store = WpStore::new(true);
+        let warm_store = WpStore::new();
         let warm_disjointness = DisjointnessStore::new();
         let report = seed(&artifact, &warm, &warm_store, &warm_disjointness);
         assert_eq!(report.sat, artifact.sat.len());

@@ -12,7 +12,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Configuration knobs for [`Solver`].
+/// Resource limits of a [`Solver`].
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Maximum number of SAT-model / theory-check rounds before giving up.
@@ -22,21 +22,6 @@ pub struct SolverConfig {
     /// Maximum number of candidate assignments explored when extracting a
     /// concrete counter-model (model extraction is best-effort).
     pub model_search_limit: usize,
-    /// Memoize query results keyed on the normalized interned formula.
-    /// Disabling the cache turns the solver into a pure re-derivation engine;
-    /// the equivalence tests use this to cross-check cached runs.
-    pub enable_cache: bool,
-    /// Number of lock-striped shards per memo table. Each table is split into
-    /// this many independently locked `HashMap`s so the worker threads that
-    /// discharge placement obligations in parallel do not contend on a single
-    /// global mutex. `1` degenerates to the unsharded behaviour; values are
-    /// clamped to at least 1.
-    pub cache_shards: usize,
-    /// Number of shards the formula arena is split into when this solver
-    /// constructs its own [`Interner`] (see [`Interner::with_shards`]).
-    /// Ignored by [`Solver::with_interner`], which adopts the given arena's
-    /// sharding as-is.
-    pub interner_shards: usize,
 }
 
 impl Default for SolverConfig {
@@ -45,9 +30,6 @@ impl Default for SolverConfig {
             max_theory_rounds: 300,
             fourier_motzkin_limit: 400,
             model_search_limit: 20_000,
-            enable_cache: true,
-            cache_shards: 16,
-            interner_shards: expresso_logic::DEFAULT_INTERNER_SHARDS,
         }
     }
 }
@@ -101,8 +83,7 @@ pub struct SolverStats {
 impl SolverStats {
     /// Fraction of cacheable work (satisfiability queries, quantifier
     /// eliminations and theory-consistency checks) answered from the memo
-    /// caches; 0.0 when the caches saw no traffic, e.g. because they are
-    /// disabled.
+    /// caches; 0.0 when the caches saw no traffic.
     pub fn cache_hit_rate(&self) -> f64 {
         let hits = self.cache_hits + self.qe_cache_hits + self.theory_cache_hits;
         let total = hits + self.cache_misses + self.qe_cache_misses + self.theory_cache_misses;
@@ -409,9 +390,12 @@ impl<K: Hash + Eq + Clone, V: Clone> Drop for InFlight<'_, K, V> {
     }
 }
 
-/// A hash-striped memo table: the key space is split across `N` independently
-/// locked `HashMap` shards, so concurrent queries only contend when they hash
-/// to the same stripe. Entries remember the analysis epoch they were inserted
+/// Lock stripes per memo table.
+const CACHE_SHARDS: usize = 16;
+
+/// A hash-striped memo table: the key space is split across
+/// [`CACHE_SHARDS`] independently locked `HashMap` shards, so concurrent
+/// queries only contend when they hash to the same stripe. Entries remember the analysis epoch they were inserted
 /// in, which funds the cross-monitor reuse accounting of a suite-shared
 /// solver. Cold keys are guarded by a per-shard in-flight set: when two
 /// workers race the same cold key, the second waits for the first instead of
@@ -422,9 +406,9 @@ struct ShardedCache<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         ShardedCache {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
+            shards: (0..CACHE_SHARDS).map(|_| Shard::default()).collect(),
         }
     }
 
@@ -526,10 +510,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 /// See the crate-level documentation for the architecture. A `Solver` carries
 /// configuration, statistics, a shared formula [`Interner`] and memo tables
 /// keyed on normalized interned formulas. The memo tables are lock-striped
-/// ([`SolverConfig::cache_shards`]) and the statistics are atomics, so a
-/// single solver can be shared by reference across the worker threads that
-/// discharge independent placement obligations in parallel without
-/// serializing on a global mutex.
+/// and the statistics are atomics, so a single solver can be shared by
+/// reference across the worker threads that discharge independent placement
+/// obligations in parallel without serializing on a global mutex.
 #[derive(Debug)]
 pub struct Solver {
     config: SolverConfig,
@@ -554,24 +537,16 @@ impl Solver {
         Solver::default()
     }
 
-    /// Creates a solver with an explicit configuration.
+    /// Creates a solver with explicit resource limits and a fresh arena.
     pub fn with_config(config: SolverConfig) -> Self {
-        let interner = Arc::new(Interner::with_shards(config.interner_shards));
-        Solver::with_interner(config, interner)
-    }
-
-    /// Creates a solver sharing an existing arena (so callers can build
-    /// queries as ids against the same interner the solver caches on).
-    pub fn with_interner(config: SolverConfig, interner: Arc<Interner>) -> Self {
-        let shards = config.cache_shards.max(1);
         Solver {
             config,
             stats: StatsCells::default(),
-            interner,
+            interner: Arc::new(Interner::new()),
             epoch: AtomicU32::new(0),
-            cache: ShardedCache::new(shards),
-            qe_cache: ShardedCache::new(shards),
-            theory_cache: ShardedCache::new(shards),
+            cache: ShardedCache::new(),
+            qe_cache: ShardedCache::new(),
+            theory_cache: ShardedCache::new(),
         }
     }
 
@@ -640,12 +615,8 @@ impl Solver {
     /// normalization would produce — the persistence layer guarantees this by
     /// serializing post-normalization formula trees and re-interning them
     /// through this solver's arena. Existing entries win over seeded ones.
-    /// Hits on seeded entries count into [`SolverStats::disk_hits`]. No-op
-    /// (returning 0) when the cache is disabled.
+    /// Hits on seeded entries count into [`SolverStats::disk_hits`].
     pub fn seed_sat_cache(&self, entries: Vec<(FormulaId, SatResult)>) -> usize {
-        if !self.config.enable_cache {
-            return 0;
-        }
         self.cache.seed(entries, self.current_epoch())
     }
 
@@ -655,9 +626,6 @@ impl Solver {
         &self,
         entries: Vec<(FormulaId, Result<FormulaId, TranslateError>)>,
     ) -> usize {
-        if !self.config.enable_cache {
-            return 0;
-        }
         self.qe_cache.seed(entries, self.current_epoch())
     }
 
@@ -668,9 +636,6 @@ impl Solver {
         &self,
         entries: Vec<(Vec<(FormulaId, bool)>, TheoryVerdict)>,
     ) -> usize {
-        if !self.config.enable_cache {
-            return 0;
-        }
         self.theory_cache.seed(entries, self.current_epoch())
     }
 
@@ -707,29 +672,23 @@ impl Solver {
             return Ok(norm);
         }
         let epoch = self.current_epoch();
-        let registration = if self.config.enable_cache {
-            match self.qe_cache.begin(&norm, epoch) {
-                Lookup::Hit {
-                    value,
-                    cross_epoch,
-                    deduped,
-                    from_disk,
-                } => {
-                    self.record_hit(&self.stats.qe_cache_hits, cross_epoch, deduped, from_disk);
-                    return value;
-                }
-                Lookup::Compute(registration) => Some(registration),
+        let registration = match self.qe_cache.begin(&norm, epoch) {
+            Lookup::Hit {
+                value,
+                cross_epoch,
+                deduped,
+                from_disk,
+            } => {
+                self.record_hit(&self.stats.qe_cache_hits, cross_epoch, deduped, from_disk);
+                return value;
             }
-        } else {
-            None
+            Lookup::Compute(registration) => registration,
         };
         bump(&self.stats.quantifier_eliminations);
         let _span = expresso_obs::span!("smt.qe");
         let result = cooper::eliminate_quantifiers_id(&self.interner, norm);
-        if let Some(registration) = registration {
-            bump(&self.stats.qe_cache_misses);
-            registration.complete(result.clone(), epoch);
-        }
+        bump(&self.stats.qe_cache_misses);
+        registration.complete(result.clone(), epoch);
         result
     }
 
@@ -743,7 +702,7 @@ impl Solver {
     ///
     /// The query is normalized (memoized arena simplification) and the result
     /// is served from / recorded in the query cache keyed on the normalized
-    /// id, unless [`SolverConfig::enable_cache`] is off.
+    /// id.
     pub fn check_sat_id(&self, id: FormulaId) -> SatResult {
         bump(&self.stats.sat_queries);
         let norm = self.interner.simplify(id);
@@ -754,27 +713,21 @@ impl Solver {
             return SatResult::Unsat;
         }
         let epoch = self.current_epoch();
-        let registration = if self.config.enable_cache {
-            match self.cache.begin(&norm, epoch) {
-                Lookup::Hit {
-                    value,
-                    cross_epoch,
-                    deduped,
-                    from_disk,
-                } => {
-                    self.record_hit(&self.stats.cache_hits, cross_epoch, deduped, from_disk);
-                    return value;
-                }
-                Lookup::Compute(registration) => Some(registration),
+        let registration = match self.cache.begin(&norm, epoch) {
+            Lookup::Hit {
+                value,
+                cross_epoch,
+                deduped,
+                from_disk,
+            } => {
+                self.record_hit(&self.stats.cache_hits, cross_epoch, deduped, from_disk);
+                return value;
             }
-        } else {
-            None
+            Lookup::Compute(registration) => registration,
         };
         let result = self.solve_uncached(norm);
-        if let Some(registration) = registration {
-            bump(&self.stats.cache_misses);
-            registration.complete(result.clone(), epoch);
-        }
+        bump(&self.stats.cache_misses);
+        registration.complete(result.clone(), epoch);
         result
     }
 
@@ -880,7 +833,7 @@ impl Solver {
 
     /// Peeks at the memo cache for the validity of `id` without solving,
     /// without counting a query and without epoch bookkeeping. `None` when
-    /// the verdict is unknown to the cache (or caching is disabled).
+    /// the verdict is unknown to the cache.
     ///
     /// The batch discharge paths use this to schedule already-answered
     /// obligations first.
@@ -891,9 +844,6 @@ impl Solver {
         }
         if self.interner.is_true(norm) {
             return Some(ValidityResult::Invalid(Some(Valuation::new())));
-        }
-        if !self.config.enable_cache {
-            return None;
         }
         self.cache.peek(&norm).map(|sat| match sat {
             SatResult::Unsat => ValidityResult::Valid,
@@ -1047,36 +997,29 @@ impl Solver {
             return TheoryVerdict::Consistent;
         }
         let epoch = self.current_epoch();
-        let registration = if self.config.enable_cache {
-            let mut key: Vec<(FormulaId, bool)> =
-                literals.iter().map(|l| (l.id, l.value)).collect();
-            key.sort_unstable();
-            key.dedup();
-            match self.theory_cache.begin(&key, epoch) {
-                Lookup::Hit {
-                    value,
+        let mut key: Vec<(FormulaId, bool)> = literals.iter().map(|l| (l.id, l.value)).collect();
+        key.sort_unstable();
+        key.dedup();
+        let registration = match self.theory_cache.begin(&key, epoch) {
+            Lookup::Hit {
+                value,
+                cross_epoch,
+                deduped,
+                from_disk,
+            } => {
+                self.record_hit(
+                    &self.stats.theory_cache_hits,
                     cross_epoch,
                     deduped,
                     from_disk,
-                } => {
-                    self.record_hit(
-                        &self.stats.theory_cache_hits,
-                        cross_epoch,
-                        deduped,
-                        from_disk,
-                    );
-                    return value;
-                }
-                Lookup::Compute(registration) => Some(registration),
+                );
+                return value;
             }
-        } else {
-            None
+            Lookup::Compute(registration) => registration,
         };
         let verdict = self.theory_consistent_uncached(literals);
-        if let Some(registration) = registration {
-            bump(&self.stats.theory_cache_misses);
-            registration.complete(verdict.clone(), epoch);
-        }
+        bump(&self.stats.theory_cache_misses);
+        registration.complete(verdict.clone(), epoch);
         verdict
     }
 
@@ -1784,27 +1727,6 @@ mod tests {
         let _ = s.check_sat(&build());
         let _ = s.check_sat(&build());
         assert_eq!(s.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn disabled_cache_re_derives_but_agrees() {
-        let config = SolverConfig {
-            enable_cache: false,
-            ..SolverConfig::default()
-        };
-        let uncached = Solver::with_config(config);
-        let cached = solver();
-        let f = Formula::and(vec![
-            Term::var("x").gt(Term::int(2)),
-            Term::var("x").lt(Term::int(2)),
-        ]);
-        for _ in 0..3 {
-            assert_eq!(uncached.check_sat(&f), cached.check_sat(&f));
-        }
-        let stats = uncached.stats();
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.cache_hit_rate(), 0.0);
     }
 
     #[test]

@@ -187,7 +187,6 @@ impl WpCounters {
 /// See the module documentation.
 #[derive(Debug)]
 pub struct WpStore {
-    enabled: bool,
     shards: Box<[Mutex<WpShard>]>,
     counters: WpCounters,
     next_session: AtomicU32,
@@ -195,16 +194,7 @@ pub struct WpStore {
 
 impl Default for WpStore {
     fn default() -> Self {
-        WpStore::new(true)
-    }
-}
-
-impl WpStore {
-    /// Creates a store; `enabled = false` yields a pass-through that always
-    /// recomputes (the differential baseline the equivalence tests use).
-    pub fn new(enabled: bool) -> Self {
         WpStore {
-            enabled,
             shards: (0..WP_CACHE_SHARDS)
                 .map(|_| Mutex::default())
                 .collect::<Vec<_>>()
@@ -213,10 +203,12 @@ impl WpStore {
             next_session: AtomicU32::new(0),
         }
     }
+}
 
-    /// Whether lookups are served (as opposed to pass-through recomputation).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+impl WpStore {
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        WpStore::default()
     }
 
     /// Opens a per-analysis session. Sessions share the store's entries but
@@ -302,12 +294,8 @@ impl WpStore {
     /// Seeds the store with entries re-interned from a persisted artifact,
     /// marked with the reserved disk session id so hits on them count as
     /// cross-monitor reuse *and* into [`WpCacheStats::disk_hits`]. Existing
-    /// entries win over seeded ones. Returns the number of entries inserted;
-    /// no-op (returning 0) when the store is disabled.
+    /// entries win over seeded ones. Returns the number of entries inserted.
     pub fn seed_entries(&self, entries: Vec<WpExportEntry>) -> usize {
-        if !self.enabled {
-            return 0;
-        }
         let mut inserted = 0;
         for (fingerprint, stmt, post, result) in entries {
             let mut shard = self.shard(&fingerprint, &stmt).lock().unwrap();
@@ -345,34 +333,18 @@ impl WpStore {
 /// A per-analysis session over a [`WpStore`]; this is the handle the
 /// pipeline threads through abduction and placement. See the module
 /// documentation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WpCache {
     store: Arc<WpStore>,
     analysis: u32,
     counters: WpCounters,
 }
 
-impl Default for WpCache {
-    fn default() -> Self {
-        WpCache::new(true)
-    }
-}
-
 impl WpCache {
     /// Creates a session over a fresh private store — the configuration of a
-    /// standalone (non-suite) analysis. `enabled = false` yields the
-    /// recompute-everything differential baseline.
-    pub fn new(enabled: bool) -> Self {
-        WpCache {
-            store: Arc::new(WpStore::new(enabled)),
-            analysis: 0,
-            counters: WpCounters::default(),
-        }
-    }
-
-    /// Whether lookups are served (as opposed to pass-through recomputation).
-    pub fn is_enabled(&self) -> bool {
-        self.store.enabled
+    /// standalone (non-suite) analysis.
+    pub fn new() -> Self {
+        WpCache::default()
     }
 
     /// Snapshot of this session's counters (exact even when other sessions
@@ -397,10 +369,6 @@ impl WpCache {
         post: FormulaId,
         compute: impl FnOnce() -> Result<FormulaId, WpError>,
     ) -> Result<FormulaId, WpError> {
-        if !self.store.enabled {
-            let _span = expresso_obs::span!("vcgen.wp");
-            return compute();
-        }
         self.get_or_compute_fingerprinted(&lowering_fingerprint(stmt, table), stmt, post, compute)
     }
 
@@ -415,10 +383,6 @@ impl WpCache {
         post: FormulaId,
         compute: impl FnOnce() -> Result<FormulaId, WpError>,
     ) -> Result<FormulaId, WpError> {
-        if !self.store.enabled {
-            let _span = expresso_obs::span!("vcgen.wp");
-            return compute();
-        }
         if let Some((cached, inserted_by)) = self.store.lookup(fingerprint, stmt, post) {
             let cross = inserted_by != self.analysis;
             let disk = inserted_by == DISK_SESSION;
@@ -461,7 +425,7 @@ mod tests {
         let interner = Interner::new();
         let post = interner.true_id();
         let table = table();
-        let cache = WpCache::new(true);
+        let cache = WpCache::new();
         let mut computed = 0;
         for _ in 0..3 {
             let got = cache.get_or_compute(&skip(), &table, post, || {
@@ -478,28 +442,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_recomputes_every_time() {
-        let interner = Interner::new();
-        let post = interner.true_id();
-        let table = table();
-        let cache = WpCache::new(false);
-        let mut computed = 0;
-        for _ in 0..3 {
-            let _ = cache.get_or_compute(&skip(), &table, post, || {
-                computed += 1;
-                Ok(post)
-            });
-        }
-        assert_eq!(computed, 3);
-        assert_eq!(cache.stats(), WpCacheStats::default());
-    }
-
-    #[test]
     fn errors_are_cached_too() {
         let interner = Interner::new();
         let post = interner.false_id();
         let table = table();
-        let cache = WpCache::new(true);
+        let cache = WpCache::new();
         let mut computed = 0;
         for _ in 0..2 {
             let got = cache.get_or_compute(&skip(), &table, post, || {
@@ -514,7 +461,7 @@ mod tests {
     #[test]
     fn distinct_posts_are_distinct_entries() {
         let interner = Interner::new();
-        let cache = WpCache::new(true);
+        let cache = WpCache::new();
         let table = table();
         let t = interner.true_id();
         let f = interner.false_id();
@@ -543,7 +490,7 @@ mod tests {
 
         let interner = Interner::new();
         let post = interner.true_id();
-        let store = Arc::new(WpStore::new(true));
+        let store = Arc::new(WpStore::new());
         let a = store.session();
         let b = store.session();
         let one = interner.intern(&expresso_logic::Formula::bool_var("one"));
@@ -588,7 +535,7 @@ mod tests {
 
         let interner = Interner::new();
         let post = interner.true_id();
-        let store = Arc::new(WpStore::new(true));
+        let store = Arc::new(WpStore::new());
         let a = store.session();
         let b = store.session();
         let value = interner.intern(&expresso_logic::Formula::bool_var("wp"));

@@ -1,203 +1,45 @@
-//! Cache/parallelism correctness: for every monitor in the benchmark suite,
-//! the cached + parallel pipeline must produce exactly the same
-//! explicit-signal monitor as a cache-disabled, fully sequential run.
-//!
-//! The solver memo cache and the parallel pair discharge are pure
-//! optimisations; any observable divergence here is a soundness bug in the
-//! arena, the cache keying or the parallel work split.
+//! Cache/parallelism correctness: the shared memo tables, the work-stealing
+//! pool, the on-disk warm start and span recording are pure optimisations.
+//! For every monitor in the benchmark suite (and generated corpora), every
+//! scheduling mode and every cache temperature must produce exactly the same
+//! explicit-signal monitor, invariant and placement counters; any observable
+//! divergence here is a soundness bug in the arena, the cache keying or the
+//! parallel work split.
 
-use expresso_repro::core::{AbductionExecutor, Expresso, ExpressoConfig, SharedAnalysisContext};
+use expresso_repro::core::{AnalysisOutcome, Expresso, ExpressoConfig, SharedAnalysisContext};
 use expresso_repro::suite::all;
 use expresso_repro::suite::corpusgen::{generate, mutate_source, CorpusSpec};
 
-fn config(cache: bool, parallel: bool) -> ExpressoConfig {
-    ExpressoConfig {
-        enable_solver_cache: cache,
-        parallel_analysis: parallel,
-        ..ExpressoConfig::default()
-    }
-}
-
-#[test]
-fn cached_parallel_pipeline_matches_uncached_sequential_on_every_benchmark() {
-    for benchmark in all() {
-        let monitor = benchmark.monitor();
-        let fast = Expresso::with_config(config(true, true))
-            .analyze(&monitor)
-            .unwrap_or_else(|e| panic!("{}: cached analysis failed: {e}", benchmark.name));
-        let slow = Expresso::with_config(config(false, false))
-            .analyze(&monitor)
-            .unwrap_or_else(|e| panic!("{}: uncached analysis failed: {e}", benchmark.name));
-
-        assert_eq!(
-            fast.explicit, slow.explicit,
-            "{}: signal placement diverged between cached/parallel and uncached/sequential",
-            benchmark.name
-        );
-        assert_eq!(
-            fast.explicit.notification_count(),
-            slow.explicit.notification_count(),
-            "{}: notification counts diverged",
-            benchmark.name
-        );
-        assert_eq!(
-            fast.explicit.broadcast_count(),
-            slow.explicit.broadcast_count(),
-            "{}: broadcast counts diverged",
-            benchmark.name
-        );
-        assert_eq!(
-            fast.invariant, slow.invariant,
-            "{}: inferred invariants diverged",
-            benchmark.name
-        );
-        assert_eq!(
-            fast.report.skipped, slow.report.skipped,
-            "{}: skipped-pair counts diverged",
-            benchmark.name
-        );
-        // Cache state must not change *what gets explored*, only how fast:
-        // the pair grid and the per-pair triple workload are pure functions
-        // of the monitor and invariant.
-        assert_eq!(
-            fast.report.pairs_considered, slow.report.pairs_considered,
-            "{}: pairs_considered diverged between cached and uncached runs",
-            benchmark.name
-        );
-        assert_eq!(
-            fast.report.triples_checked, slow.report.triples_checked,
-            "{}: triples_checked diverged between cached and uncached runs",
-            benchmark.name
-        );
-        assert_eq!(
-            fast.report.triples_per_pair().to_bits(),
-            slow.report.triples_per_pair().to_bits(),
-            "{}: triples_per_pair diverged between cached and uncached runs",
-            benchmark.name
-        );
-        // The uncached run must not have touched the cache at all.
-        assert_eq!(slow.stats.solver.cache_hits, 0, "{}", benchmark.name);
-        assert_eq!(slow.stats.solver.cache_misses, 0, "{}", benchmark.name);
-    }
-}
-
-#[test]
-fn each_flag_is_independent() {
-    // Toggle the two flags one at a time on the motivating benchmark; all
-    // four combinations must agree on the result.
-    let rw = all()
-        .into_iter()
-        .find(|b| b.name == "ReadersWriters")
-        .expect("suite contains the readers-writers benchmark");
-    let monitor = rw.monitor();
-    let reference = Expresso::with_config(config(true, true))
-        .analyze(&monitor)
-        .unwrap();
-    for (cache, parallel) in [(true, false), (false, true), (false, false)] {
-        let outcome = Expresso::with_config(config(cache, parallel))
-            .analyze(&monitor)
-            .unwrap();
-        assert_eq!(
-            outcome.explicit, reference.explicit,
-            "cache={cache} parallel={parallel} diverged"
-        );
-        assert_eq!(outcome.invariant, reference.invariant);
-        assert_eq!(
-            outcome.report.pairs_considered, reference.report.pairs_considered,
-            "cache={cache} parallel={parallel}: pairs_considered diverged"
-        );
-        assert_eq!(
-            outcome.report.triples_checked, reference.report.triples_checked,
-            "cache={cache} parallel={parallel}: triples_checked diverged"
-        );
-        assert_eq!(
-            outcome.report.triples_per_pair().to_bits(),
-            reference.report.triples_per_pair().to_bits(),
-            "cache={cache} parallel={parallel}: triples_per_pair diverged"
-        );
-        if !cache {
-            assert_eq!(outcome.stats.solver.cache_hits, 0);
-        }
-    }
-}
-
-#[test]
-fn interner_sharding_and_wp_cache_cannot_change_results() {
-    // Arena sharding and WP memoization are pure optimisations: for every
-    // suite monitor, every combination of `interner_shards ∈ {1, 16}` and
-    // `wp_cache` on/off must produce the identical explicit monitor,
-    // invariant and exploration counters as the default configuration.
-    for benchmark in all() {
-        let monitor = benchmark.monitor();
-        let reference = Expresso::new()
-            .analyze(&monitor)
-            .unwrap_or_else(|e| panic!("{}: reference analysis failed: {e}", benchmark.name));
-        for shards in [1usize, 16] {
-            for wp_cache in [true, false] {
-                let outcome = Expresso::with_config(ExpressoConfig {
-                    interner_shards: shards,
-                    wp_cache,
-                    ..ExpressoConfig::default()
-                })
-                .analyze(&monitor)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{}: shards={shards} wp_cache={wp_cache}: analysis failed: {e}",
-                        benchmark.name
-                    )
-                });
-                let label = format!("{}: shards={shards} wp_cache={wp_cache}", benchmark.name);
-                assert_eq!(
-                    outcome.explicit, reference.explicit,
-                    "{label}: explicit diverged"
-                );
-                assert_eq!(
-                    outcome.invariant, reference.invariant,
-                    "{label}: invariant diverged"
-                );
-                assert_eq!(
-                    outcome.report.pairs_considered, reference.report.pairs_considered,
-                    "{label}: pairs_considered diverged"
-                );
-                assert_eq!(
-                    outcome.report.triples_checked, reference.report.triples_checked,
-                    "{label}: triples_checked diverged"
-                );
-                assert_eq!(
-                    outcome.report.skipped, reference.report.skipped,
-                    "{label}: skipped diverged"
-                );
-                assert_eq!(
-                    outcome.report.triples_per_pair().to_bits(),
-                    reference.report.triples_per_pair().to_bits(),
-                    "{label}: triples_per_pair diverged"
-                );
-                assert_eq!(
-                    outcome.stats.interner.shard_count, shards,
-                    "{label}: arena did not honour the shard knob"
-                );
-                if wp_cache {
-                    assert!(
-                        outcome.stats.wp_cache.hits > 0,
-                        "{label}: enabled WP cache saw no hits"
-                    );
-                } else {
-                    assert_eq!(
-                        outcome.stats.wp_cache.hits + outcome.stats.wp_cache.misses,
-                        0,
-                        "{label}: disabled WP cache recorded traffic"
-                    );
-                }
-            }
-        }
-    }
+/// Asserts that two analyses of one monitor agree on everything that is a
+/// pure function of the monitor: the explicit monitor, the invariant, the
+/// abduction candidate counts and every placement counter.
+fn assert_same_analysis(label: &str, a: &AnalysisOutcome, b: &AnalysisOutcome) {
+    assert_eq!(a.explicit, b.explicit, "{label}: explicit");
+    assert_eq!(a.invariant, b.invariant, "{label}: invariant");
+    assert_eq!(
+        a.stats.invariant_candidates, b.stats.invariant_candidates,
+        "{label}: invariant_candidates"
+    );
+    assert_eq!(
+        a.stats.invariant_conjuncts, b.stats.invariant_conjuncts,
+        "{label}: invariant_conjuncts"
+    );
+    assert_eq!(a.report.decisions, b.report.decisions, "{label}: decisions");
+    assert_eq!(
+        a.report.pairs_considered, b.report.pairs_considered,
+        "{label}: pairs_considered"
+    );
+    assert_eq!(
+        a.report.triples_checked, b.report.triples_checked,
+        "{label}: triples_checked"
+    );
+    assert_eq!(a.report.skipped, b.report.skipped, "{label}: skipped");
 }
 
 #[test]
 fn scheduler_modes_are_bit_identical_across_the_suite() {
-    // The work-stealing pool and the abduction executor are pure scheduling
-    // substrates: for every suite monitor, `abduction_executor ∈ {Inline,
-    // Pool}` × `analysis_threads ∈ {1, 8}` × suite-parallel on/off must all
+    // The work-stealing pool is a pure scheduling substrate: for every suite
+    // monitor, `analysis_threads ∈ {1, 8}` × suite-parallel on/off must all
     // produce bit-identical outcomes, candidate counts and placement
     // counters — both against each other and against a stand-alone
     // private-context analysis.
@@ -212,78 +54,38 @@ fn scheduler_modes_are_bit_identical_across_the_suite() {
                 .unwrap_or_else(|e| panic!("{}: reference analysis failed: {e}", b.name))
         })
         .collect();
-    for executor in [AbductionExecutor::Inline, AbductionExecutor::Pool] {
-        for threads in [1usize, 8] {
-            for suite_parallel in [false, true] {
-                let pipeline = Expresso::with_config(ExpressoConfig {
-                    analysis_threads: threads,
-                    abduction_executor: executor,
-                    ..ExpressoConfig::default()
-                });
-                let context = SharedAnalysisContext::new(pipeline.config());
-                let outcomes: Vec<_> = if suite_parallel {
-                    pipeline.analyze_suite(&context, &monitors)
-                } else {
-                    monitors
-                        .iter()
-                        .map(|m| pipeline.analyze_with_context(&context, m))
-                        .collect()
-                };
-                for ((outcome, expected), b) in outcomes.iter().zip(&reference).zip(&benchmarks) {
-                    let label = format!(
-                        "{}: executor={executor:?} analysis_threads={threads} \
-                         suite_parallel={suite_parallel}",
-                        b.name
-                    );
-                    let outcome = outcome
-                        .as_ref()
-                        .unwrap_or_else(|e| panic!("{label}: analysis failed: {e}"));
-                    assert_eq!(outcome.explicit, expected.explicit, "{label}: explicit");
-                    assert_eq!(outcome.invariant, expected.invariant, "{label}: invariant");
-                    assert_eq!(
-                        outcome.stats.invariant_candidates, expected.stats.invariant_candidates,
-                        "{label}: invariant_candidates"
-                    );
-                    assert_eq!(
-                        outcome.stats.invariant_conjuncts, expected.stats.invariant_conjuncts,
-                        "{label}: invariant_conjuncts"
-                    );
-                    assert_eq!(
-                        outcome.report.decisions, expected.report.decisions,
-                        "{label}: decisions"
-                    );
-                    assert_eq!(
-                        outcome.report.pairs_considered, expected.report.pairs_considered,
-                        "{label}: pairs_considered"
-                    );
-                    assert_eq!(
-                        outcome.report.triples_checked, expected.report.triples_checked,
-                        "{label}: triples_checked"
-                    );
-                    assert_eq!(outcome.report.skipped, expected.report.skipped, "{label}");
-                    assert_eq!(
-                        outcome.report.triples_per_pair().to_bits(),
-                        expected.report.triples_per_pair().to_bits(),
-                        "{label}: triples_per_pair"
-                    );
-                }
-                // The executor knob must actually route abduction: the pool
-                // façade counts every dispatched closure, the inline path
-                // never touches the scheduler.
-                let abduction_tasks = context.scheduler_stats().abduction_tasks;
-                match executor {
-                    AbductionExecutor::Pool => assert!(
-                        abduction_tasks > 0,
-                        "executor=Pool analysis_threads={threads} \
-                         suite_parallel={suite_parallel}: no abduction tasks reached the pool"
-                    ),
-                    AbductionExecutor::Inline => assert_eq!(
-                        abduction_tasks, 0,
-                        "executor=Inline analysis_threads={threads} \
-                         suite_parallel={suite_parallel}: abduction leaked onto the pool"
-                    ),
-                }
+    for threads in [1usize, 8] {
+        for suite_parallel in [false, true] {
+            let pipeline = Expresso::with_config(ExpressoConfig {
+                analysis_threads: threads,
+                ..ExpressoConfig::default()
+            });
+            let context = SharedAnalysisContext::new(pipeline.config());
+            let outcomes: Vec<_> = if suite_parallel {
+                pipeline.analyze_suite(&context, &monitors)
+            } else {
+                monitors
+                    .iter()
+                    .map(|m| pipeline.analyze_with_context(&context, m))
+                    .collect()
+            };
+            for ((outcome, expected), b) in outcomes.iter().zip(&reference).zip(&benchmarks) {
+                let label = format!(
+                    "{}: analysis_threads={threads} suite_parallel={suite_parallel}",
+                    b.name
+                );
+                let outcome = outcome
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{label}: analysis failed: {e}"));
+                assert_same_analysis(&label, outcome, expected);
             }
+            // Abduction must actually be routed through the context's
+            // scheduler: its executor façade counts every dispatched closure.
+            assert!(
+                context.scheduler_stats().abduction_tasks > 0,
+                "analysis_threads={threads} suite_parallel={suite_parallel}: \
+                 no abduction tasks reached the scheduler"
+            );
         }
     }
 }
@@ -392,34 +194,7 @@ fn warm_start_from_artifact_is_bit_identical_and_served_from_disk() {
         .collect();
 
     for ((c, w), v) in cold.iter().zip(&warm).zip(&corpus) {
-        assert_eq!(c.explicit, w.explicit, "{}: explicit diverged", v.name);
-        assert_eq!(c.invariant, w.invariant, "{}: invariant diverged", v.name);
-        assert_eq!(
-            c.stats.invariant_candidates, w.stats.invariant_candidates,
-            "{}: candidate counts diverged",
-            v.name
-        );
-        assert_eq!(
-            c.stats.invariant_conjuncts, w.stats.invariant_conjuncts,
-            "{}: conjunct counts diverged",
-            v.name
-        );
-        assert_eq!(
-            c.report.decisions, w.report.decisions,
-            "{}: decisions",
-            v.name
-        );
-        assert_eq!(
-            c.report.pairs_considered, w.report.pairs_considered,
-            "{}: pairs_considered",
-            v.name
-        );
-        assert_eq!(
-            c.report.triples_checked, w.report.triples_checked,
-            "{}: triples_checked",
-            v.name
-        );
-        assert_eq!(c.report.skipped, w.report.skipped, "{}: skipped", v.name);
+        assert_same_analysis(&v.name, c, w);
         assert_eq!(
             w.stats.wp_cache.misses, 0,
             "{}: warm run recomputed a weakest precondition",
@@ -581,7 +356,6 @@ fn span_recording_cannot_change_results_and_disabled_mode_records_nothing() {
     use expresso_repro::obs;
 
     let sequential = ExpressoConfig {
-        parallel_analysis: false,
         analysis_threads: 1,
         ..ExpressoConfig::default()
     };
@@ -614,28 +388,11 @@ fn span_recording_cannot_change_results_and_disabled_mode_records_nothing() {
         "enabled-mode analysis must record pipeline spans"
     );
 
-    assert_eq!(off.explicit, on.explicit, "explicit diverged under tracing");
-    assert_eq!(
-        off.invariant, on.invariant,
-        "invariant diverged under tracing"
-    );
-    assert_eq!(off.report.decisions, on.report.decisions);
-    assert_eq!(off.report.pairs_considered, on.report.pairs_considered);
-    assert_eq!(off.report.triples_checked, on.report.triples_checked);
-    assert_eq!(off.report.skipped, on.report.skipped);
-    assert_eq!(
-        off.report.triples_per_pair().to_bits(),
-        on.report.triples_per_pair().to_bits()
-    );
+    assert_same_analysis("tracing on vs off", &off, &on);
     assert_eq!(off.stats.solver.cache_hits, on.stats.solver.cache_hits);
     assert_eq!(off.stats.solver.cache_misses, on.stats.solver.cache_misses);
     assert_eq!(off.stats.wp_cache.hits, on.stats.wp_cache.hits);
     assert_eq!(off.stats.wp_cache.misses, on.stats.wp_cache.misses);
-    assert_eq!(
-        off.stats.invariant_candidates,
-        on.stats.invariant_candidates
-    );
-    assert_eq!(off.stats.invariant_conjuncts, on.stats.invariant_conjuncts);
 }
 
 #[test]

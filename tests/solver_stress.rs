@@ -1,11 +1,11 @@
 //! Concurrency stress for the sharded solver caches: 8 scoped threads hammer
 //! one shared solver with heavily overlapping formula batches, and every
-//! verdict must agree with a fresh unsharded (single-stripe) solver answering
-//! the same queries sequentially. Overlap is the point — it forces distinct
-//! threads onto the same cache entries so stripe handoff, epoch tagging and
-//! the atomic counters all see real contention.
+//! verdict must agree with a fresh memo-free solver built per query and with
+//! brute-force evaluation over a small box. Overlap is the point — it forces
+//! distinct threads onto the same cache entries so stripe handoff, epoch
+//! tagging and the atomic counters all see real contention.
 
-use expresso_repro::logic::{Formula, Lcg, Term};
+use expresso_repro::logic::{Formula, Lcg, Term, Valuation};
 use expresso_repro::smt::{SatResult, Solver, SolverConfig, ValidityResult};
 use std::sync::Arc;
 
@@ -87,19 +87,81 @@ fn validity_verdict(result: &ValidityResult) -> &'static str {
     }
 }
 
+/// Bound of the brute-force box: every int variable ranges over
+/// `[-BOX, BOX]`, every bool variable over both values.
+const BOX: i64 = 6;
+
+/// A valuation of the pool's variables inside the box satisfying `f`, if any.
+/// Independent of the solver: plain evaluation of the formula tree.
+fn witness_in_box(f: &Formula) -> Option<Valuation> {
+    let range = -BOX..=BOX;
+    for x in range.clone() {
+        for y in range.clone() {
+            for z in range.clone() {
+                for bits in 0..4u8 {
+                    let mut v = Valuation::new();
+                    v.set_int("x", x).set_int("y", y).set_int("z", z);
+                    v.set_bool("p", bits & 1 != 0).set_bool("q", bits & 2 != 0);
+                    if v.eval(f).expect("pool formulas evaluate") {
+                        return Some(v);
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Evaluates `f` under a solver-produced model. The model only binds the
+/// variables that survive normalization; the others are irrelevant to the
+/// truth value, so they default to `0` / `false`.
+fn holds_under(model: &Valuation, f: &Formula) -> bool {
+    let mut v = Valuation::new();
+    v.set_int("x", 0).set_int("y", 0).set_int("z", 0);
+    v.set_bool("p", false).set_bool("q", false);
+    v.extend_with(model);
+    v.eval(f).expect("pool formulas evaluate")
+}
+
+/// Checks one shared-solver sat answer against a memo-free solver and the
+/// brute-force box.
+fn check_sat_against_oracles(shared: &Solver, f: &Formula, what: &str) {
+    let memoized = shared.check_sat(f);
+    let fresh = Solver::new().check_sat(f);
+    assert_eq!(
+        sat_verdict(&memoized),
+        sat_verdict(&fresh),
+        "{what}: memoized verdict diverged from a fresh solver: {f}"
+    );
+    for result in [&memoized, &fresh] {
+        if let SatResult::Sat(Some(model)) = result {
+            assert!(
+                holds_under(model, f),
+                "{what}: sat model {model:?} does not satisfy {f}"
+            );
+        }
+    }
+    match fresh {
+        SatResult::Sat(_) => {}
+        SatResult::Unsat => {
+            let witness = witness_in_box(f);
+            assert!(
+                witness.is_none(),
+                "{what}: unsat, yet {witness:?} satisfies {f}"
+            );
+        }
+        SatResult::Unknown(e) => panic!("{what}: linear pool formula came back unknown ({e}): {f}"),
+    }
+}
+
 #[test]
-fn sharded_caches_agree_with_unsharded_solver_under_contention() {
+fn shared_solver_agrees_with_fresh_solvers_and_brute_force() {
     let formulas = Arc::new(pool());
-    // A small model-extraction budget keeps the test fast; it only controls
-    // whether a witness is attached to `Sat`, never the verdict itself, and
-    // both solvers use the same budget.
-    let config = SolverConfig {
+    // A small model-extraction budget keeps the contended phase fast; it only
+    // controls whether a witness is attached to `Sat`, never the verdict.
+    let shared = Solver::with_config(SolverConfig {
         model_search_limit: 64,
         ..SolverConfig::default()
-    };
-    let sharded = Solver::with_config(SolverConfig {
-        cache_shards: 16,
-        ..config.clone()
     });
 
     // Each thread owns an overlapping window of the pool (stride < window) so
@@ -109,59 +171,64 @@ fn sharded_caches_agree_with_unsharded_solver_under_contention() {
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let formulas = Arc::clone(&formulas);
-            let sharded = &sharded;
+            let shared = &shared;
             scope.spawn(move || {
                 for i in 0..window {
                     let idx = (t * (POOL / THREADS) + i) % POOL;
                     let f = &formulas[idx];
                     let g = &formulas[(idx + 1) % POOL];
-                    let _ = sharded.check_sat(f);
-                    let _ = sharded.check_valid(f);
-                    let _ = sharded.check_sat(&Formula::and(vec![f.clone(), g.clone()]));
+                    let _ = shared.check_sat(f);
+                    let _ = shared.check_valid(f);
+                    let _ = shared.check_sat(&Formula::and(vec![f.clone(), g.clone()]));
                 }
             });
         }
     });
 
-    // Verdicts must agree with a fresh single-stripe solver answering the
-    // same queries sequentially.
-    let unsharded = Solver::with_config(SolverConfig {
-        cache_shards: 1,
-        ..config
-    });
+    // Every memoized verdict must agree with a solver that has never seen
+    // another query, and with plain evaluation over the box: sat models
+    // satisfy the formula, unsat formulas have no witness in the box, valid
+    // formulas have no counter-example in it.
     for (idx, f) in formulas.iter().enumerate() {
         let g = &formulas[(idx + 1) % POOL];
+        check_sat_against_oracles(&shared, f, &format!("formula {idx}"));
+        let conj = Formula::and(vec![f.clone(), g.clone()]);
+        check_sat_against_oracles(&shared, &conj, &format!("conjunction {idx}"));
+
+        let fresh = Solver::new().check_valid(f);
         assert_eq!(
-            sat_verdict(&sharded.check_sat(f)),
-            sat_verdict(&unsharded.check_sat(f)),
-            "sat verdict diverged for formula {idx}: {f}"
-        );
-        assert_eq!(
-            validity_verdict(&sharded.check_valid(f)),
-            validity_verdict(&unsharded.check_valid(f)),
+            validity_verdict(&shared.check_valid(f)),
+            validity_verdict(&fresh),
             "validity verdict diverged for formula {idx}: {f}"
         );
-        let conj = Formula::and(vec![f.clone(), g.clone()]);
-        assert_eq!(
-            sat_verdict(&sharded.check_sat(&conj)),
-            sat_verdict(&unsharded.check_sat(&conj)),
-            "sat verdict diverged for conjunction {idx}: {conj}"
-        );
+        match &fresh {
+            ValidityResult::Valid => {
+                let counter = witness_in_box(&Formula::not(f.clone()));
+                assert!(
+                    counter.is_none(),
+                    "formula {idx}: valid, yet {counter:?} falsifies {f}"
+                );
+            }
+            ValidityResult::Invalid(Some(model)) => assert!(
+                !holds_under(model, f),
+                "formula {idx}: counter-model {model:?} satisfies {f}"
+            ),
+            ValidityResult::Invalid(None) => {}
+            ValidityResult::Unknown(e) => panic!("formula {idx}: unknown validity ({e}): {f}"),
+        }
     }
 
     // No lock was poisoned: the shared solver still answers fresh queries and
     // its counters are coherent.
-    assert!(sharded.check_sat(&Formula::True).is_sat());
-    let stats = sharded.stats();
+    assert!(shared.check_sat(&Formula::True).is_sat());
+    let stats = shared.stats();
     assert!(
         stats.cache_hits > 0,
         "overlapping batches must hit the cache"
     );
     assert!(stats.cache_misses > 0);
     assert!(stats.cache_hit_rate() > 0.0);
-    // Every sharded query was re-asked sequentially above, so the combined
-    // query count is exactly threads*window*3 (concurrent) + pool*3
-    // (verification) + 1 (poison probe) + the validity-induced sat queries.
+    // Every validity query was re-asked once sequentially above.
     assert_eq!(
         stats.validity_queries,
         THREADS * (POOL / 3) + POOL,
