@@ -37,7 +37,9 @@
 //! under the load generator, tripwiring on any failed monitor call, on
 //! targeted-mode wakeups exceeding the implicit engine's, and on the fast
 //! path never avoiding a wakeup. `json` additionally tripwires when suite
-//! analysis dispatches zero abduction tasks onto the shared scheduler.
+//! analysis dispatches zero abduction tasks onto the shared scheduler, and
+//! when the sequential suite pass needs more than 5 Fourier–Motzkin
+//! elimination runs per conflict (an exact work count).
 //!
 //! `persist` (also folded into `json` as the `persistence` section) is the
 //! warm-start gate: a seeded generated corpus (`REPRO_CORPUS_SIZE` monitors,
@@ -287,10 +289,20 @@ struct SchedulerSuiteProfile {
     suite_size: usize,
     pool_wall_ms: f64,
     sequential_wall_ms: f64,
+    /// Fourier–Motzkin work of one sequential pass (exact: a fresh context
+    /// per pass, one thread): elimination runs and the conflicts they found.
+    sequential_fm_runs: usize,
+    sequential_fm_fast_conflicts: usize,
     scheduler: SchedulerStats,
     wp: WpCacheStats,
     outputs_identical: bool,
 }
+
+/// Most Fourier–Motzkin elimination runs allowed per conflict found on the
+/// sequential suite pass. A conflict costs its refutation plus one re-run per
+/// member of the Farkas set that refutation names (~3 in all); re-solving
+/// per *literal* instead, as the minimiser once did, costs ~13.
+const MAX_FM_RUNS_PER_CONFLICT: usize = 5;
 
 /// Wall-clock samples per scheduler mode; the minimum is reported (the
 /// stable point estimate for short deterministic workloads).
@@ -326,6 +338,7 @@ fn profile_scheduler_suite() -> SchedulerSuiteProfile {
             outcomes,
             context.wp_stats(),
             context.scheduler_stats().delta_since(&scheduler_before),
+            context.stats(),
         )
     };
 
@@ -339,19 +352,19 @@ fn profile_scheduler_suite() -> SchedulerSuiteProfile {
     let mut sequential_wall_ms = f64::INFINITY;
     let mut pool_kept = None;
     let mut scheduler_total = SchedulerStats::default();
-    let mut sequential_outcomes = None;
+    let mut sequential_kept = None;
     for _ in 0..SCHEDULER_SUITE_SAMPLES {
-        let (seq_ms, seq_out, _, _) = run_once(1);
+        let (seq_ms, seq_out, _, _, seq_solver) = run_once(1);
         sequential_wall_ms = sequential_wall_ms.min(seq_ms);
-        sequential_outcomes = Some(seq_out);
-        let (pool_ms, pool_out, wp, scheduler) = run_once(0);
+        sequential_kept = Some((seq_out, seq_solver));
+        let (pool_ms, pool_out, wp, scheduler, _) = run_once(0);
         pool_wall_ms = pool_wall_ms.min(pool_ms);
         scheduler_total.merge(&scheduler);
         pool_kept = Some((pool_out, wp));
     }
     let (pool_outcomes, wp) = pool_kept.expect("at least one sample");
     let scheduler = scheduler_total;
-    let sequential_outcomes = sequential_outcomes.expect("at least one sample");
+    let (sequential_outcomes, sequential_solver) = sequential_kept.expect("at least one sample");
 
     let outputs_identical = pool_outcomes
         .iter()
@@ -368,6 +381,8 @@ fn profile_scheduler_suite() -> SchedulerSuiteProfile {
         suite_size: monitors.len(),
         pool_wall_ms,
         sequential_wall_ms,
+        sequential_fm_runs: sequential_solver.fm_runs,
+        sequential_fm_fast_conflicts: sequential_solver.fm_fast_conflicts,
         scheduler,
         wp,
         outputs_identical,
@@ -1182,6 +1197,7 @@ fn render_json(
         out,
         "  \"scheduler_suite\": {{\n    \"suite_size\": {},\n    \
          \"pool_wall_ms\": {:.3},\n    \"sequential_wall_ms\": {:.3},\n    \
+         \"sequential_fm_runs\": {},\n    \"sequential_fm_fast_conflicts\": {},\n    \
          \"workers\": {},\n    \"tasks_executed\": {},\n    \"steals\": {},\n    \
          \"injector_pops\": {},\n    \"helper_executed\": {},\n    \
          \"abduction_tasks\": {},\n    \
@@ -1192,6 +1208,8 @@ fn render_json(
         suite.suite_size,
         suite.pool_wall_ms,
         suite.sequential_wall_ms,
+        suite.sequential_fm_runs,
+        suite.sequential_fm_fast_conflicts,
         suite.scheduler.workers,
         suite.scheduler.tasks_executed,
         suite.scheduler.steals,
@@ -1542,6 +1560,10 @@ fn run_json() {
         suite.wp.hits, suite.wp.misses, suite.wp.cross_monitor_hits,
     );
     println!(
+        "fourier-motzkin (sequential pass): {} elimination runs for {} conflicts",
+        suite.sequential_fm_runs, suite.sequential_fm_fast_conflicts,
+    );
+    println!(
         "exploration: {} monitors, {} threads x {} ops: {} DPOR executions vs {} naive \
          ({:.2}x aggregate, {:.2}x mean reduction), {} sleep-set-blocked, \
          {} disjointness queries + {} cache hits, {} divergences",
@@ -1664,6 +1686,20 @@ fn run_json() {
         eprintln!(
             "error: suite-parallel run reported zero cross-monitor WP-cache hits; \
              the fingerprinted suite-wide WP store is not sharing work"
+        );
+        std::process::exit(1);
+    }
+    // Work-count tripwire for conflict explanation: exact and
+    // machine-independent, so it needs no slack for timing noise. (A pass
+    // with no conflict has no ratio to gate.)
+    if suite.sequential_fm_fast_conflicts > 0
+        && suite.sequential_fm_runs > MAX_FM_RUNS_PER_CONFLICT * suite.sequential_fm_fast_conflicts
+    {
+        eprintln!(
+            "error: {} Fourier–Motzkin runs for {} conflicts on the sequential suite pass \
+             (more than {MAX_FM_RUNS_PER_CONFLICT} per conflict); conflict cores are being \
+             found by re-solving instead of read off the refutation",
+            suite.sequential_fm_runs, suite.sequential_fm_fast_conflicts,
         );
         std::process::exit(1);
     }

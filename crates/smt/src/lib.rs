@@ -15,11 +15,16 @@
 //!    the complete integer feasibility check.
 //! 3. [`fourier_motzkin`] — a rational-relaxation feasibility pre-check; a
 //!    rationally infeasible conjunction is integer-infeasible, which avoids
-//!    running Cooper on the common easy cases.
+//!    running Cooper on the common easy cases. Every derived row carries the
+//!    set of literals it was combined from, so a refutation returns its own
+//!    conflict core; arithmetic is checked, and an overflow is "no
+//!    conclusion", never a clamped row.
 //! 4. [`sat`] — a small DPLL SAT solver over CNF produced by Tseitin encoding.
 //! 5. [`solver`] — the DPLL(T) loop: boolean abstraction of the atoms, SAT
 //!    enumeration of propositional models, theory consistency of the implied
-//!    linear-arithmetic literals, and blocking clauses on conflicts.
+//!    linear-arithmetic literals, and blocking clauses on conflicts. The
+//!    abstraction is built from arena ids: an atom *is* its `FormulaId`, and
+//!    its constraint rows for both polarities are translated once per query.
 //!
 //! # Example
 //!

@@ -30,10 +30,14 @@ impl std::error::Error for TranslateError {}
 ///
 /// The coefficient map never stores zero coefficients, which makes structural
 /// equality coincide with semantic equality of the normal form.
+///
+/// Arithmetic saturates at the `i64` limits; an expression remembers whether
+/// any step that built it did (see [`LinExpr::clamped`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LinExpr {
     coeffs: BTreeMap<Ident, i64>,
     constant: i64,
+    clamped: bool,
 }
 
 impl LinExpr {
@@ -45,8 +49,8 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant(value: i64) -> Self {
         LinExpr {
-            coeffs: BTreeMap::new(),
             constant: value,
+            ..LinExpr::default()
         }
     }
 
@@ -56,8 +60,15 @@ impl LinExpr {
         coeffs.insert(name.into(), 1);
         LinExpr {
             coeffs,
-            constant: 0,
+            ..LinExpr::default()
         }
+    }
+
+    /// Whether a step that built this expression overflowed `i64` and was
+    /// clamped, so the stored coefficients may not be the intended ones. A
+    /// procedure that must not conclude from a wrong row checks this first.
+    pub fn clamped(&self) -> bool {
+        self.clamped
     }
 
     /// Returns the constant part.
@@ -88,7 +99,8 @@ impl LinExpr {
     /// Adds another linear expression.
     pub fn add(&self, other: &LinExpr) -> LinExpr {
         let mut out = self.clone();
-        out.constant = out.constant.saturating_add(other.constant);
+        out.clamped |= other.clamped;
+        out.add_constant(other.constant);
         for (v, c) in &other.coeffs {
             out.add_coeff(v.clone(), *c);
         }
@@ -105,19 +117,30 @@ impl LinExpr {
         if factor == 0 {
             return LinExpr::zero();
         }
-        let mut coeffs = BTreeMap::new();
-        for (v, c) in &self.coeffs {
-            coeffs.insert(v.clone(), c.saturating_mul(factor));
-        }
+        let mut clamped = self.clamped;
+        let mut mul = |c: i64| {
+            c.checked_mul(factor).unwrap_or_else(|| {
+                clamped = true;
+                c.saturating_mul(factor)
+            })
+        };
+        let coeffs = self
+            .coeffs
+            .iter()
+            .map(|(v, c)| (v.clone(), mul(*c)))
+            .collect();
+        let constant = mul(self.constant);
         LinExpr {
             coeffs,
-            constant: self.constant.saturating_mul(factor),
+            constant,
+            clamped,
         }
     }
 
     /// Adds `delta` to the coefficient of `var`, dropping it when it becomes zero.
     pub fn add_coeff(&mut self, var: Ident, delta: i64) {
         let entry = self.coeffs.entry(var).or_insert(0);
+        self.clamped |= entry.checked_add(delta).is_none();
         *entry = entry.saturating_add(delta);
         if *entry == 0 {
             self.coeffs.retain(|_, c| *c != 0);
@@ -126,6 +149,7 @@ impl LinExpr {
 
     /// Adds `delta` to the constant part.
     pub fn add_constant(&mut self, delta: i64) {
+        self.clamped |= self.constant.checked_add(delta).is_none();
         self.constant = self.constant.saturating_add(delta);
     }
 

@@ -1,10 +1,10 @@
 //! The lazy DPLL(T) driver: boolean abstraction, SAT enumeration, theory checks.
 
 use crate::cooper;
-use crate::fourier_motzkin::{rational_feasible, Constraint, RationalFeasibility};
+use crate::fourier_motzkin::{refute, Constraint, RationalFeasibility};
 use crate::linear::{LinExpr, TranslateError};
 use crate::sat::{neg, pos, Lit, SatOutcome, SatSolver};
-use expresso_logic::{CmpOp, Formula, FormulaId, Ident, Interner, Term, Valuation};
+use expresso_logic::{CmpOp, Formula, FormulaId, FormulaNode, Ident, Interner, Term, Valuation};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -76,6 +76,9 @@ pub struct SolverStats {
     pub quantifier_eliminations: usize,
     /// Conflicts detected by the Fourier–Motzkin rational pre-check alone.
     pub fm_fast_conflicts: usize,
+    /// Fourier–Motzkin elimination runs: one per pre-check plus every re-run
+    /// that shrinks a conflict's Farkas set to a minimal core.
+    pub fm_runs: usize,
     /// Queries where non-linear or array atoms were abstracted as opaque booleans.
     pub abstracted_queries: usize,
 }
@@ -128,6 +131,7 @@ impl SolverStats {
                 self.quantifier_eliminations as u64,
             ),
             Metric::counter("fm_fast_conflicts", self.fm_fast_conflicts as u64),
+            Metric::counter("fm_runs", self.fm_runs as u64),
             Metric::counter("abstracted_queries", self.abstracted_queries as u64),
             Metric::gauge("cache_hit_rate", self.cache_hit_rate()),
             Metric::gauge("cross_analysis_hit_rate", self.cross_analysis_hit_rate()),
@@ -168,6 +172,7 @@ impl SolverStats {
             fm_fast_conflicts: self
                 .fm_fast_conflicts
                 .saturating_sub(earlier.fm_fast_conflicts),
+            fm_runs: self.fm_runs.saturating_sub(earlier.fm_runs),
             abstracted_queries: self
                 .abstracted_queries
                 .saturating_sub(earlier.abstracted_queries),
@@ -258,6 +263,7 @@ struct StatsCells {
     theory_checks: AtomicUsize,
     quantifier_eliminations: AtomicUsize,
     fm_fast_conflicts: AtomicUsize,
+    fm_runs: AtomicUsize,
     abstracted_queries: AtomicUsize,
 }
 
@@ -280,6 +286,7 @@ impl StatsCells {
             theory_checks: load(&self.theory_checks),
             quantifier_eliminations: load(&self.quantifier_eliminations),
             fm_fast_conflicts: load(&self.fm_fast_conflicts),
+            fm_runs: load(&self.fm_runs),
             abstracted_queries: load(&self.abstracted_queries),
         }
     }
@@ -751,8 +758,7 @@ impl Solver {
         if self.interner.is_false(nnf_id) {
             return SatResult::Unsat;
         }
-        let nnf = self.interner.formula(nnf_id);
-        self.dpll_t(&nnf)
+        self.dpll_t(nnf_id)
     }
 
     /// Checks validity of `formula` (truth in every model).
@@ -891,9 +897,9 @@ impl Solver {
     // DPLL(T)
     // ------------------------------------------------------------------
 
-    fn dpll_t(&self, nnf: &Formula) -> SatResult {
+    fn dpll_t(&self, nnf: FormulaId) -> SatResult {
         let mut atoms = AtomTable::default();
-        let skeleton = build_skeleton(nnf, &mut atoms);
+        let skeleton = build_skeleton(&self.interner, nnf, &mut atoms);
         if atoms.abstracted {
             bump(&self.stats.abstracted_queries);
         }
@@ -907,18 +913,6 @@ impl Solver {
             RootLit::Lit(l) => sat.add_clause(vec![l]),
         }
 
-        // Intern every theory atom once per query; ids key the theory-verdict
-        // cache and carry conflict cores between queries.
-        let theory_atom_ids: HashMap<usize, FormulaId> = atoms
-            .atoms
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, atom)| match atom {
-                AtomKind::Theory(f) => Some((idx, self.interner.intern(f))),
-                _ => None,
-            })
-            .collect();
-
         for _ in 0..self.config.max_theory_rounds {
             bump(&self.stats.sat_solver_calls);
             let model = match sat.solve() {
@@ -926,16 +920,7 @@ impl Solver {
                 SatOutcome::Sat(m) => m,
             };
             bump(&self.stats.theory_checks);
-            let theory_literals: Vec<TheoryLit> = atoms
-                .theory_literals(&model)
-                .into_iter()
-                .map(|(idx, value, atom)| TheoryLit {
-                    idx,
-                    value,
-                    id: theory_atom_ids[&idx],
-                    atom,
-                })
-                .collect();
+            let theory_literals = atoms.theory_literals(&model);
             match self.theory_consistent(&theory_literals) {
                 TheoryVerdict::Consistent => {
                     return SatResult::Sat(self.extract_model(nnf, &atoms, &model));
@@ -944,18 +929,13 @@ impl Solver {
                     // Block the minimal inconsistent core when one is known:
                     // the short clause prunes every propositional model that
                     // contains the core, instead of just this one model.
-                    let by_id: HashMap<(FormulaId, bool), usize> = theory_literals
-                        .iter()
-                        .map(|l| ((l.id, l.value), l.idx))
-                        .collect();
                     let mut blocking: Vec<Lit> = core
                         .as_deref()
                         .unwrap_or_default()
                         .iter()
-                        .filter_map(|key| {
-                            by_id
-                                .get(key)
-                                .map(|&idx| if key.1 { neg(idx) } else { pos(idx) })
+                        .filter_map(|&(id, value)| {
+                            let idx = *atoms.index.get(&id)?;
+                            (model.get(idx) == Some(&value)).then(|| refuting(idx, value))
                         })
                         .collect();
                     if blocking.is_empty() {
@@ -963,7 +943,7 @@ impl Solver {
                         // conflicts carry no certificate).
                         blocking = theory_literals
                             .iter()
-                            .map(|l| if l.value { neg(l.idx) } else { pos(l.idx) })
+                            .map(|l| refuting(l.idx, l.value))
                             .collect();
                     }
                     if blocking.is_empty() {
@@ -1025,48 +1005,40 @@ impl Solver {
 
     fn theory_consistent_uncached(&self, literals: &[TheoryLit]) -> TheoryVerdict {
         let _span = expresso_obs::span!("smt.theory");
-        // Fast path: rational relaxation via Fourier–Motzkin. Constraints are
-        // kept grouped per literal so an infeasible system can be shrunk to a
-        // minimal core for blocking.
-        let mut groups: Vec<(usize, Vec<Constraint>)> = Vec::new();
-        for (pos, lit) in literals.iter().enumerate() {
-            if let Some(cs) = literal_constraints(&lit.atom, lit.value) {
-                groups.push((pos, cs));
-            }
-        }
+        // Fast path: rational relaxation via Fourier–Motzkin, one constraint
+        // group per convex literal so a refutation names the literals it used.
+        let convex: Vec<(&TheoryLit, &[Constraint])> = literals
+            .iter()
+            .filter_map(|l| l.rows.map(|rows| (l, rows)))
+            .collect();
+        let groups: Vec<&[Constraint]> = convex.iter().map(|&(_, rows)| rows).collect();
         if !groups.is_empty() {
-            let constraints: Vec<Constraint> = groups
-                .iter()
-                .flat_map(|(_, cs)| cs.iter().cloned())
-                .collect();
-            match rational_feasible(&constraints, self.config.fourier_motzkin_limit) {
-                RationalFeasibility::Infeasible => {
-                    bump(&self.stats.fm_fast_conflicts);
-                    let core = self
-                        .minimize_core(&groups)
-                        .into_iter()
-                        .map(|pos| (literals[pos].id, literals[pos].value))
-                        .collect();
-                    return TheoryVerdict::Inconsistent(Some(core));
-                }
-                RationalFeasibility::Feasible | RationalFeasibility::TooLarge => {}
+            if let RationalFeasibility::Infeasible(farkas) = self.fm_run(&groups) {
+                bump(&self.stats.fm_fast_conflicts);
+                let core = self
+                    .minimize_core(&groups, farkas)
+                    .into_iter()
+                    .map(|g| (convex[g].0.id, convex[g].0.value))
+                    .collect();
+                return TheoryVerdict::Inconsistent(Some(core));
             }
         }
         let conjunction = Formula::and(
             literals
                 .iter()
                 .map(|l| {
+                    let atom = self.interner.formula(l.id);
                     if l.value {
-                        l.atom.clone()
+                        atom
                     } else {
-                        Formula::not(l.atom.clone())
+                        Formula::not(atom)
                     }
                 })
                 .collect(),
         );
         // Cheap completeness attempt: a concrete integer witness found by
         // bounded search proves consistency without quantifier elimination.
-        if let Some(_witness) = self.bounded_int_model(&conjunction) {
+        if grid_search(&mut Valuation::new(), &conjunction, 4096) {
             return TheoryVerdict::Consistent;
         }
         // Complete check: existentially quantify every integer variable and
@@ -1090,82 +1062,42 @@ impl Solver {
         }
     }
 
-    /// Greedily shrinks an FM-infeasible set of per-literal constraint groups
-    /// to a minimal core: dropping any remaining group makes the system
-    /// rationally feasible. Rational infeasibility implies integer
-    /// infeasibility, so blocking just the core is sound — and the short
-    /// clause prunes every propositional model containing the core, which
-    /// collapses the DPLL(T) model-enumeration loop from thousands of rounds
-    /// to a handful.
-    ///
-    /// Returns positions into the original literal slice.
-    fn minimize_core(&self, groups: &[(usize, Vec<Constraint>)]) -> Vec<usize> {
-        let mut active = vec![true; groups.len()];
-        for i in 0..groups.len() {
-            active[i] = false;
-            let remaining: Vec<Constraint> = groups
-                .iter()
-                .zip(&active)
-                .filter(|(_, &keep)| keep)
-                .flat_map(|((_, cs), _)| cs.iter().cloned())
-                .collect();
-            if !matches!(
-                rational_feasible(&remaining, self.config.fourier_motzkin_limit),
-                RationalFeasibility::Infeasible
-            ) {
-                // The group is needed for infeasibility; keep it.
-                active[i] = true;
-            }
-        }
-        groups
-            .iter()
-            .zip(&active)
-            .filter(|(_, &keep)| keep)
-            .map(|((pos, _), _)| *pos)
-            .collect()
+    /// One Fourier–Motzkin elimination run over `groups`.
+    fn fm_run(&self, groups: &[&[Constraint]]) -> RationalFeasibility {
+        bump(&self.stats.fm_runs);
+        refute(groups, self.config.fourier_motzkin_limit)
     }
 
-    /// Bounded search for an integer model of a quantifier-free conjunction of
-    /// theory literals (no boolean variables). Returns a witness when found.
-    fn bounded_int_model(&self, conjunction: &Formula) -> Option<Valuation> {
-        let vars: Vec<Ident> = {
-            let mut v: Vec<Ident> = conjunction.int_vars().into_iter().collect();
-            v.sort();
-            v
-        };
-        if vars.is_empty() {
-            return match Valuation::new().eval(conjunction) {
-                Ok(true) => Some(Valuation::new()),
-                _ => None,
-            };
-        }
-        let candidates = candidate_values(conjunction);
-        let total = candidates.len().checked_pow(vars.len() as u32)?;
-        if total > 4096 {
-            return None;
-        }
-        let mut indices = vec![0usize; vars.len()];
-        loop {
-            let mut attempt = Valuation::new();
-            for (var, &i) in vars.iter().zip(indices.iter()) {
-                attempt.set_int(var.clone(), candidates[i]);
-            }
-            if attempt.eval(conjunction) == Ok(true) {
-                return Some(attempt);
-            }
-            let mut pos = 0;
-            loop {
-                if pos == indices.len() {
-                    return None;
+    /// Shrinks the Farkas set of an FM refutation (indices into `groups`,
+    /// ascending) to a minimal core: infeasible on its own, and dropping any
+    /// member makes the rest rationally feasible. Rational infeasibility
+    /// implies integer infeasibility, so blocking just the core is sound —
+    /// and the short clause prunes every propositional model containing the
+    /// core, which collapses the DPLL(T) model-enumeration loop from
+    /// thousands of rounds to a handful.
+    ///
+    /// Only members of the Farkas set are candidates for deletion (the other
+    /// groups are already known to be unnecessary), and a successful deletion
+    /// continues from the Farkas set of *its* refutation, so this costs at
+    /// most one elimination run per member of the incoming set.
+    fn minimize_core(&self, groups: &[&[Constraint]], mut core: Vec<usize>) -> Vec<usize> {
+        let mut i = 0;
+        // A single group has nothing to drop: the empty system is feasible.
+        while core.len() > 1 && i < core.len() {
+            let mut trial = core.clone();
+            let dropped = trial.remove(i);
+            let rows: Vec<&[Constraint]> = trial.iter().map(|&g| groups[g]).collect();
+            match self.fm_run(&rows) {
+                RationalFeasibility::Infeasible(farkas) => {
+                    core = farkas.into_iter().map(|k| trial[k]).collect();
+                    // Everything before `dropped` has been found necessary.
+                    i = core.partition_point(|&g| g < dropped);
                 }
-                indices[pos] += 1;
-                if indices[pos] < candidates.len() {
-                    break;
-                }
-                indices[pos] = 0;
-                pos += 1;
+                // The group is needed for infeasibility; keep it.
+                RationalFeasibility::Feasible | RationalFeasibility::TooLarge => i += 1,
             }
         }
+        core
     }
 
     /// Best-effort extraction of a concrete model for a satisfiable formula.
@@ -1176,80 +1108,89 @@ impl Solver {
     /// budget is exhausted or the formula contains opaque atoms.
     fn extract_model(
         &self,
-        formula: &Formula,
+        nnf: FormulaId,
         atoms: &AtomTable,
         sat_model: &[bool],
     ) -> Option<Valuation> {
+        if atoms.abstracted {
+            return None;
+        }
+        // Evaluating candidates is the one place a satisfiable query needs
+        // its formula as a tree.
+        let formula = self.interner.formula(nnf);
         let mut valuation = Valuation::new();
         for (idx, atom) in atoms.atoms.iter().enumerate() {
-            if let AtomKind::Bool(name) = atom {
+            if let AtomKind::Bool(name) = &atom.kind {
                 let value = sat_model.get(idx).copied().unwrap_or(false);
                 valuation.set_bool(name.clone(), value);
             }
         }
-        // Give every free boolean variable a value even if it never became an atom.
-        for b in formula.bool_vars() {
-            if valuation.boolean(&b).is_none() {
-                valuation.set_bool(b, false);
-            }
+        grid_search(&mut valuation, &formula, self.config.model_search_limit).then_some(valuation)
+    }
+}
+
+/// Bounded search for values of the integer variables of `formula` that make
+/// it true, the other variables being bound by `valuation` already. The grid
+/// is `candidate_values(formula)^vars`, walked in odometer order (first
+/// variable in name order fastest) by overwriting the integers of `valuation`
+/// in place; nothing is tried when the grid has more than `limit` points.
+/// Returns whether a point was found; on success `valuation` holds it.
+fn grid_search(valuation: &mut Valuation, formula: &Formula, limit: usize) -> bool {
+    let mut vars: Vec<Ident> = formula.int_vars().into_iter().collect();
+    vars.sort();
+    let candidates = candidate_values(formula);
+    let in_budget = candidates
+        .len()
+        .checked_pow(vars.len() as u32)
+        .is_some_and(|total| total <= limit);
+    if !in_budget {
+        return false;
+    }
+    for var in &vars {
+        valuation.set_int(var.clone(), candidates[0]);
+    }
+    let mut indices = vec![0usize; vars.len()];
+    loop {
+        if valuation.eval(formula) == Ok(true) {
+            return true;
         }
-        if atoms.abstracted {
-            return None;
-        }
-        let int_vars: Vec<Ident> = {
-            let mut v: Vec<Ident> = formula.int_vars().into_iter().collect();
-            v.sort();
-            v
-        };
-        if int_vars.is_empty() {
-            return match valuation.eval(formula) {
-                Ok(true) => Some(valuation),
-                _ => None,
-            };
-        }
-        let candidates = candidate_values(formula);
-        let total: usize = candidates
-            .len()
-            .checked_pow(int_vars.len() as u32)
-            .unwrap_or(usize::MAX);
-        if total > self.config.model_search_limit {
-            return None;
-        }
-        let mut indices = vec![0usize; int_vars.len()];
+        // Advance the odometer.
+        let mut pos = 0;
         loop {
-            let mut attempt = valuation.clone();
-            for (var, &i) in int_vars.iter().zip(indices.iter()) {
-                attempt.set_int(var.clone(), candidates[i]);
+            if pos == indices.len() {
+                return false;
             }
-            if attempt.eval(formula) == Ok(true) {
-                return Some(attempt);
+            indices[pos] = (indices[pos] + 1) % candidates.len();
+            *valuation
+                .int_mut(&vars[pos])
+                .expect("bound before the walk") = candidates[indices[pos]];
+            if indices[pos] != 0 {
+                break;
             }
-            // Advance the odometer.
-            let mut pos = 0;
-            loop {
-                if pos == indices.len() {
-                    return None;
-                }
-                indices[pos] += 1;
-                if indices[pos] < candidates.len() {
-                    break;
-                }
-                indices[pos] = 0;
-                pos += 1;
-            }
+            pos += 1;
         }
     }
 }
 
+/// The SAT literal a blocking clause needs to forbid atom `idx` being `value`.
+fn refuting(idx: usize, value: bool) -> Lit {
+    if value {
+        neg(idx)
+    } else {
+        pos(idx)
+    }
+}
+
 /// One theory literal of a candidate propositional model: the atom's index in
-/// the query's atom table, its assigned polarity, its interned id (stable
-/// across queries — used for cache keys and conflict cores) and the atom
-/// itself.
-struct TheoryLit {
+/// the query's atom table, its interned id (stable across queries — used for
+/// cache keys and conflict cores), its assigned polarity and the
+/// Fourier–Motzkin rows of the atom under that polarity (`None` when the
+/// literal is non-convex, e.g. a disequality).
+struct TheoryLit<'a> {
     idx: usize,
-    value: bool,
     id: FormulaId,
-    atom: Formula,
+    value: bool,
+    rows: Option<&'a [Constraint]>,
 }
 
 /// Verdict of a theory-consistency check over a conjunction of literals.
@@ -1322,52 +1263,98 @@ fn collect_constants(formula: &Formula, out: &mut BTreeSet<i64>) {
 // ----------------------------------------------------------------------
 
 /// The kinds of propositional atoms the abstraction distinguishes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum AtomKind {
     /// A boolean monitor variable.
     Bool(Ident),
-    /// A linear-arithmetic atom the theory solver understands.
-    Theory(Formula),
+    /// A linear-arithmetic atom the theory solver understands, with its
+    /// Fourier–Motzkin rows when asserted false (index 0) and true (index 1),
+    /// translated once per query; `None` where that polarity is non-convex
+    /// (a disequality) or invisible to the rational relaxation (divisibility).
+    Theory([Option<Vec<Constraint>>; 2]),
     /// An atom outside the linear fragment (array read or non-linear term),
     /// treated as an opaque boolean.
-    Opaque(Formula),
+    Opaque,
 }
 
+#[derive(Debug)]
+struct Atom {
+    id: FormulaId,
+    kind: AtomKind,
+}
+
+/// The atoms of one query, numbered in first-occurrence order; the number is
+/// the atom's SAT variable.
 #[derive(Debug, Default)]
 struct AtomTable {
-    atoms: Vec<AtomKind>,
-    index: HashMap<Formula, usize>,
+    atoms: Vec<Atom>,
+    index: HashMap<FormulaId, usize>,
     abstracted: bool,
 }
 
 impl AtomTable {
-    fn intern(&mut self, key: Formula, kind: AtomKind) -> usize {
-        if let Some(&idx) = self.index.get(&key) {
+    /// Returns the number of atom `id`, classifying it on first sight.
+    fn intern(&mut self, interner: &Interner, id: FormulaId) -> usize {
+        if let Some(&idx) = self.index.get(&id) {
             return idx;
         }
-        let idx = self.atoms.len();
-        if matches!(kind, AtomKind::Opaque(_)) {
+        let linear = |t| LinExpr::from_term(&interner.term(t)).ok();
+        let kind = match interner.node(id) {
+            FormulaNode::BoolVar(name) => AtomKind::Bool(name),
+            FormulaNode::Cmp(op, lhs, rhs) => match (linear(lhs), linear(rhs)) {
+                (Some(l), Some(r)) => {
+                    let e = l.sub(&r);
+                    AtomKind::Theory([cmp_rows(op.negate(), &e), cmp_rows(op, &e)])
+                }
+                _ => AtomKind::Opaque,
+            },
+            FormulaNode::Divides(_, t) if linear(t).is_some() => AtomKind::Theory([None, None]),
+            _ => AtomKind::Opaque,
+        };
+        if matches!(kind, AtomKind::Opaque) {
             self.abstracted = true;
         }
-        self.atoms.push(kind);
-        self.index.insert(key, idx);
+        let idx = self.atoms.len();
+        self.atoms.push(Atom { id, kind });
+        self.index.insert(id, idx);
         idx
     }
 
-    /// Returns `(atom index, assigned value, positive atom formula)` for every
-    /// theory atom in the propositional model.
-    fn theory_literals(&self, model: &[bool]) -> Vec<(usize, bool, Formula)> {
+    /// The theory atoms under the polarities a propositional model assigns.
+    fn theory_literals(&self, model: &[bool]) -> Vec<TheoryLit<'_>> {
         self.atoms
             .iter()
             .enumerate()
-            .filter_map(|(idx, atom)| match atom {
-                AtomKind::Theory(f) => {
-                    Some((idx, model.get(idx).copied().unwrap_or(false), f.clone()))
+            .filter_map(|(idx, atom)| match &atom.kind {
+                AtomKind::Theory(rows) => {
+                    let value = model.get(idx).copied().unwrap_or(false);
+                    Some(TheoryLit {
+                        idx,
+                        id: atom.id,
+                        value,
+                        rows: rows[usize::from(value)].as_deref(),
+                    })
                 }
                 _ => None,
             })
             .collect()
     }
+}
+
+/// The Fourier–Motzkin rows of `e op 0` (`None` for a disequality, which is
+/// not convex).
+fn cmp_rows(op: CmpOp, e: &LinExpr) -> Option<Vec<Constraint>> {
+    Some(match op {
+        CmpOp::Le => vec![Constraint::le_zero(e.clone())],
+        CmpOp::Lt => vec![Constraint::lt_zero(e.clone())],
+        CmpOp::Ge => vec![Constraint::le_zero(e.scale(-1))],
+        CmpOp::Gt => vec![Constraint::lt_zero(e.scale(-1))],
+        CmpOp::Eq => vec![
+            Constraint::le_zero(e.clone()),
+            Constraint::le_zero(e.scale(-1)),
+        ],
+        CmpOp::Ne => return None,
+    })
 }
 
 /// The propositional skeleton of an NNF formula.
@@ -1380,47 +1367,26 @@ enum Skeleton {
     Or(Vec<Skeleton>),
 }
 
-fn is_theory_atom(f: &Formula) -> bool {
-    match f {
-        Formula::Cmp(_, lhs, rhs) => {
-            LinExpr::from_term(lhs).is_ok() && LinExpr::from_term(rhs).is_ok()
-        }
-        Formula::Divides(_, t) => LinExpr::from_term(t).is_ok(),
-        _ => false,
-    }
-}
-
-fn intern_atom(f: &Formula, atoms: &mut AtomTable) -> usize {
-    let kind = match f {
-        Formula::BoolVar(name) => AtomKind::Bool(name.clone()),
-        _ if is_theory_atom(f) => AtomKind::Theory(f.clone()),
-        _ => AtomKind::Opaque(f.clone()),
+/// Builds the propositional skeleton of an interned NNF formula straight from
+/// the arena, numbering its atoms by id.
+fn build_skeleton(interner: &Interner, f: FormulaId, atoms: &mut AtomTable) -> Skeleton {
+    let mut children = |parts: Vec<FormulaId>| -> Vec<Skeleton> {
+        parts
+            .into_iter()
+            .map(|p| build_skeleton(interner, p, atoms))
+            .collect()
     };
-    atoms.intern(f.clone(), kind)
-}
-
-/// Builds the propositional skeleton of an NNF formula, interning atoms.
-fn build_skeleton(f: &Formula, atoms: &mut AtomTable) -> Skeleton {
-    match f {
-        Formula::True => Skeleton::True,
-        Formula::False => Skeleton::False,
-        Formula::And(parts) => {
-            Skeleton::And(parts.iter().map(|p| build_skeleton(p, atoms)).collect())
-        }
-        Formula::Or(parts) => {
-            Skeleton::Or(parts.iter().map(|p| build_skeleton(p, atoms)).collect())
-        }
-        Formula::Not(inner) => match inner.as_ref() {
-            Formula::True => Skeleton::False,
-            Formula::False => Skeleton::True,
-            atom => Skeleton::Lit(intern_atom(atom, atoms), false),
-        },
-        // NNF leaves implications/iffs/quantifiers out, but handle them
-        // defensively by treating them as opaque atoms.
-        Formula::Implies(..) | Formula::Iff(..) | Formula::Quant(..) => {
-            Skeleton::Lit(intern_atom(f, atoms), true)
-        }
-        atom => Skeleton::Lit(intern_atom(atom, atoms), true),
+    match interner.node(f) {
+        FormulaNode::True => Skeleton::True,
+        FormulaNode::False => Skeleton::False,
+        FormulaNode::And(parts) => Skeleton::And(children(parts)),
+        FormulaNode::Or(parts) => Skeleton::Or(children(parts)),
+        FormulaNode::Not(inner) if interner.is_true(inner) => Skeleton::False,
+        FormulaNode::Not(inner) if interner.is_false(inner) => Skeleton::True,
+        FormulaNode::Not(inner) => Skeleton::Lit(atoms.intern(interner, inner), false),
+        // NNF leaves implications/iffs/quantifiers out; should one appear it
+        // is numbered like any atom and classified opaque.
+        _ => Skeleton::Lit(atoms.intern(interner, f), true),
     }
 }
 
@@ -1503,37 +1469,10 @@ fn encode(skeleton: &Skeleton, sat: &mut SatSolver) -> Encoded {
     }
 }
 
-/// Converts a theory literal into Fourier–Motzkin constraints (`None` when the
-/// literal is non-convex, e.g. a disequality).
-fn literal_constraints(atom: &Formula, value: bool) -> Option<Vec<Constraint>> {
-    match atom {
-        Formula::Cmp(op, lhs, rhs) => {
-            let e = LinExpr::from_term(lhs)
-                .ok()?
-                .sub(&LinExpr::from_term(rhs).ok()?);
-            let op = if value { *op } else { op.negate() };
-            Some(match op {
-                CmpOp::Le => vec![Constraint::le_zero(e)],
-                CmpOp::Lt => vec![Constraint::lt_zero(e)],
-                CmpOp::Ge => vec![Constraint::le_zero(e.scale(-1))],
-                CmpOp::Gt => vec![Constraint::lt_zero(e.scale(-1))],
-                CmpOp::Eq => vec![
-                    Constraint::le_zero(e.clone()),
-                    Constraint::le_zero(e.scale(-1)),
-                ],
-                CmpOp::Ne => return None,
-            })
-        }
-        // Divisibility is ignored by the rational relaxation.
-        Formula::Divides(..) => None,
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expresso_logic::Term;
+    use expresso_logic::{Lcg, Term};
 
     fn solver() -> Solver {
         Solver::new()
@@ -1822,5 +1761,154 @@ mod tests {
             Term::var("x").eq(Term::int(1)),
         ]);
         assert!(solver().check_sat(&f).is_unsat());
+    }
+
+    // ------------------------------------------------------------------
+    // Property test: FM cores against brute force and the old minimiser
+    // ------------------------------------------------------------------
+
+    /// The delete-one-group-at-a-time minimiser `minimize_core` was before
+    /// cores came from provenance: every group is a candidate and each trial
+    /// re-solves all that remain. Kept as the oracle for the new one.
+    fn delete_one_at_a_time(groups: &[&[Constraint]], limit: usize) -> Vec<usize> {
+        let mut active = vec![true; groups.len()];
+        for i in 0..groups.len() {
+            active[i] = false;
+            let remaining: Vec<&[Constraint]> = groups
+                .iter()
+                .zip(&active)
+                .filter_map(|(g, &keep)| keep.then_some(*g))
+                .collect();
+            if !matches!(
+                refute(&remaining, limit),
+                RationalFeasibility::Infeasible(_)
+            ) {
+                active[i] = true;
+            }
+        }
+        (0..groups.len()).filter(|&i| active[i]).collect()
+    }
+
+    /// One literal's worth of rows over `vars`: a strict or non-strict
+    /// inequality, or an equality as its two halves.
+    fn random_group(rng: &mut Lcg, vars: &[&str]) -> Vec<Constraint> {
+        let mut e = LinExpr::constant(rng.below(13) as i64 - 6);
+        for v in vars {
+            if rng.below(3) > 0 {
+                e.add_coeff((*v).into(), rng.below(7) as i64 - 3);
+            }
+        }
+        match rng.below(4) {
+            0 => vec![
+                Constraint::le_zero(e.clone()),
+                Constraint::le_zero(e.scale(-1)),
+            ],
+            1 => vec![Constraint::lt_zero(e)],
+            _ => vec![Constraint::le_zero(e)],
+        }
+    }
+
+    /// Is there an integer point of `[-bound, bound]^n` satisfying every row?
+    fn has_integer_point(groups: &[&[Constraint]], vars: &[&str], bound: i64) -> bool {
+        let mut point = vec![-bound; vars.len()];
+        loop {
+            let holds = groups.iter().flat_map(|g| g.iter()).all(|c| {
+                let value = c.expr.constant_part()
+                    + vars
+                        .iter()
+                        .zip(&point)
+                        .map(|(v, x)| c.expr.coeff(v) * x)
+                        .sum::<i64>();
+                if c.strict {
+                    value < 0
+                } else {
+                    value <= 0
+                }
+            });
+            if holds {
+                return true;
+            }
+            let Some(pos) = point.iter().position(|&x| x < bound) else {
+                return false;
+            };
+            point[..pos].fill(-bound);
+            point[pos] += 1;
+        }
+    }
+
+    #[test]
+    fn fm_cores_are_sound_minimal_and_agree_with_the_old_minimiser() {
+        const ALL_VARS: [&str; 4] = ["w", "x", "y", "z"];
+        let limit = SolverConfig::default().fourier_motzkin_limit;
+        let subset = |groups: &[&[Constraint]], keep: &[usize]| -> RationalFeasibility {
+            let kept: Vec<&[Constraint]> = keep.iter().map(|&g| groups[g]).collect();
+            refute(&kept, limit)
+        };
+        let mut rng = Lcg::new(0x5EED_F00D);
+        let (mut infeasible, mut feasible, mut shrunk) = (0, 0, 0);
+        for case in 0..600 {
+            let vars = &ALL_VARS[..1 + rng.index(4)];
+            let owned: Vec<Vec<Constraint>> = (0..2 + rng.index(7))
+                .map(|_| random_group(&mut rng, vars))
+                .collect();
+            let groups: Vec<&[Constraint]> = owned.iter().map(Vec::as_slice).collect();
+            let oracle = delete_one_at_a_time(&groups, limit);
+            let oracle_refutes =
+                matches!(subset(&groups, &oracle), RationalFeasibility::Infeasible(_));
+            let farkas = match refute(&groups, limit) {
+                RationalFeasibility::Infeasible(farkas) => farkas,
+                RationalFeasibility::Feasible => {
+                    assert!(!oracle_refutes, "case {case}: verdicts differ");
+                    feasible += 1;
+                    continue;
+                }
+                RationalFeasibility::TooLarge => panic!("case {case}: small system too large"),
+            };
+            infeasible += 1;
+            assert!(oracle_refutes, "case {case}: verdicts differ");
+            assert!(
+                !has_integer_point(&groups, vars, 4),
+                "case {case}: refuted a system with an integer point"
+            );
+            assert!(
+                farkas.windows(2).all(|w| w[0] < w[1]) && farkas.iter().all(|&g| g < groups.len()),
+                "case {case}: {farkas:?} is not a set of input groups"
+            );
+            let s = solver();
+            let core = s.minimize_core(&groups, farkas.clone());
+            shrunk += usize::from(core.len() < farkas.len());
+            assert!(
+                s.stats().fm_runs <= farkas.len(),
+                "case {case}: {} re-runs for a Farkas set of {}",
+                s.stats().fm_runs,
+                farkas.len()
+            );
+            assert!(
+                core.iter().all(|g| farkas.contains(g)),
+                "case {case}: core {core:?} left the Farkas set {farkas:?}"
+            );
+            for refuted in [&farkas, &core, &oracle] {
+                assert!(
+                    matches!(subset(&groups, refuted), RationalFeasibility::Infeasible(_)),
+                    "case {case}: {refuted:?} is feasible on its own"
+                );
+            }
+            for minimal in [&core, &oracle] {
+                for drop in 0..minimal.len() {
+                    let mut rest = minimal.clone();
+                    rest.remove(drop);
+                    assert_eq!(
+                        subset(&groups, &rest),
+                        RationalFeasibility::Feasible,
+                        "case {case}: {minimal:?} is not minimal (drop position {drop})"
+                    );
+                }
+            }
+        }
+        assert!(
+            infeasible > 100 && feasible > 100 && shrunk > 0,
+            "generator is lopsided: {infeasible} infeasible ({shrunk} with a non-minimal \
+             Farkas set), {feasible} feasible"
+        );
     }
 }

@@ -36,22 +36,68 @@ fn assert_same_analysis(label: &str, a: &AnalysisOutcome, b: &AnalysisOutcome) {
     assert_eq!(a.report.skipped, b.report.skipped, "{label}: skipped");
 }
 
+/// Asserts that an analysis reproduces the monitor's row of the committed,
+/// hand-checked `benchmark/expected/placements.tsv`: notification, broadcast,
+/// conditional and invariant-conjunct counts, and the methods that must stay
+/// silent. The solver is free to visit different conflict cores and SAT
+/// models from one version to the next; this is what may not move with them.
+fn assert_expected_placement(name: &str, outcome: &AnalysisOutcome) {
+    let table = include_str!("../benchmark/expected/placements.tsv");
+    let row: Vec<&str> = table
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| line.split('\t').collect::<Vec<_>>())
+        .find(|cols| cols[0] == name)
+        .unwrap_or_else(|| panic!("{name}: no row in placements.tsv"));
+    let want: Vec<usize> = row[1..5]
+        .iter()
+        .map(|n| n.parse().expect("placements.tsv: count"))
+        .collect();
+    let got = [
+        outcome.explicit.notification_count(),
+        outcome.explicit.broadcast_count(),
+        outcome.explicit.conditional_count(),
+        outcome.stats.invariant_conjuncts,
+    ];
+    assert_eq!(
+        got[..],
+        want[..],
+        "{name}: (notifications, broadcasts, conditional, conjuncts)"
+    );
+    for silent in row[5].split(',').filter(|&m| m != "-") {
+        let method = outcome
+            .explicit
+            .monitor
+            .method(silent)
+            .unwrap_or_else(|| panic!("{name}: placements.tsv names unknown method {silent}"));
+        for ccr in &method.ccrs {
+            assert!(
+                outcome.explicit.notifications_for(*ccr).is_empty(),
+                "{name}: method {silent} must not notify"
+            );
+        }
+    }
+}
+
 #[test]
 fn scheduler_modes_are_bit_identical_across_the_suite() {
     // The work-stealing pool is a pure scheduling substrate: for every suite
     // monitor, `analysis_threads ∈ {1, 8}` × suite-parallel on/off must all
     // produce bit-identical outcomes, candidate counts and placement
     // counters — both against each other and against a stand-alone
-    // private-context analysis.
+    // private-context analysis on the default pool, which in turn must
+    // reproduce the committed expected placement.
     let benchmarks = all();
     let monitors: Vec<_> = benchmarks.iter().map(|b| b.monitor()).collect();
     let reference: Vec<_> = monitors
         .iter()
         .zip(&benchmarks)
         .map(|(monitor, b)| {
-            Expresso::new()
+            let outcome = Expresso::new()
                 .analyze(monitor)
-                .unwrap_or_else(|e| panic!("{}: reference analysis failed: {e}", b.name))
+                .unwrap_or_else(|e| panic!("{}: reference analysis failed: {e}", b.name));
+            assert_expected_placement(b.name, &outcome);
+            outcome
         })
         .collect();
     for threads in [1usize, 8] {

@@ -161,7 +161,10 @@ fn eight_thread_stress_loses_no_record() {
 
 #[test]
 fn metrics_registry_unifies_the_analysis_stats() {
-    // No recorder/log globals involved: the registry is instance-scoped.
+    // The registry is instance-scoped, but the analysis below opens spans:
+    // running it while another test has recording on would leave records in
+    // this thread's buffer for that test's drains to find.
+    let _guard = GLOBALS.lock().unwrap();
     let pipeline = Expresso::new();
     let context = SharedAnalysisContext::new(pipeline.config());
     pipeline
@@ -205,6 +208,8 @@ fn metrics_registry_unifies_the_analysis_stats() {
 
 #[test]
 fn loadgen_report_exposes_the_quantile_table_as_metrics() {
+    // Analyses a monitor, hence the lock (see the registry test above).
+    let _guard = GLOBALS.lock().unwrap();
     let bench = benchmark("ReadersWriters");
     let explicit = Expresso::new()
         .analyze(&bench.monitor())

@@ -391,3 +391,61 @@ fn epoch_accounting_survives_contention() {
             <= stats.cache_hits + stats.theory_cache_hits + stats.qe_cache_hits
     );
 }
+
+#[test]
+fn overflowing_elimination_never_proves_unsat() {
+    // x <= 6e18*z && 2*x >= 6e18*z + 6e18 && z <= 1 holds at x = 6e18,
+    // z = 1. Eliminating x multiplies 6e18 by 2; a clamped product turns the
+    // implied z >= 1 into z >= 1.86 and "refutes" the formula against
+    // z <= 1. A proof of unsatisfiability is the one wrong answer the solver
+    // may never give; Sat and Unknown are both acceptable here.
+    const BIG: i64 = 6_000_000_000_000_000_000;
+    let big_z = || Term::int(BIG).mul(Term::var("z"));
+    let f = Formula::and(vec![
+        Term::var("x").le(big_z()),
+        Term::int(2)
+            .mul(Term::var("x"))
+            .ge(big_z().add(Term::int(BIG))),
+        Term::var("z").le(Term::int(1)),
+    ]);
+    let mut witness = Valuation::new();
+    witness.set_int("x", BIG).set_int("z", 1);
+    assert_eq!(witness.eval(&f), Ok(true), "the witness is a model");
+    let result = Solver::new().check_sat(&f);
+    assert_ne!(sat_verdict(&result), "unsat", "false proof for {f}");
+    assert!(!Solver::new().check_valid(&Formula::not(f)).is_valid());
+
+    // The same shape with coprime coefficients, so no common factor can be
+    // divided out before the product 3 * 3.1e18 is formed: the elimination
+    // itself must notice the overflow. Holds at x = 3e18, z = 1, where
+    // every term of the formula still fits.
+    const COPRIME: i64 = 3_100_000_000_000_000_000;
+    let g = Formula::and(vec![
+        Term::var("x").le(Term::int(COPRIME).mul(Term::var("z"))),
+        Term::int(3).mul(Term::var("x")).ge(Term::int(COPRIME + 1)
+            .mul(Term::var("z"))
+            .add(Term::int(COPRIME + 1))),
+        Term::var("z").le(Term::int(1)),
+    ]);
+    witness.set_int("x", 3_000_000_000_000_000_000);
+    assert_eq!(witness.eval(&g), Ok(true), "the witness is a model");
+    let result = Solver::new().check_sat(&g);
+    assert_ne!(sat_verdict(&result), "unsat", "false proof for {g}");
+
+    // An atom whose own translation overflows: 5e18*x + 5e18*x >= y + z
+    // holds at x = 1, y = z = 5e18, but its coefficient 1e19 does not fit
+    // and reaches the elimination negated (`>=` flips the row), i.e. off
+    // the i64 limit. The clamped row would "refute" it against the bounds.
+    const HALF: i64 = 5_000_000_000_000_000_000;
+    let half_x = || Term::int(HALF).mul(Term::var("x"));
+    let h = Formula::and(vec![
+        half_x()
+            .add(half_x())
+            .ge(Term::var("y").add(Term::var("z"))),
+        Term::var("y").ge(Term::int(HALF)),
+        Term::var("z").ge(Term::int(HALF)),
+        Term::var("x").le(Term::int(1)),
+    ]);
+    let result = Solver::new().check_sat(&h);
+    assert_ne!(sat_verdict(&result), "unsat", "false proof for {h}");
+}
