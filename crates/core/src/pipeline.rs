@@ -117,11 +117,12 @@ impl SharedAnalysisContext {
     /// When a cache directory is in effect ([`ExpressoConfig::cache_dir`],
     /// else the `EXPRESSO_CACHE_DIR` environment variable), the on-disk
     /// artifact is loaded and seeded into the fresh caches here, before any
-    /// analysis runs: every entry is re-interned through this context's own
-    /// arena, so arena-local ids never cross processes. A corrupt artifact
-    /// (truncated, bit-flipped, wrong format version) degrades to a cold
-    /// start with a warning on stderr — it never panics and never seeds a
-    /// partial table. Note that [`Expresso::analyze`] builds a private
+    /// analysis runs: its node tables are interned through this context's
+    /// own arena — each distinct node once — and the memo tables are filled
+    /// by row, so arena-local ids never cross processes. A corrupt artifact
+    /// (truncated, bit-flipped, wrong format version, dangling row
+    /// reference) degrades to a cold start with a warning on stderr — it
+    /// never panics and never seeds a partial table. Note that [`Expresso::analyze`] builds a private
     /// context per call, so with the environment variable set each such call
     /// warm-starts (and pays one artifact load) individually; suite harnesses
     /// should build one context and use [`Expresso::analyze_suite`].

@@ -616,6 +616,26 @@ impl Interner {
         self.fnode(id).clone()
     }
 
+    /// Returns a clone of the term node behind `id`.
+    pub fn term_node(&self, id: TermId) -> TermNode {
+        self.tnode(id).clone()
+    }
+
+    /// Interns one formula node whose children are already ids of this
+    /// arena — the step [`Interner::intern`] takes per tree node, so
+    /// `intern_formula_node(node(id)) == id` and interning a DAG bottom-up
+    /// through this method yields exactly the ids interning its trees would.
+    /// No smart-constructor normalisation is applied.
+    pub fn intern_formula_node(&self, node: FormulaNode) -> FormulaId {
+        self.put_formula(node)
+    }
+
+    /// Interns one term node whose children are already ids of this arena;
+    /// the term counterpart of [`Interner::intern_formula_node`].
+    pub fn intern_term_node(&self, node: TermNode) -> TermId {
+        self.put_term(node)
+    }
+
     /// Number of distinct formula nodes interned so far.
     pub fn formula_count(&self) -> usize {
         self.shards.iter().map(|s| s.formulas.len()).sum()
@@ -1503,6 +1523,39 @@ mod tests {
         );
         let id = arena.intern(&f);
         assert_eq!(arena.formula(id), f);
+    }
+
+    #[test]
+    fn raw_nodes_intern_to_the_ids_their_trees_get() {
+        // Rebuilding a DAG node by node in a second arena lands on the ids
+        // tree interning computes there, and mints nothing extra.
+        let source = Interner::new();
+        let f = Formula::implies(
+            rw_invariant(),
+            Term::select("buf", Term::var("i").add(Term::int(1))).ge(Term::int(0)),
+        );
+        let id = source.intern(&f);
+        assert_eq!(source.intern_formula_node(source.node(id)), id);
+
+        let target = Interner::new();
+        let FormulaNode::Implies(lhs, rhs) = source.node(id) else {
+            panic!("expected an implication");
+        };
+        let FormulaNode::Cmp(op, select, zero) = source.node(rhs) else {
+            panic!("expected a comparison");
+        };
+        let TermNode::Select(array, index) = source.term_node(select) else {
+            panic!("expected an array read");
+        };
+        let index = target.intern_term(&source.term(index));
+        let select = target.intern_term_node(TermNode::Select(array, index));
+        let zero = target.intern_term(&source.term(zero));
+        let rhs = target.intern_formula_node(FormulaNode::Cmp(op, select, zero));
+        let lhs = target.intern(&source.formula(lhs));
+        let rebuilt = target.intern_formula_node(FormulaNode::Implies(lhs, rhs));
+        let nodes = target.stats();
+        assert_eq!(target.intern(&f), rebuilt);
+        assert_eq!(target.stats(), nodes);
     }
 
     #[test]

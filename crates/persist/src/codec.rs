@@ -146,6 +146,19 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("invalid UTF-8".into()))
     }
 
+    /// Reads a reference into a node table, which must name one of its first
+    /// `limit` rows. Every row number in the artifact is read through here:
+    /// with `limit` the number of the row being decoded this rejects forward
+    /// and self references (so the tables cannot hold a cycle), with `limit`
+    /// the table length it rejects an entry pointing past the table.
+    pub fn row(&mut self, limit: usize) -> Result<u32, DecodeError> {
+        let row = self.u32()?;
+        if row as usize >= limit {
+            return err(format!("row reference {row} is not below {limit}"));
+        }
+        Ok(row)
+    }
+
     /// Reads a sequence length, sanity-capped against the remaining payload
     /// so a corrupt length cannot trigger a huge allocation.
     pub fn seq(&mut self) -> Result<usize, DecodeError> {

@@ -1,70 +1,85 @@
-//! Tree codecs: formulas, terms, statements, expressions, verdicts and the
-//! error enums that appear inside cached values.
+//! Row and tree codecs: the node-table rows, statements, expressions,
+//! verdicts and the error enums that appear inside cached values.
 //!
 //! Every enum is encoded as a one-byte tag followed by its fields in
 //! declaration order. The decoders mirror the encoders exactly; an unknown
 //! tag is a [`DecodeError`], never a panic, so a schema drift that slips past
 //! the format version check still degrades to a cold start.
+//!
+//! Formula and term rows decode without recursion — a row's children are row
+//! numbers, read through [`Reader::row`], which rejects anything that is not
+//! a strictly earlier row. Statements and expressions are still trees on
+//! disk (they are small and barely shared); their decoders recurse, so their
+//! nesting is capped at [`MAX_NESTING`] and the exporter leaves out what the
+//! loader would refuse.
 
 use crate::codec::{err, DecodeError, Reader, Writer};
-use expresso_logic::{CmpOp, Formula, Quantifier, Term, Valuation};
+use crate::table::{FormulaRow, Row, TermRow};
+use expresso_logic::{CmpOp, Quantifier, Valuation};
 use expresso_monitor_lang::{BinOp, Expr, LowerError, Stmt, Type, UnOp};
 use expresso_smt::{SatResult, SolverError, TranslateError};
 use expresso_vcgen::WpError;
 
 // ---------------------------------------------------------------------------
-// Terms and formulas
+// Term and formula rows
 // ---------------------------------------------------------------------------
 
-pub fn write_term(w: &mut Writer, term: &Term) {
-    match term {
-        Term::Int(v) => {
+fn write_rows(w: &mut Writer, rows: &[Row]) {
+    w.seq(rows.len());
+    rows.iter().for_each(|&r| w.u32(r));
+}
+
+fn read_rows(r: &mut Reader, limit: usize) -> Result<Vec<Row>, DecodeError> {
+    (0..r.seq()?).map(|_| r.row(limit)).collect()
+}
+
+pub fn write_term_row(w: &mut Writer, row: &TermRow) {
+    match row {
+        TermRow::Int(v) => {
             w.u8(0);
             w.i64(*v);
         }
-        Term::Var(name) => {
+        TermRow::Var(name) => {
             w.u8(1);
             w.str(name);
         }
-        Term::Add(parts) => {
+        TermRow::Add(parts) => {
             w.u8(2);
-            w.seq(parts.len());
-            parts.iter().for_each(|p| write_term(w, p));
+            write_rows(w, parts);
         }
-        Term::Sub(a, b) => {
+        TermRow::Sub(a, b) => {
             w.u8(3);
-            write_term(w, a);
-            write_term(w, b);
+            w.u32(*a);
+            w.u32(*b);
         }
-        Term::Neg(a) => {
+        TermRow::Neg(a) => {
             w.u8(4);
-            write_term(w, a);
+            w.u32(*a);
         }
-        Term::Mul(a, b) => {
+        TermRow::Mul(a, b) => {
             w.u8(5);
-            write_term(w, a);
-            write_term(w, b);
+            w.u32(*a);
+            w.u32(*b);
         }
-        Term::Select(array, index) => {
+        TermRow::Select(array, index) => {
             w.u8(6);
             w.str(array);
-            write_term(w, index);
+            w.u32(*index);
         }
     }
 }
 
-pub fn read_term(r: &mut Reader) -> Result<Term, DecodeError> {
+/// Reads the term row numbered `earlier`: its children must be rows below
+/// that number (no forward reference, no self reference, hence no cycle).
+pub fn read_term_row(r: &mut Reader, earlier: usize) -> Result<TermRow, DecodeError> {
     Ok(match r.u8()? {
-        0 => Term::Int(r.i64()?),
-        1 => Term::Var(r.str()?),
-        2 => {
-            let n = r.seq()?;
-            Term::Add((0..n).map(|_| read_term(r)).collect::<Result<_, _>>()?)
-        }
-        3 => Term::Sub(Box::new(read_term(r)?), Box::new(read_term(r)?)),
-        4 => Term::Neg(Box::new(read_term(r)?)),
-        5 => Term::Mul(Box::new(read_term(r)?), Box::new(read_term(r)?)),
-        6 => Term::Select(r.str()?, Box::new(read_term(r)?)),
+        0 => TermRow::Int(r.i64()?),
+        1 => TermRow::Var(r.str()?),
+        2 => TermRow::Add(read_rows(r, earlier)?),
+        3 => TermRow::Sub(r.row(earlier)?, r.row(earlier)?),
+        4 => TermRow::Neg(r.row(earlier)?),
+        5 => TermRow::Mul(r.row(earlier)?, r.row(earlier)?),
+        6 => TermRow::Select(r.str()?, r.row(earlier)?),
         other => return err(format!("invalid term tag {other}")),
     })
 }
@@ -92,50 +107,48 @@ fn read_cmp_op(r: &mut Reader) -> Result<CmpOp, DecodeError> {
     })
 }
 
-pub fn write_formula(w: &mut Writer, formula: &Formula) {
-    match formula {
-        Formula::True => w.u8(0),
-        Formula::False => w.u8(1),
-        Formula::BoolVar(name) => {
+pub fn write_formula_row(w: &mut Writer, row: &FormulaRow) {
+    match row {
+        FormulaRow::True => w.u8(0),
+        FormulaRow::False => w.u8(1),
+        FormulaRow::BoolVar(name) => {
             w.u8(2);
             w.str(name);
         }
-        Formula::Cmp(op, lhs, rhs) => {
+        FormulaRow::Cmp(op, lhs, rhs) => {
             w.u8(3);
             write_cmp_op(w, *op);
-            write_term(w, lhs);
-            write_term(w, rhs);
+            w.u32(*lhs);
+            w.u32(*rhs);
         }
-        Formula::Divides(d, t) => {
+        FormulaRow::Divides(d, t) => {
             w.u8(4);
             w.u64(*d);
-            write_term(w, t);
+            w.u32(*t);
         }
-        Formula::Not(inner) => {
+        FormulaRow::Not(inner) => {
             w.u8(5);
-            write_formula(w, inner);
+            w.u32(*inner);
         }
-        Formula::And(parts) => {
+        FormulaRow::And(parts) => {
             w.u8(6);
-            w.seq(parts.len());
-            parts.iter().for_each(|p| write_formula(w, p));
+            write_rows(w, parts);
         }
-        Formula::Or(parts) => {
+        FormulaRow::Or(parts) => {
             w.u8(7);
-            w.seq(parts.len());
-            parts.iter().for_each(|p| write_formula(w, p));
+            write_rows(w, parts);
         }
-        Formula::Implies(p, q) => {
+        FormulaRow::Implies(p, q) => {
             w.u8(8);
-            write_formula(w, p);
-            write_formula(w, q);
+            w.u32(*p);
+            w.u32(*q);
         }
-        Formula::Iff(p, q) => {
+        FormulaRow::Iff(p, q) => {
             w.u8(9);
-            write_formula(w, p);
-            write_formula(w, q);
+            w.u32(*p);
+            w.u32(*q);
         }
-        Formula::Quant(q, vars, body) => {
+        FormulaRow::Quant(q, vars, body) => {
             w.u8(10);
             w.u8(match q {
                 Quantifier::Forall => 0,
@@ -143,29 +156,29 @@ pub fn write_formula(w: &mut Writer, formula: &Formula) {
             });
             w.seq(vars.len());
             vars.iter().for_each(|v| w.str(v));
-            write_formula(w, body);
+            w.u32(*body);
         }
     }
 }
 
-pub fn read_formula(r: &mut Reader) -> Result<Formula, DecodeError> {
+/// Reads the formula row numbered `earlier`: formula children must be rows
+/// below that number, term children rows of the `terms`-row term table.
+pub fn read_formula_row(
+    r: &mut Reader,
+    earlier: usize,
+    terms: usize,
+) -> Result<FormulaRow, DecodeError> {
     Ok(match r.u8()? {
-        0 => Formula::True,
-        1 => Formula::False,
-        2 => Formula::BoolVar(r.str()?),
-        3 => Formula::Cmp(read_cmp_op(r)?, read_term(r)?, read_term(r)?),
-        4 => Formula::Divides(r.u64()?, read_term(r)?),
-        5 => Formula::Not(Box::new(read_formula(r)?)),
-        6 => {
-            let n = r.seq()?;
-            Formula::And((0..n).map(|_| read_formula(r)).collect::<Result<_, _>>()?)
-        }
-        7 => {
-            let n = r.seq()?;
-            Formula::Or((0..n).map(|_| read_formula(r)).collect::<Result<_, _>>()?)
-        }
-        8 => Formula::Implies(Box::new(read_formula(r)?), Box::new(read_formula(r)?)),
-        9 => Formula::Iff(Box::new(read_formula(r)?), Box::new(read_formula(r)?)),
+        0 => FormulaRow::True,
+        1 => FormulaRow::False,
+        2 => FormulaRow::BoolVar(r.str()?),
+        3 => FormulaRow::Cmp(read_cmp_op(r)?, r.row(terms)?, r.row(terms)?),
+        4 => FormulaRow::Divides(r.u64()?, r.row(terms)?),
+        5 => FormulaRow::Not(r.row(earlier)?),
+        6 => FormulaRow::And(read_rows(r, earlier)?),
+        7 => FormulaRow::Or(read_rows(r, earlier)?),
+        8 => FormulaRow::Implies(r.row(earlier)?, r.row(earlier)?),
+        9 => FormulaRow::Iff(r.row(earlier)?, r.row(earlier)?),
         10 => {
             let q = match r.u8()? {
                 0 => Quantifier::Forall,
@@ -174,7 +187,7 @@ pub fn read_formula(r: &mut Reader) -> Result<Formula, DecodeError> {
             };
             let n = r.seq()?;
             let vars = (0..n).map(|_| r.str()).collect::<Result<_, _>>()?;
-            Formula::Quant(q, vars, Box::new(read_formula(r)?))
+            FormulaRow::Quant(q, vars, r.row(earlier)?)
         }
         other => return err(format!("invalid formula tag {other}")),
     })
@@ -269,7 +282,7 @@ fn read_bin_op(r: &mut Reader) -> Result<BinOp, DecodeError> {
     })
 }
 
-pub fn write_expr(w: &mut Writer, expr: &Expr) {
+fn write_expr(w: &mut Writer, expr: &Expr) {
     match expr {
         Expr::Int(v) => {
             w.u8(0);
@@ -302,20 +315,55 @@ pub fn write_expr(w: &mut Writer, expr: &Expr) {
     }
 }
 
-pub fn read_expr(r: &mut Reader) -> Result<Expr, DecodeError> {
+/// Deepest statement/expression nesting the artifact carries. The decoders
+/// below recurse once per level, so without a cap a payload of repeated
+/// one-byte `Unary` tags (with a correct checksum) would overflow the stack —
+/// an abort, not the `Corrupt` the crate promises. Far above anything a
+/// monitor's CCR body reaches; [`nesting`] lets the exporter skip the rest.
+pub const MAX_NESTING: usize = 256;
+
+fn descend(depth: usize) -> Result<usize, DecodeError> {
+    depth
+        .checked_sub(1)
+        .ok_or_else(|| DecodeError(format!("statement nests deeper than {MAX_NESTING} levels")))
+}
+
+fn read_expr(r: &mut Reader, depth: usize) -> Result<Expr, DecodeError> {
+    let depth = descend(depth)?;
     Ok(match r.u8()? {
         0 => Expr::Int(r.i64()?),
         1 => Expr::Bool(r.bool()?),
         2 => Expr::Var(r.str()?),
-        3 => Expr::Index(r.str()?, Box::new(read_expr(r)?)),
-        4 => Expr::Unary(read_un_op(r)?, Box::new(read_expr(r)?)),
+        3 => Expr::Index(r.str()?, Box::new(read_expr(r, depth)?)),
+        4 => Expr::Unary(read_un_op(r)?, Box::new(read_expr(r, depth)?)),
         5 => Expr::Binary(
             read_bin_op(r)?,
-            Box::new(read_expr(r)?),
-            Box::new(read_expr(r)?),
+            Box::new(read_expr(r, depth)?),
+            Box::new(read_expr(r, depth)?),
         ),
         other => return err(format!("invalid expression tag {other}")),
     })
+}
+
+fn expr_nesting(expr: &Expr) -> usize {
+    1 + match expr {
+        Expr::Int(_) | Expr::Bool(_) | Expr::Var(_) => 0,
+        Expr::Index(_, inner) | Expr::Unary(_, inner) => expr_nesting(inner),
+        Expr::Binary(_, lhs, rhs) => expr_nesting(lhs).max(expr_nesting(rhs)),
+    }
+}
+
+/// Levels of statement/expression nesting in `stmt`, as [`read_stmt`]
+/// counts them: a statement the loader accepts has `nesting <= MAX_NESTING`.
+pub fn nesting(stmt: &Stmt) -> usize {
+    1 + match stmt {
+        Stmt::Skip => 0,
+        Stmt::Seq(parts) => parts.iter().map(nesting).max().unwrap_or(0),
+        Stmt::Assign(_, expr) | Stmt::Local(_, _, expr) => expr_nesting(expr),
+        Stmt::ArrayAssign(_, index, value) => expr_nesting(index).max(expr_nesting(value)),
+        Stmt::If(cond, a, b) => expr_nesting(cond).max(nesting(a)).max(nesting(b)),
+        Stmt::While(cond, body) => expr_nesting(cond).max(nesting(body)),
+    }
 }
 
 pub fn write_stmt(w: &mut Writer, stmt: &Stmt) {
@@ -358,21 +406,30 @@ pub fn write_stmt(w: &mut Writer, stmt: &Stmt) {
 }
 
 pub fn read_stmt(r: &mut Reader) -> Result<Stmt, DecodeError> {
+    read_stmt_within(r, MAX_NESTING)
+}
+
+fn read_stmt_within(r: &mut Reader, depth: usize) -> Result<Stmt, DecodeError> {
+    let depth = descend(depth)?;
     Ok(match r.u8()? {
         0 => Stmt::Skip,
         1 => {
             let n = r.seq()?;
-            Stmt::Seq((0..n).map(|_| read_stmt(r)).collect::<Result<_, _>>()?)
+            Stmt::Seq(
+                (0..n)
+                    .map(|_| read_stmt_within(r, depth))
+                    .collect::<Result<_, _>>()?,
+            )
         }
-        2 => Stmt::Assign(r.str()?, read_expr(r)?),
-        3 => Stmt::ArrayAssign(r.str()?, read_expr(r)?, read_expr(r)?),
-        4 => Stmt::Local(r.str()?, read_type(r)?, read_expr(r)?),
+        2 => Stmt::Assign(r.str()?, read_expr(r, depth)?),
+        3 => Stmt::ArrayAssign(r.str()?, read_expr(r, depth)?, read_expr(r, depth)?),
+        4 => Stmt::Local(r.str()?, read_type(r)?, read_expr(r, depth)?),
         5 => Stmt::If(
-            read_expr(r)?,
-            Box::new(read_stmt(r)?),
-            Box::new(read_stmt(r)?),
+            read_expr(r, depth)?,
+            Box::new(read_stmt_within(r, depth)?),
+            Box::new(read_stmt_within(r, depth)?),
         ),
-        6 => Stmt::While(read_expr(r)?, Box::new(read_stmt(r)?)),
+        6 => Stmt::While(read_expr(r, depth)?, Box::new(read_stmt_within(r, depth)?)),
         other => return err(format!("invalid statement tag {other}")),
     })
 }

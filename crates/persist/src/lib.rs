@@ -9,20 +9,46 @@
 //! before the next run's `analyze_suite` starts, so every `reproduce` run and
 //! CI job begins warm.
 //!
-//! # Why the artifact stores trees, not ids
+//! # Why the artifact stores rows — not trees, not ids
 //!
 //! [`FormulaId`](expresso_logic::FormulaId)s are arena-local: they are dense
-//! indices minted in interning order and mean nothing in another process. The
-//! artifact therefore stores full formula trees (and statement ASTs for the
-//! WP keys) and [`seed`] re-interns them through the *receiving* arena. The
-//! keys were captured **post-normalization** — the sat/QE tables key on
-//! `interner.simplify(..)` images, the theory table on raw interned atoms,
-//! the WP store on `(fingerprint, stmt, post-id)` — and every normalization
-//! is a deterministic structural function, so re-interning a stored key tree
-//! yields exactly the id the warm run's own lookup computes. That is the
-//! whole correctness argument: a seeded entry can only be found via a key the
-//! cold run proved, and a warm hit returns the bit-identical verdict the warm
-//! run would have derived.
+//! indices minted in interning order and mean nothing in another process, so
+//! they cannot go to disk. Formula *trees* can, and format v2 stored them —
+//! but the arena is a DAG, and flattening it spelled 63 k distinct nodes out
+//! as 939 k tree nodes (27 MB for a 500-monitor corpus), each of which the
+//! next run decoded, boxed, re-interned and freed. Format v3 keeps the DAG:
+//!
+//! * a **term table** and a **formula table** hold one row per distinct node
+//!   ([`TermRow`], [`FormulaRow`]); a row names its children by the number of
+//!   a strictly earlier row, so the tables are acyclic by construction;
+//! * the sat / QE / theory / WP / disjointness sections are row numbers plus
+//!   verdicts, and the WP section keeps the store's own nesting — one
+//!   `(fingerprint, statement)` group, then its `(postcondition, result)`
+//!   pairs — so a statement asked about forty postconditions is written once.
+//!
+//! **Export** ([`export_artifact`]) walks the arena DAG once from the cache
+//! roots and numbers the nodes it meets by `(height, row)`: level by level,
+//! each node is written as a row over its children's already-assigned numbers
+//! and the level is sorted. Numbers, and with them every byte of the file,
+//! are a function of the cached *content* alone — not of arena ids, shard
+//! layout or `HashMap` iteration order — so saving the same caches twice, or
+//! saving a context that was only seeded, reproduces the file byte for byte.
+//!
+//! **Seed** ([`seed`]) interns each row exactly once, in row order, through
+//! [`Interner::intern_formula_node`](expresso_logic::Interner::intern_formula_node),
+//! and fills the memo tables by row number. The correctness argument is the
+//! one v2 made, restated per node: interning a tree performs exactly one
+//! `put` per tree node, bottom-up, with no normalisation in between, so
+//! interning the rows bottom-up performs the same `put`s (once each instead
+//! of once per occurrence) and every row ends up with the id its tree would
+//! have received. The keys were captured **post-normalization** — the sat/QE
+//! tables key on `interner.simplify(..)` images, the theory table on raw
+//! interned atoms, the WP store on `(fingerprint, stmt, post-id)` — and every
+//! normalization is a deterministic structural function, so a seeded key is
+//! exactly the id the warm run's own lookup computes: a seeded entry can only
+//! be found via a key the cold run proved, and a warm hit returns the
+//! bit-identical verdict the warm run would have derived. Trees survive only
+//! as [`Artifact::formula`], the view the tests check the tables against.
 //!
 //! # Invalidation is content-addressing
 //!
@@ -35,11 +61,18 @@
 //!
 //! # Robustness
 //!
-//! * **Corruption:** the payload is guarded by a magic, a format version and
-//!   an FNV-1a checksum, all verified *before* decoding; a truncated,
-//!   bit-flipped or version-mismatched file loads as
-//!   [`LoadResult::Corrupt`] and the caller falls back to a cold start with a
-//!   warning — never a panic, never a wrong verdict.
+//! * **Corruption:** the payload is guarded by a magic, a format version, its
+//!   length and an FNV-1a checksum, all verified *before* decoding; a
+//!   truncated, bit-flipped or version-mismatched file (a v2 artifact
+//!   included) loads as [`LoadResult::Corrupt`] and the caller falls back to
+//!   a cold start with a warning — never a panic, never a wrong verdict.
+//! * **Hostile payloads:** a file whose checksum is *right* still cannot
+//!   abort the process. Rows decode iteratively; every row reference is read
+//!   through one bounds check that rejects forward references, self
+//!   references (hence cycles) and entries pointing past a table; statement
+//!   nesting is capped ([`MAX_NESTING`]); sequence lengths are capped by the
+//!   bytes that remain. [`load`] returns an [`Artifact`] only if all of that
+//!   held, and nothing is seeded from one that did not.
 //! * **Concurrent writers:** [`save`] writes to a process-unique temp file in
 //!   the cache directory and atomically renames it over the artifact, so two
 //!   processes sharing one cache directory can never interleave partial
@@ -47,19 +80,22 @@
 
 mod codec;
 mod encode;
+mod table;
 
 pub use codec::{checksum, DecodeError};
+pub use encode::MAX_NESTING;
+pub use table::{FormulaRow, Row, TermRow};
 
 use codec::{Reader, Writer};
 use encode::{
-    read_formula, read_opt_type, read_sat_result, read_stmt, read_translate_error, read_wp_error,
-    write_formula, write_opt_type, write_sat_result, write_stmt, write_translate_error,
-    write_wp_error,
+    nesting, read_formula_row, read_opt_type, read_sat_result, read_stmt, read_term_row,
+    read_translate_error, read_wp_error, write_formula_row, write_opt_type, write_sat_result,
+    write_stmt, write_term_row, write_translate_error, write_wp_error,
 };
-use expresso_logic::Formula;
+use expresso_logic::{Formula, FormulaId};
 use expresso_monitor_lang::{Stmt, Type};
 use expresso_smt::{SatResult, Solver, TheoryVerdict, TranslateError};
-use expresso_vcgen::{DisjointnessStore, WpError, WpExportEntry, WpStore};
+use expresso_vcgen::{DisjointnessStore, WpError, WpStore};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -75,57 +111,63 @@ pub const ARTIFACT_FILE: &str = "analysis-cache.bin";
 
 const MAGIC: &[u8; 8] = b"XPRESSOC";
 
+/// Bytes before the payload: magic, format version, payload length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+
 /// Format version; bump on any codec or layout change. A mismatch loads as
 /// [`LoadResult::Corrupt`] (cold start), never as garbage.
 ///
 /// v2 added the CCR-pair disjointness section (the independence verdicts
-/// behind the explorer's refined dependence relation).
-pub const FORMAT_VERSION: u32 = 2;
+/// behind the explorer's refined dependence relation). v3 replaced the
+/// per-entry formula trees by the shared node tables and grouped the WP
+/// section by `(fingerprint, statement)`.
+pub const FORMAT_VERSION: u32 = 3;
+
+/// The slice of a symbol table a statement's `wp` consults, in owned form.
+pub type Fingerprint = Vec<(String, Option<Type>)>;
 
 /// A theory verdict in process-independent form: the inconsistent-core atoms
-/// are stored as formula trees instead of arena-local ids.
+/// are formula rows instead of arena-local ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TheoryVerdictData {
     /// The literal set has an integer model.
     Consistent,
     /// Theory-inconsistent, optionally with its minimal core.
-    Inconsistent(Option<Vec<(Formula, bool)>>),
+    Inconsistent(Option<Vec<(Row, bool)>>),
     /// The check left the decidable fragment or exceeded a budget.
     Unknown(String),
 }
 
-/// One persisted WP-store entry: the content-addressed key triple plus the
-/// memoized result, all in tree form.
+/// The persisted WP-store entries of one `(fingerprint, statement)` pair.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WpArtifactEntry {
+pub struct WpArtifactGroup {
     /// The lowering fingerprint — the exact symbol-table slice the statement
     /// reads or writes, which is the dirty-statement invalidation unit: a
-    /// type or name change anywhere in this slice re-keys the entry.
-    pub fingerprint: Vec<(String, Option<Type>)>,
+    /// type or name change anywhere in this slice re-keys the group.
+    pub fingerprint: Fingerprint,
     /// The statement AST (the second key component).
     pub stmt: Stmt,
-    /// The postcondition (the third key component), as a tree.
-    pub post: Formula,
-    /// The memoized `wp(stmt, post)` result.
-    pub result: Result<Formula, WpError>,
+    /// `(postcondition row, memoized wp(stmt, post))` pairs, by ascending
+    /// postcondition row.
+    pub entries: Vec<(Row, Result<Row, WpError>)>,
 }
 
-/// One persisted CCR-pair independence verdict: both sides' guard trees,
+/// One persisted CCR-pair independence verdict: both sides' guard rows,
 /// lowering fingerprints and body ASTs (the content-addressed key), plus the
 /// verdict. Any edit to either CCR re-keys the pair, so stale verdicts never
 /// match again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DisjointnessArtifactEntry {
-    /// Lowered guard of the first CCR, as a tree.
-    pub guard_a: Formula,
+    /// Lowered guard of the first CCR.
+    pub guard_a: Row,
     /// Lowering fingerprint of the first CCR's body.
-    pub fingerprint_a: Vec<(String, Option<Type>)>,
+    pub fingerprint_a: Fingerprint,
     /// Body AST of the first CCR.
     pub body_a: Stmt,
-    /// Lowered guard of the second CCR, as a tree.
-    pub guard_b: Formula,
+    /// Lowered guard of the second CCR.
+    pub guard_b: Row,
     /// Lowering fingerprint of the second CCR's body.
-    pub fingerprint_b: Vec<(String, Option<Type>)>,
+    pub fingerprint_b: Fingerprint,
     /// Body AST of the second CCR.
     pub body_b: Stmt,
     /// Whether the pair was proven conditionally independent.
@@ -134,30 +176,84 @@ pub struct DisjointnessArtifactEntry {
 
 /// The process-independent snapshot of every memo table, as written to and
 /// read from disk.
-#[derive(Debug, Clone, Default)]
+///
+/// The fields are private because [`seed`] indexes the tables without
+/// checking: an `Artifact` only comes out of [`export_artifact`] or [`load`],
+/// and both guarantee that every row reference names an existing, strictly
+/// earlier row.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Artifact {
-    /// Satisfiability verdicts keyed on normalized query trees.
-    pub sat: Vec<(Formula, SatResult)>,
-    /// Quantifier-elimination results keyed on normalized input trees.
-    pub qe: Vec<(Formula, Result<Formula, TranslateError>)>,
-    /// Theory-consistency verdicts keyed on sorted literal sets.
-    pub theory: Vec<(Vec<(Formula, bool)>, TheoryVerdictData)>,
-    /// WP-store entries keyed on `(fingerprint, statement, postcondition)`.
-    pub wp: Vec<WpArtifactEntry>,
-    /// CCR-pair independence verdicts keyed on both sides' guard + body
-    /// content.
-    pub disjointness: Vec<DisjointnessArtifactEntry>,
+    terms: Vec<TermRow>,
+    formulas: Vec<FormulaRow>,
+    sat: Vec<(Row, SatResult)>,
+    qe: Vec<(Row, Result<Row, TranslateError>)>,
+    theory: Vec<(Vec<(Row, bool)>, TheoryVerdictData)>,
+    wp: Vec<WpArtifactGroup>,
+    disjointness: Vec<DisjointnessArtifactEntry>,
 }
 
 impl Artifact {
-    /// Total number of entries across every section.
+    /// Total number of entries across every section (table rows are not
+    /// entries).
     pub fn len(&self) -> usize {
-        self.sat.len() + self.qe.len() + self.theory.len() + self.wp.len() + self.disjointness.len()
+        self.sat.len()
+            + self.qe.len()
+            + self.theory.len()
+            + self.wp_entries()
+            + self.disjointness.len()
     }
 
     /// Whether the artifact carries no entries at all.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The term table.
+    pub fn terms(&self) -> &[TermRow] {
+        &self.terms
+    }
+
+    /// The formula table.
+    pub fn formulas(&self) -> &[FormulaRow] {
+        &self.formulas
+    }
+
+    /// Satisfiability verdicts keyed on normalized query rows.
+    pub fn sat(&self) -> &[(Row, SatResult)] {
+        &self.sat
+    }
+
+    /// Quantifier-elimination results keyed on normalized input rows.
+    pub fn qe(&self) -> &[(Row, Result<Row, TranslateError>)] {
+        &self.qe
+    }
+
+    /// Theory-consistency verdicts keyed on literal sets sorted by row.
+    pub fn theory(&self) -> &[(Vec<(Row, bool)>, TheoryVerdictData)] {
+        &self.theory
+    }
+
+    /// WP-store entries, grouped by `(fingerprint, statement)`.
+    pub fn wp(&self) -> &[WpArtifactGroup] {
+        &self.wp
+    }
+
+    /// CCR-pair independence verdicts keyed on both sides' guard + body
+    /// content.
+    pub fn disjointness(&self) -> &[DisjointnessArtifactEntry] {
+        &self.disjointness
+    }
+
+    /// WP-store entries across every group.
+    pub fn wp_entries(&self) -> usize {
+        self.wp.iter().map(|group| group.entries.len()).sum()
+    }
+
+    /// The formula tree a row stands for. This is the view tests hold the
+    /// tables against (it is what format v2 stored per entry); nothing on the
+    /// export/load/seed path builds trees. Recurses once per level.
+    pub fn formula(&self, row: Row) -> Formula {
+        table::formula_tree(&self.terms, &self.formulas, row)
     }
 }
 
@@ -220,94 +316,177 @@ impl fmt::Display for SeedReport {
 /// Outcome of [`load`].
 #[derive(Debug)]
 pub enum LoadResult {
-    /// A complete, checksum-verified artifact.
+    /// A complete, checksum-verified, reference-checked artifact.
     Loaded(Box<Artifact>),
     /// No artifact exists at the path — a plain cold start.
     Absent,
     /// The file exists but is unusable (truncated, bit-flipped, version
-    /// mismatch, unreadable). The caller should warn and start cold.
+    /// mismatch, dangling reference, unreadable). The caller should warn and
+    /// start cold.
     Corrupt(String),
 }
 
 // ---------------------------------------------------------------------------
-// Export: memo tables → artifact (ids → trees)
+// Export: memo tables → artifact (ids → canonical rows)
 // ---------------------------------------------------------------------------
 
+fn write_fingerprint(w: &mut Writer, fingerprint: &[(String, Option<Type>)]) {
+    w.seq(fingerprint.len());
+    for (name, ty) in fingerprint {
+        w.str(name);
+        write_opt_type(w, *ty);
+    }
+}
+
+fn read_fingerprint(r: &mut Reader) -> Result<Fingerprint, DecodeError> {
+    (0..r.seq()?)
+        .map(|_| Ok((r.str()?, read_opt_type(r)?)))
+        .collect()
+}
+
+/// The bytes a `(fingerprint, statement)` key is written as — also what
+/// groups and disjointness entries are ordered by, statements having no
+/// order of their own.
+fn key_bytes(fingerprint: &[(String, Option<Type>)], stmt: &Stmt) -> Vec<u8> {
+    let mut w = Writer::new();
+    write_fingerprint(&mut w, fingerprint);
+    write_stmt(&mut w, stmt);
+    w.into_bytes()
+}
+
 /// Snapshots the solver's three memo tables, the WP store and the
-/// disjointness store into a process-independent [`Artifact`], translating
-/// every arena-local id into its formula tree.
+/// disjointness store into a process-independent [`Artifact`]: one walk of
+/// the arena DAG from the cached ids numbers every reachable node (see the
+/// module documentation), and every section is put in an order that depends
+/// on its content alone.
+///
+/// A statement nested deeper than [`MAX_NESTING`] is left out with its
+/// entries — the loader would refuse the file over it — and is simply
+/// recomputed by the next run.
 pub fn export_artifact(
     solver: &Solver,
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
 ) -> Artifact {
-    let interner = solver.interner();
-    let tree = |id| interner.formula(id);
-    Artifact {
-        sat: solver
-            .export_sat_cache()
-            .into_iter()
-            .map(|(id, verdict)| (tree(id), verdict))
-            .collect(),
-        qe: solver
-            .export_qe_cache()
-            .into_iter()
-            .map(|(id, result)| (tree(id), result.map(&tree)))
-            .collect(),
-        theory: solver
-            .export_theory_cache()
-            .into_iter()
-            .map(|(literals, verdict)| {
-                let literals = literals
-                    .into_iter()
-                    .map(|(id, polarity)| (tree(id), polarity))
-                    .collect();
-                let verdict = match verdict {
-                    TheoryVerdict::Consistent => TheoryVerdictData::Consistent,
-                    TheoryVerdict::Inconsistent(core) => TheoryVerdictData::Inconsistent(
-                        core.map(|c| c.into_iter().map(|(id, p)| (tree(id), p)).collect()),
-                    ),
-                    TheoryVerdict::Unknown(reason) => TheoryVerdictData::Unknown(reason),
-                };
-                (literals, verdict)
-            })
-            .collect(),
-        wp: wp_store
-            .export_entries()
-            .into_iter()
-            .map(|(fingerprint, stmt, post, result)| WpArtifactEntry {
+    let sat = solver.export_sat_cache();
+    let qe = solver.export_qe_cache();
+    let theory = solver.export_theory_cache();
+    let mut wp = wp_store.export_groups();
+    wp.retain(|(_, stmt, _)| nesting(stmt) <= MAX_NESTING);
+    let mut pairs = disjointness.export_entries();
+    pairs.retain(|(_, _, a, _, _, b, _)| nesting(a).max(nesting(b)) <= MAX_NESTING);
+
+    let mut roots: Vec<FormulaId> = Vec::new();
+    roots.extend(sat.iter().map(|(key, _)| *key));
+    for (key, result) in &qe {
+        roots.push(*key);
+        roots.extend(result.as_ref().ok());
+    }
+    for (literals, verdict) in &theory {
+        roots.extend(literals.iter().map(|(atom, _)| *atom));
+        if let TheoryVerdict::Inconsistent(Some(core)) = verdict {
+            roots.extend(core.iter().map(|(atom, _)| *atom));
+        }
+    }
+    for (_, _, entries) in &wp {
+        for (post, result) in entries {
+            roots.push(*post);
+            roots.extend(result.as_ref().ok());
+        }
+    }
+    for (guard_a, _, _, guard_b, _, _, _) in &pairs {
+        roots.extend([*guard_a, *guard_b]);
+    }
+    let numbering = table::number(solver.interner(), roots);
+    let row = |id: FormulaId| numbering.row(id);
+    let literal_rows = |literals: Vec<(FormulaId, bool)>| -> Vec<(Row, bool)> {
+        literals.into_iter().map(|(id, p)| (row(id), p)).collect()
+    };
+
+    let mut sat: Vec<_> = sat.into_iter().map(|(key, v)| (row(key), v)).collect();
+    sat.sort_unstable_by_key(|(key, _)| *key);
+    let mut qe: Vec<_> = qe
+        .into_iter()
+        .map(|(key, result)| (row(key), result.map(row)))
+        .collect();
+    qe.sort_unstable_by_key(|(key, _)| *key);
+    let mut theory: Vec<_> = theory
+        .into_iter()
+        .map(|(literals, verdict)| {
+            // The in-memory key is sorted by arena-local id; a row-sorted key
+            // is the same set in an order every arena agrees on.
+            let mut key = literal_rows(literals);
+            key.sort_unstable();
+            let verdict = match verdict {
+                TheoryVerdict::Consistent => TheoryVerdictData::Consistent,
+                TheoryVerdict::Inconsistent(core) => {
+                    TheoryVerdictData::Inconsistent(core.map(literal_rows))
+                }
+                TheoryVerdict::Unknown(reason) => TheoryVerdictData::Unknown(reason),
+            };
+            (key, verdict)
+        })
+        .collect();
+    theory.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut wp: Vec<_> = wp
+        .into_iter()
+        .map(|(fingerprint, stmt, entries)| {
+            let mut entries: Vec<_> = entries
+                .into_iter()
+                .map(|(post, result)| (row(post), result.map(row)))
+                .collect();
+            entries.sort_unstable_by_key(|(post, _)| *post);
+            WpArtifactGroup {
                 fingerprint: fingerprint.to_vec(),
                 stmt,
-                post: tree(post),
-                result: result.map(&tree),
-            })
-            .collect(),
-        disjointness: disjointness
-            .export_entries()
-            .into_iter()
-            .map(
-                |(ga, fa, ba, gb, fb, bb, independent)| DisjointnessArtifactEntry {
-                    guard_a: tree(ga),
-                    fingerprint_a: fa.to_vec(),
-                    body_a: ba,
-                    guard_b: tree(gb),
-                    fingerprint_b: fb.to_vec(),
-                    body_b: bb,
-                    independent,
-                },
-            )
-            .collect(),
+                entries,
+            }
+        })
+        .collect();
+    wp.sort_by_cached_key(|group| key_bytes(&group.fingerprint, &group.stmt));
+    let mut disjointness: Vec<_> = pairs
+        .into_iter()
+        .map(
+            |(ga, fa, ba, gb, fb, bb, independent)| DisjointnessArtifactEntry {
+                guard_a: row(ga),
+                fingerprint_a: fa.to_vec(),
+                body_a: ba,
+                guard_b: row(gb),
+                fingerprint_b: fb.to_vec(),
+                body_b: bb,
+                independent,
+            },
+        )
+        .collect();
+    disjointness.sort_by_cached_key(|e| {
+        (
+            e.guard_a,
+            e.guard_b,
+            key_bytes(&e.fingerprint_a, &e.body_a),
+            key_bytes(&e.fingerprint_b, &e.body_b),
+        )
+    });
+
+    Artifact {
+        terms: numbering.terms,
+        formulas: numbering.formulas,
+        sat,
+        qe,
+        theory,
+        wp,
+        disjointness,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Seed: artifact → memo tables (trees → ids, through the receiving arena)
+// Seed: artifact → memo tables (rows → ids, through the receiving arena)
 // ---------------------------------------------------------------------------
 
-/// Re-interns every artifact entry through `solver`'s arena and seeds the
-/// sharded caches, the WP store and the disjointness store. Entries already
-/// present (a live run that got there first) are never overwritten. Returns
-/// per-table insert counts.
+/// Interns the artifact's node tables into `solver`'s arena — each row once,
+/// in row order — and seeds the sharded caches, the WP store and the
+/// disjointness store by row number. Entries already present (a live run
+/// that got there first) are never overwritten. Returns per-table insert
+/// counts.
 pub fn seed(
     artifact: &Artifact,
     solver: &Solver,
@@ -315,26 +494,24 @@ pub fn seed(
     disjointness: &DisjointnessStore,
 ) -> SeedReport {
     let _span = expresso_obs::span!("persist.seed");
-    let interner = solver.interner();
-    let intern = |f: &Formula| interner.intern(f);
+    let ids = table::intern(solver.interner(), &artifact.terms, &artifact.formulas);
+    let id = |row: &Row| ids[*row as usize];
+    let literal_ids = |literals: &[(Row, bool)]| -> Vec<(FormulaId, bool)> {
+        literals.iter().map(|(row, p)| (id(row), *p)).collect()
+    };
     SeedReport {
         sat: solver.seed_sat_cache(
             artifact
                 .sat
                 .iter()
-                .map(|(key, verdict)| (intern(key), verdict.clone()))
+                .map(|(key, verdict)| (id(key), verdict.clone()))
                 .collect(),
         ),
         qe: solver.seed_qe_cache(
             artifact
                 .qe
                 .iter()
-                .map(|(key, result)| {
-                    (
-                        intern(key),
-                        result.as_ref().map(&intern).map_err(Clone::clone),
-                    )
-                })
+                .map(|(key, result)| (id(key), result.as_ref().map(id).map_err(Clone::clone)))
                 .collect(),
         ),
         theory: solver.seed_theory_cache(
@@ -343,16 +520,15 @@ pub fn seed(
                 .iter()
                 .map(|(literals, verdict)| {
                     // The DPLL(T) loop sorts + dedups its key by id, and id
-                    // order is arena-local — re-sort after re-interning.
-                    let mut key: Vec<_> = literals.iter().map(|(f, p)| (intern(f), *p)).collect();
+                    // order is arena-local — re-sort after translating.
+                    let mut key = literal_ids(literals);
                     key.sort_unstable();
                     key.dedup();
                     let verdict = match verdict {
                         TheoryVerdictData::Consistent => TheoryVerdict::Consistent,
-                        TheoryVerdictData::Inconsistent(core) => TheoryVerdict::Inconsistent(
-                            core.as_ref()
-                                .map(|c| c.iter().map(|(f, p)| (intern(f), *p)).collect()),
-                        ),
+                        TheoryVerdictData::Inconsistent(core) => {
+                            TheoryVerdict::Inconsistent(core.as_deref().map(literal_ids))
+                        }
                         TheoryVerdictData::Unknown(reason) => {
                             TheoryVerdict::Unknown(reason.clone())
                         }
@@ -361,31 +537,33 @@ pub fn seed(
                 })
                 .collect(),
         ),
-        wp: wp_store.seed_entries(
-            artifact
-                .wp
-                .iter()
-                .map(|entry| -> WpExportEntry {
-                    (
-                        entry.fingerprint.clone().into(),
-                        entry.stmt.clone(),
-                        intern(&entry.post),
-                        entry.result.as_ref().map(&intern).map_err(Clone::clone),
-                    )
-                })
-                .collect(),
-        ),
+        wp: artifact
+            .wp
+            .iter()
+            .map(|group| {
+                let entries = group
+                    .entries
+                    .iter()
+                    .map(|(post, result)| (id(post), result.as_ref().map(id).map_err(Clone::clone)))
+                    .collect();
+                wp_store.seed_group((
+                    group.fingerprint.as_slice().into(),
+                    group.stmt.clone(),
+                    entries,
+                ))
+            })
+            .sum(),
         disjointness: disjointness.seed_entries(
             artifact
                 .disjointness
                 .iter()
                 .map(|entry| {
                     (
-                        intern(&entry.guard_a),
-                        entry.fingerprint_a.clone().into(),
+                        id(&entry.guard_a),
+                        entry.fingerprint_a.as_slice().into(),
                         entry.body_a.clone(),
-                        intern(&entry.guard_b),
-                        entry.fingerprint_b.clone().into(),
+                        id(&entry.guard_b),
+                        entry.fingerprint_b.as_slice().into(),
                         entry.body_b.clone(),
                         entry.independent,
                     )
@@ -398,210 +576,167 @@ pub fn seed(
 // ---------------------------------------------------------------------------
 // Binary layout
 // ---------------------------------------------------------------------------
+//
+//   magic(8) version(u32) payload_len(u64) payload checksum(u64)
+//
+//   payload = terms    seq of term rows
+//             formulas seq of formula rows
+//             sat      seq of (row, sat result)
+//             qe       seq of (row, Ok row | Err translate error)
+//             theory   seq of (seq of (row, polarity), verdict)
+//             wp       seq of (fingerprint, stmt, seq of (row, Ok row | Err wp error))
+//             pairs    seq of (row, fingerprint, stmt, row, fingerprint, stmt, verdict)
 
-fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
-    // Encode each entry to its own buffer and sort the section bytewise:
-    // the memo tables iterate in nondeterministic HashMap order, and a
-    // canonical artifact makes repeated saves of the same caches
-    // byte-identical (stable checksums, diffable trajectories).
-    fn section(entries: Vec<Vec<u8>>, payload: &mut Writer) {
-        let mut entries = entries;
-        entries.sort_unstable();
-        entries.dedup();
-        payload.seq(entries.len());
-        entries.iter().for_each(|e| payload.raw(e));
+fn write_result<E>(
+    w: &mut Writer,
+    result: &Result<Row, E>,
+    write_error: impl FnOnce(&mut Writer, &E),
+) {
+    match result {
+        Ok(row) => {
+            w.u8(0);
+            w.u32(*row);
+        }
+        Err(e) => {
+            w.u8(1);
+            write_error(w, e);
+        }
     }
+}
 
-    let mut payload = Writer::new();
-    section(
-        artifact
-            .sat
-            .iter()
-            .map(|(key, verdict)| {
-                let mut w = Writer::new();
-                write_formula(&mut w, key);
-                write_sat_result(&mut w, verdict);
-                w.into_bytes()
-            })
-            .collect(),
-        &mut payload,
-    );
-    section(
-        artifact
-            .qe
-            .iter()
-            .map(|(key, result)| {
-                let mut w = Writer::new();
-                write_formula(&mut w, key);
-                match result {
-                    Ok(f) => {
-                        w.u8(0);
-                        write_formula(&mut w, f);
-                    }
-                    Err(e) => {
-                        w.u8(1);
-                        write_translate_error(&mut w, e);
-                    }
-                }
-                w.into_bytes()
-            })
-            .collect(),
-        &mut payload,
-    );
-    section(
-        artifact
-            .theory
-            .iter()
-            .map(|(literals, verdict)| {
-                let mut w = Writer::new();
-                // The in-memory key is sorted by arena-local id, which
-                // differs between the arena that computed an entry and one
-                // that was seeded with it; canonicalize on the literals'
-                // encoded bytes so equal semantic keys serialize equally
-                // (re-saving a warm context reproduces the artifact
-                // byte-for-byte).
-                let mut encoded: Vec<Vec<u8>> = literals
-                    .iter()
-                    .map(|(f, p)| {
-                        let mut lw = Writer::new();
-                        write_formula(&mut lw, f);
-                        lw.bool(*p);
-                        lw.into_bytes()
-                    })
-                    .collect();
-                encoded.sort_unstable();
-                w.seq(encoded.len());
-                encoded.iter().for_each(|l| w.raw(l));
-                match verdict {
-                    TheoryVerdictData::Consistent => w.u8(0),
-                    TheoryVerdictData::Inconsistent(core) => {
-                        w.u8(1);
-                        match core {
-                            None => w.u8(0),
-                            Some(core) => {
-                                w.u8(1);
-                                w.seq(core.len());
-                                for (f, p) in core {
-                                    write_formula(&mut w, f);
-                                    w.bool(*p);
-                                }
-                            }
-                        }
-                    }
-                    TheoryVerdictData::Unknown(reason) => {
-                        w.u8(2);
-                        w.str(reason);
-                    }
-                }
-                w.into_bytes()
-            })
-            .collect(),
-        &mut payload,
-    );
-    section(
-        artifact
-            .wp
-            .iter()
-            .map(|entry| {
-                let mut w = Writer::new();
-                w.seq(entry.fingerprint.len());
-                for (name, ty) in &entry.fingerprint {
-                    w.str(name);
-                    write_opt_type(&mut w, *ty);
-                }
-                write_stmt(&mut w, &entry.stmt);
-                write_formula(&mut w, &entry.post);
-                match &entry.result {
-                    Ok(f) => {
-                        w.u8(0);
-                        write_formula(&mut w, f);
-                    }
-                    Err(e) => {
-                        w.u8(1);
-                        write_wp_error(&mut w, e);
-                    }
-                }
-                w.into_bytes()
-            })
-            .collect(),
-        &mut payload,
-    );
-    section(
-        artifact
-            .disjointness
-            .iter()
-            .map(|entry| {
-                let mut w = Writer::new();
-                write_formula(&mut w, &entry.guard_a);
-                w.seq(entry.fingerprint_a.len());
-                for (name, ty) in &entry.fingerprint_a {
-                    w.str(name);
-                    write_opt_type(&mut w, *ty);
-                }
-                write_stmt(&mut w, &entry.body_a);
-                write_formula(&mut w, &entry.guard_b);
-                w.seq(entry.fingerprint_b.len());
-                for (name, ty) in &entry.fingerprint_b {
-                    w.str(name);
-                    write_opt_type(&mut w, *ty);
-                }
-                write_stmt(&mut w, &entry.body_b);
-                w.bool(entry.independent);
-                w.into_bytes()
-            })
-            .collect(),
-        &mut payload,
-    );
+fn read_result<E>(
+    r: &mut Reader,
+    formulas: usize,
+    read_error: impl FnOnce(&mut Reader) -> Result<E, DecodeError>,
+) -> Result<Result<Row, E>, DecodeError> {
+    Ok(match r.u8()? {
+        0 => Ok(r.row(formulas)?),
+        1 => Err(read_error(r)?),
+        other => return codec::err(format!("invalid result tag {other}")),
+    })
+}
 
-    let payload = payload.into_bytes();
+fn write_literals(w: &mut Writer, literals: &[(Row, bool)]) {
+    w.seq(literals.len());
+    for (row, polarity) in literals {
+        w.u32(*row);
+        w.bool(*polarity);
+    }
+}
+
+fn read_literals(r: &mut Reader, formulas: usize) -> Result<Vec<(Row, bool)>, DecodeError> {
+    (0..r.seq()?)
+        .map(|_| Ok((r.row(formulas)?, r.bool()?)))
+        .collect()
+}
+
+/// Frames a payload: magic, version, length, payload, checksum.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut file = Writer::new();
     file.raw(MAGIC);
     file.u32(FORMAT_VERSION);
     file.u64(payload.len() as u64);
-    file.raw(&payload);
-    file.u64(checksum(&payload));
+    file.raw(payload);
+    file.u64(checksum(payload));
     file.into_bytes()
 }
 
+/// Writes the artifact as it stands; the canonical order is
+/// [`export_artifact`]'s doing.
+fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.seq(artifact.terms.len());
+    artifact
+        .terms
+        .iter()
+        .for_each(|row| write_term_row(&mut w, row));
+    w.seq(artifact.formulas.len());
+    artifact
+        .formulas
+        .iter()
+        .for_each(|row| write_formula_row(&mut w, row));
+    w.seq(artifact.sat.len());
+    for (key, verdict) in &artifact.sat {
+        w.u32(*key);
+        write_sat_result(&mut w, verdict);
+    }
+    w.seq(artifact.qe.len());
+    for (key, result) in &artifact.qe {
+        w.u32(*key);
+        write_result(&mut w, result, write_translate_error);
+    }
+    w.seq(artifact.theory.len());
+    for (literals, verdict) in &artifact.theory {
+        write_literals(&mut w, literals);
+        match verdict {
+            TheoryVerdictData::Consistent => w.u8(0),
+            TheoryVerdictData::Inconsistent(None) => {
+                w.u8(1);
+                w.u8(0);
+            }
+            TheoryVerdictData::Inconsistent(Some(core)) => {
+                w.u8(1);
+                w.u8(1);
+                write_literals(&mut w, core);
+            }
+            TheoryVerdictData::Unknown(reason) => {
+                w.u8(2);
+                w.str(reason);
+            }
+        }
+    }
+    w.seq(artifact.wp.len());
+    for group in &artifact.wp {
+        write_fingerprint(&mut w, &group.fingerprint);
+        write_stmt(&mut w, &group.stmt);
+        w.seq(group.entries.len());
+        for (post, result) in &group.entries {
+            w.u32(*post);
+            write_result(&mut w, result, write_wp_error);
+        }
+    }
+    w.seq(artifact.disjointness.len());
+    for entry in &artifact.disjointness {
+        w.u32(entry.guard_a);
+        write_fingerprint(&mut w, &entry.fingerprint_a);
+        write_stmt(&mut w, &entry.body_a);
+        w.u32(entry.guard_b);
+        write_fingerprint(&mut w, &entry.fingerprint_b);
+        write_stmt(&mut w, &entry.body_b);
+        w.bool(entry.independent);
+    }
+    frame(&w.into_bytes())
+}
+
+/// Decodes and validates a payload: every row reference must name a strictly
+/// earlier row of its table (children) or a row inside the table (entries).
 fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
     let mut r = Reader::new(payload);
     let mut artifact = Artifact::default();
+    for i in 0..r.seq()? {
+        artifact.terms.push(read_term_row(&mut r, i)?);
+    }
+    let terms = artifact.terms.len();
+    for i in 0..r.seq()? {
+        artifact.formulas.push(read_formula_row(&mut r, i, terms)?);
+    }
+    let formulas = artifact.formulas.len();
     for _ in 0..r.seq()? {
-        let key = read_formula(&mut r)?;
-        let verdict = read_sat_result(&mut r)?;
-        artifact.sat.push((key, verdict));
+        let key = r.row(formulas)?;
+        artifact.sat.push((key, read_sat_result(&mut r)?));
     }
     for _ in 0..r.seq()? {
-        let key = read_formula(&mut r)?;
-        let result = match r.u8()? {
-            0 => Ok(read_formula(&mut r)?),
-            1 => Err(read_translate_error(&mut r)?),
-            other => return codec::err(format!("invalid result tag {other}")),
-        };
+        let key = r.row(formulas)?;
+        let result = read_result(&mut r, formulas, read_translate_error)?;
         artifact.qe.push((key, result));
     }
     for _ in 0..r.seq()? {
-        let n = r.seq()?;
-        let mut literals = Vec::with_capacity(n);
-        for _ in 0..n {
-            let f = read_formula(&mut r)?;
-            let p = r.bool()?;
-            literals.push((f, p));
-        }
+        let literals = read_literals(&mut r, formulas)?;
         let verdict = match r.u8()? {
             0 => TheoryVerdictData::Consistent,
             1 => TheoryVerdictData::Inconsistent(match r.u8()? {
                 0 => None,
-                1 => {
-                    let n = r.seq()?;
-                    let mut core = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let f = read_formula(&mut r)?;
-                        let p = r.bool()?;
-                        core.push((f, p));
-                    }
-                    Some(core)
-                }
+                1 => Some(read_literals(&mut r, formulas)?),
                 other => return codec::err(format!("invalid option tag {other}")),
             }),
             2 => TheoryVerdictData::Unknown(r.str()?),
@@ -610,42 +745,30 @@ fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
         artifact.theory.push((literals, verdict));
     }
     for _ in 0..r.seq()? {
-        let n = r.seq()?;
-        let mut fingerprint = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str()?;
-            let ty = read_opt_type(&mut r)?;
-            fingerprint.push((name, ty));
-        }
+        let fingerprint = read_fingerprint(&mut r)?;
         let stmt = read_stmt(&mut r)?;
-        let post = read_formula(&mut r)?;
-        let result = match r.u8()? {
-            0 => Ok(read_formula(&mut r)?),
-            1 => Err(read_wp_error(&mut r)?),
-            other => return codec::err(format!("invalid result tag {other}")),
-        };
-        artifact.wp.push(WpArtifactEntry {
+        let entries = (0..r.seq()?)
+            .map(|_| {
+                let post = r.row(formulas)?;
+                Ok((post, read_result(&mut r, formulas, read_wp_error)?))
+            })
+            .collect::<Result<_, DecodeError>>()?;
+        artifact.wp.push(WpArtifactGroup {
             fingerprint,
             stmt,
-            post,
-            result,
+            entries,
         });
     }
     for _ in 0..r.seq()? {
-        let side = |r: &mut Reader| -> Result<_, DecodeError> {
-            let guard = read_formula(r)?;
-            let n = r.seq()?;
-            let mut fingerprint = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.str()?;
-                let ty = read_opt_type(r)?;
-                fingerprint.push((name, ty));
-            }
-            let body = read_stmt(r)?;
-            Ok((guard, fingerprint, body))
+        let mut side = || -> Result<_, DecodeError> {
+            Ok((
+                r.row(formulas)?,
+                read_fingerprint(&mut r)?,
+                read_stmt(&mut r)?,
+            ))
         };
-        let (guard_a, fingerprint_a, body_a) = side(&mut r)?;
-        let (guard_b, fingerprint_b, body_b) = side(&mut r)?;
+        let (guard_a, fingerprint_a, body_a) = side()?;
+        let (guard_b, fingerprint_b, body_b) = side()?;
         let independent = r.bool()?;
         artifact.disjointness.push(DisjointnessArtifactEntry {
             guard_a,
@@ -704,32 +827,37 @@ pub fn save(
     let _span = expresso_obs::span!("persist.save");
     let artifact = export_artifact(solver, wp_store, disjointness);
     let (bytes, path) = save_artifact(dir, &artifact)?;
-    expresso_obs::log!(
-        expresso_obs::Level::Debug,
-        "saved warm-start artifact to {path:?}: {bytes} bytes ({} sat, {} qe, {} theory, {} wp, {} disjointness entries)",
-        artifact.sat.len(),
-        artifact.qe.len(),
-        artifact.theory.len(),
-        artifact.wp.len(),
-        artifact.disjointness.len()
-    );
-    Ok(SaveReport {
+    let report = SaveReport {
         sat: artifact.sat.len(),
         qe: artifact.qe.len(),
         theory: artifact.theory.len(),
-        wp: artifact.wp.len(),
+        wp: artifact.wp_entries(),
         disjointness: artifact.disjointness.len(),
         bytes,
         path,
-    })
+    };
+    expresso_obs::log!(
+        expresso_obs::Level::Debug,
+        "saved warm-start artifact to {:?}: {bytes} bytes ({} term + {} formula rows; {} sat, {} qe, {} theory, {} wp, {} disjointness entries)",
+        report.path,
+        artifact.terms.len(),
+        artifact.formulas.len(),
+        report.sat,
+        report.qe,
+        report.theory,
+        report.wp,
+        report.disjointness
+    );
+    Ok(report)
 }
 
 /// Loads the artifact from `dir`.
 ///
 /// Magic, format version, payload length and checksum are all verified
-/// *before* any tree is decoded; every malformation — including a file that
-/// passes the header checks but trips a decoder — comes back as
-/// [`LoadResult::Corrupt`] rather than a panic or a silently wrong entry.
+/// *before* any row is decoded, and decoding checks every row reference;
+/// every malformation — including a file that passes the header checks but
+/// trips a decoder — comes back as [`LoadResult::Corrupt`] rather than a
+/// panic or a silently wrong entry.
 pub fn load(dir: &Path) -> LoadResult {
     let _span = expresso_obs::span!("persist.load");
     let path = artifact_path(dir);
@@ -744,8 +872,7 @@ pub fn load(dir: &Path) -> LoadResult {
         }
         Err(e) => return LoadResult::Corrupt(format!("unreadable artifact {path:?}: {e}")),
     };
-    let header_len = MAGIC.len() + 4 + 8;
-    if bytes.len() < header_len + 8 {
+    if bytes.len() < HEADER_LEN + 8 {
         return LoadResult::Corrupt(format!(
             "artifact {path:?} too short ({} bytes)",
             bytes.len()
@@ -754,22 +881,26 @@ pub fn load(dir: &Path) -> LoadResult {
     if &bytes[..MAGIC.len()] != MAGIC {
         return LoadResult::Corrupt(format!("artifact {path:?} has wrong magic"));
     }
-    let mut header = Reader::new(&bytes[MAGIC.len()..header_len]);
+    let mut header = Reader::new(&bytes[MAGIC.len()..HEADER_LEN]);
     let version = header.u32().expect("header length checked");
     if version != FORMAT_VERSION {
         return LoadResult::Corrupt(format!(
             "artifact {path:?} has format version {version}, expected {FORMAT_VERSION}"
         ));
     }
-    let payload_len = header.u64().expect("header length checked") as usize;
-    if bytes.len() != header_len + payload_len + 8 {
+    let claimed = header.u64().expect("header length checked");
+    let payload = &bytes[HEADER_LEN..bytes.len() - 8];
+    if claimed != payload.len() as u64 {
         return LoadResult::Corrupt(format!(
-            "artifact {path:?} length mismatch: header claims {payload_len} payload bytes, file has {}",
-            bytes.len() - header_len - 8.min(bytes.len() - header_len)
+            "artifact {path:?} length mismatch: header claims {claimed} payload bytes, file has {}",
+            payload.len()
         ));
     }
-    let payload = &bytes[header_len..header_len + payload_len];
-    let stored = u64::from_le_bytes(bytes[header_len + payload_len..].try_into().unwrap());
+    let stored = u64::from_le_bytes(
+        bytes[bytes.len() - 8..]
+            .try_into()
+            .expect("trailer is 8 bytes"),
+    );
     if checksum(payload) != stored {
         return LoadResult::Corrupt(format!("artifact {path:?} failed its checksum"));
     }
@@ -783,89 +914,194 @@ pub fn load(dir: &Path) -> LoadResult {
 mod tests {
     use super::*;
     use expresso_logic::{CmpOp, Term};
+    use expresso_monitor_lang::{parse_expr, Expr, UnOp};
 
-    fn sample_artifact() -> Artifact {
-        let guard = Formula::Cmp(CmpOp::Lt, Term::Var("count".into()), Term::Int(4));
-        let nonneg = Formula::Cmp(CmpOp::Ge, Term::Var("count".into()), Term::Int(0));
-        Artifact {
-            sat: vec![
-                (guard.clone(), SatResult::Unsat),
-                (nonneg.clone(), SatResult::Sat(None)),
-            ],
-            qe: vec![(
-                Formula::exists(vec!["x".into()], guard.clone()),
-                Ok(Formula::True),
-            )],
-            theory: vec![(
-                vec![(guard.clone(), true), (nonneg.clone(), false)],
-                TheoryVerdictData::Inconsistent(Some(vec![(nonneg, false)])),
-            )],
-            wp: vec![WpArtifactEntry {
-                fingerprint: vec![("count".into(), Some(Type::Int))],
-                stmt: Stmt::Assign(
-                    "count".into(),
-                    expresso_monitor_lang::parse_expr("count + 1").unwrap(),
-                ),
-                post: guard.clone(),
-                result: Ok(Formula::Cmp(
-                    CmpOp::Lt,
-                    Term::Var("count".into()),
-                    Term::Int(3),
-                )),
-            }],
-            disjointness: vec![DisjointnessArtifactEntry {
-                guard_a: guard,
-                fingerprint_a: vec![("count".into(), Some(Type::Int))],
-                body_a: Stmt::Assign(
-                    "count".into(),
-                    expresso_monitor_lang::parse_expr("count + 1").unwrap(),
-                ),
-                guard_b: Formula::True,
-                fingerprint_b: vec![("count".into(), Some(Type::Int))],
-                body_b: Stmt::Assign(
-                    "count".into(),
-                    expresso_monitor_lang::parse_expr("count - 1").unwrap(),
-                ),
-                independent: true,
-            }],
+    struct Caches {
+        solver: Solver,
+        wp: WpStore,
+        pairs: DisjointnessStore,
+    }
+
+    impl Caches {
+        fn new() -> Self {
+            Caches {
+                solver: Solver::new(),
+                wp: WpStore::new(),
+                pairs: DisjointnessStore::new(),
+            }
+        }
+
+        fn export(&self) -> Artifact {
+            export_artifact(&self.solver, &self.wp, &self.pairs)
+        }
+
+        fn seeded_from(artifact: &Artifact) -> (Self, SeedReport) {
+            let caches = Caches::new();
+            let report = seed(artifact, &caches.solver, &caches.wp, &caches.pairs);
+            (caches, report)
+        }
+    }
+
+    fn count_lt(bound: i64) -> Formula {
+        Formula::Cmp(CmpOp::Lt, Term::Var("count".into()), Term::Int(bound))
+    }
+
+    fn bump(delta: &str) -> Stmt {
+        Stmt::Assign(
+            "count".into(),
+            parse_expr(&format!("count {delta}")).unwrap(),
+        )
+    }
+
+    /// One entry per section over a handful of shared nodes. `shuffled`
+    /// fills the same caches through a differently populated arena and in
+    /// the opposite order: other ids, other insertion order, same content.
+    fn sample_caches(shuffled: bool) -> Caches {
+        let caches = Caches::new();
+        let interner = caches.solver.interner();
+        if shuffled {
+            for i in 0..64 {
+                interner.intern(&Formula::BoolVar(format!("junk{i}")));
+            }
+        }
+        let mut trees = [
+            count_lt(4),
+            Formula::Cmp(CmpOp::Ge, Term::Var("count".into()), Term::Int(0)),
+            Formula::exists(vec!["x".into()], count_lt(4)),
+            count_lt(3),
+            Formula::True,
+        ];
+        if shuffled {
+            trees.reverse();
+        }
+        let mut ids: Vec<_> = trees.iter().map(|t| interner.intern(t)).collect();
+        if shuffled {
+            ids.reverse();
+        }
+        let [guard, nonneg, exists, shifted, truth] = ids[..] else {
+            unreachable!()
+        };
+        let mut sat = vec![(guard, SatResult::Unsat), (nonneg, SatResult::Sat(None))];
+        let mut literals = vec![(guard, true), (nonneg, false)];
+        literals.sort_unstable();
+        if shuffled {
+            sat.reverse();
+        }
+        caches.solver.seed_sat_cache(sat);
+        caches.solver.seed_qe_cache(vec![(exists, Ok(truth))]);
+        caches.solver.seed_theory_cache(vec![(
+            literals,
+            TheoryVerdict::Inconsistent(Some(vec![(nonneg, false)])),
+        )]);
+        let fingerprint: expresso_vcgen::LoweringFingerprint =
+            vec![("count".to_string(), Some(Type::Int))].into();
+        let mut posts = vec![(guard, Ok(shifted)), (nonneg, Ok(nonneg))];
+        if shuffled {
+            posts.reverse();
+        }
+        caches
+            .wp
+            .seed_group((fingerprint.clone(), bump("+ 1"), posts));
+        caches.pairs.seed_entries(vec![(
+            guard,
+            fingerprint.clone(),
+            bump("+ 1"),
+            truth,
+            fingerprint,
+            bump("- 1"),
+            true,
+        )]);
+        caches
+    }
+
+    fn payload_of(file: &[u8]) -> &[u8] {
+        &file[HEADER_LEN..file.len() - 8]
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("xp-persist-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Writes `file` as the artifact of a scratch directory and loads it.
+    fn load_bytes(tag: &str, file: &[u8]) -> LoadResult {
+        let dir = scratch(tag);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(artifact_path(&dir), file).unwrap();
+        let result = load(&dir);
+        fs::remove_dir_all(&dir).unwrap();
+        result
+    }
+
+    fn assert_corrupt(tag: &str, file: &[u8], needle: &str) {
+        match load_bytes(tag, file) {
+            LoadResult::Corrupt(why) => {
+                assert!(why.contains(needle), "{tag}: unexpected reason: {why}")
+            }
+            other => panic!("{tag}: expected Corrupt, got {other:?}"),
         }
     }
 
     #[test]
     fn encode_decode_round_trips() {
-        let artifact = sample_artifact();
+        let artifact = sample_caches(false).export();
+        assert_eq!(artifact.len(), 7);
+        assert_eq!(artifact.wp_entries(), 2);
+        // count, 0, 3, 4 — each once, however many formulas mention them.
+        assert_eq!(artifact.terms().len(), 4);
         let bytes = encode_artifact(&artifact);
-        let header_len = MAGIC.len() + 4 + 8;
-        let payload = &bytes[header_len..bytes.len() - 8];
-        let decoded = decode_artifact(payload).unwrap();
-        assert_eq!(decoded.len(), artifact.len());
-        // Sections are sorted on encode; compare as sets.
-        for (key, verdict) in &artifact.sat {
-            assert!(decoded.sat.iter().any(|(k, v)| k == key && v == verdict));
-        }
-        assert_eq!(decoded.wp[0], artifact.wp[0]);
-        assert_eq!(decoded.disjointness[0], artifact.disjointness[0]);
+        assert_eq!(decode_artifact(payload_of(&bytes)).unwrap(), artifact);
+        // The tree view names what the caches held.
+        let (key, verdict) = &artifact.sat()[0];
+        assert!(
+            (artifact.formula(*key) == count_lt(4)) == (*verdict == SatResult::Unsat),
+            "sat entry lost its key"
+        );
+        let group = &artifact.wp()[0];
+        assert!(group
+            .entries
+            .iter()
+            .any(|(post, wp)| artifact.formula(*post) == count_lt(4)
+                && wp.as_ref().map(|r| artifact.formula(*r)) == Ok(count_lt(3))));
     }
 
     #[test]
     fn encoding_is_deterministic_regardless_of_entry_order() {
-        let mut reversed = sample_artifact();
-        reversed.sat.reverse();
-        assert_eq!(
-            encode_artifact(&sample_artifact()),
-            encode_artifact(&reversed)
-        );
+        // Same content through different arena ids, insertion orders and
+        // `HashMap` seeds: same rows, same bytes.
+        let plain = sample_caches(false).export();
+        let shuffled = sample_caches(true).export();
+        assert_eq!(plain, shuffled);
+        assert_eq!(encode_artifact(&plain), encode_artifact(&shuffled));
+    }
+
+    #[test]
+    fn reexporting_a_seeded_arena_is_byte_identical() {
+        // export → seed a fresh arena → export again, with no analysis in
+        // between: a numbering that leaked arena ids would differ here.
+        let cold = sample_caches(true);
+        let contradiction = Formula::And(vec![
+            count_lt(4),
+            Formula::Cmp(CmpOp::Gt, Term::Var("count".into()), Term::Int(9)),
+        ]);
+        assert!(cold.solver.check_sat(&contradiction).is_unsat());
+        let first = cold.export();
+        let (warm, report) = Caches::seeded_from(&first);
+        assert_eq!(report.total(), first.len());
+        let second = warm.export();
+        assert_eq!(first, second);
+        assert_eq!(encode_artifact(&first), encode_artifact(&second));
     }
 
     #[test]
     fn save_load_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("xp-persist-rt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let artifact = sample_artifact();
+        let dir = scratch("rt");
+        let artifact = sample_caches(false).export();
         let (bytes, path) = save_artifact(&dir, &artifact).unwrap();
         assert_eq!(fs::metadata(&path).unwrap().len(), bytes);
         match load(&dir) {
-            LoadResult::Loaded(loaded) => assert_eq!(loaded.len(), artifact.len()),
+            LoadResult::Loaded(loaded) => assert_eq!(*loaded, artifact),
             other => panic!("expected Loaded, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
@@ -873,19 +1109,16 @@ mod tests {
 
     #[test]
     fn absent_artifact_loads_as_absent() {
-        let dir = std::env::temp_dir().join(format!("xp-persist-absent-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        assert!(matches!(load(&dir), LoadResult::Absent));
+        assert!(matches!(load(&scratch("absent")), LoadResult::Absent));
     }
 
     #[test]
     fn truncated_artifact_is_corrupt_not_a_panic() {
-        let dir = std::env::temp_dir().join(format!("xp-persist-trunc-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        save_artifact(&dir, &sample_artifact()).unwrap();
+        let dir = scratch("trunc");
+        save_artifact(&dir, &sample_caches(false).export()).unwrap();
         let path = artifact_path(&dir);
         let bytes = fs::read(&path).unwrap();
-        for keep in [0, 5, MAGIC.len() + 4 + 8 + 3, bytes.len() - 1] {
+        for keep in [0, 5, HEADER_LEN + 3, bytes.len() - 1] {
             fs::write(&path, &bytes[..keep]).unwrap();
             assert!(
                 matches!(load(&dir), LoadResult::Corrupt(_)),
@@ -897,9 +1130,8 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let dir = std::env::temp_dir().join(format!("xp-persist-flip-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        save_artifact(&dir, &sample_artifact()).unwrap();
+        let dir = scratch("flip");
+        save_artifact(&dir, &sample_caches(false).export()).unwrap();
         let path = artifact_path(&dir);
         let bytes = fs::read(&path).unwrap();
         // Flip one bit in every byte position: header flips break the magic/
@@ -919,50 +1151,148 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_corrupt() {
-        let dir = std::env::temp_dir().join(format!("xp-persist-ver-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        save_artifact(&dir, &sample_artifact()).unwrap();
-        let path = artifact_path(&dir);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        match load(&dir) {
-            LoadResult::Corrupt(msg) => assert!(msg.contains("format version")),
-            other => panic!("expected Corrupt, got {other:?}"),
+        // A future version and the tree format this one replaced: both are
+        // a cold start, neither is decoded.
+        let bytes = encode_artifact(&sample_caches(false).export());
+        for version in [FORMAT_VERSION + 1, 2] {
+            let mut bytes = bytes.clone();
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            assert_corrupt("ver", &bytes, "format version");
         }
-        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dangling_row_references_are_corrupt_despite_a_valid_checksum() {
+        // `encode_artifact` stamps a correct checksum over whatever it is
+        // given, so each of these reaches the decoder.
+        let pristine = sample_caches(false).export();
+        let not_row = pristine
+            .formulas
+            .iter()
+            .position(|row| matches!(row, FormulaRow::Cmp(..)))
+            .unwrap();
+        let formulas = pristine.formulas.len() as Row;
+        let terms = pristine.terms.len() as Row;
+        type Mangle = fn(&mut Artifact, usize, Row, Row);
+        let mangles: [(&str, Mangle); 6] = [
+            ("forward", |a, at, _, _| {
+                a.formulas[at] = FormulaRow::Not(at as Row + 1)
+            }),
+            ("self", |a, at, _, _| {
+                a.formulas[at] = FormulaRow::And(vec![0, at as Row])
+            }),
+            ("term-self", |a, _, _, _| a.terms[0] = TermRow::Neg(0)),
+            ("term-range", |a, at, _, terms| {
+                a.formulas[at] = FormulaRow::Divides(2, terms)
+            }),
+            ("entry", |a, _, formulas, _| a.sat[0].0 = formulas),
+            ("wp-result", |a, _, formulas, _| {
+                a.wp[0].entries[0].1 = Ok(formulas)
+            }),
+        ];
+        for (tag, mangle) in mangles {
+            let mut artifact = pristine.clone();
+            mangle(&mut artifact, not_row, formulas, terms);
+            assert_corrupt(tag, &encode_artifact(&artifact), "row reference");
+        }
+    }
+
+    /// A payload whose only entry is a WP group over `stmt_bytes`.
+    fn payload_with_statement(stmt_bytes: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        (0..5).for_each(|_| w.seq(0)); // terms, formulas, sat, qe, theory
+        w.seq(1);
+        w.seq(0); // empty fingerprint
+        w.raw(stmt_bytes);
+        w.seq(0); // no entries
+        w.seq(0); // disjointness
+        w.into_bytes()
+    }
+
+    #[test]
+    fn bottomless_statements_are_corrupt_not_a_stack_overflow() {
+        const DEPTH: usize = 100_000;
+        let mut unary = Writer::new();
+        unary.u8(2); // Assign
+        unary.str("x");
+        (0..DEPTH).for_each(|_| unary.raw(&[4, 0])); // Unary(Neg, …
+        let mut seq = Writer::new();
+        (0..DEPTH).for_each(|_| {
+            seq.u8(1); // Seq of one …
+            seq.seq(1);
+        });
+        for (tag, stmt) in [("unary", unary), ("seq", seq)] {
+            let file = frame(&payload_with_statement(&stmt.into_bytes()));
+            assert_corrupt(tag, &file, "nests deeper");
+        }
+    }
+
+    #[test]
+    fn the_exporter_leaves_out_what_the_loader_would_refuse() {
+        let nested = |levels: usize| {
+            let mut expr = Expr::Var("x".into());
+            (0..levels).for_each(|_| expr = Expr::Unary(UnOp::Neg, Box::new(expr.clone())));
+            Stmt::Assign("x".into(), expr)
+        };
+        let round_trip = |stmt: &Stmt| {
+            let mut w = Writer::new();
+            write_stmt(&mut w, stmt);
+            read_stmt(&mut Reader::new(&w.into_bytes()))
+        };
+        let deepest = nested(MAX_NESTING - 2);
+        assert_eq!(nesting(&deepest), MAX_NESTING);
+        assert_eq!(round_trip(&deepest).as_ref(), Ok(&deepest));
+        let too_deep = nested(MAX_NESTING - 1);
+        assert!(round_trip(&too_deep).is_err());
+
+        let caches = Caches::new();
+        let truth = caches.solver.interner().true_id();
+        let fingerprint: expresso_vcgen::LoweringFingerprint =
+            vec![("x".to_string(), Some(Type::Int))].into();
+        for stmt in [deepest.clone(), too_deep] {
+            caches
+                .wp
+                .seed_group((fingerprint.clone(), stmt, vec![(truth, Ok(truth))]));
+        }
+        let artifact = caches.export();
+        assert_eq!(artifact.wp().len(), 1);
+        assert_eq!(artifact.wp()[0].stmt, deepest);
+        assert!(matches!(
+            load_bytes("deep", &encode_artifact(&artifact)),
+            LoadResult::Loaded(_)
+        ));
     }
 
     #[test]
     fn seed_round_trips_through_a_fresh_arena() {
         // Fill a solver's caches by solving, export, then seed a *fresh*
         // solver (fresh arena — ids cannot survive) and check the entry
-        // counts and a served verdict.
-        let cold = Solver::new();
-        let store = WpStore::new();
-        let disjointness = DisjointnessStore::new();
-        let guard = Formula::Cmp(CmpOp::Lt, Term::Var("count".into()), Term::Int(4));
+        // counts, the arena's size and a served verdict.
+        let cold = Caches::new();
+        let guard = count_lt(4);
         let contradiction = Formula::And(vec![
             guard.clone(),
             Formula::Cmp(CmpOp::Gt, Term::Var("count".into()), Term::Int(9)),
         ]);
-        assert!(cold.check_sat(&contradiction).is_unsat());
-        assert!(cold.check_sat(&guard).is_sat());
-        let artifact = export_artifact(&cold, &store, &disjointness);
-        assert!(!artifact.sat.is_empty());
+        assert!(cold.solver.check_sat(&contradiction).is_unsat());
+        assert!(cold.solver.check_sat(&guard).is_sat());
+        let artifact = cold.export();
+        assert!(!artifact.sat().is_empty());
 
-        let warm = Solver::new();
-        let warm_store = WpStore::new();
-        let warm_disjointness = DisjointnessStore::new();
-        let report = seed(&artifact, &warm, &warm_store, &warm_disjointness);
-        assert_eq!(report.sat, artifact.sat.len());
-        assert!(warm.check_sat(&contradiction).is_unsat());
+        let (warm, report) = Caches::seeded_from(&artifact);
+        assert_eq!(report.sat, artifact.sat().len());
+        assert_eq!(report.theory, artifact.theory().len());
+        // One arena node per row, plus the two constants every arena holds.
+        let stats = warm.solver.interner().stats();
+        assert_eq!(stats.term_nodes, artifact.terms().len());
+        assert!(stats.formula_nodes <= artifact.formulas().len() + 2);
+        assert!(warm.solver.check_sat(&contradiction).is_unsat());
         assert!(
-            warm.stats().disk_hits > 0,
+            warm.solver.stats().disk_hits > 0,
             "warm query must hit a seeded entry"
         );
         assert_eq!(
-            warm.stats().sat_solver_calls,
+            warm.solver.stats().sat_solver_calls,
             0,
             "warm query must not re-solve"
         );

@@ -620,8 +620,8 @@ impl Solver {
     /// Seeds the satisfiability memo table with entries re-interned from a
     /// persisted artifact. Keys must be the exact ids the warm run's own
     /// normalization would produce — the persistence layer guarantees this by
-    /// serializing post-normalization formula trees and re-interning them
-    /// through this solver's arena. Existing entries win over seeded ones.
+    /// serializing the post-normalization formula nodes and re-interning
+    /// them, node by node, through this solver's arena. Existing entries win over seeded ones.
     /// Hits on seeded entries count into [`SolverStats::disk_hits`].
     pub fn seed_sat_cache(&self, entries: Vec<(FormulaId, SatResult)>) -> usize {
         self.cache.seed(entries, self.current_epoch())
@@ -1197,7 +1197,7 @@ struct TheoryLit<'a> {
 ///
 /// Public because the persistence layer serializes the theory memo table;
 /// the attached ids are only meaningful in the arena that minted them (the
-/// artifact stores formula trees instead and re-interns on load).
+/// artifact stores node-table rows instead and re-interns them on load).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TheoryVerdict {
     /// The literal set has an integer model.

@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex};
 const WP_CACHE_SHARDS: usize = 16;
 
 /// The session id recorded on entries seeded from a persisted artifact of an
-/// earlier process ([`WpStore::seed_entries`]). Real sessions count up from
+/// earlier process ([`WpStore::seed_group`]). Real sessions count up from
 /// 0, so the marker never collides in practice; a hit on a disk-seeded entry
 /// is therefore always attributed as cross-monitor *and* counted into
 /// [`WpCacheStats::disk_hits`].
@@ -58,15 +58,17 @@ const DISK_SESSION: u32 = u32::MAX;
 /// (which funds the cross-monitor reuse accounting).
 type WpEntry = (Result<FormulaId, WpError>, u32);
 
-/// One exported store entry, in the process-independent key shape the
-/// persistence layer serializes: `(fingerprint, statement, post-id, result)`.
-/// The two [`FormulaId`]s are only meaningful in the arena the store was
-/// filled against; `expresso-persist` swaps them for formula trees on disk.
-pub type WpExportEntry = (
+/// The memoized results of one `(fingerprint, statement)` pair, in the shape
+/// the persistence layer serializes: the pair once, then every `(post-id,
+/// result)` recorded under it — the store's own nesting, so a statement that
+/// was asked about forty postconditions is exported and seeded once, not
+/// forty times. The [`FormulaId`]s are only meaningful in the arena the store
+/// was filled against; `expresso-persist` swaps them for node-table rows on
+/// disk.
+pub type WpExportGroup = (
     LoweringFingerprint,
     Stmt,
-    FormulaId,
-    Result<FormulaId, WpError>,
+    Vec<(FormulaId, Result<FormulaId, WpError>)>,
 );
 
 /// One stripe of the store: lowering fingerprint → statement → (post-id →
@@ -118,7 +120,7 @@ pub struct WpCacheStats {
     /// private per-analysis store.
     pub cross_monitor_hits: usize,
     /// Hits served by an entry seeded from a persisted artifact of an earlier
-    /// process ([`WpStore::seed_entries`]) — the warm-start reuse
+    /// process ([`WpStore::seed_group`]) — the warm-start reuse
     /// `expresso-persist` buys. Disk hits are also counted as cross-monitor
     /// hits (the inserting "session" is never the current one), so this is a
     /// refinement of `cross_monitor_hits`, not a separate population. Always
@@ -273,42 +275,45 @@ impl WpStore {
     // Persistence hooks (`expresso-persist`)
     // ------------------------------------------------------------------
 
-    /// Snapshot of every memoized entry (whoever inserted it), in shard
-    /// order, for serialization by the persistence layer. Callers wanting a
-    /// deterministic artifact sort the result themselves.
-    pub fn export_entries(&self) -> Vec<WpExportEntry> {
+    /// Snapshot of every memoized entry (whoever inserted it), grouped by
+    /// `(fingerprint, statement)` in shard order, for serialization by the
+    /// persistence layer. Callers wanting a deterministic artifact sort the
+    /// result themselves.
+    pub fn export_groups(&self) -> Vec<WpExportGroup> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock().unwrap();
             for (fingerprint, by_stmt) in shard.iter() {
                 for (stmt, by_post) in by_stmt {
-                    for (&post, (result, _session)) in by_post {
-                        out.push((Arc::clone(fingerprint), stmt.clone(), post, result.clone()));
-                    }
+                    let entries = by_post
+                        .iter()
+                        .map(|(&post, (result, _session))| (post, result.clone()))
+                        .collect();
+                    out.push((Arc::clone(fingerprint), stmt.clone(), entries));
                 }
             }
         }
         out
     }
 
-    /// Seeds the store with entries re-interned from a persisted artifact,
-    /// marked with the reserved disk session id so hits on them count as
-    /// cross-monitor reuse *and* into [`WpCacheStats::disk_hits`]. Existing
-    /// entries win over seeded ones. Returns the number of entries inserted.
-    pub fn seed_entries(&self, entries: Vec<WpExportEntry>) -> usize {
+    /// Seeds the store with one group of a persisted artifact, its ids
+    /// already translated into this store's arena. Entries are marked with
+    /// the reserved disk session id so hits on them count as cross-monitor
+    /// reuse *and* into [`WpCacheStats::disk_hits`]. Existing entries win
+    /// over seeded ones. Returns the number of entries inserted.
+    pub fn seed_group(&self, (fingerprint, stmt, entries): WpExportGroup) -> usize {
+        let mut shard = self.shard(&fingerprint, &stmt).lock().unwrap();
+        let by_post = shard
+            .entry(fingerprint)
+            .or_default()
+            .entry(stmt)
+            .or_default();
         let mut inserted = 0;
-        for (fingerprint, stmt, post, result) in entries {
-            let mut shard = self.shard(&fingerprint, &stmt).lock().unwrap();
-            let by_post = shard
-                .entry(fingerprint)
-                .or_default()
-                .entry(stmt)
-                .or_default();
-            if by_post.contains_key(&post) {
-                continue;
+        for (post, result) in entries {
+            if let std::collections::hash_map::Entry::Vacant(slot) = by_post.entry(post) {
+                slot.insert((result, DISK_SESSION));
+                inserted += 1;
             }
-            by_post.insert(post, (result, DISK_SESSION));
-            inserted += 1;
         }
         inserted
     }

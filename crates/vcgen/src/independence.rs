@@ -62,7 +62,7 @@ type PairKey = (
 /// One exported store entry in the shape the persistence layer serializes:
 /// both sides' `(guard-id, fingerprint, body)` plus the verdict. The two
 /// [`FormulaId`]s are only meaningful in the arena the store was filled
-/// against; `expresso-persist` swaps them for formula trees on disk.
+/// against; `expresso-persist` swaps them for node-table rows on disk.
 pub type DisjointnessExportEntry = (
     FormulaId,
     LoweringFingerprint,

@@ -13,7 +13,7 @@ pub mod independence;
 pub mod wp;
 
 pub use cache::{
-    lowering_fingerprint, LoweringFingerprint, WpCache, WpCacheStats, WpExportEntry, WpStore,
+    lowering_fingerprint, LoweringFingerprint, WpCache, WpCacheStats, WpExportGroup, WpStore,
 };
 pub use hoare::{HoareTriple, TripleStatus, VcGen};
 pub use independence::{

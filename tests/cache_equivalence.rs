@@ -7,8 +7,13 @@
 //! parallel work split.
 
 use expresso_repro::core::{AnalysisOutcome, Expresso, ExpressoConfig, SharedAnalysisContext};
+use expresso_repro::logic::{Formula, FormulaId};
+use expresso_repro::monitor_lang::Stmt;
+use expresso_repro::persist::{self, Artifact, FormulaRow, LoadResult, Row, TheoryVerdictData};
+use expresso_repro::smt::{SatResult, TheoryVerdict};
 use expresso_repro::suite::all;
 use expresso_repro::suite::corpusgen::{generate, mutate_source, CorpusSpec};
+use expresso_repro::vcgen::WpError;
 
 /// Asserts that two analyses of one monitor agree on everything that is a
 /// pure function of the monitor: the explicit monitor, the invariant, the
@@ -195,11 +200,232 @@ fn persistent_config(dir: &std::path::Path) -> ExpressoConfig {
     }
 }
 
+fn load_artifact(dir: &std::path::Path) -> Box<Artifact> {
+    match persist::load(dir) {
+        LoadResult::Loaded(artifact) => artifact,
+        other => panic!("expected a loadable artifact, got {other:?}"),
+    }
+}
+
+/// Every memo-table section in tree form: one `Debug`-printed line per
+/// entry, sorted. Row numbers and arena ids are both gone from it, so an
+/// artifact, the arena that exported it and an arena seeded from it can be
+/// compared entry for entry.
+struct TreeView {
+    sat: Vec<String>,
+    qe: Vec<String>,
+    theory: Vec<String>,
+    wp: Vec<String>,
+    disjointness: Vec<String>,
+}
+
+impl TreeView {
+    fn sorted(mut self) -> Self {
+        for section in [
+            &mut self.sat,
+            &mut self.qe,
+            &mut self.theory,
+            &mut self.wp,
+            &mut self.disjointness,
+        ] {
+            section.sort_unstable();
+        }
+        self
+    }
+
+    /// Whether every entry of `self` is also an entry of `other`; the error
+    /// names the first one that is not (the views are too big to print).
+    fn is_within(&self, other: &TreeView) -> Result<(), String> {
+        for (name, mine, theirs) in [
+            ("sat", &self.sat, &other.sat),
+            ("qe", &self.qe, &other.qe),
+            ("theory", &self.theory, &other.theory),
+            ("wp", &self.wp, &other.wp),
+            ("disjointness", &self.disjointness, &other.disjointness),
+        ] {
+            if let Some(lost) = mine.iter().find(|e| theirs.binary_search(e).is_err()) {
+                return Err(format!("{name} entry without a counterpart: {lost}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the two views hold exactly the same entries.
+    fn same_as(&self, other: &TreeView) -> Result<(), String> {
+        self.is_within(other)?;
+        other.is_within(self)
+    }
+}
+
+/// A sat verdict with its model's maps in sorted order (`Valuation` prints
+/// them in `HashMap` order).
+fn verdict_line(verdict: &SatResult) -> String {
+    match verdict {
+        SatResult::Sat(Some(model)) => {
+            let mut ints: Vec<_> = model.ints().collect();
+            ints.sort();
+            let mut bools: Vec<_> = model.bools().collect();
+            bools.sort();
+            let mut arrays: Vec<_> = model.arrays().collect();
+            arrays.sort();
+            format!("Sat({ints:?} {bools:?} {arrays:?})")
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// A theory key or core in tree form; keys are sets (sorted here, since
+/// their stored order is by row or by arena id), cores keep their order.
+fn literal_trees<I: Copy>(
+    literals: &[(I, bool)],
+    tree: impl Fn(I) -> Formula,
+    sort: bool,
+) -> Vec<String> {
+    let mut out: Vec<String> = literals
+        .iter()
+        .map(|(atom, polarity)| format!("{polarity}:{:?}", tree(*atom)))
+        .collect();
+    if sort {
+        out.sort_unstable();
+    }
+    out
+}
+
+type Fingerprint = [(String, Option<expresso_repro::monitor_lang::Type>)];
+
+fn wp_line(
+    fingerprint: &Fingerprint,
+    stmt: &Stmt,
+    post: Formula,
+    result: Result<Formula, WpError>,
+) -> String {
+    format!("{fingerprint:?} {stmt:?} {post:?} => {result:?}")
+}
+
+fn pair_line(
+    a: (Formula, &Fingerprint, &Stmt),
+    b: (Formula, &Fingerprint, &Stmt),
+    independent: bool,
+) -> String {
+    format!("{a:?} | {b:?} => {independent}")
+}
+
+/// The tree view of an artifact, through [`Artifact::formula`].
+fn view_of_artifact(artifact: &Artifact) -> TreeView {
+    let tree = |row: Row| artifact.formula(row);
+    TreeView {
+        sat: artifact
+            .sat()
+            .iter()
+            .map(|(key, verdict)| format!("{:?} => {}", tree(*key), verdict_line(verdict)))
+            .collect(),
+        qe: artifact
+            .qe()
+            .iter()
+            .map(|(key, result)| format!("{:?} => {:?}", tree(*key), result.clone().map(tree)))
+            .collect(),
+        theory: artifact
+            .theory()
+            .iter()
+            .map(|(key, verdict)| {
+                let verdict = match verdict {
+                    TheoryVerdictData::Consistent => "consistent".to_owned(),
+                    TheoryVerdictData::Inconsistent(core) => format!(
+                        "inconsistent {:?}",
+                        core.as_deref().map(|c| literal_trees(c, tree, false))
+                    ),
+                    TheoryVerdictData::Unknown(why) => format!("unknown {why}"),
+                };
+                format!("{:?} => {verdict}", literal_trees(key, tree, true))
+            })
+            .collect(),
+        wp: artifact
+            .wp()
+            .iter()
+            .flat_map(|group| {
+                group.entries.iter().map(move |(post, result)| {
+                    wp_line(
+                        &group.fingerprint,
+                        &group.stmt,
+                        tree(*post),
+                        result.clone().map(tree),
+                    )
+                })
+            })
+            .collect(),
+        disjointness: artifact
+            .disjointness()
+            .iter()
+            .map(|e| {
+                pair_line(
+                    (tree(e.guard_a), &e.fingerprint_a, &e.body_a),
+                    (tree(e.guard_b), &e.fingerprint_b, &e.body_b),
+                    e.independent,
+                )
+            })
+            .collect(),
+    }
+    .sorted()
+}
+
+/// The tree view of a context's live memo tables, through its own arena.
+fn view_of_context(context: &SharedAnalysisContext) -> TreeView {
+    let interner = context.interner();
+    let tree = |id: FormulaId| interner.formula(id);
+    let solver = context.solver();
+    TreeView {
+        sat: solver
+            .export_sat_cache()
+            .into_iter()
+            .map(|(key, verdict)| format!("{:?} => {}", tree(key), verdict_line(&verdict)))
+            .collect(),
+        qe: solver
+            .export_qe_cache()
+            .into_iter()
+            .map(|(key, result)| format!("{:?} => {:?}", tree(key), result.map(tree)))
+            .collect(),
+        theory: solver
+            .export_theory_cache()
+            .into_iter()
+            .map(|(key, verdict)| {
+                let verdict = match verdict {
+                    TheoryVerdict::Consistent => "consistent".to_owned(),
+                    TheoryVerdict::Inconsistent(core) => format!(
+                        "inconsistent {:?}",
+                        core.as_deref().map(|c| literal_trees(c, tree, false))
+                    ),
+                    TheoryVerdict::Unknown(why) => format!("unknown {why}"),
+                };
+                format!("{:?} => {verdict}", literal_trees(&key, tree, true))
+            })
+            .collect(),
+        wp: context
+            .wp_store()
+            .export_groups()
+            .into_iter()
+            .flat_map(|(fingerprint, stmt, entries)| {
+                entries.into_iter().map(move |(post, result)| {
+                    wp_line(&fingerprint, &stmt, tree(post), result.map(tree))
+                })
+            })
+            .collect(),
+        disjointness: context
+            .disjointness()
+            .export_entries()
+            .into_iter()
+            .map(|(ga, fa, ba, gb, fb, bb, independent)| {
+                pair_line((tree(ga), &fa, &ba), (tree(gb), &fb, &bb), independent)
+            })
+            .collect(),
+    }
+    .sorted()
+}
+
 #[test]
 fn warm_start_from_artifact_is_bit_identical_and_served_from_disk() {
     // A generated corpus spanning every template, analysed cold into an
     // empty cache directory, persisted, then re-analysed by a fresh context
-    // (fresh arena — the on-disk trees must re-intern): the warm run must
+    // (fresh arena — the on-disk rows must re-intern): the warm run must
     // reproduce every outcome, candidate count and placement counter
     // bit-for-bit, and must actually be served from disk.
     let dir = scratch_cache_dir("warm");
@@ -231,8 +457,40 @@ fn warm_start_from_artifact_is_bit_identical_and_served_from_disk() {
     let seeded = warm_context
         .warm_start()
         .expect("second context must warm-start from the artifact");
-    assert_eq!(seeded.sat, saved.sat, "every saved sat entry must seed");
-    assert_eq!(seeded.wp, saved.wp, "every saved wp entry must seed");
+    assert_eq!(
+        (
+            seeded.sat,
+            seeded.qe,
+            seeded.theory,
+            seeded.wp,
+            seeded.disjointness
+        ),
+        (
+            saved.sat,
+            saved.qe,
+            saved.theory,
+            saved.wp,
+            saved.disjointness
+        ),
+        "every saved entry of every table must seed"
+    );
+    // Seeding interns one arena node per table row and nothing else: the
+    // arena now holds exactly the rows plus what any fresh arena holds (the
+    // two constants, which the formula table names as well).
+    let artifact = load_artifact(&dir);
+    let fresh = SharedAnalysisContext::new(&ExpressoConfig::default()).interner_stats();
+    assert_eq!((fresh.formula_nodes, fresh.term_nodes), (2, 0));
+    let constants = artifact
+        .formulas()
+        .iter()
+        .filter(|row| matches!(row, FormulaRow::True | FormulaRow::False))
+        .count();
+    let warm_arena = warm_context.interner_stats();
+    assert_eq!(warm_arena.term_nodes, artifact.terms().len());
+    assert_eq!(
+        warm_arena.formula_nodes,
+        artifact.formulas().len() + fresh.formula_nodes - constants
+    );
     let warm: Vec<_> = pipeline
         .analyze_suite(&warm_context, &monitors)
         .into_iter()
@@ -286,10 +544,7 @@ fn resaving_a_warm_context_loses_no_entry_and_keeps_warm_starting() {
         .map(|o| o.expect("cold analysis succeeds"))
         .collect();
     cold_context.persist().unwrap().unwrap();
-    let first = match expresso_repro::persist::load(&dir) {
-        expresso_repro::persist::LoadResult::Loaded(a) => a,
-        other => panic!("expected a loadable artifact, got {other:?}"),
-    };
+    let first = view_of_artifact(&load_artifact(&dir));
 
     let warm_context = SharedAnalysisContext::new(&config);
     assert!(warm_context.warm_start().is_some());
@@ -297,27 +552,12 @@ fn resaving_a_warm_context_loses_no_entry_and_keeps_warm_starting() {
         outcome.expect("warm analysis succeeds");
     }
     warm_context.persist().unwrap().unwrap();
-    let second = match expresso_repro::persist::load(&dir) {
-        expresso_repro::persist::LoadResult::Loaded(a) => a,
-        other => panic!("expected a loadable artifact, got {other:?}"),
-    };
-
-    assert!(
-        first.sat.iter().all(|e| second.sat.contains(e)),
-        "a sat entry vanished on re-save"
-    );
-    assert!(
-        first.qe.iter().all(|e| second.qe.contains(e)),
-        "a qe entry vanished on re-save"
-    );
-    assert!(
-        first.theory.iter().all(|e| second.theory.contains(e)),
-        "a theory entry vanished on re-save"
-    );
-    assert!(
-        first.wp.iter().all(|e| second.wp.contains(e)),
-        "a wp entry vanished on re-save"
-    );
+    // Row numbers differ between the two artifacts (the second has more
+    // nodes to number); the entries, as trees, must not.
+    let second = view_of_artifact(&load_artifact(&dir));
+    first
+        .is_within(&second)
+        .unwrap_or_else(|why| panic!("re-save lost an entry: {why}"));
 
     let third_context = SharedAnalysisContext::new(&config);
     assert!(third_context.warm_start().is_some());
@@ -334,9 +574,66 @@ fn resaving_a_warm_context_loses_no_entry_and_keeps_warm_starting() {
 }
 
 #[test]
+fn node_tables_agree_with_the_trees_of_both_arenas() {
+    // The table-vs-tree oracle. For the 16 suite monitors (with their
+    // independence tables, so the disjointness section is populated) plus a
+    // 32-monitor corpus, every entry of every section must read the same
+    // three ways: as the tree the exporting arena gives for the source id,
+    // as the tree the artifact's tables spell for the row, and as the tree a
+    // freshly seeded arena gives for the seeded id.
+    use expresso_repro::monitor_lang::check_monitor;
+    use expresso_repro::vcgen::refine_independence;
+
+    let dir = scratch_cache_dir("oracle");
+    let benchmarks = all();
+    let mut monitors: Vec<_> = benchmarks.iter().map(|b| b.monitor()).collect();
+    let corpus = generate(&CorpusSpec { size: 32, seed: 7 });
+    monitors.extend(corpus.iter().map(|v| v.monitor()));
+    let config = persistent_config(&dir);
+
+    let cold_context = SharedAnalysisContext::new(&config);
+    for outcome in Expresso::with_config(config.clone()).analyze_suite(&cold_context, &monitors) {
+        outcome.expect("cold analysis succeeds");
+    }
+    for monitor in &monitors[..benchmarks.len()] {
+        let table = check_monitor(monitor).expect("suite monitors check");
+        refine_independence(
+            monitor,
+            &table,
+            cold_context.solver(),
+            cold_context.disjointness(),
+        );
+    }
+    let saved = cold_context.persist().unwrap().unwrap();
+    assert!(saved.qe > 0 && saved.theory > 0 && saved.disjointness > 0);
+
+    let artifact = load_artifact(&dir);
+    let from_tables = view_of_artifact(&artifact);
+    assert_eq!(from_tables.sat.len(), saved.sat);
+    assert_eq!(from_tables.wp.len(), saved.wp);
+    view_of_context(&cold_context)
+        .same_as(&from_tables)
+        .unwrap_or_else(|why| panic!("tables vs the exporting arena's trees: {why}"));
+
+    let warm_context = SharedAnalysisContext::new(&config);
+    assert_eq!(warm_context.warm_start().unwrap().total(), artifact.len());
+    let seeded_nodes = warm_context.interner_stats();
+    view_of_context(&warm_context)
+        .same_as(&from_tables)
+        .unwrap_or_else(|why| panic!("tables vs the seeded arena's trees: {why}"));
+    // And the seeded ids are the ones tree interning computes: interning
+    // every key tree finds its node already there.
+    for (key, _) in artifact.sat() {
+        warm_context.interner().intern(&artifact.formula(*key));
+    }
+    assert_eq!(warm_context.interner_stats(), seeded_nodes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn warm_start_serves_every_disjointness_verdict_from_disk() {
     // The queue-disjointness refinement is persisted alongside the solver
-    // caches (artifact v2): building the independence tables for the whole
+    // caches (since artifact v2): building the independence tables for the whole
     // benchmark suite against a warm-started context must issue *zero* fresh
     // disjointness computations — every fire×fire verdict comes back from
     // the store seeded off disk — and must reproduce the cold tables

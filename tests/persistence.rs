@@ -4,6 +4,7 @@
 //! artifact.
 
 use expresso_repro::core::{Expresso, ExpressoConfig, SharedAnalysisContext};
+use expresso_repro::logic::Lcg;
 use expresso_repro::persist::{self, LoadResult};
 use expresso_repro::suite::corpusgen::{generate, CorpusSpec};
 use std::path::{Path, PathBuf};
@@ -25,9 +26,13 @@ fn persistent_config(dir: &Path) -> ExpressoConfig {
 
 /// Analyses a small corpus against `dir` and saves the artifact.
 fn populate(dir: &Path, size: usize, seed: u64) {
+    populate_with(persistent_config(dir), size, seed);
+}
+
+/// [`populate`] under an explicit configuration (which names the directory).
+fn populate_with(config: ExpressoConfig, size: usize, seed: u64) {
     let corpus = generate(&CorpusSpec { size, seed });
     let monitors: Vec<_> = corpus.iter().map(|v| v.monitor()).collect();
-    let config = persistent_config(dir);
     let context = SharedAnalysisContext::new(&config);
     for outcome in Expresso::with_config(config.clone()).analyze_suite(&context, &monitors) {
         outcome.expect("corpus analysis succeeds");
@@ -97,6 +102,126 @@ fn mangled_artifacts_cold_start_instead_of_panicking() {
     populate(&dir, 4, 17);
     assert!(SharedAnalysisContext::new(&config).warm_start().is_some());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Frames `payload` as an artifact file of the current format: magic,
+/// version, length, payload and a *correct* checksum — so what a mangled
+/// payload meets is the decoder, not the checksum.
+fn stamp(pristine: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut file = pristine[..12].to_vec();
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(payload);
+    file.extend_from_slice(&persist::checksum(payload).to_le_bytes());
+    file
+}
+
+#[test]
+fn mutated_payloads_with_valid_checksums_load_or_cold_start_but_never_abort() {
+    // The checksum guards against bit rot, not against a payload that was
+    // damaged (or crafted) before it was stamped. Seeded mutation fuzz over a
+    // real artifact, every mutant re-stamped: the loader must answer
+    // `Corrupt` or `Loaded` — no panic, no stack overflow, no runaway
+    // allocation — and whatever it does hand out must seed a fresh context
+    // without panicking (every row reference was checked on the way in).
+    const MUTANTS: usize = 2_000;
+    let dir = scratch_cache_dir("fuzz");
+    populate(&dir, 8, 29);
+    let path = persist::artifact_path(&dir);
+    let pristine = std::fs::read(&path).unwrap();
+    let payload = &pristine[20..pristine.len() - 8];
+    assert_eq!(
+        stamp(&pristine, payload),
+        pristine,
+        "stamp() drifted from the format"
+    );
+
+    let mut rng = Lcg::new(0x5eed_f00d);
+    let (mut loaded, mut corrupt) = (0usize, 0usize);
+    for mutant in 0..MUTANTS {
+        let mut bytes = payload.to_vec();
+        match rng.below(6) {
+            // One flipped bit.
+            0 => {
+                let at = rng.index(bytes.len());
+                bytes[at] ^= 1 << rng.below(8);
+            }
+            // One byte replaced.
+            1 => {
+                let at = rng.index(bytes.len());
+                bytes[at] = rng.below(256) as u8;
+            }
+            // A 32-bit field replaced by a small number: a plausible tag,
+            // length or row reference rather than an absurd one.
+            2 => {
+                let at = rng.index(bytes.len() - 4);
+                let value = rng.below(4096) as u32;
+                bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            // Several bytes replaced at once.
+            3 => {
+                for _ in 0..2 + rng.below(7) {
+                    let at = rng.index(bytes.len());
+                    bytes[at] = rng.below(256) as u8;
+                }
+            }
+            // The tail cut off (the stamped length agrees with the cut).
+            4 => bytes.truncate(rng.index(bytes.len())),
+            // A run of one repeated byte: nesting and length bombs.
+            _ => {
+                let at = rng.index(bytes.len());
+                let run = (1 + rng.index(4096)).min(bytes.len() - at);
+                let fill = rng.below(12) as u8;
+                bytes[at..at + run].fill(fill);
+            }
+        }
+        std::fs::write(&path, stamp(&pristine, &bytes)).unwrap();
+        match persist::load(&dir) {
+            LoadResult::Corrupt(_) => corrupt += 1,
+            LoadResult::Loaded(artifact) => {
+                loaded += 1;
+                let fresh = SharedAnalysisContext::new(&ExpressoConfig::default());
+                let seeded = persist::seed(
+                    &artifact,
+                    fresh.solver(),
+                    fresh.wp_store(),
+                    fresh.disjointness(),
+                );
+                assert!(seeded.total() <= artifact.len(), "mutant {mutant}");
+            }
+            LoadResult::Absent => panic!("mutant {mutant}: the file was just written"),
+        }
+    }
+    // The fuzz is only worth its name if it reaches both answers.
+    assert!(loaded > MUTANTS / 20, "only {loaded} mutants loaded");
+    assert!(
+        corrupt > MUTANTS / 20,
+        "only {corrupt} mutants were refused"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_cold_runs_write_identical_artifacts() {
+    // With one analysis thread nothing about a cold run is left to the
+    // scheduler, so two of them over the same corpus must agree on every
+    // byte: `HashMap` iteration order, shard layout and arena ids all differ
+    // between the runs' tables and none of them may reach the file.
+    let write = |tag: &str| {
+        let dir = scratch_cache_dir(tag);
+        let config = ExpressoConfig {
+            analysis_threads: 1,
+            ..persistent_config(&dir)
+        };
+        populate_with(config, 16, 41);
+        let bytes = std::fs::read(persist::artifact_path(&dir)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    };
+    let (first, second) = (write("canon-a"), write("canon-b"));
+    assert!(
+        first == second,
+        "two sequential cold runs wrote different artifacts"
+    );
 }
 
 #[test]
