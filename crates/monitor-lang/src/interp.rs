@@ -1,8 +1,9 @@
 //! Concrete interpretation of monitor expressions and statements.
 //!
-//! The interpreter is shared by the trace semantics (`expresso-semantics`) and
-//! by the concurrent runtime (`expresso-runtime`): both execute CCR bodies on
-//! concrete [`Valuation`]s.
+//! The interpreter executes CCR bodies on concrete [`Valuation`]s for the
+//! trace semantics (`expresso-semantics`) and the schedule explorer built on
+//! them. The concurrent runtime (`expresso-runtime`) runs the same code
+//! compiled ([`crate::compile`]), with this interpreter as its reference.
 
 use crate::ast::{BinOp, Expr, Monitor, Stmt, Type, UnOp};
 use crate::check::VarTable;
@@ -40,6 +41,10 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
+/// Iterations any single `while` loop may perform before execution gives up
+/// with [`RuntimeError::LoopBudgetExceeded`], interpreted or compiled.
+pub const LOOP_BUDGET: usize = 100_000;
+
 /// A concrete interpreter for monitor code.
 #[derive(Debug, Clone)]
 pub struct Interpreter<'a> {
@@ -53,7 +58,7 @@ impl<'a> Interpreter<'a> {
     pub fn new(table: &'a VarTable) -> Self {
         Interpreter {
             table,
-            loop_budget: 100_000,
+            loop_budget: LOOP_BUDGET,
         }
     }
 
@@ -104,7 +109,8 @@ impl<'a> Interpreter<'a> {
                         if r == 0 {
                             Err(RuntimeError::DivisionByZero)
                         } else {
-                            Ok(l.rem_euclid(r))
+                            // `i64::MIN % -1` overflows; its remainder is 0.
+                            Ok(l.wrapping_rem_euclid(r))
                         }
                     }
                     _ => Err(RuntimeError::SortMismatch(format!(

@@ -1,6 +1,7 @@
 //! The implicit-signal monitor language of the paper (Fig. 3) and its
 //! explicit-signal target (§3.3), with a lexer, parser, static checker,
-//! lowering to logic and a concrete interpreter.
+//! lowering to logic, a concrete interpreter, and a compiler of guards and
+//! bodies to slot-indexed programs for the concurrent engines ([`compile`]).
 //!
 //! # Quick tour
 //!
@@ -24,6 +25,7 @@
 
 pub mod ast;
 pub mod check;
+pub mod compile;
 pub mod interp;
 pub mod lexer;
 pub mod lower;
@@ -32,7 +34,8 @@ pub mod target;
 
 pub use ast::{BinOp, Ccr, CcrId, Expr, Field, Method, Monitor, Param, Stmt, Type, UnOp};
 pub use check::{check_monitor, infer_type, CheckError, Scope, VarInfo, VarTable};
-pub use interp::{initial_state, Interpreter, RuntimeError};
+pub use compile::{CodeId, Frame, Layout, Locals, Program};
+pub use interp::{initial_state, Interpreter, RuntimeError, LOOP_BUDGET};
 pub use lexer::{tokenize, LexError};
 pub use lower::{expr_to_formula, expr_to_term, LowerError};
 pub use parser::{parse_expr, parse_monitor, ParseError};

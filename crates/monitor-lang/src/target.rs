@@ -278,18 +278,8 @@ impl NotificationPlan {
         }
     }
 
-    /// Number of distinct guard classes (the size a runtime's slot vector
-    /// must have).
-    pub fn guard_count(&self) -> usize {
-        self.guards.len()
-    }
-
-    /// Build-time information about a guard class.
-    pub fn guard(&self, id: GuardId) -> &GuardInfo {
-        &self.guards[id.0]
-    }
-
-    /// Iterates over all guard classes in id order.
+    /// Iterates over all guard classes in id order (a runtime needs one
+    /// slot per class).
     pub fn guards(&self) -> impl Iterator<Item = (GuardId, &GuardInfo)> {
         self.guards.iter().enumerate().map(|(i, g)| (GuardId(i), g))
     }
@@ -415,7 +405,7 @@ mod tests {
         let em = ExplicitMonitor::broadcast_all(monitor);
         let plan = NotificationPlan::new(&em, &table);
         // Two distinct guards: `!writerIn` and `readers == 0 && !writerIn`.
-        assert_eq!(plan.guard_count(), 2);
+        assert_eq!(plan.guards().count(), 2);
         let enter_reader = em.monitor.method("enterReader").unwrap().ccrs[0];
         let exit_reader = em.monitor.method("exitReader").unwrap().ccrs[0];
         assert!(plan.guard_of(enter_reader).is_some());
@@ -448,11 +438,13 @@ mod tests {
         let plan = NotificationPlan::new(&em, &table);
         // … but one alpha-equivalence class, so notifications aimed at either
         // rendering reach the same waiters.
-        assert_eq!(plan.guard_count(), 1);
+        let classes: Vec<_> = plan.guards().collect();
+        assert_eq!(classes.len(), 1);
         let take = em.monitor.method("take").unwrap().ccrs[0];
         let grab = em.monitor.method("grab").unwrap().ccrs[0];
         assert_eq!(plan.guard_of(take), plan.guard_of(grab));
-        assert!(plan.guard(plan.guard_of(take).unwrap()).mentions_local);
+        assert_eq!(plan.guard_of(take), Some(classes[0].0));
+        assert!(classes[0].1.mentions_local);
     }
 
     #[test]

@@ -1,14 +1,31 @@
 //! The concurrent monitor engines.
+//!
+//! Both engines execute one compiled [`Program`]: at build time the monitor
+//! is checked, its variables laid out densely, and every guard, body,
+//! guard-class representative and notification predicate lowered to
+//! slot-indexed code. A call then does, in order:
+//!
+//! 1. **outside the lock** — finds its method and converts the caller's
+//!    bindings into a [`Locals`] frame (a binding that names a shared
+//!    variable is refused here, see [`CallError::SharedBinding`]);
+//! 2. **under the state mutex** — evaluates its guard in place against the
+//!    shared [`Frame`] and its locals (waiting on a condition variable while
+//!    it is false), runs the body with commit-on-success, and performs the
+//!    engine's signalling. Nothing in this step touches a `String`, a
+//!    `HashMap` or a syntax tree, and only a call that actually blocks
+//!    allocates (its waiter record).
+//!
+//! What differs between the engines, and between the explicit engine's two
+//! [`SignalMode`]s, is step 2's signalling and nothing else.
 
 use expresso_logic::Valuation;
 use expresso_monitor_lang::{
-    Ccr, CcrId, ExplicitMonitor, Expr, Interpreter, Monitor, NotificationKind, NotificationPlan,
-    ResolvedNotification, RuntimeError, SignalCondition, VarTable,
+    initial_state, CcrId, CodeId, ExplicitMonitor, Frame, Locals, Monitor, NotificationKind,
+    NotificationPlan, Program, RuntimeError, SignalCondition,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Errors raised while constructing a runtime instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,14 +50,19 @@ impl std::error::Error for RuntimeBuildError {}
 /// Errors raised by a monitor call.
 ///
 /// A failing call leaves the shared state exactly as it was before the failing
-/// CCR body: bodies execute on a scratch view that is only merged back on
-/// success, and the error is returned by value instead of unwinding through
-/// the state mutex — so a bad workload can never poison the monitor for the
-/// other threads hammering it.
+/// CCR body: bodies commit their writes only on success, and the error is
+/// returned by value instead of unwinding through the state mutex — so a bad
+/// workload can never poison the monitor for the other threads hammering it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CallError {
     /// The monitor has no method with this name.
     UnknownMethod(String),
+    /// The caller's bindings name this *shared* variable (a field, a
+    /// constructor parameter or an array). A caller supplies its own
+    /// thread-local values — method parameters — and nothing else; the call
+    /// is refused before it takes the lock. Bindings that name nothing the
+    /// monitor declares are ignored: no expression can read them.
+    SharedBinding(String),
     /// A CCR body hit a run-time fault (unbound variable, division by zero …).
     Runtime {
         /// The method whose CCR faulted.
@@ -54,6 +76,9 @@ impl fmt::Display for CallError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CallError::UnknownMethod(m) => write!(f, "unknown method `{m}`"),
+            CallError::SharedBinding(v) => {
+                write!(f, "caller binding `{v}` names a shared monitor variable")
+            }
             CallError::Runtime { method, error } => {
                 write!(f, "runtime error in `{method}`: {error}")
             }
@@ -93,8 +118,9 @@ pub trait MonitorRuntime: Sync + Send {
     ///
     /// # Errors
     ///
-    /// Returns [`CallError`] when the method does not exist or a CCR body
-    /// faults; the shared state is left untouched by the failing CCR.
+    /// Returns [`CallError`] when the method does not exist, `locals` binds a
+    /// shared variable, or a CCR body faults; the shared state is left
+    /// untouched by the failing CCR.
     fn call(&self, method: &str, locals: &Valuation) -> Result<(), CallError>;
 
     /// A snapshot of the shared monitor state (for assertions in tests).
@@ -121,35 +147,122 @@ pub trait MonitorRuntime: Sync + Send {
     }
 }
 
-struct Shared {
-    state: Mutex<Valuation>,
+/// What the two engines have in common: the compiled program, the shared
+/// frame behind the state mutex, and the counters.
+struct Core {
+    program: Program,
+    /// All a call needs of a method: its name and the CCRs to run, in order.
+    methods: Vec<(String, Vec<CcrId>)>,
+    state: Mutex<Frame>,
     wakeups: AtomicUsize,
     predicate_evaluations: AtomicUsize,
     avoided_wakeups: AtomicUsize,
     elided_notifications: AtomicUsize,
 }
 
-impl Shared {
-    fn new(initial: Valuation) -> Self {
-        Shared {
-            state: Mutex::new(initial),
+impl Core {
+    fn new(monitor: &Monitor, ctor_args: &Valuation) -> Result<Self, RuntimeBuildError> {
+        let program = Program::new(monitor)
+            .map_err(|e| RuntimeBuildError::Check(format!("{} error(s)", e.len())))?;
+        let frame = initial_state(monitor, program.table(), ctor_args)
+            .and_then(|initial| program.layout().frame(&initial))
+            .map_err(RuntimeBuildError::Init)?;
+        Ok(Core {
+            program,
+            methods: monitor
+                .methods
+                .iter()
+                .map(|m| (m.name.clone(), m.ccrs.clone()))
+                .collect(),
+            state: Mutex::new(frame),
             wakeups: AtomicUsize::new(0),
             predicate_evaluations: AtomicUsize::new(0),
             avoided_wakeups: AtomicUsize::new(0),
             elided_notifications: AtomicUsize::new(0),
+        })
+    }
+
+    /// One call: the method and the locals frame are found before any lock
+    /// is taken, then the method's CCRs run in order up to the first fault.
+    fn call(
+        &self,
+        method: &str,
+        bindings: &Valuation,
+        mut run_ccr: impl FnMut(CcrId, &mut Locals) -> Result<(), RuntimeError>,
+    ) -> Result<(), CallError> {
+        let (_, ccrs) = self
+            .methods
+            .iter()
+            .find(|(name, _)| name == method)
+            .ok_or_else(|| CallError::UnknownMethod(method.to_string()))?;
+        let mut locals = self
+            .program
+            .layout()
+            .bind(bindings)
+            .map_err(CallError::SharedBinding)?;
+        for &id in ccrs {
+            run_ccr(id, &mut locals).map_err(|error| CallError::Runtime {
+                method: method.to_string(),
+                error,
+            })?;
         }
+        Ok(())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Frame> {
+        self.state.lock().expect(NEVER_POISONED)
+    }
+
+    /// Whether a guard or predicate holds; one that cannot be evaluated
+    /// (ill-sorted, unbound) does not.
+    fn holds(&self, code: CodeId, state: &Frame, locals: &Locals) -> bool {
+        self.program.eval(code, state, locals).unwrap_or(false)
+    }
+
+    fn snapshot(&self) -> Valuation {
+        self.program.layout().snapshot(&self.lock())
     }
 }
 
-/// A thread blocked on a local-mentioning guard in targeted mode: it carries
-/// its own condition variable plus a snapshot of its locals so the notifier
-/// can judge (and wake) it individually — the paper's §6 per-waiter strategy
-/// applied to statically-placed notifications.
-struct LocalWaiter {
-    guard: Expr,
-    locals: Valuation,
+const NEVER_POISONED: &str = "faults under the state mutex are returned, never unwound";
+
+/// Blocks on `condvar`, releasing the state mutex while asleep.
+fn wait<'a>(condvar: &Condvar, state: MutexGuard<'a, Frame>) -> MutexGuard<'a, Frame> {
+    condvar.wait(state).expect(NEVER_POISONED)
+}
+
+/// A thread blocked with a condition variable of its own: it carries the code
+/// of its guard plus a copy of its locals so a notifier can judge (and wake)
+/// it individually — AutoSynch's strategy for every waiter, and the paper's
+/// §6 per-waiter strategy for local-mentioning guards in targeted mode.
+struct Waiter {
+    guard: CodeId,
+    locals: Locals,
     ready: AtomicBool,
     condvar: Condvar,
+}
+
+impl Waiter {
+    fn register(guard: CodeId, locals: &Locals, registry: &Mutex<Vec<Arc<Waiter>>>) -> Arc<Self> {
+        let waiter = Arc::new(Waiter {
+            guard,
+            locals: locals.clone(),
+            ready: AtomicBool::new(false),
+            condvar: Condvar::new(),
+        });
+        lock_registry(registry).push(Arc::clone(&waiter));
+        waiter
+    }
+
+    fn unregister(self: &Arc<Self>, registry: &Mutex<Vec<Arc<Waiter>>>) {
+        lock_registry(registry).retain(|w| !Arc::ptr_eq(w, self));
+    }
+}
+
+fn lock_registry(registry: &Mutex<Vec<Arc<Waiter>>>) -> MutexGuard<'_, Vec<Arc<Waiter>>> {
+    registry
+        .lock()
+        .expect("a waiter registry is only held across infallible pushes and scans")
 }
 
 /// Per-guard runtime state, indexed densely by [`expresso_monitor_lang::GuardId`].
@@ -164,7 +277,7 @@ struct GuardSlot {
     cascade: AtomicBool,
     /// Waiters registered for per-waiter judging (targeted mode, guards that
     /// mention thread-local variables).
-    local_waiters: Mutex<Vec<Arc<LocalWaiter>>>,
+    local_waiters: Mutex<Vec<Arc<Waiter>>>,
 }
 
 impl GuardSlot {
@@ -178,15 +291,42 @@ impl GuardSlot {
     }
 }
 
+/// One CCR of the explicit monitor with its signalling resolved: the guard
+/// class it waits on and the notifications placed after its body.
+struct PlacedCcr {
+    /// The guard class this CCR waits on; `None` when it never blocks.
+    wait: Option<GuardClass>,
+    notifications: Vec<PlacedNotification>,
+}
+
+#[derive(Clone, Copy)]
+struct GuardClass {
+    /// Index into [`ExplicitRuntime::slots`].
+    slot: usize,
+    /// The class's representative guard, compiled.
+    representative: CodeId,
+    /// Whether the guard reads thread-local variables (paper §6).
+    mentions_local: bool,
+}
+
+/// A notification whose predicate matched a blocking guard (the others are
+/// no-ops at run time and are dropped when the engine is built).
+struct PlacedNotification {
+    slot: usize,
+    predicate: CodeId,
+    condition: SignalCondition,
+    kind: NotificationKind,
+    mentions_local: bool,
+}
+
 /// Executes an [`ExplicitMonitor`]: one condition-variable slot per distinct
 /// guard (resolved to dense ids at build time), `while (!guard) wait()` at
 /// every CCR, and the statically-decided notifications after each body.
 pub struct ExplicitRuntime {
-    explicit: ExplicitMonitor,
-    table: VarTable,
-    plan: NotificationPlan,
+    core: Core,
+    /// Indexed by `CcrId.0`.
+    ccrs: Vec<PlacedCcr>,
     mode: SignalMode,
-    shared: Shared,
     /// One slot per guard class, indexed by `GuardId.0` — no string hashing on
     /// the signalling hot path.
     slots: Vec<GuardSlot>,
@@ -219,19 +359,42 @@ impl ExplicitRuntime {
         ctor_args: &Valuation,
         mode: SignalMode,
     ) -> Result<Self, RuntimeBuildError> {
-        let table = expresso_monitor_lang::check_monitor(&explicit.monitor)
-            .map_err(|e| RuntimeBuildError::Check(format!("{} error(s)", e.len())))?;
-        let initial = expresso_monitor_lang::initial_state(&explicit.monitor, &table, ctor_args)
-            .map_err(RuntimeBuildError::Init)?;
-        let plan = NotificationPlan::new(&explicit, &table);
-        let slots = (0..plan.guard_count()).map(|_| GuardSlot::new()).collect();
+        let mut core = Core::new(&explicit.monitor, ctor_args)?;
+        let plan = NotificationPlan::new(&explicit, core.program.table());
+        let program = &mut core.program;
+        let classes: Vec<GuardClass> = plan
+            .guards()
+            .map(|(id, info)| GuardClass {
+                slot: id.0,
+                representative: program.predicate(&info.expr),
+                mentions_local: info.mentions_local,
+            })
+            .collect();
+        let ccrs = explicit
+            .monitor
+            .all_ccrs()
+            .map(|ccr| PlacedCcr {
+                wait: plan.guard_of(ccr.id).map(|id| classes[id.0]),
+                notifications: plan
+                    .notifications(ccr.id)
+                    .iter()
+                    .filter_map(|n| {
+                        Some(PlacedNotification {
+                            slot: n.target?.0,
+                            predicate: program.predicate(&n.predicate),
+                            condition: n.condition,
+                            kind: n.kind,
+                            mentions_local: n.mentions_local,
+                        })
+                    })
+                    .collect(),
+            })
+            .collect();
         Ok(ExplicitRuntime {
-            explicit,
-            table,
-            plan,
+            core,
+            ccrs,
             mode,
-            shared: Shared::new(initial),
-            slots,
+            slots: classes.iter().map(|_| GuardSlot::new()).collect(),
         })
     }
 
@@ -249,82 +412,45 @@ impl ExplicitRuntime {
             .sum()
     }
 
-    fn eval_guard(
-        &self,
-        interp: &Interpreter<'_>,
-        guard: &Expr,
-        state: &Valuation,
-        locals: &Valuation,
-    ) -> bool {
-        let mut view = state.clone();
-        view.extend_with(locals);
-        interp.eval_bool(guard, &view).unwrap_or(false)
-    }
-
-    fn run_ccr(
-        &self,
-        interp: &Interpreter<'_>,
-        ccr: &Ccr,
-        locals: &mut Valuation,
-    ) -> Result<(), RuntimeError> {
-        let gid = self.plan.guard_of(ccr.id);
-        let mut state = self.shared.state.lock().unwrap();
-        if let Some(gid) = gid {
-            let slot = &self.slots[gid.0];
-            let per_waiter =
-                self.mode == SignalMode::Targeted && self.plan.guard(gid).mentions_local;
-            if per_waiter {
-                if !self.eval_guard(interp, &ccr.guard, &state, locals) {
-                    let waiter = Arc::new(LocalWaiter {
-                        guard: ccr.guard.clone(),
-                        locals: locals.clone(),
-                        ready: AtomicBool::new(false),
-                        condvar: Condvar::new(),
-                    });
-                    slot.local_waiters.lock().unwrap().push(Arc::clone(&waiter));
+    fn run_ccr(&self, id: CcrId, locals: &mut Locals) -> Result<(), RuntimeError> {
+        let core = &self.core;
+        let ccr = &self.ccrs[id.0];
+        let guard = core.program.guard(id);
+        let mut state = core.lock();
+        if let Some(class) = ccr.wait {
+            let slot = &self.slots[class.slot];
+            if self.mode == SignalMode::Targeted && class.mentions_local {
+                if !core.holds(guard, &state, locals) {
+                    let waiter = Waiter::register(guard, locals, &slot.local_waiters);
                     slot.waiters.fetch_add(1, Ordering::SeqCst);
                     loop {
-                        state = waiter.condvar.wait(state).unwrap();
-                        self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
+                        state = wait(&waiter.condvar, state);
+                        core.wakeups.fetch_add(1, Ordering::Relaxed);
                         if waiter.ready.swap(false, Ordering::SeqCst)
-                            && self.eval_guard(interp, &ccr.guard, &state, locals)
+                            && core.holds(guard, &state, locals)
                         {
                             break;
                         }
                     }
                     slot.waiters.fetch_sub(1, Ordering::SeqCst);
-                    slot.local_waiters
-                        .lock()
-                        .unwrap()
-                        .retain(|w| !Arc::ptr_eq(w, &waiter));
+                    waiter.unregister(&slot.local_waiters);
                 }
             } else {
-                while !self.eval_guard(interp, &ccr.guard, &state, locals) {
+                while !core.holds(guard, &state, locals) {
                     slot.waiters.fetch_add(1, Ordering::SeqCst);
-                    state = slot.condvar.wait(state).unwrap();
+                    state = wait(&slot.condvar, state);
                     slot.waiters.fetch_sub(1, Ordering::SeqCst);
-                    self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
+                    core.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        // Execute the body on a merged scratch view; only merge back on
-        // success so a faulting body leaves the shared state untouched.
-        let mut view = state.clone();
-        view.extend_with(locals);
-        interp.exec(&ccr.body, &mut view)?;
-        split_back(&self.table, &view, &mut state, locals);
+        core.program.exec(id, &mut state, locals)?;
 
         // Perform the statically-decided notifications.
-        for notification in self.plan.notifications(ccr.id) {
-            let Some(target) = notification.target else {
-                continue;
-            };
-            let slot = &self.slots[target.0];
+        for notification in &ccr.notifications {
             match self.mode {
-                SignalMode::Static => self.fire_static(interp, notification, slot, &state, locals),
-                SignalMode::Targeted => {
-                    self.fire_targeted(interp, notification, slot, &state);
-                }
+                SignalMode::Static => self.fire_static(notification, &state, locals),
+                SignalMode::Targeted => self.fire_targeted(notification, &state, locals),
             }
         }
 
@@ -333,14 +459,11 @@ impl ExplicitRuntime {
         // guard stays true, so the single coalesced signal eventually reaches
         // every waiter a broadcast would have woken usefully.
         if self.mode == SignalMode::Targeted {
-            if let Some(gid) = gid {
-                let info = self.plan.guard(gid);
-                let slot = &self.slots[gid.0];
-                if !info.mentions_local && slot.cascade.load(Ordering::SeqCst) {
-                    self.shared
-                        .predicate_evaluations
-                        .fetch_add(1, Ordering::Relaxed);
-                    let enabled = self.eval_guard(interp, &info.expr, &state, locals);
+            if let Some(class) = ccr.wait {
+                let slot = &self.slots[class.slot];
+                if !class.mentions_local && slot.cascade.load(Ordering::SeqCst) {
+                    core.predicate_evaluations.fetch_add(1, Ordering::Relaxed);
+                    let enabled = core.holds(class.representative, &state, locals);
                     let waiting = slot.waiters.load(Ordering::SeqCst);
                     if enabled && waiting > 0 {
                         slot.condvar.notify_one();
@@ -355,34 +478,32 @@ impl ExplicitRuntime {
 
     /// The paper's generated-code semantics: evaluate conditional predicates
     /// once at the notifier and execute `signal`/`broadcast` literally.
-    fn fire_static(
-        &self,
-        interp: &Interpreter<'_>,
-        notification: &ResolvedNotification,
-        slot: &GuardSlot,
-        state: &Valuation,
-        locals: &Valuation,
-    ) {
+    ///
+    /// "Literally" includes what `Condition.signal()` does on an empty wait
+    /// queue in the generated Java: nothing. `std`'s condition variable would
+    /// still make a `futex_wake` system call, so the call is skipped when the
+    /// slot has no waiter — a count only changed under the state mutex, which
+    /// this thread holds. That is not the targeted mode's elision: the
+    /// predicate is still evaluated and counted, and nothing is recorded as
+    /// elided.
+    fn fire_static(&self, notification: &PlacedNotification, state: &Frame, locals: &Locals) {
         let fire = match notification.condition {
             SignalCondition::Unconditional => true,
             SignalCondition::Conditional => {
-                self.shared
+                self.core
                     .predicate_evaluations
                     .fetch_add(1, Ordering::Relaxed);
                 // Predicates over waiter-local state cannot be decided here;
                 // the woken waiters re-check their own guard (§6 strategy).
                 notification.mentions_local
-                    || self.eval_guard(interp, &notification.predicate, state, locals)
+                    || self.core.holds(notification.predicate, state, locals)
             }
         };
-        if fire {
+        let slot = &self.slots[notification.slot];
+        if fire && slot.waiters.load(Ordering::SeqCst) > 0 {
             match notification.kind {
-                NotificationKind::Signal => {
-                    slot.condvar.notify_one();
-                }
-                NotificationKind::Broadcast => {
-                    slot.condvar.notify_all();
-                }
+                NotificationKind::Signal => slot.condvar.notify_one(),
+                NotificationKind::Broadcast => slot.condvar.notify_all(),
             }
         }
     }
@@ -390,19 +511,13 @@ impl ExplicitRuntime {
     /// Targeted delivery: never wake a thread the predicate information proves
     /// cannot proceed. `avoided_wakeups` counts the wakeups the static
     /// semantics would have issued beyond what this mode issued.
-    fn fire_targeted(
-        &self,
-        interp: &Interpreter<'_>,
-        notification: &ResolvedNotification,
-        slot: &GuardSlot,
-        state: &Valuation,
-    ) {
+    fn fire_targeted(&self, notification: &PlacedNotification, state: &Frame, locals: &Locals) {
+        let core = &self.core;
+        let slot = &self.slots[notification.slot];
         let waiting = slot.waiters.load(Ordering::SeqCst);
         if waiting == 0 {
             // Nobody to wake: skip the notification and its predicate check.
-            self.shared
-                .elided_notifications
-                .fetch_add(1, Ordering::Relaxed);
+            core.elided_notifications.fetch_add(1, Ordering::Relaxed);
             expresso_obs::instant!("runtime.elide");
             return;
         }
@@ -413,13 +528,10 @@ impl ExplicitRuntime {
         if notification.mentions_local {
             // Judge each waiter against its own guard and local snapshot and
             // wake only the matches (§6 applied to a placed notification).
-            let registry = slot.local_waiters.lock().unwrap();
             let mut woken = 0usize;
-            for waiter in registry.iter() {
-                self.shared
-                    .predicate_evaluations
-                    .fetch_add(1, Ordering::Relaxed);
-                if self.eval_guard(interp, &waiter.guard, state, &waiter.locals) {
+            for waiter in lock_registry(&slot.local_waiters).iter() {
+                core.predicate_evaluations.fetch_add(1, Ordering::Relaxed);
+                if core.holds(waiter.guard, state, &waiter.locals) {
                     waiter.ready.store(true, Ordering::SeqCst);
                     waiter.condvar.notify_one();
                     expresso_obs::instant!("runtime.wakeup");
@@ -429,18 +541,16 @@ impl ExplicitRuntime {
                     }
                 }
             }
-            self.shared
-                .avoided_wakeups
+            core.avoided_wakeups
                 .fetch_add(static_would_wake.saturating_sub(woken), Ordering::Relaxed);
             return;
         }
         // Local-free predicate: one evaluation at the notifier decides for
-        // every waiter on the slot (they are interchangeable).
+        // every waiter on the slot (they are interchangeable, and whose
+        // locals it is evaluated against does not matter).
         if notification.condition == SignalCondition::Conditional {
-            self.shared
-                .predicate_evaluations
-                .fetch_add(1, Ordering::Relaxed);
-            if !self.eval_guard(interp, &notification.predicate, state, &Valuation::new()) {
+            core.predicate_evaluations.fetch_add(1, Ordering::Relaxed);
+            if !core.holds(notification.predicate, state, locals) {
                 return;
             }
         }
@@ -455,8 +565,7 @@ impl ExplicitRuntime {
                 slot.cascade.store(true, Ordering::SeqCst);
                 slot.condvar.notify_one();
                 expresso_obs::instant!("runtime.cascade");
-                self.shared
-                    .avoided_wakeups
+                core.avoided_wakeups
                     .fetch_add(static_would_wake - 1, Ordering::Relaxed);
             }
         }
@@ -465,52 +574,29 @@ impl ExplicitRuntime {
 
 impl MonitorRuntime for ExplicitRuntime {
     fn call(&self, method: &str, locals: &Valuation) -> Result<(), CallError> {
-        let interp = Interpreter::new(&self.table);
-        let mut locals = locals.clone();
-        let found = self
-            .explicit
-            .monitor
-            .method(method)
-            .ok_or_else(|| CallError::UnknownMethod(method.to_string()))?;
-        let ccr_ids: Vec<CcrId> = found.ccrs.clone();
-        for id in ccr_ids {
-            let ccr = self.explicit.monitor.ccr(id).clone();
-            self.run_ccr(&interp, &ccr, &mut locals)
-                .map_err(|error| CallError::Runtime {
-                    method: method.to_string(),
-                    error,
-                })?;
-        }
-        Ok(())
+        self.core
+            .call(method, locals, |id, locals| self.run_ccr(id, locals))
     }
 
     fn snapshot(&self) -> Valuation {
-        self.shared.state.lock().unwrap().clone()
+        self.core.snapshot()
     }
 
     fn wakeups(&self) -> usize {
-        self.shared.wakeups.load(Ordering::Relaxed)
+        self.core.wakeups.load(Ordering::Relaxed)
     }
 
     fn predicate_evaluations(&self) -> usize {
-        self.shared.predicate_evaluations.load(Ordering::Relaxed)
+        self.core.predicate_evaluations.load(Ordering::Relaxed)
     }
 
     fn avoided_wakeups(&self) -> usize {
-        self.shared.avoided_wakeups.load(Ordering::Relaxed)
+        self.core.avoided_wakeups.load(Ordering::Relaxed)
     }
 
     fn elided_notifications(&self) -> usize {
-        self.shared.elided_notifications.load(Ordering::Relaxed)
+        self.core.elided_notifications.load(Ordering::Relaxed)
     }
-}
-
-/// A waiting thread registered with the AutoSynch-style engine.
-struct Waiter {
-    guard: Expr,
-    locals: Valuation,
-    ready: AtomicBool,
-    condvar: Condvar,
 }
 
 /// Executes the implicit-signal monitor directly, in the style of AutoSynch:
@@ -518,9 +604,7 @@ struct Waiter {
 /// variables, and after every CCR body the runtime evaluates the predicates of
 /// *all* waiters and wakes those that became true.
 pub struct AutoSynchRuntime {
-    monitor: Monitor,
-    table: VarTable,
-    shared: Shared,
+    core: Core,
     waiters: Mutex<Vec<Arc<Waiter>>>,
 }
 
@@ -532,72 +616,36 @@ impl AutoSynchRuntime {
     /// Returns [`RuntimeBuildError`] when the monitor is ill-formed or the
     /// constructor arguments are incomplete.
     pub fn new(monitor: Monitor, ctor_args: &Valuation) -> Result<Self, RuntimeBuildError> {
-        let table = expresso_monitor_lang::check_monitor(&monitor)
-            .map_err(|e| RuntimeBuildError::Check(format!("{} error(s)", e.len())))?;
-        let initial = expresso_monitor_lang::initial_state(&monitor, &table, ctor_args)
-            .map_err(RuntimeBuildError::Init)?;
         Ok(AutoSynchRuntime {
-            monitor,
-            table,
-            shared: Shared::new(initial),
+            core: Core::new(&monitor, ctor_args)?,
             waiters: Mutex::new(Vec::new()),
         })
     }
 
-    fn eval_with(
-        &self,
-        interp: &Interpreter<'_>,
-        guard: &Expr,
-        state: &Valuation,
-        locals: &Valuation,
-    ) -> bool {
-        let mut view = state.clone();
-        view.extend_with(locals);
-        interp.eval_bool(guard, &view).unwrap_or(false)
-    }
-
-    fn run_ccr(
-        &self,
-        interp: &Interpreter<'_>,
-        ccr: &Ccr,
-        locals: &mut Valuation,
-    ) -> Result<(), RuntimeError> {
-        let mut state = self.shared.state.lock().unwrap();
-        if !ccr.never_blocks() && !self.eval_with(interp, &ccr.guard, &state, locals) {
+    fn run_ccr(&self, id: CcrId, locals: &mut Locals) -> Result<(), RuntimeError> {
+        let core = &self.core;
+        let guard = core.program.guard(id);
+        let mut state = core.lock();
+        if !core.holds(guard, &state, locals) {
             // Register as a waiter with a snapshot of the local variables.
-            let waiter = Arc::new(Waiter {
-                guard: ccr.guard.clone(),
-                locals: locals.clone(),
-                ready: AtomicBool::new(false),
-                condvar: Condvar::new(),
-            });
-            self.waiters.lock().unwrap().push(Arc::clone(&waiter));
+            let waiter = Waiter::register(guard, locals, &self.waiters);
             loop {
-                state = waiter.condvar.wait(state).unwrap();
-                self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                if waiter.ready.load(Ordering::SeqCst)
-                    && self.eval_with(interp, &ccr.guard, &state, locals)
-                {
+                state = wait(&waiter.condvar, state);
+                core.wakeups.fetch_add(1, Ordering::Relaxed);
+                if waiter.ready.load(Ordering::SeqCst) && core.holds(guard, &state, locals) {
                     break;
                 }
                 waiter.ready.store(false, Ordering::SeqCst);
             }
-            let mut registry = self.waiters.lock().unwrap();
-            registry.retain(|w| !Arc::ptr_eq(w, &waiter));
+            waiter.unregister(&self.waiters);
         }
-        let mut view = state.clone();
-        view.extend_with(locals);
-        interp.exec(&ccr.body, &mut view)?;
-        split_back(&self.table, &view, &mut state, locals);
+        core.program.exec(id, &mut state, locals)?;
 
         // AutoSynch's post-CCR work: evaluate every waiter's predicate with its
         // snapshot and wake exactly those whose predicate is now true.
-        let registry = self.waiters.lock().unwrap();
-        for waiter in registry.iter() {
-            self.shared
-                .predicate_evaluations
-                .fetch_add(1, Ordering::Relaxed);
-            if self.eval_with(interp, &waiter.guard, &state, &waiter.locals) {
+        for waiter in lock_registry(&self.waiters).iter() {
+            core.predicate_evaluations.fetch_add(1, Ordering::Relaxed);
+            if core.holds(waiter.guard, &state, &waiter.locals) {
                 waiter.ready.store(true, Ordering::SeqCst);
                 waiter.condvar.notify_one();
             }
@@ -608,58 +656,20 @@ impl AutoSynchRuntime {
 
 impl MonitorRuntime for AutoSynchRuntime {
     fn call(&self, method: &str, locals: &Valuation) -> Result<(), CallError> {
-        let interp = Interpreter::new(&self.table);
-        let mut locals = locals.clone();
-        let found = self
-            .monitor
-            .method(method)
-            .ok_or_else(|| CallError::UnknownMethod(method.to_string()))?;
-        let ccr_ids: Vec<CcrId> = found.ccrs.clone();
-        for id in ccr_ids {
-            let ccr = self.monitor.ccr(id).clone();
-            self.run_ccr(&interp, &ccr, &mut locals)
-                .map_err(|error| CallError::Runtime {
-                    method: method.to_string(),
-                    error,
-                })?;
-        }
-        Ok(())
+        self.core
+            .call(method, locals, |id, locals| self.run_ccr(id, locals))
     }
 
     fn snapshot(&self) -> Valuation {
-        self.shared.state.lock().unwrap().clone()
+        self.core.snapshot()
     }
 
     fn wakeups(&self) -> usize {
-        self.shared.wakeups.load(Ordering::Relaxed)
+        self.core.wakeups.load(Ordering::Relaxed)
     }
 
     fn predicate_evaluations(&self) -> usize {
-        self.shared.predicate_evaluations.load(Ordering::Relaxed)
-    }
-}
-
-/// Writes the post-execution view back into the shared state and the caller's
-/// locals according to the variable table.
-fn split_back(table: &VarTable, view: &Valuation, state: &mut Valuation, locals: &mut Valuation) {
-    for (name, value) in view.ints() {
-        if table.is_shared(name) {
-            state.set_int(name.clone(), *value);
-        } else {
-            locals.set_int(name.clone(), *value);
-        }
-    }
-    for (name, value) in view.bools() {
-        if table.is_shared(name) {
-            state.set_bool(name.clone(), *value);
-        } else {
-            locals.set_bool(name.clone(), *value);
-        }
-    }
-    for (name, value) in view.arrays() {
-        if table.is_shared(name) {
-            state.set_array(name.clone(), value.clone());
-        }
+        self.core.predicate_evaluations.load(Ordering::Relaxed)
     }
 }
 
@@ -812,6 +822,72 @@ mod tests {
             implicit.call("nope", &Valuation::new()),
             Err(CallError::UnknownMethod(_))
         ));
+    }
+
+    /// The three engines over [`COUNTER`].
+    fn counter_engines() -> Vec<(&'static str, Box<dyn MonitorRuntime>)> {
+        let none = Valuation::new();
+        let explicit = |mode| ExplicitRuntime::with_mode(explicit_counter(), &none, mode).unwrap();
+        let implicit = AutoSynchRuntime::new(parse_monitor(COUNTER).unwrap(), &none).unwrap();
+        vec![
+            ("implicit", Box::new(implicit)),
+            ("static", Box::new(explicit(SignalMode::Static))),
+            ("targeted", Box::new(explicit(SignalMode::Targeted))),
+        ]
+    }
+
+    #[test]
+    fn a_caller_cannot_forge_shared_state_through_its_locals() {
+        for (engine, rt) in counter_engines() {
+            // `count` is a field. Merged into the caller's view it used to
+            // satisfy `count > 0` on an empty counter and be written back.
+            let mut forged = Valuation::new();
+            forged.set_int("count", 5);
+            assert_eq!(
+                rt.call("acquire", &forged),
+                Err(CallError::SharedBinding("count".into())),
+                "{engine}"
+            );
+            assert_eq!(rt.snapshot().int("count"), Some(0), "{engine}");
+            // A name the monitor does not declare is ignored, not an error.
+            let mut unknown = Valuation::new();
+            unknown.set_int("nobody", 1);
+            rt.call("release", &unknown).unwrap();
+            rt.call("acquire", &Valuation::new()).unwrap();
+            assert_eq!(rt.snapshot().int("count"), Some(0), "{engine}");
+            assert_eq!(rt.wakeups(), 0, "{engine}");
+        }
+    }
+
+    #[test]
+    fn static_signal_wakes_a_waiter_and_is_a_no_op_on_an_empty_queue() {
+        let rt = ExplicitRuntime::new(explicit_counter(), &Valuation::new()).unwrap();
+        let counters = |rt: &ExplicitRuntime| {
+            (
+                rt.wakeups(),
+                rt.predicate_evaluations(),
+                rt.avoided_wakeups(),
+                rt.elided_notifications(),
+            )
+        };
+        // Nobody waits: the conditional signal `release` places is Java's
+        // signal() on an empty queue. Its predicate is evaluated and counted,
+        // nobody wakes, and — unlike targeted mode — nothing is elided.
+        rt.call("release", &Valuation::new()).unwrap();
+        rt.call("acquire", &Valuation::new()).unwrap();
+        assert_eq!(counters(&rt), (0, 1, 0, 0));
+        // One registered waiter: the same signal must still reach it.
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| rt.call("acquire", &Valuation::new()));
+            while rt.waiting_threads() < 1 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            rt.call("release", &Valuation::new()).unwrap();
+            consumer.join().unwrap().unwrap();
+        });
+        assert_eq!(counters(&rt), (1, 2, 0, 0));
+        assert_eq!(rt.snapshot().int("count"), Some(0));
+        assert_eq!(rt.waiting_threads(), 0);
     }
 
     #[test]

@@ -598,6 +598,48 @@ mod tests {
         }
     }
 
+    /// The engines refuse a caller binding that names a shared variable
+    /// (`CallError::SharedBinding`) and ignore one that names nothing; the
+    /// suite's own workloads must only ever pass thread-locals.
+    #[test]
+    fn workloads_bind_only_thread_local_names() {
+        let mut bindings = 0usize;
+        for b in all() {
+            let table = check_monitor(&b.monitor()).unwrap();
+            let mut operations: Vec<_> = [2usize, 4, 7]
+                .into_iter()
+                .flat_map(|threads| (b.plans)(threads, 10))
+                .flatten()
+                .collect();
+            for (workers, sessions) in [(1usize, 8u64), (4, 64)] {
+                for session in 0..sessions {
+                    operations.extend((b.session_script)(&crate::SessionSpec {
+                        worker: (session % workers as u64) as usize,
+                        workers,
+                        session,
+                        sessions,
+                        rounds: 2,
+                        seed: 42,
+                    }));
+                }
+            }
+            for op in &operations {
+                let names = op.locals.ints().map(|(name, _)| name);
+                let names = names.chain(op.locals.bools().map(|(name, _)| name));
+                for name in names.chain(op.locals.arrays().map(|(name, _)| name)) {
+                    bindings += 1;
+                    assert!(
+                        table.is_local(name),
+                        "{}: `{}` binds `{name}`, which is not a thread-local",
+                        b.name,
+                        op.method
+                    );
+                }
+            }
+        }
+        assert!(bindings > 1000, "only {bindings} bindings probed");
+    }
+
     #[test]
     fn readers_writers_analysis_matches_paper() {
         let rw = autosynch_benchmarks()

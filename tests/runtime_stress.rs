@@ -20,12 +20,23 @@
 //!
 //! The explicit engine runs in both signalling modes, so the targeted-wakeup
 //! fast path faces the same 8-thread storm as the paper's static semantics.
+//!
+//! Two pins guard the engines' evaluator (compiled once per engine; see
+//! `monitor_lang::compile`) and the static mode's skipped signal to an empty
+//! queue: the sequential replay's final state and counters are held to
+//! recorded values (*same work*), and a capacity-1 buffer under eight
+//! threads must drain (*no lost wakeup*).
 
 use expresso_repro::core::Expresso;
 use expresso_repro::loadgen::{build_engine, run_load, EngineKind, LoadConfig};
-use expresso_repro::runtime::MonitorRuntime;
+use expresso_repro::logic::Valuation;
+use expresso_repro::runtime::{
+    AutoSynchRuntime, ExplicitRuntime, MonitorRuntime, Operation, SignalMode,
+};
 use expresso_repro::suite::{all, Benchmark, SessionSpec};
 use std::collections::BTreeMap;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const WORKERS: usize = 8;
 /// A multiple of [`WORKERS`], so identity-striped scripts stay balanced and
@@ -232,4 +243,149 @@ fn round_robin_contention_exercises_the_targeted_fast_path() {
         "targeted signalling never avoided a wakeup under contention"
     );
     assert_eq!(runtime.snapshot().int("turn"), Some(0));
+}
+
+/// What the sequential replay leaves behind, recorded from the engines as
+/// they were when every guard and body was still tree-walked over a
+/// `Valuation` (PR 14): the full final state (identical on the three
+/// engines), the predicate evaluations of the static engine and the
+/// notifications the targeted engine elided. Nothing blocks in a replay, so
+/// every other counter is zero — in particular the static engine elides
+/// nothing: a signal it skips because the queue is empty is the signal Java
+/// would have sent to nobody, not the targeted fast path.
+const REPLAY_PINS: [(&str, &str, usize, usize); 16] = [
+    ("BoundedBuffer", "buffer=[670512, 385192, 871463, 64891, 471601, 326704, 540917, 35937] capacity=8 count=0 head=0 tail=0", 2048, 2048),
+    ("H2OBarrier", "hydrogen=0 molecules=1024", 2048, 2048),
+    ("SleepingBarber", "chairs=6 served=1024 waiting=0", 2048, 2048),
+    ("RoundRobin", "participants=8 rounds=128 turn=0", 1024, 1024),
+    ("TicketedReadersWriters", "nextWriterTicket=256 readers=0 servingWriter=256 writerIn=false", 1024, 1280),
+    ("ParameterizedBoundedBuffer", "capacity=8 count=0", 4096, 4096),
+    ("DiningPhilosophers", "forks=[0, 0, 0, 0, 0, 0, 0, 0] meals=1024 seats=8", 2048, 2048),
+    ("ReadersWriters", "readers=0 writerIn=false", 1024, 1280),
+    ("ConcurrencyThrottle", "threadCount=0 threadLimit=4", 1024, 1024),
+    ("PendingPostQueue", "size=0", 1024, 1024),
+    ("AsyncDispatch", "maxQueueSize=8 queueSize=0 stopped=false", 2048, 2048),
+    ("SimpleBlockingDeployment", "busy=false deployments=1024", 0, 1024),
+    ("SimpleDecoder", "freeInputs=4 freeOutputs=4 inputBuffers=4 outputBuffers=4 queuedInputs=0 queuedOutputs=0", 4096, 4096),
+    ("AsyncOperationExecutor", "completed=1024 maxPending=8 pending=0", 2048, 2048),
+    ("BroadcastRing", "acks=0 capacity=4 delivered=1024 inFlight=0 readers=2", 3072, 3072),
+    ("WriterPriorityLock", "activeReaders=0 waitingWriters=0 writerActive=false", 1536, 1536),
+];
+
+/// Every binding of a snapshot as sorted `name=value` text.
+fn render_state(snapshot: &Valuation) -> String {
+    let ints = snapshot.ints().map(|(k, v)| format!("{k}={v}"));
+    let bools = snapshot.bools().map(|(k, v)| format!("{k}={v}"));
+    let arrays = snapshot.arrays().map(|(k, v)| format!("{k}={v:?}"));
+    let mut parts: Vec<String> = ints.chain(bools).chain(arrays).collect();
+    parts.sort();
+    parts.join(" ")
+}
+
+#[test]
+fn sequential_replay_does_the_recorded_work_on_every_engine() {
+    let suite = all();
+    assert_eq!(suite.len(), REPLAY_PINS.len());
+    for (benchmark, (name, state, static_evaluations, targeted_elided)) in
+        suite.iter().zip(REPLAY_PINS)
+    {
+        assert_eq!(benchmark.name, name);
+        let explicit = Expresso::new()
+            .analyze(&benchmark.monitor())
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .explicit;
+        for kind in EngineKind::all() {
+            let runtime = build_engine(kind, benchmark, &explicit, WORKERS)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            replay_sequentially(runtime.as_ref(), benchmark);
+            let (evaluations, elided) = match kind {
+                EngineKind::Implicit => (0, 0),
+                EngineKind::ExplicitStatic => (static_evaluations, 0),
+                EngineKind::ExplicitTargeted => (0, targeted_elided),
+            };
+            let counters = (
+                runtime.wakeups(),
+                runtime.predicate_evaluations(),
+                runtime.avoided_wakeups(),
+                runtime.elided_notifications(),
+            );
+            let label = kind.label();
+            assert_eq!(
+                counters,
+                (0, evaluations, 0, elided),
+                "{name} under {label}: (wakeups, predicate evaluations, avoided, elided)"
+            );
+            assert_eq!(
+                render_state(&runtime.snapshot()),
+                state,
+                "{name} under {label}"
+            );
+        }
+    }
+}
+
+/// A one-slot buffer with four producers and four consumers: nearly every
+/// call blocks, and every `put` must wake a `take` and back. An engine that
+/// skips a notification some waiter needed stops here for good, so the run
+/// sits under a watchdog that ends the process instead of hanging the suite.
+#[test]
+fn one_slot_buffer_under_eight_threads_never_loses_a_wakeup() {
+    const OPS_PER_THREAD: usize = 20_000;
+    let benchmark = all()
+        .into_iter()
+        .find(|b| b.name == "BoundedBuffer")
+        .expect("BoundedBuffer in suite");
+    let explicit = Expresso::new()
+        .analyze(&benchmark.monitor())
+        .expect("analysis succeeds")
+        .explicit;
+    let mut one_slot = Valuation::new();
+    one_slot.set_int("capacity", 1);
+    let engines: Vec<(&str, Box<dyn MonitorRuntime>)> = vec![
+        (
+            "implicit",
+            Box::new(AutoSynchRuntime::new(benchmark.monitor(), &one_slot).unwrap()),
+        ),
+        (
+            "explicit_static",
+            Box::new(
+                ExplicitRuntime::with_mode(explicit.clone(), &one_slot, SignalMode::Static)
+                    .unwrap(),
+            ),
+        ),
+        (
+            "explicit_targeted",
+            Box::new(
+                ExplicitRuntime::with_mode(explicit, &one_slot, SignalMode::Targeted).unwrap(),
+            ),
+        ),
+    ];
+    let mut item = Valuation::new();
+    item.set_int("item", 7);
+    let put = Operation::with_locals("put", item);
+    let take = Operation::new("take");
+    for (label, runtime) in &engines {
+        let (done, finished) = mpsc::channel::<()>();
+        let label = label.to_string();
+        let watchdog = std::thread::spawn(move || {
+            if finished.recv_timeout(Duration::from_secs(300)).is_err() {
+                eprintln!("{label}: the one-slot buffer deadlocked (a wakeup was lost)");
+                std::process::exit(1);
+            }
+        });
+        std::thread::scope(|scope| {
+            for thread in 0..WORKERS {
+                let op = if thread % 2 == 0 { &put } else { &take };
+                scope.spawn(move || {
+                    for _ in 0..OPS_PER_THREAD {
+                        runtime.call(&op.method, &op.locals).unwrap();
+                    }
+                });
+            }
+        });
+        done.send(()).expect("the watchdog is waiting");
+        watchdog.join().expect("the watchdog does not panic");
+        assert_eq!(runtime.snapshot().int("count"), Some(0));
+        assert!(runtime.wakeups() > 0, "nothing ever blocked");
+    }
 }
