@@ -1,2353 +1,132 @@
-//! Regenerates the paper's evaluation artefacts as text tables.
-//!
-//! Usage:
+//! Regenerates the paper's evaluation artefacts.
 //!
 //! ```text
-//! cargo run --release -p expresso-bench --bin reproduce -- fig8
-//! cargo run --release -p expresso-bench --bin reproduce -- fig9
-//! cargo run --release -p expresso-bench --bin reproduce -- table1
-//! cargo run --release -p expresso-bench --bin reproduce -- json
-//! cargo run --release -p expresso-bench --bin reproduce -- suite
-//! cargo run --release -p expresso-bench --bin reproduce -- explore
-//! cargo run --release -p expresso-bench --bin reproduce -- load
-//! cargo run --release -p expresso-bench --bin reproduce -- persist
-//! cargo run --release -p expresso-bench --bin reproduce -- trace
-//! cargo run --release -p expresso-bench --bin reproduce -- summary
-//! cargo run --release -p expresso-bench --bin reproduce -- all
+//! reproduce table1     Table 1: analysis time per benchmark
+//! reproduce fig8       Fig. 8: saturation sweep, AutoSynch benchmarks
+//! reproduce fig9       Fig. 9: saturation sweep, GitHub monitors
+//! reproduce json       every pass over the whole suite -> BENCH_results.json
+//! reproduce persist    cold -> warm -> edit-one over a 64-monitor corpus
+//! reproduce explore    representative subset, 3 threads x 3 ops, preemption bound 5
+//! reproduce load       representative subset under the session load generator
+//! reproduce trace      representative subset with spans on -> $EXPRESSO_TRACE
+//! reproduce diff <old.json> <new.json>
 //! ```
 //!
-//! `json` (also run by `all`) writes `BENCH_results.json`: the `figures`
-//! section (the Fig. 8 / Fig. 9 series `fig8` / `fig9` print, with their
-//! geometric-mean speed-ups beside the paper's 1.56), per-benchmark
-//! analysis time, triples checked, the solver cache hit rate, the
-//! `scheduler_suite` section comparing the whole suite
-//! analyzed concurrently on the work-stealing pool against the sequential
-//! (`analysis_threads = 1`) configuration, the `runtime_load` section
-//! (every suite monitor hammered by the session load generator under the
-//! implicit, explicit-static and explicit-targeted engines: throughput,
-//! p50/p99/p999 latency, wakeups, avoided wakeups, and the cost of one
-//! uncontended call from a one-worker run), and the `explore`
-//! section (bounded DPOR exploration of every suite monitor: executions
-//! checked, reduction factor vs. naive enumeration, divergences) — the
-//! machine-readable perf trajectory tracked across PRs. `suite` runs only
-//! the scheduler comparison.
-//!
-//! `explore` runs a deeper bounded exploration of a representative
-//! 6-benchmark subset under a preemption bound (sized for CI's budget) and
-//! exits nonzero on any implicit/explicit divergence.
-//!
-//! `load` is the fast CI gate for the runtime: the representative subset
-//! under the load generator, tripwiring on any failed monitor call, on
-//! targeted-mode wakeups exceeding the implicit engine's, on the fast
-//! path never avoiding a wakeup, and on an uncontended call (median over
-//! the measured cells, load generator included) costing more than 1 000 ns
-//! — what engines that interpret under the state mutex cost. `json`
-//! additionally holds each cell within 3x of the committed
-//! `BENCH_results.json`, both its throughput under the configured workers
-//! and its uncontended call, and tripwires when suite
-//! analysis dispatches zero abduction tasks onto the shared scheduler, and
-//! when the sequential suite pass needs more than 5 Fourier–Motzkin
-//! elimination runs per conflict (an exact work count).
-//!
-//! `persist` (also folded into `json` as the `persistence` section) is the
-//! warm-start gate: a seeded generated corpus (`REPRO_CORPUS_SIZE` monitors,
-//! default 500) analysed cold into an empty cache directory, then warm from
-//! the saved artifact, then once more with exactly one monitor mutated.
-//! Each phase is timed from before its context is built, so the warm time
-//! includes loading and seeding the artifact (`load_seed_ms`). It tripwires
-//! unless the warm run is faster (≥2x at 64+ monitors), served from disk,
-//! bit-identical to the cold run, the mutation re-analyses exactly one
-//! monitor, and (at 500+ monitors) the artifact stays under 10 MB.
-//!
-//! `trace` is the observability gate: the representative subset run end to
-//! end with span recording on, the Chrome trace written to `EXPRESSO_TRACE`
-//! (default `expresso-trace.json`) and validated from disk — well-formed
-//! JSON, balanced nesting, spans from every instrumented subsystem, ≥80%
-//! wall-time coverage. `json` additionally writes an `observability`
-//! section (per-phase attribution, span coverage, unified metrics snapshot)
-//! and tripwires on coverage below 80%.
-//!
-//! Environment variables `REPRO_MAX_THREADS` (default 16) and `REPRO_OPS`
-//! (default 2000) scale the saturation sweep; `REPRO_EXPLORE_THREADS` /
-//! `REPRO_EXPLORE_OPS` (defaults 3 / 2) bound the exploration workloads and
-//! `REPRO_EXPLORE_PREEMPTIONS` (default 5) bounds the `explore` CI gate;
-//! `REPRO_LOAD_WORKERS` / `REPRO_LOAD_SESSIONS` / `REPRO_LOAD_ROUNDS`
-//! (defaults 4 / 4096 / 2) shape the load runs; `REPRO_CORPUS_SIZE` sizes
-//! the persistence corpus and `EXPRESSO_CACHE_DIR` overrides its cache
-//! directory.
+//! Every mode runs passes of `expresso_bench::passes`, which write one
+//! ledger; `json` writes it to `BENCH_results.json` (500-monitor corpus,
+//! exploration at 3 threads x 2 ops against naive enumeration), the four
+//! gates after it print theirs. The ledger is then held to the rows of
+//! `expresso_bench::ledger::GATES` for the mode: every violated row is
+//! printed, each with why its bound is what it is, and the exit status is 1.
+//! `diff` holds the new ledger to the `json` rows and to the old one under
+//! `ledger::DIFF` (counters equal, gated timings within 3x) — CI runs it
+//! against the committed file. There are no environment knobs: the shape of
+//! each mode is a constant, so two ledgers of one mode always compare.
 
-use expresso_bench::{
-    analysis_time, analyze, format_figure, geometric_speedup, measure_benchmark, Measurement,
-    Series,
-};
-use expresso_core::{
-    to_java, Expresso, ExpressoConfig, Scheduler, SchedulerStats, SharedAnalysisContext, TRACE_ENV,
-};
-use expresso_explore::{
-    benchmark_workload, explore, render_trace, ExploreConfig, RefinedIndependence, Strategy,
-};
-use expresso_loadgen::{measure as measure_load, EngineKind, LoadConfig, LoadReport};
-use expresso_monitor_lang::check_monitor;
-use expresso_suite::{
-    all, autosynch_benchmarks, github_benchmarks, scaled_thread_counts, Benchmark,
-};
-use expresso_vcgen::{refine_independence, WpCacheStats};
-use std::fmt::Write as _;
+use expresso_bench::ledger::{diff, gates_of, violated_gates};
+use expresso_bench::passes::{self, representative_subset, Ledger};
+use expresso_core::TRACE_ENV;
+use expresso_obs::json::{self, Value};
+use expresso_suite::all;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const LEDGER_PATH: &str = "BENCH_results.json";
+
+const USAGE: &str = "usage: reproduce table1 | fig8 | fig9 | json | persist | explore | load | \
+                     trace | diff <old.json> <new.json>";
+
+fn read_ledger(path: &str) -> Value {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    json::parse(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"))
 }
 
-/// Largest thread count and operations per thread of the saturation sweep.
-/// A call is a fraction of a microsecond, so a thread needs thousands of
-/// them before its own start-up stops being what is measured.
-fn figure_shape() -> (usize, usize) {
-    (
-        env_usize("REPRO_MAX_THREADS", 16),
-        env_usize("REPRO_OPS", 2000),
-    )
-}
-
-fn run_figure(benchmarks: &[Benchmark], title: &str) -> Vec<Measurement> {
-    let (max_threads, ops) = figure_shape();
-    println!("=== {title} (saturation tests, {ops} ops/thread) ===\n");
-    let mut all = Vec::new();
-    for benchmark in benchmarks {
-        let outcome = analyze(benchmark);
-        let mut measurements = Vec::new();
-        for threads in scaled_thread_counts(max_threads) {
-            for series in Series::all() {
-                measurements.push(measure_benchmark(
-                    benchmark,
-                    &outcome.explicit,
-                    series,
-                    threads,
-                    ops,
-                ));
-            }
-        }
-        println!("{}", format_figure(benchmark.name, &measurements));
-        all.extend(measurements);
-    }
-    all
-}
-
-fn run_table1() {
+fn print_table1(ledger: &Ledger) {
     println!("=== Table 1: analysis time per benchmark ===\n");
     println!(
         "{:<28} {:>12} {:>10} {:>12}",
         "Benchmark", "time (s)", "triples", "invariant"
     );
-    let mut benchmarks = autosynch_benchmarks();
-    benchmarks.extend(github_benchmarks());
-    for benchmark in &benchmarks {
-        let (duration, outcome) = analysis_time(benchmark);
+    for row in ledger["benchmarks"].as_arr().into_iter().flatten() {
+        let number = |key: &str| row.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
         println!(
-            "{:<28} {:>12.2} {:>10} {:>12}",
-            benchmark.name,
-            duration.as_secs_f64(),
-            outcome.stats.triples_checked,
-            outcome.stats.invariant_conjuncts,
+            "{:<28} {:>12.3} {:>10} {:>12}",
+            row.get("name").and_then(Value::as_str).unwrap_or("?"),
+            number("analysis_ms") / 1e3,
+            number("triples_checked"),
+            number("invariant_conjuncts"),
         );
     }
 }
 
-/// One benchmark's analysis profile for `BENCH_results.json`.
-struct AnalysisProfile {
-    name: &'static str,
-    group: &'static str,
-    analysis_ms: f64,
-    invariant_ms: f64,
-    placement_ms: f64,
-    quantifier_eliminations: usize,
-    qe_cache_hits: usize,
-    triples_checked: usize,
-    pairs_considered: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    cache_hit_rate: f64,
-    wp_cache_hits: usize,
-    wp_cache_misses: usize,
-    notifications: usize,
-    broadcasts: usize,
-}
-
-/// Analyses `monitor` `samples` times, returning the run with the minimum
-/// total time (the stable point estimate for short deterministic workloads).
-fn best_of(
-    benchmark: &Benchmark,
-    monitor: &expresso_monitor_lang::Monitor,
-    samples: usize,
-) -> expresso_core::AnalysisOutcome {
-    let pipeline = Expresso::new();
-    let mut best: Option<expresso_core::AnalysisOutcome> = None;
-    for _ in 0..samples {
-        let outcome = pipeline
-            .analyze(monitor)
-            .unwrap_or_else(|e| panic!("{} failed analysis: {e}", benchmark.name));
-        let better = best
-            .as_ref()
-            .map(|b| outcome.stats.total_time < b.stats.total_time)
-            .unwrap_or(true);
-        if better {
-            best = Some(outcome);
-        }
+/// Holds `ledger` to the `mode` rows of `GATES`, on top of the `violations`
+/// already found: prints every one and exits 1 if there is any.
+fn hold(mode: &str, ledger: &Value, mut violations: Vec<String>) {
+    violations.extend(violated_gates(mode, ledger));
+    for violation in &violations {
+        eprintln!("error: {violation}");
     }
-    best.expect("at least one sample")
-}
-
-fn profile_benchmark(benchmark: &Benchmark) -> AnalysisProfile {
-    let monitor = benchmark.monitor();
-    // 5 samples: the minimum of a deterministic workload converges quickly,
-    // and the extra samples keep scheduler noise out of the tracked
-    // trajectory (the perf tripwire compares absolute totals).
-    let best = best_of(benchmark, &monitor, 5);
-    AnalysisProfile {
-        name: benchmark.name,
-        group: match benchmark.group {
-            expresso_suite::BenchmarkGroup::AutoSynch => "AutoSynch",
-            expresso_suite::BenchmarkGroup::GitHub => "GitHub",
-            expresso_suite::BenchmarkGroup::Extended => "Extended",
-        },
-        analysis_ms: best.stats.total_time.as_secs_f64() * 1e3,
-        invariant_ms: best.stats.invariant_time.as_secs_f64() * 1e3,
-        placement_ms: best.stats.placement_time.as_secs_f64() * 1e3,
-        quantifier_eliminations: best.stats.solver.quantifier_eliminations,
-        qe_cache_hits: best.stats.solver.qe_cache_hits,
-        triples_checked: best.report.triples_checked,
-        pairs_considered: best.report.pairs_considered,
-        cache_hits: best.stats.solver.cache_hits,
-        cache_misses: best.stats.solver.cache_misses,
-        cache_hit_rate: best.stats.solver.cache_hit_rate(),
-        wp_cache_hits: best.stats.wp_cache.hits,
-        wp_cache_misses: best.stats.wp_cache.misses,
-        notifications: best.explicit.notification_count(),
-        broadcasts: best.explicit.broadcast_count(),
-    }
-}
-
-/// One benchmark's slice of the shared-arena suite run.
-struct SharedMonitorProfile {
-    name: &'static str,
-    analysis_ms: f64,
-    cache_hits: usize,
-    cross_analysis_hits: usize,
-}
-
-/// The suite analysed against one [`SharedAnalysisContext`]: per-monitor
-/// deltas plus the cross-monitor reuse the shared arena buys.
-struct SharedArenaProfile {
-    per_monitor: Vec<SharedMonitorProfile>,
-    total_ms: f64,
-    total_hits: usize,
-    cross_analysis_hits: usize,
-    cross_analysis_hit_rate: f64,
-    formula_nodes: usize,
-    arena_lock_contentions: usize,
-    wp_cache_hits: usize,
-    wp_cache_misses: usize,
-}
-
-/// Runs every suite benchmark through a single shared arena + solver, verifying
-/// the results agree with the per-monitor (private-context) pipeline.
-fn profile_shared_arena() -> SharedArenaProfile {
-    let pipeline = Expresso::new();
-    let context = SharedAnalysisContext::new(pipeline.config());
-    let mut per_monitor = Vec::new();
-    let mut wp_cache_hits = 0usize;
-    let mut wp_cache_misses = 0usize;
-    for benchmark in all() {
-        let monitor = benchmark.monitor();
-        let shared = pipeline
-            .analyze_with_context(&context, &monitor)
-            .unwrap_or_else(|e| panic!("{} failed shared-arena analysis: {e}", benchmark.name));
-        let private = pipeline
-            .analyze(&monitor)
-            .unwrap_or_else(|e| panic!("{} failed private analysis: {e}", benchmark.name));
-        assert_eq!(
-            shared.explicit, private.explicit,
-            "{}: shared-arena and private-context pipelines disagree",
-            benchmark.name
-        );
-        let solver = &shared.stats.solver;
-        wp_cache_hits += shared.stats.wp_cache.hits;
-        wp_cache_misses += shared.stats.wp_cache.misses;
-        per_monitor.push(SharedMonitorProfile {
-            name: benchmark.name,
-            analysis_ms: shared.stats.total_time.as_secs_f64() * 1e3,
-            cache_hits: solver.cache_hits + solver.qe_cache_hits + solver.theory_cache_hits,
-            cross_analysis_hits: solver.cross_analysis_hits,
-        });
-    }
-    let totals = context.stats();
-    let arena = context.interner_stats();
-    SharedArenaProfile {
-        total_ms: per_monitor.iter().map(|p| p.analysis_ms).sum(),
-        per_monitor,
-        total_hits: totals.cache_hits + totals.qe_cache_hits + totals.theory_cache_hits,
-        cross_analysis_hits: totals.cross_analysis_hits,
-        cross_analysis_hit_rate: totals.cross_analysis_hit_rate(),
-        formula_nodes: arena.formula_nodes,
-        arena_lock_contentions: arena.lock_contentions,
-        wp_cache_hits,
-        wp_cache_misses,
-    }
-}
-
-/// The whole suite analysed concurrently on the work-stealing pool vs. the
-/// fully sequential (`analysis_threads = 1`) configuration of the same
-/// binary, plus the scheduler and suite-wide WP-store counters of the pool
-/// run.
-struct SchedulerSuiteProfile {
-    suite_size: usize,
-    pool_wall_ms: f64,
-    sequential_wall_ms: f64,
-    /// Fourier–Motzkin work of one sequential pass (exact: a fresh context
-    /// per pass, one thread): elimination runs and the conflicts they found.
-    sequential_fm_runs: usize,
-    sequential_fm_fast_conflicts: usize,
-    scheduler: SchedulerStats,
-    wp: WpCacheStats,
-    outputs_identical: bool,
-}
-
-/// Most Fourier–Motzkin elimination runs allowed per conflict found on the
-/// sequential suite pass. A conflict costs its refutation plus one re-run per
-/// member of the Farkas set that refutation names (~3 in all); re-solving
-/// per *literal* instead, as the minimiser once did, costs ~13.
-const MAX_FM_RUNS_PER_CONFLICT: usize = 5;
-
-/// Wall-clock samples per scheduler mode; the minimum is reported (the
-/// stable point estimate for short deterministic workloads).
-const SCHEDULER_SUITE_SAMPLES: usize = 5;
-
-/// Runs the suite through [`Expresso::analyze_suite`] twice — once on the
-/// default work-stealing pool, once with `analysis_threads = 1` — verifying
-/// the outcomes are bit-identical and recording the pool counters.
-fn profile_scheduler_suite() -> SchedulerSuiteProfile {
-    let monitors: Vec<expresso_monitor_lang::Monitor> = all().iter().map(|b| b.monitor()).collect();
-    let names: Vec<&'static str> = all().iter().map(|b| b.name).collect();
-
-    let run_once = |threads: usize| {
-        let pipeline = Expresso::with_config(ExpressoConfig {
-            analysis_threads: threads,
-            ..ExpressoConfig::default()
-        });
-        let context = SharedAnalysisContext::new(pipeline.config());
-        // The default configuration shares the process-wide pool, whose
-        // counters accumulate across everything this binary has run; the
-        // before/after delta attributes exactly this suite pass.
-        let scheduler_before = context.scheduler_stats();
-        let start = Instant::now();
-        let outcomes = pipeline.analyze_suite(&context, &monitors);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let outcomes: Vec<expresso_core::AnalysisOutcome> = outcomes
-            .into_iter()
-            .zip(&names)
-            .map(|(o, name)| o.unwrap_or_else(|e| panic!("{name} failed suite analysis: {e}")))
-            .collect();
-        (
-            wall_ms,
-            outcomes,
-            context.wp_stats(),
-            context.scheduler_stats().delta_since(&scheduler_before),
-            context.stats(),
-        )
-    };
-
-    // Interleave the two modes so process-level warm-up (allocator growth,
-    // page faults, lazy statics) does not bias either side; report the
-    // minimum wall time per mode. The scheduler counters are the summed
-    // per-pass deltas of every pool sample (each sample is one clean suite
-    // pass; which pass steals how much is scheduling-dependent, so the sum
-    // is the stable observable).
-    let mut pool_wall_ms = f64::INFINITY;
-    let mut sequential_wall_ms = f64::INFINITY;
-    let mut pool_kept = None;
-    let mut scheduler_total = SchedulerStats::default();
-    let mut sequential_kept = None;
-    for _ in 0..SCHEDULER_SUITE_SAMPLES {
-        let (seq_ms, seq_out, _, _, seq_solver) = run_once(1);
-        sequential_wall_ms = sequential_wall_ms.min(seq_ms);
-        sequential_kept = Some((seq_out, seq_solver));
-        let (pool_ms, pool_out, wp, scheduler, _) = run_once(0);
-        pool_wall_ms = pool_wall_ms.min(pool_ms);
-        scheduler_total.merge(&scheduler);
-        pool_kept = Some((pool_out, wp));
-    }
-    let (pool_outcomes, wp) = pool_kept.expect("at least one sample");
-    let scheduler = scheduler_total;
-    let (sequential_outcomes, sequential_solver) = sequential_kept.expect("at least one sample");
-
-    let outputs_identical = pool_outcomes
-        .iter()
-        .zip(&sequential_outcomes)
-        .all(|(pool, seq)| {
-            pool.explicit == seq.explicit
-                && pool.invariant == seq.invariant
-                && pool.report.decisions == seq.report.decisions
-                && pool.report.triples_checked == seq.report.triples_checked
-                && pool.report.pairs_considered == seq.report.pairs_considered
-                && pool.report.skipped == seq.report.skipped
-        });
-    SchedulerSuiteProfile {
-        suite_size: monitors.len(),
-        pool_wall_ms,
-        sequential_wall_ms,
-        sequential_fm_runs: sequential_solver.fm_runs,
-        sequential_fm_fast_conflicts: sequential_solver.fm_fast_conflicts,
-        scheduler,
-        wp,
-        outputs_identical,
-    }
-}
-
-/// The persistent warm-start cache proven at service scale: a seeded
-/// generated corpus analysed cold (empty cache directory), then warm (fresh
-/// process-equivalent context seeded from the artifact the cold run saved),
-/// then with exactly one monitor mutated (the incremental-invalidation
-/// probe).
-struct PersistenceProfile {
-    corpus_monitors: usize,
-    corpus_seed: u64,
-    cache_dir: String,
-    /// Where the cache directory came from: the `EXPRESSO_CACHE_DIR`
-    /// environment variable or the built-in default.
-    cache_dir_source: &'static str,
-    /// Wall time of each phase from *before* its context is built: a warm
-    /// phase pays for loading and seeding the artifact inside its own time.
-    cold_ms: f64,
-    warm_ms: f64,
-    warm_speedup: f64,
-    dirty_ms: f64,
-    /// The part of `warm_ms` spent building the warm context: artifact load,
-    /// seed and release.
-    load_seed_ms: f64,
-    artifact_bytes: u64,
-    saved_sat: usize,
-    saved_qe: usize,
-    saved_theory: usize,
-    saved_wp: usize,
-    seeded_entries: usize,
-    solver_disk_hits: usize,
-    wp_disk_hits: usize,
-    outcomes_identical: bool,
-    /// Monitors whose warm-start analysis recomputed at least one weakest
-    /// precondition after the one-monitor mutation. The invalidation-
-    /// precision pin: must be exactly 1.
-    dirty_reanalyzed: usize,
-    /// WP misses summed over the *unmutated* monitors of the dirty run.
-    /// Must be 0 — content-addressing may not spill invalidation across
-    /// monitor boundaries.
-    dirty_clean_misses: usize,
-}
-
-/// Outcome fields the cold/warm equivalence check compares; everything the
-/// analysis decides, none of what it merely times.
-fn outcomes_equal(
-    a: &[expresso_core::AnalysisOutcome],
-    b: &[expresso_core::AnalysisOutcome],
-) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.explicit == y.explicit
-                && x.invariant == y.invariant
-                && x.report.decisions == y.report.decisions
-                && x.report.triples_checked == y.report.triples_checked
-                && x.report.pairs_considered == y.report.pairs_considered
-                && x.report.skipped == y.report.skipped
-        })
-}
-
-/// Generates the corpus, runs cold → save → warm → dirty, and collects the
-/// timing, disk-hit and invalidation-precision counters.
-///
-/// The cache directory is `EXPRESSO_CACHE_DIR` when set, else
-/// `./.expresso-cache`; any artifact already there is removed first so the
-/// cold phase is genuinely cold.
-fn profile_persistence() -> PersistenceProfile {
-    let spec = expresso_suite::CorpusSpec {
-        size: env_usize("REPRO_CORPUS_SIZE", 500),
-        ..expresso_suite::CorpusSpec::default()
-    };
-    let (cache_dir, cache_dir_source) = match std::env::var_os(expresso_core::CACHE_DIR_ENV) {
-        Some(dir) => (std::path::PathBuf::from(dir), "env"),
-        None => (
-            std::path::PathBuf::from(expresso_persist::DEFAULT_CACHE_DIR),
-            "default",
-        ),
-    };
-    match std::fs::remove_file(expresso_persist::artifact_path(&cache_dir)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => panic!(
-            "cannot clear stale artifact in {}: {e}",
-            cache_dir.display()
-        ),
-    }
-
-    let corpus = expresso_suite::corpusgen::generate(&spec);
-    let monitors: Vec<expresso_monitor_lang::Monitor> =
-        corpus.iter().map(|v| v.monitor()).collect();
-    let config = ExpressoConfig {
-        cache_dir: Some(cache_dir.clone()),
-        ..ExpressoConfig::default()
-    };
-    let pipeline = Expresso::with_config(config.clone());
-
-    let run_suite = |monitors: &[expresso_monitor_lang::Monitor]| {
-        let start = Instant::now();
-        let context = SharedAnalysisContext::new(&config);
-        let context_ms = start.elapsed().as_secs_f64() * 1e3;
-        let outcomes: Vec<expresso_core::AnalysisOutcome> = pipeline
-            .analyze_suite(&context, monitors)
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| o.unwrap_or_else(|e| panic!("corpus monitor {i} failed analysis: {e}")))
-            .collect();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        (context, outcomes, wall_ms, context_ms)
-    };
-
-    // Cold: empty cache directory, so the context starts with empty tables.
-    let (cold_context, cold_outcomes, cold_ms, _) = run_suite(&monitors);
-    assert!(
-        cold_context.warm_start().is_none(),
-        "cold phase unexpectedly found an artifact"
-    );
-    let saved = cold_context
-        .persist()
-        .expect("persisting the cold run's caches")
-        .expect("a cache directory is configured");
-
-    // Warm: a fresh context (fresh arena — ids cannot carry over) auto-loads
-    // the artifact during construction, exactly as a new process would.
-    let (warm_context, warm_outcomes, warm_ms, load_seed_ms) = run_suite(&monitors);
-    let seeded = warm_context
-        .warm_start()
-        .expect("warm phase must load the artifact the cold phase saved");
-    let warm_stats = warm_context.stats();
-    let wp_disk_hits = warm_context.wp_stats().disk_hits;
-
-    // Dirty: mutate exactly one monitor and warm-start again; only that
-    // monitor's keys can miss.
-    let mut dirty_sources: Vec<String> = corpus.iter().map(|v| v.source.clone()).collect();
-    dirty_sources[0] = expresso_suite::mutate_source(&dirty_sources[0]);
-    let dirty_monitors: Vec<expresso_monitor_lang::Monitor> = dirty_sources
-        .iter()
-        .map(|s| expresso_monitor_lang::parse_monitor(s).expect("mutated corpus source parses"))
-        .collect();
-    let (_dirty_context, dirty_outcomes, dirty_ms, _) = run_suite(&dirty_monitors);
-    let dirty_reanalyzed = dirty_outcomes
-        .iter()
-        .filter(|o| o.stats.wp_cache.misses > 0)
-        .count();
-    let dirty_clean_misses: usize = dirty_outcomes
-        .iter()
-        .skip(1)
-        .map(|o| o.stats.wp_cache.misses)
-        .sum();
-
-    PersistenceProfile {
-        corpus_monitors: corpus.len(),
-        corpus_seed: spec.seed,
-        cache_dir: cache_dir.display().to_string(),
-        cache_dir_source,
-        cold_ms,
-        warm_ms,
-        warm_speedup: if warm_ms > 0.0 {
-            cold_ms / warm_ms
-        } else {
-            1.0
-        },
-        dirty_ms,
-        load_seed_ms,
-        artifact_bytes: saved.bytes,
-        saved_sat: saved.sat,
-        saved_qe: saved.qe,
-        saved_theory: saved.theory,
-        saved_wp: saved.wp,
-        seeded_entries: seeded.total(),
-        solver_disk_hits: warm_stats.disk_hits,
-        wp_disk_hits,
-        outcomes_identical: outcomes_equal(&cold_outcomes, &warm_outcomes),
-        dirty_reanalyzed,
-        dirty_clean_misses,
-    }
-}
-
-/// Fail-loud gates on the persistence profile: warm must actually be faster
-/// (≥2x at scale, artifact load and seed included), served from disk,
-/// bit-identical, compact, and invalidation must be surgical. Exits nonzero
-/// on any violation.
-fn enforce_persistence_tripwires(p: &PersistenceProfile) {
-    if !p.outcomes_identical {
-        eprintln!(
-            "error: warm-start outcomes differ from the cold run; the persisted \
-             cache is not a pure optimisation"
-        );
+    if !violations.is_empty() {
         std::process::exit(1);
     }
-    if p.warm_ms >= p.cold_ms {
-        eprintln!(
-            "error: warm run ({:.1} ms) is no faster than the cold run ({:.1} ms); \
-             the artifact is not being served",
-            p.warm_ms, p.cold_ms
-        );
-        std::process::exit(1);
+    let gates = gates_of(mode).count();
+    if gates > 0 {
+        println!("all {gates} `{mode}` gates hold");
     }
-    // At service scale the analysis dominates fixed per-run overhead and the
-    // headline claim must hold; tiny smoke corpora only assert direction.
-    if p.corpus_monitors >= 64 && p.warm_speedup < 2.0 {
-        eprintln!(
-            "error: warm speedup {:.2}x is below the 2x floor on a {}-monitor corpus",
-            p.warm_speedup, p.corpus_monitors
-        );
-        std::process::exit(1);
-    }
-    // ROADMAP 2(c): the node-table artifact of the 500-monitor corpus is
-    // ~3.8 MB; the tree format it replaced was 27 MB.
-    const ARTIFACT_BYTES_CEILING: u64 = 10 * 1024 * 1024;
-    if p.corpus_monitors >= 500 && p.artifact_bytes > ARTIFACT_BYTES_CEILING {
-        eprintln!(
-            "error: the artifact of a {}-monitor corpus is {} bytes, above the {} byte \
-             ceiling; the node tables are not sharing",
-            p.corpus_monitors, p.artifact_bytes, ARTIFACT_BYTES_CEILING
-        );
-        std::process::exit(1);
-    }
-    // Every monitor asks at least one WP and one solver query; a warm run
-    // below one disk hit per monitor means seeding silently went dead.
-    if p.wp_disk_hits < p.corpus_monitors || p.solver_disk_hits < p.corpus_monitors {
-        eprintln!(
-            "error: warm run served only {} WP / {} solver hits from disk over a \
-             {}-monitor corpus; the artifact is not seeding the caches",
-            p.wp_disk_hits, p.solver_disk_hits, p.corpus_monitors
-        );
-        std::process::exit(1);
-    }
-    if p.dirty_reanalyzed != 1 {
-        eprintln!(
-            "error: mutating one monitor re-analysed {} monitors (expected exactly 1); \
-             invalidation is not content-addressed",
-            p.dirty_reanalyzed
-        );
-        std::process::exit(1);
-    }
-    if p.dirty_clean_misses != 0 {
-        eprintln!(
-            "error: unmutated monitors recomputed {} weakest preconditions after a \
-             one-monitor edit; invalidation spilled across monitor boundaries",
-            p.dirty_clean_misses
-        );
-        std::process::exit(1);
-    }
-}
-
-fn print_persistence(p: &PersistenceProfile) {
-    println!(
-        "corpus: {} monitors (seed {:#x}), cache dir {} ({})",
-        p.corpus_monitors, p.corpus_seed, p.cache_dir, p.cache_dir_source
-    );
-    println!(
-        "cold {:.1} ms -> warm {:.1} ms ({:.2}x), of which load + seed {:.1} ms; \
-         dirty re-run {:.1} ms",
-        p.cold_ms, p.warm_ms, p.warm_speedup, p.load_seed_ms, p.dirty_ms
-    );
-    println!(
-        "artifact: {} bytes ({} sat, {} qe, {} theory, {} wp entries); {} seeded on load",
-        p.artifact_bytes, p.saved_sat, p.saved_qe, p.saved_theory, p.saved_wp, p.seeded_entries
-    );
-    println!(
-        "warm run served {} solver + {} WP hits from disk; outcomes identical: {}",
-        p.solver_disk_hits, p.wp_disk_hits, p.outcomes_identical
-    );
-    println!(
-        "one-monitor mutation re-analysed {} monitor(s); clean-monitor WP misses: {}",
-        p.dirty_reanalyzed, p.dirty_clean_misses
-    );
-}
-
-/// The persistence gate (`reproduce persist`): cold → warm → dirty over the
-/// generated corpus, with the fail-loud tripwires. `REPRO_CORPUS_SIZE`
-/// scales the corpus (CI uses a small one; the committed BENCH_results.json
-/// uses the full 500).
-fn run_persist() {
-    println!("=== Persistent warm-start cache: cold -> warm -> dirty ===\n");
-    let profile = profile_persistence();
-    print_persistence(&profile);
-    enforce_persistence_tripwires(&profile);
-    println!("\npersistence tripwires passed");
-}
-
-/// One benchmark's slice of the bounded schedule exploration.
-struct ExploreBenchmarkProfile {
-    name: &'static str,
-    dpor_executions: usize,
-    naive_executions: usize,
-    transitions: usize,
-    dedup_hits: usize,
-    sleep_prunes: usize,
-    sleep_set_blocked: usize,
-    disjointness_queries: usize,
-    disjointness_cache_hits: usize,
-    capped_subtrees: usize,
-    divergences: usize,
-    dpor_ms: f64,
-    naive_ms: f64,
-}
-
-impl ExploreBenchmarkProfile {
-    /// Executions naive enumeration walks per execution DPOR walks.
-    fn reduction(&self) -> f64 {
-        if self.dpor_executions == 0 {
-            1.0
-        } else {
-            self.naive_executions as f64 / self.dpor_executions as f64
-        }
-    }
-}
-
-/// The whole suite systematically explored with small bounds: per-benchmark
-/// DPOR-vs-naive execution counts plus the aggregate reduction factor.
-struct ExplorationProfile {
-    threads: usize,
-    ops_per_thread: usize,
-    per_benchmark: Vec<ExploreBenchmarkProfile>,
-    total_dpor_executions: usize,
-    total_naive_executions: usize,
-    sleep_set_blocked: usize,
-    disjointness_queries: usize,
-    disjointness_cache_hits: usize,
-    divergences: usize,
-}
-
-impl ExplorationProfile {
-    /// Executions naive enumeration walks per execution DPOR walks.
-    fn reduction_factor(&self) -> f64 {
-        if self.total_dpor_executions == 0 {
-            1.0
-        } else {
-            self.total_naive_executions as f64 / self.total_dpor_executions as f64
-        }
-    }
-
-    /// Arithmetic mean of the per-benchmark reduction factors. The
-    /// aggregate `reduction_factor` is dominated by whichever monitor has
-    /// the largest naive schedule space; the mean weights every benchmark
-    /// equally, so it is the number the explore tripwire gates on.
-    fn mean_reduction(&self) -> f64 {
-        if self.per_benchmark.is_empty() {
-            1.0
-        } else {
-            self.per_benchmark
-                .iter()
-                .map(|p| p.reduction())
-                .sum::<f64>()
-                / self.per_benchmark.len() as f64
-        }
-    }
-}
-
-/// Runs the DPOR explorer (lockstep conformance checking on) and the naive
-/// enumerator (counting only) over each benchmark's bounded workload. Any
-/// divergence is printed with its minimized counterexample schedule; the
-/// caller tripwires on the count.
-fn profile_exploration(
-    benchmarks: &[Benchmark],
-    threads: usize,
-    ops_per_thread: usize,
-    dpor_config: &ExploreConfig,
-    run_naive: bool,
-) -> ExplorationProfile {
-    let pipeline = Expresso::new();
-    let context = SharedAnalysisContext::new(pipeline.config());
-    let naive_config = ExploreConfig {
-        strategy: Strategy::Naive,
-        check: false,
-        independence: None,
-        ..dpor_config.clone()
-    };
-    let mut per_benchmark = Vec::new();
-    for benchmark in benchmarks {
-        let monitor = benchmark.monitor();
-        let table = check_monitor(&monitor).expect("benchmark checks");
-        let outcome = pipeline
-            .analyze_with_context(&context, &monitor)
-            .unwrap_or_else(|e| panic!("{} failed analysis: {e}", benchmark.name));
-        let workload = benchmark_workload(benchmark, &monitor, &table, threads, ops_per_thread)
-            .unwrap_or_else(|e| panic!("{} failed workload construction: {e}", benchmark.name));
-        // Discharge the pairwise guard-disjointness / commutation conditions
-        // through the suite-wide memoizing store: computed once per monitor,
-        // served from cache (or the persisted artifact) on every later run.
-        let before = context.disjointness_stats();
-        let refined =
-            refine_independence(&monitor, &table, context.solver(), context.disjointness());
-        let after = context.disjointness_stats();
-        let independence = Arc::new(RefinedIndependence {
-            table: refined,
-            queries: after.queries - before.queries,
-            cache_hits: after.hits - before.hits,
-        });
-        let refined_config = ExploreConfig {
-            independence: Some(independence),
-            ..dpor_config.clone()
-        };
-        let start = Instant::now();
-        let dpor = explore(
-            &monitor,
-            &table,
-            &outcome.explicit,
-            &workload,
-            &refined_config,
-        )
-        .unwrap_or_else(|e| panic!("{} failed exploration: {e}", benchmark.name));
-        let dpor_ms = start.elapsed().as_secs_f64() * 1e3;
-        for divergence in &dpor.divergences {
-            eprintln!(
-                "{}: implicit/explicit divergence ({:?} driver): {}\n{}",
-                benchmark.name,
-                divergence.driver,
-                divergence.reason,
-                render_trace(&monitor, &divergence.trace),
-            );
-        }
-        let (naive_executions, naive_ms) = if run_naive {
-            let start = Instant::now();
-            let naive = explore(
-                &monitor,
-                &table,
-                &outcome.explicit,
-                &workload,
-                &naive_config,
-            )
-            .unwrap_or_else(|e| panic!("{} failed naive enumeration: {e}", benchmark.name));
-            (naive.executions(), start.elapsed().as_secs_f64() * 1e3)
-        } else {
-            (dpor.executions(), 0.0)
-        };
-        per_benchmark.push(ExploreBenchmarkProfile {
-            name: benchmark.name,
-            dpor_executions: dpor.executions(),
-            naive_executions,
-            transitions: dpor.transitions(),
-            dedup_hits: dpor.implicit.dedup_hits + dpor.explicit.dedup_hits,
-            sleep_prunes: dpor.implicit.sleep_prunes + dpor.explicit.sleep_prunes,
-            sleep_set_blocked: dpor.sleep_set_blocked(),
-            disjointness_queries: dpor.disjointness_queries,
-            disjointness_cache_hits: dpor.disjointness_cache_hits,
-            capped_subtrees: dpor.implicit.capped_roots + dpor.explicit.capped_roots,
-            divergences: dpor.divergences.len(),
-            dpor_ms,
-            naive_ms,
-        });
-    }
-    ExplorationProfile {
-        threads,
-        ops_per_thread,
-        total_dpor_executions: per_benchmark.iter().map(|p| p.dpor_executions).sum(),
-        total_naive_executions: per_benchmark.iter().map(|p| p.naive_executions).sum(),
-        sleep_set_blocked: per_benchmark.iter().map(|p| p.sleep_set_blocked).sum(),
-        disjointness_queries: per_benchmark.iter().map(|p| p.disjointness_queries).sum(),
-        disjointness_cache_hits: per_benchmark
-            .iter()
-            .map(|p| p.disjointness_cache_hits)
-            .sum(),
-        divergences: per_benchmark.iter().map(|p| p.divergences).sum(),
-        per_benchmark,
-    }
-}
-
-/// One benchmark under the session load generator: one report per engine,
-/// and beside each the cost of one call when a single worker drives the
-/// engine (nobody to contend with, nobody to wake).
-struct LoadBenchmarkProfile {
-    name: &'static str,
-    reports: Vec<LoadReport>,
-    /// Parallel to `reports`.
-    uncontended_ns_per_call: Vec<f64>,
-}
-
-impl RuntimeLoadProfile {
-    /// Median of `uncontended_ns_per_call` over every (benchmark, engine).
-    fn uncontended_median_ns(&self) -> f64 {
-        let mut all: Vec<f64> = self
-            .per_benchmark
-            .iter()
-            .flat_map(|b| b.uncontended_ns_per_call.iter().copied())
-            .collect();
-        median(&mut all)
-    }
-}
-
-impl LoadBenchmarkProfile {
-    fn report(&self, kind: EngineKind) -> &LoadReport {
-        self.reports
-            .iter()
-            .find(|r| r.engine == kind)
-            .expect("every engine was measured")
-    }
-}
-
-/// The suite under closed-loop session load, implicit vs explicit engines.
-struct RuntimeLoadProfile {
-    config: LoadConfig,
-    sessions: u64,
-    samples: usize,
-    per_benchmark: Vec<LoadBenchmarkProfile>,
-}
-
-/// Load-run samples per (benchmark, engine). The sample with the median
-/// throughput is the one reported, whole (its latencies and counters are
-/// those of one real run), and the samples of a cell are taken a whole pass
-/// over the suite apart.
-///
-/// Both choices come from 16 runs of 9 samples per cell on the 2-CPU
-/// reference box. A call is now a few hundred nanoseconds, so a cell's
-/// throughput is what the lock's cache line costs to cross cores, and that
-/// has a heavy *upper* tail: now and then the four workers barely overlap
-/// and a cell reads 5–10 M calls/s instead of its usual 2–3 M. The best
-/// of N latches onto that sample — the more samples, the likelier — and a
-/// later run then sits 3x below the committed value: of 210 ordered pairs
-/// of runs, 44 tripped the per-cell gate of [`enforce_load_throughput`] on
-/// the best of 3 and 50 on the best of 9. Back-to-back samples also share
-/// whatever mode the scheduler is in for those few milliseconds (median of
-/// 9 back-to-back: 57 of 210). The median of samples spread over the pass
-/// tripped it in 0 of 210; the widest ratio between two runs of one cell
-/// was 2.29 with 5 samples (2.67 with 3, 1.96 with 9).
-const LOAD_SAMPLES: usize = 5;
-
-/// Ceiling on the suite median of `uncontended_ns_per_call`, load generator
-/// included (~100 ns of it). The compiled engines read 150–400 ns; engines
-/// that interpret syntax trees over string-keyed maps under the lock read
-/// 650–2 600 ns per cell (median ≈ 1 500), so this is the gate that sees
-/// the interpreter come back.
-const MAX_UNCONTENDED_NS_PER_CALL: f64 = 1000.0;
-
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(f64::total_cmp);
-    match values.len() {
-        0 => 0.0,
-        n if n % 2 == 1 => values[n / 2],
-        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
-    }
-}
-
-/// Tolerance of the wakeup tripwires over `operations` calls, in two parts.
-///
-/// Which threads happen to find a guard already true at startup (never
-/// blocking at all) vs blocking once is a scheduling coin flip, so raw
-/// counts jitter by a few per worker between any two runs: the constant.
-///
-/// And some calls block for real. Since the engines stopped interpreting
-/// under the state mutex a call is a few hundred nanoseconds, callers spend
-/// a visible share of their time *between* calls, and that is where a
-/// session sits while it holds the monitor's logical lock (between
-/// `enterWriter` and `exitWriter`, say). On five monitors (the three
-/// readers-writers locks, DiningPhilosophers, SimpleBlockingDeployment)
-/// 0–7 % of the calls block, on every engine, in numbers that differ run to
-/// run and have nothing to do with the engine: `1 / share` of the calls.
-/// Sized from 16 runs x 9 samples per cell at the default 4096 sessions,
-/// every targeted sample against every implicit sample of its run (18 144
-/// pairs over the seven monitors where any call blocks at all):
-///
-/// * per benchmark, targeted minus implicit wakeups had a standard deviation
-///   of 1.8 % of the calls and a maximum of 7.0 %, and 0.04–0.13 % of the
-///   pairs were above 1/16 — too many for a gate that looks at five such
-///   monitors a run (80 runs of `reproduce load` agreed: ReadersWriters
-///   reached 6.2 % once, 4.2 % otherwise). So `share = 12`: 8.3 % of the
-///   calls, 4.6 sigma, 1.2x the largest difference seen;
-/// * summed over the suite (40 000 resampled runs, and the 80 real ones)
-///   the maximum was 1.2 % of all calls for the 16 monitors and 1.0 % for
-///   the `load` subset, so `share = 64` (1.6 %).
-///
-/// The regression the tripwires exist to catch (a broadcast storm re-waking
-/// every waiter) shows where every call waits: on RoundRobin the static
-/// engine's broadcast costs 1.4–2.1 wakeups per call against 0.99, half
-/// the calls or more above the line, far outside both parts together.
-fn load_wakeup_slack(workers: usize, operations: u64, share: u64) -> usize {
-    16.max(4 * workers) + (operations / share) as usize
-}
-
-/// The default keeps a cell at least as long as it was when the engines
-/// interpreted under the lock: 256 sessions were ~1 100 calls and 1–3 ms
-/// then; they are ~0.6 ms now, a quarter of it thread start-up, and 4096
-/// sessions (~17 000 calls) are 5–8 ms. The wakeup tripwires need the longer
-/// cell too:
-/// at 256 sessions 0.65 % of the sampled pairs sat above `operations / 16`
-/// (maximum 10 %), sixteen times the share at 4096.
-fn load_config() -> LoadConfig {
-    LoadConfig::closed_loop(
-        env_usize("REPRO_LOAD_WORKERS", 4),
-        env_usize("REPRO_LOAD_SESSIONS", 4096) as u64,
-        env_usize("REPRO_LOAD_ROUNDS", 2),
-        42,
-    )
-}
-
-/// Nanoseconds per call of a run, failed calls included.
-fn ns_per_call(report: &LoadReport) -> f64 {
-    let calls = (report.operations + report.call_errors).max(1);
-    report.elapsed.as_secs_f64() * 1e9 / calls as f64
-}
-
-/// Drives every benchmark's session script through all three engines:
-/// [`LOAD_SAMPLES`] passes over the suite, each measuring every cell once
-/// with the configured workers and once with a single worker; per cell the
-/// median-throughput sample and the cheapest uncontended call are kept.
-fn profile_runtime_load(benchmarks: &[Benchmark]) -> RuntimeLoadProfile {
-    let config = load_config();
-    let one_worker = LoadConfig::closed_loop(1, config.sessions, config.rounds, config.seed);
-    let analysed: Vec<_> = benchmarks.iter().map(|b| (b, analyze(b))).collect();
-    let engines = EngineKind::all();
-    // Per (benchmark, engine): the samples, the cheapest uncontended call,
-    // and the call errors of *every* run — they are never swallowed: the
-    // sum goes onto the kept report (keeping one sample must not discard a
-    // faulting one), and the shared tripwire in `enforce_load_tripwires`
-    // fails the run on any nonzero cell.
-    let mut cells: Vec<(Vec<LoadReport>, f64, u64)> = (0..analysed.len() * engines.len())
-        .map(|_| (Vec::new(), f64::INFINITY, 0))
-        .collect();
-    for _ in 0..LOAD_SAMPLES {
-        let mut cell = cells.iter_mut();
-        for (benchmark, outcome) in &analysed {
-            for kind in engines {
-                let (samples, fastest, errors) = cell.next().expect("one cell per engine");
-                let report = measure_load(benchmark, &outcome.explicit, kind, &config);
-                let alone = measure_load(benchmark, &outcome.explicit, kind, &one_worker);
-                *errors += report.call_errors + alone.call_errors;
-                *fastest = fastest.min(ns_per_call(&alone));
-                samples.push(report);
-            }
-        }
-    }
-    let mut cells = cells.into_iter();
-    let mut per_benchmark = Vec::new();
-    for (benchmark, _) in &analysed {
-        let mut reports = Vec::new();
-        let mut uncontended_ns_per_call = Vec::new();
-        for (mut samples, fastest, errors) in cells.by_ref().take(engines.len()) {
-            samples.sort_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()));
-            let mut kept = samples.swap_remove(samples.len() / 2);
-            kept.call_errors = errors;
-            reports.push(kept);
-            uncontended_ns_per_call.push(fastest);
-        }
-        per_benchmark.push(LoadBenchmarkProfile {
-            name: benchmark.name,
-            reports,
-            uncontended_ns_per_call,
-        });
-    }
-    RuntimeLoadProfile {
-        sessions: config.effective_sessions(),
-        config,
-        samples: LOAD_SAMPLES,
-        per_benchmark,
-    }
-}
-
-fn print_load_table(profile: &RuntimeLoadProfile) {
-    println!(
-        "{:<28} {:<18} {:>9} {:>12} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10}",
-        "Benchmark",
-        "engine",
-        "ops",
-        "ops/sec",
-        "p50us",
-        "p99us",
-        "p999us",
-        "wakeups",
-        "avoided",
-        "elided",
-        "alone ns"
-    );
-    for b in &profile.per_benchmark {
-        for (report, alone_ns) in b.reports.iter().zip(&b.uncontended_ns_per_call) {
-            println!(
-                "{:<28} {:<18} {:>9} {:>12.0} {:>9.2} {:>9.2} {:>9.2} {:>8} {:>8} {:>8} {:>10.0}",
-                b.name,
-                report.engine.label(),
-                report.operations,
-                report.ops_per_sec(),
-                report.latency.p50() as f64 / 1e3,
-                report.latency.p99() as f64 / 1e3,
-                report.latency.p999() as f64 / 1e3,
-                report.wakeups,
-                report.avoided_wakeups,
-                report.elided_notifications,
-                alone_ns,
-            );
-        }
-    }
-}
-
-/// The runtime tripwires shared by `json` and the fast `load` gate:
-///
-/// 1. no (benchmark, engine) cell may report a failed monitor call — a
-///    faulting CCR under load is a correctness bug regardless of throughput,
-///    so any nonzero `call_errors` (in *any* sample, not just the kept
-///    best-of run) exits 1;
-/// 2. per benchmark, the targeted explicit engine may not wake more threads
-///    than the implicit engine beyond [`load_wakeup_slack`] with 1/12 of
-///    the benchmark's calls;
-/// 3. summed over the whole run the targeted engine must stay within the
-///    slack of the implicit engine with 1/64 of all calls (most benchmarks
-///    never block, so the totals are steadier than any one of them) — on
-///    benchmarks where both wake exactly one thread per blocked call the
-///    totals are tied in expectation, so a strict comparison would be a coin
-///    flip, while a real regression (re-waking every waiter) scales with the
-///    session count;
-/// 4. the fast path must prove its existence: at least one benchmark with
-///    avoided wakeups and one with elided notifications;
-/// 5. one uncontended call, as the median over every (benchmark, engine),
-///    may not cost more than [`MAX_UNCONTENDED_NS_PER_CALL`].
-fn enforce_load_tripwires(profile: &RuntimeLoadProfile) {
-    let workers = profile.config.workers;
-    let mut operations_total = 0u64;
-    let mut implicit_total = 0usize;
-    let mut targeted_total = 0usize;
-    let mut any_avoided = false;
-    let mut any_elided = false;
-    for b in &profile.per_benchmark {
-        for report in &b.reports {
-            if report.call_errors > 0 {
-                eprintln!(
-                    "error: {} under {}: {} monitor call(s) failed during the load run; \
-                     a faulting CCR must fail the gate no matter what the throughput says",
-                    b.name,
-                    report.engine.label(),
-                    report.call_errors
-                );
-                std::process::exit(1);
-            }
-        }
-        let implicit = b.report(EngineKind::Implicit);
-        let targeted = b.report(EngineKind::ExplicitTargeted);
-        operations_total += targeted.operations;
-        implicit_total += implicit.wakeups;
-        targeted_total += targeted.wakeups;
-        any_avoided |= targeted.avoided_wakeups > 0;
-        any_elided |= targeted.elided_notifications > 0;
-        let slack = load_wakeup_slack(workers, targeted.operations, 12);
-        if targeted.wakeups > implicit.wakeups + slack {
-            eprintln!(
-                "error: {}: targeted explicit engine woke {} threads vs {} implicit \
-                 (slack {slack}); the targeted-signal fast path regressed into a storm",
-                b.name, targeted.wakeups, implicit.wakeups
-            );
-            std::process::exit(1);
-        }
-    }
-    let slack = load_wakeup_slack(workers, operations_total, 64);
-    if targeted_total > implicit_total + slack {
-        eprintln!(
-            "error: suite-wide targeted wakeups ({targeted_total}) exceed implicit \
-             wakeups ({implicit_total}) beyond the slack ({slack})"
-        );
-        std::process::exit(1);
-    }
-    if !any_avoided {
-        eprintln!(
-            "error: no benchmark reported avoided wakeups; the targeted-signal \
-             coalescing is dead code under load"
-        );
-        std::process::exit(1);
-    }
-    if !any_elided {
-        eprintln!(
-            "error: no benchmark reported elided notifications; the empty-slot \
-             fast path is dead code under load"
-        );
-        std::process::exit(1);
-    }
-    let alone_ns = profile.uncontended_median_ns();
-    if alone_ns > MAX_UNCONTENDED_NS_PER_CALL {
-        eprintln!(
-            "error: one uncontended monitor call costs {alone_ns:.0} ns (median over every \
-             benchmark and engine; limit {MAX_UNCONTENDED_NS_PER_CALL:.0} ns); the engines are \
-             interpreting under the state mutex again"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "load tripwires: zero call errors; targeted wakeups {targeted_total} vs implicit \
-         {implicit_total} suite-wide (slack {slack}); fast paths exercised; uncontended call \
-         {alone_ns:.0} ns (limit {MAX_UNCONTENDED_NS_PER_CALL:.0})"
-    );
-}
-
-/// One instrumented pass over the whole suite with span recording on: the
-/// `observability` section's per-phase wall-time attribution, span-coverage
-/// ratio and unified metrics snapshot. Runs *after* every timed profiling
-/// pass so the perf numbers (and the >3x regression guard) keep measuring
-/// the tracing-disabled path.
-struct ObservabilityProfile {
-    /// Wall time of the instrumented suite pass (the root span's duration).
-    wall_ms: f64,
-    /// Span/instant records flushed by the pass.
-    span_count: usize,
-    /// Threads that recorded at least one span.
-    thread_count: usize,
-    /// Fraction of the root span's wall time covered by named child spans.
-    coverage: f64,
-    /// Inclusive wall time and count per span name, descending.
-    phases: Vec<expresso_obs::PhaseAttribution>,
-    /// Unified metrics snapshot (solver, arena, WP store, disjointness,
-    /// scheduler) taken right after the instrumented pass.
-    metrics_json: String,
-    /// Whether spans were already being recorded during the *timed* profiling
-    /// passes (true only when `EXPRESSO_TRACE` is set for this run, in which
-    /// case the perf numbers include the enabled-mode overhead).
-    traced_during_profiling: bool,
-}
-
-fn profile_observability(traced_during_profiling: bool) -> ObservabilityProfile {
-    let was_enabled = expresso_obs::enabled();
-    let _ = expresso_obs::drain();
-    expresso_obs::set_enabled(true);
-
-    let pipeline = Expresso::new();
-    let context = SharedAnalysisContext::new(pipeline.config());
-    let registry = context.metrics_registry();
-    let root = expresso_obs::SpanGuard::enter("bench.observed_suite");
-    {
-        let _span = expresso_obs::span!("bench.analysis");
-        let monitors: Vec<_> = all().iter().map(|b| b.monitor()).collect();
-        for outcome in pipeline.analyze_suite(&context, &monitors) {
-            outcome.expect("suite analysis succeeds");
-        }
-    }
-    drop(root);
-    expresso_obs::set_enabled(was_enabled);
-    let traces = expresso_obs::drain();
-
-    let wall_ms = traces
-        .iter()
-        .flat_map(|t| t.records.iter())
-        .filter(|r| r.name == "bench.observed_suite")
-        .map(|r| (r.end_ns - r.start_ns) as f64 / 1e6)
-        .fold(0.0, f64::max);
-    let span_count = traces.iter().map(|t| t.records.len()).sum();
-    let coverage = expresso_obs::span_coverage(&traces, "bench.observed_suite").unwrap_or(0.0);
-    let phases = expresso_obs::attribute_phases(&traces);
-    let metrics_json = registry.snapshot().to_json(2);
-
-    // When this run is itself being traced, the instrumented pass is the
-    // natural payload for the artifact — write it out instead of dropping
-    // the drained spans on the floor.
-    if let Some(path) = std::env::var_os(TRACE_ENV).map(PathBuf::from) {
-        match expresso_obs::write_chrome_trace(&path, &traces) {
-            Ok(()) => println!("observability: wrote Chrome trace to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write trace {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    ObservabilityProfile {
-        wall_ms,
-        span_count,
-        thread_count: traces.len(),
-        coverage,
-        phases,
-        metrics_json,
-        traced_during_profiling,
-    }
-}
-
-/// Serialises the profiles by hand (the workspace is dependency-free, so no
-/// serde): a stable, diffable JSON document tracked across PRs.
-/// The geometric-mean speed-ups the paper reports for its figures: Expresso
-/// over AutoSynch, and Expresso against hand-written explicit signalling.
-const PAPER_SPEEDUP_VS_AUTOSYNCH: f64 = 1.56;
-const PAPER_SPEEDUP_VS_EXPLICIT: f64 = 1.0;
-
-/// One figure's series as a JSON object: a row per (benchmark, thread
-/// count) with the three series side by side, and the two aggregates the
-/// paper quotes.
-fn render_figure(out: &mut String, key: &str, measurements: &[Measurement]) {
-    let _ = write!(
-        out,
-        "    \"{key}\": {{\n      \"speedup_vs_autosynch\": {:.3},\n      \
-         \"speedup_vs_explicit\": {:.3},\n      \"series\": [\n",
-        geometric_speedup(measurements, Series::Expresso, Series::AutoSynch),
-        geometric_speedup(measurements, Series::Expresso, Series::Explicit),
-    );
-    let rows: Vec<&Measurement> = measurements
-        .iter()
-        .filter(|m| m.series == Series::Expresso)
-        .collect();
-    for (i, row) in rows.iter().enumerate() {
-        let us = |series: Series| {
-            measurements
-                .iter()
-                .find(|m| {
-                    m.series == series && m.threads == row.threads && m.benchmark == row.benchmark
-                })
-                .map_or(0.0, |m| m.micros_per_op)
-        };
-        let _ = write!(
-            out,
-            "        {{\"benchmark\": \"{}\", \"threads\": {}, \"expresso_us_per_op\": {:.3}, \
-             \"autosynch_us_per_op\": {:.3}, \"explicit_us_per_op\": {:.3}}}",
-            row.benchmark,
-            row.threads,
-            row.micros_per_op,
-            us(Series::AutoSynch),
-            us(Series::Explicit),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("      ]\n    }");
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    fig8: &[Measurement],
-    fig9: &[Measurement],
-    profiles: &[AnalysisProfile],
-    shared: &SharedArenaProfile,
-    suite: &SchedulerSuiteProfile,
-    load: &RuntimeLoadProfile,
-    persistence: &PersistenceProfile,
-    exploration: &ExplorationProfile,
-    observability: &ObservabilityProfile,
-) -> String {
-    let total_analysis_ms: f64 = profiles.iter().map(|p| p.analysis_ms).sum();
-    let mut out = String::from("{\n");
-    let (max_threads, ops_per_thread) = figure_shape();
-    let _ = write!(
-        out,
-        "  \"figures\": {{\n    \"cpus\": {},\n    \"max_threads\": {max_threads},\n    \
-         \"ops_per_thread\": {ops_per_thread},\n    \
-         \"paper\": {{\"speedup_vs_autosynch\": {PAPER_SPEEDUP_VS_AUTOSYNCH:.2}, \
-         \"speedup_vs_explicit\": {PAPER_SPEEDUP_VS_EXPLICIT:.2}}},\n",
-        std::thread::available_parallelism().map_or(1, usize::from),
-    );
-    render_figure(&mut out, "fig8", fig8);
-    out.push_str(",\n");
-    render_figure(&mut out, "fig9", fig9);
-    out.push_str("\n  },\n  \"benchmarks\": [\n");
-    for (i, p) in profiles.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"group\": \"{}\", \"analysis_ms\": {:.3}, \
-             \"invariant_ms\": {:.3}, \
-             \"placement_ms\": {:.3}, \"quantifier_eliminations\": {}, \
-             \"qe_cache_hits\": {}, \"triples_checked\": {}, \
-             \"pairs_considered\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_hit_rate\": {:.4}, \"wp_cache_hits\": {}, \"wp_cache_misses\": {}, \
-             \"notifications\": {}, \"broadcasts\": {}}}",
-            p.name,
-            p.group,
-            p.analysis_ms,
-            p.invariant_ms,
-            p.placement_ms,
-            p.quantifier_eliminations,
-            p.qe_cache_hits,
-            p.triples_checked,
-            p.pairs_considered,
-            p.cache_hits,
-            p.cache_misses,
-            p.cache_hit_rate,
-            p.wp_cache_hits,
-            p.wp_cache_misses,
-            p.notifications,
-            p.broadcasts,
-        );
-        out.push_str(if i + 1 < profiles.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        out,
-        "  ],\n  \"total_analysis_ms\": {total_analysis_ms:.3},\n"
-    );
-    let _ = write!(out, "  \"shared_arena\": {{\n    \"per_monitor\": [\n");
-    for (i, p) in shared.per_monitor.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"name\": \"{}\", \"analysis_ms\": {:.3}, \"cache_hits\": {}, \
-             \"cross_monitor_cache_hits\": {}}}",
-            p.name, p.analysis_ms, p.cache_hits, p.cross_analysis_hits,
-        );
-        out.push_str(if i + 1 < shared.per_monitor.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = write!(
-        out,
-        "    ],\n    \"total_analysis_ms\": {:.3},\n    \"cache_hits\": {},\n    \
-         \"cross_monitor_cache_hits\": {},\n    \"cross_monitor_hit_rate\": {:.4},\n    \
-         \"formula_nodes\": {},\n    \
-         \"arena_lock_contentions\": {},\n    \"wp_cache_hits\": {},\n    \
-         \"wp_cache_misses\": {}\n  }},\n",
-        shared.total_ms,
-        shared.total_hits,
-        shared.cross_analysis_hits,
-        shared.cross_analysis_hit_rate,
-        shared.formula_nodes,
-        shared.arena_lock_contentions,
-        shared.wp_cache_hits,
-        shared.wp_cache_misses,
-    );
-    let per_worker = suite
-        .scheduler
-        .per_worker_executed
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let utilization = suite
-        .scheduler
-        .worker_utilization()
-        .iter()
-        .map(|u| format!("{u:.4}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = write!(
-        out,
-        "  \"scheduler_suite\": {{\n    \"suite_size\": {},\n    \
-         \"pool_wall_ms\": {:.3},\n    \"sequential_wall_ms\": {:.3},\n    \
-         \"sequential_fm_runs\": {},\n    \"sequential_fm_fast_conflicts\": {},\n    \
-         \"workers\": {},\n    \"tasks_executed\": {},\n    \"steals\": {},\n    \
-         \"injector_pops\": {},\n    \"helper_executed\": {},\n    \
-         \"abduction_tasks\": {},\n    \
-         \"per_worker_executed\": [{per_worker}],\n    \
-         \"worker_utilization\": [{utilization}],\n    \
-         \"wp_cache_hits\": {},\n    \"wp_cache_misses\": {},\n    \
-         \"wp_cross_monitor_hits\": {},\n    \"outputs_identical\": {}\n  }},\n",
-        suite.suite_size,
-        suite.pool_wall_ms,
-        suite.sequential_wall_ms,
-        suite.sequential_fm_runs,
-        suite.sequential_fm_fast_conflicts,
-        suite.scheduler.workers,
-        suite.scheduler.tasks_executed,
-        suite.scheduler.steals,
-        suite.scheduler.injector_pops,
-        suite.scheduler.helper_executed,
-        suite.scheduler.abduction_tasks,
-        suite.wp.hits,
-        suite.wp.misses,
-        suite.wp.cross_monitor_hits,
-        suite.outputs_identical,
-    );
-    let _ = write!(
-        out,
-        "  \"runtime_load\": {{\n    \"config\": {{\"workers\": {}, \"sessions\": {}, \
-         \"rounds\": {}, \"samples\": {}}},\n    \
-         \"uncontended_ns_per_call\": {{\"median\": {:.1}, \"limit\": {:.1}}},\n    \
-         \"measurements\": [\n",
-        load.config.workers,
-        load.sessions,
-        load.config.rounds,
-        load.samples,
-        load.uncontended_median_ns(),
-        MAX_UNCONTENDED_NS_PER_CALL,
-    );
-    let total = load.per_benchmark.len() * 3;
-    let mut written = 0usize;
-    for b in &load.per_benchmark {
-        for (report, alone_ns) in b.reports.iter().zip(&b.uncontended_ns_per_call) {
-            written += 1;
-            let _ = write!(
-                out,
-                "      {{\"benchmark\": \"{}\", \"engine\": \"{}\", \"operations\": {}, \
-                 \"ops_per_sec\": {:.1}, \"uncontended_ns_per_call\": {:.1}, \
-                 \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-                 \"p999_us\": {:.3}, \"mean_us\": {:.3}, \"wakeups\": {}, \
-                 \"predicate_evaluations\": {}, \"avoided_wakeups\": {}, \
-                 \"elided_notifications\": {}, \"call_errors\": {}}}",
-                b.name,
-                report.engine.label(),
-                report.operations,
-                report.ops_per_sec(),
-                alone_ns,
-                report.latency.p50() as f64 / 1e3,
-                report.latency.p99() as f64 / 1e3,
-                report.latency.p999() as f64 / 1e3,
-                report.latency.mean() / 1e3,
-                report.wakeups,
-                report.predicate_evaluations,
-                report.avoided_wakeups,
-                report.elided_notifications,
-                report.call_errors,
-            );
-            out.push_str(if written < total { ",\n" } else { "\n" });
-        }
-    }
-    out.push_str("    ]\n  },\n");
-    let _ = write!(
-        out,
-        "  \"persistence\": {{\n    \"corpus_monitors\": {},\n    \"corpus_seed\": {},\n    \
-         \"cache_dir\": \"{}\",\n    \"cache_dir_source\": \"{}\",\n    \
-         \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"warm_speedup\": {:.3},\n    \
-         \"dirty_ms\": {:.3},\n    \"load_seed_ms\": {:.3},\n    \"artifact_bytes\": {},\n    \
-         \"artifact_entries\": {{\"sat\": {}, \"qe\": {}, \"theory\": {}, \"wp\": {}}},\n    \
-         \"seeded_entries\": {},\n    \"solver_disk_hits\": {},\n    \"wp_disk_hits\": {},\n    \
-         \"outcomes_identical\": {},\n    \"dirty_reanalyzed\": {},\n    \
-         \"dirty_clean_misses\": {}\n  }},\n",
-        persistence.corpus_monitors,
-        persistence.corpus_seed,
-        persistence.cache_dir,
-        persistence.cache_dir_source,
-        persistence.cold_ms,
-        persistence.warm_ms,
-        persistence.warm_speedup,
-        persistence.dirty_ms,
-        persistence.load_seed_ms,
-        persistence.artifact_bytes,
-        persistence.saved_sat,
-        persistence.saved_qe,
-        persistence.saved_theory,
-        persistence.saved_wp,
-        persistence.seeded_entries,
-        persistence.solver_disk_hits,
-        persistence.wp_disk_hits,
-        persistence.outcomes_identical,
-        persistence.dirty_reanalyzed,
-        persistence.dirty_clean_misses,
-    );
-    let _ = write!(
-        out,
-        "  \"explore\": {{\n    \"threads\": {},\n    \"ops_per_thread\": {},\n    \
-         \"per_benchmark\": [\n",
-        exploration.threads, exploration.ops_per_thread,
-    );
-    for (i, p) in exploration.per_benchmark.iter().enumerate() {
-        let reduction = p.reduction();
-        let _ = write!(
-            out,
-            "      {{\"name\": \"{}\", \"dpor_executions\": {}, \"naive_executions\": {}, \
-             \"reduction\": {:.3}, \"transitions\": {}, \"dedup_hits\": {}, \
-             \"sleep_prunes\": {}, \"sleep_set_blocked\": {}, \
-             \"disjointness_queries\": {}, \"disjointness_cache_hits\": {}, \
-             \"capped_subtrees\": {}, \"divergences\": {}, \
-             \"dpor_ms\": {:.3}, \"naive_ms\": {:.3}}}",
-            p.name,
-            p.dpor_executions,
-            p.naive_executions,
-            reduction,
-            p.transitions,
-            p.dedup_hits,
-            p.sleep_prunes,
-            p.sleep_set_blocked,
-            p.disjointness_queries,
-            p.disjointness_cache_hits,
-            p.capped_subtrees,
-            p.divergences,
-            p.dpor_ms,
-            p.naive_ms,
-        );
-        out.push_str(if i + 1 < exploration.per_benchmark.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = write!(
-        out,
-        "    ],\n    \"total_dpor_executions\": {},\n    \
-         \"total_naive_executions\": {},\n    \"reduction_factor\": {:.3},\n    \
-         \"mean_reduction\": {:.3},\n    \"sleep_set_blocked\": {},\n    \
-         \"disjointness_queries\": {},\n    \"disjointness_cache_hits\": {},\n    \
-         \"divergences\": {}\n  }},\n",
-        exploration.total_dpor_executions,
-        exploration.total_naive_executions,
-        exploration.reduction_factor(),
-        exploration.mean_reduction(),
-        exploration.sleep_set_blocked,
-        exploration.disjointness_queries,
-        exploration.disjointness_cache_hits,
-        exploration.divergences,
-    );
-    let _ = write!(
-        out,
-        "  \"observability\": {{\n    \"traced_during_profiling\": {},\n    \
-         \"instrumented_wall_ms\": {:.3},\n    \"span_count\": {},\n    \
-         \"thread_count\": {},\n    \"span_coverage\": {:.4},\n    \"phases\": [\n",
-        observability.traced_during_profiling,
-        observability.wall_ms,
-        observability.span_count,
-        observability.thread_count,
-        observability.coverage,
-    );
-    for (i, phase) in observability.phases.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"phase\": \"{}\", \"total_ms\": {:.3}, \"count\": {}}}",
-            phase.name,
-            phase.total_ns as f64 / 1e6,
-            phase.count,
-        );
-        out.push_str(if i + 1 < observability.phases.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = write!(
-        out,
-        "    ],\n    \"metrics\": {}\n  }}\n}}\n",
-        observability.metrics_json,
-    );
-    out
-}
-
-/// Extracts the top-level `total_analysis_ms` value from a previously written
-/// `BENCH_results.json` (hand-rolled: the workspace vendors no serde). The
-/// top-level key precedes the `shared_arena` section's key of the same name,
-/// so the first match is the right one.
-fn baseline_total_ms(json: &str) -> Option<f64> {
-    let key = "\"total_analysis_ms\": ";
-    let start = json.find(key)? + key.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Pulls one `"key": "value"` string field out of a single JSON line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\": \"");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Pulls one `"key": number` field out of a single JSON line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pattern = format!("\"{key}\": ");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// One committed `runtime_load` measurement: throughput under the
-/// configured workers, and the cost of one uncontended call (absent from
-/// files written before that column existed).
-struct LoadBaselineCell {
-    benchmark: String,
-    engine: String,
-    ops_per_sec: f64,
-    uncontended_ns_per_call: Option<f64>,
-}
-
-/// A committed `runtime_load` baseline: the run shape plus its cells. Each
-/// measurement is written on its own line, so the hand-rolled reader is a
-/// line scan.
-struct LoadBaseline {
-    workers: usize,
-    sessions: u64,
-    rounds: usize,
-    cells: Vec<LoadBaselineCell>,
-}
-
-fn baseline_load(json: &str) -> Option<LoadBaseline> {
-    let section = &json[json.find("\"runtime_load\"")?..];
-    let config = section.lines().find(|l| l.contains("\"config\""))?;
-    let mut cells = Vec::new();
-    for line in section.lines() {
-        if let (Some(benchmark), Some(engine), Some(ops_per_sec)) = (
-            field_str(line, "benchmark"),
-            field_str(line, "engine"),
-            field_num(line, "ops_per_sec"),
-        ) {
-            cells.push(LoadBaselineCell {
-                benchmark: benchmark.to_string(),
-                engine: engine.to_string(),
-                ops_per_sec,
-                uncontended_ns_per_call: field_num(line, "uncontended_ns_per_call"),
-            });
-        }
-    }
-    Some(LoadBaseline {
-        workers: field_num(config, "workers")? as usize,
-        sessions: field_num(config, "sessions")? as u64,
-        rounds: field_num(config, "rounds")? as usize,
-        cells,
-    })
-}
-
-/// Perf tripwires for the runtime, per cell, against the committed
-/// baseline: any (benchmark, engine) whose throughput under the configured
-/// workers collapsed below a third of the committed value fails the run, and
-/// so does one whose uncontended call got more than 3x as expensive. (The
-/// suite-wide ceiling on the uncontended call is in
-/// `enforce_load_tripwires`.) The two see different layers: the one-worker
-/// cost is the evaluator and the lock with nobody else there, and repeats to
-/// a few percent; the multi-worker throughput is the only one of the two
-/// that a slower wake path or a longer critical section under contention
-/// moves, and is the noisier (see [`LOAD_SAMPLES`] for what keeps a 3x gate
-/// on it from firing at random). Only meaningful when the committed run had
-/// the same shape — a different worker/session/round configuration changes
-/// what is being measured, so the comparison is skipped (with a note)
-/// instead of firing spuriously.
-fn enforce_load_throughput(profile: &RuntimeLoadProfile, baseline: Option<&LoadBaseline>) {
-    let Some(baseline) = baseline else {
-        println!("load perf tripwire: no committed runtime_load baseline; skipping comparison");
-        return;
-    };
-    if baseline.workers != profile.config.workers
-        || baseline.sessions != profile.sessions
-        || baseline.rounds != profile.config.rounds
-    {
-        println!(
-            "load perf tripwire: committed baseline has a different shape \
-             ({}w/{}s/{}r vs {}w/{}s/{}r); skipping comparison",
-            baseline.workers,
-            baseline.sessions,
-            baseline.rounds,
-            profile.config.workers,
-            profile.sessions,
-            profile.config.rounds,
-        );
-        return;
-    }
-    let mut compared = 0usize;
-    for b in &profile.per_benchmark {
-        for (report, alone_ns) in b.reports.iter().zip(&b.uncontended_ns_per_call) {
-            let engine = report.engine.label();
-            let Some(committed) = baseline
-                .cells
-                .iter()
-                .find(|c| c.benchmark == b.name && c.engine == engine)
-            else {
-                continue;
-            };
-            compared += 1;
-            if committed.ops_per_sec > 0.0 && report.ops_per_sec() < committed.ops_per_sec / 3.0 {
-                eprintln!(
-                    "error: {} under {engine}: {:.0} ops/sec regressed more than 3x below the \
-                     committed baseline {:.0} ops/sec",
-                    b.name,
-                    report.ops_per_sec(),
-                    committed.ops_per_sec
-                );
-                std::process::exit(1);
-            }
-            if let Some(committed_ns) = committed.uncontended_ns_per_call {
-                if committed_ns > 0.0 && *alone_ns > 3.0 * committed_ns {
-                    eprintln!(
-                        "error: {} under {engine}: an uncontended call costs {alone_ns:.0} ns, \
-                         more than 3x the committed baseline {committed_ns:.0} ns",
-                        b.name,
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    println!(
-        "load perf tripwire: {compared} (benchmark, engine) points within 3x of baseline, \
-         under load and alone"
-    );
-}
-
-/// Writes `BENCH_results.json` and enforces the tripwires; returns the
-/// Fig. 8 + Fig. 9 measurements it took on the way, for the summary.
-fn run_json() -> Vec<Measurement> {
-    let fig8 = run_figure(&autosynch_benchmarks(), FIG8_TITLE);
-    let fig9 = run_figure(&github_benchmarks(), FIG9_TITLE);
-    println!("=== BENCH_results.json: analysis-time trajectory ===\n");
-    let path = "BENCH_results.json";
-    let committed = std::fs::read_to_string(path).ok();
-    let baseline = committed.as_deref().and_then(baseline_total_ms);
-    let load_baseline = committed.as_deref().and_then(baseline_load);
-    let profiles: Vec<AnalysisProfile> = all().iter().map(profile_benchmark).collect();
-    let shared = profile_shared_arena();
-    let suite = profile_scheduler_suite();
-    let load = profile_runtime_load(&all());
-    let explore_threads = env_usize("REPRO_EXPLORE_THREADS", 3);
-    let exploration = profile_exploration(
-        &all(),
-        explore_threads,
-        env_usize("REPRO_EXPLORE_OPS", 2),
-        &ExploreConfig {
-            scheduler: Some(Arc::clone(Scheduler::global())),
-            ..ExploreConfig::default()
-        },
-        true,
-    );
-    let persistence = profile_persistence();
-    // The instrumented pass runs last so every timed profile above measured
-    // the tracing-disabled path (unless the caller exported EXPRESSO_TRACE,
-    // which we record in the artifact).
-    let observability = profile_observability(std::env::var_os(TRACE_ENV).is_some());
-    let json = render_json(
-        &fig8,
-        &fig9,
-        &profiles,
-        &shared,
-        &suite,
-        &load,
-        &persistence,
-        &exploration,
-        &observability,
-    );
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let total_analysis_ms: f64 = profiles.iter().map(|p| p.analysis_ms).sum();
-    println!(
-        "wrote {path}: {} benchmarks, total analysis {total_analysis_ms:.1} ms",
-        profiles.len(),
-    );
-    println!(
-        "shared arena: {:.1} ms for the whole suite, {} / {} memo hits crossed a monitor \
-         boundary ({:.1}%), {} formula nodes interned",
-        shared.total_ms,
-        shared.cross_analysis_hits,
-        shared.total_hits,
-        shared.cross_analysis_hit_rate * 100.0,
-        shared.formula_nodes,
-    );
-    println!(
-        "wp cache: {} hits / {} misses across the shared-arena suite run; \
-         {} contended arena-lock acquisitions",
-        shared.wp_cache_hits, shared.wp_cache_misses, shared.arena_lock_contentions,
-    );
-    println!(
-        "scheduler suite: {} monitors analyzed concurrently in {:.1} ms on {} workers \
-         (sequential: {:.1} ms); {} tasks ({} abduction), {} steals, {} injector pops, \
-         {} helper-run",
-        suite.suite_size,
-        suite.pool_wall_ms,
-        suite.scheduler.workers,
-        suite.sequential_wall_ms,
-        suite.scheduler.tasks_executed,
-        suite.scheduler.abduction_tasks,
-        suite.scheduler.steals,
-        suite.scheduler.injector_pops,
-        suite.scheduler.helper_executed,
-    );
-    println!(
-        "scheduler suite wp store: {} hits / {} misses, {} hits crossed a monitor boundary",
-        suite.wp.hits, suite.wp.misses, suite.wp.cross_monitor_hits,
-    );
-    println!(
-        "fourier-motzkin (sequential pass): {} elimination runs for {} conflicts",
-        suite.sequential_fm_runs, suite.sequential_fm_fast_conflicts,
-    );
-    println!(
-        "exploration: {} monitors, {} threads x {} ops: {} DPOR executions vs {} naive \
-         ({:.2}x aggregate, {:.2}x mean reduction), {} sleep-set-blocked, \
-         {} disjointness queries + {} cache hits, {} divergences",
-        exploration.per_benchmark.len(),
-        exploration.threads,
-        exploration.ops_per_thread,
-        exploration.total_dpor_executions,
-        exploration.total_naive_executions,
-        exploration.reduction_factor(),
-        exploration.mean_reduction(),
-        exploration.sleep_set_blocked,
-        exploration.disjointness_queries,
-        exploration.disjointness_cache_hits,
-        exploration.divergences,
-    );
-    let load_ops: u64 = load
-        .per_benchmark
-        .iter()
-        .flat_map(|b| b.reports.iter())
-        .map(|r| r.operations)
-        .sum();
-    println!(
-        "runtime load: {} benchmarks x 3 engines, {} sessions on {} workers \
-         ({} ops total); tripwires follow",
-        load.per_benchmark.len(),
-        load.sessions,
-        load.config.workers,
-        load_ops,
-    );
-    println!(
-        "persistence: {}-monitor corpus cold {:.1} ms -> warm {:.1} ms ({:.2}x), \
-         {} disk hits, dirty re-analysed {} monitor(s)",
-        persistence.corpus_monitors,
-        persistence.cold_ms,
-        persistence.warm_ms,
-        persistence.warm_speedup,
-        persistence.solver_disk_hits + persistence.wp_disk_hits,
-        persistence.dirty_reanalyzed,
-    );
-    println!(
-        "observability: instrumented suite pass {:.1} ms, {} spans on {} threads, \
-         {:.1}% of wall time attributed to named phases",
-        observability.wall_ms,
-        observability.span_count,
-        observability.thread_count,
-        observability.coverage * 100.0,
-    );
-    // Persistence tripwires: warm must be served from disk, bit-identical
-    // and surgically invalidated.
-    enforce_persistence_tripwires(&persistence);
-    // Runtime tripwires: the targeted-signal fast path must dominate the
-    // implicit engine on wakeups, actually exercise its fast paths, and hold
-    // throughput within 3x of the committed baseline.
-    enforce_load_tripwires(&load);
-    enforce_load_throughput(&load, load_baseline.as_ref());
-    // Exploration tripwires: the synthesized monitors must be conformant on
-    // every bounded schedule, and partial-order reduction must actually
-    // reduce — a 1.0x factor means the dependence relation or the sleep/DPOR
-    // machinery silently degenerated to naive enumeration.
-    if exploration.divergences > 0 {
-        eprintln!(
-            "error: bounded exploration found {} implicit/explicit divergence(s); \
-             the synthesized monitors are not conformant",
-            exploration.divergences
-        );
-        std::process::exit(1);
-    }
-    // Optimality witness: source sets + wakeup trees guarantee that no
-    // execution ever runs to completion with every enabled transition
-    // asleep. A nonzero count means the wakeup-tree bookkeeping regressed
-    // to classic (non-optimal) DPOR and is silently wasting executions.
-    if exploration.sleep_set_blocked > 0 {
-        eprintln!(
-            "error: {} execution(s) ran to completion sleep-set-blocked; \
-             Optimal DPOR must never complete a sleep-set-blocked execution",
-            exploration.sleep_set_blocked
-        );
-        std::process::exit(1);
-    }
-    // A single-thread workload has exactly one schedule, so reduction is
-    // impossible by construction — only enforce the tripwire when the
-    // configuration admits interleavings. The floor is on the *mean* of the
-    // per-benchmark reductions: the aggregate factor is dominated by the
-    // biggest schedule space, so a mean below 3x means the refined
-    // dependence relation or the wakeup-tree machinery degenerated on a
-    // broad slice of the suite.
-    if explore_threads > 1 && exploration.mean_reduction() < 3.0 {
-        eprintln!(
-            "error: mean per-benchmark reduction {:.2}x is below the 3x floor \
-             ({} DPOR executions vs {} naive aggregate)",
-            exploration.mean_reduction(),
-            exploration.total_dpor_executions,
-            exploration.total_naive_executions
-        );
-        std::process::exit(1);
-    }
-    // Scheduler tripwires: the pool and the sequential configuration must be
-    // bit-identical (a divergence is a determinism bug in the scheduler or a
-    // cache-keying unsoundness), and the suite-wide WP store must actually
-    // share work across monitors.
-    if !suite.outputs_identical {
-        eprintln!(
-            "error: suite outcomes differ between the default pool and the \
-             analysis_threads=1 run; the scheduler is not a pure optimisation"
-        );
-        std::process::exit(1);
-    }
-    // Abduction must actually ride the shared pool under suite analysis:
-    // zero executor tasks means the most expensive phase silently fell back
-    // to sequential inline evaluation (the pre-executor regression this PR
-    // removed).
-    if suite.scheduler.abduction_tasks == 0 {
-        eprintln!(
-            "error: suite analysis dispatched zero abduction tasks on the shared \
-             scheduler; invariant inference is running sequentially again"
-        );
-        std::process::exit(1);
-    }
-    if suite.wp.cross_monitor_hits == 0 {
-        eprintln!(
-            "error: suite-parallel run reported zero cross-monitor WP-cache hits; \
-             the fingerprinted suite-wide WP store is not sharing work"
-        );
-        std::process::exit(1);
-    }
-    // Work-count tripwire for conflict explanation: exact and
-    // machine-independent, so it needs no slack for timing noise. (A pass
-    // with no conflict has no ratio to gate.)
-    if suite.sequential_fm_fast_conflicts > 0
-        && suite.sequential_fm_runs > MAX_FM_RUNS_PER_CONFLICT * suite.sequential_fm_fast_conflicts
-    {
-        eprintln!(
-            "error: {} Fourier–Motzkin runs for {} conflicts on the sequential suite pass \
-             (more than {MAX_FM_RUNS_PER_CONFLICT} per conflict); conflict cores are being \
-             found by re-solving instead of read off the refutation",
-            suite.sequential_fm_runs, suite.sequential_fm_fast_conflicts,
-        );
-        std::process::exit(1);
-    }
-    if suite.pool_wall_ms > suite.sequential_wall_ms {
-        println!(
-            "note: pool wall-clock ({:.1} ms) exceeded the sequential run ({:.1} ms) — \
-             expected only on single-core machines or under heavy load",
-            suite.pool_wall_ms, suite.sequential_wall_ms,
-        );
-    }
-    // Regression tripwire for the shared arena: if no memo hit ever crosses a
-    // monitor boundary the suite-wide context has silently stopped sharing —
-    // fail the run (and CI) loudly instead of drifting.
-    if shared.cross_analysis_hits == 0 {
-        eprintln!(
-            "error: shared-arena run reported zero cross-monitor cache hits; \
-             the suite-wide solver context is not sharing work"
-        );
-        std::process::exit(1);
-    }
-    // Same for the WP layer: the fixpoint and placement always re-ask shared
-    // (body, post) pairs, so zero hits means the cache went dead.
-    if shared.wp_cache_hits == 0 {
-        eprintln!(
-            "error: suite run reported zero WP-cache hits; the (body, post) \
-             memo layer is not sharing work"
-        );
-        std::process::exit(1);
-    }
-    // Observability tripwire: the span taxonomy must attribute at least 80%
-    // of the instrumented pass's wall time — less means a whole phase lost
-    // its instrumentation (or a guard is being dropped early) and the trace
-    // artifact has silently gone blind.
-    if observability.coverage < 0.8 {
-        eprintln!(
-            "error: span coverage {:.1}% of the instrumented suite pass is below the \
-             80% floor; a pipeline phase lost its span instrumentation",
-            observability.coverage * 100.0
-        );
-        std::process::exit(1);
-    }
-    // Perf tripwire: fail loudly when this run's total analysis time regresses
-    // more than 3x over the committed baseline (the file as it was before
-    // this run overwrote it). The new file is already written, so the artifact
-    // still shows what happened.
-    if let Some(baseline) = baseline {
-        if baseline > 0.0 && total_analysis_ms > 3.0 * baseline {
-            eprintln!(
-                "error: total suite analysis time {total_analysis_ms:.1} ms regressed more \
-                 than 3x over the committed baseline {baseline:.1} ms"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf tripwire: {total_analysis_ms:.1} ms vs committed baseline {baseline:.1} ms \
-             (limit 3x)"
-        );
-    } else {
-        println!("perf tripwire: no committed baseline found; skipping comparison");
-    }
-    let mut figures = fig8;
-    figures.extend(fig9);
-    figures
-}
-
-/// Representative 6-benchmark subset for the CI-budgeted deeper exploration:
-/// a blocking buffer, a barrier, an order-sensitive token ring, the paper's
-/// motivating readers-writers, a stop-flagged dispatcher and the multi-reader
-/// broadcast ring — one of every synchronization shape in the suite.
-fn representative_subset() -> Vec<Benchmark> {
-    const NAMES: [&str; 6] = [
-        "BoundedBuffer",
-        "H2OBarrier",
-        "RoundRobin",
-        "ReadersWriters",
-        "AsyncDispatch",
-        "BroadcastRing",
-    ];
-    all()
-        .into_iter()
-        .filter(|b| NAMES.contains(&b.name))
-        .collect()
-}
-
-/// The CI exploration gate: deeper bounds than the `json` sweep (one more
-/// operation per thread AND a deeper preemption bound — budget reclaimed by
-/// the refined dependence relation + Optimal DPOR), DPOR-only (no naive
-/// baseline). Exits nonzero on any divergence or any sleep-set-blocked
-/// execution.
-fn run_explore() {
-    println!("=== Bounded schedule exploration: representative subset, preemption-bounded ===\n");
-    let threads = env_usize("REPRO_EXPLORE_THREADS", 3);
-    let ops = env_usize("REPRO_EXPLORE_OPS", 3);
-    let bound = env_usize("REPRO_EXPLORE_PREEMPTIONS", 5);
-    let config = ExploreConfig {
-        preemption_bound: Some(bound),
-        scheduler: Some(Arc::clone(Scheduler::global())),
-        ..ExploreConfig::default()
-    };
-    let subset = representative_subset();
-    let profile = profile_exploration(&subset, threads, ops, &config, false);
-    println!(
-        "{:<28} {:>12} {:>12} {:>10} {:>8} {:>8} {:>10}",
-        "Benchmark", "executions", "transitions", "dedup", "capped", "ssb", "time (ms)"
-    );
-    for p in &profile.per_benchmark {
-        println!(
-            "{:<28} {:>12} {:>12} {:>10} {:>8} {:>8} {:>10.1}",
-            p.name,
-            p.dpor_executions,
-            p.transitions,
-            p.dedup_hits,
-            p.capped_subtrees,
-            p.sleep_set_blocked,
-            p.dpor_ms
-        );
-    }
-    println!(
-        "\n{} executions across {} monitors ({} threads x {} ops, preemption bound {}); \
-         {} disjointness queries + {} cache hits; {} divergences",
-        profile.total_dpor_executions,
-        profile.per_benchmark.len(),
-        threads,
-        ops,
-        bound,
-        profile.disjointness_queries,
-        profile.disjointness_cache_hits,
-        profile.divergences,
-    );
-    if profile.divergences > 0 {
-        eprintln!(
-            "error: bounded exploration found {} implicit/explicit divergence(s)",
-            profile.divergences
-        );
-        std::process::exit(1);
-    }
-    if profile.sleep_set_blocked > 0 {
-        eprintln!(
-            "error: {} execution(s) ran to completion sleep-set-blocked; \
-             Optimal DPOR must never complete a sleep-set-blocked execution",
-            profile.sleep_set_blocked
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The fast runtime CI gate: the representative subset under the session
-/// load generator, all three engines, with the wakeup/fast-path tripwires
-/// (throughput is gated against the committed baseline by `json`, which runs
-/// the full suite).
-fn run_load_gate() {
-    println!("=== Session load gate: representative subset, implicit vs explicit ===\n");
-    let profile = profile_runtime_load(&representative_subset());
-    println!(
-        "workers={} sessions={} rounds={} (closed loop, median of {} samples)\n",
-        profile.config.workers, profile.sessions, profile.config.rounds, profile.samples,
-    );
-    print_load_table(&profile);
-    println!();
-    enforce_load_tripwires(&profile);
-}
-
-/// The tracing CI gate: runs the representative subset end to end — parse +
-/// analysis, codegen, a small bounded exploration, persistence save/load —
-/// with span recording on, writes the Chrome trace artifact and validates
-/// it from disk: well-formed JSON, balanced laminar nesting with monotone
-/// per-thread timestamps, at least one span from each instrumented
-/// subsystem, and ≥80% of the gate's wall time attributed to named spans.
-/// Exits nonzero on any violation so CI catches instrumentation rot.
-fn run_trace() {
-    println!("=== Trace gate: representative subset with span recording on ===\n");
-    let trace_path = std::env::var_os(TRACE_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("expresso-trace.json"));
-    // A scratch cache directory so the persistence phase (seed + save + load)
-    // runs deterministically regardless of the user's environment.
-    let scratch = std::env::temp_dir().join(format!("expresso-trace-gate-{}", std::process::id()));
-    let config = ExpressoConfig {
-        cache_dir: Some(scratch.clone()),
-        trace_path: Some(trace_path.clone()),
-        ..ExpressoConfig::default()
-    };
-    let pipeline = Expresso::with_config(config.clone());
-    // Constructing the context with a trace path enables span recording.
-    let context = SharedAnalysisContext::new(&config);
-    let subset = representative_subset();
-
-    let root = expresso_obs::SpanGuard::enter("bench.trace_gate");
-    let outcomes: Vec<expresso_core::AnalysisOutcome> = {
-        let _span = expresso_obs::span!("bench.analysis");
-        let monitors: Vec<_> = subset.iter().map(|b| b.monitor()).collect();
-        pipeline
-            .analyze_suite(&context, &monitors)
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| o.unwrap_or_else(|e| panic!("{} failed analysis: {e}", subset[i].name)))
-            .collect()
-    };
-    {
-        let _span = expresso_obs::span!("bench.codegen");
-        for outcome in &outcomes {
-            assert!(
-                !to_java(&outcome.explicit).is_empty(),
-                "codegen produced an empty translation"
-            );
-        }
-    }
-    {
-        let _span = expresso_obs::span!("bench.explore");
-        for (benchmark, outcome) in subset.iter().zip(&outcomes).take(2) {
-            let monitor = benchmark.monitor();
-            let table = check_monitor(&monitor).expect("benchmark checks");
-            let workload = benchmark_workload(benchmark, &monitor, &table, 2, 1)
-                .unwrap_or_else(|e| panic!("{} failed workload construction: {e}", benchmark.name));
-            let refined =
-                refine_independence(&monitor, &table, context.solver(), context.disjointness());
-            let explore_config = ExploreConfig {
-                independence: Some(Arc::new(RefinedIndependence {
-                    table: refined,
-                    queries: 0,
-                    cache_hits: 0,
-                })),
-                scheduler: Some(Arc::clone(Scheduler::global())),
-                ..ExploreConfig::default()
-            };
-            let result = explore(
-                &monitor,
-                &table,
-                &outcome.explicit,
-                &workload,
-                &explore_config,
-            )
-            .unwrap_or_else(|e| panic!("{} failed exploration: {e}", benchmark.name));
-            assert!(
-                result.divergences.is_empty(),
-                "{} diverged under the trace gate",
-                benchmark.name
-            );
-        }
-    }
-    {
-        let _span = expresso_obs::span!("bench.persist");
-        context
-            .persist()
-            .expect("persisting trace-gate caches")
-            .expect("the trace gate configures a cache directory");
-        match expresso_persist::load(&scratch) {
-            expresso_persist::LoadResult::Loaded(_) => {}
-            other => panic!("trace-gate artifact failed to round-trip: {other:?}"),
-        }
-    }
-    drop(root);
-
-    expresso_obs::set_enabled(false);
-    let (written, records) = context
-        .write_trace()
-        .expect("writing the Chrome trace artifact")
-        .expect("the trace gate configures a trace path");
-    let _ = std::fs::remove_dir_all(&scratch);
-    println!("wrote {} ({records} records)", written.display());
-
-    // Validate the artifact exactly as a consumer would: re-read it from
-    // disk and check it with the exporter's own parser.
-    let text = std::fs::read_to_string(&written)
-        .unwrap_or_else(|e| panic!("cannot re-read {}: {e}", written.display()));
-    let events = match expresso_obs::parse_chrome_trace(&text) {
-        Ok(events) => events,
-        Err(e) => {
-            eprintln!("error: trace artifact is not well-formed Chrome trace JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = expresso_obs::check_nesting(&events) {
-        eprintln!("error: trace spans are not properly nested: {e}");
-        std::process::exit(1);
-    }
-    let mut subsystems: Vec<&str> = events.iter().map(|e| e.cat.as_str()).collect();
-    subsystems.sort_unstable();
-    subsystems.dedup();
-    for required in ["smt", "vcgen", "core", "explore"] {
-        if !subsystems.contains(&required) {
-            eprintln!(
-                "error: trace artifact has no span from the `{required}` subsystem \
-                 (saw: {subsystems:?}); its instrumentation went dark"
-            );
-            std::process::exit(1);
-        }
-    }
-    if subsystems.len() < 5 {
-        eprintln!(
-            "error: trace artifact covers only {} subsystems ({subsystems:?}); \
-             expected at least 5",
-            subsystems.len()
-        );
-        std::process::exit(1);
-    }
-    let coverage = expresso_obs::trace_coverage(&events, "bench.trace_gate").unwrap_or(0.0);
-    if coverage < 0.8 {
-        eprintln!(
-            "error: named spans cover only {:.1}% of the trace gate's wall time \
-             (floor: 80%)",
-            coverage * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "trace gate: {} events across {} subsystems, nesting balanced, \
-         {:.1}% of wall time covered",
-        events.len(),
-        subsystems.len(),
-        coverage * 100.0
-    );
-}
-
-const FIG8_TITLE: &str = "Figure 8: AutoSynch benchmarks";
-const FIG9_TITLE: &str = "Figure 9: GitHub monitors";
-
-fn summarise(measurements: &[Measurement]) {
-    let vs_autosynch = geometric_speedup(measurements, Series::Expresso, Series::AutoSynch);
-    let vs_explicit = geometric_speedup(measurements, Series::Expresso, Series::Explicit);
-    println!("=== Summary ===");
-    println!(
-        "Expresso speed-up over AutoSynch (geomean): {vs_autosynch:.2}x \
-         (paper: {PAPER_SPEEDUP_VS_AUTOSYNCH:.2}x)"
-    );
-    println!(
-        "Expresso vs hand-written explicit (geomean): {vs_explicit:.2}x \
-         (paper: ~{PAPER_SPEEDUP_VS_EXPLICIT:.1}x)"
-    );
 }
 
 fn main() {
-    let mode = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match mode.as_str() {
-        "fig8" => summarise(&run_figure(&autosynch_benchmarks(), FIG8_TITLE)),
-        "fig9" => summarise(&run_figure(&github_benchmarks(), FIG9_TITLE)),
-        "table1" => run_table1(),
-        "json" => {
-            run_json();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let trace_path = std::env::var_os(TRACE_ENV).map(PathBuf::from);
+    let mut ledger = Ledger::new();
+    match args[..] {
+        ["table1"] => {
+            passes::benchmarks(&mut ledger);
+            print_table1(&ledger);
         }
-        "explore" => run_explore(),
-        "load" => run_load_gate(),
-        "persist" => run_persist(),
-        "trace" => run_trace(),
-        "suite" => {
-            // Quick mode: only the scheduler-suite comparison, for iterating
-            // on pool behaviour without the full per-benchmark profiling.
-            let suite = profile_scheduler_suite();
-            println!(
-                "pool {:.1} ms vs sequential {:.1} ms on {} workers; {} tasks ({} abduction), \
-                 {} steals, {} injector pops, {} helper-run; wp {} hits / {} cross-monitor; \
-                 identical: {}",
-                suite.pool_wall_ms,
-                suite.sequential_wall_ms,
-                suite.scheduler.workers,
-                suite.scheduler.tasks_executed,
-                suite.scheduler.abduction_tasks,
-                suite.scheduler.steals,
-                suite.scheduler.injector_pops,
-                suite.scheduler.helper_executed,
-                suite.wp.hits,
-                suite.wp.cross_monitor_hits,
-                suite.outputs_identical,
-            );
+        [figure @ ("fig8" | "fig9")] => passes::figures(&mut ledger, Some(figure)),
+        ["json"] => {
+            passes::figures(&mut ledger, None);
+            passes::benchmarks(&mut ledger);
+            passes::scheduler_suite(&mut ledger);
+            passes::runtime_load(&mut ledger, &all());
+            passes::exploration(&mut ledger, &all(), (3, 2), None, true);
+            passes::persistence(&mut ledger, 500);
+            passes::instrumented(&mut ledger, &all(), trace_path);
         }
-        "summary" | "all" => {
-            run_table1();
-            summarise(&run_json());
+        ["persist"] => passes::persistence(&mut ledger, 64),
+        ["explore"] => passes::exploration(
+            &mut ledger,
+            &representative_subset(),
+            (3, 3),
+            Some(5),
+            false,
+        ),
+        ["load"] => passes::runtime_load(&mut ledger, &representative_subset()),
+        ["trace"] => {
+            let path = trace_path.unwrap_or_else(|| PathBuf::from("expresso-trace.json"));
+            passes::instrumented(&mut ledger, &representative_subset(), Some(path));
         }
-        other => {
-            eprintln!(
-                "unknown mode `{other}`; expected fig8 | fig9 | table1 | json | suite | \
-                 explore | load | persist | trace | summary | all"
-            );
+        ["diff", old, new] => {
+            let new = read_ledger(new);
+            return hold("json", &new, diff(&read_ledger(old), &new));
+        }
+        _ => {
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
+    let ledger = Value::Obj(ledger);
+    match args[0] {
+        // Written before the gates are evaluated, so the file of a failing
+        // run still shows what happened.
+        "json" => {
+            std::fs::write(LEDGER_PATH, json::write(&ledger))
+                .unwrap_or_else(|e| panic!("cannot write {LEDGER_PATH}: {e}"));
+            println!("wrote {LEDGER_PATH}");
+        }
+        "persist" | "explore" | "load" | "trace" => print!("{}", json::write(&ledger)),
+        _ => {}
+    }
+    hold(args[0], &ledger, Vec::new());
 }

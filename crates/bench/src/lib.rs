@@ -1,200 +1,93 @@
-//! Shared measurement helpers for the benchmark harness and the `reproduce`
-//! binary.
+//! The measurement library behind the `reproduce` binary.
 //!
-//! The three evaluation artefacts of the paper are regenerated as follows:
-//!
-//! * **Figure 8 / Figure 9** — [`measure_benchmark`] runs one saturation test
-//!   per (benchmark, thread-count, engine) triple and reports microseconds per
-//!   monitor operation for the three series: Expresso-generated signalling,
-//!   the AutoSynch-style run-time engine, and the hand-written explicit
-//!   placement (represented by the same statically-decided notification table,
-//!   which for these monitors coincides with the hand-written code — see
-//!   EXPERIMENTS.md).
-//! * **Table 1** — [`analysis_time`] measures the wall-clock time of the full
-//!   Expresso pipeline per benchmark.
+//! * [`passes`] — one function per measurement (Table 1, Fig. 8 / 9, suite
+//!   pool-vs-sequential, load, persistence, exploration, the instrumented
+//!   pass), each writing its section of one `obs::json::Value` ledger;
+//! * [`ledger`] — the `GATES` table every mode's ledger is held to, and the
+//!   `DIFF` table `reproduce diff` compares two ledgers under;
+//! * this module — the saturation measurement of Fig. 8 / Fig. 9:
+//!   [`measure_benchmark`] runs one (benchmark, thread-count) point and
+//!   reports microseconds per monitor operation of each series.
+
+pub mod ledger;
+pub mod passes;
 
 use expresso_core::{AnalysisOutcome, Expresso};
-use expresso_logic::Valuation;
 use expresso_monitor_lang::ExplicitMonitor;
 use expresso_runtime::{run_saturation, AutoSynchRuntime, ExplicitRuntime, MonitorRuntime};
 use expresso_suite::Benchmark;
-use std::time::Duration;
 
-/// The three series plotted in every figure of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Series {
-    /// Expresso-generated explicit-signal code.
-    Expresso,
-    /// The AutoSynch-style run-time system (per-waiter predicate evaluation).
-    AutoSynch,
-    /// Hand-written explicit-signal code.
-    Explicit,
-}
-
-impl Series {
-    /// All series in plot order.
-    pub fn all() -> [Series; 3] {
-        [Series::Expresso, Series::AutoSynch, Series::Explicit]
-    }
-
-    /// Label used in the printed tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Series::Expresso => "Expresso",
-            Series::AutoSynch => "AutoSynch",
-            Series::Explicit => "Explicit",
-        }
-    }
-}
-
-/// One measured point of a figure.
+/// One measured point of a figure: microseconds per monitor operation of the
+/// two series at one thread count. (The paper's third series, hand-written
+/// explicit signalling, has no engine of its own here: agreement with
+/// hand-written code is shown by placement identity,
+/// `benchmark/expected/placements.tsv`, not by timing the same engine twice.)
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Benchmark name.
-    pub benchmark: String,
-    /// Series the point belongs to.
-    pub series: Series,
+    pub benchmark: &'static str,
     /// Number of worker threads.
     pub threads: usize,
-    /// Microseconds per monitor operation.
-    pub micros_per_op: f64,
-    /// Wake-ups observed (context-switch proxy).
-    pub wakeups: usize,
-    /// Run-time predicate evaluations performed by the engine.
-    pub predicate_evaluations: usize,
+    /// Expresso-generated explicit-signal code.
+    pub expresso_us_per_op: f64,
+    /// The AutoSynch-style run-time system (per-waiter predicate evaluation).
+    pub autosynch_us_per_op: f64,
 }
 
-/// Analyses a benchmark once (used by Table 1 and to build the Expresso series).
+/// Analyses a benchmark once in a private context.
 pub fn analyze(benchmark: &Benchmark) -> AnalysisOutcome {
     Expresso::new()
         .analyze(&benchmark.monitor())
         .unwrap_or_else(|e| panic!("{} failed analysis: {e}", benchmark.name))
 }
 
-/// Measures the wall-clock analysis time of a benchmark (Table 1).
-pub fn analysis_time(benchmark: &Benchmark) -> (Duration, AnalysisOutcome) {
-    let outcome = analyze(benchmark);
-    (outcome.stats.total_time, outcome)
-}
-
-fn build_runtime(
-    series: Series,
-    benchmark: &Benchmark,
-    expresso_monitor: &ExplicitMonitor,
-    ctor: &Valuation,
-) -> Box<dyn MonitorRuntime> {
-    match series {
-        Series::Expresso | Series::Explicit => Box::new(
-            ExplicitRuntime::new(expresso_monitor.clone(), ctor)
-                .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name)),
-        ),
-        Series::AutoSynch => Box::new(
-            AutoSynchRuntime::new(benchmark.monitor(), ctor)
-                .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name)),
-        ),
-    }
-}
-
-/// Runs one saturation measurement for a benchmark with `threads` workers.
+/// Runs the saturation test of a benchmark with `threads` workers, once per
+/// series.
 pub fn measure_benchmark(
     benchmark: &Benchmark,
     expresso_monitor: &ExplicitMonitor,
-    series: Series,
     threads: usize,
     ops_per_thread: usize,
 ) -> Measurement {
     let ctor = (benchmark.ctor_args)(threads);
-    let runtime = build_runtime(series, benchmark, expresso_monitor, &ctor);
     let plans = (benchmark.plans)(threads, ops_per_thread);
-    let result = run_saturation(runtime.as_ref(), &plans);
+    let us_per_op = |runtime: &dyn MonitorRuntime| run_saturation(runtime, &plans).micros_per_op();
+    let expresso = ExplicitRuntime::new(expresso_monitor.clone(), &ctor)
+        .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name));
+    let autosynch = AutoSynchRuntime::new(benchmark.monitor(), &ctor)
+        .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name));
     Measurement {
-        benchmark: benchmark.name.to_string(),
-        series,
+        benchmark: benchmark.name,
         threads,
-        micros_per_op: result.micros_per_op(),
-        wakeups: result.wakeups,
-        predicate_evaluations: result.predicate_evaluations,
+        expresso_us_per_op: us_per_op(&expresso),
+        autosynch_us_per_op: us_per_op(&autosynch),
     }
 }
 
-/// Runs [`measure_benchmark`] `samples` times and keeps the fastest run —
-/// the stable point estimate for short, noisy saturation tests (thread
-/// spawn and scheduler warm-up dominate single runs).
-pub fn measure_benchmark_best(
-    benchmark: &Benchmark,
-    expresso_monitor: &ExplicitMonitor,
-    series: Series,
-    threads: usize,
-    ops_per_thread: usize,
-    samples: usize,
-) -> Measurement {
-    let mut best: Option<Measurement> = None;
-    for _ in 0..samples.max(1) {
-        let m = measure_benchmark(benchmark, expresso_monitor, series, threads, ops_per_thread);
-        let better = best
-            .as_ref()
-            .map(|b| m.micros_per_op < b.micros_per_op)
-            .unwrap_or(true);
-        if better {
-            best = Some(m);
-        }
-    }
-    best.expect("at least one sample")
-}
-
-/// Formats a set of measurements for one benchmark as a plot-like text table
+/// Formats the measurements of one benchmark as a plot-like text table
 /// (threads on the rows, one column per series), mirroring the figures.
 pub fn format_figure(benchmark: &str, measurements: &[Measurement]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{benchmark} (us/op)");
-    let _ = writeln!(
-        out,
-        "{:>8} {:>12} {:>12} {:>12}",
-        "threads", "Expresso", "AutoSynch", "Explicit"
+    let mut out = format!(
+        "{benchmark} (us/op)\n{:>8} {:>12} {:>12}\n",
+        "threads", "Expresso", "AutoSynch"
     );
-    let mut threads: Vec<usize> = measurements.iter().map(|m| m.threads).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    for t in threads {
-        let cell = |series: Series| {
-            measurements
-                .iter()
-                .find(|m| m.threads == t && m.series == series)
-                .map(|m| format!("{:.2}", m.micros_per_op))
-                .unwrap_or_else(|| "-".to_string())
-        };
-        let _ = writeln!(
-            out,
-            "{:>8} {:>12} {:>12} {:>12}",
-            t,
-            cell(Series::Expresso),
-            cell(Series::AutoSynch),
-            cell(Series::Explicit)
+    for m in measurements {
+        out += &format!(
+            "{:>8} {:>12.2} {:>12.2}\n",
+            m.threads, m.expresso_us_per_op, m.autosynch_us_per_op
         );
     }
     out
 }
 
-/// Computes the geometric-mean speed-up of `numerator` over `denominator`
-/// across matching (benchmark, threads) points — the paper's headline "1.56×
-/// faster than AutoSynch on average" aggregate.
-pub fn geometric_speedup(
-    measurements: &[Measurement],
-    numerator: Series,
-    denominator: Series,
-) -> f64 {
-    let mut ratios = Vec::new();
-    for m in measurements.iter().filter(|m| m.series == denominator) {
-        if let Some(base) = measurements
-            .iter()
-            .find(|b| b.series == numerator && b.benchmark == m.benchmark && b.threads == m.threads)
-        {
-            if base.micros_per_op > 0.0 && m.micros_per_op > 0.0 {
-                ratios.push(m.micros_per_op / base.micros_per_op);
-            }
-        }
-    }
+/// The geometric-mean speed-up of Expresso over AutoSynch across the points
+/// — the paper's headline "1.56× faster than AutoSynch on average" aggregate.
+pub fn geometric_speedup(measurements: &[Measurement]) -> f64 {
+    let ratios: Vec<f64> = measurements
+        .iter()
+        .filter(|m| m.expresso_us_per_op > 0.0 && m.autosynch_us_per_op > 0.0)
+        .map(|m| m.autosynch_us_per_op / m.expresso_us_per_op)
+        .collect();
     if ratios.is_empty() {
         return 1.0;
     }
@@ -206,42 +99,26 @@ pub fn geometric_speedup(
 mod tests {
     use super::*;
 
+    fn point(threads: usize, expresso_us_per_op: f64, autosynch_us_per_op: f64) -> Measurement {
+        Measurement {
+            benchmark: "X",
+            threads,
+            expresso_us_per_op,
+            autosynch_us_per_op,
+        }
+    }
+
     #[test]
     fn geometric_speedup_of_identical_series_is_one() {
-        let ms = vec![
-            Measurement {
-                benchmark: "X".into(),
-                series: Series::Expresso,
-                threads: 2,
-                micros_per_op: 5.0,
-                wakeups: 0,
-                predicate_evaluations: 0,
-            },
-            Measurement {
-                benchmark: "X".into(),
-                series: Series::AutoSynch,
-                threads: 2,
-                micros_per_op: 10.0,
-                wakeups: 0,
-                predicate_evaluations: 0,
-            },
-        ];
-        let speedup = geometric_speedup(&ms, Series::Expresso, Series::AutoSynch);
+        let speedup = geometric_speedup(&[point(2, 5.0, 10.0), point(4, 2.0, 4.0)]);
         assert!((speedup - 2.0).abs() < 1e-9);
-        assert!((geometric_speedup(&ms, Series::Expresso, Series::Expresso) - 1.0).abs() < 1e-9);
+        assert!((geometric_speedup(&[point(2, 5.0, 5.0)]) - 1.0).abs() < 1e-9);
+        assert!((geometric_speedup(&[]) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn figure_formatting_lists_thread_counts() {
-        let ms = vec![Measurement {
-            benchmark: "X".into(),
-            series: Series::Expresso,
-            threads: 4,
-            micros_per_op: 1.25,
-            wakeups: 3,
-            predicate_evaluations: 0,
-        }];
-        let text = format_figure("X", &ms);
+        let text = format_figure("X", &[point(4, 1.25, 2.5)]);
         assert!(text.contains("threads"));
         assert!(text.contains("1.25"));
     }

@@ -196,7 +196,10 @@ fn main() {
     // the artifact and the numbers land together.
     if let Some(path) = &options.trace {
         let snapshot = expresso_loadgen::metrics_registry(reports).snapshot();
-        println!("metrics = {}", snapshot.to_json(0));
+        print!(
+            "metrics = {}",
+            expresso_obs::json::write(&snapshot.to_value())
+        );
         expresso_obs::set_enabled(false);
         let traces = expresso_obs::drain();
         if let Err(e) = expresso_obs::write_chrome_trace(path, &traces) {

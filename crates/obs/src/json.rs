@@ -1,7 +1,7 @@
-//! A minimal hand-rolled JSON parser (the workspace vendors no serde). Used
-//! by the `reproduce trace` gate and the observability tests to validate
-//! emitted Chrome trace artifacts, so the check proves the file is
-//! well-formed JSON, not just that our writer and reader agree on a subset.
+//! A minimal hand-rolled JSON value, parser and writer (the workspace vendors
+//! no serde). The parser validates emitted Chrome trace artifacts and reads
+//! `BENCH_results.json` back; [`write`] and [`escape`] are the workspace's
+//! only JSON serialisation, so no caller formats or escapes by hand.
 
 use std::collections::BTreeMap;
 
@@ -45,6 +45,166 @@ impl Value {
             _ => None,
         }
     }
+
+    fn is_scalar(&self) -> bool {
+        !matches!(self, Value::Arr(_) | Value::Obj(_))
+    }
+}
+
+impl From<bool> for Value {
+    fn from(value: bool) -> Value {
+        Value::Bool(value)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(value: f64) -> Value {
+        Value::Num(value)
+    }
+}
+
+/// Counters are stored as `f64`: exact below 2^53, far above any count the
+/// workspace produces.
+impl From<u64> for Value {
+    fn from(value: u64) -> Value {
+        Value::Num(value as f64)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(value: usize) -> Value {
+        Value::Num(value as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(value: &str) -> Value {
+        Value::Str(value.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(value: String) -> Value {
+        Value::Str(value)
+    }
+}
+
+impl From<Vec<Value>> for Value {
+    fn from(items: Vec<Value>) -> Value {
+        Value::Arr(items)
+    }
+}
+
+/// `None` is `null`: not measured.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(value: Option<T>) -> Value {
+        value.map_or(Value::Null, Into::into)
+    }
+}
+
+/// An array of whatever converts to a value.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// An object literal: `obj! { "name" => name, "count" => 3usize }`, each
+/// value through its `From` conversion.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        $crate::json::Value::Obj(::std::collections::BTreeMap::from([
+            $(($key.to_string(), $crate::json::Value::from($value))),*
+        ]))
+    };
+}
+
+/// Appends `text` to `out` with the escapes a JSON string body needs.
+pub fn escape(text: &str, out: &mut String) {
+    for ch in text.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Renders `value` as a JSON document that [`parse`] reads back to an equal
+/// value. A container of scalars takes one line, any other container one
+/// line per child (two-space indent), so a committed file diffs by record.
+/// JSON has no non-finite numbers: they are written as `null`.
+pub fn write(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(value, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+fn write_value(value: &Value, depth: usize, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+        Value::Num(_) => out.push_str("null"),
+        Value::Str(s) => write_str(s, out),
+        Value::Arr(items) => {
+            let inline = items.iter().all(Value::is_scalar);
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                separate(i, inline, depth + 1, out);
+                write_value(item, depth + 1, out);
+            }
+            close(items.is_empty(), inline, depth, ']', out);
+        }
+        Value::Obj(map) => {
+            let inline = map.values().all(Value::is_scalar);
+            out.push('{');
+            for (i, (key, item)) in map.iter().enumerate() {
+                separate(i, inline, depth + 1, out);
+                write_str(key, out);
+                out.push_str(": ");
+                write_value(item, depth + 1, out);
+            }
+            close(map.is_empty(), inline, depth, '}', out);
+        }
+    }
+}
+
+fn write_str(text: &str, out: &mut String) {
+    out.push('"');
+    escape(text, out);
+    out.push('"');
+}
+
+fn newline(depth: usize, out: &mut String) {
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+}
+
+fn separate(index: usize, inline: bool, depth: usize, out: &mut String) {
+    if index > 0 {
+        out.push(',');
+    }
+    if !inline {
+        newline(depth, out);
+    } else if index > 0 {
+        out.push(' ');
+    }
+}
+
+fn close(empty: bool, inline: bool, depth: usize, bracket: char, out: &mut String) {
+    if !inline && !empty {
+        newline(depth, out);
+    }
+    out.push(bracket);
 }
 
 /// Parse a complete JSON document. Errors carry the byte offset and a short
@@ -273,6 +433,25 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let value = parse(r#""Aé😀\t\\""#).expect("parse");
         assert_eq!(value.as_str(), Some("Aé😀\t\\"));
+    }
+
+    #[test]
+    fn written_documents_parse_back_equal() {
+        let value = crate::obj! {
+            "text" => "quote \" backslash \\ bell \u{7} tab \t é",
+            "empty" => crate::obj! {},
+            "rows" => vec![
+                crate::obj! { "n" => 1u64, "x" => 0.1 },
+                vec![Value::Null, true.into(), (-2.5e-7).into()].into(),
+                Value::Arr(Vec::new()),
+            ],
+        };
+        let text = write(&value);
+        assert_eq!(parse(&text).expect("written JSON parses"), value);
+        assert!(text.contains(r#"{"n": 1, "x": 0.1}"#), "{text}");
+
+        let non_finite: Value = [f64::NAN, f64::INFINITY].into_iter().collect();
+        assert_eq!(write(&non_finite), "[null, null]\n");
     }
 
     #[test]

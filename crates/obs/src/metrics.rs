@@ -6,6 +6,7 @@
 //! (this crate is a leaf) — they adapt into groups via small `metrics()`
 //! methods in their own crates.
 
+use crate::json::Value;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -134,33 +135,20 @@ impl Snapshot {
         }
     }
 
-    /// Render as a JSON object `{group: {metric: value, ...}, ...}`,
-    /// indented by `indent` spaces per level.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let mut out = String::from("{");
-        for (gi, group) in self.groups.iter().enumerate() {
-            if gi > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n{pad}{pad}\"{}\": {{", group.name));
-            for (mi, metric) in group.metrics.iter().enumerate() {
-                if mi > 0 {
-                    out.push(',');
-                }
-                match metric.value {
-                    MetricValue::Counter(v) => {
-                        out.push_str(&format!("\n{pad}{pad}{pad}\"{}\": {v}", metric.name));
-                    }
-                    MetricValue::Gauge(v) => {
-                        out.push_str(&format!("\n{pad}{pad}{pad}\"{}\": {v:.3}", metric.name));
-                    }
-                }
-            }
-            out.push_str(&format!("\n{pad}{pad}}}"));
-        }
-        out.push_str(&format!("\n{pad}}}"));
-        out
+    /// The snapshot as a JSON object `{group: {metric: value, ...}, ...}`;
+    /// gauges are rounded to three decimals.
+    pub fn to_value(&self) -> Value {
+        let group = |group: &MetricGroup| {
+            let metrics = group.metrics.iter().map(|metric| {
+                let value = match metric.value {
+                    MetricValue::Counter(v) => v as f64,
+                    MetricValue::Gauge(v) => (v * 1e3).round() / 1e3,
+                };
+                (metric.name.to_string(), Value::Num(value))
+            });
+            (group.name.clone(), Value::Obj(metrics.collect()))
+        };
+        Value::Obj(self.groups.iter().map(group).collect())
     }
 }
 
@@ -189,10 +177,9 @@ mod tests {
         assert_eq!(snapshot.counter("a.latency", "p99_us"), None);
         assert_eq!(snapshot.get("missing", "x"), None);
 
-        let json = snapshot.to_json(2);
-        let parsed = crate::json::parse(&json).expect("snapshot json parses");
+        let value = snapshot.to_value();
         assert_eq!(
-            parsed.get("z.cache").unwrap().get("hits").unwrap().as_f64(),
+            value.get("z.cache").unwrap().get("hits").unwrap().as_f64(),
             Some(7.0)
         );
     }

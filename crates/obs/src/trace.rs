@@ -16,22 +16,6 @@ use crate::recorder::{RecordKind, SpanRecord, ThreadTrace};
 /// The pid reported in trace events (single-process trace).
 const PID: u64 = 1;
 
-fn escape_json(text: &str, out: &mut String) {
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// The subsystem a span belongs to: the segment before the first `.` of its
 /// name (`"smt.sat"` → `"smt"`). Used as the Chrome trace category.
 pub fn subsystem(name: &str) -> &str {
@@ -41,9 +25,9 @@ pub fn subsystem(name: &str) -> &str {
 fn push_event(out: &mut String, trace: &ThreadTrace, record: &SpanRecord) {
     let ts_us = record.start_ns as f64 / 1000.0;
     out.push_str("    {\"name\": \"");
-    escape_json(record.name, out);
+    json::escape(record.name, out);
     out.push_str("\", \"cat\": \"");
-    escape_json(subsystem(record.name), out);
+    json::escape(subsystem(record.name), out);
     match record.kind {
         RecordKind::Span => {
             let dur_us = (record.end_ns - record.start_ns) as f64 / 1000.0;
@@ -61,7 +45,7 @@ fn push_event(out: &mut String, trace: &ThreadTrace, record: &SpanRecord) {
     }
     if let Some(detail) = &record.detail {
         out.push_str(", \"args\": {\"detail\": \"");
-        escape_json(detail, out);
+        json::escape(detail, out);
         out.push_str("\"}");
     }
     out.push('}');
@@ -80,7 +64,7 @@ pub fn chrome_trace_json(traces: &[ThreadTrace]) -> String {
             "    {{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {PID}, \"tid\": {}, \"args\": {{\"name\": \"",
             trace.tid
         ));
-        escape_json(&trace.thread_name, &mut out);
+        json::escape(&trace.thread_name, &mut out);
         out.push_str("\"}}");
         for record in &trace.records {
             out.push_str(",\n");

@@ -1,7 +1,7 @@
 //! Hoare-triple discharge and commutativity checking.
 
 use crate::cache::{lowering_fingerprint, LoweringFingerprint, WpCache};
-use crate::wp::{wp, wp_id, WpError};
+use crate::wp::{wp_id, WpError};
 use expresso_logic::{fresh_name, Formula, FormulaId, Interner, Subst, Term};
 use expresso_monitor_lang::{Monitor, Stmt, Type, VarTable};
 use expresso_smt::{Solver, ValidityResult};
@@ -155,31 +155,15 @@ impl<'a> VcGen<'a> {
         }
     }
 
-    /// Discharges a pre-built [`HoareTriple`].
-    pub fn check(&self, triple: &HoareTriple) -> TripleStatus {
-        self.check_triple(&triple.pre, &triple.stmt, &triple.post)
-    }
-
-    /// Discharges a batch of triples, returning index-aligned statuses.
+    /// Discharges a batch of `(pre, stmt, post)` obligations over interned
+    /// formulas, returning index-aligned statuses.
     ///
     /// Batch-aware: the `(body, post)` WP cache dedupes the shared weakest-
     /// precondition work across the batch, structurally identical VCs are
     /// discharged once, and the distinct VCs run in expected-cost order
     /// (cached verdicts first, then ascending formula size) so cheap
     /// refutations warm the solver's theory/QE memo tables before the
-    /// expensive obligations hit them. See [`VcGen::check_triples_ids`].
-    pub fn check_triples(&self, triples: &[HoareTriple]) -> Vec<TripleStatus> {
-        let interner = self.interner().clone();
-        let obligations: Vec<(FormulaId, &Stmt, FormulaId)> = triples
-            .iter()
-            .map(|t| (interner.intern(&t.pre), &t.stmt, interner.intern(&t.post)))
-            .collect();
-        self.check_triples_ids(&obligations)
-    }
-
-    /// Discharges a batch of `(pre, stmt, post)` obligations over interned
-    /// formulas, returning index-aligned statuses. This is the batch-aware
-    /// core behind [`VcGen::check_triples`]; see there for the strategy.
+    /// expensive obligations hit them.
     pub fn check_triples_ids(
         &self,
         obligations: &[(FormulaId, &Stmt, FormulaId)],
@@ -209,15 +193,6 @@ impl<'a> VcGen<'a> {
         vcs.into_iter()
             .map(|vc| vc.map_or(TripleStatus::Unknown, |vc| status_of[&vc]))
             .collect()
-    }
-
-    /// Computes `wp(stmt, post)` using the monitor's symbol table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WpError`] from the underlying computation.
-    pub fn wp(&self, stmt: &Stmt, post: &Formula) -> Result<Formula, WpError> {
-        wp(stmt, post, self.table)
     }
 
     /// Computes `wp(stmt, post)` over interned formulas, memoized on the

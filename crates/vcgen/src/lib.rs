@@ -20,4 +20,4 @@ pub use independence::{
     refine_independence, DisjointnessExportEntry, DisjointnessStats, DisjointnessStore,
     IndependenceTable,
 };
-pub use wp::{wp, wp_id, WpError};
+pub use wp::{wp_id, WpError};

@@ -1,10 +1,10 @@
 //! Weakest preconditions for the monitor statement language.
 //!
-//! Two entry points are provided: the original tree-based [`wp`] and the
-//! arena-based [`wp_id`], which builds the precondition directly as interned
-//! [`FormulaId`]s. The id path is what the signal-placement pipeline uses: it
+//! [`wp_id`] builds the precondition directly as interned [`FormulaId`]s: it
 //! never clones subtrees, and repeated substitution over shared subtrees is
-//! memoized inside the [`Interner`].
+//! memoized inside the [`Interner`]. The tree-based `wp` it was ported from
+//! is compiled only for this module's tests, as the oracle `wp_id` is
+//! compared against rule for rule.
 
 use expresso_logic::{fresh_name, Formula, FormulaId, Interner, Subst, Term};
 use expresso_monitor_lang::{expr_to_formula, expr_to_term, LowerError, Stmt, VarTable};
@@ -48,21 +48,9 @@ impl From<LowerError> for WpError {
     }
 }
 
-/// Computes the weakest precondition `wp(stmt, post)`.
-///
-/// The rules are standard for assignments, sequencing and conditionals.
-/// Loops use a sound over-approximation: the variables assigned by the body
-/// are havocked and the postcondition must hold in every havocked state that
-/// exits the loop (`∀ fresh. ¬cond[fresh] ⇒ post[fresh]`). Array writes
-/// havoc the whole array: if the postcondition reads the written array the
-/// computation is rejected (conservative), otherwise the write is a no-op on
-/// the postcondition.
-///
-/// # Errors
-///
-/// Returns a [`WpError`] when the postcondition depends on a written array or
-/// when lowering an expression fails (non-linear arithmetic, sort errors).
-pub fn wp(stmt: &Stmt, post: &Formula, table: &VarTable) -> Result<Formula, WpError> {
+/// [`wp_id`] over formula trees: the test oracle.
+#[cfg(test)]
+pub(crate) fn wp(stmt: &Stmt, post: &Formula, table: &VarTable) -> Result<Formula, WpError> {
     match stmt {
         Stmt::Skip => Ok(post.clone()),
         Stmt::Seq(parts) => {
@@ -155,13 +143,20 @@ pub fn wp(stmt: &Stmt, post: &Formula, table: &VarTable) -> Result<Formula, WpEr
 
 /// Computes the weakest precondition `wp(stmt, post)` over interned formulas.
 ///
-/// Mirrors [`wp`] rule for rule, but builds the result as ids in `interner`:
-/// no subtree is ever cloned, and assignments substitute through shared
-/// subtrees at most once per distinct node.
+/// The rules are standard for assignments, sequencing and conditionals.
+/// Loops use a sound over-approximation: the variables assigned by the body
+/// are havocked and the postcondition must hold in every havocked state that
+/// exits the loop (`∀ fresh. ¬cond[fresh] ⇒ post[fresh]`). Array writes
+/// havoc the whole array: if the postcondition reads the written array the
+/// computation is rejected (conservative), otherwise the write is a no-op on
+/// the postcondition. The result is built as ids in `interner`: no subtree is
+/// ever cloned, and assignments substitute through shared subtrees at most
+/// once per distinct node.
 ///
 /// # Errors
 ///
-/// Same conditions as [`wp`].
+/// Returns a [`WpError`] when the postcondition depends on a written array or
+/// when lowering an expression fails (non-linear arithmetic, sort errors).
 pub fn wp_id(
     stmt: &Stmt,
     post: FormulaId,

@@ -200,10 +200,9 @@ fn metrics_registry_unifies_the_analysis_stats() {
         "derived gauges must ride the same snapshot"
     );
 
-    // The JSON rendering is itself well-formed (the `reproduce json`
-    // artifact embeds it verbatim).
-    let json = snapshot.to_json(0);
-    obs::json::parse(&json).expect("snapshot JSON parses");
+    // The JSON rendering reads back (the `reproduce json` ledger embeds it).
+    let value = snapshot.to_value();
+    assert_eq!(obs::json::parse(&obs::json::write(&value)), Ok(value));
 }
 
 #[test]
