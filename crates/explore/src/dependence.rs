@@ -22,8 +22,47 @@
 //!   hinge on being the minimum (a fire of a blocking CCR).
 
 use expresso_monitor_lang::{CcrId, ExplicitMonitor, Monitor, VarTable};
-use expresso_semantics::Event;
+use expresso_semantics::{Event, ExecError};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A set of events — a sleep set, or everything a subtree executed — as one
+/// word: bit `thread * shapes + shape` (see [`Dependence::slot`]). The
+/// explorer only ever asks such a set for membership, union and equality,
+/// which are then single instructions, and a search frame or a dedup key
+/// that holds one owns no heap. [`Dependence::check_width`] refuses the
+/// workloads whose events do not fit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub(crate) struct EventSet(u128);
+
+impl EventSet {
+    pub fn contains(self, dep: &Dependence, event: Event) -> bool {
+        self.0 >> dep.slot(event) & 1 == 1
+    }
+
+    pub fn insert(&mut self, dep: &Dependence, event: Event) {
+        self.0 |= 1 << dep.slot(event);
+    }
+
+    pub fn union(&mut self, other: EventSet) {
+        self.0 |= other.0;
+    }
+
+    /// The members, in slot order.
+    pub fn iter(self, dep: &Dependence) -> impl Iterator<Item = Event> + '_ {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let slot = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Event {
+                    thread: slot / dep.shapes,
+                    ccr: CcrId(slot % dep.shapes / 2),
+                    fired: slot % 2 == 1,
+                }
+            })
+        })
+    }
+}
 
 /// Pairwise fire-independence verdicts from the solver-discharged
 /// refinement (`expresso_vcgen::refine_independence`), keyed on
@@ -199,6 +238,31 @@ impl Dependence {
         }
     }
 
+    /// The bit of `event` in an [`EventSet`].
+    fn slot(&self, event: Event) -> usize {
+        event.thread * self.shapes + shape(event)
+    }
+
+    /// Refuses a workload of `threads` threads whose events — one per
+    /// thread, CCR and outcome — outnumber the bits of an [`EventSet`]: a
+    /// shift past the word would wrap in a release build and alias two
+    /// events.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::TooLarge`], with the count.
+    pub(crate) fn check_width(&self, threads: usize) -> Result<(), ExecError> {
+        let events = threads.saturating_mul(self.shapes);
+        if events > u128::BITS as usize {
+            return Err(ExecError::TooLarge(format!(
+                "{threads} threads x {} CCRs x 2 outcomes = {events} events; an event set holds {}",
+                self.shapes / 2,
+                u128::BITS
+            )));
+        }
+        Ok(())
+    }
+
     /// Whether two transitions are dependent under the (possibly refined)
     /// relation. Same-thread transitions are always dependent (program
     /// order).
@@ -226,16 +290,14 @@ impl Dependence {
     /// otherwise a slept event can survive down a branch until it is the
     /// only enabled continuation, starving the branch into a
     /// sleep-set-blocked terminal.
-    pub(crate) fn inherit_sleep(
-        &self,
-        sleep: &BTreeSet<Event>,
-        executed: Event,
-    ) -> BTreeSet<Event> {
-        sleep
-            .iter()
-            .copied()
-            .filter(|ev| !self.dependent_conservative(*ev, executed))
-            .collect()
+    pub(crate) fn inherit_sleep(&self, sleep: EventSet, executed: Event) -> EventSet {
+        let mut kept = EventSet::default();
+        for event in sleep.iter(self) {
+            if !self.dependent_conservative(event, executed) {
+                kept.insert(self, event);
+            }
+        }
+        kept
     }
 }
 

@@ -1,11 +1,18 @@
 //! The per-root DFS engine: source sets with wakeup trees (Optimal DPOR),
 //! sleep sets, preemption bounding and fingerprint dedup over the paired
 //! steppers.
+//!
+//! The search walks *one* pair of steppers down and up
+//! ([`Pair::step`] / [`Pair::unstep`]); a frame of its stack holds
+//! bookkeeping only — event sets as words, its enabled events as a slice of
+//! one buffer all frames share — so pushing a frame copies no configuration
+//! and allocates nothing. What still allocates is what a race creates: the
+//! wakeup sequences.
 
-use crate::dependence::Dependence;
+use crate::dependence::{Dependence, EventSet};
 use crate::{DirectionStats, ExploreConfig, Strategy};
 use expresso_semantics::{Event, ExecError, Stepper};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// The two semantics run in lockstep: scheduling choices are drawn from the
 /// *driver*'s enabled set; the *follower* (absent in counting-only runs)
@@ -22,22 +29,27 @@ pub(crate) struct Pair<'a> {
 pub(crate) enum StepOutcome {
     Ok,
     /// The follower rejected the event or disagreed on the resulting state.
+    /// The pair is spent: the driver has stepped and the follower may not
+    /// have.
     Divergence(String),
 }
 
 impl Pair<'_> {
-    /// Steps both semantics. The event must come from the driver's enabled
-    /// set; a driver rejection is therefore an internal error, while a
-    /// follower rejection is a conformance divergence.
-    ///
     /// A spurious re-block (rule 1b: the driver's thread is already blocked
     /// and goes back to sleep) is driver-internal notified-set bookkeeping —
     /// it changes no observable state, and the follower's notified set
     /// legitimately differs (e.g. an unconditional signal notifies a
     /// false-guard waiter the implicit wake loop never would). Forwarding it
     /// would report a false divergence, so the follower skips the stutter.
+    fn stutters(&self, event: Event) -> bool {
+        !event.fired && self.driver.is_blocked(event.thread)
+    }
+
+    /// Steps both semantics. The event must come from the driver's enabled
+    /// set; a driver rejection is therefore an internal error, while a
+    /// follower rejection is a conformance divergence.
     pub fn step(&mut self, event: Event) -> Result<StepOutcome, ExecError> {
-        let stutter = !event.fired && self.driver.is_blocked(event.thread);
+        let stutter = self.stutters(event);
         self.driver.step(event)?;
         if stutter {
             return Ok(StepOutcome::Ok);
@@ -45,7 +57,7 @@ impl Pair<'_> {
         if let Some(follower) = &mut self.follower {
             match follower.step(event) {
                 Ok(()) => {
-                    if follower.shared() != self.driver.shared() {
+                    if follower.frame() != self.driver.frame() {
                         return Ok(StepOutcome::Divergence(format!(
                             "shared-state snapshots diverged after {event}"
                         )));
@@ -60,6 +72,18 @@ impl Pair<'_> {
             }
         }
         Ok(StepOutcome::Ok)
+    }
+
+    /// Takes back the last [`Pair::step`] that returned [`StepOutcome::Ok`].
+    /// Whether the follower took part is read off the restored driver, the
+    /// way `step` read it.
+    pub fn unstep(&mut self) {
+        let event = self.driver.unstep().expect("a step to take back");
+        if !self.stutters(event) {
+            if let Some(follower) = &mut self.follower {
+                follower.unstep();
+            }
+        }
     }
 
     fn fingerprint(&self) -> (u64, u64) {
@@ -78,7 +102,7 @@ impl Pair<'_> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     fingerprint: (u64, u64),
-    sleep: Vec<Event>,
+    sleep: EventSet,
     forced: Vec<Event>,
     steps: usize,
     budget: Option<usize>,
@@ -100,17 +124,19 @@ struct CacheKey {
 /// hit is only taken when no cached event can race with the live ancestry
 /// (the `relocatable` guard at the merge site).
 struct CacheEntry {
-    summary: BTreeSet<Event>,
+    summary: EventSet,
+    /// The subtree's logical counters; none of it is live work on a hit.
     stats: DirectionStats,
     parent_inserts: Vec<Vec<Event>>,
 }
 
-/// One frame of the DFS stack: the configuration *before* a scheduling
-/// choice, plus the exploration bookkeeping attached to it.
-struct Node<'a> {
-    pair: Pair<'a>,
-    /// The driver's enabled events, in deterministic thread order.
-    enabled: Vec<Event>,
+/// One frame of the DFS stack: the exploration bookkeeping of the
+/// configuration the pair is in when the frame is on top, *before* a
+/// scheduling choice. The frame above it is one [`Pair::step`] further.
+struct Node {
+    /// The driver's enabled events, in deterministic thread order: this
+    /// frame's range of the buffer all frames share.
+    enabled: (usize, usize),
     /// Wakeup sequences scheduled by races found deeper in the search; each
     /// becomes a forced branch unless the sleep set proves it redundant
     /// first. (Under [`Strategy::Naive`] this is pre-seeded with every
@@ -124,7 +150,7 @@ struct Node<'a> {
     /// branches come only from `pending`.
     started: bool,
     /// Events whose exploration from this node is redundant (sleep set).
-    sleep: BTreeSet<Event>,
+    sleep: EventSet,
     /// Remaining preemption budget on the path to this node.
     budget: Option<usize>,
     /// Thread of the event that created this node (preemption accounting).
@@ -134,19 +160,25 @@ struct Node<'a> {
     /// Counters of the subtree rooted here (cache merges included).
     sub: DirectionStats,
     /// Every event executed in the subtree rooted here.
-    summary: BTreeSet<Event>,
+    summary: EventSet,
     /// Wakeup-sequence candidates races in this node's subtree aimed at its
     /// parent frame (recorded before the reversibility filter, which is the
     /// one context-dependent condition — re-evaluated on replay).
     parent_inserts: Vec<Vec<Event>>,
 }
 
-impl<'a> Node<'a> {
+impl Node {
+    /// This frame's enabled events, out of the buffer all frames share.
+    fn enabled<'e>(&self, events: &'e [Event]) -> &'e [Event] {
+        &events[self.enabled.0..self.enabled.1]
+    }
+
+    /// A frame whose `enabled` events sit at `from` in the shared buffer.
     #[allow(clippy::too_many_arguments)]
     fn new(
-        pair: Pair<'a>,
-        enabled: Vec<Event>,
-        sleep: BTreeSet<Event>,
+        from: usize,
+        enabled: &[Event],
+        sleep: EventSet,
         budget: Option<usize>,
         last_thread: Option<usize>,
         key: Option<CacheKey>,
@@ -162,8 +194,7 @@ impl<'a> Node<'a> {
             (enabled.iter().map(|e| vec![*e]).collect(), Vec::new(), true)
         };
         Node {
-            pair,
-            enabled,
+            enabled: (from, from + enabled.len()),
             pending,
             forced,
             started,
@@ -172,15 +203,32 @@ impl<'a> Node<'a> {
             last_thread,
             key,
             sub: DirectionStats::default(),
-            summary: BTreeSet::new(),
+            summary: EventSet::default(),
             parent_inserts: Vec::new(),
         }
     }
 }
 
-/// Bitmask over path indices (the paths are bounded by
-/// [`ExploreConfig::max_steps`], so one or two words in practice).
-type Mask = Vec<u64>;
+/// Bitmask over path indices. A path is shorter than
+/// [`ExploreConfig::max_steps`], which [`check_depth`] holds to the width.
+type Mask = u128;
+
+/// Refuses a step bound whose schedules could outgrow a [`Mask`]: in a
+/// release build the shift for path index 128 would wrap onto index 0 and
+/// order two unrelated events.
+///
+/// # Errors
+///
+/// [`ExecError::TooLarge`], with the bound.
+pub(crate) fn check_depth(max_steps: usize) -> Result<(), ExecError> {
+    if max_steps > Mask::BITS as usize {
+        return Err(ExecError::TooLarge(format!(
+            "max_steps = {max_steps} events per schedule; a happens-before set holds {}",
+            Mask::BITS
+        )));
+    }
+    Ok(())
+}
 
 /// Happens-before sets of one executed event, tracked under both relations.
 /// Race detection and the covered-mask skip use the refined relation (that
@@ -188,31 +236,14 @@ type Mask = Vec<u64>;
 /// filtered by the conservative relation, whose independence preserves
 /// enabledness, so every forced reordering is actually executable — the
 /// property behind the `sleep_set_blocked == 0` optimality witness.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct Hb {
     refined: Mask,
     conservative: Mask,
 }
 
-fn mask_bit(mask: &Mask, i: usize) -> bool {
-    mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
-}
-
-fn mask_set(mask: &mut Mask, i: usize) {
-    let word = i / 64;
-    if mask.len() <= word {
-        mask.resize(word + 1, 0);
-    }
-    mask[word] |= 1 << (i % 64);
-}
-
-fn mask_or(dst: &mut Mask, src: &Mask) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d |= *s;
-    }
+fn mask_bit(mask: Mask, i: usize) -> bool {
+    mask >> i & 1 == 1
 }
 
 /// Optimal-DPOR race detection for executing `event` after `path`
@@ -225,7 +256,8 @@ fn mask_or(dst: &mut Mask, src: &Mask) {
 /// Returns `event`'s own happens-before mask for the frame about to be
 /// pushed.
 fn register_races(
-    stack: &mut [Node<'_>],
+    stack: &mut [Node],
+    events: &[Event],
     path: &[Event],
     hb: &[Hb],
     event: Event,
@@ -236,34 +268,36 @@ fn register_races(
     // predecessor i — transitive because each hb[i] already is. `covered`
     // tracks the refined relation (race detection); `conservative` the
     // unrefined one (wakeup-sequence construction).
-    let mut covered: Mask = Mask::new();
-    let mut conservative: Mask = Mask::new();
+    let mut covered: Mask = 0;
+    let mut conservative: Mask = 0;
     for i in (0..len).rev() {
         if dep.dependent_conservative(path[i], event) {
-            mask_or(&mut conservative, &hb[i].conservative);
-            mask_set(&mut conservative, i);
+            conservative |= hb[i].conservative | 1 << i;
         }
         if !dep.dependent(path[i], event) {
             continue;
         }
-        // A race is only schedulable when it is *reversible*: `event`'s
-        // thread must have been schedulable at `stack[i]` at all. When it
-        // was sitting in the blocked queue there (the raced-out event is
-        // what woke it), the "reversal" is not an execution — the blocked
-        // interleavings were already covered through the block event's own
-        // races when it was executed upstream.
-        let reversible = stack[i].enabled.iter().any(|e| e.thread == event.thread);
-        if path[i].thread != event.thread && !mask_bit(&covered, i) {
+        if path[i].thread != event.thread && !mask_bit(covered, i) {
             // The reversal's content is the conservative notdep: events
             // conservatively ordered after `path[i]` are dropped, and the
             // conservative hb masks are transitively closed, so the
             // sequence is causally downward-closed within the window and
             // executes step for step from `stack[i]`.
             let mut v: Vec<Event> = (i + 1..len)
-                .filter(|&k| !mask_bit(&hb[k].conservative, i))
+                .filter(|&k| !mask_bit(hb[k].conservative, i))
                 .map(|k| path[k])
                 .collect();
             v.push(event);
+            // A race is only schedulable when it is *reversible*: `event`'s
+            // thread must have been schedulable at `stack[i]` at all. When
+            // it was sitting in the blocked queue there (the raced-out
+            // event is what woke it), the "reversal" is not an execution —
+            // the blocked interleavings were already covered through the
+            // block event's own races when it was executed upstream.
+            let reversible = stack[i]
+                .enabled(events)
+                .iter()
+                .any(|e| e.thread == event.thread);
             // Record the candidate on the frame directly above i before
             // the reversibility filter: everything else about this
             // insertion is a function of that frame's subtree and
@@ -280,8 +314,7 @@ fn register_races(
                 }
             }
         }
-        mask_or(&mut covered, &hb[i].refined);
-        mask_set(&mut covered, i);
+        covered |= hb[i].refined | 1 << i;
     }
     Hb {
         refined: covered,
@@ -296,9 +329,9 @@ fn register_races(
 /// (sliding the slept event to the front of `v`) must hold from the states
 /// actually traversed, so it uses the conservative relation; the refined
 /// one only holds under co-enabledness.
-fn redundant_by_sleep(v: &[Event], sleep: &BTreeSet<Event>, dep: &Dependence) -> bool {
+fn redundant_by_sleep(v: &[Event], sleep: EventSet, dep: &Dependence) -> bool {
     v.iter().enumerate().any(|(m, ev)| {
-        sleep.contains(ev) && v[..m].iter().all(|u| !dep.dependent_conservative(*u, *ev))
+        sleep.contains(dep, *ev) && v[..m].iter().all(|u| !dep.dependent_conservative(*u, *ev))
     })
 }
 
@@ -315,15 +348,15 @@ fn redundant_by_sleep(v: &[Event], sleep: &BTreeSet<Event>, dep: &Dependence) ->
 /// Only *other* threads' residuals matter: the slept transition is its own
 /// thread's next step, so program order already keeps that thread from
 /// running ahead of it.
-fn starved_by_sleep(sleep: &BTreeSet<Event>, driver: &Stepper<'_>, dep: &Dependence) -> bool {
-    sleep.iter().any(|s| {
+fn starved_by_sleep(sleep: EventSet, driver: &Stepper<'_>, dep: &Dependence) -> bool {
+    sleep.iter(dep).any(|s| {
         (0..driver.thread_count())
             .filter(|&t| t != s.thread)
             .all(|t| {
-                driver.residual_ccrs(t).into_iter().all(|ccr| {
+                driver.residual_ccrs(t).iter().all(|&ccr| {
                     [true, false].into_iter().all(|fired| {
                         !dep.dependent_conservative(
-                            *s,
+                            s,
                             Event {
                                 thread: t,
                                 ccr,
@@ -360,14 +393,14 @@ pub(crate) fn spend_preemption_budget(
 /// failed, the full diverging event sequence with the follower's reason.
 pub(crate) type RootOutcome = Result<(DirectionStats, Option<(Vec<Event>, String)>), ExecError>;
 
-/// Exhaustively explores the subtree rooted at `root` (created by executing
-/// `prefix` from the initial configuration). Returns the subtree's counters
-/// and, when the lockstep check failed, the full diverging event sequence
-/// with the follower's reason.
-pub(crate) fn explore_root<'a>(
-    root: Pair<'a>,
+/// Exhaustively explores the subtree rooted at `pair`'s configuration
+/// (created by executing `prefix` from the initial one). Returns the
+/// subtree's counters and, when the lockstep check failed, the full
+/// diverging event sequence with the follower's reason.
+pub(crate) fn explore_root(
+    mut pair: Pair<'_>,
     prefix: Vec<Event>,
-    sleep: BTreeSet<Event>,
+    sleep: EventSet,
     budget: Option<usize>,
     last_thread: Option<usize>,
     dep: &Dependence,
@@ -382,23 +415,25 @@ pub(crate) fn explore_root<'a>(
     // the wall-clock governor behind `max_executions_per_root`.
     let mut live_execs = 0usize;
 
-    let enabled = root.driver.enabled_events()?;
-    if root.driver.steps() >= cfg.max_steps {
+    // The enabled events of every frame on the stack, bottom frame first.
+    let mut events: Vec<Event> = Vec::new();
+    pair.driver.enabled_into(&mut events)?;
+    if pair.driver.steps() >= cfg.max_steps {
         stats.executions += 1;
         stats.depth_capped += 1;
         return Ok((stats, None));
     }
-    if enabled.is_empty() {
+    if events.is_empty() {
         stats.executions += 1;
         return Ok((stats, None));
     }
-    if enabled.iter().all(|ev| sleep.contains(ev)) {
+    if events.iter().all(|ev| sleep.contains(dep, *ev)) {
         // A split-phase prefix whose every continuation an earlier sibling
         // covers: cut before any work is done.
         stats.sleep_prunes += 1;
         return Ok((stats, None));
     }
-    if dpor && starved_by_sleep(&sleep, &root.driver, dep) {
+    if dpor && starved_by_sleep(sleep, &pair.driver, dep) {
         // A slept transition commutes with this root's entire residual
         // program: every descent here would starve into a sleep-set-blocked
         // leaf. Covered by the sibling root that ran it first.
@@ -406,8 +441,8 @@ pub(crate) fn explore_root<'a>(
         return Ok((stats, None));
     }
     let mut stack = vec![Node::new(
-        root,
-        enabled,
+        0,
+        &events,
         sleep,
         budget,
         last_thread,
@@ -437,32 +472,32 @@ pub(crate) fn explore_root<'a>(
         let mut selection: Option<(Event, Option<usize>, Vec<Event>)> = None;
         loop {
             let top = &mut stack[top_idx];
+            let enabled = top.enabled(&events);
             if !top.started {
                 top.started = true;
-                let forced = std::mem::take(&mut top.forced);
+                let mut forced = std::mem::take(&mut top.forced);
                 if let Some(first) = forced.first() {
-                    let actual = top
-                        .enabled
+                    let actual = enabled
                         .iter()
                         .copied()
                         .find(|e| e.thread == first.thread)
-                        .filter(|ev| !top.sleep.contains(ev));
+                        .filter(|ev| !top.sleep.contains(dep, *ev));
                     if let Some(ev) = actual {
-                        match spend_preemption_budget(top.budget, top.last_thread, &top.enabled, ev)
-                        {
+                        match spend_preemption_budget(top.budget, top.last_thread, enabled, ev) {
                             Some(b) => {
-                                selection = Some((ev, b, forced[1..].to_vec()));
+                                forced.remove(0);
+                                selection = Some((ev, b, forced));
                                 break;
                             }
                             None => top.sub.preemption_prunes += 1,
                         }
                     }
                 }
-                for ev in top.enabled.clone() {
-                    if top.sleep.contains(&ev) {
+                for &ev in enabled {
+                    if top.sleep.contains(dep, ev) {
                         continue;
                     }
-                    match spend_preemption_budget(top.budget, top.last_thread, &top.enabled, ev) {
+                    match spend_preemption_budget(top.budget, top.last_thread, enabled, ev) {
                         Some(b) => {
                             selection = Some((ev, b, Vec::new()));
                             break;
@@ -475,79 +510,78 @@ pub(crate) fn explore_root<'a>(
                 }
                 continue;
             }
-            let Some(v) = top.pending.pop_front() else {
+            let Some(mut v) = top.pending.pop_front() else {
                 break;
             };
-            if dpor && redundant_by_sleep(&v, &top.sleep, dep) {
+            if dpor && redundant_by_sleep(&v, top.sleep, dep) {
                 top.sub.sleep_prunes += 1;
                 continue;
             }
-            let Some(ev) = top
-                .enabled
-                .iter()
-                .copied()
-                .find(|e| e.thread == v[0].thread)
-            else {
+            let Some(ev) = enabled.iter().copied().find(|e| e.thread == v[0].thread) else {
                 // The sequence's first thread is no longer schedulable in
                 // this shape (its event changed across the reordering):
                 // degrade to the conservative thread-granularity fallback.
-                for ev in top.enabled.clone() {
-                    let v = vec![ev];
-                    if !top.pending.contains(&v) {
-                        top.pending.push_back(v);
+                for &ev in enabled {
+                    if !top.pending.iter().any(|p| p[..] == [ev]) {
+                        top.pending.push_back(vec![ev]);
                     }
                 }
                 continue;
             };
-            if top.sleep.contains(&ev) {
+            if top.sleep.contains(dep, ev) {
                 top.sub.sleep_prunes += 1;
                 continue;
             }
-            match spend_preemption_budget(top.budget, top.last_thread, &top.enabled, ev) {
+            match spend_preemption_budget(top.budget, top.last_thread, enabled, ev) {
                 Some(b) => {
-                    selection = Some((ev, b, v[1..].to_vec()));
+                    v.remove(0);
+                    selection = Some((ev, b, v));
                     break;
                 }
                 None => top.sub.preemption_prunes += 1,
             }
         }
         let Some((event, child_budget, forced_rest)) = selection else {
-            // Node exhausted: cache the completed subtree and fold it into
-            // the parent.
-            let mut node = stack.pop().expect("loop runs with a non-empty stack");
-            if let Some(key) = node.key.take() {
-                cache.insert(
-                    key,
-                    CacheEntry {
-                        summary: node.summary.clone(),
-                        stats: node.sub.clone(),
-                        parent_inserts: node.parent_inserts.clone(),
-                    },
-                );
-            }
+            // Node exhausted: fold the completed subtree into the parent and
+            // keep it for the next configuration that matches its key.
+            let node = stack.pop().expect("loop runs with a non-empty stack");
+            events.truncate(node.enabled.0);
             let Some(parent) = stack.last_mut() else {
                 stats.merge(&node.sub);
                 return Ok((stats, None));
             };
+            pair.unstep();
             let incoming = path.pop().expect("non-root frame has an incoming event");
             hb.pop();
             parent.sub.merge(&node.sub);
             if dpor {
-                parent.sleep.insert(incoming);
+                parent.sleep.insert(dep, incoming);
             }
-            parent.summary.insert(incoming);
-            parent.summary.extend(node.summary.iter().copied());
+            parent.summary.insert(dep, incoming);
+            parent.summary.union(node.summary);
+            if let Some(key) = node.key {
+                cache.insert(
+                    key,
+                    CacheEntry {
+                        summary: node.summary,
+                        stats: DirectionStats {
+                            live_transitions: 0,
+                            ..node.sub
+                        },
+                        parent_inserts: node.parent_inserts,
+                    },
+                );
+            }
             continue;
         };
 
         let event_hb = if dpor {
-            register_races(&mut stack, &path, &hb, event, dep)
+            register_races(&mut stack, &events, &path, &hb, event, dep)
         } else {
             Hb::default()
         };
 
-        let mut child_pair = stack[top_idx].pair.clone();
-        match child_pair.step(event)? {
+        match pair.step(event)? {
             StepOutcome::Ok => {}
             StepOutcome::Divergence(reason) => {
                 let mut full = prefix;
@@ -557,24 +591,32 @@ pub(crate) fn explore_root<'a>(
                     stats.merge(&node.sub);
                 }
                 stats.transitions += 1;
+                stats.live_transitions += 1;
                 return Ok((stats, Some((full, reason))));
             }
         }
-        stack[top_idx].sub.transitions += 1;
+        let top = &mut stack[top_idx];
+        top.sub.transitions += 1;
+        top.sub.live_transitions += 1;
 
-        let child_sleep: BTreeSet<Event> = if dpor {
-            dep.inherit_sleep(&stack[top_idx].sleep, event)
+        let child_sleep = if dpor {
+            dep.inherit_sleep(top.sleep, event)
         } else {
-            BTreeSet::new()
+            EventSet::default()
         };
-        let child_enabled = child_pair.driver.enabled_events()?;
+        let child_from = events.len();
+        pair.driver.enabled_into(&mut events)?;
+        let child_enabled = &events[child_from..];
 
         // Terminal child states are accounted without pushing a frame.
-        let terminal = if child_pair.driver.steps() >= cfg.max_steps {
+        let terminal = if pair.driver.steps() >= cfg.max_steps {
             Some((1usize, 1usize, 0usize, 0usize)) // (executions, depth_capped, blocked, starved)
         } else if child_enabled.is_empty() {
             Some((1, 0, 0, 0))
-        } else if child_enabled.iter().all(|ev| child_sleep.contains(ev)) {
+        } else if child_enabled
+            .iter()
+            .all(|ev| child_sleep.contains(dep, *ev))
+        {
             // Every remaining continuation is equivalent to an explored
             // execution. How we got here decides the classification: a
             // *block* step writes nothing and notifies nobody, so no other
@@ -588,7 +630,7 @@ pub(crate) fn explore_root<'a>(
             } else {
                 Some((0, 0, 0, 1))
             }
-        } else if dpor && starved_by_sleep(&child_sleep, &child_pair.driver, dep) {
+        } else if dpor && starved_by_sleep(child_sleep, &pair.driver, dep) {
             // A slept transition commutes with the entire residual program:
             // the subtree can only end sleep-set-blocked, and the sibling
             // that ran the slept transition first already covers it.
@@ -597,24 +639,25 @@ pub(crate) fn explore_root<'a>(
             None
         };
         if let Some((execs, capped, blocked, starved)) = terminal {
-            let top = &mut stack[top_idx];
+            events.truncate(child_from);
+            pair.unstep();
             top.sub.executions += execs;
             top.sub.depth_capped += capped;
             top.sub.sleep_set_blocked += blocked;
             top.sub.sleep_prunes += starved;
             live_execs += execs;
             if dpor {
-                top.sleep.insert(event);
+                top.sleep.insert(dep, event);
             }
-            top.summary.insert(event);
+            top.summary.insert(dep, event);
             continue;
         }
 
         let key = dedup.then(|| CacheKey {
-            fingerprint: child_pair.fingerprint(),
-            sleep: child_sleep.iter().copied().collect(),
+            fingerprint: pair.fingerprint(),
+            sleep: child_sleep,
             forced: forced_rest.clone(),
-            steps: child_pair.driver.steps(),
+            steps: pair.driver.steps(),
             budget: child_budget,
             // Which thread ran last shapes the subtree only while a
             // preemption bound is active; keying on it unconditionally would
@@ -622,48 +665,43 @@ pub(crate) fn explore_root<'a>(
             last_thread: child_budget.and(Some(event.thread)),
             incoming: event,
         });
-        let merge = key.as_ref().and_then(|k| cache.get(k)).and_then(|entry| {
-            // Exactness guard: a live walk of the subtree must register no
-            // race against any frame strictly above the current one — those
-            // reversals are not captured by the entry. The incoming event
-            // itself is part of the key, so its parent-frame races are.
-            let relocatable = entry.summary.iter().all(|ev| {
+        // Exactness guard: a live walk of the subtree must register no race
+        // against any frame strictly above the current one — those reversals
+        // are not captured by the entry. The incoming event itself is part
+        // of the key, so its parent-frame races are.
+        let merge = key.as_ref().and_then(|k| cache.get(k)).filter(|entry| {
+            entry.summary.iter(dep).all(|ev| {
                 path.iter()
-                    .all(|p| p.thread == ev.thread || !dep.dependent(*p, *ev))
-            });
-            relocatable.then(|| {
-                (
-                    entry.stats.clone(),
-                    entry.summary.iter().copied().collect::<Vec<Event>>(),
-                    entry.parent_inserts.clone(),
-                )
+                    .all(|p| p.thread == ev.thread || !dep.dependent(*p, ev))
             })
         });
-        if let Some((merged_stats, summary, inserts)) = merge {
-            let top = &mut stack[top_idx];
+        if let Some(entry) = merge {
             // Replay the wakeup sequences the subtree scheduled at its
             // parent frame, re-checking reversibility (the one condition
             // that reads this frame rather than the subtree).
-            for v in inserts {
+            let enabled = top.enabled(&events);
+            for v in &entry.parent_inserts {
                 let target = *v.last().expect("wakeup sequences are non-empty");
-                let reversible = top.enabled.iter().any(|e| e.thread == target.thread);
-                if reversible && !top.pending.contains(&v) {
-                    top.pending.push_back(v);
+                let reversible = enabled.iter().any(|e| e.thread == target.thread);
+                if reversible && !top.pending.contains(v) {
+                    top.pending.push_back(v.clone());
                 }
             }
             top.sub.dedup_hits += 1;
-            top.sub.merge(&merged_stats);
-            top.sleep.insert(event);
-            top.summary.insert(event);
-            top.summary.extend(summary);
+            top.sub.merge(&entry.stats);
+            top.sleep.insert(dep, event);
+            top.summary.insert(dep, event);
+            top.summary.union(entry.summary);
+            events.truncate(child_from);
+            pair.unstep();
             continue;
         }
 
         path.push(event);
         hb.push(event_hb);
         stack.push(Node::new(
-            child_pair,
-            child_enabled,
+            child_from,
+            &events[child_from..],
             child_sleep,
             child_budget,
             Some(event.thread),

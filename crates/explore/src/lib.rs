@@ -6,11 +6,13 @@
 //! (each thread runs a fixed sequence of monitor calls) it enumerates every
 //! schedule of one semantics — the **driver** — through the shared
 //! [`expresso_semantics::Stepper`], while a **follower** stepper of the
-//! other semantics executes the same events in lockstep. A follower that
-//! rejects an event, or disagrees on the shared-state snapshot after one, is
-//! a Definition 3.4 violation, reported with a greedily minimized
-//! counterexample schedule. Running both directions (implicit driver, then
-//! explicit driver) covers both trace inclusions of the definition.
+//! other semantics executes the same events in lockstep (one pair, stepped
+//! down a branch and back up it; nothing is copied per transition). A
+//! follower that rejects an event, or disagrees on the shared-state snapshot
+//! after one, is a Definition 3.4 violation, reported with a greedily
+//! minimized counterexample schedule. Running both directions (implicit
+//! driver, then explicit driver) covers both trace inclusions of the
+//! definition.
 //!
 //! # Reduction
 //!
@@ -63,6 +65,7 @@ mod dfs;
 
 pub use dependence::{Dependence, IndependenceTable};
 
+use dependence::EventSet;
 use dfs::{explore_root, Pair, StepOutcome};
 use expresso_core::Scheduler;
 use expresso_logic::Valuation;
@@ -106,7 +109,8 @@ pub enum Strategy {
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Maximum events per execution; longer schedules are cut and counted in
-    /// [`DirectionStats::depth_capped`].
+    /// [`DirectionStats::depth_capped`]. At most 128, the width of the
+    /// search's happens-before sets.
     pub max_steps: usize,
     /// Maximum preemptions per schedule (`None` = unbounded, the default:
     /// the bound trades completeness for depth).
@@ -167,6 +171,10 @@ pub struct DirectionStats {
     pub executions: usize,
     /// Events executed across the DFS.
     pub transitions: usize,
+    /// The events of [`DirectionStats::transitions`] a stepper actually
+    /// executed; the rest were answered by the dedup cache. What the
+    /// explorer's time divides by.
+    pub live_transitions: usize,
     /// Executions cut by [`ExploreConfig::max_steps`].
     pub depth_capped: usize,
     /// Choices and continuations skipped because the sleep set proved them
@@ -194,6 +202,7 @@ impl DirectionStats {
         vec![
             Metric::counter("executions", self.executions as u64),
             Metric::counter("transitions", self.transitions as u64),
+            Metric::counter("live_transitions", self.live_transitions as u64),
             Metric::counter("depth_capped", self.depth_capped as u64),
             Metric::counter("sleep_prunes", self.sleep_prunes as u64),
             Metric::counter("preemption_prunes", self.preemption_prunes as u64),
@@ -210,6 +219,7 @@ impl DirectionStats {
     pub fn merge(&mut self, other: &DirectionStats) {
         self.executions += other.executions;
         self.transitions += other.transitions;
+        self.live_transitions += other.live_transitions;
         self.depth_capped += other.depth_capped;
         self.sleep_prunes += other.sleep_prunes;
         self.preemption_prunes += other.preemption_prunes;
@@ -314,7 +324,10 @@ pub fn benchmark_workload(
 ///
 /// # Errors
 ///
-/// Propagates interpreter failures; divergences are *reported*, not errors.
+/// Propagates evaluation failures; divergences are *reported*, not errors.
+/// [`ExecError::TooLarge`] when the workload's events (threads x CCRs x 2)
+/// or [`ExploreConfig::max_steps`] are past the 128 bits of the sets the
+/// search keeps them in, and whatever [`Stepper::implicit`] refuses.
 pub fn explore(
     monitor: &Monitor,
     table: &VarTable,
@@ -330,14 +343,36 @@ pub fn explore(
     };
     let dep =
         Dependence::with_refinement(monitor, table, explicit, config.explore_spurious, refined);
+    dep.check_width(workload.programs.len())?;
+    dfs::check_depth(config.max_steps)?;
     let mut report = ExploreReport::default();
     if let Some(independence) = &config.independence {
         report.disjointness_queries = independence.queries;
         report.disjointness_cache_hits = independence.cache_hits;
     }
+    // The workload is resolved and the monitor compiled here, once per
+    // relation; every pair below is a copy of these two. The explorer
+    // reconstructs counterexamples from its own search path, so neither
+    // stepper records a trace.
+    let initial = || workload.initial.clone();
+    let programs = || workload.programs.clone();
+    let implicit = Stepper::implicit(monitor, table, initial(), programs())?.record_trace(false);
+    let explicit = Stepper::explicit(explicit, table, initial(), programs())?.record_trace(false);
     for mode in [SemanticsMode::Implicit, SemanticsMode::Explicit] {
-        let (stats, divergence) =
-            explore_direction(mode, monitor, table, explicit, workload, &dep, config)?;
+        let (driver, follower) = match mode {
+            SemanticsMode::Implicit => (implicit.clone(), &explicit),
+            SemanticsMode::Explicit => (
+                explicit
+                    .clone()
+                    .with_spurious_wakeups(config.explore_spurious),
+                &implicit,
+            ),
+        };
+        let pair = Pair {
+            driver,
+            follower: config.check.then(|| follower.clone()),
+        };
+        let (stats, divergence) = explore_direction(mode, &pair, &dep, config)?;
         match mode {
             SemanticsMode::Implicit => report.implicit = stats,
             SemanticsMode::Explicit => report.explicit = stats,
@@ -373,34 +408,31 @@ struct Prefix<'a> {
     /// split phase takes *every* enabled choice — a superset of any DPOR
     /// backtrack set, so the split stays complete — but later siblings still
     /// needn't re-explore schedules equivalent to an earlier sibling's.
-    sleep: std::collections::BTreeSet<Event>,
+    sleep: EventSet,
     budget: Option<usize>,
     last_thread: Option<usize>,
 }
 
+/// Explores one direction from `initial`, the lockstep pair of that
+/// direction in its initial configuration.
 fn explore_direction(
     mode: SemanticsMode,
-    monitor: &Monitor,
-    table: &VarTable,
-    explicit: &ExplicitMonitor,
-    workload: &Workload,
+    initial: &Pair<'_>,
     dep: &Dependence,
     cfg: &ExploreConfig,
 ) -> Result<(DirectionStats, Option<Divergence>), ExecError> {
-    let make_pair = || build_pair(mode, monitor, table, explicit, workload, cfg);
-
     let mut stats = DirectionStats::default();
     let minimize = |trace: Vec<Event>, reason: String| -> Divergence {
-        minimize_divergence(mode, &make_pair, trace, reason)
+        minimize_divergence(mode, initial, trace, reason)
     };
 
     // Phase 1: expand every schedule prefix of length `split_depth`, with no
     // pruning, so sibling roots cover every cross-prefix reordering.
     let dpor = cfg.strategy == Strategy::Dpor;
     let mut frontier = vec![Prefix {
-        pair: make_pair()?,
+        pair: initial.clone(),
         path: Vec::new(),
-        sleep: Default::default(),
+        sleep: EventSet::default(),
         budget: cfg.preemption_bound,
         last_thread: None,
     }];
@@ -417,14 +449,14 @@ fn explore_direction(
                 stats.executions += 1;
                 continue;
             }
-            if enabled.iter().all(|ev| prefix.sleep.contains(ev)) {
+            if enabled.iter().all(|ev| prefix.sleep.contains(dep, *ev)) {
                 stats.sleep_prunes += 1;
                 continue;
             }
             // Later siblings inherit earlier choices into their sleep set.
-            let mut sibling_sleep = prefix.sleep.clone();
+            let mut sibling_sleep = prefix.sleep;
             for event in enabled.iter().copied() {
-                if sibling_sleep.contains(&event) {
+                if sibling_sleep.contains(dep, event) {
                     stats.sleep_prunes += 1;
                     continue;
                 }
@@ -445,23 +477,25 @@ fn explore_direction(
                     StepOutcome::Ok => {}
                     StepOutcome::Divergence(reason) => {
                         stats.transitions += 1;
+                        stats.live_transitions += 1;
                         let mut trace = prefix.path.clone();
                         trace.push(event);
                         return Ok((stats, Some(minimize(trace, reason))));
                     }
                 }
                 stats.transitions += 1;
+                stats.live_transitions += 1;
                 let mut path = prefix.path.clone();
                 path.push(event);
                 next.push(Prefix {
                     pair,
                     path,
-                    sleep: dep.inherit_sleep(&sibling_sleep, event),
+                    sleep: dep.inherit_sleep(sibling_sleep, event),
                     budget,
                     last_thread: Some(event.thread),
                 });
                 if dpor {
-                    sibling_sleep.insert(event);
+                    sibling_sleep.insert(dep, event);
                 }
             }
         }
@@ -513,63 +547,19 @@ fn explore_direction(
     Ok((stats, divergence))
 }
 
-/// Builds the lockstep pair of one direction: the driver stepper plus —
-/// when checking is on — the follower of the other semantics.
-fn build_pair<'a>(
-    mode: SemanticsMode,
-    monitor: &'a Monitor,
-    table: &'a VarTable,
-    explicit: &'a ExplicitMonitor,
-    workload: &Workload,
-    cfg: &ExploreConfig,
-) -> Result<Pair<'a>, ExecError> {
-    // The explorer reconstructs counterexamples from its own search path, so
-    // neither stepper records a trace — the DFS clones them per transition.
-    let implicit = || {
-        Stepper::implicit(
-            monitor,
-            table,
-            workload.initial.clone(),
-            workload.programs.clone(),
-        )
-        .map(|s| s.record_trace(false))
-    };
-    let explicit_stepper = || {
-        Stepper::explicit(
-            explicit,
-            table,
-            workload.initial.clone(),
-            workload.programs.clone(),
-        )
-        .map(|s| s.record_trace(false))
-    };
-    Ok(match mode {
-        SemanticsMode::Implicit => Pair {
-            driver: implicit()?,
-            follower: cfg.check.then(explicit_stepper).transpose()?,
-        },
-        SemanticsMode::Explicit => Pair {
-            driver: explicit_stepper()?.with_spurious_wakeups(cfg.explore_spurious),
-            follower: cfg.check.then(implicit).transpose()?,
-        },
-    })
-}
-
 /// Shrinks a diverging schedule with the shared greedy minimizer, replaying
-/// candidates through fresh lockstep pairs.
-fn minimize_divergence<'a>(
+/// candidates through fresh copies of the direction's `initial` pair.
+fn minimize_divergence(
     mode: SemanticsMode,
-    make_pair: &impl Fn() -> Result<Pair<'a>, ExecError>,
+    initial: &Pair<'_>,
     trace: Vec<Event>,
     reason: String,
 ) -> Divergence {
     let trace = minimize_schedule(trace, |steps: &[Event]| {
-        let Ok(mut pair) = make_pair() else {
-            return ReplayVerdict::Stuck { step: 0 };
-        };
+        let mut pair = initial.clone();
         for (i, &event) in steps.iter().enumerate() {
             // One implementation of the lockstep rules: `Pair::step`. An
-            // error (the driver rejecting the event, or an interpreter
+            // error (the driver rejecting the event, or an evaluation
             // failure) means the shrink produced an invalid schedule; a
             // reported divergence means the candidate still reproduces.
             match pair.step(event) {
@@ -862,6 +852,37 @@ mod tests {
             naive.executions(),
             "fully dependent workload: bounded DPOR must match bounded naive"
         );
+    }
+
+    #[test]
+    fn workloads_and_bounds_past_the_set_widths_are_errors() {
+        // Thread sets are 64 bits, event sets and happens-before masks 128:
+        // past either, a shift would wrap in a release build and alias two
+        // members, so the run is refused before it starts.
+        let monitor = parse_monitor(COUNTER).unwrap();
+        let table = check_monitor(&monitor).unwrap();
+        let explicit = ExplicitMonitor::broadcast_all(monitor.clone());
+        let run = |threads: usize, max_steps: usize| {
+            let w = workload(&monitor, &table, &vec!["release"; threads]);
+            let config = ExploreConfig {
+                max_steps,
+                ..ExploreConfig::default()
+            };
+            explore(&monitor, &table, &explicit, &w, &config)
+        };
+        let refused = |run: Result<ExploreReport, ExecError>| match run {
+            Err(ExecError::TooLarge(why)) => why,
+            other => panic!("expected a width error, got {other:?}"),
+        };
+        assert!(refused(run(65, 48)).contains("65 threads"));
+        // 33 threads x 2 CCRs x 2 outcomes = 132 events, four too many.
+        assert!(refused(run(33, 48)).contains("132 events"));
+        assert!(refused(run(2, 129)).contains("max_steps = 129"));
+        // One inside every width runs: a single call fits any step bound.
+        let widest = run(1, 128).unwrap();
+        assert_eq!(widest.executions(), 2);
+        let dep = Dependence::new(&monitor, &table, &explicit, false);
+        assert!(dep.check_width(32).is_ok(), "128 events fill the set");
     }
 
     #[test]

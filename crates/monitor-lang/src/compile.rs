@@ -2,11 +2,11 @@
 //!
 //! The [`Interpreter`](crate::Interpreter) walks `Expr`/`Stmt` trees over a
 //! [`Valuation`]: every variable access hashes a `String`, every `==` infers
-//! a type, every write allocates a key. That is the right shape for the trace
-//! semantics, which fork and compare states, and the wrong one for the
-//! concurrent engines, which evaluate the same few guards millions of times
-//! while holding the monitor's lock. A [`Program`] does the name and sort
-//! resolution once:
+//! a type, every write allocates a key. That is the right shape for a
+//! reference, and the wrong one for code that evaluates the same few guards
+//! millions of times: the concurrent engines, while they hold the monitor's
+//! lock, and the schedule explorer's `semantics::Stepper`, once or more per
+//! transition. A [`Program`] does the name and sort resolution once:
 //!
 //! * **[`Layout`]** — the `VarTable` made dense. Shared scalars, thread-local
 //!   scalars and shared arrays each get consecutive slots (in name order, so
@@ -40,13 +40,23 @@
 //! the scalars and logs the array elements it overwrites, so a body that
 //! faults half-way leaves the frame exactly as it found it.
 //!
+//! [`Frame::overwritten`] / [`Frame::restore`] (and [`Locals::slots`] /
+//! [`Locals::restore`]) let a caller that logged what a committed body
+//! replaced take it back; the stepper's `unstep` is built on them, no engine
+//! uses them.
+//!
 //! # Why the interpreter stays
 //!
-//! `initial_state`, `semantics::Stepper` and the trace semantics keep the
-//! tree-walking interpreter. The schedule explorer built on them is the
-//! oracle that judges the engines (Def. 3.4); it must not share an evaluator
-//! with what it judges, and it is also the reference this compiler is tested
-//! against.
+//! Compiled code now runs on both sides of Def. 3.4: in the engines, and in
+//! the `semantics::Stepper` of the schedule explorer that judges them. A
+//! judge may not silently inherit a bug of this file, so the tree-walking
+//! interpreter stays as the reference everywhere one is needed, and shares
+//! nothing with what it checks: `initial_state`; `run_implicit` /
+//! `run_explicit`, which replay on named state every trace the compiled
+//! stepper generates for `check_equivalence`; the reference stepper of
+//! `tests/stepper_lockstep`, stepped side by side with the compiled one over
+//! every schedule of every suite monitor at small bounds; and
+//! `tests/compile_differential.rs`, guard by guard and body by body.
 
 use crate::ast::{BinOp, CcrId, Expr, Monitor, Stmt, Type, UnOp};
 use crate::check::{check_monitor, infer_type, CheckError, Scope, VarTable};
@@ -245,9 +255,59 @@ impl PartialEq for Frame {
 
 impl Eq for Frame {}
 
+impl Frame {
+    /// The shared scalars in [`Layout`] order, booleans as `0`/`1`.
+    pub fn scalars(&self) -> &[i64] {
+        &self.scalars
+    }
+
+    /// The shared arrays in [`Layout`] order.
+    pub fn arrays(&self) -> &[Vec<i64>] {
+        &self.arrays
+    }
+
+    /// `(array, index, old value)` of every element the last
+    /// [`Program::exec`] overwrote, in write order (empty after a fault: the
+    /// elements are already back).
+    pub fn overwritten(&self) -> &[(u32, usize, i64)] {
+        &self.undo
+    }
+
+    /// Takes a committed [`Program::exec`] back: `scalars` as
+    /// [`Frame::scalars`] read before it, `elements` as
+    /// [`Frame::overwritten`] read after it (put back last write first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either was read from a frame of another layout.
+    pub fn restore(&mut self, scalars: &[i64], elements: &[(u32, usize, i64)]) {
+        self.scalars.copy_from_slice(scalars);
+        for &(array, index, old) in elements.iter().rev() {
+            self.arrays[array as usize][index] = old;
+        }
+    }
+}
+
 /// One caller's thread-local slots, each bound or not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Locals(Vec<Option<i64>>);
+
+impl Locals {
+    /// The slots in [`Layout`] order, `None` where unbound.
+    pub fn slots(&self) -> &[Option<i64>] {
+        &self.0
+    }
+
+    /// Overwrites every slot with `slots`, as read from locals of the same
+    /// layout, without reallocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` came from another layout.
+    pub fn restore(&mut self, slots: &[Option<i64>]) {
+        self.0.copy_from_slice(slots);
+    }
+}
 
 /// A compiled boolean expression of a [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

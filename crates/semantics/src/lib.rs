@@ -11,7 +11,10 @@
 //! Because monitors are infinite-state, the equivalence of Definition 3.4 is
 //! checked on *sampled* traces: the [`Simulator`] generates feasible
 //! (normalized) traces of one semantics and replays them under the other,
-//! comparing feasibility and final states.
+//! comparing feasibility and final states. Generation and replay share no
+//! evaluator: the [`Stepper`] behind the simulator (and behind the schedule
+//! explorer) runs compiled code over flat state, [`run_implicit`] /
+//! [`run_explicit`] the tree-walking interpreter over named state.
 
 pub mod equivalence;
 pub mod minimize;

@@ -1,4 +1,10 @@
 //! Monitor traces and the implicit / explicit transition relations.
+//!
+//! [`run_implicit`] and [`run_explicit`] are Figs. 4–6 as whole-trace replay
+//! on the tree-walking [`Interpreter`] over named state. They share no
+//! evaluator with the compiled [`Stepper`](crate::step::Stepper) that
+//! generates the traces they replay, which is what lets `check_equivalence`
+//! catch a stepper (or compiler) bug as an infeasible or diverging sample.
 
 use expresso_logic::Valuation;
 use expresso_monitor_lang::{
@@ -71,8 +77,11 @@ pub enum ExecError {
     /// The interpreter failed (unbound variable, bad array access, …).
     Runtime(RuntimeError),
     /// A trace event referenced an unknown thread or a CCR outside the
-    /// thread's method.
+    /// thread's method, or a thread's locals name shared state.
     MalformedTrace(String),
+    /// The workload or a bound is past the width of a fixed-size set (threads
+    /// of a stepper, events or depth of an exploration).
+    TooLarge(String),
 }
 
 impl fmt::Display for ExecError {
@@ -81,6 +90,7 @@ impl fmt::Display for ExecError {
             ExecError::Infeasible(m) => write!(f, "trace is infeasible: {m}"),
             ExecError::Runtime(e) => write!(f, "runtime error during replay: {e}"),
             ExecError::MalformedTrace(m) => write!(f, "malformed trace: {m}"),
+            ExecError::TooLarge(m) => write!(f, "too large to run: {m}"),
         }
     }
 }
@@ -104,9 +114,9 @@ pub struct TraceOutcome {
 }
 
 /// A blocked/notified entry: `(thread, ccr)` as in the paper's B and N sets.
-pub(crate) type Entry = (usize, CcrId);
+type Entry = (usize, CcrId);
 
-pub(crate) fn eval_guard(
+fn eval_guard(
     interp: &Interpreter<'_>,
     monitor: &Monitor,
     shared: &Valuation,
@@ -118,7 +128,7 @@ pub(crate) fn eval_guard(
     Ok(interp.eval_bool(&monitor.ccr(entry.1).guard, &view)?)
 }
 
-pub(crate) fn exec_body(
+fn exec_body(
     interp: &Interpreter<'_>,
     monitor: &Monitor,
     table: &VarTable,
@@ -152,6 +162,24 @@ pub(crate) fn exec_body(
     Ok(())
 }
 
+/// Refuses a thread whose locals name a shared variable (the smallest such
+/// name): [`eval_guard`] and [`exec_body`] merge locals over the shared state
+/// by name and write them back, so such a binding would forge shared state.
+fn reject_shared_bindings(table: &VarTable, threads: &[ThreadSpec]) -> Result<(), ExecError> {
+    for (t, spec) in threads.iter().enumerate() {
+        let locals = &spec.locals;
+        let names = locals
+            .ints()
+            .map(|(name, _)| name)
+            .chain(locals.bools().map(|(name, _)| name))
+            .chain(locals.arrays().map(|(name, _)| name));
+        if let Some(name) = names.filter(|name| table.is_shared(name)).min() {
+            return Err(crate::step::shared_binding(t, name));
+        }
+    }
+    Ok(())
+}
+
 fn validate_event(
     monitor: &Monitor,
     threads: &[ThreadSpec],
@@ -177,7 +205,8 @@ fn validate_event(
 /// # Errors
 ///
 /// Returns [`ExecError::Infeasible`] when the trace cannot be derived, and
-/// other variants for malformed traces or interpreter failures.
+/// other variants for malformed traces (a thread whose locals name a shared
+/// variable included) or interpreter failures.
 pub fn run_implicit(
     monitor: &Monitor,
     table: &VarTable,
@@ -185,6 +214,7 @@ pub fn run_implicit(
     threads: &[ThreadSpec],
     trace: &[Event],
 ) -> Result<TraceOutcome, ExecError> {
+    reject_shared_bindings(table, threads)?;
     let interp = Interpreter::new(table);
     let mut shared = initial.clone();
     let mut threads = threads.to_vec();
@@ -252,7 +282,8 @@ pub fn run_implicit(
 /// # Errors
 ///
 /// Returns [`ExecError::Infeasible`] when the trace cannot be derived under
-/// the monitor's signal/broadcast annotations.
+/// the monitor's signal/broadcast annotations, and
+/// [`ExecError::MalformedTrace`] as [`run_implicit`] does.
 pub fn run_explicit(
     explicit: &ExplicitMonitor,
     table: &VarTable,
@@ -260,6 +291,7 @@ pub fn run_explicit(
     threads: &[ThreadSpec],
     trace: &[Event],
 ) -> Result<TraceOutcome, ExecError> {
+    reject_shared_bindings(table, threads)?;
     let monitor = &explicit.monitor;
     let interp = Interpreter::new(table);
     let mut shared = initial.clone();
@@ -603,6 +635,41 @@ mod tests {
             let outcome = run_implicit(&m, &t, &init(&m, &t), &threads, &trace).unwrap();
             assert!(!outcome.used_spurious_wakeup);
         }
+    }
+
+    /// One acquirer whose `count` local would, merged over the shared state
+    /// by name, satisfy its own guard; the trace fires it.
+    fn forged_acquire(m: &Monitor) -> (Vec<ThreadSpec>, Trace) {
+        let mut forged = Valuation::new();
+        forged.set_int("count", 7);
+        let trace = vec![Event {
+            thread: 0,
+            ccr: m.method("acquire").unwrap().ccrs[0],
+            fired: true,
+        }];
+        (vec![ThreadSpec::with_locals("acquire", forged)], trace)
+    }
+
+    fn assert_names_count(replayed: Result<TraceOutcome, ExecError>) {
+        match replayed {
+            Err(ExecError::MalformedTrace(why)) => assert!(why.contains("`count`"), "{why}"),
+            other => panic!("a forged `count` must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_implicit_refuses_a_local_that_names_shared_state() {
+        let (m, t) = counter();
+        let (threads, trace) = forged_acquire(&m);
+        assert_names_count(run_implicit(&m, &t, &init(&m, &t), &threads, &trace));
+    }
+
+    #[test]
+    fn run_explicit_refuses_a_local_that_names_shared_state() {
+        let (m, t) = counter();
+        let (threads, trace) = forged_acquire(&m);
+        let noisy = ExplicitMonitor::broadcast_all(m.clone());
+        assert_names_count(run_explicit(&noisy, &t, &init(&m, &t), &threads, &trace));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! End-to-end tests of the systematic schedule explorer (`expresso-explore`):
 //! it must catch a planted wakeup-order-sensitive signal-placement bug that
 //! seeded random sampling demonstrably misses, hold (with a real reduction
-//! over naive enumeration) on correctly synthesized suite monitors, and
-//! report bit-identical exploration counts regardless of how many scheduler
-//! workers the subtrees fan out over.
+//! over naive enumeration) on correctly synthesized suite monitors, report
+//! bit-identical exploration counts regardless of how many scheduler
+//! workers the subtrees fan out over, and keep reporting the counts pinned
+//! below when its internals are made faster.
 
 use expresso_repro::core::{Expresso, Scheduler, SharedAnalysisContext};
 use expresso_repro::explore::{
@@ -391,5 +392,73 @@ fn exploration_counts_are_identical_across_analysis_threads() {
             "{}: exploration counters drifted across worker counts",
             benchmark.name
         );
+    }
+}
+
+/// `[executions, transitions, dedup_hits, sleep_prunes]` of the implicit-
+/// and of the explicit-driver direction, per suite monitor at 2 threads x 2
+/// operations under the refined relation, as the explorer reported them
+/// before its stepper ran compiled code and its search stopped copying
+/// configurations. A change that is only meant to make the search faster
+/// leaves every one of them alone; `reproduce diff` holds the 3 x 2 counts
+/// the same way, but only in CI.
+const PINNED_2X2: [(&str, [usize; 4], [usize; 4]); 16] = [
+    ("BoundedBuffer", [3, 12, 0, 0], [3, 12, 0, 0]),
+    ("H2OBarrier", [8, 47, 0, 0], [8, 47, 0, 0]),
+    ("SleepingBarber", [3, 12, 0, 0], [3, 12, 0, 0]),
+    ("RoundRobin", [8, 29, 0, 5], [8, 29, 0, 5]),
+    ("TicketedReadersWriters", [15, 91, 6, 14], [15, 91, 6, 14]),
+    ("ParameterizedBoundedBuffer", [6, 21, 0, 3], [6, 21, 0, 3]),
+    ("DiningPhilosophers", [23, 124, 0, 17], [23, 124, 0, 17]),
+    ("ReadersWriters", [21, 114, 7, 17], [21, 114, 7, 17]),
+    ("ConcurrencyThrottle", [13, 73, 5, 6], [13, 73, 5, 6]),
+    ("PendingPostQueue", [3, 12, 0, 0], [3, 12, 0, 0]),
+    ("AsyncDispatch", [6, 21, 0, 3], [6, 21, 0, 3]),
+    (
+        "SimpleBlockingDeployment",
+        [23, 124, 0, 17],
+        [23, 124, 0, 17],
+    ),
+    ("SimpleDecoder", [4, 26, 0, 2], [4, 26, 0, 2]),
+    ("AsyncOperationExecutor", [3, 12, 0, 0], [3, 12, 0, 0]),
+    ("BroadcastRing", [3, 18, 0, 0], [3, 18, 0, 0]),
+    ("WriterPriorityLock", [23, 146, 7, 8], [23, 146, 7, 8]),
+];
+
+#[test]
+fn refined_exploration_counters_are_pinned_at_two_by_two() {
+    let pipeline = Expresso::new();
+    let context = SharedAnalysisContext::new(pipeline.config());
+    let suite = expresso_repro::suite::all();
+    assert_eq!(suite.len(), PINNED_2X2.len());
+    for (benchmark, (name, implicit, explicit)) in suite.iter().zip(PINNED_2X2) {
+        assert_eq!(benchmark.name, name, "the suite's order changed");
+        let monitor = benchmark.monitor();
+        let table = check_monitor(&monitor).unwrap();
+        let outcome = pipeline.analyze_with_context(&context, &monitor).unwrap();
+        let workload = benchmark_workload(benchmark, &monitor, &table, 2, 2).unwrap();
+        let config = refined_config(&context, &monitor, &table, &ExploreConfig::default());
+        let report = explore(&monitor, &table, &outcome.explicit, &workload, &config).unwrap();
+        assert!(report.holds(), "{name}: {:?}", report.divergences);
+        for (direction, stats, pinned) in [
+            ("implicit", &report.implicit, implicit),
+            ("explicit", &report.explicit, explicit),
+        ] {
+            assert_eq!(
+                [
+                    stats.executions,
+                    stats.transitions,
+                    stats.dedup_hits,
+                    stats.sleep_prunes
+                ],
+                pinned,
+                "{name}, {direction} driver: [executions, transitions, dedup_hits, sleep_prunes]"
+            );
+            // Live transitions are the ones no cache hit answered.
+            assert!(stats.live_transitions <= stats.transitions, "{name}");
+            if stats.dedup_hits == 0 {
+                assert_eq!(stats.live_transitions, stats.transitions, "{name}");
+            }
+        }
     }
 }
