@@ -1,18 +1,23 @@
 //! The end-to-end Expresso pipeline: check → infer invariant → place signals.
 
-use crate::placement::{place_signals_with, PlacementConfig, PlacementReport};
+use crate::placement::{
+    assemble, place_signals_with, PlacementConfig, PlacementReport, SignalDecision,
+};
 use crate::scheduler::{Scheduler, SchedulerStats};
 use expresso_abduction::{infer_monitor_invariant_configured, AbductionConfig};
 use expresso_exec::Executor;
-use expresso_logic::{Formula, Interner, InternerStats};
+use expresso_logic::{Formula, FormulaId, Interner, InternerStats};
 use expresso_monitor_lang::{check_monitor, CheckError, ExplicitMonitor, Monitor, VarTable};
-use expresso_persist::{LoadResult, SaveReport, SeedReport};
+use expresso_persist::{
+    Artifact, DecisionRecord, LoadResult, OutcomeKey, OutcomeRecord, SaveReport, SeedReport,
+};
 use expresso_smt::{Solver, SolverStats};
 use expresso_vcgen::{DisjointnessStats, DisjointnessStore, WpCacheStats, WpStore};
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Once, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// Environment variable naming the warm-start cache directory, consulted when
@@ -46,9 +51,10 @@ pub struct ExpressoConfig {
     /// Directory of the persistent warm-start cache. `None` (the default)
     /// consults the `EXPRESSO_CACHE_DIR` environment variable; when that is
     /// unset too, persistence is disabled and every run starts cold. With a
-    /// directory in effect, [`SharedAnalysisContext::new`] seeds the solver
-    /// and WP caches from the on-disk artifact before the first analysis,
-    /// and [`SharedAnalysisContext::persist`] writes the tables back.
+    /// directory in effect, [`SharedAnalysisContext::new`] loads the on-disk
+    /// artifact, a monitor it holds an outcome record for is replayed
+    /// instead of analysed, and [`SharedAnalysisContext::persist`] writes
+    /// records and memo tables back.
     pub cache_dir: Option<PathBuf>,
     /// Chrome trace-event output file. `None` (the default) consults the
     /// `EXPRESSO_TRACE` environment variable; when that is unset too, span
@@ -105,7 +111,65 @@ pub struct SharedAnalysisContext {
     scheduler: Arc<Scheduler>,
     cache_dir: Option<PathBuf>,
     trace_path: Option<PathBuf>,
-    warm_start: Option<SeedReport>,
+    /// The validated artifact this context started from. Outcome records are
+    /// served from it as it is; its leaf sections are moved into the caches
+    /// above when `seed` runs — the one writer there is.
+    artifact: Option<RwLock<Box<Artifact>>>,
+    /// What `artifact` had on offer when it was loaded.
+    offered: Option<SeedReport>,
+    seed: Once,
+    /// Records of the monitors analysed (not replayed) here, for `persist`.
+    analysed: Mutex<Vec<OutcomeRecord<FormulaId>>>,
+    outcome_counters: Arc<OutcomeCounters>,
+}
+
+/// What became of the outcome lookups of one context (the `core.outcomes`
+/// metric group).
+#[derive(Debug, Default)]
+struct OutcomeCounters {
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    seed_forced: AtomicBool,
+}
+
+/// What a recorded outcome says of the monitor in hand.
+struct Replayed {
+    invariant: Formula,
+    explicit: ExplicitMonitor,
+    report: PlacementReport,
+    candidates: usize,
+    conjuncts: usize,
+}
+
+/// Rebuilds what `record` holds for `monitor`; `None` when the record names
+/// a CCR or guard the monitor does not have (or a count this platform cannot
+/// hold) — the record is then not this monitor's, whatever its key says.
+fn rebuild(artifact: &Artifact, record: &OutcomeRecord, monitor: &Monitor) -> Option<Replayed> {
+    let guards = monitor.guards();
+    let decisions = record
+        .decisions
+        .iter()
+        .map(|d| {
+            Some(SignalDecision {
+                ccr: monitor.ccrs.get(usize::try_from(d.ccr).ok()?)?.id,
+                predicate: guards.get(usize::try_from(d.guard).ok()?)?.clone(),
+                needed: d.needed,
+                condition: d.condition,
+                kind: d.kind,
+                used_commutativity: d.used_commutativity,
+                conservative_fallback: d.conservative_fallback,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let triples = usize::try_from(record.triples_checked).ok()?;
+    let (explicit, report) = assemble(monitor, decisions, triples);
+    Some(Replayed {
+        invariant: artifact.formula(record.invariant),
+        explicit,
+        report,
+        candidates: usize::try_from(record.candidates).ok()?,
+        conjuncts: usize::try_from(record.conjuncts).ok()?,
+    })
 }
 
 impl SharedAnalysisContext {
@@ -116,25 +180,31 @@ impl SharedAnalysisContext {
     ///
     /// When a cache directory is in effect ([`ExpressoConfig::cache_dir`],
     /// else the `EXPRESSO_CACHE_DIR` environment variable), the on-disk
-    /// artifact is loaded and seeded into the fresh caches here, before any
-    /// analysis runs: its node tables are interned through this context's
-    /// own arena — each distinct node once — and the memo tables are filled
-    /// by row, so arena-local ids never cross processes. A corrupt artifact
-    /// (truncated, bit-flipped, wrong format version, dangling row
+    /// artifact is read, checksummed and validated in full here — and
+    /// nothing more. Its outcome records answer for the monitors they were
+    /// computed from without any cache being filled. Its leaf sections are
+    /// **seeded on first use**: [`solver`](Self::solver),
+    /// [`wp_store`](Self::wp_store), [`disjointness`](Self::disjointness)
+    /// and [`persist`](Self::persist) intern the node tables through this
+    /// context's own arena — each distinct node once, so arena-local ids
+    /// never cross processes — and fill the memo tables by row, once,
+    /// before they return; whoever gets there first pays, everybody else
+    /// waits for it or never asks. A pass in which every monitor is replayed
+    /// therefore never seeds, and anything built on those four accessors
+    /// sees exactly the caches an eager seed would have left. A corrupt
+    /// artifact (truncated, bit-flipped, wrong format version, dangling row
     /// reference) degrades to a cold start with a warning on stderr — it
-    /// never panics and never seeds a partial table. Note that [`Expresso::analyze`] builds a private
-    /// context per call, so with the environment variable set each such call
-    /// warm-starts (and pays one artifact load) individually; suite harnesses
-    /// should build one context and use [`Expresso::analyze_suite`].
+    /// never panics and never seeds a partial table. [`Expresso::analyze`]
+    /// builds a private context per call, so with the environment variable
+    /// set each such call loads the artifact individually (and replays a
+    /// monitor it knows without seeding); suite harnesses should build one
+    /// context and use [`Expresso::analyze_suite`].
     pub fn new(config: &ExpressoConfig) -> Self {
-        let solver = Arc::new(Solver::new());
         let scheduler = if config.analysis_threads == 0 {
             Arc::clone(Scheduler::global())
         } else {
             Arc::new(Scheduler::with_analysis_threads(config.analysis_threads))
         };
-        let wp_store = Arc::new(WpStore::new());
-        let disjointness = Arc::new(DisjointnessStore::new());
         let cache_dir = config
             .cache_dir
             .clone()
@@ -146,15 +216,10 @@ impl SharedAnalysisContext {
         if trace_path.is_some() {
             expresso_obs::set_enabled(true);
         }
-        let warm_start = cache_dir
+        let artifact = cache_dir
             .as_deref()
             .and_then(|dir| match expresso_persist::load(dir) {
-                LoadResult::Loaded(artifact) => Some(expresso_persist::seed(
-                    &artifact,
-                    &solver,
-                    &wp_store,
-                    &disjointness,
-                )),
+                LoadResult::Loaded(artifact) => Some(artifact),
                 LoadResult::Absent => None,
                 LoadResult::Corrupt(reason) => {
                     expresso_obs::log!(
@@ -165,14 +230,39 @@ impl SharedAnalysisContext {
                 }
             });
         SharedAnalysisContext {
-            solver,
-            wp_store,
-            disjointness,
+            solver: Arc::new(Solver::new()),
+            wp_store: Arc::new(WpStore::new()),
+            disjointness: Arc::new(DisjointnessStore::new()),
             scheduler,
             cache_dir,
             trace_path,
-            warm_start,
+            offered: artifact.as_ref().map(|artifact| artifact.offers()),
+            artifact: artifact.map(RwLock::new),
+            seed: Once::new(),
+            analysed: Mutex::default(),
+            outcome_counters: Arc::default(),
         }
+    }
+
+    /// Seeds the artifact's leaf sections into the caches, once.
+    fn force_seed(&self) {
+        self.seed.call_once(|| {
+            if let Some(artifact) = &self.artifact {
+                artifact
+                    .write()
+                    .expect("no reader of the artifact panics")
+                    .seed_into(&self.solver, &self.wp_store, &self.disjointness);
+                self.outcome_counters
+                    .seed_forced
+                    .store(true, Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// The loaded artifact, for reading its outcome records and node tables.
+    fn artifact(&self) -> Option<RwLockReadGuard<'_, Box<Artifact>>> {
+        let artifact = self.artifact.as_ref()?;
+        Some(artifact.read().expect("seeding the artifact did not panic"))
     }
 
     /// The Chrome-trace output path in effect for this context, if any
@@ -202,8 +292,11 @@ impl SharedAnalysisContext {
 
     /// A [`expresso_obs::MetricsRegistry`] with every one of this context's
     /// subsystems pre-registered: solver, arena, WP store, disjointness
-    /// store and scheduler. Snapshots read live values, so one registry
-    /// built up front can be sampled before, during and after analyses.
+    /// store, scheduler and the outcome lookups (`core.outcomes`: monitors
+    /// replayed, monitors analysed for want of a record, whether the
+    /// deferred seed ran). Snapshots read live values — reading forces
+    /// nothing — so one registry built up front can be sampled before,
+    /// during and after analyses.
     pub fn metrics_registry(&self) -> expresso_obs::MetricsRegistry {
         let registry = expresso_obs::MetricsRegistry::new();
         let solver = Arc::clone(&self.solver);
@@ -216,6 +309,17 @@ impl SharedAnalysisContext {
         registry.register("vcgen.disjointness", move || disjointness.stats().metrics());
         let scheduler = Arc::clone(&self.scheduler);
         registry.register("core.scheduler", move || scheduler.stats().metrics());
+        let outcomes = Arc::clone(&self.outcome_counters);
+        registry.register("core.outcomes", move || {
+            use expresso_obs::Metric;
+            let count = |n: &AtomicUsize| n.load(Ordering::Relaxed) as u64;
+            let forced = outcomes.seed_forced.load(Ordering::Relaxed);
+            vec![
+                Metric::counter("outcome_hits", count(&outcomes.hits)),
+                Metric::counter("outcome_misses", count(&outcomes.misses)),
+                Metric::counter("seed_forced", u64::from(forced)),
+            ]
+        });
         registry
     }
 
@@ -224,50 +328,160 @@ impl SharedAnalysisContext {
         self.cache_dir.as_deref()
     }
 
-    /// What the artifact seeded into this context's caches at construction:
-    /// `None` for a cold start (no cache directory, no artifact yet, or a
-    /// corrupt one), per-table entry counts otherwise.
+    /// What the validated artifact this context loaded has on offer, per
+    /// section: `None` for a cold start (no cache directory, no artifact yet,
+    /// or a corrupt one). Reports, never seeds: the leaf counts are what the
+    /// first call of [`solver`](Self::solver) and its kin will insert, the
+    /// `outcomes` count what replay can answer from.
     pub fn warm_start(&self) -> Option<SeedReport> {
-        self.warm_start
+        self.offered
     }
 
-    /// Writes the context's current memo tables to the warm-start cache
-    /// directory (atomically — temp file plus rename — so concurrent writers
-    /// sharing the directory never produce a torn artifact). Returns `None`
+    /// Writes the context's current memo tables and outcome records — those
+    /// the artifact came with and those of the monitors analysed here — to
+    /// the warm-start cache directory (atomically — temp file plus rename —
+    /// so concurrent writers sharing the directory never produce a torn
+    /// artifact). Forces the deferred seed first, so a pass that replayed
+    /// everything writes back every leaf entry it was given. Returns `None`
     /// when no cache directory is in effect.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures creating the directory or writing the file.
     pub fn persist(&self) -> io::Result<Option<SaveReport>> {
-        match self.cache_dir.as_deref() {
-            None => Ok(None),
-            Some(dir) => {
-                expresso_persist::save(dir, &self.solver, &self.wp_store, &self.disjointness)
-                    .map(Some)
-            }
-        }
+        let Some(dir) = self.cache_dir.as_deref() else {
+            return Ok(None);
+        };
+        let solver = self.solver();
+        let outcomes = {
+            let artifact = self.artifact();
+            // The seed interned every row, so these trees only look their
+            // ids up.
+            let carried = artifact.iter().flat_map(|artifact| {
+                artifact.outcomes().iter().map(|record| {
+                    let invariant = solver
+                        .interner()
+                        .intern(&artifact.formula(record.invariant));
+                    record.clone().with_invariant(invariant)
+                })
+            });
+            let analysed = self.analysed.lock().expect("filing a record cannot panic");
+            carried.chain(analysed.iter().cloned()).collect()
+        };
+        expresso_persist::save(dir, solver, &self.wp_store, &self.disjointness, outcomes).map(Some)
     }
 
-    /// The shared memoizing solver.
+    /// The key `monitor`'s outcome is recorded under — when a cache
+    /// directory is in effect; without one nothing is looked up or filed.
+    fn outcome_key(&self, monitor: &Monitor, config: &ExpressoConfig) -> Option<OutcomeKey> {
+        self.cache_dir.as_ref()?;
+        Some(OutcomeKey::of(
+            monitor,
+            config.infer_invariant,
+            config.use_commutativity,
+        ))
+    }
+
+    /// Whether the loaded artifact holds a record under `key`.
+    fn holds(&self, key: &OutcomeKey) -> bool {
+        self.artifact()
+            .is_some_and(|artifact| artifact.outcome(key).is_some())
+    }
+
+    /// The recorded outcome of `monitor`, rebuilt — touching neither the
+    /// solver nor the arena — or `None` and a line in the debug log saying
+    /// why this monitor is analysed.
+    fn replay(&self, key: &OutcomeKey, monitor: &Monitor) -> Option<Replayed> {
+        let (replayed, why_not) = match self.artifact() {
+            None => (None, "no artifact was loaded"),
+            Some(artifact) => match artifact.outcome(key) {
+                None => (None, "the artifact has no record under its key"),
+                Some(record) => {
+                    let _span = expresso_obs::span!("core.replay", "{}", monitor.name);
+                    (
+                        rebuild(&artifact, record, monitor),
+                        "its record names a CCR or guard it does not have",
+                    )
+                }
+            },
+        };
+        let counters = &self.outcome_counters;
+        if replayed.is_some() {
+            counters.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            counters.misses.fetch_add(1, Ordering::Relaxed);
+            expresso_obs::log!(
+                expresso_obs::Level::Debug,
+                "analysing monitor {}: {why_not}",
+                monitor.name
+            );
+        }
+        replayed
+    }
+
+    /// Files what the analysis of `monitor` answered, for [`Self::persist`].
+    fn file(&self, key: OutcomeKey, monitor: &Monitor, outcome: &AnalysisOutcome) {
+        let index = |i: usize| u32::try_from(i).expect("a monitor has fewer than 2^32 CCRs");
+        let guards = monitor.guards();
+        let decisions = outcome
+            .report
+            .decisions
+            .iter()
+            .map(|d| DecisionRecord {
+                ccr: index(d.ccr.0),
+                guard: index(
+                    guards
+                        .iter()
+                        .position(|guard| *guard == d.predicate)
+                        .expect("placement decides guards of the monitor"),
+                ),
+                needed: d.needed,
+                condition: d.condition,
+                kind: d.kind,
+                used_commutativity: d.used_commutativity,
+                conservative_fallback: d.conservative_fallback,
+            })
+            .collect();
+        let record = OutcomeRecord {
+            key,
+            invariant: self.solver.interner().intern(&outcome.invariant),
+            candidates: outcome.stats.invariant_candidates as u64,
+            conjuncts: outcome.stats.invariant_conjuncts as u64,
+            triples_checked: outcome.report.triples_checked as u64,
+            decisions,
+        };
+        self.analysed
+            .lock()
+            .expect("filing a record cannot panic")
+            .push(record);
+    }
+
+    /// The shared memoizing solver, seeded from the artifact (see
+    /// [`Self::new`]).
     pub fn solver(&self) -> &Arc<Solver> {
+        self.force_seed();
         &self.solver
     }
 
-    /// The shared formula arena.
+    /// The shared formula arena. Does not force the deferred seed: interning
+    /// before or after it yields the same ids for the same nodes.
     pub fn interner(&self) -> &Arc<Interner> {
         self.solver.interner()
     }
 
-    /// The suite-wide fingerprinted WP store.
+    /// The suite-wide fingerprinted WP store, seeded from the artifact (see
+    /// [`Self::new`]).
     pub fn wp_store(&self) -> &Arc<WpStore> {
+        self.force_seed();
         &self.wp_store
     }
 
     /// The suite-wide CCR-pair disjointness/independence store backing the
     /// explorer's refined dependence relation. Seeded from the warm-start
-    /// artifact and persisted alongside the other memo tables.
+    /// artifact (see [`Self::new`]) and persisted alongside the other memo
+    /// tables.
     pub fn disjointness(&self) -> &Arc<DisjointnessStore> {
+        self.force_seed();
         &self.disjointness
     }
 
@@ -329,7 +543,9 @@ impl fmt::Display for ExpressoError {
 impl std::error::Error for ExpressoError {}
 
 /// Timing and counter statistics for one analysis run (Table 1 reports the
-/// total duration per benchmark).
+/// total duration per benchmark). An outcome replayed from a record reports
+/// the recorded triple, candidate and conjunct counts, and zero phase times,
+/// solver counters and WP counters: none of that work was done.
 #[derive(Debug, Clone)]
 pub struct AnalysisStats {
     /// Wall-clock time spent inferring the monitor invariant.
@@ -435,7 +651,9 @@ impl Expresso {
         self.analyze_with_context(&context, monitor)
     }
 
-    /// Analyses `monitor` against a shared arena and solver.
+    /// Analyses `monitor` against a shared arena and solver — or, when the
+    /// context's artifact holds the outcome of this very monitor under this
+    /// configuration, rebuilds that outcome without touching either.
     ///
     /// Starts a new analysis epoch on the shared solver, so the reported
     /// [`AnalysisStats::solver`] is the *delta* attributable to this monitor
@@ -450,7 +668,8 @@ impl Expresso {
         context: &SharedAnalysisContext,
         monitor: &Monitor,
     ) -> Result<AnalysisOutcome, ExpressoError> {
-        self.analyze_inner(context, monitor)
+        let key = context.outcome_key(monitor, &self.config);
+        self.analyze_keyed(context, monitor, key)
     }
 
     /// Analyses every monitor of a suite concurrently on the context's
@@ -466,6 +685,14 @@ impl Expresso {
     /// help-depth cap additionally bounds that nesting on arbitrarily large
     /// suites).
     ///
+    /// Monitors the context holds no outcome record for are submitted first,
+    /// in suite order: they are the long poles, and the replays of the rest
+    /// fill the other workers meanwhile. If there is one, the deferred seed
+    /// runs here, on the submitting thread, before the pool gets anything:
+    /// the caches then live in the heap of the thread that will free them,
+    /// which measured faster than hiding the seed behind the replays (they
+    /// are a tenth of it) and left the other threads' heaps alone.
+    ///
     /// Abduction's candidate-subset waves run on the same pool as everything
     /// else: a suite task mid-inference submits its waves as nested scoped
     /// tasks and helps drain them while it joins, so the most expensive
@@ -480,9 +707,22 @@ impl Expresso {
     ) -> Vec<Result<AnalysisOutcome, ExpressoError>> {
         let mut slots: Vec<Option<Result<AnalysisOutcome, ExpressoError>>> = Vec::new();
         slots.resize_with(monitors.len(), || None);
+        let mut tasks: Vec<_> = monitors
+            .iter()
+            .zip(slots.iter_mut())
+            .map(|(monitor, slot)| {
+                let key = context.outcome_key(monitor, &self.config);
+                let recorded = key.as_ref().is_some_and(|key| context.holds(key));
+                (recorded, monitor, key, slot)
+            })
+            .collect();
+        tasks.sort_by_key(|&(recorded, ..)| recorded);
+        if tasks.first().is_some_and(|&(recorded, ..)| !recorded) {
+            context.force_seed();
+        }
         context.scheduler().scope(|scope| {
-            for (monitor, slot) in monitors.iter().zip(slots.iter_mut()) {
-                scope.spawn(move || *slot = Some(self.analyze_inner(context, monitor)));
+            for (_, monitor, key, slot) in tasks {
+                scope.spawn(move || *slot = Some(self.analyze_keyed(context, monitor, key)));
             }
         });
         slots
@@ -491,10 +731,13 @@ impl Expresso {
             .collect()
     }
 
-    fn analyze_inner(
+    /// One monitor, with `key` what its outcome is looked up and filed
+    /// under (`None`: neither).
+    fn analyze_keyed(
         &self,
         context: &SharedAnalysisContext,
         monitor: &Monitor,
+        key: Option<OutcomeKey>,
     ) -> Result<AnalysisOutcome, ExpressoError> {
         let _analyze_span = expresso_obs::span!("core.analyze", "{}", monitor.name);
         let start = Instant::now();
@@ -502,6 +745,28 @@ impl Expresso {
             let _span = expresso_obs::span!("core.check");
             check_monitor(monitor).map_err(ExpressoError::Check)?
         };
+        // Before the context is asked for its solver: that is what seeds.
+        if let Some(replayed) = key.as_ref().and_then(|key| context.replay(key, monitor)) {
+            let stats = AnalysisStats {
+                invariant_time: Duration::ZERO,
+                placement_time: Duration::ZERO,
+                total_time: start.elapsed(),
+                triples_checked: replayed.report.triples_checked,
+                invariant_candidates: replayed.candidates,
+                invariant_conjuncts: replayed.conjuncts,
+                solver: SolverStats::default(),
+                wp_cache: WpCacheStats::default(),
+                interner: context.interner_stats(),
+                scheduler: context.scheduler_stats(),
+            };
+            return Ok(AnalysisOutcome {
+                explicit: replayed.explicit,
+                invariant: replayed.invariant,
+                table,
+                report: replayed.report,
+                stats,
+            });
+        }
         let solver = context.solver();
         solver.begin_analysis_epoch();
         let stats_before = solver.stats();
@@ -554,13 +819,17 @@ impl Expresso {
             interner: context.interner_stats(),
             scheduler: context.scheduler_stats(),
         };
-        Ok(AnalysisOutcome {
+        let outcome = AnalysisOutcome {
             explicit,
             invariant,
             table,
             report,
             stats,
-        })
+        };
+        if let Some(key) = key {
+            context.file(key, monitor, &outcome);
+        }
+        Ok(outcome)
     }
 }
 

@@ -230,16 +230,29 @@ pub fn place_signals_with(
         .scheduler
         .as_ref()
         .unwrap_or_else(|| Scheduler::global());
-    let outcomes = discharge_on_scheduler(scheduler, &ctx, &pairs);
+    let mut triples_checked = 0;
+    let decisions = discharge_on_scheduler(scheduler, &ctx, &pairs)
+        .into_iter()
+        .map(|(decision, triples)| {
+            triples_checked += triples;
+            decision
+        })
+        .collect();
+    assemble(monitor, decisions, triples_checked)
+}
 
-    let mut report = PlacementReport {
-        pairs_considered: pairs.len(),
-        ..PlacementReport::default()
-    };
+/// Σ and the report that follow from one decision per pair considered: the
+/// `needed` decisions of a CCR, in order, are its notifications. Shared with
+/// the replay of a recorded outcome, which has the decisions and no solver.
+pub(crate) fn assemble(
+    monitor: &Monitor,
+    decisions: Vec<SignalDecision>,
+    triples_checked: usize,
+) -> (ExplicitMonitor, PlacementReport) {
     let mut notifications: HashMap<CcrId, Vec<Notification>> =
         monitor.ccrs.iter().map(|c| (c.id, Vec::new())).collect();
-    for (decision, triples) in outcomes {
-        report.triples_checked += triples;
+    let mut skipped = 0;
+    for decision in &decisions {
         if decision.needed {
             notifications
                 .entry(decision.ccr)
@@ -250,14 +263,18 @@ pub fn place_signals_with(
                     kind: decision.kind,
                 });
         } else {
-            report.skipped += 1;
+            skipped += 1;
         }
-        report.decisions.push(decision);
     }
-
     let explicit = ExplicitMonitor {
         monitor: monitor.clone(),
         notifications,
+    };
+    let report = PlacementReport {
+        pairs_considered: decisions.len(),
+        decisions,
+        triples_checked,
+        skipped,
     };
     (explicit, report)
 }

@@ -1,5 +1,5 @@
 //! Byte-level primitives of the artifact format: a little-endian writer, a
-//! bounds-checked reader and the FNV-1a payload checksum.
+//! bounds-checked reader and the (word-wise FNV-1a) payload checksum.
 //!
 //! Everything is hand-rolled on `std` — the workspace carries no serde — and
 //! deliberately boring: fixed-width little-endian integers, length-prefixed
@@ -26,14 +26,25 @@ pub(crate) fn err<T>(message: impl Into<String>) -> Result<T, DecodeError> {
     Err(DecodeError(message.into()))
 }
 
-/// FNV-1a 64-bit hash over `bytes` — the artifact's payload checksum. Not
-/// cryptographic; it guards against truncation and bit rot, not adversaries.
+/// FNV-1a's xor-then-multiply over `bytes`, taken eight at a time (the last,
+/// short group padded with zeros, the length mixed in last) — the artifact's
+/// payload checksum and the hash of an outcome key. Every step is a
+/// bijection of the state, so two inputs of one length that differ in one
+/// group never collide. A byte at a time the multiply chain measured 5.5 ms
+/// of a 25 ms load of the 4.3 MB corpus artifact; a word at a time, 0.7 ms.
+/// Not cryptographic; it guards against truncation and bit rot, not
+/// adversaries.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1_0000_01b3);
+    let mut mix = |word: u64| hash = (hash ^ word).wrapping_mul(0x1_0000_01b3);
+    let mut groups = bytes.chunks_exact(8);
+    for group in groups.by_ref() {
+        mix(u64::from_le_bytes(group.try_into().expect("eight bytes")));
     }
+    let mut last = [0; 8];
+    last[..groups.remainder().len()].copy_from_slice(groups.remainder());
+    mix(u64::from_le_bytes(last));
+    mix(bytes.len() as u64);
     hash
 }
 
@@ -75,6 +86,12 @@ impl Writer {
     pub fn str(&mut self, v: &str) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v.as_bytes());
+    }
+
+    /// A length-prefixed byte string the reader hands back as it is.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.seq(v.len());
+        self.buf.extend_from_slice(v);
     }
 
     /// Length prefix of a sequence whose items the caller writes next.
@@ -144,6 +161,11 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("invalid UTF-8".into()))
+    }
+
+    pub fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        let len = self.seq()?;
+        Ok(self.take(len)?.to_vec())
     }
 
     /// Reads a reference into a node table, which must name one of its first
@@ -220,6 +242,7 @@ mod tests {
 
     #[test]
     fn checksum_changes_on_any_bit_flip() {
+        // 25 bytes: three whole groups and a short one.
         let data = b"expresso artifact payload";
         let base = checksum(data);
         for i in 0..data.len() {
@@ -227,5 +250,16 @@ mod tests {
             flipped[i] ^= 1;
             assert_ne!(checksum(&flipped), base, "flip at byte {i}");
         }
+    }
+
+    #[test]
+    fn checksum_tells_padding_from_content() {
+        // The short last group is padded with zeros; the length keeps a
+        // payload from colliding with itself plus (or minus) zero bytes.
+        let sums: Vec<u64> = (0..20).map(|n| checksum(&vec![0; n])).collect();
+        for (n, sum) in sums.iter().enumerate() {
+            assert!(!sums[..n].contains(sum), "{n} zero bytes collide");
+        }
+        assert_ne!(checksum(b"abc"), checksum(b"abc\0"));
     }
 }

@@ -1,5 +1,6 @@
 //! Row and tree codecs: the node-table rows, statements, expressions,
-//! verdicts and the error enums that appear inside cached values.
+//! whole monitors (write-only: outcome keys), verdicts and the error enums
+//! that appear inside cached values.
 //!
 //! Every enum is encoded as a one-byte tag followed by its fields in
 //! declaration order. The decoders mirror the encoders exactly; an unknown
@@ -16,7 +17,7 @@
 use crate::codec::{err, DecodeError, Reader, Writer};
 use crate::table::{FormulaRow, Row, TermRow};
 use expresso_logic::{CmpOp, Quantifier, Valuation};
-use expresso_monitor_lang::{BinOp, Expr, LowerError, Stmt, Type, UnOp};
+use expresso_monitor_lang::{BinOp, Expr, LowerError, Monitor, Param, Stmt, Type, UnOp};
 use expresso_smt::{SatResult, SolverError, TranslateError};
 use expresso_vcgen::WpError;
 
@@ -432,6 +433,61 @@ fn read_stmt_within(r: &mut Reader, depth: usize) -> Result<Stmt, DecodeError> {
         6 => Stmt::While(read_expr(r, depth)?, Box::new(read_stmt_within(r, depth)?)),
         other => return err(format!("invalid statement tag {other}")),
     })
+}
+
+// ---------------------------------------------------------------------------
+// Monitors (outcome keys)
+// ---------------------------------------------------------------------------
+
+fn write_opt_expr(w: &mut Writer, expr: Option<&Expr>) {
+    match expr {
+        None => w.u8(0),
+        Some(expr) => {
+            w.u8(1);
+            write_expr(w, expr);
+        }
+    }
+}
+
+fn write_params(w: &mut Writer, params: &[Param]) {
+    w.seq(params.len());
+    for param in params {
+        w.str(&param.name);
+        write_type(w, param.ty);
+    }
+}
+
+/// Every field of the parsed monitor, in declaration order. The encoding is
+/// injective — every variable-length part carries its length, every choice a
+/// tag — so two monitors are written as the same bytes exactly when they are
+/// `==`. The AST carries no spans: layout and comments never reach it. There
+/// is no reader; an outcome key is only ever compared.
+pub fn write_monitor(w: &mut Writer, monitor: &Monitor) {
+    w.str(&monitor.name);
+    write_params(w, &monitor.params);
+    write_opt_expr(w, monitor.requires.as_ref());
+    w.seq(monitor.fields.len());
+    for field in &monitor.fields {
+        w.str(&field.name);
+        write_type(w, field.ty);
+        write_opt_expr(w, field.init.as_ref());
+        write_opt_expr(w, field.array_len.as_ref());
+    }
+    w.seq(monitor.methods.len());
+    for method in &monitor.methods {
+        w.str(&method.name);
+        write_params(w, &method.params);
+        w.seq(method.ccrs.len());
+        method.ccrs.iter().for_each(|id| w.u64(id.0 as u64));
+    }
+    w.seq(monitor.ccrs.len());
+    for ccr in &monitor.ccrs {
+        w.u64(ccr.id.0 as u64);
+        w.u64(ccr.method as u64);
+        w.u64(ccr.position as u64);
+        write_expr(w, &ccr.guard);
+        write_stmt(w, &ccr.body);
+    }
 }
 
 // ---------------------------------------------------------------------------

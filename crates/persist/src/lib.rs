@@ -1,13 +1,21 @@
-//! On-disk persistence of the analysis memo caches (`expresso-persist`).
+//! On-disk persistence of the analysis: its memo caches and its answers
+//! (`expresso-persist`).
 //!
 //! PRs 1–4 made suite analysis fast *within* a process: the hash-consed
 //! arena, the solver's sharded sat/QE/theory verdict caches and the
 //! fingerprinted suite-wide [`WpStore`] are all keyed on content — interned
 //! formula structure and lowering fingerprints — not on identity. This crate
-//! makes that content-addressing outlive the process: it serializes the memo
-//! tables into a version-stamped, checksummed artifact and seeds them back
-//! before the next run's `analyze_suite` starts, so every `reproduce` run and
-//! CI job begins warm.
+//! makes that content-addressing outlive the process, at two levels. It
+//! serializes the memo tables — the *leaf sections* — into a version-stamped,
+//! checksummed artifact that the next run can seed them back from, so an
+//! analysis that has to run finds its lemmas proved. And beside them it
+//! writes one *outcome record* per monitor analysed — the invariant, every
+//! placement decision, the counters — keyed on the whole parsed monitor, so
+//! an analysis whose monitor has not changed does not run at all: the next
+//! run rebuilds its outcome from the record without a solver, an arena node
+//! or a seeded entry (see [`outcome`](OutcomeRecord) and
+//! `SharedAnalysisContext` in `expresso-core`, which loads the artifact,
+//! replays what it can and seeds only when something has to be analysed).
 //!
 //! # Why the artifact stores rows — not trees, not ids
 //!
@@ -24,7 +32,12 @@
 //! * the sat / QE / theory / WP / disjointness sections are row numbers plus
 //!   verdicts, and the WP section keeps the store's own nesting — one
 //!   `(fingerprint, statement)` group, then its `(postcondition, result)`
-//!   pairs — so a statement asked about forty postconditions is written once.
+//!   pairs — so a statement asked about forty postconditions is written once;
+//! * the outcome section (format v4) is one record per monitor: its key — a
+//!   hash and the canonical bytes of the monitor's AST plus the two
+//!   configuration fields that change the answer — the invariant as a row of
+//!   the same formula table, the counters, and the decisions as
+//!   `(CCR index, guard index, flags)`, in ascending key order.
 //!
 //! **Export** ([`export_artifact`]) walks the arena DAG once from the cache
 //! roots and numbers the nodes it meets by `(height, row)`: level by level,
@@ -34,7 +47,8 @@
 //! layout or `HashMap` iteration order — so saving the same caches twice, or
 //! saving a context that was only seeded, reproduces the file byte for byte.
 //!
-//! **Seed** ([`seed`]) interns each row exactly once, in row order, through
+//! **Seed** ([`seed`], [`Artifact::seed_into`]) interns each row exactly
+//! once, in row order, through
 //! [`Interner::intern_formula_node`](expresso_logic::Interner::intern_formula_node),
 //! and fills the memo tables by row number. The correctness argument is the
 //! one v2 made, restated per node: interning a tree performs exactly one
@@ -48,22 +62,47 @@
 //! exactly the id the warm run's own lookup computes: a seeded entry can only
 //! be found via a key the cold run proved, and a warm hit returns the
 //! bit-identical verdict the warm run would have derived. Trees survive only
-//! as [`Artifact::formula`], the view the tests check the tables against.
+//! as [`Artifact::formula`], the view the tests check the tables against and
+//! a replayed invariant is rebuilt through.
 //!
-//! # Invalidation is content-addressing
+//! Seeding is **deferred**. [`load`] validates everything and seeds nothing;
+//! a `SharedAnalysisContext` keeps the artifact and seeds — once, moving the
+//! leaf entries out of it rather than copying them — the first time its
+//! `solver()`, `wp_store()`, `disjointness()` or `persist()` is called, or
+//! when `analyze_suite` finds a monitor it has to analyse. A run that
+//! replays every monitor never pays for the leaf sections beyond loading
+//! them; anything built on those accessors sees what an eager seed would
+//! have left.
 //!
-//! There is no out-of-band invalidation protocol. Editing one CCR changes its
-//! statement AST (and hence its WP keys) and every VC formula built from it
-//! (and hence the solver keys); the stale entries simply never match again
-//! and only the changed monitor recomputes. The `reproduce persist` harness
-//! measures exactly this: after mutating one monitor of a 500-monitor corpus,
-//! the warm re-run misses only in that monitor's analysis.
+//! # Invalidation is content-addressing, at both levels
+//!
+//! There is no out-of-band invalidation protocol. An outcome record is found
+//! under the bytes of the monitor it was computed from: any edit the parser
+//! sees — a constant, a renamed local, two methods swapped, the `requires`
+//! clause — spells a different key, and so does flipping `infer_invariant`
+//! or `use_commutativity`; layout and comments are not in the AST and change
+//! nothing. The lookup finds by hash and confirms by comparing the bytes, so
+//! a collision is a miss. The monitor that misses is analysed, and below it
+//! the leaf sections do the same thing one level down: editing one CCR
+//! changes its statement AST (and hence its WP keys) and every VC formula
+//! built from it (and hence the solver keys); the stale entries simply never
+//! match again, and what the edited monitor still shares with its former
+//! self is served from disk. The `reproduce persist` harness measures
+//! exactly this: after mutating one monitor of a 500-monitor corpus, the
+//! warm re-run replays 499 records and misses only in that monitor's
+//! analysis.
+//!
+//! What content-addressing cannot see is a change to the *analysis*. A leaf
+//! entry is a lemma — a verdict about a formula, true whoever asks — and
+//! survives a new placement rule; a record is an answer, and does not. So
+//! [`FORMAT_VERSION`] is bumped not only when the layout changes but whenever
+//! the analysis would answer differently for an unchanged monitor.
 //!
 //! # Robustness
 //!
 //! * **Corruption:** the payload is guarded by a magic, a format version, its
-//!   length and an FNV-1a checksum, all verified *before* decoding; a
-//!   truncated, bit-flipped or version-mismatched file (a v2 artifact
+//!   length and a word-wise FNV-1a checksum, all verified *before* decoding; a
+//!   truncated, bit-flipped or version-mismatched file (a v2 or v3 artifact
 //!   included) loads as [`LoadResult::Corrupt`] and the caller falls back to
 //!   a cold start with a warning — never a panic, never a wrong verdict.
 //! * **Hostile payloads:** a file whose checksum is *right* still cannot
@@ -71,8 +110,18 @@
 //!   through one bounds check that rejects forward references, self
 //!   references (hence cycles) and entries pointing past a table; statement
 //!   nesting is capped ([`MAX_NESTING`]); sequence lengths are capped by the
-//!   bytes that remain. [`load`] returns an [`Artifact`] only if all of that
-//!   held, and nothing is seeded from one that did not.
+//!   bytes that remain; an outcome record must name an invariant row inside
+//!   the table, carry no unknown decision flag and sort strictly after the
+//!   record before it (so no key is filed twice). [`load`] returns an
+//!   [`Artifact`] only if all of that held, and nothing is seeded or replayed
+//!   from one that did not. An outcome key is never decoded — it is bytes to
+//!   compare — so it has no nesting to cap, and a record's CCR and guard
+//!   indices mean nothing until there is a monitor to hold them against:
+//!   whoever replays checks them, and a record that does not fit is a miss.
+//!   What the decoder cannot catch is a payload that is well formed and
+//!   *wrong* — a verdict flipped, a decision's flag changed, under a checksum
+//!   recomputed to agree. That is a forged file, and forgery is what the
+//!   checksum is there for, not the decoder.
 //! * **Concurrent writers:** [`save`] writes to a process-unique temp file in
 //!   the cache directory and atomically renames it over the artifact, so two
 //!   processes sharing one cache directory can never interleave partial
@@ -80,10 +129,12 @@
 
 mod codec;
 mod encode;
+mod outcome;
 mod table;
 
 pub use codec::{checksum, DecodeError};
 pub use encode::MAX_NESTING;
+pub use outcome::{DecisionRecord, OutcomeKey, OutcomeRecord};
 pub use table::{FormulaRow, Row, TermRow};
 
 use codec::{Reader, Writer};
@@ -96,6 +147,8 @@ use expresso_logic::{Formula, FormulaId};
 use expresso_monitor_lang::{Stmt, Type};
 use expresso_smt::{SatResult, Solver, TheoryVerdict, TranslateError};
 use expresso_vcgen::{DisjointnessStore, WpError, WpStore};
+use outcome::{read_outcome, write_outcome};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -114,14 +167,18 @@ const MAGIC: &[u8; 8] = b"XPRESSOC";
 /// Bytes before the payload: magic, format version, payload length.
 const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 
-/// Format version; bump on any codec or layout change. A mismatch loads as
-/// [`LoadResult::Corrupt`] (cold start), never as garbage.
+/// Format version; bump on any codec or layout change **and on any change
+/// to what the analysis would answer** for an unchanged monitor (a new
+/// placement rule, a different abduction search): an outcome record is an
+/// answer, not a lemma, and nothing re-derives it on a hit. A mismatch loads
+/// as [`LoadResult::Corrupt`] (cold start), never as garbage.
 ///
 /// v2 added the CCR-pair disjointness section (the independence verdicts
 /// behind the explorer's refined dependence relation). v3 replaced the
 /// per-entry formula trees by the shared node tables and grouped the WP
-/// section by `(fingerprint, statement)`.
-pub const FORMAT_VERSION: u32 = 3;
+/// section by `(fingerprint, statement)`. v4 added the monitor-level outcome
+/// section.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The slice of a symbol table a statement's `wp` consults, in owned form.
 pub type Fingerprint = Vec<(String, Option<Type>)>;
@@ -190,17 +247,29 @@ pub struct Artifact {
     theory: Vec<(Vec<(Row, bool)>, TheoryVerdictData)>,
     wp: Vec<WpArtifactGroup>,
     disjointness: Vec<DisjointnessArtifactEntry>,
+    /// Strictly ascending by key.
+    outcomes: Vec<OutcomeRecord>,
 }
 
 impl Artifact {
     /// Total number of entries across every section (table rows are not
     /// entries).
     pub fn len(&self) -> usize {
-        self.sat.len()
-            + self.qe.len()
-            + self.theory.len()
-            + self.wp_entries()
-            + self.disjointness.len()
+        self.offers().total()
+    }
+
+    /// Entries per section: what seeding this artifact into fresh caches
+    /// inserts, plus the outcome records, which are served from the artifact
+    /// itself and never seeded anywhere.
+    pub fn offers(&self) -> SeedReport {
+        SeedReport {
+            sat: self.sat.len(),
+            qe: self.qe.len(),
+            theory: self.theory.len(),
+            wp: self.wp_entries(),
+            disjointness: self.disjointness.len(),
+            outcomes: self.outcomes.len(),
+        }
     }
 
     /// Whether the artifact carries no entries at all.
@@ -249,8 +318,20 @@ impl Artifact {
         self.wp.iter().map(|group| group.entries.len()).sum()
     }
 
+    /// Monitor-level outcome records, ascending by key.
+    pub fn outcomes(&self) -> &[OutcomeRecord] {
+        &self.outcomes
+    }
+
+    /// The outcome recorded under `key`: found by hash, confirmed by
+    /// comparing the key bytes.
+    pub fn outcome(&self, key: &OutcomeKey) -> Option<&OutcomeRecord> {
+        outcome::find(&self.outcomes, key)
+    }
+
     /// The formula tree a row stands for. This is the view tests hold the
-    /// tables against (it is what format v2 stored per entry); nothing on the
+    /// tables against (it is what format v2 stored per entry) and what a
+    /// replayed outcome's invariant is rebuilt through; nothing on the
     /// export/load/seed path builds trees. Recurses once per level.
     pub fn formula(&self, row: Row) -> Formula {
         table::formula_tree(&self.terms, &self.formulas, row)
@@ -270,13 +351,16 @@ pub struct SaveReport {
     pub wp: usize,
     /// Disjointness verdicts written.
     pub disjointness: usize,
+    /// Monitor-level outcome records written.
+    pub outcomes: usize,
     /// Size of the artifact file in bytes.
     pub bytes: u64,
     /// Path of the artifact file.
     pub path: PathBuf,
 }
 
-/// What [`seed`] inserted into the receiving caches.
+/// Entries per section: what [`seed`] inserted into the receiving caches, or
+/// what an artifact [offers](Artifact::offers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedReport {
     /// Satisfiability entries seeded.
@@ -289,12 +373,15 @@ pub struct SeedReport {
     pub wp: usize,
     /// Disjointness verdicts seeded.
     pub disjointness: usize,
+    /// Monitor-level outcome records on offer. [`seed`] reports none: a
+    /// record is looked up in the artifact, not copied into a cache.
+    pub outcomes: usize,
 }
 
 impl SeedReport {
-    /// Total entries seeded across every table.
+    /// Total entries across every section.
     pub fn total(&self) -> usize {
-        self.sat + self.qe + self.theory + self.wp + self.disjointness
+        self.sat + self.qe + self.theory + self.wp + self.disjointness + self.outcomes
     }
 }
 
@@ -302,13 +389,14 @@ impl fmt::Display for SeedReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} entries (sat {}, qe {}, theory {}, wp {}, disjointness {})",
+            "{} entries (sat {}, qe {}, theory {}, wp {}, disjointness {}, outcomes {})",
             self.total(),
             self.sat,
             self.qe,
             self.theory,
             self.wp,
-            self.disjointness
+            self.disjointness,
+            self.outcomes
         )
     }
 }
@@ -368,6 +456,18 @@ pub fn export_artifact(
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
 ) -> Artifact {
+    export_with_outcomes(solver, wp_store, disjointness, Vec::new())
+}
+
+/// [`export_artifact`] plus the outcome section: `outcomes` name their
+/// invariants by ids of `solver`'s arena, which join the roots of the
+/// numbering walk. Of two records under one key the later one is written.
+pub fn export_with_outcomes(
+    solver: &Solver,
+    wp_store: &WpStore,
+    disjointness: &DisjointnessStore,
+    outcomes: Vec<OutcomeRecord<FormulaId>>,
+) -> Artifact {
     let sat = solver.export_sat_cache();
     let qe = solver.export_qe_cache();
     let theory = solver.export_theory_cache();
@@ -397,6 +497,7 @@ pub fn export_artifact(
     for (guard_a, _, _, guard_b, _, _, _) in &pairs {
         roots.extend([*guard_a, *guard_b]);
     }
+    roots.extend(outcomes.iter().map(|record| record.invariant));
     let numbering = table::number(solver.interner(), roots);
     let row = |id: FormulaId| numbering.row(id);
     let literal_rows = |literals: Vec<(FormulaId, bool)>| -> Vec<(Row, bool)> {
@@ -466,6 +567,13 @@ pub fn export_artifact(
             key_bytes(&e.fingerprint_b, &e.body_b),
         )
     });
+    let outcomes: BTreeMap<OutcomeKey, OutcomeRecord> = outcomes
+        .into_iter()
+        .map(|record| {
+            let invariant = row(record.invariant);
+            (record.key.clone(), record.with_invariant(invariant))
+        })
+        .collect();
 
     Artifact {
         terms: numbering.terms,
@@ -475,6 +583,7 @@ pub fn export_artifact(
         theory,
         wp,
         disjointness,
+        outcomes: outcomes.into_values().collect(),
     }
 }
 
@@ -486,90 +595,97 @@ pub fn export_artifact(
 /// in row order — and seeds the sharded caches, the WP store and the
 /// disjointness store by row number. Entries already present (a live run
 /// that got there first) are never overwritten. Returns per-table insert
-/// counts.
+/// counts. The artifact is left as it was: this seeds from a copy, which is
+/// what a test wants; a context seeds with [`Artifact::seed_into`].
 pub fn seed(
     artifact: &Artifact,
     solver: &Solver,
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
 ) -> SeedReport {
-    let _span = expresso_obs::span!("persist.seed");
-    let ids = table::intern(solver.interner(), &artifact.terms, &artifact.formulas);
-    let id = |row: &Row| ids[*row as usize];
-    let literal_ids = |literals: &[(Row, bool)]| -> Vec<(FormulaId, bool)> {
-        literals.iter().map(|(row, p)| (id(row), *p)).collect()
-    };
-    SeedReport {
-        sat: solver.seed_sat_cache(
-            artifact
-                .sat
-                .iter()
-                .map(|(key, verdict)| (id(key), verdict.clone()))
-                .collect(),
-        ),
-        qe: solver.seed_qe_cache(
-            artifact
-                .qe
-                .iter()
-                .map(|(key, result)| (id(key), result.as_ref().map(id).map_err(Clone::clone)))
-                .collect(),
-        ),
-        theory: solver.seed_theory_cache(
-            artifact
-                .theory
-                .iter()
-                .map(|(literals, verdict)| {
-                    // The DPLL(T) loop sorts + dedups its key by id, and id
-                    // order is arena-local — re-sort after translating.
-                    let mut key = literal_ids(literals);
-                    key.sort_unstable();
-                    key.dedup();
-                    let verdict = match verdict {
-                        TheoryVerdictData::Consistent => TheoryVerdict::Consistent,
-                        TheoryVerdictData::Inconsistent(core) => {
-                            TheoryVerdict::Inconsistent(core.as_deref().map(literal_ids))
-                        }
-                        TheoryVerdictData::Unknown(reason) => {
-                            TheoryVerdict::Unknown(reason.clone())
-                        }
-                    };
-                    (key, verdict)
+    artifact.clone().seed_into(solver, wp_store, disjointness)
+}
+
+impl Artifact {
+    /// [`seed`], moving the entries instead of copying them: models,
+    /// statements and fingerprints go into the caches as they are, and the
+    /// five leaf sections are left empty — a seeded cache and the section it
+    /// came from would hold the same thing twice for as long as both live.
+    /// The node tables and the outcome records stay.
+    pub fn seed_into(
+        &mut self,
+        solver: &Solver,
+        wp_store: &WpStore,
+        disjointness: &DisjointnessStore,
+    ) -> SeedReport {
+        let _span = expresso_obs::span!("persist.seed");
+        let ids = table::intern(solver.interner(), &self.terms, &self.formulas);
+        let id = |row: Row| ids[row as usize];
+        let literal_ids = |literals: Vec<(Row, bool)>| -> Vec<(FormulaId, bool)> {
+            literals.into_iter().map(|(row, p)| (id(row), p)).collect()
+        };
+        SeedReport {
+            outcomes: 0,
+            sat: solver.seed_sat_cache(
+                std::mem::take(&mut self.sat)
+                    .into_iter()
+                    .map(|(key, verdict)| (id(key), verdict))
+                    .collect(),
+            ),
+            qe: solver.seed_qe_cache(
+                std::mem::take(&mut self.qe)
+                    .into_iter()
+                    .map(|(key, result)| (id(key), result.map(id)))
+                    .collect(),
+            ),
+            theory: solver.seed_theory_cache(
+                std::mem::take(&mut self.theory)
+                    .into_iter()
+                    .map(|(literals, verdict)| {
+                        // The DPLL(T) loop sorts + dedups its key by id, and
+                        // id order is arena-local — re-sort after translating.
+                        let mut key = literal_ids(literals);
+                        key.sort_unstable();
+                        key.dedup();
+                        let verdict = match verdict {
+                            TheoryVerdictData::Consistent => TheoryVerdict::Consistent,
+                            TheoryVerdictData::Inconsistent(core) => {
+                                TheoryVerdict::Inconsistent(core.map(literal_ids))
+                            }
+                            TheoryVerdictData::Unknown(reason) => TheoryVerdict::Unknown(reason),
+                        };
+                        (key, verdict)
+                    })
+                    .collect(),
+            ),
+            wp: std::mem::take(&mut self.wp)
+                .into_iter()
+                .map(|group| {
+                    let entries = group
+                        .entries
+                        .into_iter()
+                        .map(|(post, result)| (id(post), result.map(id)))
+                        .collect();
+                    wp_store.seed_group((group.fingerprint.into(), group.stmt, entries))
                 })
-                .collect(),
-        ),
-        wp: artifact
-            .wp
-            .iter()
-            .map(|group| {
-                let entries = group
-                    .entries
-                    .iter()
-                    .map(|(post, result)| (id(post), result.as_ref().map(id).map_err(Clone::clone)))
-                    .collect();
-                wp_store.seed_group((
-                    group.fingerprint.as_slice().into(),
-                    group.stmt.clone(),
-                    entries,
-                ))
-            })
-            .sum(),
-        disjointness: disjointness.seed_entries(
-            artifact
-                .disjointness
-                .iter()
-                .map(|entry| {
-                    (
-                        id(&entry.guard_a),
-                        entry.fingerprint_a.as_slice().into(),
-                        entry.body_a.clone(),
-                        id(&entry.guard_b),
-                        entry.fingerprint_b.as_slice().into(),
-                        entry.body_b.clone(),
-                        entry.independent,
-                    )
-                })
-                .collect(),
-        ),
+                .sum(),
+            disjointness: disjointness.seed_entries(
+                std::mem::take(&mut self.disjointness)
+                    .into_iter()
+                    .map(|entry| {
+                        (
+                            id(entry.guard_a),
+                            entry.fingerprint_a.into(),
+                            entry.body_a,
+                            id(entry.guard_b),
+                            entry.fingerprint_b.into(),
+                            entry.body_b,
+                            entry.independent,
+                        )
+                    })
+                    .collect(),
+            ),
+        }
     }
 }
 
@@ -586,6 +702,8 @@ pub fn seed(
 //             theory   seq of (seq of (row, polarity), verdict)
 //             wp       seq of (fingerprint, stmt, seq of (row, Ok row | Err wp error))
 //             pairs    seq of (row, fingerprint, stmt, row, fingerprint, stmt, verdict)
+//             outcomes seq of (key hash, key bytes, invariant row, candidates, conjuncts,
+//                              triples, seq of (ccr, guard, flags)), ascending by key
 
 fn write_result<E>(
     w: &mut Writer,
@@ -705,11 +823,18 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
         write_stmt(&mut w, &entry.body_b);
         w.bool(entry.independent);
     }
+    w.seq(artifact.outcomes.len());
+    artifact
+        .outcomes
+        .iter()
+        .for_each(|record| write_outcome(&mut w, record));
     frame(&w.into_bytes())
 }
 
 /// Decodes and validates a payload: every row reference must name a strictly
-/// earlier row of its table (children) or a row inside the table (entries).
+/// earlier row of its table (children) or a row inside the table (entries),
+/// and the outcome records must ascend strictly by key (so no key is filed
+/// twice).
 fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
     let mut r = Reader::new(payload);
     let mut artifact = Artifact::default();
@@ -780,6 +905,17 @@ fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
             independent,
         });
     }
+    for _ in 0..r.seq()? {
+        let record = read_outcome(&mut r, formulas)?;
+        if artifact
+            .outcomes
+            .last()
+            .is_some_and(|last| last.key >= record.key)
+        {
+            return codec::err("outcome records are not in ascending key order");
+        }
+        artifact.outcomes.push(record);
+    }
     if !r.is_empty() {
         return codec::err("trailing bytes after last section");
     }
@@ -816,37 +952,35 @@ pub fn save_artifact(dir: &Path, artifact: &Artifact) -> io::Result<(u64, PathBu
     }
 }
 
-/// Exports the caches of `solver`, `wp_store` and `disjointness` and writes
-/// them to `dir`.
+/// Exports the caches of `solver`, `wp_store` and `disjointness` together
+/// with `outcomes` (see [`export_with_outcomes`]) and writes them to `dir`.
 pub fn save(
     dir: &Path,
     solver: &Solver,
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
+    outcomes: Vec<OutcomeRecord<FormulaId>>,
 ) -> io::Result<SaveReport> {
     let _span = expresso_obs::span!("persist.save");
-    let artifact = export_artifact(solver, wp_store, disjointness);
+    let artifact = export_with_outcomes(solver, wp_store, disjointness, outcomes);
     let (bytes, path) = save_artifact(dir, &artifact)?;
+    let written = artifact.offers();
     let report = SaveReport {
-        sat: artifact.sat.len(),
-        qe: artifact.qe.len(),
-        theory: artifact.theory.len(),
-        wp: artifact.wp_entries(),
-        disjointness: artifact.disjointness.len(),
+        sat: written.sat,
+        qe: written.qe,
+        theory: written.theory,
+        wp: written.wp,
+        disjointness: written.disjointness,
+        outcomes: written.outcomes,
         bytes,
         path,
     };
     expresso_obs::log!(
         expresso_obs::Level::Debug,
-        "saved warm-start artifact to {:?}: {bytes} bytes ({} term + {} formula rows; {} sat, {} qe, {} theory, {} wp, {} disjointness entries)",
+        "saved warm-start artifact to {:?}: {bytes} bytes ({} term + {} formula rows; {written})",
         report.path,
         artifact.terms.len(),
         artifact.formulas.len(),
-        report.sat,
-        report.qe,
-        report.theory,
-        report.wp,
-        report.disjointness
     );
     Ok(report)
 }
@@ -914,7 +1048,10 @@ pub fn load(dir: &Path) -> LoadResult {
 mod tests {
     use super::*;
     use expresso_logic::{CmpOp, Term};
-    use expresso_monitor_lang::{parse_expr, Expr, UnOp};
+    use expresso_monitor_lang::{
+        parse_expr, parse_monitor, Ccr, CcrId, Expr, Field, Method, Monitor, NotificationKind,
+        SignalCondition, UnOp,
+    };
 
     struct Caches {
         solver: Solver,
@@ -1151,10 +1288,10 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_corrupt() {
-        // A future version and the tree format this one replaced: both are
-        // a cold start, neither is decoded.
+        // A future version, the format without outcome records and the tree
+        // format before it: each is a cold start, none is decoded.
         let bytes = encode_artifact(&sample_caches(false).export());
-        for version in [FORMAT_VERSION + 1, 2] {
+        for version in [FORMAT_VERSION + 1, 3, 2] {
             let mut bytes = bytes.clone();
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             assert_corrupt("ver", &bytes, "format version");
@@ -1261,6 +1398,164 @@ mod tests {
             load_bytes("deep", &encode_artifact(&artifact)),
             LoadResult::Loaded(_)
         ));
+    }
+
+    const COUNTER: &str = "monitor Counter {
+        int count = 0;
+        atomic void release() { count++; }
+        atomic void acquire() { waituntil (count > 0) { count--; } }
+    }";
+
+    /// A record for `monitor` whose invariant is `count < 4`, interned in
+    /// `caches`' arena.
+    fn record_of(caches: &Caches, monitor: &Monitor, candidates: u64) -> OutcomeRecord<FormulaId> {
+        OutcomeRecord {
+            key: OutcomeKey::of(monitor, true, true),
+            invariant: caches.solver.interner().intern(&count_lt(4)),
+            candidates,
+            conjuncts: 1,
+            triples_checked: 9,
+            decisions: vec![DecisionRecord {
+                ccr: 1,
+                guard: 0,
+                needed: true,
+                condition: SignalCondition::Conditional,
+                kind: NotificationKind::Signal,
+                used_commutativity: true,
+                conservative_fallback: false,
+            }],
+        }
+    }
+
+    /// [`sample_caches`] exported with a record each for [`COUNTER`] and a
+    /// renamed copy of it.
+    fn sample_with_outcomes(shuffled: bool) -> Artifact {
+        let caches = sample_caches(shuffled);
+        let mut records: Vec<_> = [COUNTER.to_owned(), COUNTER.replace("count", "n")]
+            .iter()
+            .map(|source| record_of(&caches, &parse_monitor(source).unwrap(), 5))
+            .collect();
+        if shuffled {
+            records.reverse();
+        }
+        export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records)
+    }
+
+    #[test]
+    fn outcome_records_round_trip_in_key_order_and_the_later_of_two_wins() {
+        let artifact = sample_with_outcomes(false);
+        assert_eq!(artifact.outcomes().len(), 2);
+        assert_eq!(artifact.len(), 7 + 2);
+        assert!(artifact.outcomes()[0].key < artifact.outcomes()[1].key);
+        let bytes = encode_artifact(&artifact);
+        assert_eq!(decode_artifact(payload_of(&bytes)).unwrap(), artifact);
+        // Content decides the bytes here too, not the order records came in.
+        assert_eq!(bytes, encode_artifact(&sample_with_outcomes(true)));
+
+        let counter = parse_monitor(COUNTER).unwrap();
+        let key = OutcomeKey::of(&counter, true, true);
+        let found = artifact.outcome(&key).expect("filed under its key");
+        assert_eq!(artifact.formula(found.invariant), count_lt(4));
+        assert!(artifact
+            .outcome(&OutcomeKey::of(&counter, true, false))
+            .is_none());
+
+        // A monitor analysed again in one context, or analysed because its
+        // record would not replay: the record filed last is the one kept.
+        let caches = sample_caches(false);
+        let records = vec![
+            record_of(&caches, &counter, 5),
+            record_of(&caches, &counter, 6),
+        ];
+        let artifact = export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records);
+        assert_eq!(artifact.outcomes().len(), 1);
+        assert_eq!(artifact.outcome(&key).map(|r| r.candidates), Some(6));
+    }
+
+    #[test]
+    fn hostile_outcome_sections_are_corrupt_despite_a_valid_checksum() {
+        let pristine = sample_with_outcomes(false);
+        let formulas = pristine.formulas.len() as Row;
+        type Mangle = fn(&mut Artifact, Row);
+        let mangles: [(&str, Mangle, &str); 3] = [
+            (
+                "invariant",
+                |a, formulas| a.outcomes[0].invariant = formulas,
+                "row reference",
+            ),
+            (
+                "duplicate",
+                |a, _| a.outcomes.insert(1, a.outcomes[0].clone()),
+                "ascending key order",
+            ),
+            (
+                "unsorted",
+                |a, _| a.outcomes.swap(0, 1),
+                "ascending key order",
+            ),
+        ];
+        for (tag, mangle, needle) in mangles {
+            let mut artifact = pristine.clone();
+            mangle(&mut artifact, formulas);
+            assert_corrupt(tag, &encode_artifact(&artifact), needle);
+        }
+        // The outcome section is the last one: a payload that stops inside
+        // its last record, under a checksum that agrees.
+        let file = encode_artifact(&pristine);
+        let payload = payload_of(&file);
+        assert_corrupt("cut", &frame(&payload[..payload.len() - 5]), "truncated");
+    }
+
+    #[test]
+    fn a_monitor_nested_past_the_statement_cap_keeps_its_record() {
+        // `MAX_NESTING` protects the recursive statement *decoder*. An
+        // outcome key is bytes the loader copies and compares, never
+        // decodes, so there is nothing for it to refuse: the WP group of a
+        // too-deep body is left out of the artifact, the record of the
+        // monitor around it stays, and the next run replays it.
+        let mut body = Expr::Var("x".into());
+        (0..MAX_NESTING + 50).for_each(|_| body = Expr::Unary(UnOp::Neg, Box::new(body.clone())));
+        let body = Stmt::Assign("x".into(), body);
+        assert!(nesting(&body) > MAX_NESTING);
+        let monitor = Monitor {
+            name: "Deep".into(),
+            params: Vec::new(),
+            requires: None,
+            fields: vec![Field {
+                name: "x".into(),
+                ty: Type::Int,
+                init: None,
+                array_len: None,
+            }],
+            methods: vec![Method {
+                name: "flip".into(),
+                params: Vec::new(),
+                ccrs: vec![CcrId(0)],
+            }],
+            ccrs: vec![Ccr {
+                id: CcrId(0),
+                method: 0,
+                position: 0,
+                guard: Expr::Bool(true),
+                body: body.clone(),
+            }],
+        };
+        let caches = Caches::new();
+        let truth = caches.solver.interner().true_id();
+        let fingerprint: expresso_vcgen::LoweringFingerprint =
+            vec![("x".to_string(), Some(Type::Int))].into();
+        caches
+            .wp
+            .seed_group((fingerprint, body, vec![(truth, Ok(truth))]));
+        let record = record_of(&caches, &monitor, 0);
+        let key = record.key.clone();
+        let artifact =
+            export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, vec![record]);
+        assert!(artifact.wp().is_empty());
+        match load_bytes("deep-monitor", &encode_artifact(&artifact)) {
+            LoadResult::Loaded(loaded) => assert!(loaded.outcome(&key).is_some()),
+            other => panic!("expected Loaded, got {other:?}"),
+        }
     }
 
     #[test]

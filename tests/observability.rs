@@ -263,3 +263,91 @@ fn log_capture_hook_honours_the_level_gate() {
         ]
     );
 }
+
+#[test]
+fn an_edit_shows_in_spans_counters_and_one_log_line() {
+    // "Why was this one re-analysed" must be answerable from what a run
+    // leaves behind: a `core.replay` span per monitor replayed, the
+    // `core.outcomes` counters, and one debug line per monitor analysed,
+    // naming it and saying what the lookup found.
+    use expresso_repro::core::ExpressoConfig;
+    use expresso_repro::monitor_lang::parse_monitor;
+    use expresso_repro::suite::corpusgen::{generate, mutate_source, CorpusSpec};
+
+    let _guard = GLOBALS.lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("xp-obs-outcomes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ExpressoConfig {
+        cache_dir: Some(dir.clone()),
+        ..ExpressoConfig::default()
+    };
+    let pipeline = Expresso::with_config(config.clone());
+    let corpus = generate(&CorpusSpec { size: 6, seed: 31 });
+    let mut monitors: Vec<_> = corpus.iter().map(|v| v.monitor()).collect();
+    let cold = SharedAnalysisContext::new(&config);
+    assert!(pipeline
+        .analyze_suite(&cold, &monitors)
+        .iter()
+        .all(Result::is_ok));
+    cold.persist().unwrap().unwrap();
+    const EDITED: usize = 2;
+    monitors[EDITED] = parse_monitor(&mutate_source(&corpus[EDITED].source)).unwrap();
+
+    obs::set_enabled(false);
+    let _ = obs::drain();
+    let captured = obs::CaptureBuffer::default();
+    obs::set_capture(Some(captured.clone()));
+    obs::set_max_level(obs::Level::Debug);
+    obs::set_enabled(true);
+    let context = SharedAnalysisContext::new(&config);
+    let outcomes = pipeline.analyze_suite(&context, &monitors);
+    obs::set_enabled(false);
+    obs::set_capture(None);
+    obs::set_max_level(obs::Level::Warn);
+    let traces = obs::drain();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(outcomes.iter().all(Result::is_ok));
+
+    let mut replayed: Vec<&str> = traces
+        .iter()
+        .flat_map(|trace| &trace.records)
+        .filter(|record| record.name == "core.replay")
+        .map(|record| {
+            record
+                .detail
+                .as_deref()
+                .expect("the span names its monitor")
+        })
+        .collect();
+    replayed.sort_unstable();
+    let mut expected: Vec<&str> = monitors
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != EDITED)
+        .map(|(_, monitor)| monitor.name.as_str())
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(replayed, expected);
+
+    let snapshot = context.metrics_registry().snapshot();
+    let counter = |name| snapshot.counter("core.outcomes", name);
+    assert_eq!(counter("outcome_hits"), Some(5));
+    assert_eq!(counter("outcome_misses"), Some(1));
+    assert_eq!(counter("seed_forced"), Some(1));
+
+    let lines = captured.lock().unwrap();
+    let analysed: Vec<&str> = lines
+        .iter()
+        .filter(|(level, message)| {
+            *level == obs::Level::Debug && message.starts_with("analysing monitor ")
+        })
+        .map(|(_, message)| message.as_str())
+        .collect();
+    assert_eq!(
+        analysed,
+        [format!(
+            "analysing monitor {}: the artifact has no record under its key",
+            monitors[EDITED].name
+        )]
+    );
+}

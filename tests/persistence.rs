@@ -3,9 +3,10 @@
 //! concurrent writers sharing one cache directory must never produce a torn
 //! artifact.
 
-use expresso_repro::core::{Expresso, ExpressoConfig, SharedAnalysisContext};
+use expresso_repro::core::{AnalysisOutcome, Expresso, ExpressoConfig, SharedAnalysisContext};
 use expresso_repro::logic::Lcg;
-use expresso_repro::persist::{self, LoadResult};
+use expresso_repro::persist::{self, LoadResult, OutcomeKey};
+use expresso_repro::smt::SolverStats;
 use expresso_repro::suite::corpusgen::{generate, CorpusSpec};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -119,13 +120,24 @@ fn stamp(pristine: &[u8], payload: &[u8]) -> Vec<u8> {
 fn mutated_payloads_with_valid_checksums_load_or_cold_start_but_never_abort() {
     // The checksum guards against bit rot, not against a payload that was
     // damaged (or crafted) before it was stamped. Seeded mutation fuzz over a
-    // real artifact, every mutant re-stamped: the loader must answer
-    // `Corrupt` or `Loaded` — no panic, no stack overflow, no runaway
-    // allocation — and whatever it does hand out must seed a fresh context
-    // without panicking (every row reference was checked on the way in).
+    // real artifact — leaf tables and outcome records — every mutant
+    // re-stamped: the loader must answer `Corrupt` or `Loaded` — no panic,
+    // no stack overflow, no runaway allocation — and whatever it does hand
+    // out must seed a fresh context without panicking (every row reference
+    // was checked on the way in) and carry the corpus through
+    // `analyze_suite`: a record the mutation reached is replayed if it still
+    // fits its monitor and is a miss if it does not. What comes out may be
+    // wrong — a mutant that lands inside a well-formed record or verdict is
+    // a forged file, and forgery is the checksum's to catch, not the
+    // decoder's — but it comes out.
     const MUTANTS: usize = 2_000;
     let dir = scratch_cache_dir("fuzz");
     populate(&dir, 8, 29);
+    let config = persistent_config(&dir);
+    let monitors: Vec<_> = generate(&CorpusSpec { size: 8, seed: 29 })
+        .iter()
+        .map(|v| v.monitor())
+        .collect();
     let path = persist::artifact_path(&dir);
     let pristine = std::fs::read(&path).unwrap();
     let payload = &pristine[20..pristine.len() - 8];
@@ -187,6 +199,12 @@ fn mutated_payloads_with_valid_checksums_load_or_cold_start_but_never_abort() {
                     fresh.disjointness(),
                 );
                 assert!(seeded.total() <= artifact.len(), "mutant {mutant}");
+                let context = SharedAnalysisContext::new(&config);
+                for outcome in
+                    Expresso::with_config(config.clone()).analyze_suite(&context, &monitors)
+                {
+                    outcome.unwrap_or_else(|e| panic!("mutant {mutant}: {e}"));
+                }
             }
             LoadResult::Absent => panic!("mutant {mutant}: the file was just written"),
         }
@@ -285,5 +303,122 @@ fn concurrent_writers_never_tear_the_artifact() {
             .is_some(),
         "the surviving artifact must warm-start"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(outcome_hits, outcome_misses, seed_forced)` of the `core.outcomes`
+/// metric group.
+fn outcome_counters(context: &SharedAnalysisContext) -> (u64, u64, u64) {
+    let snapshot = context.metrics_registry().snapshot();
+    let read = |name| snapshot.counter("core.outcomes", name).unwrap();
+    (
+        read("outcome_hits"),
+        read("outcome_misses"),
+        read("seed_forced"),
+    )
+}
+
+fn assert_same_outcome(label: &str, a: &AnalysisOutcome, b: &AnalysisOutcome) {
+    assert_eq!(a.explicit, b.explicit, "{label}: explicit");
+    assert_eq!(a.invariant, b.invariant, "{label}: invariant");
+    assert_eq!(a.report.decisions, b.report.decisions, "{label}: decisions");
+    assert_eq!(
+        a.report.triples_checked, b.report.triples_checked,
+        "{label}: triples_checked"
+    );
+}
+
+#[test]
+fn forged_outcome_records_are_misses_never_replays() {
+    // Three files with a correct checksum and a well-formed outcome section
+    // in which one record is not what its place says. The key found under
+    // the right hash spells some other monitor: the lookup compares the
+    // bytes, so a hash collision — here a planted one — is a miss. The
+    // record names a CCR, or a guard, the monitor in hand does not have:
+    // replay checks both before it builds anything, so that is a miss too.
+    // Each miss is a fresh analysis equal to the cold one; the pristine file
+    // replays.
+    let dir = scratch_cache_dir("forge");
+    populate(&dir, 4, 17);
+    let config = persistent_config(&dir);
+    let monitor = generate(&CorpusSpec { size: 4, seed: 17 })[2].monitor();
+    let cold = Expresso::new().analyze(&monitor).unwrap();
+    let analyze = |label: &str| {
+        let context = SharedAnalysisContext::new(&config);
+        assert!(context.warm_start().is_some(), "{label}: must load");
+        let outcome = Expresso::with_config(config.clone())
+            .analyze_with_context(&context, &monitor)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_same_outcome(label, &cold, &outcome);
+        outcome_counters(&context)
+    };
+    assert_eq!(analyze("pristine"), (1, 0, 0));
+
+    let path = persist::artifact_path(&dir);
+    let pristine = std::fs::read(&path).unwrap();
+    let payload = &pristine[20..pristine.len() - 8];
+    // A record is: hash, key length, key bytes, invariant row (u32), three
+    // counters (u64), decision count (u32), then per decision CCR index
+    // (u32), guard index (u32), flags (u8).
+    let key = OutcomeKey::of(&monitor, true, true);
+    let key_at = payload
+        .windows(key.bytes().len())
+        .position(|window| window == key.bytes())
+        .expect("the monitor's key is in the artifact");
+    let key_end = key_at + key.bytes().len();
+    let first_decision = key_end + 4 + 3 * 8 + 4;
+    let patches: [(&str, usize, &[u8]); 3] = [
+        ("key bytes", key_end - 1, &[payload[key_end - 1] ^ 1]),
+        ("ccr index", first_decision, &1000u32.to_le_bytes()),
+        ("guard index", first_decision + 4, &1000u32.to_le_bytes()),
+    ];
+    for (label, at, bytes) in patches {
+        let mut forged = payload.to_vec();
+        forged[at..at + bytes.len()].copy_from_slice(bytes);
+        std::fs::write(&path, stamp(&pristine, &forged)).unwrap();
+        assert_eq!(analyze(label), (0, 1, 1), "{label}: must be a miss");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Child-process entry point of the test below: `Expresso::analyze` with no
+/// configured cache directory, under whatever `EXPRESSO_CACHE_DIR` says.
+#[test]
+fn analyze_under_env_helper() {
+    if std::env::var_os("EXPRESSO_TEST_ANALYZE_UNDER_ENV").is_none() {
+        return;
+    }
+    let corpus = generate(&CorpusSpec { size: 3, seed: 23 });
+    let known = Expresso::new().analyze(&corpus[1].monitor()).unwrap();
+    assert_eq!(
+        known.stats.solver,
+        SolverStats::default(),
+        "a monitor the artifact knows must be replayed"
+    );
+    assert_eq!(
+        known.stats.interner.formula_nodes, 2,
+        "a replay seeds nothing"
+    );
+    assert!(known.explicit.notification_count() > 0);
+    let unknown = generate(&CorpusSpec { size: 1, seed: 99 })[0].monitor();
+    let analysed = Expresso::new().analyze(&unknown).unwrap();
+    assert!(analysed.stats.solver.sat_queries > 0);
+}
+
+#[test]
+fn analyze_under_the_cache_dir_variable_replays_a_known_monitor() {
+    // `Expresso::analyze` builds a private context per call; with
+    // `EXPRESSO_CACHE_DIR` naming a saved corpus each call used to pay a full
+    // load and seed for a few milliseconds of analysis. The variable is
+    // process-wide, so the calls are made in a child process.
+    let dir = scratch_cache_dir("env");
+    populate(&dir, 3, 23);
+    let status = Command::new(std::env::current_exe().unwrap())
+        .args(["analyze_under_env_helper", "--exact", "--nocapture"])
+        .env("EXPRESSO_CACHE_DIR", &dir)
+        .env("EXPRESSO_TEST_ANALYZE_UNDER_ENV", "1")
+        .status()
+        .expect("spawning the child process");
+    assert!(status.success(), "the child's assertions failed");
     let _ = std::fs::remove_dir_all(&dir);
 }
