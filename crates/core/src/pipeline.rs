@@ -13,11 +13,12 @@ use expresso_persist::{
 };
 use expresso_smt::{Solver, SolverStats};
 use expresso_vcgen::{DisjointnessStats, DisjointnessStore, WpCacheStats, WpStore};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// Environment variable naming the warm-start cache directory, consulted when
@@ -117,9 +118,11 @@ pub struct SharedAnalysisContext {
     artifact: Option<RwLock<Box<Artifact>>>,
     /// What `artifact` had on offer when it was loaded.
     offered: Option<SeedReport>,
-    seed: Once,
-    /// Records of the monitors analysed (not replayed) here, for `persist`.
-    analysed: Mutex<Vec<OutcomeRecord<FormulaId>>>,
+    /// Set by the one seed: the arena id of every formula row of `artifact`.
+    seeded: OnceLock<Vec<FormulaId>>,
+    /// Records of the monitors analysed (not replayed) here, for `persist`;
+    /// analysing a monitor again overwrites its record.
+    analysed: Mutex<BTreeMap<OutcomeKey, OutcomeRecord<FormulaId>>>,
     outcome_counters: Arc<OutcomeCounters>,
 }
 
@@ -238,25 +241,29 @@ impl SharedAnalysisContext {
             trace_path,
             offered: artifact.as_ref().map(|artifact| artifact.offers()),
             artifact: artifact.map(RwLock::new),
-            seed: Once::new(),
+            seeded: OnceLock::new(),
             analysed: Mutex::default(),
             outcome_counters: Arc::default(),
         }
     }
 
-    /// Seeds the artifact's leaf sections into the caches, once.
-    fn force_seed(&self) {
-        self.seed.call_once(|| {
-            if let Some(artifact) = &self.artifact {
-                artifact
-                    .write()
-                    .expect("no reader of the artifact panics")
-                    .seed_into(&self.solver, &self.wp_store, &self.disjointness);
-                self.outcome_counters
-                    .seed_forced
-                    .store(true, Ordering::Relaxed);
-            }
-        });
+    /// Seeds the artifact's leaf sections into the caches, once, and says
+    /// which arena id each of its formula rows got (none without an
+    /// artifact).
+    fn force_seed(&self) -> &[FormulaId] {
+        self.seeded.get_or_init(|| {
+            let Some(artifact) = &self.artifact else {
+                return Vec::new();
+            };
+            let (_, ids) = artifact
+                .write()
+                .expect("no reader of the artifact panics")
+                .seed_into(&self.solver, &self.wp_store, &self.disjointness);
+            self.outcome_counters
+                .seed_forced
+                .store(true, Ordering::Relaxed);
+            ids
+        })
     }
 
     /// The loaded artifact, for reading its outcome records and node tables.
@@ -352,23 +359,23 @@ impl SharedAnalysisContext {
         let Some(dir) = self.cache_dir.as_deref() else {
             return Ok(None);
         };
-        let solver = self.solver();
-        let outcomes = {
-            let artifact = self.artifact();
-            // The seed interned every row, so these trees only look their
-            // ids up.
-            let carried = artifact.iter().flat_map(|artifact| {
-                artifact.outcomes().iter().map(|record| {
-                    let invariant = solver
-                        .interner()
-                        .intern(&artifact.formula(record.invariant));
-                    record.clone().with_invariant(invariant)
-                })
-            });
-            let analysed = self.analysed.lock().expect("filing a record cannot panic");
-            carried.chain(analysed.iter().cloned()).collect()
-        };
-        expresso_persist::save(dir, solver, &self.wp_store, &self.disjointness, outcomes).map(Some)
+        let ids = self.force_seed();
+        // The carried records first: a monitor analysed here although the
+        // artifact had a record under its key answers for itself.
+        let mut outcomes: BTreeMap<_, _> = self
+            .artifact()
+            .iter()
+            .flat_map(|artifact| artifact.outcomes())
+            .map(|(key, record)| {
+                let invariant = ids[record.invariant as usize];
+                (key.clone(), record.clone().with_invariant(invariant))
+            })
+            .collect();
+        let analysed = self.analysed.lock().expect("filing a record cannot panic");
+        outcomes.extend(analysed.iter().map(|(k, r)| (k.clone(), r.clone())));
+        drop(analysed);
+        let (solver, wp_store) = (&self.solver, &self.wp_store);
+        expresso_persist::save(dir, solver, wp_store, &self.disjointness, outcomes).map(Some)
     }
 
     /// The key `monitor`'s outcome is recorded under — when a cache
@@ -443,7 +450,6 @@ impl SharedAnalysisContext {
             })
             .collect();
         let record = OutcomeRecord {
-            key,
             invariant: self.solver.interner().intern(&outcome.invariant),
             candidates: outcome.stats.invariant_candidates as u64,
             conjuncts: outcome.stats.invariant_conjuncts as u64,
@@ -453,7 +459,7 @@ impl SharedAnalysisContext {
         self.analysed
             .lock()
             .expect("filing a record cannot panic")
-            .push(record);
+            .insert(key, record);
     }
 
     /// The shared memoizing solver, seeded from the artifact (see

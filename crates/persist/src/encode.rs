@@ -17,7 +17,9 @@
 use crate::codec::{err, DecodeError, Reader, Writer};
 use crate::table::{FormulaRow, Row, TermRow};
 use expresso_logic::{CmpOp, Quantifier, Valuation};
-use expresso_monitor_lang::{BinOp, Expr, LowerError, Monitor, Param, Stmt, Type, UnOp};
+use expresso_monitor_lang::{
+    BinOp, Ccr, CcrId, Expr, Field, LowerError, Method, Monitor, Param, Stmt, Type, UnOp,
+};
 use expresso_smt::{SatResult, SolverError, TranslateError};
 use expresso_vcgen::WpError;
 
@@ -451,9 +453,9 @@ fn write_opt_expr(w: &mut Writer, expr: Option<&Expr>) {
 
 fn write_params(w: &mut Writer, params: &[Param]) {
     w.seq(params.len());
-    for param in params {
-        w.str(&param.name);
-        write_type(w, param.ty);
+    for Param { name, ty } in params {
+        w.str(name);
+        write_type(w, *ty);
     }
 }
 
@@ -462,31 +464,58 @@ fn write_params(w: &mut Writer, params: &[Param]) {
 /// tag — so two monitors are written as the same bytes exactly when they are
 /// `==`. The AST carries no spans: layout and comments never reach it. There
 /// is no reader; an outcome key is only ever compared.
+///
+/// Each struct is taken apart by an exhaustive pattern (and `write_expr` /
+/// `write_stmt` match without a wildcard): a field or variant added to the
+/// AST does not compile here until it is written too. One that silently
+/// stayed out of the key would have two different monitors share an answer.
 pub fn write_monitor(w: &mut Writer, monitor: &Monitor) {
-    w.str(&monitor.name);
-    write_params(w, &monitor.params);
-    write_opt_expr(w, monitor.requires.as_ref());
-    w.seq(monitor.fields.len());
-    for field in &monitor.fields {
-        w.str(&field.name);
-        write_type(w, field.ty);
-        write_opt_expr(w, field.init.as_ref());
-        write_opt_expr(w, field.array_len.as_ref());
+    let Monitor {
+        name,
+        params,
+        requires,
+        fields,
+        methods,
+        ccrs,
+    } = monitor;
+    w.str(name);
+    write_params(w, params);
+    write_opt_expr(w, requires.as_ref());
+    w.seq(fields.len());
+    for field in fields {
+        let Field {
+            name,
+            ty,
+            init,
+            array_len,
+        } = field;
+        w.str(name);
+        write_type(w, *ty);
+        write_opt_expr(w, init.as_ref());
+        write_opt_expr(w, array_len.as_ref());
     }
-    w.seq(monitor.methods.len());
-    for method in &monitor.methods {
-        w.str(&method.name);
-        write_params(w, &method.params);
-        w.seq(method.ccrs.len());
-        method.ccrs.iter().for_each(|id| w.u64(id.0 as u64));
+    w.seq(methods.len());
+    for method in methods {
+        let Method { name, params, ccrs } = method;
+        w.str(name);
+        write_params(w, params);
+        w.seq(ccrs.len());
+        ccrs.iter().for_each(|CcrId(id)| w.u64(*id as u64));
     }
-    w.seq(monitor.ccrs.len());
-    for ccr in &monitor.ccrs {
-        w.u64(ccr.id.0 as u64);
-        w.u64(ccr.method as u64);
-        w.u64(ccr.position as u64);
-        write_expr(w, &ccr.guard);
-        write_stmt(w, &ccr.body);
+    w.seq(ccrs.len());
+    for ccr in ccrs {
+        let Ccr {
+            id: CcrId(id),
+            method,
+            position,
+            guard,
+            body,
+        } = ccr;
+        w.u64(*id as u64);
+        w.u64(*method as u64);
+        w.u64(*position as u64);
+        write_expr(w, guard);
+        write_stmt(w, body);
     }
 }
 

@@ -96,15 +96,20 @@
 //! entry is a lemma — a verdict about a formula, true whoever asks — and
 //! survives a new placement rule; a record is an answer, and does not. So
 //! [`FORMAT_VERSION`] is bumped not only when the layout changes but whenever
-//! the analysis would answer differently for an unchanged monitor.
+//! the analysis would answer differently for an unchanged monitor — and since
+//! nobody remembers that, `tests/persistence.rs` pins the version together
+//! with a digest of the answers for a fixed set of monitors
+//! (`changed_answers_need_a_format_version_bump`): answers that move under
+//! an unmoved version fail there, with the instruction.
 //!
 //! # Robustness
 //!
 //! * **Corruption:** the payload is guarded by a magic, a format version, its
-//!   length and a word-wise FNV-1a checksum, all verified *before* decoding; a
-//!   truncated, bit-flipped or version-mismatched file (a v2 or v3 artifact
-//!   included) loads as [`LoadResult::Corrupt`] and the caller falls back to
-//!   a cold start with a warning — never a panic, never a wrong verdict.
+//!   length and a word-wise, folded FNV-1a checksum, all verified *before*
+//!   decoding; a truncated, bit-flipped or version-mismatched file (a v2 or
+//!   v3 artifact included) loads as [`LoadResult::Corrupt`] and the caller
+//!   falls back to a cold start with a warning — never a panic, never a
+//!   wrong verdict.
 //! * **Hostile payloads:** a file whose checksum is *right* still cannot
 //!   abort the process. Rows decode iteratively; every row reference is read
 //!   through one bounds check that rejects forward references, self
@@ -112,7 +117,13 @@
 //!   nesting is capped ([`MAX_NESTING`]); sequence lengths are capped by the
 //!   bytes that remain; an outcome record must name an invariant row inside
 //!   the table, carry no unknown decision flag and sort strictly after the
-//!   record before it (so no key is filed twice). [`load`] returns an
+//!   record before it (so no key is filed twice). Replay is the one place
+//!   that turns rows back into a tree — recursively, a shared row once per
+//!   occurrence — so the invariant's tree must also be small: height and
+//!   node count of every row are measured in one iterative pass over the
+//!   tables, and a record over a row past [`MAX_NESTING`] levels or
+//!   [`MAX_TREE_NODES`] nodes (forty rows can spell 2^40) refuses the file;
+//!   the exporter leaves such a record out. [`load`] returns an
 //!   [`Artifact`] only if all of that held, and nothing is seeded or replayed
 //!   from one that did not. An outcome key is never decoded — it is bytes to
 //!   compare — so it has no nesting to cap, and a record's CCR and guard
@@ -135,7 +146,7 @@ mod table;
 pub use codec::{checksum, DecodeError};
 pub use encode::MAX_NESTING;
 pub use outcome::{DecisionRecord, OutcomeKey, OutcomeRecord};
-pub use table::{FormulaRow, Row, TermRow};
+pub use table::{FormulaRow, Row, TermRow, MAX_TREE_NODES};
 
 use codec::{Reader, Writer};
 use encode::{
@@ -170,8 +181,10 @@ const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 /// Format version; bump on any codec or layout change **and on any change
 /// to what the analysis would answer** for an unchanged monitor (a new
 /// placement rule, a different abduction search): an outcome record is an
-/// answer, not a lemma, and nothing re-derives it on a hit. A mismatch loads
-/// as [`LoadResult::Corrupt`] (cold start), never as garbage.
+/// answer, not a lemma, and nothing re-derives it on a hit
+/// (`tests/persistence.rs::changed_answers_need_a_format_version_bump` holds
+/// this constant against a digest of the answers). A mismatch loads as
+/// [`LoadResult::Corrupt`] (cold start), never as garbage.
 ///
 /// v2 added the CCR-pair disjointness section (the independence verdicts
 /// behind the explorer's refined dependence relation). v3 replaced the
@@ -247,8 +260,9 @@ pub struct Artifact {
     theory: Vec<(Vec<(Row, bool)>, TheoryVerdictData)>,
     wp: Vec<WpArtifactGroup>,
     disjointness: Vec<DisjointnessArtifactEntry>,
-    /// Strictly ascending by key.
-    outcomes: Vec<OutcomeRecord>,
+    /// Strictly ascending by key; every invariant names a row
+    /// [`table::small_trees`] vouches for.
+    outcomes: Vec<(OutcomeKey, OutcomeRecord)>,
 }
 
 impl Artifact {
@@ -319,7 +333,7 @@ impl Artifact {
     }
 
     /// Monitor-level outcome records, ascending by key.
-    pub fn outcomes(&self) -> &[OutcomeRecord] {
+    pub fn outcomes(&self) -> &[(OutcomeKey, OutcomeRecord)] {
         &self.outcomes
     }
 
@@ -332,7 +346,12 @@ impl Artifact {
     /// The formula tree a row stands for. This is the view tests hold the
     /// tables against (it is what format v2 stored per entry) and what a
     /// replayed outcome's invariant is rebuilt through; nothing on the
-    /// export/load/seed path builds trees. Recurses once per level.
+    /// export/load/seed path builds trees. Recurses once per level and spells
+    /// shared rows out once per occurrence, so it is bounded only for rows
+    /// known to be small — the invariant of every [outcome](Self::outcomes)
+    /// is (at most [`MAX_NESTING`] levels and [`MAX_TREE_NODES`] nodes:
+    /// [`load`] refuses a file and the exporter leaves out a record where it
+    /// is not); for any other row of a loaded file it is not.
     pub fn formula(&self, row: Row) -> Formula {
         table::formula_tree(&self.terms, &self.formulas, row)
     }
@@ -456,17 +475,19 @@ pub fn export_artifact(
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
 ) -> Artifact {
-    export_with_outcomes(solver, wp_store, disjointness, Vec::new())
+    export_with_outcomes(solver, wp_store, disjointness, BTreeMap::new())
 }
 
 /// [`export_artifact`] plus the outcome section: `outcomes` name their
 /// invariants by ids of `solver`'s arena, which join the roots of the
-/// numbering walk. Of two records under one key the later one is written.
+/// numbering walk. A record whose invariant is a larger tree than replay
+/// will rebuild ([`MAX_NESTING`] levels, [`MAX_TREE_NODES`] nodes) is left
+/// out like a too-deep statement: the loader would refuse the file over it.
 pub fn export_with_outcomes(
     solver: &Solver,
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
-    outcomes: Vec<OutcomeRecord<FormulaId>>,
+    outcomes: BTreeMap<OutcomeKey, OutcomeRecord<FormulaId>>,
 ) -> Artifact {
     let sat = solver.export_sat_cache();
     let qe = solver.export_qe_cache();
@@ -497,7 +518,7 @@ pub fn export_with_outcomes(
     for (guard_a, _, _, guard_b, _, _, _) in &pairs {
         roots.extend([*guard_a, *guard_b]);
     }
-    roots.extend(outcomes.iter().map(|record| record.invariant));
+    roots.extend(outcomes.values().map(|record| record.invariant));
     let numbering = table::number(solver.interner(), roots);
     let row = |id: FormulaId| numbering.row(id);
     let literal_rows = |literals: Vec<(FormulaId, bool)>| -> Vec<(Row, bool)> {
@@ -567,12 +588,14 @@ pub fn export_with_outcomes(
             key_bytes(&e.fingerprint_b, &e.body_b),
         )
     });
-    let outcomes: BTreeMap<OutcomeKey, OutcomeRecord> = outcomes
+    let small = table::small_trees(&numbering.terms, &numbering.formulas);
+    let outcomes = outcomes
         .into_iter()
-        .map(|record| {
+        .map(|(key, record)| {
             let invariant = row(record.invariant);
-            (record.key.clone(), record.with_invariant(invariant))
+            (key, record.with_invariant(invariant))
         })
+        .filter(|(_, record)| small[record.invariant as usize])
         .collect();
 
     Artifact {
@@ -583,7 +606,7 @@ pub fn export_with_outcomes(
         theory,
         wp,
         disjointness,
-        outcomes: outcomes.into_values().collect(),
+        outcomes,
     }
 }
 
@@ -603,7 +626,7 @@ pub fn seed(
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
 ) -> SeedReport {
-    artifact.clone().seed_into(solver, wp_store, disjointness)
+    artifact.clone().seed_into(solver, wp_store, disjointness).0
 }
 
 impl Artifact {
@@ -611,20 +634,22 @@ impl Artifact {
     /// statements and fingerprints go into the caches as they are, and the
     /// five leaf sections are left empty — a seeded cache and the section it
     /// came from would hold the same thing twice for as long as both live.
-    /// The node tables and the outcome records stay.
+    /// The node tables and the outcome records stay. Also returns the arena
+    /// id every formula row was interned as, by row: what turns an outcome
+    /// record's invariant into a root of the next export.
     pub fn seed_into(
         &mut self,
         solver: &Solver,
         wp_store: &WpStore,
         disjointness: &DisjointnessStore,
-    ) -> SeedReport {
+    ) -> (SeedReport, Vec<FormulaId>) {
         let _span = expresso_obs::span!("persist.seed");
         let ids = table::intern(solver.interner(), &self.terms, &self.formulas);
         let id = |row: Row| ids[row as usize];
         let literal_ids = |literals: Vec<(Row, bool)>| -> Vec<(FormulaId, bool)> {
             literals.into_iter().map(|(row, p)| (id(row), p)).collect()
         };
-        SeedReport {
+        let report = SeedReport {
             outcomes: 0,
             sat: solver.seed_sat_cache(
                 std::mem::take(&mut self.sat)
@@ -685,7 +710,8 @@ impl Artifact {
                     })
                     .collect(),
             ),
-        }
+        };
+        (report, ids)
     }
 }
 
@@ -827,14 +853,15 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
     artifact
         .outcomes
         .iter()
-        .for_each(|record| write_outcome(&mut w, record));
+        .for_each(|(key, record)| write_outcome(&mut w, key, record));
     frame(&w.into_bytes())
 }
 
 /// Decodes and validates a payload: every row reference must name a strictly
 /// earlier row of its table (children) or a row inside the table (entries),
-/// and the outcome records must ascend strictly by key (so no key is filed
-/// twice).
+/// the outcome records must ascend strictly by key (so no key is filed
+/// twice) and each must name an invariant whose tree is small enough to
+/// rebuild.
 fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
     let mut r = Reader::new(payload);
     let mut artifact = Artifact::default();
@@ -905,16 +932,23 @@ fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
             independent,
         });
     }
+    let small = table::small_trees(&artifact.terms, &artifact.formulas);
     for _ in 0..r.seq()? {
-        let record = read_outcome(&mut r, formulas)?;
+        let (key, record) = read_outcome(&mut r, formulas)?;
         if artifact
             .outcomes
             .last()
-            .is_some_and(|last| last.key >= record.key)
+            .is_some_and(|(last, _)| *last >= key)
         {
             return codec::err("outcome records are not in ascending key order");
         }
-        artifact.outcomes.push(record);
+        if !small[record.invariant as usize] {
+            return codec::err(format!(
+                "outcome invariant (row {}) is too large a tree to rebuild",
+                record.invariant
+            ));
+        }
+        artifact.outcomes.push((key, record));
     }
     if !r.is_empty() {
         return codec::err("trailing bytes after last section");
@@ -959,7 +993,7 @@ pub fn save(
     solver: &Solver,
     wp_store: &WpStore,
     disjointness: &DisjointnessStore,
-    outcomes: Vec<OutcomeRecord<FormulaId>>,
+    outcomes: BTreeMap<OutcomeKey, OutcomeRecord<FormulaId>>,
 ) -> io::Result<SaveReport> {
     let _span = expresso_obs::span!("persist.save");
     let artifact = export_with_outcomes(solver, wp_store, disjointness, outcomes);
@@ -1047,7 +1081,7 @@ pub fn load(dir: &Path) -> LoadResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expresso_logic::{CmpOp, Term};
+    use expresso_logic::{CmpOp, FormulaNode, Term};
     use expresso_monitor_lang::{
         parse_expr, parse_monitor, Ccr, CcrId, Expr, Field, Method, Monitor, NotificationKind,
         SignalCondition, UnOp,
@@ -1406,13 +1440,11 @@ mod tests {
         atomic void acquire() { waituntil (count > 0) { count--; } }
     }";
 
-    /// A record for `monitor` whose invariant is `count < 4`, interned in
-    /// `caches`' arena.
-    fn record_of(caches: &Caches, monitor: &Monitor, candidates: u64) -> OutcomeRecord<FormulaId> {
+    /// A record whose invariant is `invariant` in some table or arena.
+    fn record_of<F>(invariant: F) -> OutcomeRecord<F> {
         OutcomeRecord {
-            key: OutcomeKey::of(monitor, true, true),
-            invariant: caches.solver.interner().intern(&count_lt(4)),
-            candidates,
+            invariant,
+            candidates: 5,
             conjuncts: 1,
             triples_checked: 9,
             decisions: vec![DecisionRecord {
@@ -1427,29 +1459,32 @@ mod tests {
         }
     }
 
+    fn key_of(source: &str) -> OutcomeKey {
+        OutcomeKey::of(&parse_monitor(source).unwrap(), true, true)
+    }
+
     /// [`sample_caches`] exported with a record each for [`COUNTER`] and a
-    /// renamed copy of it.
+    /// renamed copy of it, both with the invariant `count < 4`.
     fn sample_with_outcomes(shuffled: bool) -> Artifact {
         let caches = sample_caches(shuffled);
-        let mut records: Vec<_> = [COUNTER.to_owned(), COUNTER.replace("count", "n")]
+        let invariant = caches.solver.interner().intern(&count_lt(4));
+        let records = [COUNTER.to_owned(), COUNTER.replace("count", "n")]
             .iter()
-            .map(|source| record_of(&caches, &parse_monitor(source).unwrap(), 5))
+            .map(|source| (key_of(source), record_of(invariant)))
             .collect();
-        if shuffled {
-            records.reverse();
-        }
         export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records)
     }
 
     #[test]
-    fn outcome_records_round_trip_in_key_order_and_the_later_of_two_wins() {
+    fn outcome_records_round_trip_in_key_order() {
         let artifact = sample_with_outcomes(false);
         assert_eq!(artifact.outcomes().len(), 2);
         assert_eq!(artifact.len(), 7 + 2);
-        assert!(artifact.outcomes()[0].key < artifact.outcomes()[1].key);
+        assert!(artifact.outcomes()[0].0 < artifact.outcomes()[1].0);
         let bytes = encode_artifact(&artifact);
         assert_eq!(decode_artifact(payload_of(&bytes)).unwrap(), artifact);
-        // Content decides the bytes here too, not the order records came in.
+        // Content decides the bytes here too, not the arena an invariant was
+        // interned in.
         assert_eq!(bytes, encode_artifact(&sample_with_outcomes(true)));
 
         let counter = parse_monitor(COUNTER).unwrap();
@@ -1459,17 +1494,6 @@ mod tests {
         assert!(artifact
             .outcome(&OutcomeKey::of(&counter, true, false))
             .is_none());
-
-        // A monitor analysed again in one context, or analysed because its
-        // record would not replay: the record filed last is the one kept.
-        let caches = sample_caches(false);
-        let records = vec![
-            record_of(&caches, &counter, 5),
-            record_of(&caches, &counter, 6),
-        ];
-        let artifact = export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records);
-        assert_eq!(artifact.outcomes().len(), 1);
-        assert_eq!(artifact.outcome(&key).map(|r| r.candidates), Some(6));
     }
 
     #[test]
@@ -1480,7 +1504,7 @@ mod tests {
         let mangles: [(&str, Mangle, &str); 3] = [
             (
                 "invariant",
-                |a, formulas| a.outcomes[0].invariant = formulas,
+                |a, formulas| a.outcomes[0].1.invariant = formulas,
                 "row reference",
             ),
             (
@@ -1504,6 +1528,88 @@ mod tests {
         let file = encode_artifact(&pristine);
         let payload = payload_of(&file);
         assert_corrupt("cut", &frame(&payload[..payload.len() - 5]), "truncated");
+    }
+
+    /// [`sample_with_outcomes`] with a tower of `levels` rows on top of its
+    /// first record's invariant (`count < 4`: three nodes on two levels),
+    /// each row built from the number of the row below it, and the invariant
+    /// moved to the top of the tower.
+    fn with_invariant_under(levels: usize, row_over: fn(Row) -> FormulaRow) -> Artifact {
+        let mut artifact = sample_with_outcomes(false);
+        let mut top = artifact.outcomes[0].1.invariant;
+        for _ in 0..levels {
+            artifact.formulas.push(row_over(top));
+            top = artifact.formulas.len() as Row - 1;
+        }
+        artifact.outcomes[0].1.invariant = top;
+        artifact
+    }
+
+    #[test]
+    fn invariants_too_large_to_rebuild_are_corrupt_not_an_abort() {
+        // Replay turns a record's invariant row into a tree, which recurses
+        // once per level and spells a shared row out once per occurrence.
+        // Both files are a few hundred kilobytes at most, well formed row by
+        // row, under a correct checksum, and file their record under the key
+        // of a real monitor: 20 000 negations would overflow the stack of the
+        // worker that replays, forty doublings are 2^42 tree nodes.
+        let negate: fn(Row) -> FormulaRow = FormulaRow::Not;
+        let double: fn(Row) -> FormulaRow = |below| FormulaRow::And(vec![below, below]);
+        for (tag, levels, row_over) in [("chain", 20_000, negate), ("doubling", 40, double)] {
+            let artifact = with_invariant_under(levels, row_over);
+            assert_corrupt(tag, &encode_artifact(&artifact), "too large a tree");
+        }
+        // The caps themselves. `count < 4` is one level above its terms.
+        let at_cap = |tag: &str, levels: usize, row_over: fn(Row) -> FormulaRow| {
+            let artifact = with_invariant_under(levels, row_over);
+            let loaded = match load_bytes(tag, &encode_artifact(&artifact)) {
+                LoadResult::Loaded(loaded) => loaded,
+                other => panic!("{tag}: expected Loaded, got {other:?}"),
+            };
+            let past = with_invariant_under(levels + 1, row_over);
+            assert_corrupt(tag, &encode_artifact(&past), "too large a tree");
+            loaded.formula(loaded.outcomes()[0].1.invariant)
+        };
+        let mut tallest = at_cap("tallest", MAX_NESTING - 1, negate);
+        let mut levels = 0;
+        while let Formula::Not(inner) = tallest {
+            (tallest, levels) = (*inner, levels + 1);
+        }
+        assert_eq!((tallest, levels), (count_lt(4), MAX_NESTING - 1));
+        // 3 nodes doubled ten times and the ten `And`s over them: 2^12 - 1.
+        let mut largest = &at_cap("largest", 10, double);
+        let mut nodes = 3;
+        while let Formula::And(halves) = largest {
+            assert_eq!(halves[0], halves[1]);
+            (largest, nodes) = (&halves[0], 2 * nodes + 1);
+        }
+        assert_eq!(nodes, MAX_TREE_NODES - 1);
+    }
+
+    #[test]
+    fn the_exporter_leaves_out_a_record_it_could_not_reload() {
+        // The same doubling tower, built in an arena this time: an invariant
+        // no abduction run produces, but if one did, writing its record would
+        // cost every later run the whole file.
+        let caches = sample_caches(false);
+        let interner = caches.solver.interner();
+        let small = interner.intern(&count_lt(4));
+        let mut huge = small;
+        for _ in 0..40 {
+            huge = interner.intern_formula_node(FormulaNode::And(vec![huge, huge]));
+        }
+        let (kept, dropped) = (key_of(COUNTER), key_of(&COUNTER.replace("count", "n")));
+        let records = BTreeMap::from([
+            (kept.clone(), record_of(small)),
+            (dropped.clone(), record_of(huge)),
+        ]);
+        let artifact = export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records);
+        assert!(artifact.outcome(&kept).is_some());
+        assert!(artifact.outcome(&dropped).is_none());
+        match load_bytes("huge", &encode_artifact(&artifact)) {
+            LoadResult::Loaded(loaded) => assert_eq!(*loaded, artifact),
+            other => panic!("expected Loaded, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1547,10 +1653,9 @@ mod tests {
         caches
             .wp
             .seed_group((fingerprint, body, vec![(truth, Ok(truth))]));
-        let record = record_of(&caches, &monitor, 0);
-        let key = record.key.clone();
-        let artifact =
-            export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, vec![record]);
+        let key = OutcomeKey::of(&monitor, true, true);
+        let records = BTreeMap::from([(key.clone(), record_of(truth))]);
+        let artifact = export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records);
         assert!(artifact.wp().is_empty());
         match load_bytes("deep-monitor", &encode_artifact(&artifact)) {
             LoadResult::Loaded(loaded) => assert!(loaded.outcome(&key).is_some()),

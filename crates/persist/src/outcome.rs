@@ -65,12 +65,12 @@ pub struct DecisionRecord {
     pub conservative_fallback: bool,
 }
 
-/// The analysis outcome of one monitor. `F` is how the invariant is named: a
-/// formula-table [`Row`] in an [`Artifact`](crate::Artifact), an arena id on
-/// the way into [`export_with_outcomes`](crate::export_with_outcomes).
+/// The analysis outcome of one monitor, filed under that monitor's
+/// [`OutcomeKey`]. `F` is how the invariant is named: a formula-table [`Row`]
+/// in an [`Artifact`](crate::Artifact), an arena id on the way into
+/// [`export_with_outcomes`](crate::export_with_outcomes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutcomeRecord<F = Row> {
-    pub key: OutcomeKey,
     pub invariant: F,
     /// Candidate invariants abduction proposed.
     pub candidates: u64,
@@ -86,7 +86,6 @@ impl<F> OutcomeRecord<F> {
     /// The same record with its invariant named some other way.
     pub fn with_invariant<G>(self, invariant: G) -> OutcomeRecord<G> {
         OutcomeRecord {
-            key: self.key,
             invariant,
             candidates: self.candidates,
             conjuncts: self.conjuncts,
@@ -98,14 +97,15 @@ impl<F> OutcomeRecord<F> {
 
 /// The record filed under `key` in a section ordered by key, if there is one.
 pub(crate) fn find<'a>(
-    outcomes: &'a [OutcomeRecord],
+    outcomes: &'a [(OutcomeKey, OutcomeRecord)],
     key: &OutcomeKey,
 ) -> Option<&'a OutcomeRecord> {
-    let from = outcomes.partition_point(|record| record.key.hash < key.hash);
+    let from = outcomes.partition_point(|(filed, _)| filed.hash < key.hash);
     outcomes[from..]
         .iter()
-        .take_while(|record| record.key.hash == key.hash)
-        .find(|record| record.key.bytes == key.bytes)
+        .take_while(|(filed, _)| filed.hash == key.hash)
+        .find(|(filed, _)| filed.bytes == key.bytes)
+        .map(|(_, record)| record)
 }
 
 const NEEDED: u8 = 1;
@@ -114,9 +114,9 @@ const BROADCAST: u8 = 4;
 const USED_COMMUTATIVITY: u8 = 8;
 const CONSERVATIVE_FALLBACK: u8 = 16;
 
-pub(crate) fn write_outcome(w: &mut Writer, record: &OutcomeRecord) {
-    w.u64(record.key.hash);
-    w.bytes(&record.key.bytes);
+pub(crate) fn write_outcome(w: &mut Writer, key: &OutcomeKey, record: &OutcomeRecord) {
+    w.u64(key.hash);
+    w.bytes(&key.bytes);
     w.u32(record.invariant);
     w.u64(record.candidates);
     w.u64(record.conjuncts);
@@ -137,7 +137,10 @@ pub(crate) fn write_outcome(w: &mut Writer, record: &OutcomeRecord) {
 /// Reads one record over a `formulas`-row formula table. The stored hash is
 /// taken as it is: one that is not the hash of the bytes beside it files the
 /// record where no lookup arrives, which is a miss.
-pub(crate) fn read_outcome(r: &mut Reader, formulas: usize) -> Result<OutcomeRecord, DecodeError> {
+pub(crate) fn read_outcome(
+    r: &mut Reader,
+    formulas: usize,
+) -> Result<(OutcomeKey, OutcomeRecord), DecodeError> {
     let key = OutcomeKey {
         hash: r.u64()?,
         bytes: r.bytes()?,
@@ -170,14 +173,14 @@ pub(crate) fn read_outcome(r: &mut Reader, formulas: usize) -> Result<OutcomeRec
             })
         })
         .collect::<Result<_, DecodeError>>()?;
-    Ok(OutcomeRecord {
-        key,
+    let record = OutcomeRecord {
         invariant,
         candidates,
         conjuncts,
         triples_checked,
         decisions,
-    })
+    };
+    Ok((key, record))
 }
 
 #[cfg(test)]
@@ -196,7 +199,7 @@ mod tests {
     }
 
     /// A record with one decision per combination of the five flags.
-    fn record(key: OutcomeKey) -> OutcomeRecord {
+    fn record() -> OutcomeRecord {
         let decisions = (0..32u32)
             .map(|bits| DecisionRecord {
                 ccr: bits,
@@ -217,7 +220,6 @@ mod tests {
             })
             .collect();
         OutcomeRecord {
-            key,
             invariant: 0,
             candidates: 5,
             conjuncts: 2,
@@ -226,9 +228,9 @@ mod tests {
         }
     }
 
-    fn encoded(record: &OutcomeRecord) -> Vec<u8> {
+    fn encoded(key: &OutcomeKey, record: &OutcomeRecord) -> Vec<u8> {
         let mut w = Writer::new();
-        write_outcome(&mut w, record);
+        write_outcome(&mut w, key, record);
         w.into_bytes()
     }
 
@@ -253,17 +255,16 @@ mod tests {
 
     #[test]
     fn records_round_trip_with_every_flag() {
-        let record = record(key_of(COUNTER));
-        let bytes = encoded(&record);
+        let filed = (key_of(COUNTER), record());
+        let bytes = encoded(&filed.0, &filed.1);
         let mut r = Reader::new(&bytes);
-        assert_eq!(read_outcome(&mut r, 1), Ok(record));
+        assert_eq!(read_outcome(&mut r, 1), Ok(filed));
         assert!(r.is_empty());
     }
 
     #[test]
     fn malformed_records_are_refused() {
-        let record = record(key_of(COUNTER));
-        let bytes = encoded(&record);
+        let bytes = encoded(&key_of(COUNTER), &record());
         // The last byte is the flags of the last decision.
         let mut unknown_flag = bytes.clone();
         *unknown_flag.last_mut().unwrap() |= 0x20;
@@ -286,10 +287,15 @@ mod tests {
     #[test]
     fn a_lookup_confirms_the_bytes_behind_the_hash() {
         let (counter, other) = (key_of(COUNTER), key_of(&COUNTER.replace("count", "n")));
-        let mut outcomes = vec![record(counter.clone()), record(other.clone())];
-        outcomes.sort_by(|a, b| a.key.cmp(&b.key));
-        assert_eq!(find(&outcomes, &counter).map(|r| &r.key), Some(&counter));
-        assert_eq!(find(&outcomes, &other).map(|r| &r.key), Some(&other));
+        // Told apart by their candidate counts.
+        let numbered = |candidates| OutcomeRecord {
+            candidates,
+            ..record()
+        };
+        let mut outcomes = vec![(counter.clone(), numbered(1)), (other.clone(), numbered(2))];
+        outcomes.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(find(&outcomes, &counter).map(|r| r.candidates), Some(1));
+        assert_eq!(find(&outcomes, &other).map(|r| r.candidates), Some(2));
         assert!(find(&outcomes, &key_of(&COUNTER.replace("0", "7"))).is_none());
         // A planted collision: the right hash over some other monitor's
         // bytes, filed where the lookup of `counter` arrives.
@@ -297,10 +303,10 @@ mod tests {
             hash: counter.hash,
             bytes: other.bytes.clone(),
         };
-        assert!(find(&[record(forged.clone())], &counter).is_none());
+        assert!(find(&[(forged.clone(), numbered(3))], &counter).is_none());
         // And with the genuine record right behind it, the genuine one.
-        let mut both = vec![record(forged), record(counter.clone())];
-        both.sort_by(|a, b| a.key.cmp(&b.key));
-        assert_eq!(find(&both, &counter).map(|r| &r.key), Some(&counter));
+        let mut both = vec![(forged, numbered(3)), (counter.clone(), numbered(1))];
+        both.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(find(&both, &counter).map(|r| r.candidates), Some(1));
     }
 }

@@ -267,8 +267,79 @@ pub(crate) fn intern(
 }
 
 // ---------------------------------------------------------------------------
-// The tree view (tests and debugging only)
+// The tree view: tests, debugging and the invariant of a replayed outcome
 // ---------------------------------------------------------------------------
+
+/// Most nodes the tree of an outcome's invariant may have. The tree view
+/// below spells the DAG out — forty rows of `And[i-1, i-1]` are 2^40 tree
+/// nodes — and recurses once per level, so a row is only handed to it on the
+/// replay path if `small_trees` vouches for it. Inferred invariants are
+/// conjunctions of a few atoms: the largest over two 500-monitor corpora and
+/// the Table 1 suite has 104 nodes on 5 levels.
+pub const MAX_TREE_NODES: u32 = 1 << 12;
+
+/// The tallest such a tree may be: the statement decoders' cap.
+const MAX_TREE_HEIGHT: u32 = crate::encode::MAX_NESTING as u32;
+
+/// Height and node count of the tree a row stands for, both saturating.
+#[derive(Clone, Copy)]
+struct Extent {
+    height: u32,
+    nodes: u32,
+}
+
+impl Extent {
+    const LEAF: Extent = Extent {
+        height: 0,
+        nodes: 1,
+    };
+
+    /// A node over `children`.
+    fn over(children: impl IntoIterator<Item = Extent>) -> Extent {
+        children
+            .into_iter()
+            .fold(Extent::LEAF, |node, child| Extent {
+                height: node.height.max(child.height.saturating_add(1)),
+                nodes: node.nodes.saturating_add(child.nodes),
+            })
+    }
+}
+
+/// Per formula row, whether [`formula_tree`] may be asked for it: a tree of
+/// height at most [`MAX_NESTING`](crate::MAX_NESTING) (terms included) and at
+/// most [`MAX_TREE_NODES`] nodes. One pass in row order — children are earlier
+/// rows — so measuring a table costs what reading it did, whatever its rows
+/// would expand to. The tables must be well formed, as for [`intern`].
+pub(crate) fn small_trees(terms: &[TermRow], formulas: &[FormulaRow]) -> Vec<bool> {
+    let mut t: Vec<Extent> = Vec::with_capacity(terms.len());
+    for row in terms {
+        let at = |r: &Row| t[*r as usize];
+        let extent = match row {
+            TermRow::Int(_) | TermRow::Var(_) => Extent::LEAF,
+            TermRow::Add(parts) => Extent::over(parts.iter().map(at)),
+            TermRow::Sub(a, b) | TermRow::Mul(a, b) => Extent::over([at(a), at(b)]),
+            TermRow::Neg(a) | TermRow::Select(_, a) => Extent::over([at(a)]),
+        };
+        t.push(extent);
+    }
+    let mut f: Vec<Extent> = Vec::with_capacity(formulas.len());
+    for row in formulas {
+        let at = |r: &Row| f[*r as usize];
+        let term = |r: &Row| t[*r as usize];
+        let extent = match row {
+            FormulaRow::True | FormulaRow::False | FormulaRow::BoolVar(_) => Extent::LEAF,
+            FormulaRow::Cmp(_, lhs, rhs) => Extent::over([term(lhs), term(rhs)]),
+            FormulaRow::Divides(_, t) => Extent::over([term(t)]),
+            FormulaRow::Not(a) | FormulaRow::Quant(_, _, a) => Extent::over([at(a)]),
+            FormulaRow::And(parts) | FormulaRow::Or(parts) => Extent::over(parts.iter().map(at)),
+            FormulaRow::Implies(a, b) | FormulaRow::Iff(a, b) => Extent::over([at(a), at(b)]),
+        };
+        f.push(extent);
+    }
+    f.iter()
+        .map(|extent| extent.height <= MAX_TREE_HEIGHT && extent.nodes <= MAX_TREE_NODES)
+        .collect()
+}
 
 pub(crate) fn term_tree(terms: &[TermRow], row: Row) -> Term {
     let tree = |r: &Row| term_tree(terms, *r);

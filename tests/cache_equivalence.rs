@@ -686,10 +686,10 @@ fn outcome_lines(artifact: &Artifact) -> Vec<String> {
     let mut lines: Vec<String> = artifact
         .outcomes()
         .iter()
-        .map(|record| {
+        .map(|(key, record)| {
             format!(
                 "{:?} => {:?} {} {} {} {:?}",
-                record.key.bytes(),
+                key.bytes(),
                 artifact.formula(record.invariant),
                 record.candidates,
                 record.conjuncts,

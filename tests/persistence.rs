@@ -378,6 +378,16 @@ fn forged_outcome_records_are_misses_never_replays() {
         std::fs::write(&path, stamp(&pristine, &forged)).unwrap();
         assert_eq!(analyze(label), (0, 1, 1), "{label}: must be a miss");
     }
+    // A monitor analysed over a record that would not replay answers for
+    // itself from then on: what that context writes back holds its record in
+    // the forged one's place, not beside it.
+    let context = SharedAnalysisContext::new(&config);
+    Expresso::with_config(config.clone())
+        .analyze_with_context(&context, &monitor)
+        .unwrap();
+    let saved = context.persist().unwrap().expect("a cache directory");
+    assert_eq!(saved.outcomes, 4);
+    assert_eq!(analyze("written back"), (1, 0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -421,4 +431,59 @@ fn analyze_under_the_cache_dir_variable_replays_a_known_monitor() {
         .expect("spawning the child process");
     assert!(status.success(), "the child's assertions failed");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`persist::FORMAT_VERSION`] and a digest of what the analysis answers —
+/// everything an outcome record holds — for the Table 1 suite and a small
+/// generated corpus.
+const ANSWERS_PINNED: (u32, u64) = (4, 0x4dad_8620_fe9c_0537);
+
+#[test]
+fn changed_answers_need_a_format_version_bump() {
+    // A record is replayed with nothing re-derived, and its key covers the
+    // monitor and the configuration, not the analysis: after a change to a
+    // placement rule or to the abduction search, records written by the
+    // build before it keep answering for every unchanged monitor unless the
+    // format version moved. Nothing but this test notices.
+    use std::fmt::Write;
+    let monitors: Vec<_> = expresso_repro::suite::benchmarks::all()
+        .iter()
+        .map(|benchmark| benchmark.monitor())
+        .chain(
+            generate(&CorpusSpec { size: 8, seed: 29 })
+                .iter()
+                .map(|variant| variant.monitor()),
+        )
+        .collect();
+    let config = ExpressoConfig::default();
+    let context = SharedAnalysisContext::new(&config);
+    let mut answers = String::new();
+    for (monitor, outcome) in monitors
+        .iter()
+        .zip(Expresso::with_config(config.clone()).analyze_suite(&context, &monitors))
+    {
+        let outcome = outcome.unwrap_or_else(|e| panic!("{}: {e}", monitor.name));
+        writeln!(
+            answers,
+            "{}: {:?} {} {} {} {:?}",
+            monitor.name,
+            outcome.invariant,
+            outcome.stats.invariant_candidates,
+            outcome.stats.invariant_conjuncts,
+            outcome.report.triples_checked,
+            outcome.report.decisions
+        )
+        .unwrap();
+    }
+    let current = (
+        persist::FORMAT_VERSION,
+        persist::checksum(answers.as_bytes()),
+    );
+    assert_eq!(
+        current, ANSWERS_PINNED,
+        "(format version, digest of the analysis' answers) moved. If the digest did, the \
+         analysis now answers differently for a monitor that did not change, and artifacts \
+         written before would replay the old answer: bump `persist::FORMAT_VERSION` first, \
+         then pin the new pair in `ANSWERS_PINNED`. If only the version did, pin it."
+    );
 }
