@@ -150,6 +150,26 @@ pub const GATES: &[Gate] = &[
          re-run per member of the Farkas set it names (~3 in all); re-solving per literal, as \
          the minimiser once did, costs ~13",
     },
+    Gate {
+        name: "dpll_rounds_per_uncached_query",
+        modes: "json",
+        path: "scheduler_suite.sequential_dpll_rounds_per_uncached_query",
+        cmp: Cmp::Le,
+        bound: 2.0,
+        why: "exact work count: with the theory lemmas of earlier queries added before the first \
+         round, an uncached query of the suite takes 1.5 propositional models on average; \
+         re-deriving every refutation per query, as before the lemma store, takes 3.1",
+    },
+    Gate {
+        name: "fm_runs_per_uncached_query",
+        modes: "json",
+        path: "scheduler_suite.sequential_fm_runs_per_uncached_query",
+        cmp: Cmp::Le,
+        bound: 2.5,
+        why: "exact work count: a theory check is one elimination run and a conflict its ~3 \
+         re-runs, so this follows the conflicts a query still meets (1.8 with lemmas); 5.1 \
+         means refutations learned in one query are being found again in the next",
+    },
     // Bounded exploration: Def. 3.4 on every schedule within the bounds.
     Gate {
         name: "no_divergence",

@@ -265,6 +265,8 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
     let solver = sequential.context.stats();
     let wp = pool.context.wp_stats();
     let fm_runs_per_conflict = ratio(solver.fm_runs as f64, solver.fm_fast_conflicts as f64);
+    let per_uncached_query =
+        |count: usize| fixed(ratio(count as f64, solver.cache_misses as f64), 3);
     let utilization = scheduler.worker_utilization();
     let section = obj! {
         "suite_size" => monitors.len(),
@@ -273,6 +275,10 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
         "sequential_fm_runs" => solver.fm_runs,
         "sequential_fm_fast_conflicts" => solver.fm_fast_conflicts,
         "sequential_fm_runs_per_conflict" => fixed(fm_runs_per_conflict, 3),
+        "sequential_uncached_queries" => solver.cache_misses,
+        "sequential_dpll_rounds" => solver.sat_solver_calls,
+        "sequential_dpll_rounds_per_uncached_query" => per_uncached_query(solver.sat_solver_calls),
+        "sequential_fm_runs_per_uncached_query" => per_uncached_query(solver.fm_runs),
         "sequential_cross_monitor_cache_hits" => solver.cross_analysis_hits,
         "sequential_wp_cache_hits" => sequential.context.wp_stats().hits,
         "workers" => scheduler.workers,
@@ -515,7 +521,6 @@ pub fn persistence(ledger: &mut Ledger, corpus_monitors: usize) {
         "artifact_entries" => obj! {
             "sat" => saved.sat,
             "qe" => saved.qe,
-            "theory" => saved.theory,
             "wp" => saved.wp,
             "outcomes" => saved.outcomes,
         },

@@ -41,13 +41,18 @@ pub struct ExpressoConfig {
     pub infer_invariant: bool,
     /// Apply the §4.3 commutativity improvement.
     pub use_commutativity: bool,
-    /// Number of threads the analysis runs on. `0` sizes the work-stealing
+    /// Number of threads a *suite* is analysed on
+    /// ([`Expresso::analyze_suite`]). `0` sizes the work-stealing
     /// [`Scheduler`] automatically (one worker per available core) and
     /// shares the process-wide pool across contexts; `1` is the fully
     /// sequential analysis (no worker threads: every suite, pair and
     /// abduction task runs inline on the submitting thread, in submission
     /// order); `n >= 2` builds a dedicated pool of `n` workers. Results are
-    /// bit-identical across all settings.
+    /// bit-identical across all settings. One monitor on its own
+    /// ([`Expresso::analyze`], [`Expresso::analyze_with_context`]) is
+    /// analysed on the calling thread whatever this says: the pool is for
+    /// suites (see [`Expresso::analyze`] for the measurement, taken at 2
+    /// CPUs, the only box there is).
     pub analysis_threads: usize,
     /// Directory of the persistent warm-start cache. `None` (the default)
     /// consults the `EXPRESSO_CACHE_DIR` environment variable; when that is
@@ -648,6 +653,23 @@ impl Expresso {
     /// [`Expresso::analyze_with_context`] to share an arena and solver across
     /// a whole suite.
     ///
+    /// **One monitor is one task.** This and
+    /// [`analyze_with_context`](Self::analyze_with_context) run abduction's
+    /// waves and placement's pair obligations inline on the calling thread,
+    /// in submission order — the zero-worker path `analysis_threads = 1` has
+    /// always pinned as bit-identical to the pool — and hand the context's
+    /// pool nothing. The work of one monitor is ≈ 300 tasks of ≈ 175 µs
+    /// behind ≈ 130 joins: handed through the injector to workers that have
+    /// gone back to sleep, each join paid two park/unpark round trips of
+    /// 20–50 µs, and a Table 1 pass read 120–123 ms where the same pass
+    /// inline reads 76–81 (medians of 20 passes, three rounds, 2 CPUs — the
+    /// only box these numbers exist for; a wider one may want the fan-out
+    /// back). Fan-out pays where there is a suite to fill the pool with:
+    /// [`analyze_suite`](Self::analyze_suite), one-element suites included,
+    /// keeps the pool and its nested, stealable tasks exactly as they were.
+    /// Which of the two a caller gets is decided by the entry point it
+    /// called, not by a threshold or a setting.
+    ///
     /// # Errors
     ///
     /// Returns [`ExpressoError::Check`] when the monitor is ill-formed
@@ -675,7 +697,8 @@ impl Expresso {
         monitor: &Monitor,
     ) -> Result<AnalysisOutcome, ExpressoError> {
         let key = context.outcome_key(monitor, &self.config);
-        self.analyze_keyed(context, monitor, key)
+        let inline = Arc::new(Scheduler::with_workers(0));
+        self.analyze_keyed(context, monitor, key, &inline)
     }
 
     /// Analyses every monitor of a suite concurrently on the context's
@@ -726,9 +749,10 @@ impl Expresso {
         if tasks.first().is_some_and(|&(recorded, ..)| !recorded) {
             context.force_seed();
         }
-        context.scheduler().scope(|scope| {
+        let pool = context.scheduler();
+        pool.scope(|scope| {
             for (_, monitor, key, slot) in tasks {
-                scope.spawn(move || *slot = Some(self.analyze_keyed(context, monitor, key)));
+                scope.spawn(move || *slot = Some(self.analyze_keyed(context, monitor, key, pool)));
             }
         });
         slots
@@ -738,12 +762,15 @@ impl Expresso {
     }
 
     /// One monitor, with `key` what its outcome is looked up and filed
-    /// under (`None`: neither).
+    /// under (`None`: neither) and `fan_out` where its abduction waves and
+    /// pair obligations run: the context's pool under a suite, a zero-worker
+    /// scheduler — the calling thread — for a monitor on its own.
     fn analyze_keyed(
         &self,
         context: &SharedAnalysisContext,
         monitor: &Monitor,
         key: Option<OutcomeKey>,
+        fan_out: &Arc<Scheduler>,
     ) -> Result<AnalysisOutcome, ExpressoError> {
         let _analyze_span = expresso_obs::span!("core.analyze", "{}", monitor.name);
         let start = Instant::now();
@@ -786,7 +813,7 @@ impl Expresso {
         let (invariant, candidates, conjuncts) = if self.config.infer_invariant {
             let _span = expresso_obs::span!("core.invariant", "{}", monitor.name);
             let abduction = AbductionConfig {
-                executor: Some(Arc::clone(context.scheduler()) as Arc<dyn Executor>),
+                executor: Some(Arc::clone(fan_out) as Arc<dyn Executor>),
                 wp_cache: Some(Arc::clone(&wp_cache)),
                 ..AbductionConfig::default()
             };
@@ -807,7 +834,7 @@ impl Expresso {
             &PlacementConfig {
                 use_commutativity: self.config.use_commutativity,
                 wp_cache: Some(Arc::clone(&wp_cache)),
-                scheduler: Some(Arc::clone(context.scheduler())),
+                scheduler: Some(Arc::clone(fan_out)),
             },
         );
         drop(placement_span);
@@ -1060,8 +1087,13 @@ mod tests {
                 analysis_threads: threads,
                 ..ExpressoConfig::default()
             });
+            // A suite of one: the pool is for suites, and a monitor analysed
+            // on its own hands it nothing.
             let context = SharedAnalysisContext::new(pipeline.config());
-            let outcome = pipeline.analyze_with_context(&context, &monitor).unwrap();
+            let alone = pipeline.analyze_with_context(&context, &monitor).unwrap();
+            assert_eq!(context.scheduler_stats().tasks_executed, 0);
+            let mut suite = pipeline.analyze_suite(&context, std::slice::from_ref(&monitor));
+            let outcome = suite.pop().unwrap().unwrap();
             let abduction_tasks = context.scheduler_stats().abduction_tasks;
             assert!(
                 abduction_tasks > 0,
@@ -1071,6 +1103,8 @@ mod tests {
                 outcome.stats.scheduler.abduction_tasks, abduction_tasks,
                 "AnalysisStats must surface the pool's abduction counter"
             );
+            assert_eq!(outcome.explicit, alone.explicit, "threads={threads}");
+            assert_eq!(outcome.invariant, alone.invariant, "threads={threads}");
         }
     }
 

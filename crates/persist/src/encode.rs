@@ -16,7 +16,7 @@
 
 use crate::codec::{err, DecodeError, Reader, Writer};
 use crate::table::{FormulaRow, Row, TermRow};
-use expresso_logic::{CmpOp, Quantifier, Valuation};
+use expresso_logic::{CmpOp, Quantifier};
 use expresso_monitor_lang::{
     BinOp, Ccr, CcrId, Expr, Field, LowerError, Method, Monitor, Param, Stmt, Type, UnOp,
 };
@@ -520,68 +520,12 @@ pub fn write_monitor(w: &mut Writer, monitor: &Monitor) {
 }
 
 // ---------------------------------------------------------------------------
-// Cached values: verdicts, models and error enums
+// Cached values: verdicts and error enums
 // ---------------------------------------------------------------------------
-
-pub fn write_valuation(w: &mut Writer, v: &Valuation) {
-    // Sort each map so the encoding of a valuation is deterministic.
-    let mut ints: Vec<_> = v.ints().collect();
-    ints.sort();
-    w.seq(ints.len());
-    for (name, value) in ints {
-        w.str(name);
-        w.i64(*value);
-    }
-    let mut bools: Vec<_> = v.bools().collect();
-    bools.sort();
-    w.seq(bools.len());
-    for (name, value) in bools {
-        w.str(name);
-        w.bool(*value);
-    }
-    let mut arrays: Vec<_> = v.arrays().collect();
-    arrays.sort();
-    w.seq(arrays.len());
-    for (name, values) in arrays {
-        w.str(name);
-        w.seq(values.len());
-        values.iter().for_each(|&x| w.i64(x));
-    }
-}
-
-pub fn read_valuation(r: &mut Reader) -> Result<Valuation, DecodeError> {
-    let mut v = Valuation::new();
-    for _ in 0..r.seq()? {
-        let name = r.str()?;
-        let value = r.i64()?;
-        v.set_int(name, value);
-    }
-    for _ in 0..r.seq()? {
-        let name = r.str()?;
-        let value = r.bool()?;
-        v.set_bool(name, value);
-    }
-    for _ in 0..r.seq()? {
-        let name = r.str()?;
-        let n = r.seq()?;
-        let values = (0..n).map(|_| r.i64()).collect::<Result<_, _>>()?;
-        v.set_array(name, values);
-    }
-    Ok(v)
-}
 
 pub fn write_sat_result(w: &mut Writer, result: &SatResult) {
     match result {
-        SatResult::Sat(model) => {
-            w.u8(0);
-            match model {
-                None => w.u8(0),
-                Some(v) => {
-                    w.u8(1);
-                    write_valuation(w, v);
-                }
-            }
-        }
+        SatResult::Sat => w.u8(0),
         SatResult::Unsat => w.u8(1),
         SatResult::Unknown(e) => {
             w.u8(2);
@@ -592,11 +536,7 @@ pub fn write_sat_result(w: &mut Writer, result: &SatResult) {
 
 pub fn read_sat_result(r: &mut Reader) -> Result<SatResult, DecodeError> {
     Ok(match r.u8()? {
-        0 => SatResult::Sat(match r.u8()? {
-            0 => None,
-            1 => Some(read_valuation(r)?),
-            other => return err(format!("invalid option tag {other}")),
-        }),
+        0 => SatResult::Sat,
         1 => SatResult::Unsat,
         2 => SatResult::Unknown(read_solver_error(r)?),
         other => return err(format!("invalid sat-result tag {other}")),
@@ -634,6 +574,10 @@ pub fn write_translate_error(w: &mut Writer, e: &TranslateError) {
             w.u8(1);
             w.str(name);
         }
+        TranslateError::Overflow(step) => {
+            w.u8(2);
+            w.str(step);
+        }
     }
 }
 
@@ -641,6 +585,7 @@ pub fn read_translate_error(r: &mut Reader) -> Result<TranslateError, DecodeErro
     Ok(match r.u8()? {
         0 => TranslateError::NonLinear(r.str()?),
         1 => TranslateError::ArrayRead(r.str()?),
+        2 => TranslateError::Overflow(r.str()?),
         other => return err(format!("invalid translate-error tag {other}")),
     })
 }

@@ -2,7 +2,7 @@
 //! (`expresso-persist`).
 //!
 //! PRs 1–4 made suite analysis fast *within* a process: the hash-consed
-//! arena, the solver's sharded sat/QE/theory verdict caches and the
+//! arena, the solver's sharded sat/QE caches and the
 //! fingerprinted suite-wide [`WpStore`] are all keyed on content — interned
 //! formula structure and lowering fingerprints — not on identity. This crate
 //! makes that content-addressing outlive the process, at two levels. It
@@ -29,8 +29,11 @@
 //! * a **term table** and a **formula table** hold one row per distinct node
 //!   ([`TermRow`], [`FormulaRow`]); a row names its children by the number of
 //!   a strictly earlier row, so the tables are acyclic by construction;
-//! * the sat / QE / theory / WP / disjointness sections are row numbers plus
-//!   verdicts, and the WP section keeps the store's own nesting — one
+//! * the sat / QE / WP / disjointness sections are row numbers plus
+//!   verdicts (a sat verdict is a tag: since format v5 it carries no model,
+//!   and there is no theory section — the solver's theory lemmas are
+//!   re-learned in well under a millisecond per monitor and are not
+//!   written), and the WP section keeps the store's own nesting — one
 //!   `(fingerprint, statement)` group, then its `(postcondition, result)`
 //!   pairs — so a statement asked about forty postconditions is written once;
 //! * the outcome section (format v4) is one record per monitor: its key — a
@@ -56,8 +59,8 @@
 //! interning the rows bottom-up performs the same `put`s (once each instead
 //! of once per occurrence) and every row ends up with the id its tree would
 //! have received. The keys were captured **post-normalization** — the sat/QE
-//! tables key on `interner.simplify(..)` images, the theory table on raw
-//! interned atoms, the WP store on `(fingerprint, stmt, post-id)` — and every
+//! tables key on `interner.simplify(..)` images, the WP store on
+//! `(fingerprint, stmt, post-id)` — and every
 //! normalization is a deterministic structural function, so a seeded key is
 //! exactly the id the warm run's own lookup computes: a seeded entry can only
 //! be found via a key the cold run proved, and a warm hit returns the
@@ -106,8 +109,8 @@
 //!
 //! * **Corruption:** the payload is guarded by a magic, a format version, its
 //!   length and a word-wise, folded FNV-1a checksum, all verified *before*
-//!   decoding; a truncated, bit-flipped or version-mismatched file (a v2 or
-//!   v3 artifact included) loads as [`LoadResult::Corrupt`] and the caller
+//!   decoding; a truncated, bit-flipped or version-mismatched file (any
+//!   artifact of v2 to v4 included: there is one format) loads as [`LoadResult::Corrupt`] and the caller
 //!   falls back to a cold start with a warning — never a panic, never a
 //!   wrong verdict.
 //! * **Hostile payloads:** a file whose checksum is *right* still cannot
@@ -156,7 +159,7 @@ use encode::{
 };
 use expresso_logic::{Formula, FormulaId};
 use expresso_monitor_lang::{Stmt, Type};
-use expresso_smt::{SatResult, Solver, TheoryVerdict, TranslateError};
+use expresso_smt::{SatResult, Solver, TranslateError};
 use expresso_vcgen::{DisjointnessStore, WpError, WpStore};
 use outcome::{read_outcome, write_outcome};
 use std::collections::BTreeMap;
@@ -190,23 +193,14 @@ const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 /// behind the explorer's refined dependence relation). v3 replaced the
 /// per-entry formula trees by the shared node tables and grouped the WP
 /// section by `(fingerprint, statement)`. v4 added the monitor-level outcome
-/// section.
-pub const FORMAT_VERSION: u32 = 4;
+/// section. v5 dropped the theory-verdict section (the cache it held is gone
+/// from the solver, and the lemma store that replaced it is not persisted)
+/// and the models of the sat section (a verdict no longer carries one), and
+/// taught the QE section `TranslateError::Overflow`.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// The slice of a symbol table a statement's `wp` consults, in owned form.
 pub type Fingerprint = Vec<(String, Option<Type>)>;
-
-/// A theory verdict in process-independent form: the inconsistent-core atoms
-/// are formula rows instead of arena-local ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TheoryVerdictData {
-    /// The literal set has an integer model.
-    Consistent,
-    /// Theory-inconsistent, optionally with its minimal core.
-    Inconsistent(Option<Vec<(Row, bool)>>),
-    /// The check left the decidable fragment or exceeded a budget.
-    Unknown(String),
-}
 
 /// The persisted WP-store entries of one `(fingerprint, statement)` pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,7 +251,6 @@ pub struct Artifact {
     formulas: Vec<FormulaRow>,
     sat: Vec<(Row, SatResult)>,
     qe: Vec<(Row, Result<Row, TranslateError>)>,
-    theory: Vec<(Vec<(Row, bool)>, TheoryVerdictData)>,
     wp: Vec<WpArtifactGroup>,
     disjointness: Vec<DisjointnessArtifactEntry>,
     /// Strictly ascending by key; every invariant names a row
@@ -279,7 +272,6 @@ impl Artifact {
         SeedReport {
             sat: self.sat.len(),
             qe: self.qe.len(),
-            theory: self.theory.len(),
             wp: self.wp_entries(),
             disjointness: self.disjointness.len(),
             outcomes: self.outcomes.len(),
@@ -309,11 +301,6 @@ impl Artifact {
     /// Quantifier-elimination results keyed on normalized input rows.
     pub fn qe(&self) -> &[(Row, Result<Row, TranslateError>)] {
         &self.qe
-    }
-
-    /// Theory-consistency verdicts keyed on literal sets sorted by row.
-    pub fn theory(&self) -> &[(Vec<(Row, bool)>, TheoryVerdictData)] {
-        &self.theory
     }
 
     /// WP-store entries, grouped by `(fingerprint, statement)`.
@@ -364,7 +351,10 @@ pub struct SaveReport {
     pub sat: usize,
     /// Quantifier-elimination entries written.
     pub qe: usize,
-    /// Theory-verdict entries written.
+    /// Always 0: format v5 has no theory section (the solver's theory lemmas
+    /// are not persisted). The field stays because the frozen `benchmark/`
+    /// package reads it; it leaves with the next PR that owns that package
+    /// (ROADMAP 5(ix)).
     pub theory: usize,
     /// WP-store entries written.
     pub wp: usize,
@@ -386,8 +376,6 @@ pub struct SeedReport {
     pub sat: usize,
     /// Quantifier-elimination entries seeded.
     pub qe: usize,
-    /// Theory-verdict entries seeded.
-    pub theory: usize,
     /// WP-store entries seeded.
     pub wp: usize,
     /// Disjointness verdicts seeded.
@@ -400,7 +388,7 @@ pub struct SeedReport {
 impl SeedReport {
     /// Total entries across every section.
     pub fn total(&self) -> usize {
-        self.sat + self.qe + self.theory + self.wp + self.disjointness + self.outcomes
+        self.sat + self.qe + self.wp + self.disjointness + self.outcomes
     }
 }
 
@@ -408,11 +396,10 @@ impl fmt::Display for SeedReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} entries (sat {}, qe {}, theory {}, wp {}, disjointness {}, outcomes {})",
+            "{} entries (sat {}, qe {}, wp {}, disjointness {}, outcomes {})",
             self.total(),
             self.sat,
             self.qe,
-            self.theory,
             self.wp,
             self.disjointness,
             self.outcomes
@@ -461,7 +448,7 @@ fn key_bytes(fingerprint: &[(String, Option<Type>)], stmt: &Stmt) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Snapshots the solver's three memo tables, the WP store and the
+/// Snapshots the solver's two memo tables, the WP store and the
 /// disjointness store into a process-independent [`Artifact`]: one walk of
 /// the arena DAG from the cached ids numbers every reachable node (see the
 /// module documentation), and every section is put in an order that depends
@@ -491,7 +478,6 @@ pub fn export_with_outcomes(
 ) -> Artifact {
     let sat = solver.export_sat_cache();
     let qe = solver.export_qe_cache();
-    let theory = solver.export_theory_cache();
     let mut wp = wp_store.export_groups();
     wp.retain(|(_, stmt, _)| nesting(stmt) <= MAX_NESTING);
     let mut pairs = disjointness.export_entries();
@@ -502,12 +488,6 @@ pub fn export_with_outcomes(
     for (key, result) in &qe {
         roots.push(*key);
         roots.extend(result.as_ref().ok());
-    }
-    for (literals, verdict) in &theory {
-        roots.extend(literals.iter().map(|(atom, _)| *atom));
-        if let TheoryVerdict::Inconsistent(Some(core)) = verdict {
-            roots.extend(core.iter().map(|(atom, _)| *atom));
-        }
     }
     for (_, _, entries) in &wp {
         for (post, result) in entries {
@@ -521,9 +501,6 @@ pub fn export_with_outcomes(
     roots.extend(outcomes.values().map(|record| record.invariant));
     let numbering = table::number(solver.interner(), roots);
     let row = |id: FormulaId| numbering.row(id);
-    let literal_rows = |literals: Vec<(FormulaId, bool)>| -> Vec<(Row, bool)> {
-        literals.into_iter().map(|(id, p)| (row(id), p)).collect()
-    };
 
     let mut sat: Vec<_> = sat.into_iter().map(|(key, v)| (row(key), v)).collect();
     sat.sort_unstable_by_key(|(key, _)| *key);
@@ -532,24 +509,6 @@ pub fn export_with_outcomes(
         .map(|(key, result)| (row(key), result.map(row)))
         .collect();
     qe.sort_unstable_by_key(|(key, _)| *key);
-    let mut theory: Vec<_> = theory
-        .into_iter()
-        .map(|(literals, verdict)| {
-            // The in-memory key is sorted by arena-local id; a row-sorted key
-            // is the same set in an order every arena agrees on.
-            let mut key = literal_rows(literals);
-            key.sort_unstable();
-            let verdict = match verdict {
-                TheoryVerdict::Consistent => TheoryVerdictData::Consistent,
-                TheoryVerdict::Inconsistent(core) => {
-                    TheoryVerdictData::Inconsistent(core.map(literal_rows))
-                }
-                TheoryVerdict::Unknown(reason) => TheoryVerdictData::Unknown(reason),
-            };
-            (key, verdict)
-        })
-        .collect();
-    theory.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut wp: Vec<_> = wp
         .into_iter()
         .map(|(fingerprint, stmt, entries)| {
@@ -603,7 +562,6 @@ pub fn export_with_outcomes(
         formulas: numbering.formulas,
         sat,
         qe,
-        theory,
         wp,
         disjointness,
         outcomes,
@@ -630,9 +588,9 @@ pub fn seed(
 }
 
 impl Artifact {
-    /// [`seed`], moving the entries instead of copying them: models,
-    /// statements and fingerprints go into the caches as they are, and the
-    /// five leaf sections are left empty — a seeded cache and the section it
+    /// [`seed`], moving the entries instead of copying them: statements and
+    /// fingerprints go into the caches as they are, and the four leaf
+    /// sections are left empty — a seeded cache and the section it
     /// came from would hold the same thing twice for as long as both live.
     /// The node tables and the outcome records stay. Also returns the arena
     /// id every formula row was interned as, by row: what turns an outcome
@@ -646,9 +604,6 @@ impl Artifact {
         let _span = expresso_obs::span!("persist.seed");
         let ids = table::intern(solver.interner(), &self.terms, &self.formulas);
         let id = |row: Row| ids[row as usize];
-        let literal_ids = |literals: Vec<(Row, bool)>| -> Vec<(FormulaId, bool)> {
-            literals.into_iter().map(|(row, p)| (id(row), p)).collect()
-        };
         let report = SeedReport {
             outcomes: 0,
             sat: solver.seed_sat_cache(
@@ -661,26 +616,6 @@ impl Artifact {
                 std::mem::take(&mut self.qe)
                     .into_iter()
                     .map(|(key, result)| (id(key), result.map(id)))
-                    .collect(),
-            ),
-            theory: solver.seed_theory_cache(
-                std::mem::take(&mut self.theory)
-                    .into_iter()
-                    .map(|(literals, verdict)| {
-                        // The DPLL(T) loop sorts + dedups its key by id, and
-                        // id order is arena-local — re-sort after translating.
-                        let mut key = literal_ids(literals);
-                        key.sort_unstable();
-                        key.dedup();
-                        let verdict = match verdict {
-                            TheoryVerdictData::Consistent => TheoryVerdict::Consistent,
-                            TheoryVerdictData::Inconsistent(core) => {
-                                TheoryVerdict::Inconsistent(core.map(literal_ids))
-                            }
-                            TheoryVerdictData::Unknown(reason) => TheoryVerdict::Unknown(reason),
-                        };
-                        (key, verdict)
-                    })
                     .collect(),
             ),
             wp: std::mem::take(&mut self.wp)
@@ -725,7 +660,6 @@ impl Artifact {
 //             formulas seq of formula rows
 //             sat      seq of (row, sat result)
 //             qe       seq of (row, Ok row | Err translate error)
-//             theory   seq of (seq of (row, polarity), verdict)
 //             wp       seq of (fingerprint, stmt, seq of (row, Ok row | Err wp error))
 //             pairs    seq of (row, fingerprint, stmt, row, fingerprint, stmt, verdict)
 //             outcomes seq of (key hash, key bytes, invariant row, candidates, conjuncts,
@@ -758,20 +692,6 @@ fn read_result<E>(
         1 => Err(read_error(r)?),
         other => return codec::err(format!("invalid result tag {other}")),
     })
-}
-
-fn write_literals(w: &mut Writer, literals: &[(Row, bool)]) {
-    w.seq(literals.len());
-    for (row, polarity) in literals {
-        w.u32(*row);
-        w.bool(*polarity);
-    }
-}
-
-fn read_literals(r: &mut Reader, formulas: usize) -> Result<Vec<(Row, bool)>, DecodeError> {
-    (0..r.seq()?)
-        .map(|_| Ok((r.row(formulas)?, r.bool()?)))
-        .collect()
 }
 
 /// Frames a payload: magic, version, length, payload, checksum.
@@ -808,26 +728,6 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
     for (key, result) in &artifact.qe {
         w.u32(*key);
         write_result(&mut w, result, write_translate_error);
-    }
-    w.seq(artifact.theory.len());
-    for (literals, verdict) in &artifact.theory {
-        write_literals(&mut w, literals);
-        match verdict {
-            TheoryVerdictData::Consistent => w.u8(0),
-            TheoryVerdictData::Inconsistent(None) => {
-                w.u8(1);
-                w.u8(0);
-            }
-            TheoryVerdictData::Inconsistent(Some(core)) => {
-                w.u8(1);
-                w.u8(1);
-                write_literals(&mut w, core);
-            }
-            TheoryVerdictData::Unknown(reason) => {
-                w.u8(2);
-                w.str(reason);
-            }
-        }
     }
     w.seq(artifact.wp.len());
     for group in &artifact.wp {
@@ -881,20 +781,6 @@ fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
         let key = r.row(formulas)?;
         let result = read_result(&mut r, formulas, read_translate_error)?;
         artifact.qe.push((key, result));
-    }
-    for _ in 0..r.seq()? {
-        let literals = read_literals(&mut r, formulas)?;
-        let verdict = match r.u8()? {
-            0 => TheoryVerdictData::Consistent,
-            1 => TheoryVerdictData::Inconsistent(match r.u8()? {
-                0 => None,
-                1 => Some(read_literals(&mut r, formulas)?),
-                other => return codec::err(format!("invalid option tag {other}")),
-            }),
-            2 => TheoryVerdictData::Unknown(r.str()?),
-            other => return codec::err(format!("invalid theory-verdict tag {other}")),
-        };
-        artifact.theory.push((literals, verdict));
     }
     for _ in 0..r.seq()? {
         let fingerprint = read_fingerprint(&mut r)?;
@@ -1002,7 +888,7 @@ pub fn save(
     let report = SaveReport {
         sat: written.sat,
         qe: written.qe,
-        theory: written.theory,
+        theory: 0,
         wp: written.wp,
         disjointness: written.disjointness,
         outcomes: written.outcomes,
@@ -1152,18 +1038,12 @@ mod tests {
         let [guard, nonneg, exists, shifted, truth] = ids[..] else {
             unreachable!()
         };
-        let mut sat = vec![(guard, SatResult::Unsat), (nonneg, SatResult::Sat(None))];
-        let mut literals = vec![(guard, true), (nonneg, false)];
-        literals.sort_unstable();
+        let mut sat = vec![(guard, SatResult::Unsat), (nonneg, SatResult::Sat)];
         if shuffled {
             sat.reverse();
         }
         caches.solver.seed_sat_cache(sat);
         caches.solver.seed_qe_cache(vec![(exists, Ok(truth))]);
-        caches.solver.seed_theory_cache(vec![(
-            literals,
-            TheoryVerdict::Inconsistent(Some(vec![(nonneg, false)])),
-        )]);
         let fingerprint: expresso_vcgen::LoweringFingerprint =
             vec![("count".to_string(), Some(Type::Int))].into();
         let mut posts = vec![(guard, Ok(shifted)), (nonneg, Ok(nonneg))];
@@ -1217,7 +1097,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let artifact = sample_caches(false).export();
-        assert_eq!(artifact.len(), 7);
+        assert_eq!(artifact.len(), 6);
         assert_eq!(artifact.wp_entries(), 2);
         // count, 0, 3, 4 — each once, however many formulas mention them.
         assert_eq!(artifact.terms().len(), 4);
@@ -1322,10 +1202,11 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_corrupt() {
-        // A future version, the format without outcome records and the tree
-        // format before it: each is a cold start, none is decoded.
+        // A future version, the format with a theory section and models, the
+        // one without outcome records and the tree format before it: each is
+        // a cold start, none is decoded.
         let bytes = encode_artifact(&sample_caches(false).export());
-        for version in [FORMAT_VERSION + 1, 3, 2] {
+        for version in [FORMAT_VERSION + 1, 4, 3, 2] {
             let mut bytes = bytes.clone();
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             assert_corrupt("ver", &bytes, "format version");
@@ -1371,7 +1252,7 @@ mod tests {
     /// A payload whose only entry is a WP group over `stmt_bytes`.
     fn payload_with_statement(stmt_bytes: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
-        (0..5).for_each(|_| w.seq(0)); // terms, formulas, sat, qe, theory
+        (0..4).for_each(|_| w.seq(0)); // terms, formulas, sat, qe
         w.seq(1);
         w.seq(0); // empty fingerprint
         w.raw(stmt_bytes);
@@ -1479,7 +1360,7 @@ mod tests {
     fn outcome_records_round_trip_in_key_order() {
         let artifact = sample_with_outcomes(false);
         assert_eq!(artifact.outcomes().len(), 2);
-        assert_eq!(artifact.len(), 7 + 2);
+        assert_eq!(artifact.len(), 6 + 2);
         assert!(artifact.outcomes()[0].0 < artifact.outcomes()[1].0);
         let bytes = encode_artifact(&artifact);
         assert_eq!(decode_artifact(payload_of(&bytes)).unwrap(), artifact);
@@ -1681,7 +1562,6 @@ mod tests {
 
         let (warm, report) = Caches::seeded_from(&artifact);
         assert_eq!(report.sat, artifact.sat().len());
-        assert_eq!(report.theory, artifact.theory().len());
         // One arena node per row, plus the two constants every arena holds.
         let stats = warm.solver.interner().stats();
         assert_eq!(stats.term_nodes, artifact.terms().len());

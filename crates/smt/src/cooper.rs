@@ -11,6 +11,14 @@
 //! then build the disjunction of the "minus-infinity" instance and the
 //! instances at each lower bound plus an offset `1..D`, where `D` is the
 //! least common multiple of the divisibility divisors.
+//!
+//! Scaling multiplies coefficients, and [`LinExpr`] arithmetic saturates. A
+//! clamped coefficient is a different constraint, so nothing here concludes
+//! from one: every expression the procedure builds is checked
+//! ([`LinExpr::clamped`]), the two least common multiples and the scaled
+//! divisors are computed with checked arithmetic, and any overflow ends the
+//! elimination with [`TranslateError::Overflow`] — which the solver reports
+//! as `Unknown`, the conservative answer, never as a verdict.
 
 use crate::linear::{lcm, LinExpr, TranslateError};
 use expresso_logic::{
@@ -160,7 +168,22 @@ pub fn eliminate_exists(var: &str, formula: &Formula) -> Result<Formula, Transla
         return Ok(simplify(&nnf));
     }
     let shape = CooperFormula::build(var, &nnf)?;
-    Ok(simplify(&shape.eliminate()))
+    Ok(simplify(&shape.eliminate()?))
+}
+
+fn overflow<T>(step: &str) -> Result<T, TranslateError> {
+    Err(TranslateError::Overflow(format!(
+        "Cooper's procedure ({step})"
+    )))
+}
+
+/// `e` as it is, unless a step that built it clamped.
+fn exact(e: LinExpr, step: &str) -> Result<LinExpr, TranslateError> {
+    if e.clamped() {
+        overflow(step)
+    } else {
+        Ok(e)
+    }
 }
 
 /// Internal representation of the matrix of `∃x. φ` with atoms classified by
@@ -202,8 +225,8 @@ impl CooperFormula {
     }
 
     /// Applies Cooper's theorem to produce a quantifier-free equivalent.
-    fn eliminate(&self) -> Formula {
-        let divisor_lcm = self.divisor_lcm();
+    fn eliminate(&self) -> Result<Formula, TranslateError> {
+        let divisor_lcm = self.divisor_lcm()?;
         let lowers = self.lower_bounds();
         let uppers = self.upper_bounds();
         // Use whichever side has fewer bound terms (the dual form via upper
@@ -213,25 +236,32 @@ impl CooperFormula {
 
         let mut disjuncts = Vec::new();
         for j in 1..=divisor_lcm {
-            disjuncts.push(self.instantiate_infinity(j, use_lower));
+            disjuncts.push(self.instantiate_infinity(j, use_lower)?);
             for b in bounds {
                 // x := b + j (lower-bound form)  or  x := b - j (upper-bound form)
                 let offset = if use_lower { j } else { -j };
                 let mut point = b.clone();
                 point.add_constant(offset);
-                disjuncts.push(self.instantiate_at(&point));
+                disjuncts.push(self.instantiate_at(&exact(point, "instance point")?)?);
             }
         }
-        Formula::or(disjuncts)
+        Ok(Formula::or(disjuncts))
     }
 
-    fn divisor_lcm(&self) -> i64 {
+    /// The least common multiple of the divisors (which [`classify_divides`]
+    /// keeps inside `i64`).
+    fn divisor_lcm(&self) -> Result<i64, TranslateError> {
         match self {
-            CooperFormula::Div(d, _, _) => *d as i64,
-            CooperFormula::And(parts) | CooperFormula::Or(parts) => parts
-                .iter()
-                .fold(1i64, |acc, p| lcm(acc, p.divisor_lcm()).max(1)),
-            _ => 1,
+            CooperFormula::Div(d, _, _) => Ok(*d as i64),
+            CooperFormula::And(parts) | CooperFormula::Or(parts) => {
+                parts
+                    .iter()
+                    .try_fold(1i64, |acc, p| match lcm(acc, p.divisor_lcm()?) {
+                        Some(l) => Ok(l.max(1)),
+                        None => overflow("least common multiple of the divisors"),
+                    })
+            }
+            _ => Ok(1),
         }
     }
 
@@ -266,8 +296,18 @@ impl CooperFormula {
 
     /// The `φ_{±∞}[x := j]` instance: upper/lower bound atoms collapse to a
     /// constant truth value and divisibility atoms are evaluated at `x = j`.
-    fn instantiate_infinity(&self, j: i64, minus_infinity: bool) -> Formula {
-        match self {
+    fn instantiate_infinity(
+        &self,
+        j: i64,
+        minus_infinity: bool,
+    ) -> Result<Formula, TranslateError> {
+        let parts_at = |parts: &[CooperFormula]| {
+            parts
+                .iter()
+                .map(|p| p.instantiate_infinity(j, minus_infinity))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(match self {
             CooperFormula::True => Formula::True,
             CooperFormula::False => Formula::False,
             CooperFormula::Other(f) => f.clone(),
@@ -288,26 +328,22 @@ impl CooperFormula {
             CooperFormula::Div(d, e, positive) => {
                 let mut inst = e.clone();
                 inst.add_constant(j);
-                divides_formula(*d, &inst, *positive)
+                divides_formula(*d, &exact(inst, "divisibility instance")?, *positive)
             }
-            CooperFormula::And(parts) => Formula::and(
-                parts
-                    .iter()
-                    .map(|p| p.instantiate_infinity(j, minus_infinity))
-                    .collect(),
-            ),
-            CooperFormula::Or(parts) => Formula::or(
-                parts
-                    .iter()
-                    .map(|p| p.instantiate_infinity(j, minus_infinity))
-                    .collect(),
-            ),
-        }
+            CooperFormula::And(parts) => Formula::and(parts_at(parts)?),
+            CooperFormula::Or(parts) => Formula::or(parts_at(parts)?),
+        })
     }
 
     /// The `φ[x := point]` instance.
-    fn instantiate_at(&self, point: &LinExpr) -> Formula {
-        match self {
+    fn instantiate_at(&self, point: &LinExpr) -> Result<Formula, TranslateError> {
+        let parts_at = |parts: &[CooperFormula]| {
+            parts
+                .iter()
+                .map(|p| p.instantiate_at(point))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(match self {
             CooperFormula::True => Formula::True,
             CooperFormula::False => Formula::False,
             CooperFormula::Other(f) => f.clone(),
@@ -320,16 +356,12 @@ impl CooperFormula {
                 Formula::Cmp(CmpOp::Lt, e.to_term(), point.to_term())
             }
             CooperFormula::Div(d, e, positive) => {
-                let inst = e.add(point);
+                let inst = exact(e.add(point), "divisibility instance")?;
                 divides_formula(*d, &inst, *positive)
             }
-            CooperFormula::And(parts) => {
-                Formula::and(parts.iter().map(|p| p.instantiate_at(point)).collect())
-            }
-            CooperFormula::Or(parts) => {
-                Formula::or(parts.iter().map(|p| p.instantiate_at(point)).collect())
-            }
-        }
+            CooperFormula::And(parts) => Formula::and(parts_at(parts)?),
+            CooperFormula::Or(parts) => Formula::or(parts_at(parts)?),
+        })
     }
 }
 
@@ -373,25 +405,27 @@ fn collect_coeff_lcm(var: &str, f: &Formula, l: &mut i64) -> Result<(), Translat
                 return Ok(());
             }
             let e = LinExpr::from_term(lhs)?.sub(&LinExpr::from_term(rhs)?);
-            let c = e.coeff(var);
-            if c != 0 {
-                *l = lcm(*l, c.abs()).max(1);
-            }
-            Ok(())
+            fold_coeff(e.coeff(var), l)
         }
         Formula::Divides(_, t) => {
             if !term_mentions(t, var) {
                 return Ok(());
             }
-            let e = LinExpr::from_term(t)?;
-            let c = e.coeff(var);
-            if c != 0 {
-                *l = lcm(*l, c.abs()).max(1);
-            }
-            Ok(())
+            fold_coeff(LinExpr::from_term(t)?.coeff(var), l)
         }
         Formula::Quant(_, _, body) => collect_coeff_lcm(var, body, l),
     }
+}
+
+/// `l := lcm(l, |c|)` for a non-zero coefficient `c`.
+fn fold_coeff(c: i64, l: &mut i64) -> Result<(), TranslateError> {
+    if c != 0 {
+        match c.checked_abs().and_then(|c| lcm(*l, c)) {
+            Some(folded) => *l = folded.max(1),
+            None => return overflow("least common multiple of the coefficients"),
+        }
+    }
+    Ok(())
 }
 
 fn term_mentions(t: &Term, var: &str) -> bool {
@@ -470,21 +504,20 @@ fn classify_divides(
             Formula::not(f)
         }));
     }
-    // Scale so the coefficient of var becomes ±l, then express in y = l*var.
+    // Scale so the coefficient of var becomes ±l, then express in y = l*var
+    // (`l` is a multiple of `|c|`, which `collect_coeff_lcm` saw fit `i64`).
     let factor = l / c.abs();
-    let scaled_rest = e.scale(factor);
-    let scaled_d = (d as i64).saturating_mul(factor) as u64;
-    if c > 0 {
-        // d | c*x + e  ==  scaled_d | y + factor*e
-        Ok(CooperFormula::Div(scaled_d, scaled_rest, positive))
-    } else {
-        // d | -c'*x + e  ==  d | c'*x - e (divisibility is symmetric under negation)
-        Ok(CooperFormula::Div(
-            scaled_d,
-            scaled_rest.scale(-1),
-            positive,
-        ))
-    }
+    let Some(scaled_d) = i64::try_from(d).ok().and_then(|d| d.checked_mul(factor)) else {
+        return overflow("scaled divisor");
+    };
+    // d | c*x + e  ==  scaled_d | y + factor*e, and for c = -c' < 0
+    // d | -c'*x + e  ==  d | c'*x - e (divisibility is symmetric under negation).
+    let rest = e.scale(if c > 0 { factor } else { -factor });
+    Ok(CooperFormula::Div(
+        scaled_d as u64,
+        exact(rest, "scaled divisibility atom")?,
+        positive,
+    ))
 }
 
 fn classify_cmp(
@@ -526,6 +559,7 @@ fn classify_cmp(
     if op == CmpOp::Le {
         e.add_constant(-1);
     }
+    let mut e = exact(e, "comparison atom")?;
     // Now the atom is e < 0 with e = c*var + rest.
     let c = e.remove_var(var);
     if c == 0 {
@@ -536,13 +570,14 @@ fn classify_cmp(
         )));
     }
     let factor = l / c.abs();
-    let rest = e.scale(factor);
     if c > 0 {
         // c*x + rest < 0  ==  y < -rest   (y = l*x)
-        Ok(CooperFormula::Upper(rest.scale(-1)))
+        let bound = exact(e.scale(-factor), "scaled upper bound")?;
+        Ok(CooperFormula::Upper(bound))
     } else {
         // -c'*x + rest < 0  ==  rest < y
-        Ok(CooperFormula::Lower(rest))
+        let bound = exact(e.scale(factor), "scaled lower bound")?;
+        Ok(CooperFormula::Lower(bound))
     }
 }
 
@@ -718,6 +753,56 @@ mod tests {
             Term::select("buf", Term::var("x")).gt(Term::int(0)),
         );
         assert!(eliminate_quantifiers(&f).is_err());
+    }
+
+    #[test]
+    fn a_clamped_coefficient_ends_the_elimination_instead_of_deciding_it() {
+        let overflows = |matrix: Formula| {
+            let closed = Formula::exists(vec!["x".into()], matrix);
+            match eliminate_quantifiers(&closed) {
+                Err(TranslateError::Overflow(_)) => {}
+                other => panic!("expected an overflow for {closed}, got {other:?}"),
+            }
+        };
+        // 2x >= 6e18 && 3x <= 9.1e18 holds at x = 3e18. Scaling both atoms
+        // to 6x multiplies 6e18 by 3: the clamped bounds read MAX < 6x < MAX
+        // and the elimination used to answer `False` — a proof of
+        // unsatisfiability for a satisfiable formula.
+        let matrix = Formula::and(vec![
+            Term::int(2)
+                .mul(Term::var("x"))
+                .ge(Term::int(6_000_000_000_000_000_000)),
+            Term::int(3)
+                .mul(Term::var("x"))
+                .le(Term::int(9_100_000_000_000_000_000)),
+        ]);
+        let mut witness = Valuation::new();
+        witness.set_int("x", 3_000_000_000_000_000_000);
+        assert_eq!(witness.eval(&matrix), Ok(true), "the witness is a model");
+        overflows(matrix);
+        // Coprime coefficients whose least common multiple, 2^64 - 1, does
+        // not fit: the saturated one scaled each atom by a different wrong
+        // factor (and then sent the instance loop towards 2^63 rounds).
+        let (a, b) = ((1i64 << 32) + 1, (1i64 << 32) - 1);
+        overflows(Formula::and(vec![
+            Term::int(a).mul(Term::var("x")).le(Term::int(5 * a - 1)),
+            Term::int(b).mul(Term::var("x")).ge(Term::int(4 * b + 1)),
+        ]));
+        // 2^62 | x beside 4x = y: in y' = 4x the divisor is 2^64.
+        overflows(Formula::and(vec![
+            Formula::divides(1 << 62, Term::var("x")),
+            Term::int(4).mul(Term::var("x")).eq(Term::var("y")),
+        ]));
+        // The same shapes where everything fits are still decided.
+        let small = Formula::exists(
+            vec!["x".into()],
+            Formula::and(vec![
+                Term::int(2).mul(Term::var("x")).ge(Term::int(6)),
+                Term::int(3).mul(Term::var("x")).le(Term::int(10)),
+                Formula::divides(3, Term::var("x")),
+            ]),
+        );
+        assert!(ground_truth(&eliminate_quantifiers(&small).expect("fits")));
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //!    linear-arithmetic literals, and blocking clauses on conflicts. The
 //!    abstraction is built from arena ids: an atom *is* its `FormulaId`, and
 //!    its constraint rows for both polarities are translated once per query.
+//!    Because an atom is the same id in every query, a conflict core that
+//!    Fourier–Motzkin certified is a lemma any later query over those atoms
+//!    can start from: the [`Solver`] keeps them (see its documentation).
+//!    Verdicts carry no model; [`Solver::model`] finds one on request.
 //!
 //! # Example
 //!
@@ -60,6 +64,4 @@ pub mod sat;
 pub mod solver;
 
 pub use linear::{LinExpr, TranslateError};
-pub use solver::{
-    SatResult, Solver, SolverConfig, SolverError, SolverStats, TheoryVerdict, ValidityResult,
-};
+pub use solver::{SatResult, Solver, SolverConfig, SolverError, SolverStats, ValidityResult};

@@ -13,6 +13,10 @@ pub enum TranslateError {
     /// The term reads from an array; array reads are uninterpreted and cannot
     /// be reasoned about by the arithmetic core.
     ArrayRead(Ident),
+    /// A coefficient, constant or divisor left `i64` while the named step was
+    /// scaling or combining atoms: whatever was computed past that point is
+    /// not what was meant, so the procedure stops instead of answering.
+    Overflow(String),
 }
 
 impl fmt::Display for TranslateError {
@@ -20,6 +24,7 @@ impl fmt::Display for TranslateError {
         match self {
             TranslateError::NonLinear(t) => write!(f, "non-linear term `{t}`"),
             TranslateError::ArrayRead(a) => write!(f, "uninterpreted array read from `{a}`"),
+            TranslateError::Overflow(step) => write!(f, "64-bit overflow in {step}"),
         }
     }
 }
@@ -251,12 +256,13 @@ pub fn gcd(a: i64, b: i64) -> i64 {
     a
 }
 
-/// Least common multiple of two positive integers (saturating).
-pub fn lcm(a: i64, b: i64) -> i64 {
+/// Least common multiple of two non-negative integers (zero when either is);
+/// `None` when it does not fit in `i64`.
+pub fn lcm(a: i64, b: i64) -> Option<i64> {
     if a == 0 || b == 0 {
-        return 0;
+        return Some(0);
     }
-    (a / gcd(a, b)).saturating_mul(b).abs()
+    (a / gcd(a, b)).checked_mul(b)
 }
 
 /// Floor division (rounds towards negative infinity).
@@ -336,7 +342,9 @@ mod tests {
     fn gcd_lcm_div_floor() {
         assert_eq!(gcd(12, 18), 6);
         assert_eq!(gcd(0, 5), 5);
-        assert_eq!(lcm(4, 6), 12);
+        assert_eq!(lcm(4, 6), Some(12));
+        assert_eq!(lcm(0, 6), Some(0));
+        assert_eq!(lcm(i64::MAX, i64::MAX - 1), None);
         assert_eq!(div_floor(7, 2), 3);
         assert_eq!(div_floor(-7, 2), -4);
         assert_eq!(div_floor(7, -2), -4);

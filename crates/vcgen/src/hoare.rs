@@ -56,7 +56,7 @@ impl From<&ValidityResult> for TripleStatus {
     fn from(verdict: &ValidityResult) -> TripleStatus {
         match verdict {
             ValidityResult::Valid => TripleStatus::Valid,
-            ValidityResult::Invalid(_) => TripleStatus::Invalid,
+            ValidityResult::Invalid => TripleStatus::Invalid,
             ValidityResult::Unknown(_) => TripleStatus::Unknown,
         }
     }

@@ -12,10 +12,10 @@ use expresso_repro::core::{
     PlacementReport, SharedAnalysisContext,
 };
 use expresso_repro::exec::Executor;
-use expresso_repro::logic::{Formula, FormulaId};
+use expresso_repro::logic::{EvalError, Formula, FormulaId, Valuation};
 use expresso_repro::monitor_lang::{check_monitor, parse_monitor, ExplicitMonitor, Monitor, Stmt};
-use expresso_repro::persist::{self, Artifact, FormulaRow, LoadResult, Row, TheoryVerdictData};
-use expresso_repro::smt::{SatResult, SolverStats, TheoryVerdict};
+use expresso_repro::persist::{self, Artifact, FormulaRow, LoadResult, Row};
+use expresso_repro::smt::{SatResult, SolverStats};
 use expresso_repro::suite::all;
 use expresso_repro::suite::corpusgen::{generate, mutate_source, CorpusSpec};
 use expresso_repro::vcgen::{WpCacheStats, WpError};
@@ -94,14 +94,28 @@ fn assert_expected_placement(name: &str, outcome: &AnalysisOutcome) {
     }
 }
 
+/// How `scheduler_modes_are_bit_identical_across_the_suite` hands the suite
+/// to the pipeline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Route {
+    /// `analyze_with_context`, monitor by monitor: each is one task on the
+    /// calling thread and the pool sees nothing.
+    OneByOne,
+    /// One `analyze_suite` call per monitor: a single pool task whose
+    /// abduction waves and pair obligations fan out nested.
+    OneElementSuites,
+    /// One `analyze_suite` call for all sixteen.
+    WholeSuite,
+}
+
 #[test]
 fn scheduler_modes_are_bit_identical_across_the_suite() {
     // The work-stealing pool is a pure scheduling substrate: for every suite
-    // monitor, `analysis_threads ∈ {1, 8}` × suite-parallel on/off must all
-    // produce bit-identical outcomes, candidate counts and placement
-    // counters — both against each other and against a stand-alone
-    // private-context analysis on the default pool, which in turn must
-    // reproduce the committed expected placement.
+    // monitor, `analysis_threads ∈ {1, 8}` × every route into the pipeline
+    // must all produce bit-identical outcomes, candidate counts and
+    // placement counters — both against each other and against a
+    // stand-alone private-context analysis (inline, on this thread), which
+    // in turn must reproduce the committed expected placement.
     let benchmarks = all();
     let monitors: Vec<_> = benchmarks.iter().map(|b| b.monitor()).collect();
     let reference: Vec<_> = monitors
@@ -116,37 +130,51 @@ fn scheduler_modes_are_bit_identical_across_the_suite() {
         })
         .collect();
     for threads in [1usize, 8] {
-        for suite_parallel in [false, true] {
+        for route in [Route::OneByOne, Route::OneElementSuites, Route::WholeSuite] {
             let pipeline = Expresso::with_config(ExpressoConfig {
                 analysis_threads: threads,
                 ..ExpressoConfig::default()
             });
+            // `analysis_threads != 0` builds a dedicated pool, so its
+            // counters are this arm's traffic and nobody else's.
             let context = SharedAnalysisContext::new(pipeline.config());
-            let outcomes: Vec<_> = if suite_parallel {
-                pipeline.analyze_suite(&context, &monitors)
-            } else {
-                monitors
+            let outcomes: Vec<_> = match route {
+                Route::OneByOne => monitors
                     .iter()
                     .map(|m| pipeline.analyze_with_context(&context, m))
-                    .collect()
+                    .collect(),
+                Route::OneElementSuites => monitors
+                    .iter()
+                    .flat_map(|m| pipeline.analyze_suite(&context, std::slice::from_ref(m)))
+                    .collect(),
+                Route::WholeSuite => pipeline.analyze_suite(&context, &monitors),
             };
             for ((outcome, expected), b) in outcomes.iter().zip(&reference).zip(&benchmarks) {
-                let label = format!(
-                    "{}: analysis_threads={threads} suite_parallel={suite_parallel}",
-                    b.name
-                );
+                let label = format!("{}: analysis_threads={threads} {route:?}", b.name);
                 let outcome = outcome
                     .as_ref()
                     .unwrap_or_else(|e| panic!("{label}: analysis failed: {e}"));
                 assert_same_analysis(&label, outcome, expected);
             }
-            // Abduction must actually be routed through the context's
-            // scheduler: its executor façade counts every dispatched closure.
-            assert!(
-                context.scheduler_stats().abduction_tasks > 0,
-                "analysis_threads={threads} suite_parallel={suite_parallel}: \
-                 no abduction tasks reached the scheduler"
-            );
+            let pool = context.scheduler_stats();
+            if route == Route::OneByOne {
+                // A monitor on its own is analysed where it was asked for.
+                assert_eq!(
+                    (pool.tasks_executed, pool.abduction_tasks),
+                    (0, 0),
+                    "analysis_threads={threads} {route:?}: the pool was handed work"
+                );
+            } else {
+                // Under a suite, abduction must actually be routed through
+                // the context's scheduler: its executor façade counts every
+                // dispatched closure. One-element suites keep the nested
+                // fan-out exercised monitor by monitor.
+                assert!(
+                    pool.abduction_tasks > 0 && pool.tasks_executed > pool.abduction_tasks,
+                    "analysis_threads={threads} {route:?}: no nested fan-out reached the \
+                     scheduler: {pool:?}"
+                );
+            }
         }
     }
 }
@@ -224,7 +252,6 @@ fn load_artifact(dir: &std::path::Path) -> Box<Artifact> {
 struct TreeView {
     sat: Vec<String>,
     qe: Vec<String>,
-    theory: Vec<String>,
     wp: Vec<String>,
     disjointness: Vec<String>,
 }
@@ -234,7 +261,6 @@ impl TreeView {
         for section in [
             &mut self.sat,
             &mut self.qe,
-            &mut self.theory,
             &mut self.wp,
             &mut self.disjointness,
         ] {
@@ -249,7 +275,6 @@ impl TreeView {
         for (name, mine, theirs) in [
             ("sat", &self.sat, &other.sat),
             ("qe", &self.qe, &other.qe),
-            ("theory", &self.theory, &other.theory),
             ("wp", &self.wp, &other.wp),
             ("disjointness", &self.disjointness, &other.disjointness),
         ] {
@@ -265,40 +290,6 @@ impl TreeView {
         self.is_within(other)?;
         other.is_within(self)
     }
-}
-
-/// A sat verdict with its model's maps in sorted order (`Valuation` prints
-/// them in `HashMap` order).
-fn verdict_line(verdict: &SatResult) -> String {
-    match verdict {
-        SatResult::Sat(Some(model)) => {
-            let mut ints: Vec<_> = model.ints().collect();
-            ints.sort();
-            let mut bools: Vec<_> = model.bools().collect();
-            bools.sort();
-            let mut arrays: Vec<_> = model.arrays().collect();
-            arrays.sort();
-            format!("Sat({ints:?} {bools:?} {arrays:?})")
-        }
-        other => format!("{other:?}"),
-    }
-}
-
-/// A theory key or core in tree form; keys are sets (sorted here, since
-/// their stored order is by row or by arena id), cores keep their order.
-fn literal_trees<I: Copy>(
-    literals: &[(I, bool)],
-    tree: impl Fn(I) -> Formula,
-    sort: bool,
-) -> Vec<String> {
-    let mut out: Vec<String> = literals
-        .iter()
-        .map(|(atom, polarity)| format!("{polarity}:{:?}", tree(*atom)))
-        .collect();
-    if sort {
-        out.sort_unstable();
-    }
-    out
 }
 
 type Fingerprint = [(String, Option<expresso_repro::monitor_lang::Type>)];
@@ -327,27 +318,12 @@ fn view_of_artifact(artifact: &Artifact) -> TreeView {
         sat: artifact
             .sat()
             .iter()
-            .map(|(key, verdict)| format!("{:?} => {}", tree(*key), verdict_line(verdict)))
+            .map(|(key, verdict)| format!("{:?} => {verdict:?}", tree(*key)))
             .collect(),
         qe: artifact
             .qe()
             .iter()
             .map(|(key, result)| format!("{:?} => {:?}", tree(*key), result.clone().map(tree)))
-            .collect(),
-        theory: artifact
-            .theory()
-            .iter()
-            .map(|(key, verdict)| {
-                let verdict = match verdict {
-                    TheoryVerdictData::Consistent => "consistent".to_owned(),
-                    TheoryVerdictData::Inconsistent(core) => format!(
-                        "inconsistent {:?}",
-                        core.as_deref().map(|c| literal_trees(c, tree, false))
-                    ),
-                    TheoryVerdictData::Unknown(why) => format!("unknown {why}"),
-                };
-                format!("{:?} => {verdict}", literal_trees(key, tree, true))
-            })
             .collect(),
         wp: artifact
             .wp()
@@ -387,27 +363,12 @@ fn view_of_context(context: &SharedAnalysisContext) -> TreeView {
         sat: solver
             .export_sat_cache()
             .into_iter()
-            .map(|(key, verdict)| format!("{:?} => {}", tree(key), verdict_line(&verdict)))
+            .map(|(key, verdict)| format!("{:?} => {verdict:?}", tree(key)))
             .collect(),
         qe: solver
             .export_qe_cache()
             .into_iter()
             .map(|(key, result)| format!("{:?} => {:?}", tree(key), result.map(tree)))
-            .collect(),
-        theory: solver
-            .export_theory_cache()
-            .into_iter()
-            .map(|(key, verdict)| {
-                let verdict = match verdict {
-                    TheoryVerdict::Consistent => "consistent".to_owned(),
-                    TheoryVerdict::Inconsistent(core) => format!(
-                        "inconsistent {:?}",
-                        core.as_deref().map(|c| literal_trees(c, tree, false))
-                    ),
-                    TheoryVerdict::Unknown(why) => format!("unknown {why}"),
-                };
-                format!("{:?} => {verdict}", literal_trees(&key, tree, true))
-            })
             .collect(),
         wp: context
             .wp_store()
@@ -541,7 +502,6 @@ fn warm_start_from_artifact_is_bit_identical_and_served_from_disk() {
         (
             offered.sat,
             offered.qe,
-            offered.theory,
             offered.wp,
             offered.disjointness,
             offered.outcomes
@@ -549,7 +509,6 @@ fn warm_start_from_artifact_is_bit_identical_and_served_from_disk() {
         (
             saved.sat,
             saved.qe,
-            saved.theory,
             saved.wp,
             saved.disjointness,
             saved.outcomes
@@ -824,7 +783,8 @@ fn node_tables_agree_with_the_trees_of_both_arenas() {
         );
     }
     let saved = cold_context.persist().unwrap().unwrap();
-    assert!(saved.qe > 0 && saved.theory > 0 && saved.disjointness > 0);
+    assert!(saved.qe > 0 && saved.disjointness > 0);
+    assert_eq!(saved.theory, 0, "format v5 has no theory section");
 
     let artifact = load_artifact(&dir);
     let from_tables = view_of_artifact(&artifact);
@@ -849,6 +809,36 @@ fn node_tables_agree_with_the_trees_of_both_arenas() {
         warm_context.interner().intern(&artifact.formula(*key));
     }
     assert_eq!(warm_context.interner_stats(), seeded_nodes);
+
+    // No verdict carries a model any more; the solver finds one on request,
+    // by solving again past the seeded verdict. Every model it returns for a
+    // `Sat` entry must satisfy that entry's key (a sample: model search is
+    // the slow part of a debug build).
+    let mut models = 0;
+    let satisfiable = artifact.sat().iter().filter(|(_, v)| *v == SatResult::Sat);
+    for (key, _) in satisfiable.step_by(8) {
+        let query = artifact.formula(*key);
+        let Some(model) = warm_context.solver().model(&query) else {
+            continue;
+        };
+        // Variables normalization dropped are bound to anything.
+        let mut valuation = Valuation::new();
+        for name in query.int_vars() {
+            valuation.set_int(name, 0);
+        }
+        for name in query.bool_vars() {
+            valuation.set_bool(name, false);
+        }
+        valuation.extend_with(&model);
+        match valuation.eval(&query) {
+            Ok(holds) => assert!(holds, "model {model:?} does not satisfy {query}"),
+            // The model is one of the query's quantifier-free equivalent.
+            Err(EvalError::Quantified) => continue,
+            Err(e) => panic!("model {model:?} cannot evaluate {query}: {e:?}"),
+        }
+        models += 1;
+    }
+    assert!(models > 0, "no sampled Sat entry produced a model");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
