@@ -91,9 +91,9 @@ impl Default for ExpressoConfig {
 /// `Expresso::analyze` builds a private context per monitor, which is the
 /// right default for isolated runs — but a suite harness that analyses many
 /// monitors leaves cache value on the table: structurally common
-/// verification conditions (guard shapes, invariant fragments, theory cores)
-/// and weakest preconditions of identical CCR bodies recur across monitors.
-/// Constructing one `SharedAnalysisContext` and passing it to
+/// verification conditions (guard shapes, invariant fragments), theory
+/// lemmas over shared atoms and weakest preconditions of identical CCR
+/// bodies recur across monitors. Constructing one `SharedAnalysisContext` and passing it to
 /// [`Expresso::analyze_with_context`] (or handing the whole suite to
 /// [`Expresso::analyze_suite`]) lets every analysis intern into the same
 /// arena, hit the same sharded memo tables and share the fingerprinted WP
@@ -104,7 +104,7 @@ impl Default for ExpressoConfig {
 ///
 /// **Accounting contract:** per-monitor *solver* deltas and the epoch-based
 /// cross-analysis attribution are exact only when the analyses sharing the
-/// context run one at a time (each may still parallelize internally).
+/// context run one at a time.
 /// [`Expresso::analyze_suite`] runs them concurrently: results are still
 /// bit-identical and context-wide totals remain exact, but the per-monitor
 /// solver deltas overlap and become approximate. The per-monitor *WP* stats
@@ -687,6 +687,10 @@ impl Expresso {
     /// [`AnalysisStats::solver`] is the *delta* attributable to this monitor
     /// alone and its `cross_analysis_hits` counts memo hits served from
     /// earlier analyses in the same context.
+    ///
+    /// Runs on the calling thread, like [`Expresso::analyze`] (which says
+    /// why): the context's arena, solver — its verdicts and theory lemmas —
+    /// and WP store are shared, its pool is not used.
     ///
     /// # Errors
     ///

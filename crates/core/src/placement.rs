@@ -4,9 +4,10 @@
 //! interned formula ids ([`expresso_logic::FormulaId`]) against the solver's
 //! shared arena — no invariant or guard tree is ever cloned per pair — and
 //! independent pairs are submitted as tasks to the work-stealing
-//! [`Scheduler`] (the same pool the suite-level analysis tasks run on, so a
-//! pair decided inside one monitor's task can be stolen by a worker that
-//! finished another monitor). Within a pair, the no-signal and conditional
+//! [`Scheduler`] (under suite analysis the same pool the suite-level tasks
+//! run on, so a pair decided inside one monitor's task can be stolen by a
+//! worker that finished another monitor; a zero-worker one, i.e. this
+//! thread, for a monitor analysed on its own). Within a pair, the no-signal and conditional
 //! obligations are discharged as one speculative cancellable batch after a
 //! free cached-verdict peek. Decisions
 //! are pure functions of the monitor and invariant, so the resulting
@@ -35,9 +36,11 @@ pub struct PlacementConfig {
     /// suite-wide). Must belong to the same formula arena as the solver.
     pub wp_cache: Option<Arc<WpCache>>,
     /// The work-stealing pool pair tasks are submitted to. `None` uses the
-    /// process-wide [`Scheduler::global`] pool; the pipeline passes its
-    /// context's pool so suite-, pair- and VC-level work share one
-    /// substrate.
+    /// process-wide [`Scheduler::global`] pool. Under
+    /// `Expresso::analyze_suite` the pipeline passes its context's pool so
+    /// suite-, pair- and VC-level work share one substrate; for a monitor
+    /// analysed on its own it passes a zero-worker scheduler, which decides
+    /// the pairs inline, in grid order.
     pub scheduler: Option<Arc<Scheduler>>,
 }
 

@@ -13,6 +13,17 @@
 //!   no-signal and conditional triples of a pair through one cancellable
 //!   batch (see [`expresso_smt::Solver::check_valid_batch_with`]).
 //!
+//! **The pool is for suites.** A monitor analysed on its own
+//! ([`crate::Expresso::analyze`], [`crate::Expresso::analyze_with_context`])
+//! never reaches it: the pipeline hands such an analysis a zero-worker
+//! scheduler of its own, so its waves and pair tasks run inline on the
+//! calling thread. A thread outside the pool that fans one monitor out pays
+//! for ≈ 130 joins, each two park/unpark round trips (20–50 µs) against
+//! tasks of ≈ 175 µs, and a Table 1 pass took half as long again for it
+//! (120–123 ms against 76–81; 2 CPUs, which is all that has been measured).
+//! Under `analyze_suite` the fan-out is nested inside a worker — pushed on
+//! its own queue, stolen by whoever is idle — and that is where it pays.
+//!
 //! # Design
 //!
 //! The pool is std-only: a global **injector** deque (FIFO) receives work
@@ -23,8 +34,8 @@
 //! obligations in the same grid order the sequential analysis uses, and
 //! preserving that order keeps the solver's cached-verdict-first /
 //! size-ascending batch warming intact — measured, a LIFO own-queue made
-//! the concurrent suite re-derive dozens of theory verdicts that the
-//! sequential order answers from the memo tables. Stealers take the
+//! the concurrent suite re-derive dozens of refutations that the
+//! sequential order has already learned. Stealers take the
 //! opposite end. Every queue is a small mutex-guarded `VecDeque`; with
 //! tasks that each perform solver work, queue locking is noise.
 //!

@@ -922,8 +922,8 @@ impl Solver {
     /// Results are index-aligned with the input, but the batch is exploited:
     /// duplicate ids are discharged once, and the distinct queries run in
     /// expected-cost order — already-cached verdicts first (they are free),
-    /// then ascending structural size, so cheap refutations populate the
-    /// theory/QE memo tables before the expensive obligations re-derive the
+    /// then ascending structural size, so cheap refutations fill the lemma
+    /// store and the QE memo table before the expensive obligations meet the
     /// overlapping cores. Ordering never changes a verdict (each query is a
     /// pure function of its formula); it only shifts cache traffic.
     pub fn check_valid_batch(&self, ids: &[FormulaId]) -> Vec<ValidityResult> {

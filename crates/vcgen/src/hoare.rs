@@ -162,8 +162,8 @@ impl<'a> VcGen<'a> {
     /// precondition work across the batch, structurally identical VCs are
     /// discharged once, and the distinct VCs run in expected-cost order
     /// (cached verdicts first, then ascending formula size) so cheap
-    /// refutations warm the solver's theory/QE memo tables before the
-    /// expensive obligations hit them.
+    /// refutations fill the solver's lemma store and QE memo table before
+    /// the expensive obligations get there.
     pub fn check_triples_ids(
         &self,
         obligations: &[(FormulaId, &Stmt, FormulaId)],
