@@ -297,7 +297,7 @@ pub const GATES: &[Gate] = &[
         path: "persistence.artifact_bytes",
         cmp: Cmp::Le,
         bound: 10.0 * 1024.0 * 1024.0,
-        why: "the node-table artifact of the 500-monitor corpus is ~4.3 MB, 0.5 MB of it outcome \
+        why: "the node-table artifact of the 500-monitor corpus is ~2.4 MB, 0.5 MB of it outcome \
          records (the tree format it replaced: 27 MB); above 10 MiB the tables are not sharing",
     },
     Gate {

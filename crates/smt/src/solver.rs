@@ -571,6 +571,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 ///   lemma is cheap to find again (a monitor re-learns its own in well under
 ///   a millisecond) and means nothing without the arena that named its atoms.
 ///
+/// The same store remembers what each atom *is* — boolean, linear (with its
+/// Fourier–Motzkin rows for both polarities) or opaque — so an atom is
+/// classified by the first query that mentions it and by no other.
+///
 /// One mutex guards the store: it is taken once per uncached query and once
 /// per conflict, each for a handful of hash lookups. The store replaced an
 /// exact-key cache of theory verdicts that, with lemmas in, answered 43 of
@@ -1061,7 +1065,9 @@ impl Solver {
             RootLit::Constant(false) => return Dpll::Unsat,
             RootLit::Lit(l) => sat.add_clause(vec![l]),
         }
-        learned.into_iter().for_each(|c| sat.add_clause(c));
+        for clause in learned {
+            sat.add_clause(clause);
+        }
 
         for _ in 0..self.config.max_theory_rounds {
             bump(&self.stats.sat_solver_calls);
