@@ -77,12 +77,6 @@ impl Valuation {
         self.ints.get(var).copied()
     }
 
-    /// Returns a mutable reference to an integer variable, if bound (lets a
-    /// search loop overwrite a binding without re-allocating its name).
-    pub fn int_mut(&mut self, var: &str) -> Option<&mut i64> {
-        self.ints.get_mut(var)
-    }
-
     /// Looks up a boolean variable.
     pub fn boolean(&self, var: &str) -> Option<bool> {
         self.bools.get(var).copied()

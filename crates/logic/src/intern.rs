@@ -616,6 +616,13 @@ impl Interner {
         self.fnode(id).clone()
     }
 
+    /// The node behind `id`, borrowed from the arena (published nodes never
+    /// move): what a walk that only reads children uses instead of
+    /// [`Interner::node`], which clones a connective's child list.
+    pub fn node_ref(&self, id: FormulaId) -> &FormulaNode {
+        self.fnode(id)
+    }
+
     /// Returns a clone of the term node behind `id`.
     pub fn term_node(&self, id: TermId) -> TermNode {
         self.tnode(id).clone()

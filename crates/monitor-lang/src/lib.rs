@@ -38,7 +38,7 @@ pub use compile::{CodeId, Frame, Layout, Locals, Program};
 pub use interp::{initial_state, Interpreter, RuntimeError, LOOP_BUDGET};
 pub use lexer::{tokenize, LexError};
 pub use lower::{expr_to_formula, expr_to_term, LowerError};
-pub use parser::{parse_expr, parse_monitor, ParseError};
+pub use parser::{parse_expr, parse_monitor, ParseError, MAX_NESTING};
 pub use target::{
     canonical_guard_key, ExplicitMonitor, GuardId, GuardInfo, Notification, NotificationKind,
     NotificationPlan, ResolvedNotification, SignalCondition,

@@ -59,7 +59,7 @@ impl From<LexError> for ParseError {
 pub fn parse_monitor(source: &str) -> Result<Monitor, ParseError> {
     let _span = expresso_obs::span!("parse.monitor");
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     let monitor = parser.monitor()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing input after monitor declaration"));
@@ -75,7 +75,7 @@ pub fn parse_monitor(source: &str) -> Result<Monitor, ParseError> {
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     let expr = parser.expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing input after expression"));
@@ -83,12 +83,51 @@ pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
     Ok(expr)
 }
 
+/// Deepest nesting a monitor may have: statements inside statements,
+/// operands of unary operators, parenthesised and indexing sub-expressions,
+/// and the links of an operator chain each count a level. The parser refuses
+/// deeper source, and the artifact decoder of `expresso-persist` deeper
+/// payloads: both — and every pass over the tree after them — recurse once
+/// per level, so an unbounded depth is a stack overflow, an abort rather than
+/// an error. Far above anything a real monitor reaches.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Levels of nesting around the token at `pos` (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<SpannedToken>) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enters one more level of nesting, or fails past [`MAX_NESTING`].
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one level of nesting deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.enter()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
@@ -429,42 +468,65 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::statement)
+    }
+
+    /// Dispatches on the statement's first token. Each form is parsed by a
+    /// function of its own, so the frames a nested statement stacks up stay
+    /// small.
+    fn statement(&mut self) -> Result<Stmt, ParseError> {
         if self.at_punct(Punct::LBrace) {
-            return self.block();
-        }
-        if self.eat_keyword(Keyword::Skip) {
+            self.block()
+        } else if self.eat_keyword(Keyword::Skip) {
             self.expect_punct(Punct::Semi)?;
-            return Ok(Stmt::Skip);
+            Ok(Stmt::Skip)
+        } else if self.eat_keyword(Keyword::If) {
+            self.if_rest()
+        } else if self.eat_keyword(Keyword::While) {
+            self.while_rest()
+        } else if self.at_keyword(Keyword::Int) || self.at_keyword(Keyword::Bool) {
+            self.local()
+        } else {
+            self.assignment()
         }
-        if self.eat_keyword(Keyword::If) {
-            self.expect_punct(Punct::LParen)?;
-            let cond = self.expr()?;
-            self.expect_punct(Punct::RParen)?;
-            let then_branch = self.stmt()?;
-            let else_branch = if self.eat_keyword(Keyword::Else) {
-                self.stmt()?
-            } else {
-                Stmt::Skip
-            };
-            return Ok(Stmt::If(cond, Box::new(then_branch), Box::new(else_branch)));
-        }
-        if self.eat_keyword(Keyword::While) {
-            self.expect_punct(Punct::LParen)?;
-            let cond = self.expr()?;
-            self.expect_punct(Punct::RParen)?;
-            let body = self.stmt()?;
-            return Ok(Stmt::While(cond, Box::new(body)));
-        }
-        // Local declaration.
-        if self.at_keyword(Keyword::Int) || self.at_keyword(Keyword::Bool) {
-            let ty = self.scalar_type()?;
-            let name = self.expect_ident()?;
-            self.expect_punct(Punct::Assign)?;
-            let init = self.expr()?;
-            self.expect_punct(Punct::Semi)?;
-            return Ok(Stmt::Local(name, ty, init));
-        }
-        // Assignment forms starting with an identifier.
+    }
+
+    fn if_rest(&mut self) -> Result<Stmt, ParseError> {
+        let cond = self.condition()?;
+        let then_branch = self.stmt()?;
+        let else_branch = if self.eat_keyword(Keyword::Else) {
+            self.stmt()?
+        } else {
+            Stmt::Skip
+        };
+        Ok(Stmt::If(cond, Box::new(then_branch), Box::new(else_branch)))
+    }
+
+    fn while_rest(&mut self) -> Result<Stmt, ParseError> {
+        let cond = self.condition()?;
+        let body = self.stmt()?;
+        Ok(Stmt::While(cond, Box::new(body)))
+    }
+
+    /// `( expr )`.
+    fn condition(&mut self) -> Result<Expr, ParseError> {
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        Ok(cond)
+    }
+
+    fn local(&mut self) -> Result<Stmt, ParseError> {
+        let ty = self.scalar_type()?;
+        let name = self.expect_ident()?;
+        self.expect_punct(Punct::Assign)?;
+        let init = self.expr()?;
+        self.expect_punct(Punct::Semi)?;
+        Ok(Stmt::Local(name, ty, init))
+    }
+
+    /// The assignment forms, which start with an identifier.
+    fn assignment(&mut self) -> Result<Stmt, ParseError> {
         let name = self.expect_ident()?;
         if self.eat_punct(Punct::LBracket) {
             let index = self.expr()?;
@@ -474,38 +536,24 @@ impl Parser {
             self.expect_punct(Punct::Semi)?;
             return Ok(Stmt::ArrayAssign(name, index, value));
         }
-        if self.eat_punct(Punct::PlusPlus) {
-            self.expect_punct(Punct::Semi)?;
-            return Ok(Stmt::Assign(
-                name.clone(),
-                Expr::binary(BinOp::Add, Expr::Var(name), Expr::Int(1)),
-            ));
-        }
-        if self.eat_punct(Punct::MinusMinus) {
-            self.expect_punct(Punct::Semi)?;
-            return Ok(Stmt::Assign(
-                name.clone(),
-                Expr::binary(BinOp::Sub, Expr::Var(name), Expr::Int(1)),
-            ));
-        }
-        if self.eat_punct(Punct::PlusAssign) {
-            let rhs = self.expr()?;
-            self.expect_punct(Punct::Semi)?;
-            return Ok(Stmt::Assign(
-                name.clone(),
-                Expr::binary(BinOp::Add, Expr::Var(name), rhs),
-            ));
-        }
-        if self.eat_punct(Punct::MinusAssign) {
-            let rhs = self.expr()?;
-            self.expect_punct(Punct::Semi)?;
-            return Ok(Stmt::Assign(
-                name.clone(),
-                Expr::binary(BinOp::Sub, Expr::Var(name), rhs),
-            ));
-        }
-        self.expect_punct(Punct::Assign)?;
-        let value = self.expr()?;
+        let update = if self.eat_punct(Punct::PlusPlus) {
+            Some((BinOp::Add, Expr::Int(1)))
+        } else if self.eat_punct(Punct::MinusMinus) {
+            Some((BinOp::Sub, Expr::Int(1)))
+        } else if self.eat_punct(Punct::PlusAssign) {
+            Some((BinOp::Add, self.expr()?))
+        } else if self.eat_punct(Punct::MinusAssign) {
+            Some((BinOp::Sub, self.expr()?))
+        } else {
+            None
+        };
+        let value = match update {
+            Some((op, rhs)) => Expr::binary(op, Expr::Var(name.clone()), rhs),
+            None => {
+                self.expect_punct(Punct::Assign)?;
+                self.expr()?
+            }
+        };
         self.expect_punct(Punct::Semi)?;
         Ok(Stmt::Assign(name, value))
     }
@@ -515,105 +563,63 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.nested(|parser| parser.binary(1))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_punct(Punct::OrOr) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::binary(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
+    /// The binary operator at the cursor and its precedence: higher binds
+    /// tighter, and every operator is left-associative.
+    fn binary_operator(&self) -> Option<(BinOp, u8)> {
+        let Some(Token::Punct(punct)) = self.peek() else {
+            return None;
+        };
+        Some(match punct {
+            Punct::OrOr => (BinOp::Or, 1),
+            Punct::AndAnd => (BinOp::And, 2),
+            Punct::EqEq => (BinOp::Eq, 3),
+            Punct::NotEq => (BinOp::Ne, 3),
+            Punct::Lt => (BinOp::Lt, 4),
+            Punct::Le => (BinOp::Le, 4),
+            Punct::Gt => (BinOp::Gt, 4),
+            Punct::Ge => (BinOp::Ge, 4),
+            Punct::Plus => (BinOp::Add, 5),
+            Punct::Minus => (BinOp::Sub, 5),
+            Punct::Star => (BinOp::Mul, 6),
+            Punct::Percent => (BinOp::Rem, 6),
+            _ => return None,
+        })
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality_expr()?;
-        while self.eat_punct(Punct::AndAnd) {
-            let rhs = self.equality_expr()?;
-            lhs = Expr::binary(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::EqEq) {
-                BinOp::Eq
-            } else if self.eat_punct(Punct::NotEq) {
-                BinOp::Ne
-            } else {
-                break;
-            };
-            let rhs = self.relational_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn relational_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::Lt) {
-                BinOp::Lt
-            } else if self.eat_punct(Punct::Le) {
-                BinOp::Le
-            } else if self.eat_punct(Punct::Gt) {
-                BinOp::Gt
-            } else if self.eat_punct(Punct::Ge) {
-                BinOp::Ge
-            } else {
-                break;
-            };
-            let rhs = self.additive_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn additive_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::Plus) {
-                BinOp::Add
-            } else if self.eat_punct(Punct::Minus) {
-                BinOp::Sub
-            } else {
-                break;
-            };
-            let rhs = self.multiplicative_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<Expr, ParseError> {
+    /// An operand followed by every operator of precedence `min` or more,
+    /// each taking as its right operand what binds tighter than itself. One
+    /// function for all six levels keeps a parenthesised sub-expression a
+    /// few frames deep. Every operator applied is one more level of the tree
+    /// built, so it counts towards [`MAX_NESTING`].
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::Star) {
-                BinOp::Mul
-            } else if self.eat_punct(Punct::Percent) {
-                BinOp::Rem
-            } else {
+        while let Some((op, precedence)) = self.binary_operator() {
+            if precedence < min {
                 break;
-            };
-            let rhs = self.unary_expr()?;
+            }
+            self.pos += 1;
+            self.enter()?;
+            let rhs = self.binary(precedence + 1)?;
             lhs = Expr::binary(op, lhs, rhs);
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_punct(Punct::Bang) {
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(inner)));
-        }
-        if self.eat_punct(Punct::Minus) {
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(inner)));
-        }
-        self.primary_expr()
+        let op = if self.eat_punct(Punct::Bang) {
+            UnOp::Not
+        } else if self.eat_punct(Punct::Minus) {
+            UnOp::Neg
+        } else {
+            return self.primary_expr();
+        };
+        let inner = self.nested(Self::unary_expr)?;
+        Ok(Expr::Unary(op, Box::new(inner)))
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
@@ -812,6 +818,53 @@ mod tests {
         assert_eq!(nop.ccrs.len(), 1);
         assert!(m.ccr(nop.ccrs[0]).never_blocks());
         assert_eq!(m.ccr(nop.ccrs[0]).body, Stmt::Skip);
+    }
+
+    /// `s` nested `depth` levels deep in `open` … `close`.
+    fn wrapped(open: &str, s: &str, close: &str, depth: usize) -> String {
+        format!("{}{s}{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    fn assert_too_deep(err: ParseError, line: usize) {
+        assert!(err.message.contains("deeper than 256 levels"), "{err}");
+        assert_eq!(err.line, line, "{err}");
+    }
+
+    #[test]
+    fn deep_expressions_are_an_error_not_a_stack_overflow() {
+        const DEEP: usize = 100_000;
+        assert_too_deep(parse_expr(&wrapped("(", "x", ")", DEEP)).unwrap_err(), 1);
+        assert_too_deep(parse_expr(&wrapped("!", "x", "", DEEP)).unwrap_err(), 1);
+        // A chain builds a tree as deep as it is long.
+        assert_too_deep(parse_expr(&wrapped("", "x", " + x", DEEP)).unwrap_err(), 1);
+    }
+
+    #[test]
+    fn a_deep_waituntil_is_an_error_not_a_stack_overflow() {
+        const DEEP: usize = 100_000;
+        let monitor = |guard: &str, body: &str| {
+            format!("monitor M {{\n  int x = 0;\n  atomic void f() {{\n    waituntil ({guard}) {body}\n  }}\n}}")
+        };
+        let deep_guard = monitor(&wrapped("(", "x > 0", ")", DEEP), "{ x = 0; }");
+        assert_too_deep(parse_monitor(&deep_guard).unwrap_err(), 4);
+        let deep_body = monitor("x > 0", &wrapped("{", "x = 0;", "}", DEEP));
+        assert_too_deep(parse_monitor(&deep_body).unwrap_err(), 4);
+        let deep_ifs = monitor("x > 0", &wrapped("if (x > 0) ", "x = 0;", "", DEEP));
+        assert_too_deep(parse_monitor(&deep_ifs).unwrap_err(), 4);
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // The expression itself is the first level.
+        let deepest = MAX_NESTING - 1;
+        let parens = parse_expr(&wrapped("(", "x", ")", deepest)).unwrap();
+        assert_eq!(parens, Expr::Var("x".into()));
+        assert!(parse_expr(&wrapped("!", "x", "", deepest)).is_ok());
+        assert!(parse_expr(&wrapped("", "x", " + x", deepest)).is_ok());
+        assert_too_deep(
+            parse_expr(&wrapped("(", "x", ")", deepest + 1)).unwrap_err(),
+            1,
+        );
     }
 
     #[test]

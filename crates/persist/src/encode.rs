@@ -318,12 +318,12 @@ fn write_expr(w: &mut Writer, expr: &Expr) {
     }
 }
 
-/// Deepest statement/expression nesting the artifact carries. The decoders
-/// below recurse once per level, so without a cap a payload of repeated
-/// one-byte `Unary` tags (with a correct checksum) would overflow the stack —
-/// an abort, not the `Corrupt` the crate promises. Far above anything a
-/// monitor's CCR body reaches; [`nesting`] lets the exporter skip the rest.
-pub const MAX_NESTING: usize = 256;
+/// Deepest statement/expression nesting the artifact carries: the parser's
+/// own limit. The decoders below recurse once per level, so without a cap a
+/// payload of repeated one-byte `Unary` tags (with a correct checksum) would
+/// overflow the stack — an abort, not the `Corrupt` the crate promises.
+/// [`nesting`] lets the exporter skip the rest.
+pub use expresso_monitor_lang::MAX_NESTING;
 
 fn descend(depth: usize) -> Result<usize, DecodeError> {
     depth

@@ -18,7 +18,10 @@
 //! ([`LinExpr::clamped`]), the two least common multiples and the scaled
 //! divisors are computed with checked arithmetic, and any overflow ends the
 //! elimination with [`TranslateError::Overflow`] — which the solver reports
-//! as `Unknown`, the conservative answer, never as a verdict.
+//! as `Unknown`, the conservative answer, never as a verdict. So does an
+//! elimination whose disjunction of instances would be longer than
+//! `MAX_INSTANCES`: its length grows with the divisor lcm, which a single
+//! huge coefficient makes huge, however small the formula.
 
 use crate::linear::{lcm, LinExpr, TranslateError};
 use expresso_logic::{
@@ -171,6 +174,14 @@ pub fn eliminate_exists(var: &str, formula: &Formula) -> Result<Formula, Transla
     Ok(simplify(&shape.eliminate()?))
 }
 
+/// Most instances one elimination may build: the disjunction has
+/// `divisor_lcm × (1 + bounds)` of them, and the variable's own coefficient
+/// enters the lcm, so `∃z. 6e18·z ≥ 1 ∧ 6e18·z ≤ 5` would ask for about
+/// 1.2·10¹⁹. An elimination over budget ends like one that overflowed:
+/// `Unknown`, never a verdict. The Table 1 suite and two seeded 500-monitor
+/// corpora need at most 5.
+const MAX_INSTANCES: i64 = 4096;
+
 fn overflow<T>(step: &str) -> Result<T, TranslateError> {
     Err(TranslateError::Overflow(format!(
         "Cooper's procedure ({step})"
@@ -233,6 +244,12 @@ impl CooperFormula {
         // bounds is symmetric); this keeps the output small.
         let use_lower = lowers.len() <= uppers.len();
         let bounds = if use_lower { &lowers } else { &uppers };
+        let instances = i64::try_from(bounds.len() + 1)
+            .ok()
+            .and_then(|per_offset| per_offset.checked_mul(divisor_lcm));
+        if instances.is_none_or(|n| n > MAX_INSTANCES) {
+            return overflow("more instances than its budget");
+        }
 
         let mut disjuncts = Vec::new();
         for j in 1..=divisor_lcm {
@@ -803,6 +820,36 @@ mod tests {
             ]),
         );
         assert!(ground_truth(&eliminate_quantifiers(&small).expect("fits")));
+    }
+
+    #[test]
+    fn an_elimination_over_its_instance_budget_stops() {
+        // 6e18·z scales z to the coefficient itself, so the divisor lcm is
+        // 6e18 and the instance loop would run that many times.
+        const BIG: i64 = 6_000_000_000_000_000_000;
+        let f = Formula::exists(
+            vec!["z".into()],
+            Formula::and(vec![
+                Term::int(BIG).mul(Term::var("z")).ge(Term::int(1)),
+                Term::int(BIG).mul(Term::var("z")).le(Term::int(5)),
+            ]),
+        );
+        match eliminate_quantifiers(&f) {
+            Err(TranslateError::Overflow(step)) => assert!(step.contains("budget"), "{step}"),
+            other => panic!("expected the budget to stop {f}, got {other:?}"),
+        }
+        // The same shape with a coefficient whose instances fit is decided:
+        // 4096 = 2048 × (1 + one bound) is the budget exactly.
+        let fits = Formula::exists(
+            vec!["z".into()],
+            Formula::and(vec![
+                Term::int(2048).mul(Term::var("z")).ge(Term::int(1)),
+                Term::int(2048).mul(Term::var("z")).le(Term::int(5)),
+            ]),
+        );
+        assert!(!ground_truth(
+            &eliminate_quantifiers(&fits).expect("within budget")
+        ));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!    enumeration of propositional models, theory consistency of the implied
 //!    linear-arithmetic literals, and blocking clauses on conflicts. The
 //!    abstraction is built from arena ids: an atom *is* its `FormulaId`, and
-//!    its constraint rows for both polarities are translated once per query.
+//!    it is compiled once per solver — its constraint rows for both
+//!    polarities and the exact test the integer witness search evaluates.
 //!    Because an atom is the same id in every query, a conflict core that
 //!    Fourier–Motzkin certified is a lemma any later query over those atoms
 //!    can start from: the [`Solver`] keeps them (see its documentation).

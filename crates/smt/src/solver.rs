@@ -4,11 +4,15 @@ use crate::cooper;
 use crate::fourier_motzkin::{refute, Constraint, RationalFeasibility};
 use crate::linear::{LinExpr, TranslateError};
 use crate::sat::{neg, pos, Lit, SatOutcome, SatSolver};
-use expresso_logic::{CmpOp, Formula, FormulaId, FormulaNode, Ident, Interner, Term, Valuation};
+use expresso_logic::{
+    CmpOp, Formula, FormulaId, FormulaNode, FxHasher, Ident, Interner, Term, Valuation,
+};
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -571,9 +575,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 ///   lemma is cheap to find again (a monitor re-learns its own in well under
 ///   a millisecond) and means nothing without the arena that named its atoms.
 ///
-/// The same store remembers what each atom *is* — boolean, linear (with its
-/// Fourier–Motzkin rows for both polarities) or opaque — so an atom is
-/// classified by the first query that mentions it and by no other.
+/// The same store remembers what each atom *is* — boolean, linear or
+/// opaque — so an atom is classified by the first query that mentions it and
+/// by no other. A linear atom is kept compiled: its Fourier–Motzkin rows for
+/// both polarities, and what the integer witness search needs (its exact
+/// test `e ⋈ 0` or `d | e`, its variables and the constants it adds to the
+/// search grid).
 ///
 /// One mutex guards the store: it is taken once per uncached query and once
 /// per conflict, each for a handful of hash lookups. The store replaced an
@@ -599,29 +606,30 @@ type Literals = Vec<(FormulaId, bool)>;
 /// (classifying an atom and filing a lemma are total).
 const ATOM_STORE_LOCK: &str = "no holder of the atom store panics";
 
+/// A hash map keyed on arena ids, which need no DoS-resistant hashing.
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// What one [`Solver`] remembers about the atoms it has met (see its
 /// documentation), all of it keyed by the atom's [`FormulaId`].
 #[derive(Debug, Default)]
 struct AtomStore {
-    /// The classification of an atom and its Fourier–Motzkin rows, worked
-    /// out the first time any query mentions it.
-    kinds: HashMap<FormulaId, Arc<AtomKind>>,
+    /// The classification of an atom, compiled as far as the theory check
+    /// needs, worked out the first time any query mentions it.
+    kinds: FxMap<FormulaId, Arc<AtomKind>>,
     /// The theory lemmas, each filed under its first atom, so a query meets
     /// a lemma at most once.
-    lemmas: HashMap<FormulaId, Vec<Literals>>,
+    lemmas: FxMap<FormulaId, Vec<Literals>>,
 }
 
 impl AtomStore {
     /// Classifies the atoms `atoms` numbered, each on first sight.
     fn classify(&mut self, interner: &Interner, atoms: &mut AtomTable) {
-        atoms.kinds = atoms
-            .ids
-            .iter()
-            .map(|&id| {
-                let kind = self.kinds.entry(id);
-                Arc::clone(kind.or_insert_with(|| Arc::new(AtomKind::of(interner, id))))
-            })
-            .collect();
+        let AtomTable { ids, kinds, .. } = atoms;
+        kinds.clear();
+        kinds.extend(ids.iter().map(|&id| {
+            let kind = self.kinds.entry(id);
+            Arc::clone(kind.or_insert_with(|| Arc::new(AtomKind::of(interner, id))))
+        }));
     }
 
     /// Files `core` as a lemma unless it is there already.
@@ -636,21 +644,23 @@ impl AtomStore {
         }
     }
 
-    /// The clause of every lemma whose atoms all occur in `atoms`, in the
-    /// order of `atoms` and, under one atom, in the order they were filed.
-    fn clauses_over(&self, atoms: &AtomTable) -> Vec<Vec<Lit>> {
-        let clause = |lemma: &Literals| -> Option<Vec<Lit>> {
-            lemma
-                .iter()
-                .map(|&(id, value)| Some(refuting(*atoms.index.get(&id)?, value)))
-                .collect()
-        };
-        atoms
-            .ids
-            .iter()
-            .filter_map(|id| self.lemmas.get(id))
-            .flat_map(|filed| filed.iter().filter_map(clause))
-            .collect()
+    /// Adds to `sat` the clause of every lemma whose atoms all occur in
+    /// `atoms`, in the order of `atoms` and, under one atom, in the order
+    /// they were filed. `clause` is scratch space.
+    fn add_lemma_clauses(&self, atoms: &AtomTable, sat: &mut SatSolver, clause: &mut Vec<Lit>) {
+        for filed in atoms.ids.iter().filter_map(|id| self.lemmas.get(id)) {
+            for lemma in filed {
+                clause.clear();
+                let over_atoms = lemma.iter().all(|&(id, value)| {
+                    let idx = atoms.index.get(&id);
+                    clause.extend(idx.map(|&idx| refuting(idx, value)));
+                    idx.is_some()
+                });
+                if over_atoms {
+                    sat.add_clause(clause);
+                }
+            }
+        }
     }
 }
 
@@ -865,8 +875,11 @@ impl Solver {
     /// Solves a normalized query (cache miss path).
     fn solve_uncached(&self, norm: FormulaId) -> SatResult {
         let _span = expresso_obs::span!("smt.sat");
-        match self.ground_nnf(norm).map(|nnf| self.dpll_t(nnf)) {
-            Ok(Dpll::Sat(..)) => SatResult::Sat,
+        let solved = self
+            .ground_nnf(norm)
+            .map(|nnf| with_workspace(|ws| self.dpll_t(nnf, ws)));
+        match solved {
+            Ok(Dpll::Sat(_)) => SatResult::Sat,
             Ok(Dpll::Unsat) => SatResult::Unsat,
             Ok(Dpll::Unknown(e)) | Err(e) => SatResult::Unknown(e),
         }
@@ -894,19 +907,38 @@ impl Solver {
     /// A model of an interned formula. No verdict carries one
     /// ([`SatResult::Sat`], [`ValidityResult::Invalid`]): placement and
     /// abduction read verdicts only, so this solves the query again, past the
-    /// verdict cache, and searches for values under the propositional model
-    /// the DPLL(T) loop ends on. The booleans come from that model; the
-    /// integers from a bounded search over a grid derived from the constants
-    /// of the formula ([`SolverConfig::model_search_limit`] points at most).
+    /// verdict cache, and looks for values under the propositional model the
+    /// DPLL(T) loop ends on. The booleans come from that model; the integers
+    /// from the witness search the theory check runs, over the theory
+    /// literals that model asserts, on a grid derived from the constants of
+    /// the formula ([`SolverConfig::model_search_limit`] points at most).
     /// `None` when the query is not `Sat`, when it contains atoms the solver
     /// treats as opaque, or when the grid holds no model. Counts as no query
     /// in [`SolverStats`], though the rounds it runs are counted.
     pub fn model_id(&self, id: FormulaId) -> Option<Valuation> {
         let nnf = self.ground_nnf(self.interner.simplify(id)).ok()?;
-        match self.dpll_t(nnf) {
-            Dpll::Sat(atoms, assignment) => self.extract_model(nnf, &atoms, &assignment),
-            Dpll::Unsat | Dpll::Unknown(_) => None,
-        }
+        with_workspace(|ws| {
+            let Dpll::Sat(model) = self.dpll_t(nnf, ws) else {
+                return None;
+            };
+            let atoms = &ws.atoms;
+            if atoms.abstracted() {
+                return None;
+            }
+            let literals = atoms.theory_literals(&model);
+            let found = witness(&literals, self.config.model_search_limit)?;
+            let mut valuation = Valuation::new();
+            for (idx, kind) in atoms.kinds.iter().enumerate() {
+                if let AtomKind::Bool(name) = &**kind {
+                    let value = model.get(idx).copied().unwrap_or(false);
+                    valuation.set_bool(name.clone(), value);
+                }
+            }
+            for (var, &value) in found.vars.iter().zip(&found.point) {
+                valuation.set_int(*var, value);
+            }
+            Some(valuation)
+        })
     }
 
     /// Checks validity of `formula` (truth in every model).
@@ -1048,25 +1080,28 @@ impl Solver {
     /// and why this changes the number of rounds and nothing else). A conflict
     /// without a certified core — Cooper found it — blocks the one assignment
     /// it refuted and is not kept.
-    fn dpll_t(&self, nnf: FormulaId) -> Dpll {
-        let mut atoms = AtomTable::default();
-        let skeleton = build_skeleton(&self.interner, nnf, &mut atoms);
-        let learned = {
+    ///
+    /// Runs in `ws`, whose atom table holds the query's atoms afterwards.
+    fn dpll_t(&self, nnf: FormulaId, ws: &mut Workspace) -> Dpll {
+        let Workspace { atoms, sat, clause } = ws;
+        number_atoms(&self.interner, nnf, atoms);
+        sat.clear(atoms.ids.len());
+        let root = encode(&self.interner, nnf, atoms, sat, clause);
+        {
             let mut store = self.atoms.lock().expect(ATOM_STORE_LOCK);
-            store.classify(&self.interner, &mut atoms);
-            store.clauses_over(&atoms)
-        };
+            store.classify(&self.interner, atoms);
+            if let Encoded::Lit(l) = root {
+                sat.add_clause(&[l]);
+                store.add_lemma_clauses(atoms, sat, clause);
+            }
+        }
         if atoms.abstracted() {
             bump(&self.stats.abstracted_queries);
         }
-        let mut sat = SatSolver::new(atoms.ids.len());
-        match tseitin(&skeleton, &mut sat) {
-            RootLit::Constant(true) => return Dpll::Sat(atoms, Vec::new()),
-            RootLit::Constant(false) => return Dpll::Unsat,
-            RootLit::Lit(l) => sat.add_clause(vec![l]),
-        }
-        for clause in learned {
-            sat.add_clause(clause);
+        match root {
+            Encoded::Constant(true) => return Dpll::Sat(Vec::new()),
+            Encoded::Constant(false) => return Dpll::Unsat,
+            Encoded::Lit(_) => {}
         }
 
         for _ in 0..self.config.max_theory_rounds {
@@ -1077,32 +1112,31 @@ impl Solver {
             };
             bump(&self.stats.theory_checks);
             let theory_literals = atoms.theory_literals(&model);
-            let blocking: Vec<Lit> = match self.theory_consistent(&theory_literals) {
-                TheoryVerdict::Consistent => return Dpll::Sat(atoms, model),
+            clause.clear();
+            match self.theory_consistent(&theory_literals) {
+                TheoryVerdict::Consistent => return Dpll::Sat(model),
                 // The short clause prunes every propositional model that
                 // contains the core, here and in every later query.
                 TheoryVerdict::Inconsistent(Some(core)) => {
-                    let clause = core
-                        .iter()
-                        .map(|&(id, value)| refuting(atoms.index[&id], value))
-                        .collect();
+                    clause.extend(
+                        core.iter()
+                            .map(|&(id, value)| refuting(atoms.index[&id], value)),
+                    );
                     self.atoms.lock().expect(ATOM_STORE_LOCK).learn(core);
-                    clause
                 }
                 // No core: block the full assignment.
-                TheoryVerdict::Inconsistent(None) => theory_literals
-                    .iter()
-                    .map(|l| refuting(l.idx, l.value))
-                    .collect(),
+                TheoryVerdict::Inconsistent(None) => {
+                    clause.extend(theory_literals.iter().map(|l| refuting(l.idx, l.value)))
+                }
                 TheoryVerdict::Unknown(e) => return Dpll::Unknown(e),
-            };
-            if blocking.is_empty() {
+            }
+            if clause.is_empty() {
                 // No theory literal to block: the conflict is spurious.
                 return Dpll::Unknown(SolverError::ResourceLimit(
                     "theory conflict without theory literals".into(),
                 ));
             }
-            sat.add_clause(blocking);
+            sat.add_clause(clause);
         }
         Dpll::Unknown(SolverError::ResourceLimit(format!(
             "exceeded {} theory rounds",
@@ -1121,7 +1155,7 @@ impl Solver {
         // group per convex literal so a refutation names the literals it used.
         let convex: Vec<(&TheoryLit, &[Constraint])> = literals
             .iter()
-            .filter_map(|l| l.rows.map(|rows| (l, rows)))
+            .filter_map(|l| l.rows().map(|rows| (l, rows)))
             .collect();
         let groups: Vec<&[Constraint]> = convex.iter().map(|&(_, rows)| rows).collect();
         if !groups.is_empty() {
@@ -1135,6 +1169,17 @@ impl Solver {
                 return TheoryVerdict::Inconsistent(Some(core));
             }
         }
+        // Cheap completeness attempt: a concrete integer witness found by
+        // bounded search proves consistency without quantifier elimination.
+        if witness(literals, THEORY_GRID_LIMIT).is_some() {
+            return TheoryVerdict::Consistent;
+        }
+        // Complete check: existentially quantify every integer variable and
+        // run Cooper's procedure; the result is ground. This is the one place
+        // a theory check needs its literals as a tree. Guard against blow-up
+        // on very large literal sets: conservatively report "consistent",
+        // which at worst costs an extra signal downstream, never soundness of
+        // the generated monitor.
         let conjunction = Formula::and(
             literals
                 .iter()
@@ -1148,16 +1193,6 @@ impl Solver {
                 })
                 .collect(),
         );
-        // Cheap completeness attempt: a concrete integer witness found by
-        // bounded search proves consistency without quantifier elimination.
-        if grid_search(&mut Valuation::new(), &conjunction, 4096) {
-            return TheoryVerdict::Consistent;
-        }
-        // Complete check: existentially quantify every integer variable and
-        // run Cooper's procedure; the result is ground. Guard against blow-up
-        // on very large literal sets: conservatively report "consistent",
-        // which at worst costs an extra signal downstream, never soundness of
-        // the generated monitor.
         let vars: Vec<Ident> = conjunction.int_vars().into_iter().collect();
         if vars.len() > 6 || conjunction.size() > 160 {
             return TheoryVerdict::Consistent;
@@ -1211,77 +1246,6 @@ impl Solver {
         }
         core
     }
-
-    /// Best-effort extraction of a concrete model for a satisfiable formula.
-    ///
-    /// The propositional model fixes the boolean variables; integer variables
-    /// are found by bounded search over a candidate grid derived from the
-    /// constants occurring in the formula. Returns `None` when the search
-    /// budget is exhausted or the formula contains opaque atoms.
-    fn extract_model(
-        &self,
-        nnf: FormulaId,
-        atoms: &AtomTable,
-        sat_model: &[bool],
-    ) -> Option<Valuation> {
-        if atoms.abstracted() {
-            return None;
-        }
-        // Evaluating candidates is the one place a satisfiable query needs
-        // its formula as a tree.
-        let formula = self.interner.formula(nnf);
-        let mut valuation = Valuation::new();
-        for (idx, kind) in atoms.kinds.iter().enumerate() {
-            if let AtomKind::Bool(name) = &**kind {
-                let value = sat_model.get(idx).copied().unwrap_or(false);
-                valuation.set_bool(name.clone(), value);
-            }
-        }
-        grid_search(&mut valuation, &formula, self.config.model_search_limit).then_some(valuation)
-    }
-}
-
-/// Bounded search for values of the integer variables of `formula` that make
-/// it true, the other variables being bound by `valuation` already. The grid
-/// is `candidate_values(formula)^vars`, walked in odometer order (first
-/// variable in name order fastest) by overwriting the integers of `valuation`
-/// in place; nothing is tried when the grid has more than `limit` points.
-/// Returns whether a point was found; on success `valuation` holds it.
-fn grid_search(valuation: &mut Valuation, formula: &Formula, limit: usize) -> bool {
-    let mut vars: Vec<Ident> = formula.int_vars().into_iter().collect();
-    vars.sort();
-    let candidates = candidate_values(formula);
-    let in_budget = candidates
-        .len()
-        .checked_pow(vars.len() as u32)
-        .is_some_and(|total| total <= limit);
-    if !in_budget {
-        return false;
-    }
-    for var in &vars {
-        valuation.set_int(var.clone(), candidates[0]);
-    }
-    let mut indices = vec![0usize; vars.len()];
-    loop {
-        if valuation.eval(formula) == Ok(true) {
-            return true;
-        }
-        // Advance the odometer.
-        let mut pos = 0;
-        loop {
-            if pos == indices.len() {
-                return false;
-            }
-            indices[pos] = (indices[pos] + 1) % candidates.len();
-            *valuation
-                .int_mut(&vars[pos])
-                .expect("bound before the walk") = candidates[indices[pos]];
-            if indices[pos] != 0 {
-                break;
-            }
-            pos += 1;
-        }
-    }
 }
 
 /// The SAT literal a blocking clause needs to forbid atom `idx` being `value`.
@@ -1296,13 +1260,20 @@ fn refuting(idx: usize, value: bool) -> Lit {
 /// One theory literal of a candidate propositional model: the atom's index in
 /// the query's atom table, its interned id (stable across queries — what
 /// conflict cores and lemmas name it by), its assigned polarity and the
-/// Fourier–Motzkin rows of the atom under that polarity (`None` when the
-/// literal is non-convex, e.g. a disequality).
+/// atom's compiled form.
 struct TheoryLit<'a> {
     idx: usize,
     id: FormulaId,
     value: bool,
-    rows: Option<&'a [Constraint]>,
+    atom: &'a TheoryAtom,
+}
+
+impl<'a> TheoryLit<'a> {
+    /// The Fourier–Motzkin rows of the atom under this polarity (`None` when
+    /// the literal is non-convex, e.g. a disequality).
+    fn rows(&self) -> Option<&'a [Constraint]> {
+        self.atom.rows[usize::from(self.value)].as_deref()
+    }
 }
 
 /// Verdict of a theory-consistency check over a conjunction of literals.
@@ -1320,58 +1291,166 @@ enum TheoryVerdict {
 
 /// What the DPLL(T) loop ends on.
 enum Dpll {
-    /// Satisfiable: the atoms of the query and the propositional model the
-    /// theory accepted (empty when the skeleton is constant).
-    Sat(AtomTable, Vec<bool>),
+    /// Satisfiable: the propositional model the theory accepted (empty when
+    /// the skeleton is constant).
+    Sat(Vec<bool>),
     Unsat,
     Unknown(SolverError),
 }
 
-/// Candidate integer values for model search: every constant in the formula,
-/// its neighbours, and a small default window.
-fn candidate_values(formula: &Formula) -> Vec<i64> {
-    let mut values: BTreeSet<i64> = (-3..=3).collect();
-    collect_constants(formula, &mut values);
-    values.into_iter().collect()
+// ----------------------------------------------------------------------
+// Integer witnesses
+// ----------------------------------------------------------------------
+
+/// Most grid points a theory check's witness search may try before it
+/// leaves the literals to Cooper's procedure.
+const THEORY_GRID_LIMIT: usize = 4096;
+
+/// The test a linear atom makes of its expression `e`.
+#[derive(Debug, Clone, Copy)]
+enum Test {
+    /// `e op 0`.
+    Cmp(CmpOp),
+    /// `d | e`.
+    Divides(u64),
 }
 
-fn collect_constants(formula: &Formula, out: &mut BTreeSet<i64>) {
-    fn from_term(term: &Term, out: &mut BTreeSet<i64>) {
-        match term {
-            Term::Int(v) => {
-                out.insert(*v);
-                out.insert(v.saturating_add(1));
-                out.insert(v.saturating_sub(1));
+/// A point found by [`witness`]: the grid's axes, sorted by name, and the
+/// value on each.
+struct Witness<'a> {
+    vars: Vec<&'a str>,
+    point: Vec<i64>,
+}
+
+/// One literal of a witness search, compiled against the grid's axes: its
+/// test and polarity, the constant of its expression and the range of its
+/// `(axis, coefficient)` terms in the search's flat term list.
+struct Probe {
+    test: Test,
+    value: bool,
+    constant: i128,
+    terms: Range<usize>,
+}
+
+impl Probe {
+    /// Whether the literal holds at `point`. Exact: a point at which the
+    /// expression leaves `i128` is no witness.
+    fn holds(&self, terms: &[(usize, i128)], point: &[i64]) -> bool {
+        let e = terms[self.terms.clone()]
+            .iter()
+            .try_fold(self.constant, |sum, &(axis, coeff)| {
+                sum.checked_add(coeff.checked_mul(i128::from(point[axis]))?)
+            });
+        let Some(e) = e else {
+            return false;
+        };
+        let atom = match self.test {
+            Test::Cmp(op) => match op {
+                CmpOp::Eq => e == 0,
+                CmpOp::Ne => e != 0,
+                CmpOp::Lt => e < 0,
+                CmpOp::Le => e <= 0,
+                CmpOp::Gt => e > 0,
+                CmpOp::Ge => e >= 0,
+            },
+            Test::Divides(d) => e.checked_rem_euclid(i128::from(d)) == Some(0),
+        };
+        atom == self.value
+    }
+}
+
+/// Bounded search for an integer point at which every literal of `literals`
+/// holds.
+///
+/// The grid is `candidates^vars`: `vars` are the integer variables the
+/// literals' terms mention, sorted by name, and `candidates` every constant
+/// in those terms with both its neighbours (and a divisor as it is), plus
+/// `-3..=3`. It is walked in odometer order, first variable fastest, and
+/// nothing is tried when it has more than `limit` points. Each literal is its
+/// atom's compiled test under its polarity, evaluated in exact arithmetic: a
+/// literal whose translation clamped never holds, nor does one whose
+/// expression leaves `i128` at a point. So a point found is an integer model
+/// of the literals — not of their 64-bit wraparound.
+fn witness<'a>(literals: &[TheoryLit<'a>], limit: usize) -> Option<Witness<'a>> {
+    let exprs: Vec<&Affine> = literals
+        .iter()
+        .map(|l| l.atom.expr.as_ref())
+        .collect::<Option<_>>()?;
+    let mut vars: Vec<&str> = literals
+        .iter()
+        .flat_map(|l| l.atom.vars.iter().map(String::as_str))
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let mut candidates: Vec<i64> = (-3..=3).collect();
+    candidates.extend(
+        literals
+            .iter()
+            .flat_map(|l| l.atom.constants.iter().copied()),
+    );
+    candidates.sort_unstable();
+    candidates.dedup();
+    let in_budget = candidates
+        .len()
+        .checked_pow(vars.len() as u32)
+        .is_some_and(|total| total <= limit);
+    if !in_budget {
+        return None;
+    }
+    let mut terms: Vec<(usize, i128)> = Vec::new();
+    let probes: Vec<Probe> = literals
+        .iter()
+        .zip(exprs)
+        .map(|(l, expr)| {
+            let start = terms.len();
+            terms.extend(expr.terms.iter().map(|&(var, coeff)| {
+                let axis = vars
+                    .binary_search(&l.atom.vars[var].as_str())
+                    .expect("an atom's variables are axes");
+                (axis, i128::from(coeff))
+            }));
+            Probe {
+                test: l.atom.test,
+                value: l.value,
+                constant: i128::from(expr.constant),
+                terms: start..terms.len(),
             }
-            Term::Var(_) => {}
-            Term::Add(parts) => parts.iter().for_each(|p| from_term(p, out)),
-            Term::Sub(a, b) | Term::Mul(a, b) => {
-                from_term(a, out);
-                from_term(b, out);
+        })
+        .collect();
+    let mut indices = vec![0usize; vars.len()];
+    let mut point = vec![candidates[0]; vars.len()];
+    loop {
+        if probes.iter().all(|p| p.holds(&terms, &point)) {
+            return Some(Witness { vars, point });
+        }
+        // Advance the odometer.
+        let mut axis = 0;
+        loop {
+            if axis == indices.len() {
+                return None;
             }
-            Term::Neg(a) => from_term(a, out),
-            Term::Select(_, idx) => from_term(idx, out),
+            indices[axis] = (indices[axis] + 1) % candidates.len();
+            point[axis] = candidates[indices[axis]];
+            if indices[axis] != 0 {
+                break;
+            }
+            axis += 1;
         }
     }
-    match formula {
-        Formula::True | Formula::False | Formula::BoolVar(_) => {}
-        Formula::Cmp(_, lhs, rhs) => {
-            from_term(lhs, out);
-            from_term(rhs, out);
+}
+
+/// Adds every integer literal of `term`, and both its neighbours, to `out`.
+fn term_constants(term: &Term, out: &mut Vec<i64>) {
+    match term {
+        Term::Int(v) => out.extend([*v, v.saturating_add(1), v.saturating_sub(1)]),
+        Term::Var(_) => {}
+        Term::Add(parts) => parts.iter().for_each(|p| term_constants(p, out)),
+        Term::Sub(a, b) | Term::Mul(a, b) => {
+            term_constants(a, out);
+            term_constants(b, out);
         }
-        Formula::Divides(d, t) => {
-            out.insert(*d as i64);
-            from_term(t, out);
-        }
-        Formula::Not(inner) => collect_constants(inner, out),
-        Formula::And(parts) | Formula::Or(parts) => {
-            parts.iter().for_each(|p| collect_constants(p, out))
-        }
-        Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            collect_constants(a, out);
-            collect_constants(b, out);
-        }
-        Formula::Quant(_, _, body) => collect_constants(body, out),
+        Term::Neg(a) => term_constants(a, out),
+        Term::Select(_, idx) => term_constants(idx, out),
     }
 }
 
@@ -1384,32 +1463,126 @@ fn collect_constants(formula: &Formula, out: &mut BTreeSet<i64>) {
 enum AtomKind {
     /// A boolean monitor variable.
     Bool(Ident),
-    /// A linear-arithmetic atom the theory solver understands, with its
-    /// Fourier–Motzkin rows when asserted false (index 0) and true (index 1),
-    /// translated once per solver; `None` where that polarity is non-convex
-    /// (a disequality) or invisible to the rational relaxation (divisibility).
-    Theory([Option<Vec<Constraint>>; 2]),
+    /// A linear-arithmetic atom the theory solver understands.
+    Theory(TheoryAtom),
     /// An atom outside the linear fragment (array read or non-linear term),
     /// treated as an opaque boolean.
     Opaque,
 }
 
+/// A linear-arithmetic atom, compiled once per solver for the theory check.
+#[derive(Debug)]
+struct TheoryAtom {
+    /// The Fourier–Motzkin rows when asserted false (index 0) and true
+    /// (index 1); `None` where that polarity is non-convex (a disequality)
+    /// or invisible to the rational relaxation (divisibility).
+    rows: [Option<Vec<Constraint>>; 2],
+    /// What the atom says of `expr`.
+    test: Test,
+    /// The atom as one expression: `lhs - rhs` of a comparison, the term of
+    /// a divisibility. `None` when translating it clamped: no point satisfies
+    /// a clamped expression exactly.
+    expr: Option<Affine>,
+    /// The integer variables its terms mention, sorted: the witness grid's
+    /// axes (a variable that cancels out of `expr` is an axis all the same).
+    vars: Vec<Ident>,
+    /// What it adds to the witness grid's candidates: every integer literal
+    /// of its terms with both neighbours, and a divisor as it is.
+    constants: Vec<i64>,
+}
+
+/// `Σ coeff · vars[i] + constant` over a [`TheoryAtom`]'s own variables.
+#[derive(Debug)]
+struct Affine {
+    terms: Vec<(usize, i64)>,
+    constant: i64,
+}
+
 impl AtomKind {
     fn of(interner: &Interner, id: FormulaId) -> AtomKind {
-        let linear = |t| LinExpr::from_term(&interner.term(t)).ok();
-        match interner.node(id) {
-            FormulaNode::BoolVar(name) => AtomKind::Bool(name),
-            FormulaNode::Cmp(op, lhs, rhs) => match (linear(lhs), linear(rhs)) {
-                (Some(l), Some(r)) => {
-                    let e = l.sub(&r);
-                    AtomKind::Theory([cmp_rows(op.negate(), &e), cmp_rows(op, &e)])
-                }
-                _ => AtomKind::Opaque,
-            },
-            FormulaNode::Divides(_, t) if linear(t).is_some() => AtomKind::Theory([None, None]),
-            _ => AtomKind::Opaque,
-        }
+        let (test, terms) = match interner.node_ref(id) {
+            FormulaNode::BoolVar(name) => return AtomKind::Bool(name.clone()),
+            FormulaNode::Cmp(op, lhs, rhs) => (
+                Test::Cmp(*op),
+                vec![interner.term(*lhs), interner.term(*rhs)],
+            ),
+            FormulaNode::Divides(d, t) => (Test::Divides(*d), vec![interner.term(*t)]),
+            _ => return AtomKind::Opaque,
+        };
+        let Ok(linear) = terms
+            .iter()
+            .map(LinExpr::from_term)
+            .collect::<Result<Vec<_>, _>>()
+        else {
+            return AtomKind::Opaque;
+        };
+        let mut constants = Vec::new();
+        let (rows, expr) = match test {
+            Test::Cmp(op) => {
+                let e = linear[0].sub(&linear[1]);
+                ([cmp_rows(op.negate(), &e), cmp_rows(op, &e)], e)
+            }
+            Test::Divides(d) => {
+                constants.push(d as i64);
+                ([None, None], linear[0].clone())
+            }
+        };
+        terms.iter().for_each(|t| term_constants(t, &mut constants));
+        constants.sort_unstable();
+        constants.dedup();
+        let mut vars: Vec<Ident> = terms.iter().flat_map(Term::vars).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let expr = (!expr.clamped()).then(|| Affine {
+            terms: expr
+                .terms()
+                .map(|(var, coeff)| {
+                    let i = vars.binary_search(var).expect("its terms mention it");
+                    (i, coeff)
+                })
+                .collect(),
+            constant: expr.constant_part(),
+        });
+        AtomKind::Theory(TheoryAtom {
+            rows,
+            test,
+            expr,
+            vars,
+            constants,
+        })
     }
+}
+
+/// The buffers of one DPLL(T) run: the query's atoms, its clauses, and
+/// scratch space for the clauses built on the way. Each thread keeps one and
+/// lends it to every query it solves (see [`with_workspace`]), so once the
+/// buffers have grown to the largest query met, a query's set-up allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct Workspace {
+    atoms: AtomTable,
+    sat: SatSolver,
+    clause: Vec<Lit>,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::default();
+}
+
+/// Runs `f` in this thread's [`Workspace`], its atom table emptied before
+/// and after (the table holds on to the solver's classifications).
+///
+/// # Panics
+///
+/// When `f` asks for the workspace again: nothing a DPLL(T) run calls
+/// issues a query of its own.
+fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+    WORKSPACE.with_borrow_mut(|ws| {
+        ws.atoms.clear();
+        let result = f(ws);
+        ws.atoms.clear();
+        result
+    })
 }
 
 /// The atoms of one query, numbered in first-occurrence order; the number is
@@ -1417,13 +1590,19 @@ impl AtomKind {
 #[derive(Debug, Default)]
 struct AtomTable {
     ids: Vec<FormulaId>,
-    index: HashMap<FormulaId, usize>,
+    index: FxMap<FormulaId, usize>,
     /// What each atom is, by number: shared with every other query of the
     /// solver that mentions it ([`AtomStore::classify`] fills this in).
     kinds: Vec<Arc<AtomKind>>,
 }
 
 impl AtomTable {
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.index.clear();
+        self.kinds.clear();
+    }
+
     /// Returns the number of atom `id`, numbering it on first sight.
     fn number(&mut self, id: FormulaId) -> usize {
         *self.index.entry(id).or_insert_with(|| {
@@ -1439,21 +1618,20 @@ impl AtomTable {
             .any(|kind| matches!(**kind, AtomKind::Opaque))
     }
 
-    /// The theory atoms under the polarities a propositional model assigns.
+    /// The theory atoms under the polarities a propositional model assigns
+    /// (none for the empty model of a constant skeleton).
     fn theory_literals(&self, model: &[bool]) -> Vec<TheoryLit<'_>> {
         self.kinds
             .iter()
+            .zip(model)
             .enumerate()
-            .filter_map(|(idx, kind)| match &**kind {
-                AtomKind::Theory(rows) => {
-                    let value = model.get(idx).copied().unwrap_or(false);
-                    Some(TheoryLit {
-                        idx,
-                        id: self.ids[idx],
-                        value,
-                        rows: rows[usize::from(value)].as_deref(),
-                    })
-                }
+            .filter_map(|(idx, (kind, &value))| match &**kind {
+                AtomKind::Theory(atom) => Some(TheoryLit {
+                    idx,
+                    id: self.ids[idx],
+                    value,
+                    atom,
+                }),
                 _ => None,
             })
             .collect()
@@ -1476,116 +1654,111 @@ fn cmp_rows(op: CmpOp, e: &LinExpr) -> Option<Vec<Constraint>> {
     })
 }
 
-/// The propositional skeleton of an NNF formula.
-#[derive(Debug, Clone)]
-enum Skeleton {
-    True,
-    False,
-    Lit(usize, bool),
-    And(Vec<Skeleton>),
-    Or(Vec<Skeleton>),
-}
-
-/// Builds the propositional skeleton of an interned NNF formula straight from
-/// the arena, numbering its atoms by id.
-fn build_skeleton(interner: &Interner, f: FormulaId, atoms: &mut AtomTable) -> Skeleton {
-    let mut children = |parts: Vec<FormulaId>| -> Vec<Skeleton> {
-        parts
-            .into_iter()
-            .map(|p| build_skeleton(interner, p, atoms))
-            .collect()
-    };
-    match interner.node(f) {
-        FormulaNode::True => Skeleton::True,
-        FormulaNode::False => Skeleton::False,
-        FormulaNode::And(parts) => Skeleton::And(children(parts)),
-        FormulaNode::Or(parts) => Skeleton::Or(children(parts)),
-        FormulaNode::Not(inner) if interner.is_true(inner) => Skeleton::False,
-        FormulaNode::Not(inner) if interner.is_false(inner) => Skeleton::True,
-        FormulaNode::Not(inner) => Skeleton::Lit(atoms.number(inner), false),
+/// Numbers the atoms of an interned NNF formula in first-occurrence order,
+/// walking it as a tree: children left to right, every child of every
+/// connective (even past one [`encode`] finds decides it), a shared
+/// subformula once per occurrence.
+fn number_atoms(interner: &Interner, f: FormulaId, atoms: &mut AtomTable) {
+    match interner.node_ref(f) {
+        FormulaNode::True | FormulaNode::False => {}
+        FormulaNode::And(parts) | FormulaNode::Or(parts) => {
+            for &part in parts {
+                number_atoms(interner, part, atoms);
+            }
+        }
+        FormulaNode::Not(inner) if interner.is_true(*inner) || interner.is_false(*inner) => {}
+        FormulaNode::Not(inner) => {
+            atoms.number(*inner);
+        }
         // NNF leaves implications/iffs/quantifiers out; should one appear it
         // is numbered like any atom and later classified opaque.
-        _ => Skeleton::Lit(atoms.number(f), true),
+        _ => {
+            atoms.number(f);
+        }
     }
 }
 
-enum RootLit {
-    Constant(bool),
-    Lit(Lit),
-}
-
-/// Tseitin encoding of a skeleton into the SAT solver; returns the literal
-/// representing the root.
-fn tseitin(skeleton: &Skeleton, sat: &mut SatSolver) -> RootLit {
-    match encode(skeleton, sat) {
-        Encoded::Constant(b) => RootLit::Constant(b),
-        Encoded::Lit(l) => RootLit::Lit(l),
-    }
-}
-
+/// What a subformula's Tseitin encoding stands for.
+#[derive(Debug, Clone, Copy)]
 enum Encoded {
     Constant(bool),
     Lit(Lit),
 }
 
-fn encode(skeleton: &Skeleton, sat: &mut SatSolver) -> Encoded {
-    match skeleton {
-        Skeleton::True => Encoded::Constant(true),
-        Skeleton::False => Encoded::Constant(false),
-        Skeleton::Lit(var, positive) => Encoded::Lit(if *positive { pos(*var) } else { neg(*var) }),
-        Skeleton::And(children) => {
-            let mut lits = Vec::new();
-            for c in children {
-                match encode(c, sat) {
-                    Encoded::Constant(false) => return Encoded::Constant(false),
-                    Encoded::Constant(true) => {}
-                    Encoded::Lit(l) => lits.push(l),
-                }
+/// Tseitin-encodes an interned NNF formula straight into `sat`, whose first
+/// variables are the atoms [`number_atoms`] numbered in `atoms`; returns what
+/// stands for the root. `stack` holds the literals of a connective's
+/// children while it is encoded, and each gate's long clause.
+fn encode(
+    interner: &Interner,
+    f: FormulaId,
+    atoms: &AtomTable,
+    sat: &mut SatSolver,
+    stack: &mut Vec<Lit>,
+) -> Encoded {
+    match interner.node_ref(f) {
+        FormulaNode::True => Encoded::Constant(true),
+        FormulaNode::False => Encoded::Constant(false),
+        FormulaNode::And(parts) => encode_gate(interner, parts, true, atoms, sat, stack),
+        FormulaNode::Or(parts) => encode_gate(interner, parts, false, atoms, sat, stack),
+        FormulaNode::Not(inner) if interner.is_true(*inner) => Encoded::Constant(false),
+        FormulaNode::Not(inner) if interner.is_false(*inner) => Encoded::Constant(true),
+        FormulaNode::Not(inner) => Encoded::Lit(neg(atoms.index[inner])),
+        _ => Encoded::Lit(pos(atoms.index[&f])),
+    }
+}
+
+/// Encodes a conjunction (`conjunction`) or disjunction of `parts`. A child
+/// that decides it (`false` in a conjunction, `true` in a disjunction) ends
+/// the encoding there; the other constants drop out. Two or more literals
+/// left get a fresh gate `g`: for a conjunction `¬g ∨ lᵢ` for each child,
+/// then `¬l₁ ∨ … ∨ ¬lₙ ∨ g`; for a disjunction `¬g ∨ l₁ ∨ … ∨ lₙ`, then
+/// `¬lᵢ ∨ g` for each child.
+fn encode_gate(
+    interner: &Interner,
+    parts: &[FormulaId],
+    conjunction: bool,
+    atoms: &AtomTable,
+    sat: &mut SatSolver,
+    stack: &mut Vec<Lit>,
+) -> Encoded {
+    let base = stack.len();
+    for &part in parts {
+        match encode(interner, part, atoms, sat, stack) {
+            Encoded::Constant(value) if value != conjunction => {
+                stack.truncate(base);
+                return Encoded::Constant(value);
             }
-            if lits.is_empty() {
-                return Encoded::Constant(true);
-            }
-            if lits.len() == 1 {
-                return Encoded::Lit(lits[0]);
-            }
-            let g = sat.new_var();
-            // g -> each child
-            for &l in &lits {
-                sat.add_clause(vec![neg(g), l]);
-            }
-            // children -> g
-            let mut clause: Vec<Lit> = lits.iter().map(|&l| -l).collect();
-            clause.push(pos(g));
-            sat.add_clause(clause);
-            Encoded::Lit(pos(g))
-        }
-        Skeleton::Or(children) => {
-            let mut lits = Vec::new();
-            for c in children {
-                match encode(c, sat) {
-                    Encoded::Constant(true) => return Encoded::Constant(true),
-                    Encoded::Constant(false) => {}
-                    Encoded::Lit(l) => lits.push(l),
-                }
-            }
-            if lits.is_empty() {
-                return Encoded::Constant(false);
-            }
-            if lits.len() == 1 {
-                return Encoded::Lit(lits[0]);
-            }
-            let g = sat.new_var();
-            // g -> c1 | ... | cn
-            let mut clause: Vec<Lit> = lits.clone();
-            clause.insert(0, neg(g));
-            sat.add_clause(clause);
-            // each child -> g
-            for &l in &lits {
-                sat.add_clause(vec![-l, pos(g)]);
-            }
-            Encoded::Lit(pos(g))
+            Encoded::Constant(_) => {}
+            Encoded::Lit(l) => stack.push(l),
         }
     }
+    let children = base..stack.len();
+    match children.len() {
+        0 => return Encoded::Constant(conjunction),
+        1 => return Encoded::Lit(stack.pop().expect("one child literal")),
+        _ => {}
+    }
+    let g = sat.new_var();
+    if conjunction {
+        for i in children.clone() {
+            sat.add_clause(&[neg(g), stack[i]]);
+        }
+        for i in children.clone() {
+            stack.push(-stack[i]);
+        }
+        stack.push(pos(g));
+        sat.add_clause(&stack[children.end..]);
+    } else {
+        stack.push(neg(g));
+        stack.extend_from_within(children.clone());
+        sat.add_clause(&stack[children.end..]);
+        for i in children.clone() {
+            sat.add_clause(&[-stack[i], pos(g)]);
+        }
+    }
+    stack.truncate(base);
+    Encoded::Lit(pos(g))
 }
 
 #[cfg(test)]

@@ -120,6 +120,26 @@ fn expresso_places_strictly_fewer_broadcasts_than_the_naive_baseline() {
 }
 
 #[test]
+fn a_guard_past_the_solvers_budget_still_gets_a_placement() {
+    // No integer x has 6e18*x in [1, 5], but Cooper's procedure would need
+    // 6e18 instances to say so: the theory check answers `Unknown`, and
+    // placement must read that as "not proven" and notify.
+    let source = r#"
+        monitor Huge {
+            int x = 0;
+            atomic void await() {
+                waituntil (6000000000000000000 * x >= 1 && 6000000000000000000 * x <= 5) { x = 0; }
+            }
+            atomic void bump() { x++; }
+        }
+    "#;
+    let monitor = expresso_repro::monitor_lang::parse_monitor(source).unwrap();
+    let outcome = Expresso::new().analyze(&monitor).unwrap();
+    let bump = monitor.method("bump").unwrap().ccrs[0];
+    assert_eq!(outcome.explicit.notifications_for(bump).len(), 1);
+}
+
+#[test]
 fn counting_semaphore_end_to_end() {
     // A small end-to-end scenario written directly against the public API.
     let source = r#"

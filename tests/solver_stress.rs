@@ -655,3 +655,53 @@ fn overflowing_elimination_never_proves_unsat() {
     let negation = Solver::new().check_valid(&Formula::not(k));
     assert_eq!(validity_verdict(&negation), "unknown", "{negation:?}");
 }
+
+#[test]
+fn a_wrapped_witness_never_proves_sat() {
+    // x == 4e18 && 3*x == -6446744073709551616 has no integer model:
+    // 3 * 4e18 is 1.2e19, which only its 64-bit wraparound equals.
+    // Fourier–Motzkin overflows and concludes nothing, so the witness search
+    // meets x = 4e18 on its grid, a point 64-bit wrapping arithmetic would
+    // take for a model. `Unsat` and `Unknown` are both acceptable.
+    const X: i64 = 4_000_000_000_000_000_000;
+    const WRAPPED: i64 = -6_446_744_073_709_551_616;
+    assert_eq!(X.wrapping_mul(3), WRAPPED);
+    let f = Formula::and(vec![
+        Term::var("x").eq(Term::int(X)),
+        Term::int(3).mul(Term::var("x")).eq(Term::int(WRAPPED)),
+    ]);
+    let closed = Formula::exists(vec!["x".into()], f.clone());
+    for query in [&f, &closed] {
+        let result = Solver::new().check_sat(query);
+        assert_ne!(sat_verdict(&result), "sat", "false model for {query}");
+        let negation = Solver::new().check_valid(&Formula::not(query.clone()));
+        assert_ne!(
+            validity_verdict(&negation),
+            "invalid",
+            "false counter-model for {query}"
+        );
+        assert_eq!(Solver::new().model(query), None, "{query}");
+    }
+}
+
+#[test]
+fn a_huge_coefficient_answers_unknown_in_time() {
+    // The instance loop of Cooper's procedure runs divisor-lcm times, and a
+    // coefficient of 6e18 is its own lcm: 6e18 rounds, unless the instance
+    // budget stops it first and the solver answers `Unknown`, the
+    // conservative answer.
+    const BIG: i64 = 6_000_000_000_000_000_000;
+    let big_z = || Term::int(BIG).mul(Term::var("z"));
+    let f = Formula::and(vec![big_z().ge(Term::int(1)), big_z().le(Term::int(5))]);
+    let closed = Formula::exists(vec!["z".into()], f.clone());
+    for query in [&f, &closed] {
+        let started = std::time::Instant::now();
+        let result = Solver::new().check_sat(query);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "{query} took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(sat_verdict(&result), "unknown", "{query}: {result:?}");
+    }
+}
