@@ -170,6 +170,16 @@ pub const GATES: &[Gate] = &[
          re-runs, so this follows the conflicts a query still meets (1.8 with lemmas); 5.1 \
          means refutations learned in one query are being found again in the next",
     },
+    Gate {
+        name: "qe_steps",
+        modes: "json",
+        path: "scheduler_suite.sequential_qe_steps",
+        cmp: Cmp::Le,
+        bound: 264.0,
+        why: "exact work count: single-variable eliminations Cooper's procedure ran, each (variable, \
+         matrix) once per solver; 135 more are answered by the step memo, so 399 means the memo \
+         stopped answering",
+    },
     // Bounded exploration: Def. 3.4 on every schedule within the bounds.
     Gate {
         name: "no_divergence",

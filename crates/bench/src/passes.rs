@@ -279,6 +279,8 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
         "sequential_dpll_rounds" => solver.sat_solver_calls,
         "sequential_dpll_rounds_per_uncached_query" => per_uncached_query(solver.sat_solver_calls),
         "sequential_fm_runs_per_uncached_query" => per_uncached_query(solver.fm_runs),
+        "sequential_qe_steps" => solver.qe_steps,
+        "sequential_qe_step_hits" => solver.qe_step_hits,
         "sequential_cross_monitor_cache_hits" => solver.cross_analysis_hits,
         "sequential_wp_cache_hits" => sequential.context.wp_stats().hits,
         "workers" => scheduler.workers,

@@ -14,9 +14,11 @@
 //! stay stable `Copy` values. Each shard owns
 //!
 //! * an append-only node store whose reads are **lock-free** (published slots
-//!   are immutable and reached through two acquire loads),
-//! * an `RwLock`ed dedup map consulted on interning (read-locked on the hit
-//!   path, write-locked only to insert a genuinely new node), and
+//!   are immutable and reached through two acquire loads), the one place a
+//!   node is kept,
+//! * an `RwLock`ed index from node hash to slot consulted on interning
+//!   (read-locked on the hit path, write-locked only to insert a genuinely
+//!   new node), and
 //! * a `Mutex`ed memo table for the per-node simplify/NNF/fold/free-var/size
 //!   results of the nodes that live in that shard.
 //!
@@ -43,6 +45,7 @@ use crate::formula::{CmpOp, Formula, Quantifier};
 use crate::subst::Subst;
 use crate::term::Term;
 use crate::Ident;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -194,6 +197,14 @@ pub enum FormulaNode {
     Quant(Quantifier, Vec<Ident>, FormulaId),
 }
 
+/// What each node of the arena [`Interner::import`] reads from has become in
+/// the arena it interns into, so far.
+#[derive(Debug, Default)]
+struct Imports {
+    formulas: FxMap<FormulaId, FormulaId>,
+    terms: FxMap<TermId, TermId>,
+}
+
 /// Counters describing an arena's shape and observed lock contention.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InternerStats {
@@ -225,13 +236,16 @@ impl InternerStats {
 // ---------------------------------------------------------------------------
 
 /// Slots in the first (smallest) chunk; chunk `k` holds `FIRST_CHUNK_LEN
-/// << k` slots.
-const FIRST_CHUNK_BITS: u32 = 10;
+/// << k` slots. Small, because an arena's 32 stores each allocate their
+/// first chunk with their first node: a solver keeps a second arena for
+/// quantifier elimination, and 1 024-slot first chunks made that 256 KB
+/// before it held anything.
+const FIRST_CHUNK_BITS: u32 = 6;
 const FIRST_CHUNK_LEN: usize = 1 << FIRST_CHUNK_BITS;
-/// Geometrically sized chunks: 23 of them cover `1024 * (2^23 - 1)` ≈ 8.6
+/// Geometrically sized chunks: 27 of them cover `64 * (2^27 - 1)` ≈ 8.6
 /// billion slots — more than the id encoding can address — while an empty
-/// store is just this 23-pointer table.
-const MAX_CHUNKS: usize = 23;
+/// store is just this 27-pointer table.
+const MAX_CHUNKS: usize = 27;
 
 /// Maps a slot to `(chunk index, offset within chunk)`. Chunk `k` spans
 /// slots `[FIRST_CHUNK_LEN * (2^k - 1), FIRST_CHUNK_LEN * (2^(k+1) - 1))`.
@@ -350,18 +364,64 @@ struct VarSets {
 /// Per-node memo tables for the nodes living in one shard.
 #[derive(Debug, Default)]
 struct ShardMemo {
-    simplify: FxMap<FormulaId, FormulaId>,
+    /// Simplification and constant folding, per [`Pass`].
+    simplify: [FxMap<FormulaId, FormulaId>; 2],
+    fold: [FxMap<TermId, TermId>; 2],
     nnf: FxMap<(FormulaId, bool), FormulaId>,
-    fold: FxMap<TermId, TermId>,
     formula_vars: FxMap<FormulaId, Arc<VarSets>>,
     term_vars: FxMap<TermId, Arc<HashSet<Ident>>>,
     size: FxMap<FormulaId, usize>,
 }
 
+/// Which simplification a memo lookup belongs to: [`Interner::simplify`],
+/// which takes each result for its own normal form, or
+/// [`Interner::simplify_as_tree`], which does not. The two disagree on a
+/// result a second pass would change, so each keeps its own tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    Trusting = 0,
+    AsTree = 1,
+}
+
+/// Where the nodes of one [`AppendStore`] are, by hash: a node is stored
+/// once, in the store, and found again through its hash here — not kept a
+/// second time as a map key.
+#[derive(Debug, Default)]
+struct NodeIndex {
+    /// The first slot holding a node with this hash.
+    first: FxMap<u64, u32>,
+    /// Any further slots with the same hash (a 64-bit collision).
+    more: FxMap<u64, Vec<u32>>,
+}
+
+impl NodeIndex {
+    /// The slot of `node` (whose hash is `hash`) in `store`, if it is there.
+    fn find<T: PartialEq>(&self, hash: u64, node: &T, store: &AppendStore<T>) -> Option<usize> {
+        let first = *self.first.get(&hash)? as usize;
+        if store.get(first) == node {
+            return Some(first);
+        }
+        let more = self.more.get(&hash)?;
+        more.iter()
+            .map(|&slot| slot as usize)
+            .find(|&slot| store.get(slot) == node)
+    }
+
+    fn insert(&mut self, hash: u64, slot: usize) {
+        let slot = u32::try_from(slot).expect("arena overflow");
+        match self.first.entry(hash) {
+            Entry::Vacant(first) => {
+                first.insert(slot);
+            }
+            Entry::Occupied(_) => self.more.entry(hash).or_default().push(slot),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Shard {
-    term_ids: RwLock<FxMap<TermNode, TermId>>,
-    formula_ids: RwLock<FxMap<FormulaNode, FormulaId>>,
+    term_index: RwLock<NodeIndex>,
+    formula_index: RwLock<NodeIndex>,
     terms: AppendStore<TermNode>,
     formulas: AppendStore<FormulaNode>,
     memo: Mutex<ShardMemo>,
@@ -370,8 +430,8 @@ struct Shard {
 impl Shard {
     fn new() -> Self {
         Shard {
-            term_ids: RwLock::default(),
-            formula_ids: RwLock::default(),
+            term_index: RwLock::default(),
+            formula_index: RwLock::default(),
             terms: AppendStore::new(),
             formulas: AppendStore::new(),
             memo: Mutex::default(),
@@ -394,14 +454,16 @@ fn decode(id: u32) -> (usize, usize) {
     ((id as usize) & (SHARDS - 1), (id >> SHARD_BITS) as usize)
 }
 
-fn shard_of<T: Hash>(node: &T) -> usize {
+/// A node's hash, and the shard it lives in.
+fn hash_and_shard<T: Hash>(node: &T) -> (u64, usize) {
     // FxHasher is deterministic, so the same node always lands on the same
     // shard. Select from the *top* bits: the final step of a multiplicative
     // hash mixes upward, so the low bits carry the least entropy (and are the
     // ones the per-shard HashMaps consume).
     let mut hasher = FxHasher::default();
     node.hash(&mut hasher);
-    (hasher.finish() >> (64 - SHARD_BITS)) as usize
+    let hash = hasher.finish();
+    (hash, (hash >> (64 - SHARD_BITS)) as usize)
 }
 
 /// The hash-consing arena. See the module documentation.
@@ -502,35 +564,37 @@ impl Interner {
     }
 
     fn put_formula(&self, node: FormulaNode) -> FormulaId {
-        let shard_idx = shard_of(&node);
+        let (hash, shard_idx) = hash_and_shard(&node);
         let shard = &self.shards[shard_idx];
-        if let Some(&id) = self.read_map(&shard.formula_ids).get(&node) {
-            return id;
+        let index = self.read_map(&shard.formula_index);
+        if let Some(slot) = index.find(hash, &node, &shard.formulas) {
+            return FormulaId(encode(shard_idx, slot));
         }
-        let mut map = self.write_map(&shard.formula_ids);
-        if let Some(&id) = map.get(&node) {
-            return id;
+        drop(index);
+        let mut index = self.write_map(&shard.formula_index);
+        if let Some(slot) = index.find(hash, &node, &shard.formulas) {
+            return FormulaId(encode(shard_idx, slot));
         }
-        let slot = shard.formulas.push(node.clone());
-        let id = FormulaId(encode(shard_idx, slot));
-        map.insert(node, id);
-        id
+        let slot = shard.formulas.push(node);
+        index.insert(hash, slot);
+        FormulaId(encode(shard_idx, slot))
     }
 
     fn put_term(&self, node: TermNode) -> TermId {
-        let shard_idx = shard_of(&node);
+        let (hash, shard_idx) = hash_and_shard(&node);
         let shard = &self.shards[shard_idx];
-        if let Some(&id) = self.read_map(&shard.term_ids).get(&node) {
-            return id;
+        let index = self.read_map(&shard.term_index);
+        if let Some(slot) = index.find(hash, &node, &shard.terms) {
+            return TermId(encode(shard_idx, slot));
         }
-        let mut map = self.write_map(&shard.term_ids);
-        if let Some(&id) = map.get(&node) {
-            return id;
+        drop(index);
+        let mut index = self.write_map(&shard.term_index);
+        if let Some(slot) = index.find(hash, &node, &shard.terms) {
+            return TermId(encode(shard_idx, slot));
         }
-        let slot = shard.terms.push(node.clone());
-        let id = TermId(encode(shard_idx, slot));
-        map.insert(node, id);
-        id
+        let slot = shard.terms.push(node);
+        index.insert(hash, slot);
+        TermId(encode(shard_idx, slot))
     }
 
     // -- public interning API ---------------------------------------------
@@ -628,6 +692,12 @@ impl Interner {
         self.tnode(id).clone()
     }
 
+    /// The term node behind `id`, borrowed from the arena: the term
+    /// counterpart of [`Interner::node_ref`].
+    pub fn term_node_ref(&self, id: TermId) -> &TermNode {
+        self.tnode(id)
+    }
+
     /// Interns one formula node whose children are already ids of this
     /// arena — the step [`Interner::intern`] takes per tree node, so
     /// `intern_formula_node(node(id)) == id` and interning a DAG bottom-up
@@ -641,6 +711,81 @@ impl Interner {
     /// the term counterpart of [`Interner::intern_formula_node`].
     pub fn intern_term_node(&self, node: TermNode) -> TermId {
         self.put_term(node)
+    }
+
+    /// Interns in this arena the formula `f` of the arena `from`: the id
+    /// `self.intern(&from.formula(f))` gives, with nodes created in the same
+    /// order (children left to right, then the node), but no tree built and
+    /// every shared subformula visited once. From this arena itself it is
+    /// the identity.
+    pub fn import(&self, from: &Interner, f: FormulaId) -> FormulaId {
+        if ptr::eq(self, from) {
+            return f;
+        }
+        self.import_formula(from, f, &mut Imports::default())
+    }
+
+    fn import_formula(&self, from: &Interner, f: FormulaId, imports: &mut Imports) -> FormulaId {
+        if let Some(&done) = imports.formulas.get(&f) {
+            return done;
+        }
+        let mut formula = |g: FormulaId| self.import_formula(from, g, imports);
+        let node = match from.fnode(f) {
+            FormulaNode::True => FormulaNode::True,
+            FormulaNode::False => FormulaNode::False,
+            FormulaNode::BoolVar(b) => FormulaNode::BoolVar(b.clone()),
+            FormulaNode::Cmp(op, lhs, rhs) => {
+                let lhs = self.import_term(from, *lhs, imports);
+                FormulaNode::Cmp(*op, lhs, self.import_term(from, *rhs, imports))
+            }
+            FormulaNode::Divides(d, t) => {
+                FormulaNode::Divides(*d, self.import_term(from, *t, imports))
+            }
+            FormulaNode::Not(inner) => FormulaNode::Not(formula(*inner)),
+            FormulaNode::And(parts) => {
+                FormulaNode::And(parts.iter().map(|&p| formula(p)).collect())
+            }
+            FormulaNode::Or(parts) => FormulaNode::Or(parts.iter().map(|&p| formula(p)).collect()),
+            FormulaNode::Implies(a, b) => {
+                let a = formula(*a);
+                FormulaNode::Implies(a, formula(*b))
+            }
+            FormulaNode::Iff(a, b) => {
+                let a = formula(*a);
+                FormulaNode::Iff(a, formula(*b))
+            }
+            FormulaNode::Quant(q, vars, body) => {
+                FormulaNode::Quant(*q, vars.clone(), formula(*body))
+            }
+        };
+        let id = self.put_formula(node);
+        imports.formulas.insert(f, id);
+        id
+    }
+
+    fn import_term(&self, from: &Interner, t: TermId, imports: &mut Imports) -> TermId {
+        if let Some(&done) = imports.terms.get(&t) {
+            return done;
+        }
+        let mut term = |u: TermId| self.import_term(from, u, imports);
+        let node = match from.tnode(t) {
+            TermNode::Int(v) => TermNode::Int(*v),
+            TermNode::Var(v) => TermNode::Var(v.clone()),
+            TermNode::Add(parts) => TermNode::Add(parts.iter().map(|&p| term(p)).collect()),
+            TermNode::Sub(a, b) => {
+                let a = term(*a);
+                TermNode::Sub(a, term(*b))
+            }
+            TermNode::Neg(a) => TermNode::Neg(term(*a)),
+            TermNode::Mul(a, b) => {
+                let a = term(*a);
+                TermNode::Mul(a, term(*b))
+            }
+            TermNode::Select(array, index) => TermNode::Select(array.clone(), term(*index)),
+        };
+        let id = self.put_term(node);
+        imports.terms.insert(t, id);
+        id
     }
 
     /// Number of distinct formula nodes interned so far.
@@ -932,12 +1077,12 @@ impl Interner {
 
     // -- memoized constant folding -----------------------------------------
 
-    fn fold_term(&self, t: TermId) -> TermId {
+    fn fold_term(&self, t: TermId, pass: Pass) -> TermId {
         // Leaf fast path: literals and variables fold to themselves.
         if matches!(self.tnode(t), TermNode::Int(_) | TermNode::Var(_)) {
             return t;
         }
-        if let Some(&f) = self.memo_of_term(t).fold.get(&t) {
+        if let Some(&f) = self.memo_of_term(t).fold[pass as usize].get(&t) {
             return f;
         }
         let out = match self.tnode(t) {
@@ -946,7 +1091,7 @@ impl Interner {
                 let mut constant = 0i64;
                 let mut rest: Vec<TermId> = Vec::new();
                 for &p in parts {
-                    let folded = self.fold_term(p);
+                    let folded = self.fold_term(p, pass);
                     match self.tnode(folded) {
                         TermNode::Int(v) => constant = constant.saturating_add(*v),
                         TermNode::Add(inner) => rest.extend(inner.iter().copied()),
@@ -968,8 +1113,8 @@ impl Interner {
                 }
             }
             TermNode::Sub(a, b) => {
-                let fa = self.fold_term(*a);
-                let fb = self.fold_term(*b);
+                let fa = self.fold_term(*a, pass);
+                let fb = self.fold_term(*b, pass);
                 match (self.tnode(fa), self.tnode(fb)) {
                     (TermNode::Int(x), TermNode::Int(y)) => {
                         self.put_term(TermNode::Int(x.saturating_sub(*y)))
@@ -979,7 +1124,7 @@ impl Interner {
                 }
             }
             TermNode::Neg(a) => {
-                let fa = self.fold_term(*a);
+                let fa = self.fold_term(*a, pass);
                 match self.tnode(fa) {
                     TermNode::Int(x) => self.put_term(TermNode::Int(x.wrapping_neg())),
                     TermNode::Neg(inner) => *inner,
@@ -987,8 +1132,8 @@ impl Interner {
                 }
             }
             TermNode::Mul(a, b) => {
-                let fa = self.fold_term(*a);
-                let fb = self.fold_term(*b);
+                let fa = self.fold_term(*a, pass);
+                let fb = self.fold_term(*b, pass);
                 match (self.tnode(fa), self.tnode(fb)) {
                     (TermNode::Int(x), TermNode::Int(y)) => {
                         self.put_term(TermNode::Int(x.saturating_mul(*y)))
@@ -1003,22 +1148,20 @@ impl Interner {
             }
             TermNode::Select(arr, idx) => {
                 let arr = arr.clone();
-                let fi = self.fold_term(*idx);
+                let fi = self.fold_term(*idx, pass);
                 self.put_term(TermNode::Select(arr, fi))
             }
         };
         let (t_shard, _) = decode(t.0);
         let (out_shard, _) = decode(out.0);
         let mut memo = self.lock_memo(&self.shards[t_shard]);
-        memo.fold.insert(t, out);
-        if out != t {
+        memo.fold[pass as usize].insert(t, out);
+        if out != t && pass == Pass::Trusting {
             if out_shard == t_shard {
-                memo.fold.insert(out, out);
+                memo.fold[pass as usize].insert(out, out);
             } else {
                 drop(memo);
-                self.lock_memo(&self.shards[out_shard])
-                    .fold
-                    .insert(out, out);
+                self.lock_memo(&self.shards[out_shard]).fold[pass as usize].insert(out, out);
             }
         }
         out
@@ -1026,10 +1169,35 @@ impl Interner {
 
     // -- memoized simplification -------------------------------------------
 
-    /// Memoized, per-node simplification (the arena analogue of
-    /// [`crate::simplify`]). Identical subtrees are simplified once per arena
-    /// lifetime, no matter how many formulas share them.
+    /// Memoized, per-node simplification. It constant-folds terms, evaluates
+    /// comparisons between constants, drops `true`/`false` from connectives,
+    /// collapses double negation, deduplicates conjuncts and disjuncts, and
+    /// detects `p && !p` / `p || !p`; it is not a decision procedure.
+    /// Identical subtrees are simplified once per arena lifetime, no matter
+    /// how many formulas share them. A test-only tree version is the
+    /// reference it is held to.
+    ///
+    /// Each result is recorded as its own normal form too, so simplifying an
+    /// answer again is a lookup. That is not always what a second pass would
+    /// compute: folding `(g + 1) + 1` flattens it to `g + 1 + 1`, and only a
+    /// second fold sums the constants. Every solver query is normalised by
+    /// this one; [`Interner::simplify_as_tree`] is the pass that takes
+    /// nothing for granted.
     pub fn simplify(&self, f: FormulaId) -> FormulaId {
+        self.simplify_in(f, Pass::Trusting)
+    }
+
+    /// Simplification as the tree pass computes it: the same rewrites as
+    /// [`Interner::simplify`], memoized per node in a table of their own,
+    /// but no node is taken for its own normal form because this pass
+    /// produced it — simplifying an answer again is a pass of its own, as
+    /// simplifying a tree twice is. Cooper's procedure normalises every
+    /// matrix and answer with it.
+    pub fn simplify_as_tree(&self, f: FormulaId) -> FormulaId {
+        self.simplify_in(f, Pass::AsTree)
+    }
+
+    fn simplify_in(&self, f: FormulaId, pass: Pass) -> FormulaId {
         // Leaf fast path: constants and boolean variables are their own
         // normal form — skip the memo lock entirely.
         if matches!(
@@ -1038,15 +1206,15 @@ impl Interner {
         ) {
             return f;
         }
-        if let Some(&s) = self.memo_of_formula(f).simplify.get(&f) {
+        if let Some(&s) = self.memo_of_formula(f).simplify[pass as usize].get(&f) {
             return s;
         }
         let out = match self.fnode(f) {
             FormulaNode::True | FormulaNode::False | FormulaNode::BoolVar(_) => f,
-            FormulaNode::Cmp(op, lhs, rhs) => self.simplify_cmp(*op, *lhs, *rhs),
+            FormulaNode::Cmp(op, lhs, rhs) => self.simplify_cmp(*op, *lhs, *rhs, pass),
             FormulaNode::Divides(d, t) => {
                 let d = *d;
-                let t = self.fold_term(*t);
+                let t = self.fold_term(*t, pass);
                 if d == 1 {
                     self.const_true
                 } else if let TermNode::Int(v) = self.tnode(t) {
@@ -1060,11 +1228,12 @@ impl Interner {
                 }
             }
             FormulaNode::Not(inner) => {
-                let si = self.simplify(*inner);
+                let si = self.simplify_in(*inner, pass);
                 self.mk_not(si)
             }
             FormulaNode::And(parts) => {
-                let simplified: Vec<FormulaId> = parts.iter().map(|p| self.simplify(*p)).collect();
+                let simplified: Vec<FormulaId> =
+                    parts.iter().map(|p| self.simplify_in(*p, pass)).collect();
                 let flat = self.mk_and(simplified);
                 match self.fnode(flat) {
                     FormulaNode::And(items) => {
@@ -1079,7 +1248,8 @@ impl Interner {
                 }
             }
             FormulaNode::Or(parts) => {
-                let simplified: Vec<FormulaId> = parts.iter().map(|p| self.simplify(*p)).collect();
+                let simplified: Vec<FormulaId> =
+                    parts.iter().map(|p| self.simplify_in(*p, pass)).collect();
                 let flat = self.mk_or(simplified);
                 match self.fnode(flat) {
                     FormulaNode::Or(items) => {
@@ -1094,8 +1264,8 @@ impl Interner {
                 }
             }
             FormulaNode::Implies(a, b) => {
-                let sa = self.simplify(*a);
-                let sb = self.simplify(*b);
+                let sa = self.simplify_in(*a, pass);
+                let sb = self.simplify_in(*b, pass);
                 match (self.fnode(sa), self.fnode(sb)) {
                     (FormulaNode::True, _) => sb,
                     (FormulaNode::False, _) | (_, FormulaNode::True) => self.const_true,
@@ -1105,8 +1275,8 @@ impl Interner {
                 }
             }
             FormulaNode::Iff(a, b) => {
-                let sa = self.simplify(*a);
-                let sb = self.simplify(*b);
+                let sa = self.simplify_in(*a, pass);
+                let sb = self.simplify_in(*b, pass);
                 match (self.fnode(sa), self.fnode(sb)) {
                     (FormulaNode::True, _) => sb,
                     (_, FormulaNode::True) => sa,
@@ -1118,7 +1288,7 @@ impl Interner {
             }
             FormulaNode::Quant(q, vars, body) => {
                 let q = *q;
-                let sb = self.simplify(*body);
+                let sb = self.simplify_in(*body, pass);
                 match self.fnode(sb) {
                     FormulaNode::True | FormulaNode::False => sb,
                     _ => {
@@ -1133,28 +1303,26 @@ impl Interner {
                 }
             }
         };
-        // The result is its own fixpoint; record both facts, with one lock
-        // when the two ids share a shard.
+        // A trusting pass takes the result for its own normal form too;
+        // record both facts, with one lock when the two ids share a shard.
         let (f_shard, _) = decode(f.0);
         let (out_shard, _) = decode(out.0);
         let mut memo = self.lock_memo(&self.shards[f_shard]);
-        memo.simplify.insert(f, out);
-        if out != f {
+        memo.simplify[pass as usize].insert(f, out);
+        if out != f && pass == Pass::Trusting {
             if out_shard == f_shard {
-                memo.simplify.insert(out, out);
+                memo.simplify[pass as usize].insert(out, out);
             } else {
                 drop(memo);
-                self.lock_memo(&self.shards[out_shard])
-                    .simplify
-                    .insert(out, out);
+                self.lock_memo(&self.shards[out_shard]).simplify[pass as usize].insert(out, out);
             }
         }
         out
     }
 
-    fn simplify_cmp(&self, op: CmpOp, lhs: TermId, rhs: TermId) -> FormulaId {
-        let lhs = self.fold_term(lhs);
-        let rhs = self.fold_term(rhs);
+    fn simplify_cmp(&self, op: CmpOp, lhs: TermId, rhs: TermId, pass: Pass) -> FormulaId {
+        let lhs = self.fold_term(lhs, pass);
+        let rhs = self.fold_term(rhs, pass);
         if let (TermNode::Int(a), TermNode::Int(b)) = (self.tnode(lhs), self.tnode(rhs)) {
             return if op.eval(*a, *b) {
                 self.const_true
@@ -1181,7 +1349,11 @@ impl Interner {
 
     // -- memoized negation normal form -------------------------------------
 
-    /// Memoized negation normal form (the arena analogue of [`crate::to_nnf`]).
+    /// Memoized negation normal form: negation only directly above boolean
+    /// variables and divisibility atoms, implications and bi-implications
+    /// expanded, a negated comparison flipped (`!(a < b)` is `a >= b`), a
+    /// disequality split into `<` or `>`, and negated quantifiers dualised.
+    /// A test-only tree version is the reference it is held to.
     pub fn nnf(&self, f: FormulaId) -> FormulaId {
         self.nnf_inner(f, false)
     }
@@ -1566,6 +1738,30 @@ mod tests {
     }
 
     #[test]
+    fn importing_creates_the_nodes_interning_the_tree_would_in_its_order() {
+        // Ids encode creation order, so two arenas that went through the same
+        // history agree on every id exactly when they created the same nodes
+        // in the same order.
+        let source = Interner::new();
+        let samples = crate::random_formulas::samples();
+        let (by_tree, by_import) = (Interner::new(), Interner::new());
+        for f in &samples {
+            let id = source.intern(f);
+            // Something of the target's own first, shared with the import.
+            let part = source.formula(source.simplify(id));
+            assert_eq!(by_tree.intern(&part), by_import.intern(&part));
+            assert_eq!(
+                by_tree.intern(&source.formula(id)),
+                by_import.import(&source, id),
+                "{f}"
+            );
+            assert_eq!(by_import.formula(by_import.import(&source, id)), *f);
+        }
+        assert_eq!(by_tree.stats(), by_import.stats());
+        assert_eq!(source.import(&source, source.true_id()), source.true_id());
+    }
+
+    #[test]
     fn arena_simplify_matches_tree_simplify() {
         let arena = Interner::new();
         let cases = vec![
@@ -1590,6 +1786,30 @@ mod tests {
             let id = arena.intern(&f);
             let via_arena = arena.formula(arena.simplify(id));
             assert_eq!(via_arena, simplify(&f), "mismatch for {f}");
+        }
+    }
+
+    #[test]
+    fn arena_simplify_nnf_and_folding_agree_with_tree_implementations() {
+        let arena = Interner::new();
+        for (i, f) in crate::random_formulas::samples().iter().enumerate() {
+            let id = arena.intern(f);
+            // Round trip is lossless.
+            assert_eq!(&arena.formula(id), f, "sample {i}: roundtrip mangled {f}");
+            // Memoized simplification (which includes constant folding of every
+            // term) matches the tree implementation.
+            let arena_simplified = arena.formula(arena.simplify(id));
+            assert_eq!(
+                arena_simplified,
+                simplify(f),
+                "sample {i}: simplify mismatch for {f}"
+            );
+            // Memoized NNF matches the tree implementation.
+            let arena_nnf = arena.formula(arena.nnf(id));
+            assert_eq!(arena_nnf, to_nnf(f), "sample {i}: nnf mismatch for {f}");
+            // Normalisation is a fixpoint under re-simplification.
+            let norm = arena.simplify(id);
+            assert_eq!(arena.simplify(norm), norm, "sample {i}: not a fixpoint");
         }
     }
 

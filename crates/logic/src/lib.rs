@@ -3,7 +3,9 @@
 //! This crate provides the logical core shared by every other crate in the
 //! workspace: integer-sorted [`Term`]s, boolean [`Formula`]s over linear integer
 //! arithmetic with uninterpreted array reads, substitution, free-variable
-//! computation, simplification, negation normal form and concrete evaluation.
+//! computation, concrete evaluation, and the hash-consed [`Interner`] whose
+//! memoized simplification and negation normal form every solver query runs
+//! on. The tree versions of those two passes are test-only references.
 //!
 //! The fragment deliberately mirrors what the paper's verification conditions
 //! need: quantified linear integer arithmetic plus boolean variables
@@ -26,7 +28,14 @@ mod eval;
 mod formula;
 mod intern;
 mod lcg;
+// The tree passes are the references the arena's memoized ones are held to
+// (`intern.rs` tests); nothing else runs on trees.
+#[cfg(test)]
 mod nnf;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod random_formulas;
+#[cfg(test)]
 mod simplify;
 mod subst;
 mod term;
@@ -38,8 +47,10 @@ pub use intern::{FormulaId, FormulaNode, FxHasher, Interner, InternerStats, Term
 // shares (the workspace vendors no `rand`). Hidden from the documented API.
 #[doc(hidden)]
 pub use lcg::Lcg;
-pub use nnf::to_nnf;
-pub use simplify::simplify;
+#[cfg(test)]
+use nnf::to_nnf;
+#[cfg(test)]
+use simplify::simplify;
 pub use subst::Subst;
 pub use term::Term;
 

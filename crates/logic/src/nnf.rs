@@ -1,4 +1,5 @@
-//! Negation normal form.
+//! Negation normal form of formula trees: the test-only reference
+//! [`crate::Interner::nnf`] is held to.
 
 use crate::formula::{CmpOp, Formula, Quantifier};
 
@@ -11,17 +12,6 @@ use crate::formula::{CmpOp, Formula, Quantifier};
 /// quantifier; negated divisibility atoms are kept as `Not(Divides(..))`
 /// because Presburger arithmetic has no positive dual for them (Cooper's
 /// procedure in `expresso-smt` handles both polarities).
-///
-/// # Example
-///
-/// ```
-/// use expresso_logic::{to_nnf, Formula, Term};
-/// let f = Formula::not(Formula::and(vec![
-///     Formula::bool_var("p"),
-///     Term::var("x").lt(Term::int(0)),
-/// ]));
-/// assert_eq!(to_nnf(&f).to_string(), "(!p || x >= 0)");
-/// ```
 pub fn to_nnf(formula: &Formula) -> Formula {
     nnf(formula, false)
 }

@@ -1,4 +1,5 @@
-//! Light-weight structural simplification of formulas.
+//! Light-weight structural simplification of formula trees: the test-only
+//! reference [`crate::Interner::simplify`] is held to.
 
 use crate::formula::{CmpOp, Formula};
 use crate::term::Term;
@@ -9,18 +10,6 @@ use crate::term::Term;
 /// between constants, removes `true`/`false` from connectives, collapses
 /// double negation, deduplicates conjuncts/disjuncts and detects the trivial
 /// contradiction / tautology `p && !p` / `p || !p`.
-///
-/// It is *not* a decision procedure — the SMT layer is — but keeping formulas
-/// small makes solver queries cheaper and, more importantly, keeps inferred
-/// invariants and emitted conditional signals readable.
-///
-/// # Example
-///
-/// ```
-/// use expresso_logic::{simplify, Formula, Term};
-/// let f = Formula::and(vec![Formula::True, Term::int(1).lt(Term::int(2))]);
-/// assert_eq!(simplify(&f), Formula::True);
-/// ```
 pub fn simplify(formula: &Formula) -> Formula {
     match formula {
         Formula::True | Formula::False | Formula::BoolVar(_) => formula.clone(),

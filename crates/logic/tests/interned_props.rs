@@ -1,105 +1,15 @@
-//! Property-style cross-checks of the interned (arena) implementations
-//! against the reference tree implementations, over ~200 generated formulas.
-//!
-//! The workspace vendors no `rand`, so generation uses the crate's seeded
-//! [`Lcg`]; failures therefore reproduce deterministically. For every sample
-//! the arena's memoized simplify / NNF / constant folding must agree with the
-//! tree `simplify` / `to_nnf`, and the memoized per-node free-variable sets
-//! and sizes must match a recomputed tree baseline — including after the memo
-//! tables are warm.
+//! Property-style cross-checks of the interned (arena) memo tables over
+//! ~200 generated formulas (`common/mod.rs`): the memoized per-node
+//! free-variable sets and sizes must match a recomputed tree baseline —
+//! including after the memo tables are warm — and shared subtrees must be
+//! stored once. The arena's simplification and negation normal form are
+//! held to the tree versions by the crate's own unit tests, where those
+//! test-only references live.
 
-use expresso_logic::{simplify, to_nnf, Formula, Interner, Lcg, Term};
+use expresso_logic::{Formula, Interner, Lcg, Term};
 
-const SAMPLES: usize = 200;
-
-fn term(rng: &mut Lcg, depth: usize) -> Term {
-    if depth == 0 {
-        return match rng.below(3) {
-            0 => Term::int(rng.below(11) as i64 - 5),
-            1 => Term::var(["x", "y", "z", "n"][rng.below(4) as usize]),
-            _ => Term::var(["x", "y"][rng.below(2) as usize]),
-        };
-    }
-    match rng.below(7) {
-        0 => term(rng, depth - 1).add(term(rng, depth - 1)),
-        1 => term(rng, depth - 1).sub(term(rng, depth - 1)),
-        2 => term(rng, depth - 1).neg(),
-        3 => term(rng, depth - 1).mul(term(rng, depth - 1)),
-        4 => Term::select("buf", term(rng, depth - 1)),
-        _ => term(rng, 0),
-    }
-}
-
-fn atom(rng: &mut Lcg) -> Formula {
-    let lhs = term(rng, 2);
-    let rhs = term(rng, 2);
-    match rng.below(7) {
-        0 => lhs.lt(rhs),
-        1 => lhs.le(rhs),
-        2 => lhs.gt(rhs),
-        3 => lhs.ge(rhs),
-        4 => lhs.eq(rhs),
-        5 => lhs.ne(rhs),
-        _ => Formula::divides(rng.below(4) + 1, term(rng, 1)),
-    }
-}
-
-fn formula(rng: &mut Lcg, depth: usize) -> Formula {
-    if depth == 0 {
-        return match rng.below(6) {
-            0 => Formula::True,
-            1 => Formula::False,
-            2 => Formula::bool_var(["p", "q", "r"][rng.below(3) as usize]),
-            _ => atom(rng),
-        };
-    }
-    let arity = 2 + rng.below(2) as usize;
-    match rng.below(8) {
-        0 => Formula::not(formula(rng, depth - 1)),
-        1 => Formula::and((0..arity).map(|_| formula(rng, depth - 1)).collect()),
-        2 => Formula::or((0..arity).map(|_| formula(rng, depth - 1)).collect()),
-        3 => Formula::implies(formula(rng, depth - 1), formula(rng, depth - 1)),
-        4 => Formula::iff(formula(rng, depth - 1), formula(rng, depth - 1)),
-        5 => Formula::forall(
-            vec![["x", "y", "k"][rng.below(3) as usize].into()],
-            formula(rng, depth - 1),
-        ),
-        6 => Formula::exists(
-            vec![["x", "z"][rng.below(2) as usize].into()],
-            formula(rng, depth - 1),
-        ),
-        _ => atom(rng),
-    }
-}
-
-fn samples() -> Vec<Formula> {
-    let mut rng = Lcg::new(0x1A7E57);
-    (0..SAMPLES).map(|i| formula(&mut rng, 1 + i % 3)).collect()
-}
-
-#[test]
-fn arena_simplify_nnf_and_folding_agree_with_tree_implementations() {
-    let arena = Interner::new();
-    for (i, f) in samples().iter().enumerate() {
-        let id = arena.intern(f);
-        // Round trip is lossless.
-        assert_eq!(&arena.formula(id), f, "sample {i}: roundtrip mangled {f}");
-        // Memoized simplification (which includes constant folding of every
-        // term) matches the tree implementation.
-        let arena_simplified = arena.formula(arena.simplify(id));
-        assert_eq!(
-            arena_simplified,
-            simplify(f),
-            "sample {i}: simplify mismatch for {f}"
-        );
-        // Memoized NNF matches the tree implementation.
-        let arena_nnf = arena.formula(arena.nnf(id));
-        assert_eq!(arena_nnf, to_nnf(f), "sample {i}: nnf mismatch for {f}");
-        // Normalisation is a fixpoint under re-simplification.
-        let norm = arena.simplify(id);
-        assert_eq!(arena.simplify(norm), norm, "sample {i}: not a fixpoint");
-    }
-}
+mod common;
+use common::{formula, samples};
 
 #[test]
 fn memoized_free_variable_sets_match_recomputed_baseline() {

@@ -9,7 +9,9 @@ use std::fmt;
 pub struct ParseError {
     /// Explanation of the problem.
     pub message: String,
-    /// 1-based source line (0 when the input ended unexpectedly).
+    /// 1-based source line: of the token the parser stopped at, or of the
+    /// last one when the input ended too early (the last line of the input
+    /// when it holds no token at all).
     pub line: usize,
 }
 
@@ -59,7 +61,7 @@ impl From<LexError> for ParseError {
 pub fn parse_monitor(source: &str) -> Result<Monitor, ParseError> {
     let _span = expresso_obs::span!("parse.monitor");
     let tokens = tokenize(source)?;
-    let mut parser = Parser::new(tokens);
+    let mut parser = Parser::new(tokens, source);
     let monitor = parser.monitor()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing input after monitor declaration"));
@@ -75,7 +77,7 @@ pub fn parse_monitor(source: &str) -> Result<Monitor, ParseError> {
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser::new(tokens);
+    let mut parser = Parser::new(tokens, source);
     let expr = parser.expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing input after expression"));
@@ -97,14 +99,18 @@ struct Parser {
     pos: usize,
     /// Levels of nesting around the token at `pos` (see [`MAX_NESTING`]).
     depth: usize,
+    /// The line the input ends on: where an error in a source with no
+    /// token at all is.
+    last_line: usize,
 }
 
 impl Parser {
-    fn new(tokens: Vec<SpannedToken>) -> Self {
+    fn new(tokens: Vec<SpannedToken>, source: &str) -> Self {
         Parser {
             tokens,
             pos: 0,
             depth: 0,
+            last_line: 1 + source.matches('\n').count(),
         }
     }
 
@@ -139,8 +145,7 @@ impl Parser {
     fn line(&self) -> usize {
         self.tokens
             .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|t| t.line)
-            .unwrap_or(0)
+            .map_or(self.last_line, |t| t.line)
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {

@@ -12,6 +12,54 @@
 //! instances at each lower bound plus an offset `1..D`, where `D` is the
 //! least common multiple of the divisibility divisors.
 //!
+//! # On ids, one variable at a time
+//!
+//! The procedure runs on interned formulas end to end; no formula tree is
+//! built, at a binder or anywhere else. Quantifier-free subformulas are
+//! walked as a DAG, and a quantifier's binders are eliminated one at a time,
+//! innermost first. A *step* eliminates one variable `x` from the negation
+//! normal form of its simplified matrix, both memoized per node
+//! (`Interner::simplify_as_tree`, `Interner::nnf`):
+//!
+//! * only the atoms that mention `x` are read, and each is compiled once per
+//!   solver to the linear forms of its terms — so finding `x`'s coefficient
+//!   in an atom is a lookup, and an atom whose terms leave the linear
+//!   fragment answers with its translation error;
+//! * a subformula that does not mention `x` stays one id, in every instance;
+//! * the instances are built with the arena's constructors, and the step's
+//!   answer is their `Interner::simplify_as_tree`.
+//!
+//! Steps simplify as a pass over the tree would, never with
+//! `Interner::simplify`, which takes every answer it records for a normal
+//! form: a step re-simplifies the answer of the step before, and a second
+//! pass can fold further than the first (`(g + 1) + 1` becomes `g + 1 + 1`,
+//! then `g + 2`). Every step is the id the textbook procedure over trees
+//! gives: a test-only tree version is kept as the reference, and a seeded
+//! property test holds the two to each other and to brute force.
+//!
+//! # An arena of its own, and a memo of steps
+//!
+//! The matrices, instances and intermediate answers live in an arena the
+//! solver keeps for the procedure ([`Qe`]), not in the one its queries are
+//! interned in. A quantifier's matrix is imported into it, and only the
+//! answer goes back, created node by node as interning the answer's tree
+//! would create it. The shared arena thus sees exactly what it saw when the
+//! procedure ran on trees, and that matters beyond memory: an id's number is
+//! its creation order, and the DPLL(T) loop files a theory lemma under its
+//! lowest-numbered atom and adds lemma clauses in that order, so one extra
+//! node interned early changes the rounds later queries take (the Table 1
+//! suite pass: 1 367 rounds, 1 355 after interning one unrelated boolean
+//! variable first).
+//!
+//! The solver remembers each step it ran, (variable, matrix) → answer, and
+//! runs no step twice: abduction eliminates over many variable subsets, and
+//! subsets that share their innermost binders share their first steps. The
+//! memo is not persisted — a step is a function of the procedure's arena,
+//! which lives and dies with the solver, and the solver's whole-formula
+//! elimination memo is what the artifact carries.
+//!
+//! # Overflow
+//!
 //! Scaling multiplies coefficients, and [`LinExpr`] arithmetic saturates. A
 //! clamped coefficient is a different constraint, so nothing here concludes
 //! from one: every expression the procedure builds is checked
@@ -25,153 +73,196 @@
 
 use crate::linear::{lcm, LinExpr, TranslateError};
 use expresso_logic::{
-    simplify, to_nnf, CmpOp, Formula, FormulaId, FormulaNode, Interner, Quantifier, Term,
+    CmpOp, FormulaId, FormulaNode, FxHasher, Ident, Interner, Quantifier, TermId, TermNode,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Eliminates every quantifier in `formula`, producing an equivalent
-/// quantifier-free formula.
-///
-/// # Errors
-///
-/// Returns a [`TranslateError`] if an atom that mentions a quantified variable
-/// is non-linear or reads from an array; such formulas fall outside Presburger
-/// arithmetic and the caller must treat the query conservatively.
-pub fn eliminate_quantifiers(formula: &Formula) -> Result<Formula, TranslateError> {
-    let f = eliminate_rec(formula)?;
-    Ok(simplify(&f))
+/// Hash tables keyed on arena ids, which need no DoS-resistant hashing.
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+type FxSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
+
+/// What Cooper's procedure keeps in a solver from one elimination to the
+/// next: its arena beside the solver's (`home`), the atoms of its arena it
+/// has compiled, and the steps it has run (see the module documentation).
+#[derive(Debug)]
+pub(crate) struct Qe {
+    home: Arc<Interner>,
+    arena: Interner,
+    atoms: Mutex<FxMap<FormulaId, Arc<LinearAtom>>>,
+    steps: Mutex<StepMemo>,
+    steps_run: AtomicUsize,
+    step_hits: AtomicUsize,
 }
 
-/// Eliminates every quantifier in an interned formula, staying on ids.
-///
-/// The propositional skeleton is traversed as a DAG over the arena — shared
-/// quantifier-free subtrees are visited once and never materialized as trees.
-/// Only a quantified subtree is reconstructed (once, at its binder) so the
-/// textbook tree-based [`eliminate_exists`] can run on its matrix; the result
-/// is interned straight back.
-///
-/// # Errors
-///
-/// Same contract as [`eliminate_quantifiers`].
-pub fn eliminate_quantifiers_id(
-    interner: &Interner,
-    f: FormulaId,
-) -> Result<FormulaId, TranslateError> {
-    let mut memo = HashMap::new();
-    let eliminated = eliminate_rec_id(interner, f, &mut memo)?;
-    Ok(interner.simplify(eliminated))
-}
+/// The single-variable eliminations run, by matrix and then variable (a
+/// matrix is eliminated over a handful of variables at most).
+type StepMemo = FxMap<FormulaId, Vec<(String, Result<FormulaId, TranslateError>)>>;
 
-fn eliminate_rec_id(
-    interner: &Interner,
-    f: FormulaId,
-    memo: &mut HashMap<FormulaId, FormulaId>,
-) -> Result<FormulaId, TranslateError> {
-    if let Some(&done) = memo.get(&f) {
-        return Ok(done);
+/// Why locking [`Qe`]'s tables cannot fail: no holder of a lock panics.
+const QE_LOCK: &str = "no holder of a Cooper table panics";
+
+impl Qe {
+    /// The procedure's state for a solver whose formulas live in `home`.
+    pub(crate) fn new(home: Arc<Interner>) -> Self {
+        Qe {
+            home,
+            arena: Interner::new(),
+            atoms: Mutex::default(),
+            steps: Mutex::default(),
+            steps_run: AtomicUsize::new(0),
+            step_hits: AtomicUsize::new(0),
+        }
     }
-    let out = match interner.node(f) {
-        FormulaNode::True
-        | FormulaNode::False
-        | FormulaNode::BoolVar(_)
-        | FormulaNode::Cmp(..)
-        | FormulaNode::Divides(..) => f,
-        FormulaNode::Not(inner) => {
-            let i = eliminate_rec_id(interner, inner, memo)?;
-            interner.mk_not(i)
+
+    /// The arena the procedure works in.
+    pub(crate) fn arena(&self) -> &Interner {
+        &self.arena
+    }
+
+    /// The formula `f` of the solver's arena, in the procedure's.
+    pub(crate) fn import(&self, f: FormulaId) -> FormulaId {
+        self.arena.import(&self.home, f)
+    }
+
+    /// Single-variable eliminations run, and answered by the step memo.
+    pub(crate) fn step_counts(&self) -> (usize, usize) {
+        let load = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+        (load(&self.steps_run), load(&self.step_hits))
+    }
+
+    /// Eliminates every quantifier of `f`, a formula of the solver's arena,
+    /// producing an equivalent quantifier-free one there, normalised by
+    /// that arena's `Interner::simplify`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TranslateError`] if an atom that mentions a quantified
+    /// variable is non-linear or reads from an array — such formulas fall
+    /// outside Presburger arithmetic and the caller must treat the query
+    /// conservatively — or if an elimination overflowed or outgrew its
+    /// budget.
+    pub(crate) fn eliminate_quantifiers(&self, f: FormulaId) -> Result<FormulaId, TranslateError> {
+        let eliminated = self.eliminate_rec(&self.home, f, &mut FxMap::default())?;
+        Ok(self.home.simplify(eliminated))
+    }
+
+    /// Eliminates every quantifier of `closed`, a formula of the procedure's
+    /// own arena, for the theory check, which only reads whether the answer
+    /// is `true` or `false`. Like every step, the answer is normalised by
+    /// `Interner::simplify_as_tree`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Qe::eliminate_quantifiers`].
+    pub(crate) fn decide(&self, closed: FormulaId) -> Result<FormulaId, TranslateError> {
+        let eliminated = self.eliminate_rec(&self.arena, closed, &mut FxMap::default())?;
+        Ok(self.arena.simplify_as_tree(eliminated))
+    }
+
+    /// Eliminates the quantifiers of `f`, a formula of `home`: the solver's
+    /// arena or the procedure's own.
+    fn eliminate_rec(
+        &self,
+        home: &Interner,
+        f: FormulaId,
+        memo: &mut FxMap<FormulaId, FormulaId>,
+    ) -> Result<FormulaId, TranslateError> {
+        if let Some(&done) = memo.get(&f) {
+            return Ok(done);
         }
-        FormulaNode::And(parts) => {
-            let ids = parts
-                .into_iter()
-                .map(|p| eliminate_rec_id(interner, p, memo))
-                .collect::<Result<Vec<_>, _>>()?;
-            interner.mk_and(ids)
-        }
-        FormulaNode::Or(parts) => {
-            let ids = parts
-                .into_iter()
-                .map(|p| eliminate_rec_id(interner, p, memo))
-                .collect::<Result<Vec<_>, _>>()?;
-            interner.mk_or(ids)
-        }
-        FormulaNode::Implies(a, b) => {
-            let sa = eliminate_rec_id(interner, a, memo)?;
-            let sb = eliminate_rec_id(interner, b, memo)?;
-            interner.mk_implies(sa, sb)
-        }
-        FormulaNode::Iff(a, b) => {
-            let sa = eliminate_rec_id(interner, a, memo)?;
-            let sb = eliminate_rec_id(interner, b, memo)?;
-            interner.mk_iff(sa, sb)
-        }
-        FormulaNode::Quant(q, vars, body) => {
-            let body_qf = eliminate_rec_id(interner, body, memo)?;
-            // The quantified matrix is the one place the procedure needs a
-            // tree; materialize it once and intern the result back.
-            let mut current = interner.formula(body_qf);
-            for var in vars.iter().rev() {
-                current = match q {
-                    Quantifier::Exists => eliminate_exists(var, &current)?,
-                    Quantifier::Forall => {
-                        let negated = Formula::not(current);
-                        Formula::not(eliminate_exists(var, &negated)?)
-                    }
-                };
+        let out = match home.node_ref(f) {
+            FormulaNode::True
+            | FormulaNode::False
+            | FormulaNode::BoolVar(_)
+            | FormulaNode::Cmp(..)
+            | FormulaNode::Divides(..) => f,
+            FormulaNode::Not(inner) => {
+                let i = self.eliminate_rec(home, *inner, memo)?;
+                home.mk_not(i)
             }
-            interner.intern(&current)
-        }
-    };
-    memo.insert(f, out);
-    Ok(out)
-}
-
-fn eliminate_rec(formula: &Formula) -> Result<Formula, TranslateError> {
-    match formula {
-        Formula::True
-        | Formula::False
-        | Formula::BoolVar(_)
-        | Formula::Cmp(..)
-        | Formula::Divides(..) => Ok(formula.clone()),
-        Formula::Not(inner) => Ok(Formula::not(eliminate_rec(inner)?)),
-        Formula::And(parts) => Ok(Formula::and(
-            parts
-                .iter()
-                .map(eliminate_rec)
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
-        Formula::Or(parts) => Ok(Formula::or(
-            parts
-                .iter()
-                .map(eliminate_rec)
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
-        Formula::Implies(a, b) => Ok(Formula::implies(eliminate_rec(a)?, eliminate_rec(b)?)),
-        Formula::Iff(a, b) => Ok(Formula::iff(eliminate_rec(a)?, eliminate_rec(b)?)),
-        Formula::Quant(q, vars, body) => {
-            let mut current = eliminate_rec(body)?;
-            // Eliminate the innermost binder first.
-            for var in vars.iter().rev() {
-                current = match q {
-                    Quantifier::Exists => eliminate_exists(var, &current)?,
-                    Quantifier::Forall => {
-                        let negated = Formula::not(current);
-                        Formula::not(eliminate_exists(var, &negated)?)
-                    }
-                };
+            FormulaNode::And(parts) => {
+                let ids = parts
+                    .iter()
+                    .map(|&p| self.eliminate_rec(home, p, memo))
+                    .collect::<Result<Vec<_>, _>>()?;
+                home.mk_and(ids)
             }
-            Ok(current)
-        }
+            FormulaNode::Or(parts) => {
+                let ids = parts
+                    .iter()
+                    .map(|&p| self.eliminate_rec(home, p, memo))
+                    .collect::<Result<Vec<_>, _>>()?;
+                home.mk_or(ids)
+            }
+            FormulaNode::Implies(a, b) => {
+                let sa = self.eliminate_rec(home, *a, memo)?;
+                let sb = self.eliminate_rec(home, *b, memo)?;
+                home.mk_implies(sa, sb)
+            }
+            FormulaNode::Iff(a, b) => {
+                let sa = self.eliminate_rec(home, *a, memo)?;
+                let sb = self.eliminate_rec(home, *b, memo)?;
+                home.mk_iff(sa, sb)
+            }
+            FormulaNode::Quant(q, vars, body) => {
+                let body = self.eliminate_rec(home, *body, memo)?;
+                let arena = &self.arena;
+                let mut current = arena.import(home, body);
+                // Eliminate the innermost binder first.
+                for var in vars.iter().rev() {
+                    current = match q {
+                        Quantifier::Exists => self.exists_step(var, current)?,
+                        Quantifier::Forall => {
+                            let negated = arena.mk_not(current);
+                            arena.mk_not(self.exists_step(var, negated)?)
+                        }
+                    };
+                }
+                home.import(arena, current)
+            }
+        };
+        memo.insert(f, out);
+        Ok(out)
     }
-}
 
-/// Eliminates a single existential quantifier `∃var. formula`.
-pub fn eliminate_exists(var: &str, formula: &Formula) -> Result<Formula, TranslateError> {
-    let nnf = to_nnf(&simplify(formula));
-    if !nnf.int_vars().contains(var) {
-        return Ok(simplify(&nnf));
+    /// Eliminates `var` from the quantifier-free `matrix` (`∃var. matrix`),
+    /// unless the step memo holds the answer.
+    fn exists_step(&self, var: &str, matrix: FormulaId) -> Result<FormulaId, TranslateError> {
+        let nnf = self.arena.nnf(self.arena.simplify_as_tree(matrix));
+        let steps = self.steps.lock().expect(QE_LOCK);
+        let filed = steps
+            .get(&nnf)
+            .and_then(|s| s.iter().find(|(v, _)| v == var));
+        if let Some((_, done)) = filed {
+            self.step_hits.fetch_add(1, Ordering::Relaxed);
+            return done.clone();
+        }
+        drop(steps);
+        self.steps_run.fetch_add(1, Ordering::Relaxed);
+        let done = Step::new(self, var).eliminate(nnf);
+        let mut steps = self.steps.lock().expect(QE_LOCK);
+        let filed = steps.entry(nnf).or_default();
+        // A racing thread may have filed the same step meanwhile.
+        if !filed.iter().any(|(v, _)| v == var) {
+            filed.push((var.to_string(), done.clone()));
+        }
+        done
     }
-    let shape = CooperFormula::build(var, &nnf)?;
-    Ok(simplify(&shape.eliminate()?))
+
+    /// The comparison and divisibility atoms `ids` of the procedure's arena,
+    /// each compiled on first sight.
+    fn linear_atoms(&self, ids: &[FormulaId]) -> Vec<Arc<LinearAtom>> {
+        let mut atoms = self.atoms.lock().expect(QE_LOCK);
+        ids.iter()
+            .map(|&id| {
+                let atom = atoms.entry(id);
+                Arc::clone(atom.or_insert_with(|| Arc::new(LinearAtom::of(&self.arena, id))))
+            })
+            .collect()
+    }
 }
 
 /// Most instances one elimination may build: the disjunction has
@@ -197,240 +288,239 @@ fn exact(e: LinExpr, step: &str) -> Result<LinExpr, TranslateError> {
     }
 }
 
-/// Internal representation of the matrix of `∃x. φ` with atoms classified by
-/// their relationship to `x`.
-#[derive(Debug, Clone)]
-enum CooperFormula {
-    True,
-    False,
-    /// An atom (or literal) that does not mention the eliminated variable.
-    Other(Formula),
-    /// `x < e` — an upper bound on the (scaled) variable.
-    Upper(LinExpr),
-    /// `e < x` — a lower bound on the (scaled) variable.
-    Lower(LinExpr),
-    /// `d | x + e` (positive) or `¬(d | x + e)` (negative).
-    Div(u64, LinExpr, bool),
-    And(Vec<CooperFormula>),
-    Or(Vec<CooperFormula>),
+/// One single-variable elimination in progress: the variable, which nodes of
+/// the matrix mention it, and the compiled atoms that do.
+struct Step<'s> {
+    qe: &'s Qe,
+    interner: &'s Interner,
+    var: &'s str,
+    mentions: FxMap<FormulaId, bool>,
+    atoms: FxMap<FormulaId, Arc<LinearAtom>>,
 }
 
-impl CooperFormula {
-    /// Classifies the NNF formula `f` with respect to `var`, scaling so the
-    /// coefficient of `var` is ±1 everywhere.
-    fn build(var: &str, f: &Formula) -> Result<CooperFormula, TranslateError> {
-        // First pass: find the least common multiple of |coefficient of var|.
+impl<'s> Step<'s> {
+    fn new(qe: &'s Qe, var: &'s str) -> Self {
+        Step {
+            qe,
+            interner: &qe.arena,
+            var,
+            mentions: FxMap::default(),
+            atoms: FxMap::default(),
+        }
+    }
+
+    /// `∃var. nnf`, for a quantifier-free `nnf` in negation normal form.
+    fn eliminate(mut self, nnf: FormulaId) -> Result<FormulaId, TranslateError> {
+        if !self.mentions(nnf) {
+            return Ok(self.interner.simplify_as_tree(nnf));
+        }
+        // First pass: the least common multiple of |coefficient of var|,
+        // over the atoms that mention it in the order the formula lists them,
+        // so the first atom to fail is the one a walk of its tree would meet
+        // first.
+        let mut order = Vec::new();
+        self.atoms_mentioning(nnf, &mut FxSet::default(), &mut order);
+        let atoms = self.qe.linear_atoms(&order);
         let mut l = 1i64;
-        collect_coeff_lcm(var, f, &mut l)?;
+        for atom in &atoms {
+            fold_coeff(atom.coeff(self.var)?, &mut l)?;
+        }
+        self.atoms = order.into_iter().zip(atoms).collect();
         // Second pass: classify atoms, scaling each so the coefficient is ±l,
         // then treating `y = l*x` as the new variable (adding `l | y`).
-        let classified = classify(var, f, l)?;
-        if l == 1 {
-            Ok(classified)
+        let classified = self.classify(nnf, l)?;
+        let shape = if l == 1 {
+            classified
         } else {
-            Ok(CooperFormula::And(vec![
+            Shape::And(vec![
                 classified,
-                CooperFormula::Div(l as u64, LinExpr::zero(), true),
-            ]))
-        }
+                Shape::Div(l as u64, LinExpr::zero(), true),
+            ])
+        };
+        let instances = shape.eliminate(self.interner)?;
+        Ok(self.interner.simplify_as_tree(instances))
     }
 
-    /// Applies Cooper's theorem to produce a quantifier-free equivalent.
-    fn eliminate(&self) -> Result<Formula, TranslateError> {
-        let divisor_lcm = self.divisor_lcm()?;
-        let lowers = self.lower_bounds();
-        let uppers = self.upper_bounds();
-        // Use whichever side has fewer bound terms (the dual form via upper
-        // bounds is symmetric); this keeps the output small.
-        let use_lower = lowers.len() <= uppers.len();
-        let bounds = if use_lower { &lowers } else { &uppers };
-        let instances = i64::try_from(bounds.len() + 1)
-            .ok()
-            .and_then(|per_offset| per_offset.checked_mul(divisor_lcm));
-        if instances.is_none_or(|n| n > MAX_INSTANCES) {
-            return overflow("more instances than its budget");
+    /// Whether `f` mentions the variable free (memoized for the step).
+    fn mentions(&mut self, f: FormulaId) -> bool {
+        if let Some(&known) = self.mentions.get(&f) {
+            return known;
         }
-
-        let mut disjuncts = Vec::new();
-        for j in 1..=divisor_lcm {
-            disjuncts.push(self.instantiate_infinity(j, use_lower)?);
-            for b in bounds {
-                // x := b + j (lower-bound form)  or  x := b - j (upper-bound form)
-                let offset = if use_lower { j } else { -j };
-                let mut point = b.clone();
-                point.add_constant(offset);
-                disjuncts.push(self.instantiate_at(&exact(point, "instance point")?)?);
+        let (interner, var) = (self.interner, self.var);
+        let term = |t| term_mentions(interner, t, var);
+        let found = match interner.node_ref(f) {
+            FormulaNode::True | FormulaNode::False | FormulaNode::BoolVar(_) => false,
+            FormulaNode::Cmp(_, lhs, rhs) => term(*lhs) || term(*rhs),
+            FormulaNode::Divides(_, t) => term(*t),
+            FormulaNode::Not(inner) => self.mentions(*inner),
+            FormulaNode::And(parts) | FormulaNode::Or(parts) => {
+                parts.iter().any(|&p| self.mentions(p))
             }
-        }
-        Ok(Formula::or(disjuncts))
-    }
-
-    /// The least common multiple of the divisors (which [`classify_divides`]
-    /// keeps inside `i64`).
-    fn divisor_lcm(&self) -> Result<i64, TranslateError> {
-        match self {
-            CooperFormula::Div(d, _, _) => Ok(*d as i64),
-            CooperFormula::And(parts) | CooperFormula::Or(parts) => {
-                parts
-                    .iter()
-                    .try_fold(1i64, |acc, p| match lcm(acc, p.divisor_lcm()?) {
-                        Some(l) => Ok(l.max(1)),
-                        None => overflow("least common multiple of the divisors"),
-                    })
+            FormulaNode::Implies(a, b) | FormulaNode::Iff(a, b) => {
+                self.mentions(*a) || self.mentions(*b)
             }
-            _ => Ok(1),
+            FormulaNode::Quant(_, binders, body) => {
+                !binders.iter().any(|b| b == self.var) && self.mentions(*body)
+            }
+        };
+        self.mentions.insert(f, found);
+        found
+    }
+
+    /// Appends to `out` the atoms below `f` that mention the variable, each
+    /// once, in first-occurrence order of a left-to-right walk.
+    fn atoms_mentioning(
+        &mut self,
+        f: FormulaId,
+        seen: &mut FxSet<FormulaId>,
+        out: &mut Vec<FormulaId>,
+    ) {
+        if !self.mentions(f) || !seen.insert(f) {
+            return;
         }
-    }
-
-    fn lower_bounds(&self) -> Vec<LinExpr> {
-        let mut out = Vec::new();
-        self.collect_bounds(true, &mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn upper_bounds(&self) -> Vec<LinExpr> {
-        let mut out = Vec::new();
-        self.collect_bounds(false, &mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_bounds(&self, lower: bool, out: &mut Vec<LinExpr>) {
-        match self {
-            CooperFormula::Lower(e) if lower => out.push(e.clone()),
-            CooperFormula::Upper(e) if !lower => out.push(e.clone()),
-            CooperFormula::And(parts) | CooperFormula::Or(parts) => {
-                for p in parts {
-                    p.collect_bounds(lower, out);
+        match self.interner.node_ref(f) {
+            FormulaNode::Cmp(..) | FormulaNode::Divides(..) => out.push(f),
+            FormulaNode::Not(inner) => self.atoms_mentioning(*inner, seen, out),
+            FormulaNode::And(parts) | FormulaNode::Or(parts) => {
+                for &p in parts {
+                    self.atoms_mentioning(p, seen, out);
                 }
             }
-            _ => {}
+            other => outside_nnf(other),
         }
     }
 
-    /// The `φ_{±∞}[x := j]` instance: upper/lower bound atoms collapse to a
-    /// constant truth value and divisibility atoms are evaluated at `x = j`.
-    fn instantiate_infinity(
+    /// Classifies the subformula `f` with respect to the scaled variable
+    /// `y = l·var`.
+    fn classify(&mut self, f: FormulaId, l: i64) -> Result<Shape, TranslateError> {
+        if !self.mentions(f) {
+            return Ok(Shape::Other(f));
+        }
+        let classify_all = |step: &mut Self, parts: &[FormulaId]| {
+            parts
+                .iter()
+                .map(|&p| step.classify(p, l))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        match self.interner.node_ref(f) {
+            FormulaNode::Cmp(op, ..) => self.classify_cmp(f, *op, l),
+            FormulaNode::Divides(d, _) => self.classify_divides(f, *d, true, l),
+            FormulaNode::Not(inner) => match self.interner.node_ref(*inner) {
+                FormulaNode::Divides(d, _) => self.classify_divides(*inner, *d, false, l),
+                other => outside_nnf(other),
+            },
+            FormulaNode::And(parts) => Ok(Shape::And(classify_all(self, parts)?)),
+            FormulaNode::Or(parts) => Ok(Shape::Or(classify_all(self, parts)?)),
+            other => outside_nnf(other),
+        }
+    }
+
+    fn classify_divides(
         &self,
-        j: i64,
-        minus_infinity: bool,
-    ) -> Result<Formula, TranslateError> {
-        let parts_at = |parts: &[CooperFormula]| {
-            parts
-                .iter()
-                .map(|p| p.instantiate_infinity(j, minus_infinity))
-                .collect::<Result<Vec<_>, _>>()
+        atom: FormulaId,
+        d: u64,
+        positive: bool,
+        l: i64,
+    ) -> Result<Shape, TranslateError> {
+        let mut e = self.atoms[&atom].form(0)?;
+        let c = e.remove_var(self.var);
+        if c == 0 {
+            let other = if positive {
+                atom
+            } else {
+                self.interner.mk_not(atom)
+            };
+            return Ok(Shape::Other(other));
+        }
+        // Scale so the coefficient of var becomes ±l, then express in y = l*var
+        // (`l` is a multiple of `|c|`, which the first pass saw fit `i64`).
+        let factor = l / c.abs();
+        let Some(scaled_d) = i64::try_from(d).ok().and_then(|d| d.checked_mul(factor)) else {
+            return overflow("scaled divisor");
         };
-        Ok(match self {
-            CooperFormula::True => Formula::True,
-            CooperFormula::False => Formula::False,
-            CooperFormula::Other(f) => f.clone(),
-            CooperFormula::Upper(_) => {
-                if minus_infinity {
-                    Formula::True
-                } else {
-                    Formula::False
-                }
-            }
-            CooperFormula::Lower(_) => {
-                if minus_infinity {
-                    Formula::False
-                } else {
-                    Formula::True
-                }
-            }
-            CooperFormula::Div(d, e, positive) => {
-                let mut inst = e.clone();
-                inst.add_constant(j);
-                divides_formula(*d, &exact(inst, "divisibility instance")?, *positive)
-            }
-            CooperFormula::And(parts) => Formula::and(parts_at(parts)?),
-            CooperFormula::Or(parts) => Formula::or(parts_at(parts)?),
-        })
+        // d | c*x + e  ==  scaled_d | y + factor*e, and for c = -c' < 0
+        // d | -c'*x + e  ==  d | c'*x - e (divisibility is symmetric under negation).
+        let rest = e.scale(if c > 0 { factor } else { -factor });
+        Ok(Shape::Div(
+            scaled_d as u64,
+            exact(rest, "scaled divisibility atom")?,
+            positive,
+        ))
     }
 
-    /// The `φ[x := point]` instance.
-    fn instantiate_at(&self, point: &LinExpr) -> Result<Formula, TranslateError> {
-        let parts_at = |parts: &[CooperFormula]| {
-            parts
-                .iter()
-                .map(|p| p.instantiate_at(point))
-                .collect::<Result<Vec<_>, _>>()
-        };
-        Ok(match self {
-            CooperFormula::True => Formula::True,
-            CooperFormula::False => Formula::False,
-            CooperFormula::Other(f) => f.clone(),
-            CooperFormula::Upper(e) => {
-                // point < e
-                Formula::Cmp(CmpOp::Lt, point.to_term(), e.to_term())
-            }
-            CooperFormula::Lower(e) => {
-                // e < point
-                Formula::Cmp(CmpOp::Lt, e.to_term(), point.to_term())
-            }
-            CooperFormula::Div(d, e, positive) => {
-                let inst = exact(e.add(point), "divisibility instance")?;
-                divides_formula(*d, &inst, *positive)
-            }
-            CooperFormula::And(parts) => Formula::and(parts_at(parts)?),
-            CooperFormula::Or(parts) => Formula::or(parts_at(parts)?),
-        })
+    fn classify_cmp(&self, atom: FormulaId, op: CmpOp, l: i64) -> Result<Shape, TranslateError> {
+        let linear = &self.atoms[&atom];
+        // Equality and disequality are expanded so only strict bounds remain.
+        match op {
+            CmpOp::Eq => Ok(Shape::And(vec![
+                self.bound(linear, CmpOp::Le, l)?,
+                self.bound(linear, CmpOp::Ge, l)?,
+            ])),
+            CmpOp::Ne => Ok(Shape::Or(vec![
+                self.bound(linear, CmpOp::Lt, l)?,
+                self.bound(linear, CmpOp::Gt, l)?,
+            ])),
+            op => self.bound(linear, op, l),
+        }
     }
-}
 
-fn divides_formula(d: u64, e: &LinExpr, positive: bool) -> Formula {
-    let f = if d == 1 {
-        Formula::True
-    } else if e.is_constant() {
-        if e.constant_part().rem_euclid(d as i64) == 0 {
-            Formula::True
+    /// The bound an inequality `lhs op rhs` puts on the scaled variable.
+    fn bound(&self, atom: &LinearAtom, op: CmpOp, l: i64) -> Result<Shape, TranslateError> {
+        // Normalise to `e < 0` / `e <= 0`: e = lhs - rhs (form 0), or
+        // rhs - lhs (form 1) for `>` and `>=`.
+        let (form, strict) = match op {
+            CmpOp::Lt => (0, true),
+            CmpOp::Le => (0, false),
+            CmpOp::Gt => (1, true),
+            CmpOp::Ge => (1, false),
+            CmpOp::Eq | CmpOp::Ne => unreachable!("expanded by classify_cmp"),
+        };
+        let mut e = atom.form(form)?;
+        // Integer tightening: e <= 0  ==  e - 1 < 0.
+        if !strict {
+            e.add_constant(-1);
+        }
+        let mut e = exact(e, "comparison atom")?;
+        // Now the atom is e < 0 with e = c*var + rest.
+        let c = e.remove_var(self.var);
+        if c == 0 {
+            let zero = self.interner.intern_term_node(TermNode::Int(0));
+            return Ok(Shape::Other(lt(
+                self.interner,
+                lin_term(self.interner, &e),
+                zero,
+            )));
+        }
+        let factor = l / c.abs();
+        let (lower, bound) = if c > 0 {
+            // c*x + rest < 0  ==  y < -rest   (y = l*x)
+            (false, exact(e.scale(-factor), "scaled upper bound")?)
         } else {
-            Formula::False
-        }
-    } else {
-        Formula::Divides(d, e.to_term())
-    };
-    if positive {
-        f
-    } else {
-        Formula::not(f)
+            // -c'*x + rest < 0  ==  rest < y
+            (true, exact(e.scale(factor), "scaled lower bound")?)
+        };
+        let term = lin_term(self.interner, &bound);
+        Ok(Shape::Bound { lower, bound, term })
     }
 }
 
-/// Computes the least common multiple of the absolute coefficients of `var`
-/// across all atoms of `f`.
-fn collect_coeff_lcm(var: &str, f: &Formula, l: &mut i64) -> Result<(), TranslateError> {
-    match f {
-        Formula::True | Formula::False | Formula::BoolVar(_) => Ok(()),
-        Formula::Not(inner) => collect_coeff_lcm(var, inner, l),
-        Formula::And(parts) | Formula::Or(parts) => {
-            for p in parts {
-                collect_coeff_lcm(var, p, l)?;
-            }
-            Ok(())
+/// What no step meets: its matrix is the negation normal form of a
+/// quantifier-free formula, made of atoms, negated boolean variables and
+/// divisibility atoms, conjunctions and disjunctions.
+fn outside_nnf<T>(node: &FormulaNode) -> T {
+    unreachable!("a matrix in negation normal form has no {node:?} node")
+}
+
+/// Whether the term `t` mentions `var`.
+fn term_mentions(interner: &Interner, t: TermId, var: &str) -> bool {
+    match interner.term_node_ref(t) {
+        TermNode::Int(_) => false,
+        TermNode::Var(v) => v == var,
+        TermNode::Add(parts) => parts.iter().any(|&p| term_mentions(interner, p, var)),
+        TermNode::Sub(a, b) | TermNode::Mul(a, b) => {
+            term_mentions(interner, *a, var) || term_mentions(interner, *b, var)
         }
-        Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            collect_coeff_lcm(var, a, l)?;
-            collect_coeff_lcm(var, b, l)
-        }
-        Formula::Cmp(_, lhs, rhs) => {
-            if !term_mentions(lhs, var) && !term_mentions(rhs, var) {
-                return Ok(());
-            }
-            let e = LinExpr::from_term(lhs)?.sub(&LinExpr::from_term(rhs)?);
-            fold_coeff(e.coeff(var), l)
-        }
-        Formula::Divides(_, t) => {
-            if !term_mentions(t, var) {
-                return Ok(());
-            }
-            fold_coeff(LinExpr::from_term(t)?.coeff(var), l)
-        }
-        Formula::Quant(_, _, body) => collect_coeff_lcm(var, body, l),
+        TermNode::Neg(a) | TermNode::Select(_, a) => term_mentions(interner, *a, var),
     }
 }
 
@@ -445,166 +535,365 @@ fn fold_coeff(c: i64, l: &mut i64) -> Result<(), TranslateError> {
     Ok(())
 }
 
-fn term_mentions(t: &Term, var: &str) -> bool {
-    t.vars().contains(var)
+/// A comparison or divisibility atom as the procedure reads it, compiled
+/// once per solver: the integer variables its terms mention, sorted, and its
+/// linear forms over them — `lhs - rhs` and `rhs - lhs` of a comparison (the
+/// procedure normalises `>` and `>=` to the second), the term of a
+/// divisibility — or why its terms have none (an array read, a product of
+/// two variables).
+#[derive(Debug)]
+struct LinearAtom {
+    vars: Vec<Ident>,
+    forms: Result<Vec<Form>, TranslateError>,
 }
 
-/// Classifies an NNF formula with respect to the scaled variable `y = l·var`.
-fn classify(var: &str, f: &Formula, l: i64) -> Result<CooperFormula, TranslateError> {
-    match f {
-        Formula::True => Ok(CooperFormula::True),
-        Formula::False => Ok(CooperFormula::False),
-        Formula::BoolVar(_) => Ok(CooperFormula::Other(f.clone())),
-        Formula::Not(inner) => match inner.as_ref() {
-            Formula::BoolVar(_) => Ok(CooperFormula::Other(f.clone())),
-            Formula::Divides(d, t) => classify_divides(var, *d, t, l, false),
-            // NNF guarantees negation only appears over boolean variables and
-            // divisibility atoms, but be defensive about comparisons.
-            Formula::Cmp(op, lhs, rhs) => {
-                let flipped = Formula::Cmp(op.negate(), lhs.clone(), rhs.clone());
-                classify(var, &to_nnf(&flipped), l)
+/// A linear form over a [`LinearAtom`]'s variables exactly as [`LinExpr`]
+/// arithmetic computed it, clamps included: `Σ coeff · vars[i] + constant`.
+#[derive(Debug)]
+struct Form {
+    terms: Vec<(usize, i64)>,
+    constant: i64,
+    clamped: bool,
+}
+
+impl LinearAtom {
+    fn of(interner: &Interner, atom: FormulaId) -> LinearAtom {
+        let sides = match interner.node_ref(atom) {
+            FormulaNode::Cmp(_, lhs, rhs) => vec![*lhs, *rhs],
+            FormulaNode::Divides(_, t) => vec![*t],
+            other => unreachable!("{other:?} is no comparison or divisibility atom"),
+        };
+        let mut vars = Vec::new();
+        for &side in &sides {
+            term_vars(interner, side, &mut vars);
+        }
+        vars.sort_unstable();
+        vars.dedup();
+        let forms = sides
+            .iter()
+            .map(|&t| LinExpr::from_term_id(interner, t))
+            .collect::<Result<Vec<_>, _>>()
+            .map(|sides| match &sides[..] {
+                [lhs, rhs] => vec![
+                    Form::of(&lhs.sub(rhs), &vars),
+                    Form::of(&rhs.sub(lhs), &vars),
+                ],
+                [t] => vec![Form::of(t, &vars)],
+                _ => unreachable!("one or two sides"),
+            });
+        LinearAtom { vars, forms }
+    }
+
+    /// Form `i`, or why the atom has none.
+    fn form(&self, i: usize) -> Result<LinExpr, TranslateError> {
+        let form = &self.forms.as_ref().map_err(Clone::clone)?[i];
+        let coeffs = form.terms.iter().map(|&(v, c)| (self.vars[v].clone(), c));
+        Ok(LinExpr::from_parts(coeffs, form.constant, form.clamped))
+    }
+
+    /// The coefficient of `var` in form 0, or why the atom has none.
+    fn coeff(&self, var: &str) -> Result<i64, TranslateError> {
+        let forms = self.forms.as_ref().map_err(Clone::clone)?;
+        let Ok(v) = self.vars.binary_search_by(|name| name.as_str().cmp(var)) else {
+            return Ok(0);
+        };
+        let found = forms[0].terms.iter().find(|&&(w, _)| w == v);
+        Ok(found.map_or(0, |&(_, c)| c))
+    }
+}
+
+impl Form {
+    fn of(e: &LinExpr, vars: &[Ident]) -> Form {
+        Form {
+            terms: e
+                .terms()
+                .map(|(var, c)| (vars.binary_search(var).expect("its terms mention it"), c))
+                .collect(),
+            constant: e.constant_part(),
+            clamped: e.clamped(),
+        }
+    }
+}
+
+/// Appends the integer variables the term `t` mentions to `out`.
+fn term_vars(interner: &Interner, t: TermId, out: &mut Vec<Ident>) {
+    match interner.term_node_ref(t) {
+        TermNode::Int(_) => {}
+        TermNode::Var(v) => out.push(v.clone()),
+        TermNode::Add(parts) => parts.iter().for_each(|&p| term_vars(interner, p, out)),
+        TermNode::Sub(a, b) | TermNode::Mul(a, b) => {
+            term_vars(interner, *a, out);
+            term_vars(interner, *b, out);
+        }
+        TermNode::Neg(a) | TermNode::Select(_, a) => term_vars(interner, *a, out),
+    }
+}
+
+/// The matrix of `∃x. φ` with the atoms that mention `x` classified by their
+/// relationship to it.
+#[derive(Debug)]
+enum Shape {
+    /// A subformula that does not mention the eliminated variable.
+    Other(FormulaId),
+    /// `e < y` (`lower`) or `y < e`: a bound on the (scaled) variable, with
+    /// `e` as an arena term.
+    Bound {
+        lower: bool,
+        bound: LinExpr,
+        term: TermId,
+    },
+    /// `d | y + e` (positive) or `¬(d | y + e)` (negative).
+    Div(u64, LinExpr, bool),
+    And(Vec<Shape>),
+    Or(Vec<Shape>),
+}
+
+impl Shape {
+    /// Applies Cooper's theorem to produce a quantifier-free equivalent.
+    fn eliminate(&self, interner: &Interner) -> Result<FormulaId, TranslateError> {
+        let divisor_lcm = self.divisor_lcm()?;
+        let lowers = self.bounds(true);
+        let uppers = self.bounds(false);
+        // Use whichever side has fewer bound terms (the dual form via upper
+        // bounds is symmetric); this keeps the output small.
+        let use_lower = lowers.len() <= uppers.len();
+        let bounds = if use_lower { &lowers } else { &uppers };
+        let instances = i64::try_from(bounds.len() + 1)
+            .ok()
+            .and_then(|per_offset| per_offset.checked_mul(divisor_lcm));
+        if instances.is_none_or(|n| n > MAX_INSTANCES) {
+            return overflow("more instances than its budget");
+        }
+
+        let mut disjuncts = Vec::new();
+        for j in 1..=divisor_lcm {
+            let infinity = self.at_infinity(interner, j, use_lower)?;
+            #[cfg(test)]
+            let infinity = if tests::dropping_infinity() {
+                interner.false_id()
+            } else {
+                infinity
+            };
+            disjuncts.push(infinity);
+            for b in bounds {
+                // x := b + j (lower-bound form)  or  x := b - j (upper-bound form)
+                let offset = if use_lower { j } else { -j };
+                let mut point = b.clone();
+                point.add_constant(offset);
+                let point = exact(point, "instance point")?;
+                let term = lin_term(interner, &point);
+                disjuncts.push(self.at(interner, &point, term)?);
             }
-            _ => Ok(CooperFormula::Other(f.clone())),
-        },
-        Formula::Divides(d, t) => classify_divides(var, *d, t, l, true),
-        Formula::Cmp(op, lhs, rhs) => classify_cmp(var, *op, lhs, rhs, l),
-        Formula::And(parts) => Ok(CooperFormula::And(
+        }
+        Ok(interner.mk_or(disjuncts))
+    }
+
+    /// The least common multiple of the divisors (which
+    /// [`Step::classify_divides`] keeps inside `i64`).
+    fn divisor_lcm(&self) -> Result<i64, TranslateError> {
+        match self {
+            Shape::Div(d, _, _) => Ok(*d as i64),
+            Shape::And(parts) | Shape::Or(parts) => {
+                parts
+                    .iter()
+                    .try_fold(1i64, |acc, p| match lcm(acc, p.divisor_lcm()?) {
+                        Some(l) => Ok(l.max(1)),
+                        None => overflow("least common multiple of the divisors"),
+                    })
+            }
+            _ => Ok(1),
+        }
+    }
+
+    /// The lower (or upper) bound terms, sorted and deduplicated.
+    fn bounds(&self, lower: bool) -> Vec<LinExpr> {
+        let mut out = Vec::new();
+        self.collect_bounds(lower, &mut out);
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    fn collect_bounds(&self, lower: bool, out: &mut Vec<LinExpr>) {
+        match self {
+            Shape::Bound {
+                lower: is_lower,
+                bound,
+                ..
+            } if *is_lower == lower => out.push(bound.clone()),
+            Shape::And(parts) | Shape::Or(parts) => {
+                for p in parts {
+                    p.collect_bounds(lower, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The `φ_{±∞}[x := j]` instance: upper/lower bound atoms collapse to a
+    /// constant truth value and divisibility atoms are evaluated at `x = j`.
+    fn at_infinity(
+        &self,
+        interner: &Interner,
+        j: i64,
+        minus_infinity: bool,
+    ) -> Result<FormulaId, TranslateError> {
+        let parts_at = |parts: &[Shape]| {
             parts
                 .iter()
-                .map(|p| classify(var, p, l))
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
-        Formula::Or(parts) => Ok(CooperFormula::Or(
+                .map(|p| p.at_infinity(interner, j, minus_infinity))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(match self {
+            Shape::Other(f) => *f,
+            // At -∞ every upper bound holds and no lower bound does.
+            Shape::Bound { lower, .. } => {
+                if *lower == minus_infinity {
+                    interner.false_id()
+                } else {
+                    interner.true_id()
+                }
+            }
+            Shape::Div(d, e, positive) => {
+                let mut inst = e.clone();
+                inst.add_constant(j);
+                divides(
+                    interner,
+                    *d,
+                    &exact(inst, "divisibility instance")?,
+                    *positive,
+                )
+            }
+            Shape::And(parts) => interner.mk_and(parts_at(parts)?),
+            Shape::Or(parts) => interner.mk_or(parts_at(parts)?),
+        })
+    }
+
+    /// The `φ[x := point]` instance, `term` being `point` as an arena term.
+    fn at(
+        &self,
+        interner: &Interner,
+        point: &LinExpr,
+        term: TermId,
+    ) -> Result<FormulaId, TranslateError> {
+        let parts_at = |parts: &[Shape]| {
             parts
                 .iter()
-                .map(|p| classify(var, p, l))
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
-        Formula::Implies(a, b) => {
-            let rewritten = Formula::or(vec![Formula::not(a.as_ref().clone()), b.as_ref().clone()]);
-            classify(var, &to_nnf(&rewritten), l)
-        }
-        Formula::Iff(a, b) => {
-            let rewritten = Formula::and(vec![
-                Formula::implies(a.as_ref().clone(), b.as_ref().clone()),
-                Formula::implies(b.as_ref().clone(), a.as_ref().clone()),
-            ]);
-            classify(var, &to_nnf(&rewritten), l)
-        }
-        // Inner quantifiers must have been eliminated before classification.
-        Formula::Quant(..) => Ok(CooperFormula::Other(f.clone())),
+                .map(|p| p.at(interner, point, term))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(match self {
+            Shape::Other(f) => *f,
+            // e < point
+            Shape::Bound {
+                lower: true,
+                term: e,
+                ..
+            } => lt(interner, *e, term),
+            // point < e
+            Shape::Bound { term: e, .. } => lt(interner, term, *e),
+            Shape::Div(d, e, positive) => {
+                let inst = exact(e.add(point), "divisibility instance")?;
+                divides(interner, *d, &inst, *positive)
+            }
+            Shape::And(parts) => interner.mk_and(parts_at(parts)?),
+            Shape::Or(parts) => interner.mk_or(parts_at(parts)?),
+        })
     }
 }
 
-fn classify_divides(
-    var: &str,
-    d: u64,
-    t: &Term,
-    l: i64,
-    positive: bool,
-) -> Result<CooperFormula, TranslateError> {
-    if !term_mentions(t, var) {
-        let f = Formula::Divides(d, t.clone());
-        return Ok(CooperFormula::Other(if positive {
-            f
-        } else {
-            Formula::not(f)
-        }));
-    }
-    let mut e = LinExpr::from_term(t)?;
-    let c = e.remove_var(var);
-    if c == 0 {
-        let f = Formula::Divides(d, t.clone());
-        return Ok(CooperFormula::Other(if positive {
-            f
-        } else {
-            Formula::not(f)
-        }));
-    }
-    // Scale so the coefficient of var becomes ±l, then express in y = l*var
-    // (`l` is a multiple of `|c|`, which `collect_coeff_lcm` saw fit `i64`).
-    let factor = l / c.abs();
-    let Some(scaled_d) = i64::try_from(d).ok().and_then(|d| d.checked_mul(factor)) else {
-        return overflow("scaled divisor");
-    };
-    // d | c*x + e  ==  scaled_d | y + factor*e, and for c = -c' < 0
-    // d | -c'*x + e  ==  d | c'*x - e (divisibility is symmetric under negation).
-    let rest = e.scale(if c > 0 { factor } else { -factor });
-    Ok(CooperFormula::Div(
-        scaled_d as u64,
-        exact(rest, "scaled divisibility atom")?,
-        positive,
-    ))
+/// The atom `lhs < rhs`.
+fn lt(interner: &Interner, lhs: TermId, rhs: TermId) -> FormulaId {
+    interner.intern_formula_node(FormulaNode::Cmp(CmpOp::Lt, lhs, rhs))
 }
 
-fn classify_cmp(
-    var: &str,
-    op: CmpOp,
-    lhs: &Term,
-    rhs: &Term,
-    l: i64,
-) -> Result<CooperFormula, TranslateError> {
-    if !term_mentions(lhs, var) && !term_mentions(rhs, var) {
-        return Ok(CooperFormula::Other(Formula::Cmp(
-            op,
-            lhs.clone(),
-            rhs.clone(),
-        )));
-    }
-    // Equality and disequality are expanded so only strict bounds remain.
-    match op {
-        CmpOp::Eq => {
-            let le = classify_cmp(var, CmpOp::Le, lhs, rhs, l)?;
-            let ge = classify_cmp(var, CmpOp::Ge, lhs, rhs, l)?;
-            return Ok(CooperFormula::And(vec![le, ge]));
+/// `d | e`, or its negation, folded when it is constant.
+fn divides(interner: &Interner, d: u64, e: &LinExpr, positive: bool) -> FormulaId {
+    let f = if d == 1 {
+        interner.true_id()
+    } else if e.is_constant() {
+        if e.constant_part().rem_euclid(d as i64) == 0 {
+            interner.true_id()
+        } else {
+            interner.false_id()
         }
-        CmpOp::Ne => {
-            let lt = classify_cmp(var, CmpOp::Lt, lhs, rhs, l)?;
-            let gt = classify_cmp(var, CmpOp::Gt, lhs, rhs, l)?;
-            return Ok(CooperFormula::Or(vec![lt, gt]));
-        }
-        _ => {}
-    }
-    // Normalise to `e < 0` / `e <= 0` with e = lhs - rhs (Gt/Ge swap sides).
-    let (lhs, rhs, op) = match op {
-        CmpOp::Gt => (rhs, lhs, CmpOp::Lt),
-        CmpOp::Ge => (rhs, lhs, CmpOp::Le),
-        other => (lhs, rhs, other),
-    };
-    let mut e = LinExpr::from_term(lhs)?.sub(&LinExpr::from_term(rhs)?);
-    // Integer tightening: e <= 0  ==  e - 1 < 0.
-    if op == CmpOp::Le {
-        e.add_constant(-1);
-    }
-    let mut e = exact(e, "comparison atom")?;
-    // Now the atom is e < 0 with e = c*var + rest.
-    let c = e.remove_var(var);
-    if c == 0 {
-        return Ok(CooperFormula::Other(Formula::Cmp(
-            CmpOp::Lt,
-            e.to_term(),
-            Term::int(0),
-        )));
-    }
-    let factor = l / c.abs();
-    if c > 0 {
-        // c*x + rest < 0  ==  y < -rest   (y = l*x)
-        let bound = exact(e.scale(-factor), "scaled upper bound")?;
-        Ok(CooperFormula::Upper(bound))
     } else {
-        // -c'*x + rest < 0  ==  rest < y
-        let bound = exact(e.scale(factor), "scaled lower bound")?;
-        Ok(CooperFormula::Lower(bound))
+        interner.intern_formula_node(FormulaNode::Divides(d, lin_term(interner, e)))
+    };
+    if positive {
+        f
+    } else {
+        interner.mk_not(f)
+    }
+}
+
+/// `e` as an arena term, shaped as [`LinExpr::to_term`] shapes it: one
+/// summand per variable in name order (`v`, `-v` or `c * v`), then the
+/// constant unless it is zero, as a sum when there is more than one.
+fn lin_term(interner: &Interner, e: &LinExpr) -> TermId {
+    let node = |n| interner.intern_term_node(n);
+    let mut parts: Vec<TermId> = e
+        .terms()
+        .map(|(v, c)| {
+            let var = node(TermNode::Var(v.clone()));
+            match c {
+                1 => var,
+                -1 => node(TermNode::Neg(var)),
+                c => node(TermNode::Mul(node(TermNode::Int(c)), var)),
+            }
+        })
+        .collect();
+    if e.constant_part() != 0 || parts.is_empty() {
+        parts.push(node(TermNode::Int(e.constant_part())));
+    }
+    match parts.len() {
+        1 => parts[0],
+        _ => node(TermNode::Add(parts)),
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use expresso_logic::Valuation;
+    use crate::Solver;
+    use expresso_logic::{Formula, Lcg, Term, Valuation};
+    use std::cell::Cell;
+
+    thread_local! {
+        static DROP_INFINITY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether the sabotage test has this thread's eliminations drop their
+    /// `±∞` instances.
+    pub(super) fn dropping_infinity() -> bool {
+        DROP_INFINITY.get()
+    }
+
+    /// Eliminates the quantifiers of `f` with `qe`, in its own arena, and
+    /// with the tree reference: they must give the same id, or the same
+    /// error. Returns the id answer.
+    fn eliminate_on(qe: &Qe, f: &Formula) -> Result<FormulaId, TranslateError> {
+        let arena = qe.arena();
+        let by_id = qe.decide(arena.intern(f));
+        let by_tree = reference::eliminate_quantifiers(f).map(|tree| arena.intern(&tree));
+        assert_eq!(
+            by_id, by_tree,
+            "the id and the tree procedures differ on {f}"
+        );
+        by_id
+    }
+
+    /// [`eliminate_on`] a fresh procedure, the answer as a tree.
+    fn eliminate_quantifiers(f: &Formula) -> Result<Formula, TranslateError> {
+        let qe = Qe::new(Arc::default());
+        eliminate_on(&qe, f).map(|id| qe.arena().formula(id))
+    }
 
     fn ground_truth(f: &Formula) -> bool {
-        match simplify(f) {
+        match f {
             Formula::True => true,
             Formula::False => false,
             other => panic!("formula is not ground: {other}"),
@@ -874,5 +1163,245 @@ mod tests {
             });
             assert_eq!(v.eval(&res), Ok(expected), "mismatch at y={y}: {res}");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Property test: the arena against the tree reference and brute force
+    // ------------------------------------------------------------------
+
+    /// The free integer variable of the generated formulas; `x` and `z` are
+    /// only ever bound, and `p` is a free boolean.
+    const FREE: i64 = 2;
+    /// `z` is only ever bound under `-GUARD <= z <= GUARD`, so evaluating it
+    /// over that range is exact.
+    const GUARD: i64 = 3;
+    /// `x` may be bound with no guard. An atom is `Σ cᵢ·vᵢ + k ⋈ rhs` with
+    /// `|cᵢ| <= 2`, `|k| <= 3` and `rhs` a constant in `[-3, 3]` or one
+    /// variable, so once the other variables are fixed inside their ranges
+    /// (`|y| <= 2`, `|z| <= 3`) every atom's truth in `x` changes below
+    /// `|x| = 16`, and past it repeats with period 6 (the lcm of the
+    /// divisors 2 and 3): a witness for `x`, or a counterexample, exists
+    /// exactly when one exists in `[-24, 24]`.
+    const WIDE: i64 = 24;
+
+    fn pick<T: Copy>(rng: &mut Lcg, items: &[T]) -> T {
+        items[rng.index(items.len())]
+    }
+
+    /// `Σ cᵢ·vᵢ + k` over one or two of `scope`.
+    fn linear(rng: &mut Lcg, scope: &[&str]) -> Term {
+        let mut sum = Term::int(rng.below(7) as i64 - 3);
+        for _ in 0..1 + rng.index(2) {
+            let v = Term::var(pick(rng, scope));
+            sum = match pick(rng, &[-2, -1, 1, 2]) {
+                1 => sum.add(v),
+                c => sum.add(Term::int(c).mul(v)),
+            };
+        }
+        sum
+    }
+
+    fn atom(rng: &mut Lcg, scope: &[&str]) -> Formula {
+        let lhs = linear(rng, scope);
+        let rhs = match rng.below(3) {
+            0 => Term::var(pick(rng, scope)),
+            _ => Term::int(rng.below(7) as i64 - 3),
+        };
+        match rng.below(9) {
+            0 => lhs.lt(rhs),
+            1 => lhs.le(rhs),
+            2 => lhs.gt(rhs),
+            3 => lhs.ge(rhs),
+            4 => lhs.eq(rhs),
+            5 => lhs.ne(rhs),
+            6 => Formula::divides(pick(rng, &[2, 3]), lhs),
+            7 => Formula::not(Formula::divides(pick(rng, &[2, 3]), lhs)),
+            _ => Formula::bool_var("p"),
+        }
+    }
+
+    fn quantifier_free(rng: &mut Lcg, depth: usize, scope: &[&str]) -> Formula {
+        if depth == 0 {
+            return atom(rng, scope);
+        }
+        let sub = |rng: &mut Lcg| quantifier_free(rng, depth - 1, scope);
+        match rng.below(6) {
+            0 => Formula::not(sub(rng)),
+            1 => Formula::and(vec![sub(rng), sub(rng)]),
+            2 => Formula::or(vec![sub(rng), sub(rng)]),
+            3 => Formula::implies(sub(rng), sub(rng)),
+            4 => Formula::iff(sub(rng), sub(rng)),
+            _ => atom(rng, scope),
+        }
+    }
+
+    fn guard(v: &str, bound: i64) -> Formula {
+        Formula::and(vec![
+            Term::int(-bound).le(Term::var(v)),
+            Term::var(v).le(Term::int(bound)),
+        ])
+    }
+
+    /// `∃z. guard ∧ φ` or `∀z. guard ⇒ φ` for a quantifier-free `φ` over
+    /// `scope` and `z`.
+    fn guarded(rng: &mut Lcg, scope: &[&str]) -> Formula {
+        let inner: Vec<&str> = scope.iter().copied().chain(["z"]).collect();
+        let matrix = quantifier_free(rng, 2, &inner);
+        if rng.below(2) == 0 {
+            Formula::exists(
+                vec!["z".into()],
+                Formula::and(vec![guard("z", GUARD), matrix]),
+            )
+        } else {
+            Formula::forall(
+                vec!["z".into()],
+                Formula::implies(guard("z", GUARD), matrix),
+            )
+        }
+    }
+
+    /// A quantifier-free formula over `scope`, or one with a guarded `z`
+    /// quantifier in it.
+    fn body(rng: &mut Lcg, scope: &[&str]) -> Formula {
+        match rng.below(4) {
+            0 => guarded(rng, scope),
+            1 => Formula::and(vec![quantifier_free(rng, 1, scope), guarded(rng, scope)]),
+            2 => Formula::or(vec![guarded(rng, scope), quantifier_free(rng, 1, scope)]),
+            _ => quantifier_free(rng, 2, scope),
+        }
+    }
+
+    /// A [`body`] over `y` and `x` under an unguarded `x` quantifier, two
+    /// binders at once (`z` guarded), an unguarded quantifier beside a
+    /// quantifier-free formula, or a body over `y` alone.
+    fn presburger(rng: &mut Lcg) -> Formula {
+        const FREE_AND_X: [&str; 2] = ["y", "x"];
+        const ALL: [&str; 3] = ["y", "x", "z"];
+        match rng.below(6) {
+            0 => Formula::exists(vec!["x".into()], body(rng, &FREE_AND_X)),
+            1 => Formula::forall(vec!["x".into()], body(rng, &FREE_AND_X)),
+            2 => Formula::exists(
+                vec!["x".into(), "z".into()],
+                Formula::and(vec![guard("z", GUARD), quantifier_free(rng, 2, &ALL)]),
+            ),
+            3 => Formula::forall(
+                vec!["z".into(), "x".into()],
+                Formula::implies(guard("z", GUARD), quantifier_free(rng, 2, &ALL)),
+            ),
+            4 => Formula::or(vec![
+                Formula::exists(vec!["x".into()], body(rng, &FREE_AND_X)),
+                quantifier_free(rng, 1, &["y"]),
+            ]),
+            _ => body(rng, &["y"]),
+        }
+    }
+
+    fn presburger_sample() -> Vec<Formula> {
+        let mut rng = Lcg::new(0xC00_9E5);
+        (0..160).map(|_| presburger(&mut rng)).collect()
+    }
+
+    /// `f` at `point`, quantifiers by enumeration: `x` over `[-WIDE, WIDE]`,
+    /// `z` over `[-GUARD, GUARD]` (see the two constants).
+    fn brute_force(f: &Formula, point: &mut Valuation) -> bool {
+        match f {
+            Formula::Quant(q, vars, body) => quantified(*q, vars, body, point),
+            Formula::Not(inner) => !brute_force(inner, point),
+            Formula::And(parts) => parts.iter().all(|p| brute_force(p, point)),
+            Formula::Or(parts) => parts.iter().any(|p| brute_force(p, point)),
+            Formula::Implies(a, b) => !brute_force(a, point) || brute_force(b, point),
+            Formula::Iff(a, b) => brute_force(a, point) == brute_force(b, point),
+            atom => point.eval(atom).expect("every variable is bound"),
+        }
+    }
+
+    /// `q vars. body` at `point`, one binder at a time.
+    fn quantified(q: Quantifier, vars: &[String], body: &Formula, point: &mut Valuation) -> bool {
+        let Some((var, rest)) = vars.split_first() else {
+            return brute_force(body, point);
+        };
+        let range = if var == "x" { WIDE } else { GUARD };
+        let mut holds = (-range..=range).map(|v| {
+            point.set_int(var.clone(), v);
+            quantified(q, rest, body, point)
+        });
+        match q {
+            Quantifier::Exists => holds.any(|h| h),
+            Quantifier::Forall => holds.all(|h| h),
+        }
+    }
+
+    /// The first point of the free variables' box (`y` in `[-FREE, FREE]`,
+    /// `p` either way) where one of `answers` and `f` disagree.
+    ///
+    /// An eliminated variable can survive in the answer with coefficient 0
+    /// (`3 | 2z - 2z + 1` keeps `z`), so the answer is evaluated with `x` and
+    /// `z` set two ways, and must not care.
+    fn disagreement(f: &Formula, answers: &[&Formula]) -> Option<Valuation> {
+        for y in -FREE..=FREE {
+            for p in [false, true] {
+                let mut point = Valuation::new();
+                point.set_int("y", y).set_bool("p", p);
+                let expected = brute_force(f, &mut point.clone());
+                for (x, z) in [(0, 0), (5, -7)] {
+                    point.set_int("x", x).set_int("z", z);
+                    if answers.iter().any(|a| point.eval(a) != Ok(expected)) {
+                        return Some(point);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn the_id_procedure_is_the_tree_procedure_and_agrees_with_brute_force() {
+        // One procedure for the whole sample, so later formulas meet the
+        // atoms and the steps of earlier ones: a step answered by the memo
+        // must be the id the tree procedure computes all the same. A solver
+        // eliminates each formula too, through its shared arena.
+        let qe = Qe::new(Arc::default());
+        let solver = Solver::new();
+        let sample = presburger_sample();
+        let mut quantified = 0;
+        for (i, f) in sample.iter().enumerate() {
+            quantified += usize::from(f.has_quantifier());
+            let answer = eliminate_on(&qe, f).unwrap_or_else(|e| panic!("{i}: {e}: {f}"));
+            let answer = qe.arena().formula(answer);
+            let shared = solver.eliminate_quantifiers(f).expect("the same answer");
+            for answer in [&answer, &shared] {
+                assert!(!answer.has_quantifier(), "{i}: {answer}");
+            }
+            if let Some(point) = disagreement(f, &[&answer, &shared]) {
+                panic!("{i}: {f} eliminates to {answer} and {shared}, one wrong at {point:?}");
+            }
+        }
+        let (steps, hits) = qe.step_counts();
+        assert!(
+            quantified > sample.len() / 2 && steps > 100 && hits > 0,
+            "the sample is lopsided: {quantified} quantified formulas of {}, {steps} steps, \
+             {hits} repeated",
+            sample.len()
+        );
+        assert!(solver.stats().qe_step_hits > 0);
+    }
+
+    #[test]
+    fn dropping_the_infinity_instance_is_caught_by_the_box() {
+        // Sabotage self-test: `∃x. x < y` has no lower bound on `x`, so its
+        // only witnesses are the -∞ instance's. An elimination that drops
+        // those instances answers `false` for formulas like it, and the box
+        // must see that on the same sample the property test passes.
+        let sample = presburger_sample();
+        let qe = Qe::new(Arc::default());
+        DROP_INFINITY.set(true);
+        let caught = sample.iter().any(|f| {
+            let Ok(answer) = qe.decide(qe.arena().intern(f)) else {
+                return false;
+            };
+            disagreement(f, &[&qe.arena().formula(answer)]).is_some()
+        });
+        DROP_INFINITY.set(false);
+        assert!(caught, "no formula of the sample noticed");
     }
 }

@@ -10,9 +10,11 @@
 //!
 //! 1. [`linear`] — linear integer expressions and the translation from
 //!    [`expresso_logic::Term`]s (rejecting non-linear products and array reads).
-//! 2. [`cooper`] — Cooper's quantifier-elimination procedure for Presburger
-//!    arithmetic, used both to remove quantifiers before ground solving and as
-//!    the complete integer feasibility check.
+//! 2. `cooper` (internal) — Cooper's quantifier-elimination procedure for
+//!    Presburger arithmetic, used both to remove quantifiers before ground
+//!    solving and as the complete integer feasibility check. It runs on
+//!    interned formulas, one variable at a time, in an arena the solver
+//!    keeps for it, and remembers every single-variable step it ran.
 //! 3. [`fourier_motzkin`] — a rational-relaxation feasibility pre-check; a
 //!    rationally infeasible conjunction is integer-infeasible, which avoids
 //!    running Cooper on the common easy cases. Every derived row carries the
@@ -58,7 +60,7 @@
 //! assert_eq!(solver.check_valid(&vc), ValidityResult::Valid);
 //! ```
 
-pub mod cooper;
+mod cooper;
 pub mod fourier_motzkin;
 pub mod linear;
 pub mod sat;

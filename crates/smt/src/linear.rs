@@ -1,6 +1,6 @@
 //! Linear integer expressions and translation from [`Term`]s.
 
-use expresso_logic::{Ident, Term, Valuation};
+use expresso_logic::{Ident, Interner, Term, TermId, TermNode, Valuation};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -66,6 +66,21 @@ impl LinExpr {
         LinExpr {
             coeffs,
             ..LinExpr::default()
+        }
+    }
+
+    /// The expression with the given non-zero coefficients, constant and
+    /// [`clamped`](Self::clamped) flag: how a compiled row turns back into
+    /// the expression it was compiled from.
+    pub(crate) fn from_parts(
+        coeffs: impl IntoIterator<Item = (Ident, i64)>,
+        constant: i64,
+        clamped: bool,
+    ) -> Self {
+        LinExpr {
+            coeffs: coeffs.into_iter().filter(|&(_, c)| c != 0).collect(),
+            constant,
+            clamped,
         }
     }
 
@@ -237,6 +252,43 @@ impl LinExpr {
             Term::Select(arr, _) => Err(TranslateError::ArrayRead(arr.clone())),
         }
     }
+
+    /// [`LinExpr::from_term`] of the interned term `t`, without building its
+    /// tree (but for the message of a non-linear product).
+    ///
+    /// # Errors
+    ///
+    /// As [`LinExpr::from_term`].
+    pub(crate) fn from_term_id(interner: &Interner, t: TermId) -> Result<LinExpr, TranslateError> {
+        Ok(match interner.term_node_ref(t) {
+            TermNode::Int(v) => LinExpr::constant(*v),
+            TermNode::Var(v) => LinExpr::var(v.clone()),
+            TermNode::Add(parts) => {
+                let mut out = LinExpr::zero();
+                for &p in parts {
+                    out = out.add(&LinExpr::from_term_id(interner, p)?);
+                }
+                out
+            }
+            TermNode::Sub(a, b) => {
+                let la = LinExpr::from_term_id(interner, *a)?;
+                la.sub(&LinExpr::from_term_id(interner, *b)?)
+            }
+            TermNode::Neg(a) => LinExpr::from_term_id(interner, *a)?.scale(-1),
+            TermNode::Mul(a, b) => {
+                let la = LinExpr::from_term_id(interner, *a)?;
+                let lb = LinExpr::from_term_id(interner, *b)?;
+                if la.is_constant() {
+                    lb.scale(la.constant)
+                } else if lb.is_constant() {
+                    la.scale(lb.constant)
+                } else {
+                    return Err(TranslateError::NonLinear(interner.term(t).to_string()));
+                }
+            }
+            TermNode::Select(arr, _) => return Err(TranslateError::ArrayRead(arr.clone())),
+        })
+    }
 }
 
 impl fmt::Display for LinExpr {
@@ -348,6 +400,41 @@ mod tests {
         assert_eq!(div_floor(7, 2), 3);
         assert_eq!(div_floor(-7, 2), -4);
         assert_eq!(div_floor(7, -2), -4);
+    }
+
+    #[test]
+    fn interned_terms_translate_as_their_trees_do() {
+        use expresso_logic::Lcg;
+        fn term(rng: &mut Lcg, depth: usize) -> Term {
+            let leaf = |rng: &mut Lcg| match rng.below(4) {
+                0 => Term::int(rng.below(7) as i64 - 3),
+                1 => Term::int([i64::MAX, i64::MIN, 1 << 62][rng.index(3)]),
+                _ => Term::var(["x", "y"][rng.index(2)]),
+            };
+            if depth == 0 {
+                return leaf(rng);
+            }
+            let sub = |rng: &mut Lcg| term(rng, depth - 1);
+            match rng.below(6) {
+                0 => Term::Add((0..1 + rng.index(3)).map(|_| sub(rng)).collect()),
+                1 => sub(rng).sub(sub(rng)),
+                2 => sub(rng).neg(),
+                3 => sub(rng).mul(sub(rng)),
+                4 => Term::select("buf", sub(rng)),
+                _ => leaf(rng),
+            }
+        }
+        let interner = Interner::new();
+        let mut rng = Lcg::new(0x7E_4A5);
+        for _ in 0..500 {
+            let t = term(&mut rng, 3);
+            let id = interner.intern_term(&t);
+            assert_eq!(
+                LinExpr::from_term_id(&interner, id),
+                LinExpr::from_term(&t),
+                "{t}"
+            );
+        }
     }
 
     #[test]

@@ -82,6 +82,12 @@ pub struct SolverStats {
     pub theory_checks: usize,
     /// Quantifier eliminations performed (including those used for theory checks).
     pub quantifier_eliminations: usize,
+    /// Single-variable eliminations Cooper's procedure ran: one per binder of
+    /// every quantifier it eliminated, unless the step memo answered it.
+    pub qe_steps: usize,
+    /// Single-variable eliminations answered by the step memo: the same
+    /// variable eliminated from the same matrix earlier on this solver.
+    pub qe_step_hits: usize,
     /// Conflicts detected by the Fourier–Motzkin rational pre-check alone.
     pub fm_fast_conflicts: usize,
     /// Fourier–Motzkin elimination runs: one per pre-check plus every re-run
@@ -136,6 +142,8 @@ impl SolverStats {
                 "quantifier_eliminations",
                 self.quantifier_eliminations as u64,
             ),
+            Metric::counter("qe_steps", self.qe_steps as u64),
+            Metric::counter("qe_step_hits", self.qe_step_hits as u64),
             Metric::counter("fm_fast_conflicts", self.fm_fast_conflicts as u64),
             Metric::counter("fm_runs", self.fm_runs as u64),
             Metric::counter("abstracted_queries", self.abstracted_queries as u64),
@@ -171,6 +179,8 @@ impl SolverStats {
             quantifier_eliminations: self
                 .quantifier_eliminations
                 .saturating_sub(earlier.quantifier_eliminations),
+            qe_steps: self.qe_steps.saturating_sub(earlier.qe_steps),
+            qe_step_hits: self.qe_step_hits.saturating_sub(earlier.qe_step_hits),
             fm_fast_conflicts: self
                 .fm_fast_conflicts
                 .saturating_sub(earlier.fm_fast_conflicts),
@@ -308,6 +318,9 @@ impl StatsCells {
             sat_solver_calls: load(&self.sat_solver_calls),
             theory_checks: load(&self.theory_checks),
             quantifier_eliminations: load(&self.quantifier_eliminations),
+            // Counted by Cooper's procedure; see `Solver::stats`.
+            qe_steps: 0,
+            qe_step_hits: 0,
             fm_fast_conflicts: load(&self.fm_fast_conflicts),
             fm_runs: load(&self.fm_runs),
             abstracted_queries: load(&self.abstracted_queries),
@@ -587,6 +600,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 /// exact-key cache of theory verdicts that, with lemmas in, answered 43 of
 /// 917 lookups on the Table 1 suite and cost more than it saved on a
 /// 500-monitor corpus.
+///
+/// # Quantifier elimination
+///
+/// Cooper's procedure keeps an arena of its own beside the shared one, the
+/// atoms of it that it has compiled, and a memo of the single-variable
+/// eliminations it has run: (variable, negation-normal matrix) → answer, a
+/// ∀-step being the ∃-step of the negated matrix. Abduction asks for
+/// `∀ V. P ⇒ C` over many variable subsets `V`, and subsets that share their
+/// innermost binders share their first steps. Like the lemma store, none of
+/// it is persisted; the whole-formula memo beside it (`qe_cache`) is what the
+/// artifact carries.
 #[derive(Debug)]
 pub struct Solver {
     config: SolverConfig,
@@ -596,6 +620,7 @@ pub struct Solver {
     epoch: AtomicU32,
     cache: ShardedCache<FormulaId, SatResult>,
     qe_cache: ShardedCache<FormulaId, Result<FormulaId, TranslateError>>,
+    qe: cooper::Qe,
     atoms: Mutex<AtomStore>,
 }
 
@@ -678,10 +703,12 @@ impl Solver {
 
     /// Creates a solver with explicit resource limits and a fresh arena.
     pub fn with_config(config: SolverConfig) -> Self {
+        let interner = Arc::new(Interner::new());
         Solver {
             config,
             stats: StatsCells::default(),
-            interner: Arc::new(Interner::new()),
+            qe: cooper::Qe::new(Arc::clone(&interner)),
+            interner,
             epoch: AtomicU32::new(0),
             cache: ShardedCache::new(),
             qe_cache: ShardedCache::new(),
@@ -696,7 +723,12 @@ impl Solver {
 
     /// Returns a snapshot of the statistics counters.
     pub fn stats(&self) -> SolverStats {
-        self.stats.snapshot()
+        let (qe_steps, qe_step_hits) = self.qe.step_counts();
+        SolverStats {
+            qe_steps,
+            qe_step_hits,
+            ..self.stats.snapshot()
+        }
     }
 
     /// Starts a new analysis epoch and returns it.
@@ -827,7 +859,7 @@ impl Solver {
         };
         bump(&self.stats.quantifier_eliminations);
         let _span = expresso_obs::span!("smt.qe");
-        let result = cooper::eliminate_quantifiers_id(&self.interner, norm);
+        let result = self.qe.eliminate_quantifiers(norm);
         bump(&self.stats.qe_cache_misses);
         registration.complete(result.clone(), epoch);
         result
@@ -1175,35 +1207,45 @@ impl Solver {
             return TheoryVerdict::Consistent;
         }
         // Complete check: existentially quantify every integer variable and
-        // run Cooper's procedure; the result is ground. This is the one place
-        // a theory check needs its literals as a tree. Guard against blow-up
-        // on very large literal sets: conservatively report "consistent",
-        // which at worst costs an extra signal downstream, never soundness of
-        // the generated monitor.
-        let conjunction = Formula::and(
+        // run Cooper's procedure; the result is ground. The literals are
+        // imported into the procedure's own arena, so the check leaves the
+        // shared one as it found it. Guard against blow-up on very large
+        // literal sets: conservatively report "consistent", which at worst
+        // costs an extra signal downstream, never soundness of the generated
+        // monitor.
+        let arena = self.qe.arena();
+        let conjunction = arena.mk_and(
             literals
                 .iter()
                 .map(|l| {
-                    let atom = self.interner.formula(l.id);
+                    let atom = self.qe.import(l.id);
                     if l.value {
                         atom
                     } else {
-                        Formula::not(atom)
+                        arena.mk_not(atom)
                     }
                 })
                 .collect(),
         );
-        let vars: Vec<Ident> = conjunction.int_vars().into_iter().collect();
-        if vars.len() > 6 || conjunction.size() > 160 {
+        let mut vars: Vec<&Ident> = literals.iter().flat_map(|l| &l.atom.vars).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        if vars.len() > 6 || arena.size(conjunction) > 160 {
             return TheoryVerdict::Consistent;
         }
-        let closed = Formula::exists(vars, conjunction);
+        // The innermost binder is eliminated first, so the variables are
+        // eliminated in name order. How many instances an elimination builds,
+        // and so whether it stays within its budget, depends on that order:
+        // taken from a hash set, the verdict on one formula could differ
+        // from one solver to the next.
+        let closed = arena.mk_exists(vars.into_iter().rev().cloned().collect(), conjunction);
         bump(&self.stats.quantifier_eliminations);
-        match cooper::eliminate_quantifiers(&closed) {
-            Ok(Formula::True) => TheoryVerdict::Consistent,
-            Ok(Formula::False) => TheoryVerdict::Inconsistent(None),
-            Ok(other) => TheoryVerdict::Unknown(SolverError::OutsideFragment(format!(
-                "quantifier elimination left a non-ground residue: {other}"
+        match self.qe.decide(closed) {
+            Ok(ground) if arena.is_true(ground) => TheoryVerdict::Consistent,
+            Ok(ground) if arena.is_false(ground) => TheoryVerdict::Inconsistent(None),
+            Ok(residue) => TheoryVerdict::Unknown(SolverError::OutsideFragment(format!(
+                "quantifier elimination left a non-ground residue (formula #{} of its arena)",
+                residue.index()
             ))),
             Err(e) => TheoryVerdict::Unknown(e.into()),
         }

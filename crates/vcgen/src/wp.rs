@@ -297,8 +297,9 @@ mod tests {
         let post = Term::var("count").le(Term::var("capacity"));
         let pre = wp(body, &post, &t).unwrap();
         // wp should be (count + 1) <= capacity (array write ignored).
+        let arena = expresso_logic::Interner::new();
         assert_eq!(
-            expresso_logic::simplify(&pre),
+            arena.formula(arena.simplify(arena.intern(&pre))),
             Term::var("count")
                 .add(Term::int(1))
                 .le(Term::var("capacity"))

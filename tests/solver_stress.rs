@@ -705,3 +705,25 @@ fn a_huge_coefficient_answers_unknown_in_time() {
         assert_eq!(sat_verdict(&result), "unknown", "{query}: {result:?}");
     }
 }
+
+#[test]
+fn the_cooper_fallback_answers_the_same_on_every_solver() {
+    // `700 | y && 2x == y + 1 && 0 < y && y < 2` is rationally feasible
+    // (y = 1, x = 1) and has no point on the witness grid, so the theory
+    // check falls back to Cooper's procedure over x and y. Eliminating x
+    // first decides it; eliminating y first asks for 700 × 3 instances and
+    // then some, past the budget. The order used to be a hash set's, which
+    // differs from one set to the next: 40 fresh solvers in one process
+    // answered `Unsat` 24 times and `Unknown` 16 times.
+    let y = || Term::var("y");
+    let f = Formula::and(vec![
+        Formula::divides(700, y()),
+        Term::int(2).mul(Term::var("x")).eq(y().add(Term::int(1))),
+        Term::int(0).lt(y()),
+        y().lt(Term::int(2)),
+    ]);
+    let verdicts: std::collections::BTreeSet<&str> = (0..40)
+        .map(|_| sat_verdict(&Solver::new().check_sat(&f)))
+        .collect();
+    assert_eq!(verdicts, ["unsat"].into(), "{f}");
+}
