@@ -96,7 +96,7 @@ impl Default for ExpressoConfig {
 /// bodies recur across monitors. Constructing one `SharedAnalysisContext` and passing it to
 /// [`Expresso::analyze_with_context`] (or handing the whole suite to
 /// [`Expresso::analyze_suite`]) lets every analysis intern into the same
-/// arena, hit the same sharded memo tables and share the fingerprinted WP
+/// arena, hit the same memo tables and share the fingerprinted WP
 /// store; each analysis still reports a per-monitor [`SolverStats`] delta,
 /// and [`SolverStats::cross_analysis_hits`] /
 /// [`WpCacheStats::cross_monitor_hits`] count the hits served from another

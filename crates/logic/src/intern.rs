@@ -7,28 +7,24 @@
 //! [`Interner::nnf`], constant folding) memoize per node: a subtree shared by
 //! a thousand verification conditions is normalised once.
 //!
-//! # Sharding
+//! # Layout
 //!
-//! The arena is split into 16 hash-selected shards; a node lives in the shard
-//! its structural hash selects, and its id encodes `(shard, slot)` so handles
-//! stay stable `Copy` values. Each shard owns
+//! Each node kind (terms, formulas) has
 //!
 //! * an append-only node store whose reads are **lock-free** (published slots
 //!   are immutable and reached through two acquire loads), the one place a
-//!   node is kept,
+//!   node is kept — a node's id is its slot, so ids count up in creation
+//!   order, per kind, and
 //! * an `RwLock`ed index from node hash to slot consulted on interning
 //!   (read-locked on the hit path, write-locked only to insert a genuinely
-//!   new node), and
-//! * a `Mutex`ed memo table for the per-node simplify/NNF/fold/free-var/size
-//!   results of the nodes that live in that shard.
+//!   new node);
 //!
-//! There is **no arena-global lock**: concurrent interning from parallel
-//! placement threads only contends when two threads race for the same shard,
-//! and DAG walks (simplify, NNF, substitution, var sets) read nodes without
-//! taking any lock at all. Memo races are benign — every derived value is a
-//! pure function of the node, so the loser of a race inserts the same result.
-//! Contended lock acquisitions are counted and surfaced via
-//! [`Interner::stats`].
+//! and one `Mutex`ed memo table holds the per-node simplify/NNF/fold/
+//! free-var/size results. DAG walks (simplify, NNF, substitution, var sets)
+//! read nodes without taking any lock at all. Memo races are benign — every
+//! derived value is a pure function of the node, so the loser of a race
+//! inserts the same result. Contended lock acquisitions are counted and
+//! surfaced via [`Interner::stats`].
 //!
 //! # Example
 //!
@@ -51,15 +47,15 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Multiplicative word-at-a-time hasher (the FxHash construction rustc uses
 /// for its own interners). Node hashing is the arena's hottest scalar
-/// operation — every intern hashes the node for shard selection and again
-/// inside the dedup map — and SipHash's per-call setup dominates for the
-/// small keys involved. Deterministic within and across processes, which the
-/// shard selection relies on. Not DoS-resistant; keys are internal ids and
-/// formula nodes, never attacker-controlled.
+/// operation — every intern hashes the node once for the dedup index, and
+/// the memo tables hash ids — and SipHash's per-call setup dominates for the
+/// small keys involved. Deterministic within and across processes. Not
+/// DoS-resistant; keys are internal ids and formula nodes, never
+/// attacker-controlled.
 ///
 /// Public because other layers reuse the same deterministic hashing: the
 /// schedule explorer fingerprints simulator states with it, so its dedup
@@ -121,20 +117,12 @@ impl Hasher for FxHasher {
 type FxBuild = BuildHasherDefault<FxHasher>;
 type FxMap<K, V> = HashMap<K, V, FxBuild>;
 
-/// Number of low id bits holding the shard index.
-const SHARD_BITS: u32 = 4;
-
-/// Number of shards the arena is split into; matches the solver's memo-table
-/// striping. A single shard waits on ~10x more lock acquisitions under the
-/// 500-monitor corpus on 2 CPUs; more than 16 buys no time.
-const SHARDS: usize = 1 << SHARD_BITS;
-
 /// A `Copy` handle to an interned [`Term`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(u32);
 
 impl TermId {
-    /// The raw handle value (a `(slot, shard)` encoding, unique per arena).
+    /// The raw handle value: the term's creation index in its arena.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -145,7 +133,8 @@ impl TermId {
 pub struct FormulaId(u32);
 
 impl FormulaId {
-    /// The raw handle value (a `(slot, shard)` encoding, unique per arena).
+    /// The raw handle value: the formula's creation index in its arena
+    /// (`true` is 0 and `false` is 1).
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -212,7 +201,7 @@ pub struct InternerStats {
     pub formula_nodes: usize,
     /// Number of distinct term nodes interned so far.
     pub term_nodes: usize,
-    /// Number of shard-lock acquisitions (dedup maps and memo tables) that
+    /// Number of lock acquisitions (dedup indexes and the memo table) that
     /// found the lock held by another thread and had to wait. Zero in
     /// sequential runs; a proxy for arena contention under parallel
     /// placement.
@@ -236,14 +225,13 @@ impl InternerStats {
 // ---------------------------------------------------------------------------
 
 /// Slots in the first (smallest) chunk; chunk `k` holds `FIRST_CHUNK_LEN
-/// << k` slots. Small, because an arena's 32 stores each allocate their
-/// first chunk with their first node: a solver keeps a second arena for
-/// quantifier elimination, and 1 024-slot first chunks made that 256 KB
-/// before it held anything.
+/// << k` slots. Small, because an arena's 2 stores each allocate their
+/// first chunk with their first node, and a solver keeps a second arena for
+/// quantifier elimination that many queries never touch.
 const FIRST_CHUNK_BITS: u32 = 6;
 const FIRST_CHUNK_LEN: usize = 1 << FIRST_CHUNK_BITS;
 /// Geometrically sized chunks: 27 of them cover `64 * (2^27 - 1)` ≈ 8.6
-/// billion slots — more than the id encoding can address — while an empty
+/// billion slots — more than a `u32` id can address — while an empty
 /// store is just this 27-pointer table.
 const MAX_CHUNKS: usize = 27;
 
@@ -262,11 +250,11 @@ fn chunk_len(k: usize) -> usize {
 
 /// Append-only slot store with lock-free reads.
 ///
-/// Writers are externally serialized (pushes happen only under the owning
-/// shard's dedup write lock); readers follow two acquire-loaded pointers and
-/// never block. Published slots are immutable and individually boxed, so
-/// later pushes never move them. Chunks double in size, so an empty store
-/// costs a fixed 23-pointer table and growth never copies.
+/// Writers are externally serialized (pushes happen only under the store's
+/// dedup write lock); readers follow two acquire-loaded pointers and never
+/// block. Published slots are immutable and individually boxed, so later
+/// pushes never move them. Chunks double in size, so an empty store costs a
+/// fixed 27-pointer table and growth never copies.
 struct AppendStore<T> {
     /// `chunks[k]` points at the first cell of a `chunk_len(k)`-cell
     /// allocation (null until chunk `k` is needed).
@@ -296,12 +284,12 @@ impl<T> AppendStore<T> {
         unsafe { &*node }
     }
 
-    /// Appends a node and returns its slot. Caller must hold the owning
-    /// shard's dedup write lock (single writer per store).
+    /// Appends a node and returns its slot. Caller must hold the store's
+    /// dedup write lock (single writer per store).
     fn push(&self, value: T) -> usize {
         let slot = self.len.load(Ordering::Relaxed);
         let (k, offset) = locate(slot);
-        assert!(k < MAX_CHUNKS, "interner shard overflow");
+        assert!(k < MAX_CHUNKS, "arena overflow");
         let mut chunk = self.chunks[k].load(Ordering::Acquire);
         if chunk.is_null() {
             let fresh: Box<[AtomicPtr<T>]> = (0..chunk_len(k))
@@ -350,7 +338,7 @@ unsafe impl<T: Send> Send for AppendStore<T> {}
 unsafe impl<T: Send + Sync> Sync for AppendStore<T> {}
 
 // ---------------------------------------------------------------------------
-// Shards
+// Indexes and memo
 // ---------------------------------------------------------------------------
 
 /// The free integer and boolean variables of one interned formula node,
@@ -361,9 +349,9 @@ struct VarSets {
     bools: HashSet<Ident>,
 }
 
-/// Per-node memo tables for the nodes living in one shard.
+/// Per-node memo tables.
 #[derive(Debug, Default)]
-struct ShardMemo {
+struct Memo {
     /// Simplification and constant folding, per [`Pass`].
     simplify: [FxMap<FormulaId, FormulaId>; 2],
     fold: [FxMap<TermId, TermId>; 2],
@@ -385,30 +373,31 @@ enum Pass {
 
 /// Where the nodes of one [`AppendStore`] are, by hash: a node is stored
 /// once, in the store, and found again through its hash here — not kept a
-/// second time as a map key.
+/// second time as a map key. The hash is the top half of the node's
+/// [`FxHasher`] value, so an entry is 8 bytes: this is an arena's largest
+/// table, and its size shows in peak RSS.
 #[derive(Debug, Default)]
 struct NodeIndex {
     /// The first slot holding a node with this hash.
-    first: FxMap<u64, u32>,
-    /// Any further slots with the same hash (a 64-bit collision).
-    more: FxMap<u64, Vec<u32>>,
+    first: FxMap<u32, u32>,
+    /// Any further slots with the same hash (a collision).
+    more: FxMap<u32, Vec<u32>>,
 }
 
 impl NodeIndex {
     /// The slot of `node` (whose hash is `hash`) in `store`, if it is there.
-    fn find<T: PartialEq>(&self, hash: u64, node: &T, store: &AppendStore<T>) -> Option<usize> {
-        let first = *self.first.get(&hash)? as usize;
-        if store.get(first) == node {
+    fn find<T: PartialEq>(&self, hash: u32, node: &T, store: &AppendStore<T>) -> Option<u32> {
+        let first = *self.first.get(&hash)?;
+        if store.get(first as usize) == node {
             return Some(first);
         }
         let more = self.more.get(&hash)?;
         more.iter()
-            .map(|&slot| slot as usize)
-            .find(|&slot| store.get(slot) == node)
+            .copied()
+            .find(|&slot| store.get(slot as usize) == node)
     }
 
-    fn insert(&mut self, hash: u64, slot: usize) {
-        let slot = u32::try_from(slot).expect("arena overflow");
+    fn insert(&mut self, hash: u32, slot: u32) {
         match self.first.entry(hash) {
             Entry::Vacant(first) => {
                 first.insert(slot);
@@ -418,76 +407,36 @@ impl NodeIndex {
     }
 }
 
-#[derive(Debug)]
-struct Shard {
-    term_index: RwLock<NodeIndex>,
-    formula_index: RwLock<NodeIndex>,
-    terms: AppendStore<TermNode>,
-    formulas: AppendStore<FormulaNode>,
-    memo: Mutex<ShardMemo>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            term_index: RwLock::default(),
-            formula_index: RwLock::default(),
-            terms: AppendStore::new(),
-            formulas: AppendStore::new(),
-            memo: Mutex::default(),
-        }
-    }
-}
-
-// -- id encoding -------------------------------------------------------------
-
-fn encode(shard: usize, slot: usize) -> u32 {
-    let slot = u32::try_from(slot).expect("arena overflow");
-    assert!(
-        slot <= u32::MAX >> SHARD_BITS,
-        "arena overflow: slot does not fit the id encoding"
-    );
-    (slot << SHARD_BITS) | shard as u32
-}
-
-fn decode(id: u32) -> (usize, usize) {
-    ((id as usize) & (SHARDS - 1), (id >> SHARD_BITS) as usize)
-}
-
-/// A node's hash, and the shard it lives in.
-fn hash_and_shard<T: Hash>(node: &T) -> (u64, usize) {
-    // FxHasher is deterministic, so the same node always lands on the same
-    // shard. Select from the *top* bits: the final step of a multiplicative
-    // hash mixes upward, so the low bits carry the least entropy (and are the
-    // ones the per-shard HashMaps consume).
-    let mut hasher = FxHasher::default();
-    node.hash(&mut hasher);
-    let hash = hasher.finish();
-    (hash, (hash >> (64 - SHARD_BITS)) as usize)
-}
+/// The id of the constant `true`: the first formula every arena creates.
+/// The smart constructors produce the constants constantly, and the fixed
+/// ids make `is_true`/`is_false` a plain id comparison.
+const TRUE: FormulaId = FormulaId(0);
+/// The id of the constant `false`, the second formula every arena creates.
+const FALSE: FormulaId = FormulaId(1);
 
 /// The hash-consing arena. See the module documentation.
 #[derive(Debug)]
 pub struct Interner {
-    shards: [Shard; SHARDS],
-    /// Pre-interned `true`/`false` ids: the smart constructors produce the
-    /// constants constantly, and the fixed ids make `is_true`/`is_false` a
-    /// plain id comparison.
-    const_true: FormulaId,
-    const_false: FormulaId,
+    term_index: RwLock<NodeIndex>,
+    formula_index: RwLock<NodeIndex>,
+    terms: AppendStore<TermNode>,
+    formulas: AppendStore<FormulaNode>,
+    memo: Mutex<Memo>,
     contended_locks: AtomicUsize,
 }
 
 impl Default for Interner {
     fn default() -> Self {
-        let mut interner = Interner {
-            shards: std::array::from_fn(|_| Shard::new()),
-            const_true: FormulaId(0),
-            const_false: FormulaId(0),
+        let interner = Interner {
+            term_index: RwLock::default(),
+            formula_index: RwLock::default(),
+            terms: AppendStore::new(),
+            formulas: AppendStore::new(),
+            memo: Mutex::default(),
             contended_locks: AtomicUsize::new(0),
         };
-        interner.const_true = interner.put_formula(FormulaNode::True);
-        interner.const_false = interner.put_formula(FormulaNode::False);
+        assert_eq!(interner.put_formula(FormulaNode::True), TRUE);
+        assert_eq!(interner.put_formula(FormulaNode::False), FALSE);
         interner
     }
 }
@@ -507,94 +456,64 @@ impl Interner {
         }
     }
 
-    // -- contention-counting lock helpers ---------------------------------
+    // -- contention-counting locks -----------------------------------------
 
-    fn read_map<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockReadGuard<'a, T> {
-        match lock.try_read() {
-            Ok(guard) => guard,
-            Err(_) => {
-                self.contended_locks.fetch_add(1, Ordering::Relaxed);
-                lock.read().unwrap()
-            }
-        }
+    /// The guard `attempt` got or, when the lock was held, the one `wait`
+    /// blocks for, counting the wait as a contention.
+    fn counted<G, E>(&self, attempt: Result<G, E>, wait: impl FnOnce() -> G) -> G {
+        attempt.unwrap_or_else(|_| {
+            self.contended_locks.fetch_add(1, Ordering::Relaxed);
+            wait()
+        })
     }
 
-    fn write_map<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockWriteGuard<'a, T> {
-        match lock.try_write() {
-            Ok(guard) => guard,
-            Err(_) => {
-                self.contended_locks.fetch_add(1, Ordering::Relaxed);
-                lock.write().unwrap()
-            }
-        }
-    }
-
-    fn lock_memo<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, ShardMemo> {
-        match shard.memo.try_lock() {
-            Ok(guard) => guard,
-            Err(_) => {
-                self.contended_locks.fetch_add(1, Ordering::Relaxed);
-                shard.memo.lock().unwrap()
-            }
-        }
-    }
-
-    fn memo_of_formula(&self, id: FormulaId) -> MutexGuard<'_, ShardMemo> {
-        let (shard, _) = decode(id.0);
-        self.lock_memo(&self.shards[shard])
-    }
-
-    fn memo_of_term(&self, id: TermId) -> MutexGuard<'_, ShardMemo> {
-        let (shard, _) = decode(id.0);
-        self.lock_memo(&self.shards[shard])
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.counted(self.memo.try_lock(), || self.memo.lock().unwrap())
     }
 
     // -- node storage ------------------------------------------------------
 
     /// Lock-free read of the node behind a formula id.
     fn fnode(&self, id: FormulaId) -> &FormulaNode {
-        let (shard, slot) = decode(id.0);
-        self.shards[shard].formulas.get(slot)
+        self.formulas.get(id.index())
     }
 
     /// Lock-free read of the node behind a term id.
     fn tnode(&self, id: TermId) -> &TermNode {
-        let (shard, slot) = decode(id.0);
-        self.shards[shard].terms.get(slot)
+        self.terms.get(id.index())
+    }
+
+    /// The slot of `node` in `store`, which `index` finds nodes of; a node
+    /// not there yet is appended.
+    fn put<T: Hash + PartialEq>(
+        &self,
+        index: &RwLock<NodeIndex>,
+        store: &AppendStore<T>,
+        node: T,
+    ) -> u32 {
+        let mut hasher = FxHasher::default();
+        node.hash(&mut hasher);
+        let hash = (hasher.finish() >> 32) as u32;
+        let read = self.counted(index.try_read(), || index.read().unwrap());
+        if let Some(slot) = read.find(hash, &node, store) {
+            return slot;
+        }
+        drop(read);
+        let mut index = self.counted(index.try_write(), || index.write().unwrap());
+        if let Some(slot) = index.find(hash, &node, store) {
+            return slot;
+        }
+        let slot = u32::try_from(store.push(node)).expect("arena overflow");
+        index.insert(hash, slot);
+        slot
     }
 
     fn put_formula(&self, node: FormulaNode) -> FormulaId {
-        let (hash, shard_idx) = hash_and_shard(&node);
-        let shard = &self.shards[shard_idx];
-        let index = self.read_map(&shard.formula_index);
-        if let Some(slot) = index.find(hash, &node, &shard.formulas) {
-            return FormulaId(encode(shard_idx, slot));
-        }
-        drop(index);
-        let mut index = self.write_map(&shard.formula_index);
-        if let Some(slot) = index.find(hash, &node, &shard.formulas) {
-            return FormulaId(encode(shard_idx, slot));
-        }
-        let slot = shard.formulas.push(node);
-        index.insert(hash, slot);
-        FormulaId(encode(shard_idx, slot))
+        FormulaId(self.put(&self.formula_index, &self.formulas, node))
     }
 
     fn put_term(&self, node: TermNode) -> TermId {
-        let (hash, shard_idx) = hash_and_shard(&node);
-        let shard = &self.shards[shard_idx];
-        let index = self.read_map(&shard.term_index);
-        if let Some(slot) = index.find(hash, &node, &shard.terms) {
-            return TermId(encode(shard_idx, slot));
-        }
-        drop(index);
-        let mut index = self.write_map(&shard.term_index);
-        if let Some(slot) = index.find(hash, &node, &shard.terms) {
-            return TermId(encode(shard_idx, slot));
-        }
-        let slot = shard.terms.push(node);
-        index.insert(hash, slot);
-        TermId(encode(shard_idx, slot))
+        TermId(self.put(&self.term_index, &self.terms, node))
     }
 
     // -- public interning API ---------------------------------------------
@@ -790,32 +709,32 @@ impl Interner {
 
     /// Number of distinct formula nodes interned so far.
     pub fn formula_count(&self) -> usize {
-        self.shards.iter().map(|s| s.formulas.len()).sum()
+        self.formulas.len()
     }
 
     /// Number of distinct term nodes interned so far.
     pub fn term_count(&self) -> usize {
-        self.shards.iter().map(|s| s.terms.len()).sum()
+        self.terms.len()
     }
 
     /// `true` when `id` denotes the constant `true`.
     pub fn is_true(&self, id: FormulaId) -> bool {
-        id == self.const_true
+        id == TRUE
     }
 
     /// `true` when `id` denotes the constant `false`.
     pub fn is_false(&self, id: FormulaId) -> bool {
-        id == self.const_false
+        id == FALSE
     }
 
     /// The id of the constant `true`.
     pub fn true_id(&self) -> FormulaId {
-        self.const_true
+        TRUE
     }
 
     /// The id of the constant `false`.
     pub fn false_id(&self) -> FormulaId {
-        self.const_false
+        FALSE
     }
 
     // -- smart constructors over ids --------------------------------------
@@ -823,8 +742,8 @@ impl Interner {
     /// Negation with the usual constant/double-negation collapses.
     pub fn mk_not(&self, f: FormulaId) -> FormulaId {
         match self.fnode(f) {
-            FormulaNode::True => self.const_false,
-            FormulaNode::False => self.const_true,
+            FormulaNode::True => FALSE,
+            FormulaNode::False => TRUE,
             FormulaNode::Not(inner) => *inner,
             _ => self.put_formula(FormulaNode::Not(f)),
         }
@@ -836,13 +755,13 @@ impl Interner {
         for p in parts {
             match self.fnode(p) {
                 FormulaNode::True => {}
-                FormulaNode::False => return self.const_false,
+                FormulaNode::False => return FALSE,
                 FormulaNode::And(inner) => flat.extend(inner.iter().copied()),
                 _ => flat.push(p),
             }
         }
         match flat.len() {
-            0 => self.const_true,
+            0 => TRUE,
             1 => flat[0],
             _ => self.put_formula(FormulaNode::And(flat)),
         }
@@ -854,13 +773,13 @@ impl Interner {
         for p in parts {
             match self.fnode(p) {
                 FormulaNode::False => {}
-                FormulaNode::True => return self.const_true,
+                FormulaNode::True => return TRUE,
                 FormulaNode::Or(inner) => flat.extend(inner.iter().copied()),
                 _ => flat.push(p),
             }
         }
         match flat.len() {
-            0 => self.const_false,
+            0 => FALSE,
             1 => flat[0],
             _ => self.put_formula(FormulaNode::Or(flat)),
         }
@@ -870,7 +789,7 @@ impl Interner {
     pub fn mk_implies(&self, lhs: FormulaId, rhs: FormulaId) -> FormulaId {
         match (self.fnode(lhs), self.fnode(rhs)) {
             (FormulaNode::True, _) => rhs,
-            (FormulaNode::False, _) | (_, FormulaNode::True) => self.const_true,
+            (FormulaNode::False, _) | (_, FormulaNode::True) => TRUE,
             _ => self.put_formula(FormulaNode::Implies(lhs, rhs)),
         }
     }
@@ -905,7 +824,7 @@ impl Interner {
     // -- memoized free-variable and size queries ---------------------------
 
     fn term_vars(&self, t: TermId) -> Arc<HashSet<Ident>> {
-        if let Some(cached) = self.memo_of_term(t).term_vars.get(&t) {
+        if let Some(cached) = self.memo().term_vars.get(&t) {
             return Arc::clone(cached);
         }
         let mut out = HashSet::new();
@@ -929,12 +848,12 @@ impl Interner {
             TermNode::Select(_, idx) => out.extend(self.term_vars(*idx).iter().cloned()),
         }
         let arc = Arc::new(out);
-        self.memo_of_term(t).term_vars.insert(t, Arc::clone(&arc));
+        self.memo().term_vars.insert(t, Arc::clone(&arc));
         arc
     }
 
     fn formula_vars(&self, f: FormulaId) -> Arc<VarSets> {
-        if let Some(cached) = self.memo_of_formula(f).formula_vars.get(&f) {
+        if let Some(cached) = self.memo().formula_vars.get(&f) {
             return Arc::clone(cached);
         }
         let mut sets = VarSets::default();
@@ -976,17 +895,15 @@ impl Interner {
             }
         }
         let arc = Arc::new(sets);
-        self.memo_of_formula(f)
-            .formula_vars
-            .insert(f, Arc::clone(&arc));
+        self.memo().formula_vars.insert(f, Arc::clone(&arc));
         arc
     }
 
     /// Free integer variables of an interned formula.
     ///
-    /// Var sets are memoized per node on the owning shard: a subtree shared
-    /// by many verification conditions is walked once per arena lifetime, and
-    /// repeat queries are a clone of the cached set — no tree reconstruction.
+    /// Var sets are memoized per node: a subtree shared by many verification
+    /// conditions is walked once per arena lifetime, and repeat queries are a
+    /// clone of the cached set — no tree reconstruction.
     pub fn int_vars(&self, f: FormulaId) -> HashSet<Ident> {
         self.formula_vars(f).ints.clone()
     }
@@ -1024,7 +941,7 @@ impl Interner {
         ) {
             return 1;
         }
-        if let Some(&s) = self.memo_of_formula(f).size.get(&f) {
+        if let Some(&s) = self.memo().size.get(&f) {
             return s;
         }
         let s = match self.fnode(f) {
@@ -1042,7 +959,7 @@ impl Interner {
             }
             FormulaNode::Quant(_, _, body) => 1 + self.size(*body),
         };
-        self.memo_of_formula(f).size.insert(f, s);
+        self.memo().size.insert(f, s);
         s
     }
 
@@ -1082,7 +999,7 @@ impl Interner {
         if matches!(self.tnode(t), TermNode::Int(_) | TermNode::Var(_)) {
             return t;
         }
-        if let Some(&f) = self.memo_of_term(t).fold[pass as usize].get(&t) {
+        if let Some(&f) = self.memo().fold[pass as usize].get(&t) {
             return f;
         }
         let out = match self.tnode(t) {
@@ -1152,17 +1069,10 @@ impl Interner {
                 self.put_term(TermNode::Select(arr, fi))
             }
         };
-        let (t_shard, _) = decode(t.0);
-        let (out_shard, _) = decode(out.0);
-        let mut memo = self.lock_memo(&self.shards[t_shard]);
+        let mut memo = self.memo();
         memo.fold[pass as usize].insert(t, out);
-        if out != t && pass == Pass::Trusting {
-            if out_shard == t_shard {
-                memo.fold[pass as usize].insert(out, out);
-            } else {
-                drop(memo);
-                self.lock_memo(&self.shards[out_shard]).fold[pass as usize].insert(out, out);
-            }
+        if pass == Pass::Trusting {
+            memo.fold[pass as usize].insert(out, out);
         }
         out
     }
@@ -1206,7 +1116,7 @@ impl Interner {
         ) {
             return f;
         }
-        if let Some(&s) = self.memo_of_formula(f).simplify[pass as usize].get(&f) {
+        if let Some(&s) = self.memo().simplify[pass as usize].get(&f) {
             return s;
         }
         let out = match self.fnode(f) {
@@ -1216,12 +1126,12 @@ impl Interner {
                 let d = *d;
                 let t = self.fold_term(*t, pass);
                 if d == 1 {
-                    self.const_true
+                    TRUE
                 } else if let TermNode::Int(v) = self.tnode(t) {
                     if v.rem_euclid(d as i64) == 0 {
-                        self.const_true
+                        TRUE
                     } else {
-                        self.const_false
+                        FALSE
                     }
                 } else {
                     self.put_formula(FormulaNode::Divides(d, t))
@@ -1239,7 +1149,7 @@ impl Interner {
                     FormulaNode::And(items) => {
                         let dedup = dedup_preserving_order(items.clone());
                         if self.has_complementary_pair(&dedup) {
-                            self.const_false
+                            FALSE
                         } else {
                             self.mk_and(dedup)
                         }
@@ -1255,7 +1165,7 @@ impl Interner {
                     FormulaNode::Or(items) => {
                         let dedup = dedup_preserving_order(items.clone());
                         if self.has_complementary_pair(&dedup) {
-                            self.const_true
+                            TRUE
                         } else {
                             self.mk_or(dedup)
                         }
@@ -1268,9 +1178,9 @@ impl Interner {
                 let sb = self.simplify_in(*b, pass);
                 match (self.fnode(sa), self.fnode(sb)) {
                     (FormulaNode::True, _) => sb,
-                    (FormulaNode::False, _) | (_, FormulaNode::True) => self.const_true,
+                    (FormulaNode::False, _) | (_, FormulaNode::True) => TRUE,
                     (_, FormulaNode::False) => self.mk_not(sa),
-                    _ if sa == sb => self.const_true,
+                    _ if sa == sb => TRUE,
                     _ => self.put_formula(FormulaNode::Implies(sa, sb)),
                 }
             }
@@ -1282,7 +1192,7 @@ impl Interner {
                     (_, FormulaNode::True) => sa,
                     (FormulaNode::False, _) => self.mk_not(sb),
                     (_, FormulaNode::False) => self.mk_not(sa),
-                    _ if sa == sb => self.const_true,
+                    _ if sa == sb => TRUE,
                     _ => self.put_formula(FormulaNode::Iff(sa, sb)),
                 }
             }
@@ -1303,19 +1213,11 @@ impl Interner {
                 }
             }
         };
-        // A trusting pass takes the result for its own normal form too;
-        // record both facts, with one lock when the two ids share a shard.
-        let (f_shard, _) = decode(f.0);
-        let (out_shard, _) = decode(out.0);
-        let mut memo = self.lock_memo(&self.shards[f_shard]);
+        // A trusting pass takes the result for its own normal form too.
+        let mut memo = self.memo();
         memo.simplify[pass as usize].insert(f, out);
-        if out != f && pass == Pass::Trusting {
-            if out_shard == f_shard {
-                memo.simplify[pass as usize].insert(out, out);
-            } else {
-                drop(memo);
-                self.lock_memo(&self.shards[out_shard]).simplify[pass as usize].insert(out, out);
-            }
+        if pass == Pass::Trusting {
+            memo.simplify[pass as usize].insert(out, out);
         }
         out
     }
@@ -1324,16 +1226,12 @@ impl Interner {
         let lhs = self.fold_term(lhs, pass);
         let rhs = self.fold_term(rhs, pass);
         if let (TermNode::Int(a), TermNode::Int(b)) = (self.tnode(lhs), self.tnode(rhs)) {
-            return if op.eval(*a, *b) {
-                self.const_true
-            } else {
-                self.const_false
-            };
+            return if op.eval(*a, *b) { TRUE } else { FALSE };
         }
         if lhs == rhs {
             return match op {
-                CmpOp::Eq | CmpOp::Le | CmpOp::Ge => self.const_true,
-                CmpOp::Ne | CmpOp::Lt | CmpOp::Gt => self.const_false,
+                CmpOp::Eq | CmpOp::Le | CmpOp::Ge => TRUE,
+                CmpOp::Ne | CmpOp::Lt | CmpOp::Gt => FALSE,
             };
         }
         self.mk_cmp(op, lhs, rhs)
@@ -1372,20 +1270,20 @@ impl Interner {
         {
             return f;
         }
-        if let Some(&n) = self.memo_of_formula(f).nnf.get(&(f, negate)) {
+        if let Some(&n) = self.memo().nnf.get(&(f, negate)) {
             return n;
         }
         let out = match self.fnode(f) {
             FormulaNode::True => {
                 if negate {
-                    self.const_false
+                    FALSE
                 } else {
                     f
                 }
             }
             FormulaNode::False => {
                 if negate {
-                    self.const_true
+                    TRUE
                 } else {
                     f
                 }
@@ -1482,7 +1380,7 @@ impl Interner {
                 self.put_formula(FormulaNode::Quant(q, vars, nb))
             }
         };
-        self.memo_of_formula(f).nnf.insert((f, negate), out);
+        self.memo().nnf.insert((f, negate), out);
         out
     }
 
@@ -1739,7 +1637,7 @@ mod tests {
 
     #[test]
     fn importing_creates_the_nodes_interning_the_tree_would_in_its_order() {
-        // Ids encode creation order, so two arenas that went through the same
+        // Ids follow creation order, so two arenas that went through the same
         // history agree on every id exactly when they created the same nodes
         // in the same order.
         let source = Interner::new();
@@ -1919,11 +1817,57 @@ mod tests {
     }
 
     #[test]
-    fn ids_encode_shard_and_slot_stably() {
+    fn nodes_whose_hashes_collide_keep_their_own_ids() {
+        // 2^18 random literals all but surely share a 32-bit index key
+        // somewhere (about 8 pairs are expected); each keeps its own id.
+        let mut rng = crate::Lcg::new(0x1D5);
+        let literals: Vec<Term> = (0..1 << 18).map(|_| Term::int(rng.next() as i64)).collect();
         let arena = Interner::new();
+        let ids: Vec<TermId> = literals.iter().map(|t| arena.intern_term(t)).collect();
+        assert!(!arena.term_index.read().unwrap().more.is_empty());
+        for (k, (t, &id)) in literals.iter().zip(&ids).enumerate() {
+            assert_eq!((id.index(), arena.intern_term(t)), (k, id));
+        }
+    }
+
+    #[test]
+    fn ids_are_creation_order_per_kind() {
+        // Formulas and terms are numbered apart, each kind from 0 in the
+        // order its nodes are first interned; `true` and `false` come first.
+        let arena = Interner::new();
+        assert_eq!((arena.true_id().index(), arena.false_id().index()), (0, 1));
         let id = arena.intern(&rw_invariant());
-        let (shard, slot) = decode(id.index() as u32);
-        assert!(shard < SHARDS);
-        assert_eq!(encode(shard, slot), id.index() as u32);
+        let readers = Term::var("readers").ge(Term::int(0));
+        let writer = Formula::bool_var("writerIn");
+        for (f, k) in [
+            (readers.clone(), 2),
+            (writer.clone(), 3),
+            (Formula::not(writer), 4),
+            (rw_invariant(), 5),
+        ] {
+            assert_eq!(arena.intern(&f).index(), k, "{f}");
+        }
+        assert_eq!(arena.intern_term(&Term::var("readers")).index(), 0);
+        assert_eq!(arena.intern_term(&Term::int(0)).index(), 1);
+        assert_eq!((arena.formula_count(), arena.term_count()), (6, 2));
+
+        // A new node gets the next index; a known one keeps its own.
+        for f in &crate::random_formulas::samples() {
+            let before = arena.formula_count();
+            let id = arena.intern(f);
+            if arena.formula_count() > before {
+                assert_eq!(id.index(), arena.formula_count() - 1, "{f}");
+            } else {
+                assert!(id.index() < before, "{f}");
+            }
+        }
+
+        // An import numbers its nodes after the target's own, in the order
+        // interning the tree would.
+        let target = Interner::new();
+        assert_eq!(target.intern(&Formula::bool_var("p")).index(), 2);
+        assert_eq!(target.import(&arena, id).index(), 6);
+        assert_eq!(target.intern(&readers).index(), 3);
+        assert_eq!(target.intern(&Formula::bool_var("writerIn")).index(), 4);
     }
 }

@@ -1,9 +1,9 @@
-//! Concurrency stress for the sharded lock-free-read interner: 8 scoped
-//! threads intern heavily overlapping formula populations into one arena
-//! while also exercising the memoized derived queries (simplify, NNF, free
-//! vars, sizes). Overlap is the point — it forces distinct threads to
-//! race for the same dedup-map entries and memo slots, so shard selection,
-//! id publication and the benign memo races all see real contention.
+//! Concurrency stress for the lock-free-read interner: 8 scoped threads
+//! intern heavily overlapping formula populations into one arena while also
+//! exercising the memoized derived queries (simplify, NNF, free vars,
+//! sizes). Overlap is the point — it forces distinct threads to race for the
+//! same dedup-index entries and memo slots, so the index locks, id
+//! publication and the benign memo races all see real contention.
 //!
 //! Afterwards everything is cross-checked: ids must be stable (re-interning
 //! returns the same id and the tree round-trips), dedup must be structural
@@ -181,7 +181,7 @@ fn concurrent_interning_is_stable_deduped_and_memo_consistent() {
 
 #[test]
 fn contention_counter_only_moves_under_parallel_load() {
-    // Sequential interning never waits on a shard lock.
+    // Sequential interning never waits on a lock.
     let arena = Interner::new();
     for f in pool() {
         let id = arena.intern(&f);

@@ -1,10 +1,10 @@
 //! On-disk persistence of the analysis: its memo caches and its answers
 //! (`expresso-persist`).
 //!
-//! PRs 1–4 made suite analysis fast *within* a process: the hash-consed
-//! arena, the solver's sharded sat/QE caches and the
-//! fingerprinted suite-wide [`WpStore`] are all keyed on content — interned
-//! formula structure and lowering fingerprints — not on identity. This crate
+//! Suite analysis is fast *within* a process because the hash-consed arena,
+//! the solver's sat/QE caches and the fingerprinted suite-wide [`WpStore`]
+//! are all keyed on content — interned formula structure and lowering
+//! fingerprints — not on identity. This crate
 //! makes that content-addressing outlive the process, at two levels. It
 //! serializes the memo tables — the *leaf sections* — into a version-stamped,
 //! checksummed artifact that the next run can seed them back from, so an
@@ -46,8 +46,8 @@
 //! roots and numbers the nodes it meets by `(height, row)`: level by level,
 //! each node is written as a row over its children's already-assigned numbers
 //! and the level is sorted. Numbers, and with them every byte of the file,
-//! are a function of the cached *content* alone — not of arena ids, shard
-//! layout or `HashMap` iteration order — so saving the same caches twice, or
+//! are a function of the cached *content* alone — not of arena ids or
+//! `HashMap` iteration order — so saving the same caches twice, or
 //! saving a context that was only seeded, reproduces the file byte for byte.
 //!
 //! **Seed** ([`seed`], [`Artifact::seed_into`]) interns each row exactly
@@ -354,7 +354,7 @@ pub struct SaveReport {
     /// Always 0: format v5 has no theory section (the solver's theory lemmas
     /// are not persisted). The field stays because the frozen `benchmark/`
     /// package reads it; it leaves with the next PR that owns that package
-    /// (ROADMAP 5(ix)).
+    /// (ROADMAP 6(b)).
     pub theory: usize,
     /// WP-store entries written.
     pub wp: usize,
@@ -573,7 +573,7 @@ pub fn export_with_outcomes(
 // ---------------------------------------------------------------------------
 
 /// Interns the artifact's node tables into `solver`'s arena — each row once,
-/// in row order — and seeds the sharded caches, the WP store and the
+/// in row order — and seeds the solver's caches, the WP store and the
 /// disjointness store by row number. Entries already present (a live run
 /// that got there first) are never overwritten. Returns per-table insert
 /// counts. The artifact is left as it was: this seeds from a copy, which is

@@ -114,8 +114,8 @@ fn reachable<Id: Copy + Eq + Hash, Node>(
 /// are turned into rows — their children are on lower levels, so already
 /// numbered — and sorted on the row's derived order. Hash-consing makes
 /// distinct nodes distinct rows, so the order is total, and by induction on
-/// the height it is a function of the set of nodes alone: not of arena ids,
-/// shard layout or the order the roots were met in.
+/// the height it is a function of the set of nodes alone: not of arena ids
+/// or the order the roots were met in.
 fn assign<Id: Copy + Eq + Hash, Node, R: Ord>(
     mut nodes: Vec<(Id, Node, u32)>,
     to_row: impl Fn(&Node, &HashMap<Id, Row>) -> R,

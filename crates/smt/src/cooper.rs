@@ -46,10 +46,10 @@
 //! would create it. The shared arena thus sees exactly what it saw when the
 //! procedure ran on trees, and that matters beyond memory: an id's number is
 //! its creation order, and the DPLL(T) loop files a theory lemma under its
-//! lowest-numbered atom and adds lemma clauses in that order, so one extra
-//! node interned early changes the rounds later queries take (the Table 1
-//! suite pass: 1 367 rounds, 1 355 after interning one unrelated boolean
-//! variable first).
+//! lowest-numbered atom and adds lemma clauses in that order, so atoms
+//! created in another order change the rounds later queries take (the
+//! Table 1 suite pass: 1 355 rounds; 1 367 when an id's low bits still held
+//! a hash of its node).
 //!
 //! The solver remembers each step it ran, (variable, matrix) → answer, and
 //! runs no step twice: abduction eliminates over many variable subsets, and
@@ -858,6 +858,8 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fourier_motzkin::{refute, Constraint, RationalFeasibility};
+    use crate::solver::cmp_rows;
     use crate::Solver;
     use expresso_logic::{Formula, Lcg, Term, Valuation};
     use std::cell::Cell;
@@ -1403,5 +1405,118 @@ mod tests {
         });
         DROP_INFINITY.set(false);
         assert!(caught, "no formula of the sample noticed");
+    }
+
+    // ------------------------------------------------------------------
+    // Property test: Cooper against Fourier–Motzkin on conjunctions
+    // ------------------------------------------------------------------
+
+    /// A conjunction of two to four literals `Σ cᵢ·vᵢ + k ⋈ 0` over `x`, `y`
+    /// and `z` (`|cᵢ| <= 2`, `|k| <= 4`, `⋈` convex): as a formula, and as
+    /// the constraint groups, one per literal, that Fourier–Motzkin reads.
+    fn linear_conjunction(rng: &mut Lcg) -> (Formula, Vec<Vec<Constraint>>) {
+        let (mut literals, mut groups) = (Vec::new(), Vec::new());
+        for _ in 0..2 + rng.index(3) {
+            let mut lhs = Term::int(rng.below(9) as i64 - 4);
+            for v in ["x", "y", "z"] {
+                match pick(rng, &[-2, -1, 0, 0, 1, 2]) {
+                    0 => {}
+                    c => lhs = lhs.add(Term::int(c).mul(Term::var(v))),
+                }
+            }
+            let op = pick(
+                rng,
+                &[CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq],
+            );
+            let e = LinExpr::from_term(&lhs).expect("linear");
+            groups.push(cmp_rows(op, &e).expect("convex"));
+            literals.push(Formula::cmp(op, lhs, Term::int(0)));
+        }
+        (Formula::and(literals), groups)
+    }
+
+    /// A point of the box `[-6, 6]³` where `f`, over `x`, `y` and `z`, holds.
+    fn point_in_box(f: &Formula) -> Option<Valuation> {
+        let range = || -6i64..=6;
+        range()
+            .flat_map(|x| range().flat_map(move |y| range().map(move |z| (x, y, z))))
+            .map(|(x, y, z)| {
+                let mut point = Valuation::new();
+                point.set_int("x", x).set_int("y", y).set_int("z", z);
+                point
+            })
+            .find(|point| point.eval(f) == Ok(true))
+    }
+
+    /// Holds `fm` and Cooper's procedure to each other over a seeded sample
+    /// of [`linear_conjunction`]s: when `fm` refutes one, the procedure must
+    /// decide its existential closure `false`, and when the procedure does,
+    /// no point of the box may satisfy it. Returns how many conjunctions the
+    /// procedure decided, how many `fm` refuted and how many the procedure
+    /// decided `false`, or the first disagreement.
+    fn cooper_against(
+        fm: impl Fn(&[&[Constraint]]) -> RationalFeasibility,
+    ) -> Result<[usize; 3], String> {
+        let qe = Qe::new(Arc::default());
+        let arena = qe.arena();
+        let mut rng = Lcg::new(0xF0_0E1);
+        let (mut decided, mut refuted, mut empty) = (0, 0, 0);
+        for i in 0..200 {
+            let (conjunction, groups) = linear_conjunction(&mut rng);
+            let groups: Vec<&[Constraint]> = groups.iter().map(Vec::as_slice).collect();
+            let vars = ["x", "y", "z"].map(Into::into).to_vec();
+            let closed = arena.intern(&Formula::exists(vars, conjunction.clone()));
+            // An elimination over its instance budget concludes nothing.
+            let Ok(answer) = qe.decide(closed) else {
+                continue;
+            };
+            decided += 1;
+            if matches!(fm(&groups), RationalFeasibility::Infeasible(_)) {
+                refuted += 1;
+                if !arena.is_false(answer) {
+                    return Err(format!("{i}: FM refutes {conjunction}, Cooper does not"));
+                }
+            }
+            if arena.is_false(answer) {
+                empty += 1;
+                if let Some(point) = point_in_box(&conjunction) {
+                    return Err(format!(
+                        "{i}: Cooper refutes {conjunction}, true at {point:?}"
+                    ));
+                }
+            }
+        }
+        Ok([decided, refuted, empty])
+    }
+
+    #[test]
+    fn cooper_refutes_what_fourier_motzkin_refutes() {
+        let [decided, refuted, empty] =
+            cooper_against(|groups| refute(groups, 400)).unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            decided >= 180 && refuted >= 20 && empty > refuted,
+            "the sample is lopsided: of 200, Cooper decided {decided} and refuted {empty}, \
+             FM refuted {refuted}"
+        );
+    }
+
+    #[test]
+    fn a_fourier_motzkin_that_refutes_too_much_is_caught() {
+        // Sabotage self-test: an elimination that reads every `<= 0` row as
+        // `< 0` refutes `e == 0`, which is satisfiable whenever `e` has an
+        // integer root. The property test must see that.
+        let strict = |groups: &[&[Constraint]]| {
+            let strict: Vec<Vec<Constraint>> = groups
+                .concat()
+                .into_iter()
+                .map(|row| vec![Constraint::lt_zero(row.expr)])
+                .collect();
+            refute(&strict.iter().map(Vec::as_slice).collect::<Vec<_>>(), 400)
+        };
+        let caught = cooper_against(strict);
+        assert!(
+            matches!(&caught, Err(e) if e.contains("FM refutes")),
+            "{caught:?}"
+        );
     }
 }

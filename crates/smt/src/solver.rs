@@ -8,13 +8,13 @@ use expresso_logic::{
     CmpOp, Formula, FormulaId, FormulaNode, FxHasher, Ident, Interner, Term, Valuation,
 };
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Resource limits of a [`Solver`].
 #[derive(Debug, Clone)]
@@ -54,11 +54,6 @@ pub struct SolverStats {
     /// from a previous monitor when the solver is shared across a suite (see
     /// [`Solver::begin_analysis_epoch`]). Always 0 for a single-epoch solver.
     pub cross_analysis_hits: usize,
-    /// Memo hits (across both tables) that waited out another worker's
-    /// in-flight computation of the same cold key instead of recomputing it —
-    /// the identical-query races the per-shard in-flight guard deduplicates
-    /// under suite-level concurrency. Always 0 for a single-threaded solver.
-    pub deduped_races: usize,
     /// Memo hits (across both tables) served by entries seeded from a
     /// persisted artifact of an earlier process (see [`Solver::seed_sat_cache`]
     /// and friends) — the warm-start reuse `expresso-persist` buys. Always 0
@@ -71,7 +66,7 @@ pub struct SolverStats {
     /// Always 0: the exact-key theory-verdict cache this counted hits of is
     /// gone (the lemma store of [`Solver`] covers what it caught). The field
     /// stays because the frozen `benchmark/` package names it; it leaves with
-    /// the next PR that owns that package (ROADMAP 5(ix)).
+    /// the next PR that owns that package (ROADMAP 6(b)).
     pub theory_cache_hits: usize,
     /// Always 0, kept for the same reason as
     /// [`theory_cache_hits`](Self::theory_cache_hits).
@@ -132,7 +127,6 @@ impl SolverStats {
             Metric::counter("cache_hits", self.cache_hits as u64),
             Metric::counter("cache_misses", self.cache_misses as u64),
             Metric::counter("cross_analysis_hits", self.cross_analysis_hits as u64),
-            Metric::counter("deduped_races", self.deduped_races as u64),
             Metric::counter("disk_hits", self.disk_hits as u64),
             Metric::counter("qe_cache_hits", self.qe_cache_hits as u64),
             Metric::counter("qe_cache_misses", self.qe_cache_misses as u64),
@@ -166,7 +160,6 @@ impl SolverStats {
             cross_analysis_hits: self
                 .cross_analysis_hits
                 .saturating_sub(earlier.cross_analysis_hits),
-            deduped_races: self.deduped_races.saturating_sub(earlier.deduped_races),
             disk_hits: self.disk_hits.saturating_sub(earlier.disk_hits),
             qe_cache_hits: self.qe_cache_hits.saturating_sub(earlier.qe_cache_hits),
             qe_cache_misses: self.qe_cache_misses.saturating_sub(earlier.qe_cache_misses),
@@ -288,7 +281,6 @@ struct StatsCells {
     cache_hits: AtomicUsize,
     cache_misses: AtomicUsize,
     cross_analysis_hits: AtomicUsize,
-    deduped_races: AtomicUsize,
     disk_hits: AtomicUsize,
     qe_cache_hits: AtomicUsize,
     qe_cache_misses: AtomicUsize,
@@ -309,7 +301,6 @@ impl StatsCells {
             cache_hits: load(&self.cache_hits),
             cache_misses: load(&self.cache_misses),
             cross_analysis_hits: load(&self.cross_analysis_hits),
-            deduped_races: load(&self.deduped_races),
             disk_hits: load(&self.disk_hits),
             qe_cache_hits: load(&self.qe_cache_hits),
             qe_cache_misses: load(&self.qe_cache_misses),
@@ -343,208 +334,70 @@ struct CacheEntry<V> {
     from_disk: bool,
 }
 
-/// One stripe of a [`ShardedCache`]: the memo map plus the keys whose values
-/// are being computed right now by some thread.
+/// A memo table behind one lock. Entries remember the analysis epoch they
+/// were inserted in, which funds the cross-monitor reuse accounting of a
+/// suite-shared solver. Two workers that miss the same cold key both compute
+/// it, and the first to finish files its value; the values are equal.
 #[derive(Debug)]
-struct ShardState<K, V> {
-    map: HashMap<K, CacheEntry<V>>,
-    inflight: HashSet<K>,
+struct MemoCache<K, V> {
+    map: Mutex<HashMap<K, CacheEntry<V>>>,
 }
 
-impl<K, V> Default for ShardState<K, V> {
-    fn default() -> Self {
-        ShardState {
-            map: HashMap::new(),
-            inflight: HashSet::new(),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Shard<K, V> {
-    state: Mutex<ShardState<K, V>>,
-    /// Signalled whenever an in-flight computation completes (or aborts).
-    ready: Condvar,
-}
-
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Self {
-        Shard {
-            state: Mutex::new(ShardState::default()),
-            ready: Condvar::new(),
-        }
-    }
-}
-
-/// Outcome of [`ShardedCache::begin`].
-enum Lookup<'c, K: Hash + Eq + Clone, V: Clone> {
-    /// The value was cached (possibly after waiting out another worker's
-    /// in-flight computation, flagged by `deduped`).
-    Hit {
-        value: V,
-        /// Whether the entry predates `epoch` (cross-analysis accounting).
-        cross_epoch: bool,
-        /// Whether this thread waited for a racing computation of the same
-        /// key instead of recomputing it.
-        deduped: bool,
-        /// Whether the entry was seeded from a persisted artifact.
-        from_disk: bool,
-    },
-    /// The key is cold and now registered in-flight: the caller must compute
-    /// the value and call [`InFlight::complete`].
-    Compute(InFlight<'c, K, V>),
-}
-
-/// Registration token for a cold key. Dropping it without completing (a
-/// panicking computation) deregisters the key and wakes the waiters, which
-/// then race to become the computing thread themselves — nobody deadlocks.
-struct InFlight<'c, K: Hash + Eq + Clone, V: Clone> {
-    cache: &'c ShardedCache<K, V>,
-    key: Option<K>,
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> InFlight<'_, K, V> {
-    /// Publishes the computed value and wakes every worker waiting on it.
-    fn complete(mut self, value: V, epoch: u32) {
-        let key = self.key.take().expect("completed only once");
-        let shard = self.cache.shard(&key);
-        let mut state = shard.state.lock().unwrap();
-        state.inflight.remove(&key);
-        state.map.insert(
-            key,
-            CacheEntry {
-                value,
-                epoch,
-                from_disk: false,
-            },
-        );
-        shard.ready.notify_all();
-    }
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Drop for InFlight<'_, K, V> {
-    fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            let shard = self.cache.shard(&key);
-            let mut state = shard.state.lock().unwrap();
-            state.inflight.remove(&key);
-            shard.ready.notify_all();
-        }
-    }
-}
-
-/// Lock stripes per memo table.
-const CACHE_SHARDS: usize = 16;
-
-/// A hash-striped memo table: the key space is split across
-/// [`CACHE_SHARDS`] independently locked `HashMap` shards, so concurrent
-/// queries only contend when they hash to the same stripe. Entries remember the analysis epoch they were inserted
-/// in, which funds the cross-monitor reuse accounting of a suite-shared
-/// solver. Cold keys are guarded by a per-shard in-flight set: when two
-/// workers race the same cold key, the second waits for the first instead of
-/// recomputing the identical query (counted as a deduped race by the caller).
-#[derive(Debug)]
-struct ShardedCache<K, V> {
-    shards: Vec<Shard<K, V>>,
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
+impl<K: Hash + Eq + Clone, V: Clone> MemoCache<K, V> {
     fn new() -> Self {
-        ShardedCache {
-            shards: (0..CACHE_SHARDS).map(|_| Shard::default()).collect(),
+        MemoCache {
+            map: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard(&self, key: &K) -> &Shard<K, V> {
-        // DefaultHasher::new() is deterministic within a process, so the same
-        // key always lands on the same stripe.
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % self.shards.len()]
+    /// The entry memoized for `key`, if any.
+    fn get(&self, key: &K) -> Option<CacheEntry<V>> {
+        self.map.lock().unwrap().get(key).cloned()
     }
 
-    /// Looks the key up, waiting out a racing in-flight computation; on a
-    /// cold key, registers the caller as its computing thread.
-    fn begin(&self, key: &K, epoch: u32) -> Lookup<'_, K, V> {
-        let shard = self.shard(key);
-        let mut state = shard.state.lock().unwrap();
-        let mut deduped = false;
-        loop {
-            if let Some(entry) = state.map.get(key) {
-                return Lookup::Hit {
-                    value: entry.value.clone(),
-                    cross_epoch: entry.epoch != epoch,
-                    deduped,
-                    from_disk: entry.from_disk,
-                };
+    /// Files `entry` under `key` unless the key has one already: a racing
+    /// worker's equal value, or a disk-seeded entry, is never clobbered.
+    /// Returns whether it was filed.
+    fn file(&self, key: K, entry: CacheEntry<V>) -> bool {
+        match self.map.lock().unwrap().entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
+                true
             }
-            if state.inflight.contains(key) {
-                deduped = true;
-                state = shard.ready.wait(state).unwrap();
-                continue;
-            }
-            state.inflight.insert(key.clone());
-            return Lookup::Compute(InFlight {
-                cache: self,
-                key: Some(key.clone()),
-            });
+            Entry::Occupied(_) => false,
         }
     }
 
-    /// Reads a cached value without epoch bookkeeping and without waiting on
-    /// in-flight computations (used by the batch scheduler to order
-    /// obligations; never counted as a hit).
+    /// Reads a cached value without epoch bookkeeping (used by the batch
+    /// scheduler to order obligations; never counted as a hit).
     fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .state
-            .lock()
-            .unwrap()
-            .map
-            .get(key)
-            .map(|entry| entry.value.clone())
+        self.get(key).map(|entry| entry.value)
     }
 
-    /// Snapshot of every memoized `(key, value)` pair, in shard order
-    /// (in-flight computations are not waited for). The persistence layer
-    /// serializes this; callers wanting a deterministic artifact sort the
-    /// result themselves.
+    /// Snapshot of every memoized `(key, value)` pair, in no particular
+    /// order. The persistence layer serializes this; callers wanting a
+    /// deterministic artifact sort the result themselves.
     fn export(&self) -> Vec<(K, V)> {
-        self.shards
-            .iter()
-            .flat_map(|shard| {
-                let state = shard.state.lock().unwrap();
-                state
-                    .map
-                    .iter()
-                    .map(|(k, entry)| (k.clone(), entry.value.clone()))
-                    .collect::<Vec<_>>()
-            })
+        let map = self.map.lock().unwrap();
+        map.iter()
+            .map(|(k, entry)| (k.clone(), entry.value.clone()))
             .collect()
     }
 
-    /// Inserts externally computed entries, marked as disk-seeded for the
-    /// [`SolverStats::disk_hits`] accounting. Keys already present (or
-    /// in-flight) are left untouched: a live computation is never clobbered
-    /// by stale artifact data. Returns the number of entries inserted.
+    /// Files externally computed entries, marked as disk-seeded for the
+    /// [`SolverStats::disk_hits`] accounting. Keys already present are left
+    /// untouched: a live computation is never clobbered by stale artifact
+    /// data. Returns the number of entries filed.
     fn seed(&self, entries: Vec<(K, V)>, epoch: u32) -> usize {
-        let mut inserted = 0;
-        for (key, value) in entries {
-            let shard = self.shard(&key);
-            let mut state = shard.state.lock().unwrap();
-            if state.map.contains_key(&key) || state.inflight.contains(&key) {
-                continue;
-            }
-            state.map.insert(
-                key,
-                CacheEntry {
-                    value,
-                    epoch,
-                    from_disk: true,
-                },
-            );
-            inserted += 1;
-        }
-        inserted
+        let file = |(key, value)| {
+            let entry = CacheEntry {
+                value,
+                epoch,
+                from_disk: true,
+            };
+            self.file(key, entry)
+        };
+        entries.into_iter().map(file).filter(|&filed| filed).count()
     }
 }
 
@@ -553,10 +406,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 /// See the crate-level documentation for the architecture. A `Solver` carries
 /// configuration, statistics, a shared formula [`Interner`], two memo tables
 /// keyed on normalized interned formulas (verdicts and quantifier
-/// eliminations) and a store of theory lemmas. The memo tables are
-/// lock-striped and the statistics are atomics, so a single solver can be
-/// shared by reference across the worker threads that discharge independent
-/// placement obligations in parallel without serializing on a global mutex.
+/// eliminations) and a store of theory lemmas. Each memo table has one lock,
+/// held for a lookup or an insert and never while a query is solved, and the
+/// statistics are atomics, so a single solver can be shared by reference
+/// across the worker threads that discharge independent placement
+/// obligations in parallel.
 ///
 /// # Theory lemmas
 ///
@@ -618,8 +472,8 @@ pub struct Solver {
     interner: Arc<Interner>,
     /// The current analysis epoch; bumped by [`Solver::begin_analysis_epoch`].
     epoch: AtomicU32,
-    cache: ShardedCache<FormulaId, SatResult>,
-    qe_cache: ShardedCache<FormulaId, Result<FormulaId, TranslateError>>,
+    cache: MemoCache<FormulaId, SatResult>,
+    qe_cache: MemoCache<FormulaId, Result<FormulaId, TranslateError>>,
     qe: cooper::Qe,
     atoms: Mutex<AtomStore>,
 }
@@ -710,8 +564,8 @@ impl Solver {
             qe: cooper::Qe::new(Arc::clone(&interner)),
             interner,
             epoch: AtomicU32::new(0),
-            cache: ShardedCache::new(),
-            qe_cache: ShardedCache::new(),
+            cache: MemoCache::new(),
+            qe_cache: MemoCache::new(),
             atoms: Mutex::default(),
         }
     }
@@ -746,17 +600,35 @@ impl Solver {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    fn record_hit(&self, hit_counter: &AtomicUsize, cross_epoch: bool, deduped: bool, disk: bool) {
-        bump(hit_counter);
-        if cross_epoch {
-            bump(&self.stats.cross_analysis_hits);
+    /// `cache`'s value for `key`, counted in `hits`, or else `compute`'s,
+    /// counted in `misses` and filed.
+    fn memoized<V: Clone>(
+        &self,
+        cache: &MemoCache<FormulaId, V>,
+        key: FormulaId,
+        [hits, misses]: [&AtomicUsize; 2],
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let epoch = self.current_epoch();
+        if let Some(entry) = cache.get(&key) {
+            bump(hits);
+            if entry.epoch != epoch {
+                bump(&self.stats.cross_analysis_hits);
+            }
+            if entry.from_disk {
+                bump(&self.stats.disk_hits);
+            }
+            return entry.value;
         }
-        if deduped {
-            bump(&self.stats.deduped_races);
-        }
-        if disk {
-            bump(&self.stats.disk_hits);
-        }
+        let value = compute();
+        bump(misses);
+        let entry = CacheEntry {
+            value: value.clone(),
+            epoch,
+            from_disk: false,
+        };
+        cache.file(key, entry);
+        value
     }
 
     /// Every lemma in the store, each as its sorted literals. For the solver
@@ -844,25 +716,12 @@ impl Solver {
         if !self.interner.has_quantifier(norm) {
             return Ok(norm);
         }
-        let epoch = self.current_epoch();
-        let registration = match self.qe_cache.begin(&norm, epoch) {
-            Lookup::Hit {
-                value,
-                cross_epoch,
-                deduped,
-                from_disk,
-            } => {
-                self.record_hit(&self.stats.qe_cache_hits, cross_epoch, deduped, from_disk);
-                return value;
-            }
-            Lookup::Compute(registration) => registration,
-        };
-        bump(&self.stats.quantifier_eliminations);
-        let _span = expresso_obs::span!("smt.qe");
-        let result = self.qe.eliminate_quantifiers(norm);
-        bump(&self.stats.qe_cache_misses);
-        registration.complete(result.clone(), epoch);
-        result
+        let counters = [&self.stats.qe_cache_hits, &self.stats.qe_cache_misses];
+        self.memoized(&self.qe_cache, norm, counters, || {
+            bump(&self.stats.quantifier_eliminations);
+            let _span = expresso_obs::span!("smt.qe");
+            self.qe.eliminate_quantifiers(norm)
+        })
     }
 
     /// Checks satisfiability of `formula`.
@@ -885,23 +744,8 @@ impl Solver {
         if self.interner.is_false(norm) {
             return SatResult::Unsat;
         }
-        let epoch = self.current_epoch();
-        let registration = match self.cache.begin(&norm, epoch) {
-            Lookup::Hit {
-                value,
-                cross_epoch,
-                deduped,
-                from_disk,
-            } => {
-                self.record_hit(&self.stats.cache_hits, cross_epoch, deduped, from_disk);
-                return value;
-            }
-            Lookup::Compute(registration) => registration,
-        };
-        let result = self.solve_uncached(norm);
-        bump(&self.stats.cache_misses);
-        registration.complete(result.clone(), epoch);
-        result
+        let counters = [&self.stats.cache_hits, &self.stats.cache_misses];
+        self.memoized(&self.cache, norm, counters, || self.solve_uncached(norm))
     }
 
     /// Solves a normalized query (cache miss path).
@@ -1682,7 +1526,7 @@ impl AtomTable {
 
 /// The Fourier–Motzkin rows of `e op 0` (`None` for a disequality, which is
 /// not convex).
-fn cmp_rows(op: CmpOp, e: &LinExpr) -> Option<Vec<Constraint>> {
+pub(crate) fn cmp_rows(op: CmpOp, e: &LinExpr) -> Option<Vec<Constraint>> {
     Some(match op {
         CmpOp::Le => vec![Constraint::le_zero(e.clone())],
         CmpOp::Lt => vec![Constraint::lt_zero(e.clone())],

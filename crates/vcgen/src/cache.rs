@@ -15,23 +15,24 @@
 //!   `(lowering fingerprint, body, post-id)`, where the **fingerprint** is
 //!   the slice of the symbol table that `wp` actually consults for that
 //!   statement — the sorted `(variable, type)` pairs of every variable the
-//!   statement reads or writes, used verbatim as the key (hashing happens
-//!   only for shard selection, so distinct slices can never alias). `wp` is a pure function of that triple (fresh-name generation
-//!   depends only on the formulas involved, and lowering consults nothing
-//!   but variable types), so a hit is always the exact id a recomputation
-//!   would produce — even when the hit was inserted by a *different*
-//!   monitor's analysis. Restricting the fingerprint to the statement's own
-//!   variables (instead of hashing the whole table) is what makes that
-//!   cross-monitor reuse possible: two monitors rarely share a whole symbol
-//!   table, but they frequently share a counter update.
+//!   statement reads or writes, used verbatim as the key, so distinct
+//!   slices can never alias. `wp` is a pure function of that triple
+//!   (fresh-name generation depends only on the formulas involved, and
+//!   lowering consults nothing but variable types), so a hit is always the
+//!   exact id a recomputation would produce — even when the hit was
+//!   inserted by a *different* monitor's analysis. Restricting the
+//!   fingerprint to the statement's own variables (instead of hashing the
+//!   whole table) is what makes that cross-monitor reuse possible: two
+//!   monitors rarely share a whole symbol table, but they frequently share a
+//!   counter update.
 //! * [`WpCache`] is a per-analysis **session** over a store: it carries the
 //!   analysis id used to attribute cross-monitor reuse and its own exact
 //!   hit/miss counters, which stay meaningful even when many analyses run
 //!   concurrently against one store on the work-stealing pool.
 //!
-//! The store is hash-striped like the solver's memo caches so parallel
-//! placement workers do not serialize on a single mutex, and statistics are
-//! relaxed atomics. One store is only ever valid for **one formula arena**:
+//! The store is one table behind one mutex, held for a lookup or an insert
+//! and never while `wp` runs, and statistics are relaxed atomics. One store
+//! is only ever valid for **one formula arena**:
 //! the cached [`FormulaId`]s are only meaningful in the arena that minted
 //! them. `SharedAnalysisContext` therefore owns one store next to its arena
 //! and hands a fresh session to every analysis.
@@ -39,13 +40,10 @@
 use crate::wp::WpError;
 use expresso_logic::FormulaId;
 use expresso_monitor_lang::{Stmt, Type, VarTable};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-const WP_CACHE_SHARDS: usize = 16;
 
 /// The session id recorded on entries seeded from a persisted artifact of an
 /// earlier process ([`WpStore::seed_group`]). Real sessions count up from
@@ -71,18 +69,17 @@ pub type WpExportGroup = (
     Vec<(FormulaId, Result<FormulaId, WpError>)>,
 );
 
-/// One stripe of the store: lowering fingerprint → statement → (post-id →
+/// The store's table: lowering fingerprint → statement → (post-id →
 /// entry). The statement level lets lookups borrow the caller's `&Stmt`
 /// instead of cloning it per query; the clone happens once, on first insert.
-type WpShard = HashMap<LoweringFingerprint, HashMap<Stmt, HashMap<FormulaId, WpEntry>>>;
+type WpTable = HashMap<LoweringFingerprint, HashMap<Stmt, HashMap<FormulaId, WpEntry>>>;
 
 /// The exact slice of a symbol table that `wp(stmt, _)` consults: the sorted
 /// `(variable, type)` pairs of every variable the statement reads or writes
 /// (guard expressions included). This is used *verbatim* as a cache-key
 /// component — not merely hashed — so two different table slices can never
-/// alias a store entry; hashing happens only for shard selection. Cheap to
-/// clone (it is an `Arc`), which is what lets [`VcGen`](crate::VcGen)
-/// memoize it per statement.
+/// alias a store entry. Cheap to clone (it is an `Arc`), which is what lets
+/// [`VcGen`](crate::VcGen) memoize it per statement.
 ///
 /// Two statements with equal ASTs and equal fingerprints have identical
 /// `wp` results for every postcondition, regardless of which monitor they
@@ -185,26 +182,13 @@ impl WpCounters {
     }
 }
 
-/// The suite-wide striped `(fingerprint, body, post-id) → wp` memo table.
-/// See the module documentation.
-#[derive(Debug)]
+/// The suite-wide `(fingerprint, body, post-id) → wp` memo table. See the
+/// module documentation.
+#[derive(Debug, Default)]
 pub struct WpStore {
-    shards: Box<[Mutex<WpShard>]>,
+    table: Mutex<WpTable>,
     counters: WpCounters,
     next_session: AtomicU32,
-}
-
-impl Default for WpStore {
-    fn default() -> Self {
-        WpStore {
-            shards: (0..WP_CACHE_SHARDS)
-                .map(|_| Mutex::default())
-                .collect::<Vec<_>>()
-                .into(),
-            counters: WpCounters::default(),
-            next_session: AtomicU32::new(0),
-        }
-    }
 }
 
 impl WpStore {
@@ -230,67 +214,24 @@ impl WpStore {
         self.counters.snapshot()
     }
 
-    fn shard(&self, fingerprint: &LoweringFingerprint, stmt: &Stmt) -> &Mutex<WpShard> {
-        // DefaultHasher::new() is deterministic within a process, matching
-        // the shard selectors of every other memo table in the workspace.
-        let mut hasher = DefaultHasher::new();
-        fingerprint.hash(&mut hasher);
-        stmt.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % self.shards.len()]
-    }
-
-    fn lookup(
-        &self,
-        fingerprint: &LoweringFingerprint,
-        stmt: &Stmt,
-        post: FormulaId,
-    ) -> Option<WpEntry> {
-        self.shard(fingerprint, stmt)
-            .lock()
-            .unwrap()
-            .get(fingerprint)
-            .and_then(|by_stmt| by_stmt.get(stmt))
-            .and_then(|by_post| by_post.get(&post))
-            .cloned()
-    }
-
-    fn insert(
-        &self,
-        fingerprint: &LoweringFingerprint,
-        stmt: &Stmt,
-        post: FormulaId,
-        entry: WpEntry,
-    ) {
-        self.shard(fingerprint, stmt)
-            .lock()
-            .unwrap()
-            .entry(Arc::clone(fingerprint))
-            .or_default()
-            .entry(stmt.clone())
-            .or_default()
-            .insert(post, entry);
-    }
-
     // ------------------------------------------------------------------
     // Persistence hooks (`expresso-persist`)
     // ------------------------------------------------------------------
 
     /// Snapshot of every memoized entry (whoever inserted it), grouped by
-    /// `(fingerprint, statement)` in shard order, for serialization by the
-    /// persistence layer. Callers wanting a deterministic artifact sort the
-    /// result themselves.
+    /// `(fingerprint, statement)` in no particular order, for serialization
+    /// by the persistence layer. Callers wanting a deterministic artifact
+    /// sort the result themselves.
     pub fn export_groups(&self) -> Vec<WpExportGroup> {
+        let table = self.table.lock().unwrap();
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().unwrap();
-            for (fingerprint, by_stmt) in shard.iter() {
-                for (stmt, by_post) in by_stmt {
-                    let entries = by_post
-                        .iter()
-                        .map(|(&post, (result, _session))| (post, result.clone()))
-                        .collect();
-                    out.push((Arc::clone(fingerprint), stmt.clone(), entries));
-                }
+        for (fingerprint, by_stmt) in table.iter() {
+            for (stmt, by_post) in by_stmt {
+                let entries = by_post
+                    .iter()
+                    .map(|(&post, (result, _session))| (post, result.clone()))
+                    .collect();
+                out.push((Arc::clone(fingerprint), stmt.clone(), entries));
             }
         }
         out
@@ -302,15 +243,15 @@ impl WpStore {
     /// reuse *and* into [`WpCacheStats::disk_hits`]. Existing entries win
     /// over seeded ones. Returns the number of entries inserted.
     pub fn seed_group(&self, (fingerprint, stmt, entries): WpExportGroup) -> usize {
-        let mut shard = self.shard(&fingerprint, &stmt).lock().unwrap();
-        let by_post = shard
+        let mut table = self.table.lock().unwrap();
+        let by_post = table
             .entry(fingerprint)
             .or_default()
             .entry(stmt)
             .or_default();
         let mut inserted = 0;
         for (post, result) in entries {
-            if let std::collections::hash_map::Entry::Vacant(slot) = by_post.entry(post) {
+            if let Entry::Vacant(slot) = by_post.entry(post) {
                 slot.insert((result, DISK_SESSION));
                 inserted += 1;
             }
@@ -320,17 +261,12 @@ impl WpStore {
 
     /// Total number of memoized entries currently in the store.
     pub fn entry_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .lock()
-                    .unwrap()
-                    .values()
-                    .flat_map(|by_stmt| by_stmt.values())
-                    .map(|by_post| by_post.len())
-                    .sum::<usize>()
-            })
+        self.table
+            .lock()
+            .unwrap()
+            .values()
+            .flat_map(|by_stmt| by_stmt.values())
+            .map(|by_post| by_post.len())
             .sum()
     }
 }
@@ -365,7 +301,7 @@ impl WpCache {
 
     /// Returns the memoized `wp(stmt, post)` under `stmt`'s lowering
     /// fingerprint for `table`, computing and recording it on a miss. The
-    /// computation runs outside the stripe lock; a racing duplicate computes
+    /// computation runs outside the store's lock; a racing duplicate computes
     /// the same pure result, so last-write-wins is harmless.
     pub fn get_or_compute(
         &self,
@@ -388,7 +324,15 @@ impl WpCache {
         post: FormulaId,
         compute: impl FnOnce() -> Result<FormulaId, WpError>,
     ) -> Result<FormulaId, WpError> {
-        if let Some((cached, inserted_by)) = self.store.lookup(fingerprint, stmt, post) {
+        let table = &self.store.table;
+        let hit = table
+            .lock()
+            .unwrap()
+            .get(fingerprint)
+            .and_then(|by_stmt| by_stmt.get(stmt))
+            .and_then(|by_post| by_post.get(&post))
+            .cloned();
+        if let Some((cached, inserted_by)) = hit {
             let cross = inserted_by != self.analysis;
             let disk = inserted_by == DISK_SESSION;
             self.counters.record(true, cross, disk);
@@ -401,8 +345,14 @@ impl WpCache {
         };
         self.counters.record(false, false, false);
         self.store.counters.record(false, false, false);
-        self.store
-            .insert(fingerprint, stmt, post, (result.clone(), self.analysis));
+        table
+            .lock()
+            .unwrap()
+            .entry(Arc::clone(fingerprint))
+            .or_default()
+            .entry(stmt.clone())
+            .or_default()
+            .insert(post, (result.clone(), self.analysis));
         result
     }
 }

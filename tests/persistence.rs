@@ -229,8 +229,8 @@ fn mutated_payloads_with_valid_checksums_load_or_cold_start_but_never_abort() {
 fn sequential_cold_runs_write_identical_artifacts() {
     // With one analysis thread nothing about a cold run is left to the
     // scheduler, so two of them over the same corpus must agree on every
-    // byte: `HashMap` iteration order, shard layout and arena ids all differ
-    // between the runs' tables and none of them may reach the file.
+    // byte: `HashMap` iteration order and arena ids differ between the
+    // runs' tables and neither may reach the file.
     let write = |tag: &str| {
         let dir = scratch_cache_dir(tag);
         let config = ExpressoConfig {
