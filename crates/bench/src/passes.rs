@@ -261,9 +261,10 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
     }
     let (sequential, pool) = kept.expect("at least one sample");
     // One thread and a fresh context: the sequential pass's counters are
-    // exact, so the work-count gates read them.
+    // exact, so the work-count gates read them. The pool pass's are not: two
+    // workers can both miss one key and both compute it.
     let solver = sequential.context.stats();
-    let wp = pool.context.wp_stats();
+    let wp = sequential.context.wp_stats();
     let fm_runs_per_conflict = ratio(solver.fm_runs as f64, solver.fm_fast_conflicts as f64);
     let per_uncached_query =
         |count: usize| fixed(ratio(count as f64, solver.cache_misses as f64), 3);
@@ -282,7 +283,7 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
         "sequential_qe_steps" => solver.qe_steps,
         "sequential_qe_step_hits" => solver.qe_step_hits,
         "sequential_cross_monitor_cache_hits" => solver.cross_analysis_hits,
-        "sequential_wp_cache_hits" => sequential.context.wp_stats().hits,
+        "sequential_wp_cache_hits" => wp.hits,
         "workers" => scheduler.workers,
         "tasks_executed" => scheduler.tasks_executed,
         "steals" => scheduler.steals,
@@ -350,8 +351,8 @@ fn excess_wakeups_per_call(targeted: usize, implicit: usize, operations: u64) ->
 }
 
 /// Every benchmark's session script through all three engines:
-/// [`LOAD_SAMPLES`] passes over `benchmarks`, each measuring every cell once
-/// with [`LOAD_WORKERS`] workers and once with a single worker (nobody to
+/// `LOAD_SAMPLES` passes over `benchmarks`, each measuring every cell once
+/// with `LOAD_WORKERS` workers and once with a single worker (nobody to
 /// contend with, nobody to wake); per cell the median-throughput sample and
 /// the cheapest uncontended call are kept. Writes `runtime_load`.
 pub fn runtime_load(ledger: &mut Ledger, benchmarks: &[Benchmark]) {
@@ -604,7 +605,7 @@ fn explore_benchmark(
 }
 
 /// Bounded schedule exploration of `benchmarks` at `shape`, each as
-/// [`explore_benchmark`] does it; without `naive` the naive columns are
+/// `explore_benchmark` does it; without `naive` the naive columns are
 /// `null`. Writes `explore`.
 pub fn exploration(
     ledger: &mut Ledger,

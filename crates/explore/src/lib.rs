@@ -18,7 +18,7 @@
 //!
 //! Naive enumeration is factorial in the schedule length, so the DFS prunes
 //! with the stateless toolkit, all keyed on the dependence relation of
-//! [`dependence`] — conservatively "same shared variable with a write, same
+//! `dependence` — conservatively "same shared variable with a write, same
 //! CCR wait queue, or contention on the notified-set minimum of rule 2b",
 //! optionally refined by a solver-discharged [`IndependenceTable`]
 //! ([`ExploreConfig::independence`]) that drops fire×fire edges proven

@@ -3,7 +3,7 @@
 //! handful of OS worker threads.
 //!
 //! Every [`expresso_suite::Benchmark`] carries a
-//! [`SessionScript`](expresso_suite::SessionScript) — a deterministic,
+//! [`SessionScript`] — a deterministic,
 //! self-balanced slice of monitor calls (put one item and take it back, draw
 //! a ticket and write, …). The driver stripes sessions over workers
 //! (`worker = session % workers`), generates each session lazily from its

@@ -1,6 +1,6 @@
 //! A minimal hand-rolled JSON value, parser and writer (the workspace vendors
 //! no serde). The parser validates emitted Chrome trace artifacts and reads
-//! `BENCH_results.json` back; [`write`] and [`escape`] are the workspace's
+//! `BENCH_results.json` back; [`write()`] and [`escape`] are the workspace's
 //! only JSON serialisation, so no caller formats or escapes by hand.
 
 use std::collections::BTreeMap;

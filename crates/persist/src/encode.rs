@@ -322,7 +322,7 @@ fn write_expr(w: &mut Writer, expr: &Expr) {
 /// own limit. The decoders below recurse once per level, so without a cap a
 /// payload of repeated one-byte `Unary` tags (with a correct checksum) would
 /// overflow the stack — an abort, not the `Corrupt` the crate promises.
-/// [`nesting`] lets the exporter skip the rest.
+/// `nesting` lets the exporter skip the rest.
 pub use expresso_monitor_lang::MAX_NESTING;
 
 fn descend(depth: usize) -> Result<usize, DecodeError> {

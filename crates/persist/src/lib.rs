@@ -19,7 +19,7 @@
 //!
 //! # Why the artifact stores rows — not trees, not ids
 //!
-//! [`FormulaId`](expresso_logic::FormulaId)s are arena-local: they are dense
+//! [`FormulaId`]s are arena-local: they are dense
 //! indices minted in interning order and mean nothing in another process, so
 //! they cannot go to disk. Formula *trees* can, and format v2 stored them —
 //! but the arena is a DAG, and flattening it spelled 63 k distinct nodes out
