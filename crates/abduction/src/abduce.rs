@@ -14,7 +14,7 @@ use expresso_vcgen::WpCache;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Tunables for [`abduce`].
+/// Tunables for [`abduce_ids`].
 #[derive(Debug, Clone)]
 pub struct AbductionConfig {
     /// Maximum number of variables a candidate may mention.
@@ -59,27 +59,7 @@ impl Default for AbductionConfig {
 }
 
 /// Computes abductive explanations `ψ` with `pre ∧ ψ ⊨ goal` and `pre ∧ ψ`
-/// satisfiable.
-///
-/// Tree-boundary convenience wrapper over [`abduce_ids`]: the arguments are
-/// interned once and the resulting ids are reconstructed for the caller.
-pub fn abduce(
-    solver: &Solver,
-    pre: &Formula,
-    goal: &Formula,
-    config: &AbductionConfig,
-) -> Vec<Formula> {
-    let interner = solver.interner();
-    let pre_id = interner.intern(pre);
-    let goal_id = interner.intern(goal);
-    abduce_ids(solver, pre_id, goal_id, config)
-        .into_iter()
-        .map(|id| interner.formula(id))
-        .collect()
-}
-
-/// Computes abductive explanations entirely over interned formulas: the
-/// implication, every Shannon expansion, quantifier elimination (Cooper) and
+/// satisfiable, entirely over interned formulas: the implication, every Shannon expansion, quantifier elimination (Cooper) and
 /// the consistency/sufficiency checks all stay on [`FormulaId`]s against the
 /// solver's arena — the fixpoint hot path never reconstructs a `Box` tree.
 ///
@@ -247,8 +227,19 @@ mod tests {
     use super::*;
     use expresso_logic::Term;
 
-    fn solver() -> Solver {
-        Solver::new()
+    /// Interns `pre` and `goal` on `s` and abduces with the default tunables.
+    fn abduce_default(
+        s: &Solver,
+        pre: &Formula,
+        goal: &Formula,
+    ) -> (FormulaId, FormulaId, Vec<FormulaId>) {
+        let interner = s.interner();
+        let (pre, goal) = (interner.intern(pre), interner.intern(goal));
+        (
+            pre,
+            goal,
+            abduce_ids(s, pre, goal, &AbductionConfig::default()),
+        )
     }
 
     #[test]
@@ -262,10 +253,9 @@ mod tests {
 
     #[test]
     fn no_candidates_when_goal_already_follows() {
-        let s = solver();
         let pre = Term::var("x").ge(Term::int(1));
         let goal = Term::var("x").ge(Term::int(0));
-        assert!(abduce(&s, &pre, &goal, &AbductionConfig::default()).is_empty());
+        assert!(abduce_default(&Solver::new(), &pre, &goal).2.is_empty());
     }
 
     #[test]
@@ -275,7 +265,7 @@ mod tests {
         //   goal = !(readers + 1 == 0 && !writerIn)
         // A correct abductive strengthening constrains `readers` (e.g.
         // readers >= 0 or readers != -1).
-        let s = solver();
+        let s = Solver::new();
         let pw = Formula::and(vec![
             Term::var("readers").eq(Term::int(0)),
             Formula::not(Formula::bool_var("writerIn")),
@@ -288,45 +278,41 @@ mod tests {
             Formula::not(Formula::bool_var("writerIn")),
             Formula::not(pw),
         ]);
-        let goal = Formula::not(pw_after);
-        let candidates = abduce(&s, &pre, &goal, &AbductionConfig::default());
+        let (pre, goal, candidates) = abduce_default(&s, &pre, &Formula::not(pw_after));
         assert!(!candidates.is_empty(), "expected at least one candidate");
         // Every candidate must make the triple valid and be consistent.
-        for c in &candidates {
-            assert!(s
-                .check_implies(&Formula::and(vec![pre.clone(), c.clone()]), &goal)
-                .is_valid());
+        let interner = s.interner();
+        for &c in &candidates {
+            let strengthened = interner.mk_and(vec![pre, c]);
+            assert!(s.check_implies_ids(strengthened, goal).is_valid());
         }
         // At least one candidate follows from readers >= 0 — i.e. it is the
         // kind of fact the constructor establishes.
-        let readers_nonneg = Term::var("readers").ge(Term::int(0));
+        let readers_nonneg = interner.intern(&Term::var("readers").ge(Term::int(0)));
         assert!(candidates
             .iter()
-            .any(|c| s.check_implies(&readers_nonneg, c).is_valid()));
+            .any(|&c| s.check_implies_ids(readers_nonneg, c).is_valid()));
     }
 
     #[test]
     fn candidates_are_consistent_with_precondition() {
-        let s = solver();
+        let s = Solver::new();
         // pre: x <= 5, goal: x <= 3. A naive "false" strengthening is rejected;
         // an acceptable candidate is x <= 3 (or stronger but consistent).
         let pre = Term::var("x").le(Term::int(5));
         let goal = Term::var("x").le(Term::int(3));
-        let candidates = abduce(&s, &pre, &goal, &AbductionConfig::default());
+        let (pre, goal, candidates) = abduce_default(&s, &pre, &goal);
         assert!(!candidates.is_empty());
-        for c in &candidates {
-            assert!(s
-                .check_sat(&Formula::and(vec![pre.clone(), c.clone()]))
-                .is_sat());
-            assert!(s
-                .check_implies(&Formula::and(vec![pre.clone(), c.clone()]), &goal)
-                .is_valid());
+        for &c in &candidates {
+            let strengthened = s.interner().mk_and(vec![pre, c]);
+            assert!(s.check_sat_id(strengthened).is_sat());
+            assert!(s.check_implies_ids(strengthened, goal).is_valid());
         }
     }
 
     #[test]
     fn prefers_candidates_with_fewer_variables() {
-        let s = solver();
+        let s = Solver::new();
         // pre: true, goal: x >= 0 || y > 10. The single-variable candidate
         // x >= 0 (or y > 10) should be ranked before any two-variable one.
         let pre = Formula::True;
@@ -334,8 +320,8 @@ mod tests {
             Term::var("x").ge(Term::int(0)),
             Term::var("y").gt(Term::int(10)),
         ]);
-        let candidates = abduce(&s, &pre, &goal, &AbductionConfig::default());
+        let (_, _, candidates) = abduce_default(&s, &pre, &goal);
         assert!(!candidates.is_empty());
-        assert!(candidates[0].free_vars().len() <= 1);
+        assert!(s.interner().free_vars(candidates[0]).len() <= 1);
     }
 }

@@ -119,16 +119,12 @@ pub fn infer_with_triples_configured(
         rounds += 1;
         let before = candidates.len();
 
-        // (a) Initiation: {requires} Ctr(M) {ψ}. All constructor VCs are
-        // independent, so they go through the batch-aware discharge path
-        // (shared-wp dedupe + cheap-first ordering).
-        let initiation: Vec<(FormulaId, &expresso_monitor_lang::Stmt, FormulaId)> = candidates
-            .iter()
-            .map(|&psi| (requires, &constructor, psi))
-            .collect();
-        let statuses = vcgen.check_triples_ids(&initiation);
-        let mut initiated = statuses.iter().map(|s| s.is_valid());
-        candidates.retain(|_| initiated.next().unwrap_or(false));
+        // (a) Initiation: {requires} Ctr(M) {ψ}, one triple per candidate.
+        candidates.retain(|&psi| {
+            vcgen
+                .check_triple_ids(requires, &constructor, psi)
+                .is_valid()
+        });
 
         // (b) Consecution: {I ∧ Guard(w)} Body(w) {ψ} for every CCR.
         let invariant = interner.mk_and(candidates.clone());
@@ -247,7 +243,13 @@ fn requires_formula(monitor: &Monitor, table: &VarTable) -> Formula {
 mod tests {
     use super::*;
     use expresso_logic::Term;
-    use expresso_monitor_lang::{check_monitor, parse_monitor};
+    use expresso_monitor_lang::{check_monitor, parse_monitor, Stmt};
+    use expresso_vcgen::TripleStatus;
+
+    fn triple(vcgen: &VcGen, pre: &Formula, stmt: &Stmt, post: &Formula) -> TripleStatus {
+        let interner = vcgen.interner();
+        vcgen.check_triple_ids(interner.intern(pre), stmt, interner.intern(post))
+    }
 
     fn infer(src: &str) -> (Formula, Solver) {
         let monitor = parse_monitor(src).unwrap();
@@ -271,9 +273,11 @@ mod tests {
             }
             "#,
         );
+        let interner = solver.interner();
+        let not_minus_one = Formula::not(Term::var("readers").eq(Term::int(-1)));
         assert!(
             solver
-                .check_implies(&inv, &Formula::not(Term::var("readers").eq(Term::int(-1))))
+                .check_implies_ids(interner.intern(&inv), interner.intern(&not_minus_one))
                 .is_valid(),
             "invariant {inv} should rule out readers == -1"
         );
@@ -294,21 +298,19 @@ mod tests {
         let outcome = infer_monitor_invariant(&monitor, &table, &solver);
         let vcgen = VcGen::new(&monitor, &table, &solver);
         // Initiation.
-        assert!(vcgen
-            .check_triple(
-                &Formula::True,
-                &monitor.constructor_body(),
-                &outcome.invariant
-            )
-            .is_valid());
+        assert!(triple(
+            &vcgen,
+            &Formula::True,
+            &monitor.constructor_body(),
+            &outcome.invariant
+        )
+        .is_valid());
         // Consecution for every CCR.
         for ccr in monitor.all_ccrs() {
             let guard = expr_to_formula(&ccr.guard, &table).unwrap();
             let pre = Formula::and(vec![outcome.invariant.clone(), guard]);
             assert!(
-                vcgen
-                    .check_triple(&pre, &ccr.body, &outcome.invariant)
-                    .is_valid(),
+                triple(&vcgen, &pre, &ccr.body, &outcome.invariant).is_valid(),
                 "invariant {} not preserved by {}",
                 outcome.invariant,
                 monitor.ccr_label(ccr.id)
@@ -332,15 +334,17 @@ mod tests {
         assert!(!outcome.invariant.is_false());
         let vcgen = VcGen::new(&monitor, &table, &solver);
         let requires = expr_to_formula(monitor.requires.as_ref().unwrap(), &table).unwrap();
-        assert!(vcgen
-            .check_triple(&requires, &monitor.constructor_body(), &outcome.invariant)
-            .is_valid());
+        assert!(triple(
+            &vcgen,
+            &requires,
+            &monitor.constructor_body(),
+            &outcome.invariant
+        )
+        .is_valid());
         for ccr in monitor.all_ccrs() {
             let guard = expr_to_formula(&ccr.guard, &table).unwrap();
             let pre = Formula::and(vec![outcome.invariant.clone(), guard]);
-            assert!(vcgen
-                .check_triple(&pre, &ccr.body, &outcome.invariant)
-                .is_valid());
+            assert!(triple(&vcgen, &pre, &ccr.body, &outcome.invariant).is_valid());
         }
     }
 

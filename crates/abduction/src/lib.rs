@@ -29,16 +29,17 @@
 //! let outcome = infer_monitor_invariant(&monitor, &table, &solver);
 //! // The inferred invariant must at least imply readers >= 0, the fact the
 //! // paper highlights as essential for the readers-writers example.
-//! use expresso_logic::{Formula, Term};
-//! assert!(solver
-//!     .check_implies(&outcome.invariant, &Term::var("readers").ge(Term::int(0)))
-//!     .is_valid());
+//! use expresso_logic::Term;
+//! let interner = solver.interner();
+//! let invariant = interner.intern(&outcome.invariant);
+//! let nonnegative = interner.intern(&Term::var("readers").ge(Term::int(0)));
+//! assert!(solver.check_implies_ids(invariant, nonnegative).is_valid());
 //! ```
 
 pub mod abduce;
 pub mod invariant;
 
-pub use abduce::{abduce, abduce_ids, AbductionConfig};
+pub use abduce::{abduce_ids, AbductionConfig};
 pub use invariant::{
     infer_monitor_invariant, infer_monitor_invariant_configured, infer_with_triples,
     infer_with_triples_configured, InvariantOutcome,

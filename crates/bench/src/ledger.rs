@@ -157,7 +157,7 @@ pub const GATES: &[Gate] = &[
         cmp: Cmp::Le,
         bound: 2.0,
         why: "exact work count: with the theory lemmas of earlier queries added before the first \
-         round, an uncached query of the suite takes 1.50 propositional models on average; \
+         round, an uncached query of the suite takes 1.51 propositional models on average; \
          re-deriving every refutation per query, as before the lemma store, takes 3.1",
     },
     Gate {
@@ -167,7 +167,7 @@ pub const GATES: &[Gate] = &[
         cmp: Cmp::Le,
         bound: 2.5,
         why: "exact work count: a theory check is one elimination run and a conflict its ~3 \
-         re-runs, so this follows the conflicts a query still meets (1.78 with lemmas); 5.1 \
+         re-runs, so this follows the conflicts a query still meets (1.79 with lemmas); 5.1 \
          means refutations learned in one query are being found again in the next",
     },
     Gate {
@@ -177,7 +177,7 @@ pub const GATES: &[Gate] = &[
         cmp: Cmp::Le,
         bound: 264.0,
         why: "exact work count: single-variable eliminations Cooper's procedure ran, each (variable, \
-         matrix) once per solver; 135 more are answered by the step memo, so 399 means the memo \
+         matrix) once per solver; 134 more are answered by the step memo, so 398 means the memo \
          stopped answering",
     },
     // Bounded exploration: Def. 3.4 on every schedule within the bounds.

@@ -7,12 +7,13 @@
 //! [`Scheduler`] (under suite analysis the same pool the suite-level tasks
 //! run on, so a pair decided inside one monitor's task can be stolen by a
 //! worker that finished another monitor; a zero-worker one, i.e. this
-//! thread, for a monitor analysed on its own). Within a pair, the no-signal and conditional
-//! obligations are discharged as one speculative cancellable batch after a
-//! free cached-verdict peek. Decisions
-//! are pure functions of the monitor and invariant, so the resulting
-//! [`ExplicitMonitor`] is identical whatever the pool's size (the
-//! equivalence tests in the workspace root assert exactly that).
+//! thread, for a monitor analysed on its own). Within a pair, the triples are
+//! asked one at a time in the order Algorithm 1 states them: the no-signal
+//! triple, then — only when it is not proved — the conditional one, then the
+//! signal-vs-broadcast triples. Decisions are pure functions of the monitor
+//! and invariant, so the resulting [`ExplicitMonitor`] is identical whatever
+//! the pool's size (the equivalence tests in the workspace root assert
+//! exactly that).
 
 use crate::scheduler::Scheduler;
 use expresso_logic::{Formula, FormulaId, Interner};
@@ -20,8 +21,8 @@ use expresso_monitor_lang::{
     expr_to_formula, CcrId, ExplicitMonitor, Expr, Monitor, Notification, NotificationKind,
     SignalCondition, VarTable,
 };
-use expresso_smt::{Solver, ValidityResult};
-use expresso_vcgen::{TripleStatus, VcGen, WpCache};
+use expresso_smt::Solver;
+use expresso_vcgen::{VcGen, WpCache};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -38,7 +39,7 @@ pub struct PlacementConfig {
     /// The work-stealing pool pair tasks are submitted to. `None` uses the
     /// process-wide [`Scheduler::global`] pool. Under
     /// `Expresso::analyze_suite` the pipeline passes its context's pool so
-    /// suite-, pair- and VC-level work share one substrate; for a monitor
+    /// suite- and pair-level work share one substrate; for a monitor
     /// analysed on its own it passes a zero-worker scheduler, which decides
     /// the pairs inline, in grid order.
     pub scheduler: Option<Arc<Scheduler>>,
@@ -340,16 +341,14 @@ fn decide(ctx: &PairCtx<'_>, ccr_id: CcrId, guard_idx: usize) -> (SignalDecision
     let p_other = interner.intern(&ctx.vcgen.rename_locals(p_tree, &avoid));
     let not_p_other = interner.mk_not(p_other);
 
-    // Line 7 of Algorithm 1 ("is signalling ever necessary?") and lines 9–12
-    // (conditional vs. unconditional) ask two triples over the same body and
-    // precondition. They are discharged speculatively as one cancellable
-    // batch — but only after a free cached-verdict peek, so a fully cached
-    // pair performs no solver work at all.
+    // Line 7 of Algorithm 1: is signalling ever necessary?
     triples += 1;
-    let no_signal_pre = interner.mk_and(vec![ctx.invariant, own_guard, not_p_other]);
-    let (no_signal, conditional_check) =
-        discharge_pair_speculatively(ctx, &ccr.body, no_signal_pre, not_p_other, p_other);
-    if no_signal.is_valid() {
+    let pre = interner.mk_and(vec![ctx.invariant, own_guard, not_p_other]);
+    if ctx
+        .vcgen
+        .check_triple_ids(pre, &ccr.body, not_p_other)
+        .is_valid()
+    {
         return (
             SignalDecision {
                 needed: false,
@@ -359,8 +358,13 @@ fn decide(ctx: &PairCtx<'_>, ccr_id: CcrId, guard_idx: usize) -> (SignalDecision
             triples,
         );
     }
+    // Lines 9–12: conditional vs. unconditional.
     triples += 1;
-    let condition = if conditional_check.is_valid() {
+    let condition = if ctx
+        .vcgen
+        .check_triple_ids(pre, &ccr.body, p_other)
+        .is_valid()
+    {
         SignalCondition::Unconditional
     } else {
         SignalCondition::Conditional
@@ -420,86 +424,6 @@ fn decide(ctx: &PairCtx<'_>, ccr_id: CcrId, guard_idx: usize) -> (SignalDecision
         },
         triples,
     )
-}
-
-/// Discharges a pair's no-signal triple `{pre} body {¬p'}` and conditional
-/// triple `{pre} body {p'}` together. Returns their statuses; the second is
-/// meaningless (and never consulted) when the first comes back valid.
-///
-/// Strategy, in order:
-///
-/// 1. **Cached peek** — [`Solver::cached_validity`] answers the no-signal VC
-///    for free when an earlier analysis (or fixpoint round) already solved
-///    it; a pair whose no-signal obligation is cached-valid performs no
-///    solver work at all and never even materializes the conditional VC.
-/// 2. **Speculative batch** — otherwise both VCs are submitted through
-///    [`Solver::check_valid_batch_with`], which schedules them cheapest
-///    first; the moment the no-signal verdict lands `Valid`, the losing
-///    conditional query is cancelled.
-///
-/// Both steps are pure reorderings of the sequential early-exit control flow
-/// they replace: the verdicts (and hence the decision and the reported
-/// triple counts) are identical.
-fn discharge_pair_speculatively(
-    ctx: &PairCtx<'_>,
-    body: &expresso_monitor_lang::Stmt,
-    pre: FormulaId,
-    not_p_other: FormulaId,
-    p_other: FormulaId,
-) -> (TripleStatus, TripleStatus) {
-    let interner = ctx.interner;
-    let solver = ctx.vcgen.solver();
-    let to_status = |v: &ValidityResult| TripleStatus::from(v);
-    let vc_no = ctx
-        .vcgen
-        .wp_id(body, not_p_other)
-        .ok()
-        .map(|wp| interner.mk_implies(pre, wp));
-    // The conditional VC is only materialized once the no-signal verdict is
-    // known (or known to need solving): a pair whose no-signal obligation is
-    // already proven performs neither wp nor solver work for the loser.
-    let build_vc_cond = || {
-        ctx.vcgen
-            .wp_id(body, p_other)
-            .ok()
-            .map(|wp| interner.mk_implies(pre, wp))
-    };
-    let Some(vc_no) = vc_no else {
-        // The no-signal wp left the fragment: conservatively unproven. The
-        // conditional triple still gets its own verdict when its wp worked.
-        let conditional = build_vc_cond().map_or(TripleStatus::Unknown, |vc| {
-            to_status(&solver.check_valid_id(vc))
-        });
-        return (TripleStatus::Unknown, conditional);
-    };
-    if let Some(cached) = solver.cached_validity(vc_no) {
-        let no_signal = to_status(&cached);
-        if no_signal.is_valid() {
-            return (no_signal, TripleStatus::Unknown);
-        }
-        let conditional = build_vc_cond().map_or(TripleStatus::Unknown, |vc| {
-            // check_valid_id answers from the memo cache itself, so no
-            // separate peek is needed (and the query counters stay honest).
-            to_status(&solver.check_valid_id(vc))
-        });
-        return (no_signal, conditional);
-    }
-    let Some(vc_cond) = build_vc_cond() else {
-        return (
-            to_status(&solver.check_valid_id(vc_no)),
-            TripleStatus::Unknown,
-        );
-    };
-    let batch = [vc_no, vc_cond];
-    let results = solver.check_valid_batch_with(&batch, |index, verdict| {
-        !(batch[index] == vc_no && verdict.is_valid())
-    });
-    let no_signal = results[0]
-        .as_ref()
-        .map(to_status)
-        .expect("the no-signal verdict is never cancelled");
-    let conditional = results[1].as_ref().map_or(TripleStatus::Unknown, to_status);
-    (no_signal, conditional)
 }
 
 #[cfg(test)]

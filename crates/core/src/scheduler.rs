@@ -9,9 +9,8 @@
 //! * **pair-level** — signal placement submits every `(CCR, guard)`
 //!   obligation as a task instead of spawning fresh scoped threads per
 //!   analysis;
-//! * **VC-level** — the speculative batched `decide()` path discharges the
-//!   no-signal and conditional triples of a pair through one cancellable
-//!   batch (see [`expresso_smt::Solver::check_valid_batch_with`]).
+//! * **wave-level** — invariant inference evaluates abduction's candidate
+//!   subsets in waves on it (`AbductionConfig::executor`).
 //!
 //! **The pool is for suites.** A monitor analysed on its own
 //! ([`crate::Expresso::analyze`], [`crate::Expresso::analyze_with_context`])
@@ -30,12 +29,11 @@
 //! submitted from threads outside the pool, each worker owns a deque for
 //! work it spawns itself, and an idle worker **steals** from the back of
 //! another worker's queue. A worker drains its *own* queue in submission
-//! order (front first): the placement layer submits each pair's
-//! obligations in the same grid order the sequential analysis uses, and
-//! preserving that order keeps the solver's cached-verdict-first /
-//! size-ascending batch warming intact — measured, a LIFO own-queue made
-//! the concurrent suite re-derive dozens of refutations that the
-//! sequential order has already learned. Stealers take the
+//! order (front first): the placement layer submits its pairs in the same
+//! grid order the sequential analysis uses, and preserving that order lets
+//! a pair meet the verdicts and theory lemmas the pairs before it filed —
+//! measured, a LIFO own-queue made the concurrent suite re-derive dozens of
+//! refutations that the sequential order has already learned. Stealers take the
 //! opposite end. Every queue is a small mutex-guarded `VecDeque`; with
 //! tasks that each perform solver work, queue locking is noise.
 //!

@@ -17,30 +17,25 @@
 //! `SharedAnalysisContext` in `expresso-core`, which loads the artifact,
 //! replays what it can and seeds only when something has to be analysed).
 //!
-//! # Why the artifact stores rows — not trees, not ids
+//! # What format v5 holds
 //!
-//! [`FormulaId`]s are arena-local: they are dense
-//! indices minted in interning order and mean nothing in another process, so
-//! they cannot go to disk. Formula *trees* can, and format v2 stored them —
-//! but the arena is a DAG, and flattening it spelled 63 k distinct nodes out
-//! as 939 k tree nodes (27 MB for a 500-monitor corpus), each of which the
-//! next run decoded, boxed, re-interned and freed. Format v3 keeps the DAG:
+//! [`FormulaId`]s are arena-local — dense indices minted in interning order
+//! — so the artifact names formulas by rows, one per distinct arena node:
 //!
 //! * a **term table** and a **formula table** hold one row per distinct node
 //!   ([`TermRow`], [`FormulaRow`]); a row names its children by the number of
 //!   a strictly earlier row, so the tables are acyclic by construction;
 //! * the sat / QE / WP / disjointness sections are row numbers plus
-//!   verdicts (a sat verdict is a tag: since format v5 it carries no model,
-//!   and there is no theory section — the solver's theory lemmas are
-//!   re-learned in well under a millisecond per monitor and are not
-//!   written), and the WP section keeps the store's own nesting — one
-//!   `(fingerprint, statement)` group, then its `(postcondition, result)`
-//!   pairs — so a statement asked about forty postconditions is written once;
-//! * the outcome section (format v4) is one record per monitor: its key — a
-//!   hash and the canonical bytes of the monitor's AST plus the two
-//!   configuration fields that change the answer — the invariant as a row of
-//!   the same formula table, the counters, and the decisions as
-//!   `(CCR index, guard index, flags)`, in ascending key order.
+//!   verdicts. A sat verdict is a tag and carries no model. There is no
+//!   theory section: the solver's lemmas are re-learned in well under a
+//!   millisecond per monitor. The WP section keeps the store's own nesting —
+//!   one `(fingerprint, statement)` group, then its `(postcondition,
+//!   result)` pairs;
+//! * the outcome section is one record per monitor: its key — a hash and
+//!   the canonical bytes of the monitor's AST plus the two configuration
+//!   fields that change the answer — the invariant as a row of the same
+//!   formula table, the counters, and the decisions as `(CCR index, guard
+//!   index, flags)`, in ascending key order.
 //!
 //! **Export** ([`export_artifact`]) walks the arena DAG once from the cache
 //! roots and numbers the nodes it meets by `(height, row)`: level by level,
@@ -53,8 +48,8 @@
 //! **Seed** ([`seed`], [`Artifact::seed_into`]) interns each row exactly
 //! once, in row order, through
 //! [`Interner::intern_formula_node`](expresso_logic::Interner::intern_formula_node),
-//! and fills the memo tables by row number. The correctness argument is the
-//! one v2 made, restated per node: interning a tree performs exactly one
+//! and fills the memo tables by row number. Why the ids come out right:
+//! interning a tree performs exactly one
 //! `put` per tree node, bottom-up, with no normalisation in between, so
 //! interning the rows bottom-up performs the same `put`s (once each instead
 //! of once per occurrence) and every row ends up with the id its tree would
@@ -1136,7 +1131,10 @@ mod tests {
             count_lt(4),
             Formula::Cmp(CmpOp::Gt, Term::Var("count".into()), Term::Int(9)),
         ]);
-        assert!(cold.solver.check_sat(&contradiction).is_unsat());
+        assert!(cold
+            .solver
+            .check_sat_id(cold.solver.interner().intern(&contradiction))
+            .is_unsat());
         let first = cold.export();
         let (warm, report) = Caches::seeded_from(&first);
         assert_eq!(report.total(), first.len());
@@ -1555,8 +1553,14 @@ mod tests {
             guard.clone(),
             Formula::Cmp(CmpOp::Gt, Term::Var("count".into()), Term::Int(9)),
         ]);
-        assert!(cold.solver.check_sat(&contradiction).is_unsat());
-        assert!(cold.solver.check_sat(&guard).is_sat());
+        assert!(cold
+            .solver
+            .check_sat_id(cold.solver.interner().intern(&contradiction))
+            .is_unsat());
+        assert!(cold
+            .solver
+            .check_sat_id(cold.solver.interner().intern(&guard))
+            .is_sat());
         let artifact = cold.export();
         assert!(!artifact.sat().is_empty());
 
@@ -1566,7 +1570,10 @@ mod tests {
         let stats = warm.solver.interner().stats();
         assert_eq!(stats.term_nodes, artifact.terms().len());
         assert!(stats.formula_nodes <= artifact.formulas().len() + 2);
-        assert!(warm.solver.check_sat(&contradiction).is_unsat());
+        assert!(warm
+            .solver
+            .check_sat_id(warm.solver.interner().intern(&contradiction))
+            .is_unsat());
         assert!(
             warm.solver.stats().disk_hits > 0,
             "warm query must hit a seeded entry"

@@ -48,8 +48,9 @@
 //! its creation order, and the DPLL(T) loop files a theory lemma under its
 //! lowest-numbered atom and adds lemma clauses in that order, so atoms
 //! created in another order change the rounds later queries take (the
-//! Table 1 suite pass: 1 355 rounds; 1 367 when an id's low bits still held
-//! a hash of its node).
+//! Table 1 suite pass, 1 348 rounds today, took 1 367 instead of 1 355
+//! over an earlier query stream when an id's low bits still held a hash of
+//! its node).
 //!
 //! The solver remembers each step it ran, (variable, matrix) → answer, and
 //! runs no step twice: abduction eliminates over many variable subsets, and
@@ -1370,7 +1371,10 @@ mod tests {
             quantified += usize::from(f.has_quantifier());
             let answer = eliminate_on(&qe, f).unwrap_or_else(|e| panic!("{i}: {e}: {f}"));
             let answer = qe.arena().formula(answer);
-            let shared = solver.eliminate_quantifiers(f).expect("the same answer");
+            let shared = solver
+                .eliminate_quantifiers_id(solver.interner().intern(f))
+                .expect("the same answer");
+            let shared = solver.interner().formula(shared);
             for answer in [&answer, &shared] {
                 assert!(!answer.has_quantifier(), "{i}: {answer}");
             }

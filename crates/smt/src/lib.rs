@@ -31,7 +31,7 @@
 //!    Because an atom is the same id in every query, a conflict core that
 //!    Fourier–Motzkin certified is a lemma any later query over those atoms
 //!    can start from: the [`Solver`] keeps them (see its documentation).
-//!    Verdicts carry no model; [`Solver::model`] finds one on request.
+//!    Verdicts carry no model; [`Solver::model_id`] finds one on request.
 //!
 //! # Example
 //!
@@ -57,7 +57,8 @@
 //!     Formula::not(pw),
 //! ]);
 //! let vc = Formula::implies(pre, Formula::not(pw_after));
-//! assert_eq!(solver.check_valid(&vc), ValidityResult::Valid);
+//! let vc = solver.interner().intern(&vc);
+//! assert_eq!(solver.check_valid_id(vc), ValidityResult::Valid);
 //! ```
 
 mod cooper;

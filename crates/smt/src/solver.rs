@@ -4,12 +4,10 @@ use crate::cooper;
 use crate::fourier_motzkin::{refute, Constraint, RationalFeasibility};
 use crate::linear::{LinExpr, TranslateError};
 use crate::sat::{neg, pos, Lit, SatOutcome, SatSolver};
-use expresso_logic::{
-    CmpOp, Formula, FormulaId, FormulaNode, FxHasher, Ident, Interner, Term, Valuation,
-};
+use expresso_logic::{CmpOp, FormulaId, FormulaNode, FxHasher, Ident, Interner, Term, Valuation};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash};
 use std::ops::Range;
@@ -221,7 +219,7 @@ impl From<TranslateError> for SolverError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatResult {
     /// Satisfiable. The verdict carries no model — nothing in the analysis
-    /// reads one; [`Solver::model`] finds one for whoever does.
+    /// reads one; [`Solver::model_id`] finds one for whoever does.
     Sat,
     /// Unsatisfiable.
     Unsat,
@@ -246,7 +244,7 @@ impl SatResult {
 pub enum ValidityResult {
     /// The formula holds in every model.
     Valid,
-    /// The formula has a counter-model: [`Solver::model`] of its negation.
+    /// The formula has a counter-model: [`Solver::model_id`] of its negation.
     Invalid,
     /// The solver could not decide the query.
     Unknown(SolverError),
@@ -366,12 +364,6 @@ impl<K: Hash + Eq + Clone, V: Clone> MemoCache<K, V> {
             }
             Entry::Occupied(_) => false,
         }
-    }
-
-    /// Reads a cached value without epoch bookkeeping (used by the batch
-    /// scheduler to order obligations; never counted as a hit).
-    fn peek(&self, key: &K) -> Option<V> {
-        self.get(key).map(|entry| entry.value)
     }
 
     /// Snapshot of every memoized `(key, value)` pair, in no particular
@@ -684,21 +676,6 @@ impl Solver {
         self.qe_cache.seed(entries, self.current_epoch())
     }
 
-    /// Eliminates all quantifiers from `formula`.
-    ///
-    /// Tree-boundary convenience wrapper over
-    /// [`Solver::eliminate_quantifiers_id`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when an atom mentioning a quantified variable is non-linear or
-    /// reads from an array.
-    pub fn eliminate_quantifiers(&self, formula: &Formula) -> Result<Formula, TranslateError> {
-        let id = self.interner.intern(formula);
-        self.eliminate_quantifiers_id(id)
-            .map(|f| self.interner.formula(f))
-    }
-
     /// Eliminates all quantifiers from an interned formula, staying on ids.
     ///
     /// The input is normalized through the arena and the (simplified input →
@@ -722,12 +699,6 @@ impl Solver {
             let _span = expresso_obs::span!("smt.qe");
             self.qe.eliminate_quantifiers(norm)
         })
-    }
-
-    /// Checks satisfiability of `formula`.
-    pub fn check_sat(&self, formula: &Formula) -> SatResult {
-        let id = self.interner.intern(formula);
-        self.check_sat_id(id)
     }
 
     /// Checks satisfiability of an interned formula.
@@ -773,13 +744,6 @@ impl Solver {
         Ok(self.interner.nnf(self.interner.simplify(qf)))
     }
 
-    /// A model of `formula`, for whoever wants to see one: `None` when the
-    /// formula is not satisfiable — or when it is and no model was found,
-    /// extraction being best-effort (see [`Solver::model_id`]).
-    pub fn model(&self, formula: &Formula) -> Option<Valuation> {
-        self.model_id(self.interner.intern(formula))
-    }
-
     /// A model of an interned formula. No verdict carries one
     /// ([`SatResult::Sat`], [`ValidityResult::Invalid`]): placement and
     /// abduction read verdicts only, so this solves the query again, past the
@@ -817,105 +781,10 @@ impl Solver {
         })
     }
 
-    /// Checks validity of `formula` (truth in every model).
-    pub fn check_valid(&self, formula: &Formula) -> ValidityResult {
-        let id = self.interner.intern(formula);
-        self.check_valid_id(id)
-    }
-
     /// Checks validity of an interned formula.
     pub fn check_valid_id(&self, id: FormulaId) -> ValidityResult {
         bump(&self.stats.validity_queries);
         self.check_sat_id(self.interner.mk_not(id)).into()
-    }
-
-    /// Checks validity of a batch of interned formulas.
-    ///
-    /// Results are index-aligned with the input, but the batch is exploited:
-    /// duplicate ids are discharged once, and the distinct queries run in
-    /// expected-cost order — already-cached verdicts first (they are free),
-    /// then ascending structural size, so cheap refutations fill the lemma
-    /// store and the QE memo table before the expensive obligations meet the
-    /// overlapping cores. Ordering never changes a verdict (each query is a
-    /// pure function of its formula); it only shifts cache traffic.
-    pub fn check_valid_batch(&self, ids: &[FormulaId]) -> Vec<ValidityResult> {
-        self.check_valid_batch_with(ids, |_, _| true)
-            .into_iter()
-            .map(|r| r.expect("uncancelled batch answers every query"))
-            .collect()
-    }
-
-    /// Cancellable variant of [`Solver::check_valid_batch`]: the speculative
-    /// discharge path of signal placement submits a pair's no-signal and
-    /// conditional obligations together and cancels the loser once the
-    /// early-exit verdict lands.
-    ///
-    /// `keep_going` is invoked once per *input position* as its verdict
-    /// becomes available (duplicates of one formula are reported together,
-    /// in input order, after the single solve). Returning `false` cancels
-    /// every query that has not been solved yet; cancelled positions come
-    /// back as `None`. The solve order is the batch schedule of
-    /// [`Solver::check_valid_batch`] — cached verdicts first (they are
-    /// free), then ascending structural size — so a cancellation typically
-    /// saves exactly the expensive tail of the batch.
-    pub fn check_valid_batch_with(
-        &self,
-        ids: &[FormulaId],
-        mut keep_going: impl FnMut(usize, &ValidityResult) -> bool,
-    ) -> Vec<Option<ValidityResult>> {
-        let mut distinct: Vec<FormulaId> = Vec::new();
-        let mut seen = HashSet::new();
-        for &id in ids {
-            if seen.insert(id) {
-                distinct.push(id);
-            }
-        }
-        distinct
-            .sort_by_cached_key(|&id| (self.cached_validity(id).is_none(), self.interner.size(id)));
-        let mut verdicts: HashMap<FormulaId, ValidityResult> = HashMap::new();
-        'solve: for id in distinct {
-            let verdict = self.check_valid_id(id);
-            let mut cancelled = false;
-            for (position, &input) in ids.iter().enumerate() {
-                if input == id && !keep_going(position, &verdict) {
-                    cancelled = true;
-                }
-            }
-            verdicts.insert(id, verdict);
-            if cancelled {
-                break 'solve;
-            }
-        }
-        ids.iter().map(|id| verdicts.get(id).cloned()).collect()
-    }
-
-    /// Peeks at the memo cache for the validity of `id` without solving,
-    /// without counting a query and without epoch bookkeeping. `None` when
-    /// the verdict is unknown to the cache.
-    ///
-    /// The batch discharge paths use this to schedule already-answered
-    /// obligations first.
-    pub fn cached_validity(&self, id: FormulaId) -> Option<ValidityResult> {
-        let norm = self.interner.simplify(self.interner.mk_not(id));
-        if self.interner.is_false(norm) {
-            return Some(ValidityResult::Valid);
-        }
-        if self.interner.is_true(norm) {
-            return Some(ValidityResult::Invalid);
-        }
-        self.cache.peek(&norm).map(ValidityResult::from)
-    }
-
-    /// Convenience wrapper: `true` exactly when `formula` is proven valid.
-    pub fn is_valid(&self, formula: &Formula) -> bool {
-        self.check_valid(formula).is_valid()
-    }
-
-    /// Checks validity of the implication `premise ⇒ conclusion`.
-    pub fn check_implies(&self, premise: &Formula, conclusion: &Formula) -> ValidityResult {
-        let p = self.interner.intern(premise);
-        let c = self.interner.intern(conclusion);
-        self.check_valid_id(self.interner.mk_implies(p, c))
     }
 
     /// Checks validity of `premise ⇒ conclusion` over interned formulas.
@@ -923,19 +792,11 @@ impl Solver {
         self.check_valid_id(self.interner.mk_implies(premise, conclusion))
     }
 
-    /// Checks whether two formulas are logically equivalent.
+    /// Checks whether two interned formulas are logically equivalent.
     ///
-    /// The query is canonicalized by interned id (`iff` is commutative), so
-    /// `check_equiv(a, b)` and `check_equiv(b, a)` share one cache entry —
-    /// the commutativity precomputation asks both orders for every CCR pair.
-    pub fn check_equiv(&self, lhs: &Formula, rhs: &Formula) -> ValidityResult {
-        let l = self.interner.intern(lhs);
-        let r = self.interner.intern(rhs);
-        self.check_equiv_ids(l, r)
-    }
-
-    /// Checks logical equivalence of two interned formulas (canonicalized by
-    /// id like [`Solver::check_equiv`]).
+    /// The query is canonicalized by id (`iff` is commutative), so both
+    /// argument orders share one cache entry — the commutativity
+    /// precomputation asks both orders for every CCR pair.
     pub fn check_equiv_ids(&self, lhs: FormulaId, rhs: FormulaId) -> ValidityResult {
         let (l, r) = if rhs < lhs { (rhs, lhs) } else { (lhs, rhs) };
         self.check_valid_id(self.interner.mk_iff(l, r))
@@ -1650,17 +1511,29 @@ fn encode_gate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expresso_logic::{Lcg, Term};
+    use expresso_logic::{Formula, Lcg, Term};
 
     fn solver() -> Solver {
         Solver::new()
     }
 
+    fn sat(solver: &Solver, f: &Formula) -> SatResult {
+        solver.check_sat_id(solver.interner().intern(f))
+    }
+
+    fn valid(solver: &Solver, f: &Formula) -> ValidityResult {
+        solver.check_valid_id(solver.interner().intern(f))
+    }
+
+    fn model_of(solver: &Solver, f: &Formula) -> Option<Valuation> {
+        solver.model_id(solver.interner().intern(f))
+    }
+
     #[test]
     fn trivial_constants() {
-        assert!(solver().check_sat(&Formula::True).is_sat());
-        assert!(solver().check_sat(&Formula::False).is_unsat());
-        assert_eq!(solver().check_valid(&Formula::True), ValidityResult::Valid);
+        assert!(sat(&solver(), &Formula::True).is_sat());
+        assert!(sat(&solver(), &Formula::False).is_unsat());
+        assert_eq!(valid(&solver(), &Formula::True), ValidityResult::Valid);
     }
 
     #[test]
@@ -1673,9 +1546,9 @@ mod tests {
             p.clone(),
             Formula::not(q.clone()),
         ]);
-        assert!(solver().check_sat(&f).is_unsat());
+        assert!(sat(&solver(), &f).is_unsat());
         // p || !p is valid.
-        assert!(solver().is_valid(&Formula::or(vec![p.clone(), Formula::not(p)])));
+        assert!(valid(&solver(), &Formula::or(vec![p.clone(), Formula::not(p)])).is_valid());
     }
 
     #[test]
@@ -1685,7 +1558,7 @@ mod tests {
             Term::var("x").gt(Term::int(0)),
             Term::var("x").lt(Term::int(0)),
         ]);
-        assert!(solver().check_sat(&f).is_unsat());
+        assert!(sat(&solver(), &f).is_unsat());
     }
 
     #[test]
@@ -1693,7 +1566,7 @@ mod tests {
         // 0 < 2x && 2x < 2 has no integer solution (x would be 1/2).
         let two_x = Term::int(2).mul(Term::var("x"));
         let f = Formula::and(vec![Term::int(0).lt(two_x.clone()), two_x.lt(Term::int(2))]);
-        assert!(solver().check_sat(&f).is_unsat());
+        assert!(sat(&solver(), &f).is_unsat());
     }
 
     #[test]
@@ -1704,8 +1577,8 @@ mod tests {
             Formula::bool_var("flag"),
         ]);
         let s = solver();
-        assert_eq!(s.check_sat(&f), SatResult::Sat);
-        let model = s.model(&f).expect("a model in the grid");
+        assert_eq!(sat(&s, &f), SatResult::Sat);
+        let model = model_of(&s, &f).expect("a model in the grid");
         let x = model.int("x").expect("x bound");
         assert!(x > 2 && x < 5);
         assert_eq!(model.boolean("flag"), Some(true));
@@ -1713,10 +1586,10 @@ mod tests {
         // none.
         assert_eq!(s.stats().sat_queries, 1);
         assert_eq!(
-            s.model(&Formula::and(vec![f.clone(), Formula::not(f)])),
+            model_of(&s, &Formula::and(vec![f.clone(), Formula::not(f)])),
             None
         );
-        assert_eq!(s.model(&Formula::True), Some(Valuation::new()));
+        assert_eq!(model_of(&s, &Formula::True), Some(Valuation::new()));
     }
 
     #[test]
@@ -1736,7 +1609,7 @@ mod tests {
             Formula::not(pw.clone()),
         ]);
         let vc = Formula::implies(pre, Formula::not(pw_after.clone()));
-        assert_eq!(solver().check_valid(&vc), ValidityResult::Valid);
+        assert_eq!(valid(&solver(), &vc), ValidityResult::Valid);
 
         // Dropping the invariant readers >= 0 must make the triple fail —
         // exactly the observation the paper makes.
@@ -1745,7 +1618,7 @@ mod tests {
             Formula::not(pw),
         ]);
         let vc = Formula::implies(weak_pre, Formula::not(pw_after));
-        assert_eq!(solver().check_valid(&vc), ValidityResult::Invalid);
+        assert_eq!(valid(&solver(), &vc), ValidityResult::Invalid);
     }
 
     #[test]
@@ -1758,50 +1631,56 @@ mod tests {
                 Term::var("x").lt(Term::int(0)),
             ]),
         );
-        assert!(solver().is_valid(&f));
+        assert!(valid(&solver(), &f).is_valid());
         // forall x. x >= 0 is invalid.
         let f = Formula::forall(vec!["x".into()], Term::var("x").ge(Term::int(0)));
-        assert!(!solver().is_valid(&f));
+        assert!(!valid(&solver(), &f).is_valid());
     }
 
     #[test]
     fn opaque_atoms_are_conservative() {
         // Array atoms cannot be proven valid, only refuted conservatively.
         let f = Term::select("buf", Term::int(0)).ge(Term::int(0));
-        let result = solver().check_valid(&f);
+        let result = valid(&solver(), &f);
         assert!(!result.is_valid());
         // But propositionally-contradictory combinations are still caught.
         let contradiction = Formula::and(vec![f.clone(), Formula::not(f)]);
-        assert!(solver().check_sat(&contradiction).is_unsat());
+        assert!(sat(&solver(), &contradiction).is_unsat());
     }
 
     #[test]
     fn implication_helper() {
-        let premise = Term::var("n").ge(Term::int(1));
-        let conclusion = Term::var("n").ge(Term::int(0));
+        let s = solver();
+        let premise = s.interner().intern(&Term::var("n").ge(Term::int(1)));
+        let conclusion = s.interner().intern(&Term::var("n").ge(Term::int(0)));
         assert_eq!(
-            solver().check_implies(&premise, &conclusion),
+            s.check_implies_ids(premise, conclusion),
             ValidityResult::Valid
         );
         assert_eq!(
-            solver().check_implies(&conclusion, &premise),
+            s.check_implies_ids(conclusion, premise),
             ValidityResult::Invalid
         );
     }
 
     #[test]
     fn equivalence_helper() {
-        let a = Term::var("x").gt(Term::int(0));
-        let b = Term::var("x").ge(Term::int(1));
-        assert_eq!(solver().check_equiv(&a, &b), ValidityResult::Valid);
-        let c = Term::var("x").ge(Term::int(2));
-        assert_eq!(solver().check_equiv(&a, &c), ValidityResult::Invalid);
+        let s = solver();
+        let a = s.interner().intern(&Term::var("x").gt(Term::int(0)));
+        let b = s.interner().intern(&Term::var("x").ge(Term::int(1)));
+        assert_eq!(s.check_equiv_ids(a, b), ValidityResult::Valid);
+        let c = s.interner().intern(&Term::var("x").ge(Term::int(2)));
+        assert_eq!(s.check_equiv_ids(a, c), ValidityResult::Invalid);
+        // Both argument orders are one query.
+        let hits = s.stats().cache_hits;
+        assert_eq!(s.check_equiv_ids(c, a), ValidityResult::Invalid);
+        assert_eq!(s.stats().cache_hits, hits + 1);
     }
 
     #[test]
     fn stats_are_recorded() {
         let s = solver();
-        let _ = s.check_valid(&Term::var("x").ge(Term::var("x")));
+        let _ = valid(&s, &Term::var("x").ge(Term::var("x")));
         let stats = s.stats();
         assert_eq!(stats.validity_queries, 1);
         assert!(stats.sat_queries >= 1);
@@ -1814,8 +1693,8 @@ mod tests {
             Term::var("x").gt(Term::int(0)),
             Term::var("x").lt(Term::int(10)),
         ]);
-        let first = s.check_sat(&f);
-        let second = s.check_sat(&f);
+        let first = sat(&s, &f);
+        let second = sat(&s, &f);
         assert_eq!(first, second);
         let stats = s.stats();
         assert_eq!(stats.cache_hits, 1);
@@ -1825,8 +1704,8 @@ mod tests {
         assert!(stats.cache_hit_rate() > 0.0);
         // Validity piggybacks on the sat cache: !f was not asked yet, but
         // asking it twice hits once.
-        let _ = s.check_valid(&f);
-        let _ = s.check_valid(&f);
+        let _ = valid(&s, &f);
+        let _ = valid(&s, &f);
         assert_eq!(s.stats().cache_hits, 2);
     }
 
@@ -1841,8 +1720,8 @@ mod tests {
                 Formula::not(Formula::bool_var("writerIn")),
             ])
         };
-        let _ = s.check_sat(&build());
-        let _ = s.check_sat(&build());
+        let _ = sat(&s, &build());
+        let _ = sat(&s, &build());
         assert_eq!(s.stats().cache_hits, 1);
     }
 
@@ -1857,44 +1736,11 @@ mod tests {
                         Term::var("x").gt(Term::int(i)),
                         Term::var("x").lt(Term::int(i + 2)),
                     ]);
-                    assert!(s.check_sat(&f).is_sat());
+                    assert!(sat(s, &f).is_sat());
                 });
             }
         });
         assert_eq!(s.stats().sat_queries, 4);
-    }
-
-    #[test]
-    fn batched_validity_is_index_aligned() {
-        let s = solver();
-        let interner = s.interner().clone();
-        let valid = interner.intern(&Term::var("x").ge(Term::var("x")));
-        let invalid = interner.intern(&Term::var("x").ge(Term::int(0)));
-        let results = s.check_valid_batch(&[valid, invalid, valid]);
-        assert!(results[0].is_valid());
-        assert!(!results[1].is_valid());
-        assert!(results[2].is_valid());
-    }
-
-    #[test]
-    fn cancelled_batch_queries_come_back_as_none() {
-        let s = solver();
-        let interner = s.interner().clone();
-        // The tautology is tiny, so the cost-ordered schedule solves it first;
-        // cancelling on it must leave the bigger query unanswered.
-        let valid = interner.intern(&Term::var("x").ge(Term::var("x")));
-        let big = interner.intern(&Formula::and(vec![
-            Term::var("x").ge(Term::int(0)),
-            Term::var("y").ge(Term::int(1)),
-            Term::var("z").ge(Term::int(2)),
-        ]));
-        let results = s.check_valid_batch_with(&[big, valid], |_, verdict| !verdict.is_valid());
-        assert_eq!(results[1], Some(ValidityResult::Valid));
-        assert_eq!(results[0], None);
-        // An uncancelled run answers everything, duplicates included.
-        let results = s.check_valid_batch_with(&[big, valid, big], |_, _| true);
-        assert!(results.iter().all(|r| r.is_some()));
-        assert_eq!(results[0], results[2]);
     }
 
     #[test]
@@ -1910,7 +1756,7 @@ mod tests {
                 Term::var("x").eq(Term::int(-1)),
             ]),
         ]);
-        let m = solver().model(&f).expect("a model in the grid");
+        let m = model_of(&solver(), &f).expect("a model in the grid");
         let p = m.boolean("p").unwrap();
         let x = m.int("x").unwrap();
         assert!(if p { x == 3 } else { x == -1 });
@@ -1924,8 +1770,8 @@ mod tests {
             Term::var("x").gt(Term::int(0)),
             Term::var("x").lt(Term::int(3)),
         ]);
-        assert!(solver().check_sat(&f).is_sat());
-        if let Some(m) = solver().model(&f) {
+        assert!(sat(&solver(), &f).is_sat());
+        if let Some(m) = model_of(&solver(), &f) {
             assert_eq!(m.int("x"), Some(2));
         }
         // 2 | x && x == 1 is unsat.
@@ -1933,7 +1779,7 @@ mod tests {
             Formula::divides(2, Term::var("x")),
             Term::var("x").eq(Term::int(1)),
         ]);
-        assert!(solver().check_sat(&f).is_unsat());
+        assert!(sat(&solver(), &f).is_unsat());
     }
 
     // ------------------------------------------------------------------
@@ -1955,26 +1801,26 @@ mod tests {
     #[test]
     fn a_refutation_learned_in_one_query_is_not_derived_again_in_the_next() {
         let fresh = solver();
-        assert!(fresh.check_sat(&detour(7)).is_sat());
+        assert!(sat(&fresh, &detour(7)).is_sat());
         let alone = fresh.stats();
         assert_eq!((alone.sat_solver_calls, alone.fm_fast_conflicts), (2, 1));
 
         let s = solver();
-        assert!(s.check_sat(&detour(5)).is_sat());
+        assert!(sat(&s, &detour(5)).is_sat());
         let first = s.stats();
         assert_eq!((first.sat_solver_calls, first.fm_fast_conflicts), (2, 1));
         assert_eq!(s.lemmas().len(), 1, "x > 0 && x < 0, once");
         // A different query (no verdict to reuse) over the same two atoms
         // starts from the lemma: one round, no conflict.
-        assert!(s.check_sat(&detour(7)).is_sat());
+        assert!(sat(&s, &detour(7)).is_sat());
         let second = s.stats().delta_since(&first);
         assert_eq!(second.cache_hits, 0);
         assert_eq!((second.sat_solver_calls, second.fm_fast_conflicts), (1, 0));
         assert_eq!(s.lemmas().len(), 1);
         // Queries that do not mention both atoms are not handed the lemma,
         // and are decided as ever.
-        assert!(s.check_sat(&Term::var("x").gt(Term::int(0))).is_sat());
-        assert!(s.model(&detour(9)).is_some());
+        assert!(sat(&s, &Term::var("x").gt(Term::int(0))).is_sat());
+        assert!(model_of(&s, &detour(9)).is_some());
         assert_eq!(s.lemmas().len(), 1, "filed once, however often it is met");
     }
 
@@ -1987,7 +1833,7 @@ mod tests {
         let two_x = Term::int(2).mul(Term::var("x"));
         let gap = Formula::and(vec![Term::int(0).lt(two_x.clone()), two_x.lt(Term::int(2))]);
         let s = solver();
-        assert!(s.check_sat(&gap).is_unsat());
+        assert!(sat(&s, &gap).is_unsat());
         assert_eq!(s.stats().fm_fast_conflicts, 0);
         assert!(s.lemmas().is_empty());
     }

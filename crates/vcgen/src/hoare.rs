@@ -134,65 +134,14 @@ impl<'a> VcGen<'a> {
         self.solver.interner()
     }
 
-    /// Discharges `{pre} stmt {post}` by computing the weakest precondition
-    /// and checking `pre ⇒ wp(stmt, post)`.
-    ///
-    /// The tree arguments are interned once and the VC is built entirely as
-    /// ids; use [`VcGen::check_triple_ids`] directly when the caller already
-    /// holds interned formulas (placement does).
-    pub fn check_triple(&self, pre: &Formula, stmt: &Stmt, post: &Formula) -> TripleStatus {
-        let interner = self.interner();
-        let pre = interner.intern(pre);
-        let post = interner.intern(post);
-        self.check_triple_ids(pre, stmt, post)
-    }
-
-    /// Discharges `{pre} stmt {post}` over interned formulas.
+    /// Discharges `{pre} stmt {post}` over interned formulas: one validity
+    /// query, `pre ⇒ wp(stmt, post)`. A wp outside the fragment is
+    /// [`TripleStatus::Unknown`] without a query.
     pub fn check_triple_ids(&self, pre: FormulaId, stmt: &Stmt, post: FormulaId) -> TripleStatus {
         match self.wp_id(stmt, post) {
             Ok(weakest) => (&self.solver.check_implies_ids(pre, weakest)).into(),
             Err(WpError::ArrayWrite(_)) | Err(WpError::Lower(_)) => TripleStatus::Unknown,
         }
-    }
-
-    /// Discharges a batch of `(pre, stmt, post)` obligations over interned
-    /// formulas, returning index-aligned statuses.
-    ///
-    /// Batch-aware: the `(body, post)` WP cache dedupes the shared weakest-
-    /// precondition work across the batch, structurally identical VCs are
-    /// discharged once, and the distinct VCs run in expected-cost order
-    /// (cached verdicts first, then ascending formula size) so cheap
-    /// refutations fill the solver's lemma store and QE memo table before
-    /// the expensive obligations get there.
-    pub fn check_triples_ids(
-        &self,
-        obligations: &[(FormulaId, &Stmt, FormulaId)],
-    ) -> Vec<TripleStatus> {
-        let interner = self.interner();
-        // Phase 1: one WP per distinct (body, post) — the cache collapses the
-        // duplicates — then the VC as an interned implication. `None` marks an
-        // obligation whose wp failed (conservatively Unknown).
-        let vcs: Vec<Option<FormulaId>> = obligations
-            .iter()
-            .map(|&(pre, stmt, post)| {
-                self.wp_id(stmt, post)
-                    .ok()
-                    .map(|weakest| interner.mk_implies(pre, weakest))
-            })
-            .collect();
-        // Phase 2: discharge each distinct VC once, scheduling the batch by
-        // expected cost. The solver's batch entry point implements the
-        // dedupe + (cached verdict, size) ordering.
-        let distinct: Vec<FormulaId> = vcs.iter().copied().flatten().collect();
-        let verdicts = self.solver.check_valid_batch(&distinct);
-        let status_of: std::collections::HashMap<FormulaId, TripleStatus> = distinct
-            .iter()
-            .zip(&verdicts)
-            .map(|(&vc, verdict)| (vc, TripleStatus::from(verdict)))
-            .collect();
-        vcs.into_iter()
-            .map(|vc| vc.map_or(TripleStatus::Unknown, |vc| status_of[&vc]))
-            .collect()
     }
 
     /// Computes `wp(stmt, post)` over interned formulas, memoized on the
@@ -344,6 +293,11 @@ mod tests {
         (m, t)
     }
 
+    fn triple(vc: &VcGen, pre: &Formula, stmt: &Stmt, post: &Formula) -> TripleStatus {
+        let interner = vc.interner();
+        vc.check_triple_ids(interner.intern(pre), stmt, interner.intern(post))
+    }
+
     fn pw() -> Formula {
         Formula::and(vec![
             Term::var("readers").eq(Term::int(0)),
@@ -365,7 +319,7 @@ mod tests {
             Formula::not(pw()),
         ]);
         assert_eq!(
-            vc.check_triple(&pre, body, &Formula::not(pw())),
+            triple(&vc, &pre, body, &Formula::not(pw())),
             TripleStatus::Valid
         );
         // Without the invariant the triple is not provable.
@@ -374,7 +328,7 @@ mod tests {
             Formula::not(pw()),
         ]);
         assert_eq!(
-            vc.check_triple(&weak_pre, body, &Formula::not(pw())),
+            triple(&vc, &weak_pre, body, &Formula::not(pw())),
             TripleStatus::Invalid
         );
     }
@@ -390,7 +344,7 @@ mod tests {
         // Signal needed: {inv && !Pw} body {!Pw} is NOT valid.
         let pre = Formula::and(vec![inv.clone(), Formula::not(pw())]);
         assert_ne!(
-            vc.check_triple(&pre, body, &Formula::not(pw())),
+            triple(&vc, &pre, body, &Formula::not(pw())),
             TripleStatus::Valid
         );
         // Broadcast unnecessary: {inv && Pw} writerIn = true {!Pw} is valid.
@@ -398,7 +352,7 @@ mod tests {
         let writer_body = &m.ccr(enter_writer.ccrs[0]).body;
         let pre = Formula::and(vec![inv, pw()]);
         assert_eq!(
-            vc.check_triple(&pre, writer_body, &Formula::not(pw())),
+            triple(&vc, &pre, writer_body, &Formula::not(pw())),
             TripleStatus::Valid
         );
     }
@@ -425,7 +379,7 @@ mod tests {
         // Without renaming, the broadcast-avoidance triple appears valid …
         let pre = p.clone();
         assert_eq!(
-            vc.check_triple(&pre, body, &Formula::not(p.clone())),
+            triple(&vc, &pre, body, &Formula::not(p.clone())),
             TripleStatus::Valid
         );
         // … but after renaming the other thread's local x the triple is
@@ -433,7 +387,7 @@ mod tests {
         let renamed = vc.rename_locals(&p, &HashSet::new());
         assert_ne!(renamed, p);
         assert_ne!(
-            vc.check_triple(&renamed, body, &Formula::not(renamed.clone())),
+            triple(&vc, &renamed, body, &Formula::not(renamed.clone())),
             TripleStatus::Valid
         );
     }
@@ -486,7 +440,7 @@ mod tests {
         let body = &m.ccr(m.method("fill").unwrap().ccrs[0]).body;
         let post = Term::select("slots", Term::int(0)).eq(Term::int(0));
         assert_eq!(
-            vc.check_triple(&Formula::True, body, &post),
+            triple(&vc, &Formula::True, body, &post),
             TripleStatus::Unknown
         );
     }

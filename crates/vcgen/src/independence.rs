@@ -259,11 +259,9 @@ fn prove_independent(
     }
 
     // Fast path: guard-disjoint fires are never co-enabled.
-    if vc
-        .solver()
-        .check_sat(&Formula::and(vec![gp.clone(), gq.clone()]))
-        .is_unsat()
-    {
+    let interner = vc.interner();
+    let pre = interner.intern(&Formula::and(vec![gp.clone(), gq.clone()]));
+    if vc.solver().check_sat_id(pre).is_unsat() {
         return true;
     }
 
@@ -272,8 +270,6 @@ fn prove_independent(
     if !bodies_commute(vc, table, p, q) {
         return false;
     }
-    let interner = vc.interner();
-    let pre = interner.intern(&Formula::and(vec![gp.clone(), gq.clone()]));
     let gp_id = interner.intern(gp);
     let gq_id = interner.intern(gq);
     vc.check_triple_ids(pre, &p.body, gq_id).is_valid()

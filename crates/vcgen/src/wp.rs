@@ -260,6 +260,22 @@ mod tests {
     use super::*;
     use expresso_logic::Term;
     use expresso_monitor_lang::{check_monitor, parse_monitor, Monitor, VarTable};
+    use expresso_smt::Solver;
+
+    fn valid(f: &Formula) -> bool {
+        let solver = Solver::new();
+        solver
+            .check_valid_id(solver.interner().intern(f))
+            .is_valid()
+    }
+
+    fn equivalent(a: &Formula, b: &Formula) -> bool {
+        let solver = Solver::new();
+        let interner = solver.interner();
+        solver
+            .check_equiv_ids(interner.intern(a), interner.intern(b))
+            .is_valid()
+    }
 
     fn fixture() -> (Monitor, VarTable) {
         let m = parse_monitor(
@@ -324,10 +340,10 @@ mod tests {
         let pre = wp(body, &post, &t).unwrap();
         // From any state: if stopped then post becomes false, else true, so
         // wp == !stopped.
-        let solver = expresso_smt::Solver::new();
-        assert!(solver
-            .check_equiv(&pre, &Formula::not(Formula::bool_var("stopped")))
-            .is_valid());
+        assert!(equivalent(
+            &pre,
+            &Formula::not(Formula::bool_var("stopped"))
+        ));
     }
 
     #[test]
@@ -338,14 +354,13 @@ mod tests {
         // After the loop, count <= 0 is guaranteed by the exit condition.
         let post = Term::var("count").le(Term::int(0));
         let pre = wp(body, &post, &t).unwrap();
-        let solver = expresso_smt::Solver::new();
         // The wp must be implied by `true` (it is a tautology: any exit state
         // has count <= 0).
-        assert!(solver.check_valid(&pre).is_valid());
+        assert!(valid(&pre));
         // A postcondition that the loop cannot guarantee must not be provable.
         let post = Term::var("count").ge(Term::int(1));
         let pre = wp(body, &post, &t).unwrap();
-        assert!(!solver.check_valid(&pre).is_valid());
+        assert!(!valid(&pre));
     }
 
     #[test]
@@ -365,10 +380,7 @@ mod tests {
         ]);
         let post = Term::var("count").eq(Term::int(4));
         let pre = wp(&stmt, &post, &t).unwrap();
-        let solver = expresso_smt::Solver::new();
-        assert!(solver
-            .check_equiv(&pre, &Term::var("count").eq(Term::int(1)))
-            .is_valid());
+        assert!(equivalent(&pre, &Term::var("count").eq(Term::int(1))));
     }
 
     #[test]
@@ -421,9 +433,6 @@ mod tests {
         );
         let post = Formula::not(Formula::bool_var("stopped"));
         let pre = wp(&stmt, &post, &t).unwrap();
-        let solver = expresso_smt::Solver::new();
-        assert!(solver
-            .check_equiv(&pre, &Term::var("count").ne(Term::int(0)))
-            .is_valid());
+        assert!(equivalent(&pre, &Term::var("count").ne(Term::int(0))));
     }
 }

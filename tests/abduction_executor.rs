@@ -5,10 +5,10 @@
 //! dispatch must respect the `max_results` budget instead of speculating
 //! over the whole subset space.
 
-use expresso_repro::abduction::{abduce, AbductionConfig};
+use expresso_repro::abduction::{abduce_ids, AbductionConfig};
 use expresso_repro::core::Scheduler;
 use expresso_repro::exec::{Executor, Inline, Task};
-use expresso_repro::logic::{Formula, Term};
+use expresso_repro::logic::{Formula, FormulaId, Term};
 use expresso_repro::smt::Solver;
 use std::sync::{Arc, Mutex};
 
@@ -31,16 +31,18 @@ impl Executor for Recording {
     }
 }
 
-/// `pre = true`, `goal = x >= 0 ∨ y > 10 ∨ z > 5`: three variables give six
-/// kept-variable subsets under the default `max_kept_vars = 2`, enough to
-/// need two waves and to accept candidates from both subset sizes.
-fn three_disjunct_goal() -> (Formula, Formula) {
+/// `pre = true`, `goal = x >= 0 ∨ y > 10 ∨ z > 5`, interned on `solver`:
+/// three variables give six kept-variable subsets under the default
+/// `max_kept_vars = 2`, enough to need two waves and to accept candidates
+/// from both subset sizes.
+fn three_disjunct_goal(solver: &Solver) -> (FormulaId, FormulaId) {
     let goal = Formula::or(vec![
         Term::var("x").ge(Term::int(0)),
         Term::var("y").gt(Term::int(10)),
         Term::var("z").gt(Term::int(5)),
     ]);
-    (Formula::True, goal)
+    let interner = solver.interner();
+    (interner.intern(&Formula::True), interner.intern(&goal))
 }
 
 fn with_executor(executor: Option<Arc<dyn Executor>>) -> AbductionConfig {
@@ -53,8 +55,8 @@ fn with_executor(executor: Option<Arc<dyn Executor>>) -> AbductionConfig {
 #[test]
 fn every_executor_returns_identical_candidates() {
     let solver = Solver::new();
-    let (pre, goal) = three_disjunct_goal();
-    let reference = abduce(&solver, &pre, &goal, &with_executor(None));
+    let (pre, goal) = three_disjunct_goal(&solver);
+    let reference = abduce_ids(&solver, pre, goal, &with_executor(None));
     assert!(!reference.is_empty(), "workload produced no candidates");
 
     let executors: Vec<(&str, Arc<dyn Executor>)> = vec![
@@ -67,7 +69,7 @@ fn every_executor_returns_identical_candidates() {
         ("recording", Arc::new(Recording::default())),
     ];
     for (name, executor) in executors {
-        let candidates = abduce(&solver, &pre, &goal, &with_executor(Some(executor)));
+        let candidates = abduce_ids(&solver, pre, goal, &with_executor(Some(executor)));
         assert_eq!(
             candidates, reference,
             "{name}: candidates diverged from the executor-less run"
@@ -81,12 +83,12 @@ fn default_config_dispatches_multi_task_batches() {
     // exercised by the default configuration, not just degenerate to
     // task-at-a-time dispatch.
     let solver = Solver::new();
-    let (pre, goal) = three_disjunct_goal();
+    let (pre, goal) = three_disjunct_goal(&solver);
     let recording = Arc::new(Recording::default());
-    abduce(
+    abduce_ids(
         &solver,
-        &pre,
-        &goal,
+        pre,
+        goal,
         &with_executor(Some(Arc::clone(&recording) as Arc<dyn Executor>)),
     );
     let batches = recording.batches.lock().unwrap().clone();
@@ -115,7 +117,9 @@ fn dispatch_stops_once_the_result_budget_is_met() {
         executor: Some(Arc::clone(&recording) as Arc<dyn Executor>),
         ..AbductionConfig::default()
     };
-    let candidates = abduce(&solver, &Formula::True, &goal, &config);
+    let interner = solver.interner();
+    let (pre, goal) = (interner.intern(&Formula::True), interner.intern(&goal));
+    let candidates = abduce_ids(&solver, pre, goal, &config);
     assert_eq!(candidates.len(), 1, "budget of one candidate not honoured");
     let dispatched: usize = recording.batches.lock().unwrap().iter().sum();
     assert!(

@@ -818,7 +818,8 @@ fn node_tables_agree_with_the_trees_of_both_arenas() {
     let satisfiable = artifact.sat().iter().filter(|(_, v)| *v == SatResult::Sat);
     for (key, _) in satisfiable.step_by(8) {
         let query = artifact.formula(*key);
-        let Some(model) = warm_context.solver().model(&query) else {
+        let solver = warm_context.solver();
+        let Some(model) = solver.model_id(solver.interner().intern(&query)) else {
             continue;
         };
         // Variables normalization dropped are bound to anything.

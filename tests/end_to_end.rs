@@ -2,12 +2,15 @@
 //! suite, cross-checked against the trace semantics and the concurrent
 //! runtime.
 
-use expresso_repro::core::{to_java, Expresso};
+use expresso_repro::abduction::infer_monitor_invariant;
+use expresso_repro::core::{place_signals_with, to_java, Expresso, PlacementConfig, Scheduler};
 use expresso_repro::logic::Valuation;
 use expresso_repro::monitor_lang::{check_monitor, initial_state, NotificationKind};
 use expresso_repro::runtime::{run_saturation, AutoSynchRuntime, ExplicitRuntime, MonitorRuntime};
 use expresso_repro::semantics::{check_equivalence, EquivalenceConfig, ThreadSpec};
+use expresso_repro::smt::Solver;
 use expresso_repro::suite::{all, autosynch_benchmarks};
+use std::sync::Arc;
 
 #[test]
 fn every_benchmark_analyzes_and_generates_code() {
@@ -28,6 +31,34 @@ fn every_benchmark_analyzes_and_generates_code() {
             outcome.explicit.notification_count() > 0,
             "{}: no notifications at all",
             benchmark.name
+        );
+    }
+}
+
+#[test]
+fn placement_asks_at_most_one_query_per_triple() {
+    // Algorithm 1 asks its triples one at a time, each `pre ⇒ wp(body, post)`
+    // one validity query (none when the wp leaves the fragment), so a
+    // placement never asks the solver more than it counts. Commutativity is
+    // off: its `Comm(w, M)` precomputation asks equivalences, not triples.
+    for benchmark in all() {
+        let monitor = benchmark.monitor();
+        let table = check_monitor(&monitor).expect("suite monitors check");
+        let solver = Solver::new();
+        let invariant = infer_monitor_invariant(&monitor, &table, &solver).invariant;
+        let before = solver.stats();
+        let config = PlacementConfig {
+            use_commutativity: false,
+            scheduler: Some(Arc::new(Scheduler::with_analysis_threads(1))),
+            ..PlacementConfig::default()
+        };
+        let (_, report) = place_signals_with(&monitor, &table, &solver, &invariant, &config);
+        let queries = solver.stats().delta_since(&before).validity_queries;
+        assert!(
+            queries <= report.triples_checked,
+            "{}: {queries} validity queries for {} triples",
+            benchmark.name,
+            report.triples_checked
         );
     }
 }

@@ -15,6 +15,18 @@ use expresso_repro::logic::{Formula, Lcg, Term, Valuation};
 use expresso_repro::smt::{SatResult, Solver, SolverConfig, ValidityResult};
 use std::sync::Arc;
 
+fn sat(solver: &Solver, f: &Formula) -> SatResult {
+    solver.check_sat_id(solver.interner().intern(f))
+}
+
+fn valid(solver: &Solver, f: &Formula) -> ValidityResult {
+    solver.check_valid_id(solver.interner().intern(f))
+}
+
+fn model_of(solver: &Solver, f: &Formula) -> Option<Valuation> {
+    solver.model_id(solver.interner().intern(f))
+}
+
 const THREADS: usize = 8;
 /// Distinct formulas in the pool; every thread visits an overlapping window.
 const POOL: usize = 48;
@@ -131,9 +143,9 @@ fn holds_under(model: &Valuation, f: &Formula) -> bool {
 /// brute-force box, and every model either of them finds on request against
 /// the formula. `Err` says what disagreed.
 fn sat_against_oracles(shared: &Solver, f: &Formula, what: &str) -> Result<(), String> {
-    let memoized = shared.check_sat(f);
+    let memoized = sat(shared, f);
     let fresh_solver = Solver::new();
-    let fresh = fresh_solver.check_sat(f);
+    let fresh = sat(&fresh_solver, f);
     if sat_verdict(&memoized) != sat_verdict(&fresh) {
         return Err(format!(
             "{what}: shared verdict {} diverged from a fresh solver's {}: {f}",
@@ -142,7 +154,7 @@ fn sat_against_oracles(shared: &Solver, f: &Formula, what: &str) -> Result<(), S
         ));
     }
     for solver in [shared, &fresh_solver] {
-        if let Some(model) = solver.model(f) {
+        if let Some(model) = model_of(solver, f) {
             if !holds_under(&model, f) {
                 return Err(format!("{what}: model {model:?} does not satisfy {f}"));
             }
@@ -215,9 +227,9 @@ fn shared_solver_agrees_with_fresh_solvers_and_brute_force() {
                     let idx = (t * (POOL / THREADS) + i) % POOL;
                     let f = &formulas[idx];
                     let g = &formulas[(idx + 1) % POOL];
-                    let _ = shared.check_sat(f);
-                    let _ = shared.check_valid(f);
-                    let _ = shared.check_sat(&Formula::and(vec![f.clone(), g.clone()]));
+                    let _ = sat(shared, f);
+                    let _ = valid(shared, f);
+                    let _ = sat(shared, &Formula::and(vec![f.clone(), g.clone()]));
                 }
             });
         }
@@ -233,9 +245,9 @@ fn shared_solver_agrees_with_fresh_solvers_and_brute_force() {
         let conj = Formula::and(vec![f.clone(), g.clone()]);
         check_sat_against_oracles(&shared, &conj, &format!("conjunction {idx}"));
 
-        let fresh = Solver::new().check_valid(f);
+        let fresh = valid(&Solver::new(), f);
         assert_eq!(
-            validity_verdict(&shared.check_valid(f)),
+            validity_verdict(&valid(&shared, f)),
             validity_verdict(&fresh),
             "validity verdict diverged for formula {idx}: {f}"
         );
@@ -248,7 +260,7 @@ fn shared_solver_agrees_with_fresh_solvers_and_brute_force() {
                 );
             }
             ValidityResult::Invalid => {
-                if let Some(model) = shared.model(&Formula::not(f.clone())) {
+                if let Some(model) = model_of(&shared, &Formula::not(f.clone())) {
                     assert!(
                         !holds_under(&model, f),
                         "formula {idx}: counter-model {model:?} satisfies {f}"
@@ -261,7 +273,7 @@ fn shared_solver_agrees_with_fresh_solvers_and_brute_force() {
 
     // No lock was poisoned: the shared solver still answers fresh queries and
     // its counters are coherent.
-    assert!(shared.check_sat(&Formula::True).is_sat());
+    assert!(sat(&shared, &Formula::True).is_sat());
     let stats = shared.stats();
     assert!(
         stats.cache_hits > 0,
@@ -318,7 +330,7 @@ fn lemmas_learned_from_other_queries_change_no_verdict() {
     let mut fresh_rounds = 0;
     for f in &stream {
         let fresh = Solver::new();
-        let _ = fresh.check_sat(f);
+        let _ = sat(&fresh, f);
         fresh_rounds += fresh.stats().sat_solver_calls;
     }
     for (order, queries) in [("forward", forward), ("backward", backward)] {
@@ -335,7 +347,7 @@ fn lemmas_learned_from_other_queries_change_no_verdict() {
         // must have saved rounds.
         let plain = Solver::new();
         for f in queries {
-            let _ = plain.check_sat(f);
+            let _ = sat(&plain, f);
         }
         assert_eq!(plain.stats().cache_hits, 0);
         let rounds = plain.stats().sat_solver_calls;
@@ -364,7 +376,7 @@ fn a_wrong_lemma_is_caught_by_the_oracle() {
     let interner = sabotaged.interner().clone();
     let atom = |f: &Formula| (interner.nnf(interner.simplify(interner.intern(f))), true);
     sabotaged.plant_lemma(vec![atom(&a), atom(&b)]);
-    assert_eq!(sabotaged.check_sat(&query), SatResult::Unsat);
+    assert_eq!(sat(&sabotaged, &query), SatResult::Unsat);
     let caught = sat_against_oracles(&sabotaged, &query, "sabotaged").unwrap_err();
     assert!(caught.contains("diverged from a fresh solver"), "{caught}");
     // With the fresh-solver comparison out of the way (a bug in how cores
@@ -387,7 +399,7 @@ fn race_against_fresh_solvers(solver: &Solver, query: impl Fn(usize, usize) -> F
                     (0..POOL)
                         .map(|i| {
                             barrier.wait();
-                            sat_verdict(&solver.check_sat(&query(i, t)))
+                            sat_verdict(&sat(solver, &query(i, t)))
                         })
                         .collect()
                 })
@@ -400,7 +412,7 @@ fn race_against_fresh_solvers(solver: &Solver, query: impl Fn(usize, usize) -> F
             let f = query(i, t);
             assert_eq!(
                 *verdict,
-                sat_verdict(&Solver::new().check_sat(&f)),
+                sat_verdict(&sat(&Solver::new(), &f)),
                 "thread {t}, query {i}: raced verdict diverged from a fresh solver: {f}"
             );
         }
@@ -478,7 +490,7 @@ fn epoch_accounting_survives_contention() {
             let formulas = &formulas;
             scope.spawn(move || {
                 for f in formulas.iter().skip(t).step_by(4) {
-                    let _ = solver.check_sat(f);
+                    let _ = sat(solver, f);
                 }
             });
         }
@@ -493,7 +505,7 @@ fn epoch_accounting_survives_contention() {
             let formulas = &formulas;
             scope.spawn(move || {
                 for f in formulas.iter().skip(t).step_by(4) {
-                    let _ = solver.check_sat(f);
+                    let _ = sat(solver, f);
                 }
             });
         }
@@ -526,9 +538,9 @@ fn overflowing_elimination_never_proves_unsat() {
     let mut witness = Valuation::new();
     witness.set_int("x", BIG).set_int("z", 1);
     assert_eq!(witness.eval(&f), Ok(true), "the witness is a model");
-    let result = Solver::new().check_sat(&f);
+    let result = sat(&Solver::new(), &f);
     assert_ne!(sat_verdict(&result), "unsat", "false proof for {f}");
-    assert!(!Solver::new().check_valid(&Formula::not(f)).is_valid());
+    assert!(!valid(&Solver::new(), &Formula::not(f)).is_valid());
 
     // The same shape with coprime coefficients, so no common factor can be
     // divided out before the product 3 * 3.1e18 is formed: the elimination
@@ -544,7 +556,7 @@ fn overflowing_elimination_never_proves_unsat() {
     ]);
     witness.set_int("x", 3_000_000_000_000_000_000);
     assert_eq!(witness.eval(&g), Ok(true), "the witness is a model");
-    let result = Solver::new().check_sat(&g);
+    let result = sat(&Solver::new(), &g);
     assert_ne!(sat_verdict(&result), "unsat", "false proof for {g}");
 
     // An atom whose own translation overflows: 5e18*x + 5e18*x >= y + z
@@ -561,7 +573,7 @@ fn overflowing_elimination_never_proves_unsat() {
         Term::var("z").ge(Term::int(HALF)),
         Term::var("x").le(Term::int(1)),
     ]);
-    let result = Solver::new().check_sat(&h);
+    let result = sat(&Solver::new(), &h);
     assert_ne!(sat_verdict(&result), "unsat", "false proof for {h}");
 
     // One variable with small coefficients, so Fourier–Motzkin gives up on
@@ -582,10 +594,10 @@ fn overflowing_elimination_never_proves_unsat() {
     assert_eq!(witness.eval(&k), Ok(true), "the witness is a model");
     let quantified = Formula::exists(vec!["x".into()], k.clone());
     for query in [&k, &quantified] {
-        let result = Solver::new().check_sat(query);
+        let result = sat(&Solver::new(), query);
         assert_eq!(sat_verdict(&result), "unknown", "{query}: {result:?}");
     }
-    let negation = Solver::new().check_valid(&Formula::not(k));
+    let negation = valid(&Solver::new(), &Formula::not(k));
     assert_eq!(validity_verdict(&negation), "unknown", "{negation:?}");
 }
 
@@ -605,15 +617,15 @@ fn a_wrapped_witness_never_proves_sat() {
     ]);
     let closed = Formula::exists(vec!["x".into()], f.clone());
     for query in [&f, &closed] {
-        let result = Solver::new().check_sat(query);
+        let result = sat(&Solver::new(), query);
         assert_ne!(sat_verdict(&result), "sat", "false model for {query}");
-        let negation = Solver::new().check_valid(&Formula::not(query.clone()));
+        let negation = valid(&Solver::new(), &Formula::not(query.clone()));
         assert_ne!(
             validity_verdict(&negation),
             "invalid",
             "false counter-model for {query}"
         );
-        assert_eq!(Solver::new().model(query), None, "{query}");
+        assert_eq!(model_of(&Solver::new(), query), None, "{query}");
     }
 }
 
@@ -629,7 +641,7 @@ fn a_huge_coefficient_answers_unknown_in_time() {
     let closed = Formula::exists(vec!["z".into()], f.clone());
     for query in [&f, &closed] {
         let started = std::time::Instant::now();
-        let result = Solver::new().check_sat(query);
+        let result = sat(&Solver::new(), query);
         assert!(
             started.elapsed() < std::time::Duration::from_secs(1),
             "{query} took {:?}",
@@ -656,7 +668,7 @@ fn the_cooper_fallback_answers_the_same_on_every_solver() {
         y().lt(Term::int(2)),
     ]);
     let verdicts: std::collections::BTreeSet<&str> = (0..40)
-        .map(|_| sat_verdict(&Solver::new().check_sat(&f)))
+        .map(|_| sat_verdict(&sat(&Solver::new(), &f)))
         .collect();
     assert_eq!(verdicts, ["unsat"].into(), "{f}");
 }
