@@ -11,8 +11,10 @@
 
 use crate::dependence::{Dependence, EventSet};
 use crate::{DirectionStats, ExploreConfig, Strategy};
+use expresso_logic::FxHasher;
 use expresso_semantics::{Event, ExecError, Stepper};
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 /// The two semantics run in lockstep: scheduling choices are drawn from the
 /// *driver*'s enabled set; the *follower* (absent in counting-only runs)
@@ -409,7 +411,9 @@ pub(crate) fn explore_root(
     let _span = expresso_obs::span!("explore.subtree");
     let dpor = cfg.strategy == Strategy::Dpor;
     let dedup = dpor && cfg.dedup_states;
-    let mut cache: HashMap<CacheKey, CacheEntry> = HashMap::new();
+    // Only ever probed, never iterated, so the hasher cannot change the
+    // order of anything the search does.
+    let mut cache: HashMap<CacheKey, CacheEntry, BuildHasherDefault<FxHasher>> = HashMap::default();
     let mut stats = DirectionStats::default();
     // Live executions actually walked by this DFS (cache merges excluded):
     // the wall-clock governor behind `max_executions_per_root`.

@@ -1,7 +1,8 @@
 //! The implicit-signal monitor language of the paper (Fig. 3) and its
 //! explicit-signal target (§3.3), with a lexer, parser, static checker,
-//! lowering to logic, a concrete interpreter, and a compiler of guards and
-//! bodies to slot-indexed programs for the concurrent engines ([`compile`]).
+//! lowering to logic, a concrete interpreter, a compiler of guards and
+//! bodies to slot-indexed programs for the concurrent engines ([`compile`]),
+//! and the canonical bytes of the AST that caches key on ([`canon`]).
 //!
 //! # Quick tour
 //!
@@ -24,6 +25,7 @@
 //! ```
 
 pub mod ast;
+pub mod canon;
 pub mod check;
 pub mod compile;
 pub mod interp;

@@ -1,5 +1,6 @@
-//! Byte-level primitives of the artifact format: a little-endian writer, a
-//! bounds-checked reader and the (word-wise FNV-1a) payload checksum.
+//! Byte-level primitives of the artifact format: a bounds-checked reader
+//! for the little-endian writer of `expresso_monitor_lang::canon`, and the
+//! (word-wise FNV-1a) payload checksum.
 //!
 //! Everything is hand-rolled on `std` — the workspace carries no serde — and
 //! deliberately boring: fixed-width little-endian integers, length-prefixed
@@ -54,63 +55,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Append-only little-endian byte sink.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub fn new() -> Self {
-        Writer::default()
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn str(&mut self, v: &str) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// A length-prefixed byte string the reader hands back as it is.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.seq(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Length prefix of a sequence whose items the caller writes next.
-    pub fn seq(&mut self, len: usize) {
-        self.u32(len as u32);
-    }
-
-    /// Raw bytes of an already-encoded entry (used when assembling sorted
-    /// sections from per-entry buffers).
-    pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-}
+/// The writer the reader below mirrors; it lives with the canonical AST
+/// encoding, whose bytes the artifact stores as they are.
+pub use expresso_monitor_lang::canon::Writer;
 
 /// Bounds-checked little-endian byte source over a borrowed payload.
 #[derive(Debug)]

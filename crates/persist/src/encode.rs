@@ -1,6 +1,7 @@
-//! Row and tree codecs: the node-table rows, statements, expressions,
-//! whole monitors (write-only: outcome keys), verdicts and the error enums
-//! that appear inside cached values.
+//! Row codecs: the node-table rows, verdicts and the error enums that appear
+//! inside cached values. Statements and monitors are not here: the artifact
+//! holds their canonical bytes ([`expresso_monitor_lang::canon`]) as they
+//! are and never decodes them.
 //!
 //! Every enum is encoded as a one-byte tag followed by its fields in
 //! declaration order. The decoders mirror the encoders exactly; an unknown
@@ -9,17 +10,12 @@
 //!
 //! Formula and term rows decode without recursion — a row's children are row
 //! numbers, read through [`Reader::row`], which rejects anything that is not
-//! a strictly earlier row. Statements and expressions are still trees on
-//! disk (they are small and barely shared); their decoders recurse, so their
-//! nesting is capped at [`MAX_NESTING`] and the exporter leaves out what the
-//! loader would refuse.
+//! a strictly earlier row.
 
 use crate::codec::{err, DecodeError, Reader, Writer};
 use crate::table::{FormulaRow, Row, TermRow};
 use expresso_logic::{CmpOp, Quantifier};
-use expresso_monitor_lang::{
-    BinOp, Ccr, CcrId, Expr, Field, LowerError, Method, Monitor, Param, Stmt, Type, UnOp,
-};
+use expresso_monitor_lang::LowerError;
 use expresso_smt::{SatResult, SolverError, TranslateError};
 use expresso_vcgen::WpError;
 
@@ -194,329 +190,6 @@ pub fn read_formula_row(
         }
         other => return err(format!("invalid formula tag {other}")),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Statements and expressions (WP-store keys)
-// ---------------------------------------------------------------------------
-
-fn write_type(w: &mut Writer, ty: Type) {
-    w.u8(match ty {
-        Type::Int => 0,
-        Type::Bool => 1,
-        Type::IntArray => 2,
-    });
-}
-
-fn read_type(r: &mut Reader) -> Result<Type, DecodeError> {
-    Ok(match r.u8()? {
-        0 => Type::Int,
-        1 => Type::Bool,
-        2 => Type::IntArray,
-        other => return err(format!("invalid type tag {other}")),
-    })
-}
-
-pub fn write_opt_type(w: &mut Writer, ty: Option<Type>) {
-    match ty {
-        None => w.u8(0),
-        Some(ty) => {
-            w.u8(1);
-            write_type(w, ty);
-        }
-    }
-}
-
-pub fn read_opt_type(r: &mut Reader) -> Result<Option<Type>, DecodeError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(read_type(r)?),
-        other => return err(format!("invalid option tag {other}")),
-    })
-}
-
-fn write_un_op(w: &mut Writer, op: UnOp) {
-    w.u8(match op {
-        UnOp::Neg => 0,
-        UnOp::Not => 1,
-    });
-}
-
-fn read_un_op(r: &mut Reader) -> Result<UnOp, DecodeError> {
-    Ok(match r.u8()? {
-        0 => UnOp::Neg,
-        1 => UnOp::Not,
-        other => return err(format!("invalid unary-op tag {other}")),
-    })
-}
-
-fn write_bin_op(w: &mut Writer, op: BinOp) {
-    w.u8(match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Rem => 3,
-        BinOp::Eq => 4,
-        BinOp::Ne => 5,
-        BinOp::Lt => 6,
-        BinOp::Le => 7,
-        BinOp::Gt => 8,
-        BinOp::Ge => 9,
-        BinOp::And => 10,
-        BinOp::Or => 11,
-    });
-}
-
-fn read_bin_op(r: &mut Reader) -> Result<BinOp, DecodeError> {
-    Ok(match r.u8()? {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Rem,
-        4 => BinOp::Eq,
-        5 => BinOp::Ne,
-        6 => BinOp::Lt,
-        7 => BinOp::Le,
-        8 => BinOp::Gt,
-        9 => BinOp::Ge,
-        10 => BinOp::And,
-        11 => BinOp::Or,
-        other => return err(format!("invalid binary-op tag {other}")),
-    })
-}
-
-fn write_expr(w: &mut Writer, expr: &Expr) {
-    match expr {
-        Expr::Int(v) => {
-            w.u8(0);
-            w.i64(*v);
-        }
-        Expr::Bool(v) => {
-            w.u8(1);
-            w.bool(*v);
-        }
-        Expr::Var(name) => {
-            w.u8(2);
-            w.str(name);
-        }
-        Expr::Index(array, index) => {
-            w.u8(3);
-            w.str(array);
-            write_expr(w, index);
-        }
-        Expr::Unary(op, inner) => {
-            w.u8(4);
-            write_un_op(w, *op);
-            write_expr(w, inner);
-        }
-        Expr::Binary(op, lhs, rhs) => {
-            w.u8(5);
-            write_bin_op(w, *op);
-            write_expr(w, lhs);
-            write_expr(w, rhs);
-        }
-    }
-}
-
-/// Deepest statement/expression nesting the artifact carries: the parser's
-/// own limit. The decoders below recurse once per level, so without a cap a
-/// payload of repeated one-byte `Unary` tags (with a correct checksum) would
-/// overflow the stack — an abort, not the `Corrupt` the crate promises.
-/// `nesting` lets the exporter skip the rest.
-pub use expresso_monitor_lang::MAX_NESTING;
-
-fn descend(depth: usize) -> Result<usize, DecodeError> {
-    depth
-        .checked_sub(1)
-        .ok_or_else(|| DecodeError(format!("statement nests deeper than {MAX_NESTING} levels")))
-}
-
-fn read_expr(r: &mut Reader, depth: usize) -> Result<Expr, DecodeError> {
-    let depth = descend(depth)?;
-    Ok(match r.u8()? {
-        0 => Expr::Int(r.i64()?),
-        1 => Expr::Bool(r.bool()?),
-        2 => Expr::Var(r.str()?),
-        3 => Expr::Index(r.str()?, Box::new(read_expr(r, depth)?)),
-        4 => Expr::Unary(read_un_op(r)?, Box::new(read_expr(r, depth)?)),
-        5 => Expr::Binary(
-            read_bin_op(r)?,
-            Box::new(read_expr(r, depth)?),
-            Box::new(read_expr(r, depth)?),
-        ),
-        other => return err(format!("invalid expression tag {other}")),
-    })
-}
-
-fn expr_nesting(expr: &Expr) -> usize {
-    1 + match expr {
-        Expr::Int(_) | Expr::Bool(_) | Expr::Var(_) => 0,
-        Expr::Index(_, inner) | Expr::Unary(_, inner) => expr_nesting(inner),
-        Expr::Binary(_, lhs, rhs) => expr_nesting(lhs).max(expr_nesting(rhs)),
-    }
-}
-
-/// Levels of statement/expression nesting in `stmt`, as [`read_stmt`]
-/// counts them: a statement the loader accepts has `nesting <= MAX_NESTING`.
-pub fn nesting(stmt: &Stmt) -> usize {
-    1 + match stmt {
-        Stmt::Skip => 0,
-        Stmt::Seq(parts) => parts.iter().map(nesting).max().unwrap_or(0),
-        Stmt::Assign(_, expr) | Stmt::Local(_, _, expr) => expr_nesting(expr),
-        Stmt::ArrayAssign(_, index, value) => expr_nesting(index).max(expr_nesting(value)),
-        Stmt::If(cond, a, b) => expr_nesting(cond).max(nesting(a)).max(nesting(b)),
-        Stmt::While(cond, body) => expr_nesting(cond).max(nesting(body)),
-    }
-}
-
-pub fn write_stmt(w: &mut Writer, stmt: &Stmt) {
-    match stmt {
-        Stmt::Skip => w.u8(0),
-        Stmt::Seq(parts) => {
-            w.u8(1);
-            w.seq(parts.len());
-            parts.iter().for_each(|s| write_stmt(w, s));
-        }
-        Stmt::Assign(name, expr) => {
-            w.u8(2);
-            w.str(name);
-            write_expr(w, expr);
-        }
-        Stmt::ArrayAssign(name, index, value) => {
-            w.u8(3);
-            w.str(name);
-            write_expr(w, index);
-            write_expr(w, value);
-        }
-        Stmt::Local(name, ty, init) => {
-            w.u8(4);
-            w.str(name);
-            write_type(w, *ty);
-            write_expr(w, init);
-        }
-        Stmt::If(cond, then_branch, else_branch) => {
-            w.u8(5);
-            write_expr(w, cond);
-            write_stmt(w, then_branch);
-            write_stmt(w, else_branch);
-        }
-        Stmt::While(cond, body) => {
-            w.u8(6);
-            write_expr(w, cond);
-            write_stmt(w, body);
-        }
-    }
-}
-
-pub fn read_stmt(r: &mut Reader) -> Result<Stmt, DecodeError> {
-    read_stmt_within(r, MAX_NESTING)
-}
-
-fn read_stmt_within(r: &mut Reader, depth: usize) -> Result<Stmt, DecodeError> {
-    let depth = descend(depth)?;
-    Ok(match r.u8()? {
-        0 => Stmt::Skip,
-        1 => {
-            let n = r.seq()?;
-            Stmt::Seq(
-                (0..n)
-                    .map(|_| read_stmt_within(r, depth))
-                    .collect::<Result<_, _>>()?,
-            )
-        }
-        2 => Stmt::Assign(r.str()?, read_expr(r, depth)?),
-        3 => Stmt::ArrayAssign(r.str()?, read_expr(r, depth)?, read_expr(r, depth)?),
-        4 => Stmt::Local(r.str()?, read_type(r)?, read_expr(r, depth)?),
-        5 => Stmt::If(
-            read_expr(r, depth)?,
-            Box::new(read_stmt_within(r, depth)?),
-            Box::new(read_stmt_within(r, depth)?),
-        ),
-        6 => Stmt::While(read_expr(r, depth)?, Box::new(read_stmt_within(r, depth)?)),
-        other => return err(format!("invalid statement tag {other}")),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Monitors (outcome keys)
-// ---------------------------------------------------------------------------
-
-fn write_opt_expr(w: &mut Writer, expr: Option<&Expr>) {
-    match expr {
-        None => w.u8(0),
-        Some(expr) => {
-            w.u8(1);
-            write_expr(w, expr);
-        }
-    }
-}
-
-fn write_params(w: &mut Writer, params: &[Param]) {
-    w.seq(params.len());
-    for Param { name, ty } in params {
-        w.str(name);
-        write_type(w, *ty);
-    }
-}
-
-/// Every field of the parsed monitor, in declaration order. The encoding is
-/// injective — every variable-length part carries its length, every choice a
-/// tag — so two monitors are written as the same bytes exactly when they are
-/// `==`. The AST carries no spans: layout and comments never reach it. There
-/// is no reader; an outcome key is only ever compared.
-///
-/// Each struct is taken apart by an exhaustive pattern (and `write_expr` /
-/// `write_stmt` match without a wildcard): a field or variant added to the
-/// AST does not compile here until it is written too. One that silently
-/// stayed out of the key would have two different monitors share an answer.
-pub fn write_monitor(w: &mut Writer, monitor: &Monitor) {
-    let Monitor {
-        name,
-        params,
-        requires,
-        fields,
-        methods,
-        ccrs,
-    } = monitor;
-    w.str(name);
-    write_params(w, params);
-    write_opt_expr(w, requires.as_ref());
-    w.seq(fields.len());
-    for field in fields {
-        let Field {
-            name,
-            ty,
-            init,
-            array_len,
-        } = field;
-        w.str(name);
-        write_type(w, *ty);
-        write_opt_expr(w, init.as_ref());
-        write_opt_expr(w, array_len.as_ref());
-    }
-    w.seq(methods.len());
-    for method in methods {
-        let Method { name, params, ccrs } = method;
-        w.str(name);
-        write_params(w, params);
-        w.seq(ccrs.len());
-        ccrs.iter().for_each(|CcrId(id)| w.u64(*id as u64));
-    }
-    w.seq(ccrs.len());
-    for ccr in ccrs {
-        let Ccr {
-            id: CcrId(id),
-            method,
-            position,
-            guard,
-            body,
-        } = ccr;
-        w.u64(*id as u64);
-        w.u64(*method as u64);
-        w.u64(*position as u64);
-        write_expr(w, guard);
-        write_stmt(w, body);
-    }
 }
 
 // ---------------------------------------------------------------------------

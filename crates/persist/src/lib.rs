@@ -2,9 +2,9 @@
 //! (`expresso-persist`).
 //!
 //! Suite analysis is fast *within* a process because the hash-consed arena,
-//! the solver's sat/QE caches and the fingerprinted suite-wide [`WpStore`]
-//! are all keyed on content — interned formula structure and lowering
-//! fingerprints — not on identity. This crate
+//! the solver's sat/QE caches and the suite-wide [`WpStore`] are all keyed on
+//! content — interned formula structure and canonical statement bytes — not
+//! on identity. This crate
 //! makes that content-addressing outlive the process, at two levels. It
 //! serializes the memo tables — the *leaf sections* — into a version-stamped,
 //! checksummed artifact that the next run can seed them back from, so an
@@ -17,7 +17,7 @@
 //! `SharedAnalysisContext` in `expresso-core`, which loads the artifact,
 //! replays what it can and seeds only when something has to be analysed).
 //!
-//! # What format v5 holds
+//! # What format v6 holds
 //!
 //! [`FormulaId`]s are arena-local — dense indices minted in interning order
 //! — so the artifact names formulas by rows, one per distinct arena node:
@@ -25,12 +25,18 @@
 //! * a **term table** and a **formula table** hold one row per distinct node
 //!   ([`TermRow`], [`FormulaRow`]); a row names its children by the number of
 //!   a strictly earlier row, so the tables are acyclic by construction;
+//! * a **statement section** holds one byte string per distinct statement
+//!   an entry names, ascending: its canonical bytes — lowering fingerprint,
+//!   then the statement (`expresso_vcgen::statement_bytes`) — exactly the
+//!   bytes the live WP store keys on. The loader checksums them with the
+//!   rest of the payload and never decodes them: a statement is a key to
+//!   compare, not a tree to rebuild;
 //! * the sat / QE / WP / disjointness sections are row numbers plus
 //!   verdicts. A sat verdict is a tag and carries no model. There is no
 //!   theory section: the solver's lemmas are re-learned in well under a
-//!   millisecond per monitor. The WP section keeps the store's own nesting —
-//!   one `(fingerprint, statement)` group, then its `(postcondition,
-//!   result)` pairs;
+//!   millisecond per monitor. The WP section is flat `(statement row,
+//!   postcondition row, result)` triples, ascending; a disjointness entry
+//!   names each side by guard row and body statement row;
 //! * the outcome section is one record per monitor: its key — a hash and
 //!   the canonical bytes of the monitor's AST plus the two configuration
 //!   fields that change the answer — the invariant as a row of the same
@@ -54,8 +60,10 @@
 //! interning the rows bottom-up performs the same `put`s (once each instead
 //! of once per occurrence) and every row ends up with the id its tree would
 //! have received. The keys were captured **post-normalization** — the sat/QE
-//! tables key on `interner.simplify(..)` images, the WP store on
-//! `(fingerprint, stmt, post-id)` — and every
+//! tables key on `interner.simplify(..)` images, the WP store on `(statement
+//! bytes, post-id)`, the statement interned once into a dense key of the
+//! receiving store and its entries inserted into one table grown once for
+//! all of them — and every
 //! normalization is a deterministic structural function, so a seeded key is
 //! exactly the id the warm run's own lookup computes: a seeded entry can only
 //! be found via a key the cold run proved, and a warm hit returns the
@@ -82,7 +90,7 @@
 //! nothing. The lookup finds by hash and confirms by comparing the bytes, so
 //! a collision is a miss. The monitor that misses is analysed, and below it
 //! the leaf sections do the same thing one level down: editing one CCR
-//! changes its statement AST (and hence its WP keys) and every VC formula
+//! changes its statement bytes (and hence its WP keys) and every VC formula
 //! built from it (and hence the solver keys); the stale entries simply never
 //! match again, and what the edited monitor still shares with its former
 //! self is served from disk. The `reproduce persist` harness measures
@@ -105,15 +113,15 @@
 //! * **Corruption:** the payload is guarded by a magic, a format version, its
 //!   length and a word-wise, folded FNV-1a checksum, all verified *before*
 //!   decoding; a truncated, bit-flipped or version-mismatched file (any
-//!   artifact of v2 to v4 included: there is one format) loads as [`LoadResult::Corrupt`] and the caller
-//!   falls back to a cold start with a warning — never a panic, never a
-//!   wrong verdict.
+//!   artifact of v2 to v5 included: there is one format) loads as
+//!   [`LoadResult::Corrupt`] and the caller falls back to a cold start with
+//!   a warning — never a panic, never a wrong verdict.
 //! * **Hostile payloads:** a file whose checksum is *right* still cannot
 //!   abort the process. Rows decode iteratively; every row reference is read
 //!   through one bounds check that rejects forward references, self
-//!   references (hence cycles) and entries pointing past a table; statement
-//!   nesting is capped ([`MAX_NESTING`]); sequence lengths are capped by the
-//!   bytes that remain; an outcome record must name an invariant row inside
+//!   references (hence cycles) and entries pointing past a table (a
+//!   statement row included); sequence lengths are capped by the bytes that
+//!   remain; an outcome record must name an invariant row inside
 //!   the table, carry no unknown decision flag and sort strictly after the
 //!   record before it (so no key is filed twice). Replay is the one place
 //!   that turns rows back into a tree — recursively, a shared row once per
@@ -123,10 +131,12 @@
 //!   [`MAX_TREE_NODES`] nodes (forty rows can spell 2^40) refuses the file;
 //!   the exporter leaves such a record out. [`load`] returns an
 //!   [`Artifact`] only if all of that held, and nothing is seeded or replayed
-//!   from one that did not. An outcome key is never decoded — it is bytes to
-//!   compare — so it has no nesting to cap, and a record's CCR and guard
-//!   indices mean nothing until there is a monitor to hold them against:
-//!   whoever replays checks them, and a record that does not fit is a miss.
+//!   from one that did not. Neither a statement nor an outcome key is ever
+//!   decoded — both are bytes to compare — so neither has a nesting to cap:
+//!   a hostile statement blob is filed as it is and matches no statement a
+//!   live analysis encodes. A record's CCR and guard indices mean nothing
+//!   until there is a monitor to hold them against: whoever replays checks
+//!   them, and a record that does not fit is a miss.
 //!   What the decoder cannot catch is a payload that is well formed and
 //!   *wrong* — a verdict flipped, a decision's flag changed, under a checksum
 //!   recomputed to agree. That is a forged file, and forgery is what the
@@ -142,26 +152,25 @@ mod outcome;
 mod table;
 
 pub use codec::{checksum, DecodeError};
-pub use encode::MAX_NESTING;
+pub use expresso_monitor_lang::MAX_NESTING;
 pub use outcome::{DecisionRecord, OutcomeKey, OutcomeRecord};
 pub use table::{FormulaRow, Row, TermRow, MAX_TREE_NODES};
 
 use codec::{Reader, Writer};
 use encode::{
-    nesting, read_formula_row, read_opt_type, read_sat_result, read_stmt, read_term_row,
-    read_translate_error, read_wp_error, write_formula_row, write_opt_type, write_sat_result,
-    write_stmt, write_term_row, write_translate_error, write_wp_error,
+    read_formula_row, read_sat_result, read_term_row, read_translate_error, read_wp_error,
+    write_formula_row, write_sat_result, write_term_row, write_translate_error, write_wp_error,
 };
 use expresso_logic::{Formula, FormulaId};
-use expresso_monitor_lang::{Stmt, Type};
 use expresso_smt::{SatResult, Solver, TranslateError};
-use expresso_vcgen::{DisjointnessStore, WpError, WpStore};
+use expresso_vcgen::{DisjointnessStore, WpError, WpExport, WpStore};
 use outcome::{read_outcome, write_outcome};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Default cache directory, relative to the working directory, used when no
 /// explicit path is configured (see `ExpressoConfig::cache_dir` and the
@@ -191,44 +200,29 @@ const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 /// section. v5 dropped the theory-verdict section (the cache it held is gone
 /// from the solver, and the lemma store that replaced it is not persisted)
 /// and the models of the sat section (a verdict no longer carries one), and
-/// taught the QE section `TranslateError::Overflow`.
-pub const FORMAT_VERSION: u32 = 5;
+/// taught the QE section `TranslateError::Overflow`. v6 stores statements as
+/// opaque canonical bytes in one section that the WP and disjointness
+/// sections name by row, and writes the WP section as flat `(statement,
+/// postcondition, result)` triples instead of per-statement groups.
+pub const FORMAT_VERSION: u32 = 6;
 
-/// The slice of a symbol table a statement's `wp` consults, in owned form.
-pub type Fingerprint = Vec<(String, Option<Type>)>;
+/// One persisted WP-store entry: the statement's row in the statement
+/// section, the postcondition's row and the memoized `wp(stmt, post)`.
+pub type WpArtifactEntry = (Row, Row, Result<Row, WpError>);
 
-/// The persisted WP-store entries of one `(fingerprint, statement)` pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WpArtifactGroup {
-    /// The lowering fingerprint — the exact symbol-table slice the statement
-    /// reads or writes, which is the dirty-statement invalidation unit: a
-    /// type or name change anywhere in this slice re-keys the group.
-    pub fingerprint: Fingerprint,
-    /// The statement AST (the second key component).
-    pub stmt: Stmt,
-    /// `(postcondition row, memoized wp(stmt, post))` pairs, by ascending
-    /// postcondition row.
-    pub entries: Vec<(Row, Result<Row, WpError>)>,
-}
-
-/// One persisted CCR-pair independence verdict: both sides' guard rows,
-/// lowering fingerprints and body ASTs (the content-addressed key), plus the
-/// verdict. Any edit to either CCR re-keys the pair, so stale verdicts never
-/// match again.
+/// One persisted CCR-pair independence verdict: both sides' guard rows and
+/// body statement rows (the content-addressed key), plus the verdict. Any
+/// edit to either CCR re-keys the pair, so stale verdicts never match again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DisjointnessArtifactEntry {
-    /// Lowered guard of the first CCR.
+    /// Lowered guard of the first CCR (a formula row).
     pub guard_a: Row,
-    /// Lowering fingerprint of the first CCR's body.
-    pub fingerprint_a: Fingerprint,
-    /// Body AST of the first CCR.
-    pub body_a: Stmt,
-    /// Lowered guard of the second CCR.
+    /// Body of the first CCR (a statement row).
+    pub body_a: Row,
+    /// Lowered guard of the second CCR (a formula row).
     pub guard_b: Row,
-    /// Lowering fingerprint of the second CCR's body.
-    pub fingerprint_b: Fingerprint,
-    /// Body AST of the second CCR.
-    pub body_b: Stmt,
+    /// Body of the second CCR (a statement row).
+    pub body_b: Row,
     /// Whether the pair was proven conditionally independent.
     pub independent: bool,
 }
@@ -246,7 +240,9 @@ pub struct Artifact {
     formulas: Vec<FormulaRow>,
     sat: Vec<(Row, SatResult)>,
     qe: Vec<(Row, Result<Row, TranslateError>)>,
-    wp: Vec<WpArtifactGroup>,
+    /// Canonical statement bytes, never decoded.
+    statements: Vec<Box<[u8]>>,
+    wp: Vec<WpArtifactEntry>,
     disjointness: Vec<DisjointnessArtifactEntry>,
     /// Strictly ascending by key; every invariant names a row
     /// [`table::small_trees`] vouches for.
@@ -267,7 +263,7 @@ impl Artifact {
         SeedReport {
             sat: self.sat.len(),
             qe: self.qe.len(),
-            wp: self.wp_entries(),
+            wp: self.wp.len(),
             disjointness: self.disjointness.len(),
             outcomes: self.outcomes.len(),
         }
@@ -298,8 +294,15 @@ impl Artifact {
         &self.qe
     }
 
-    /// WP-store entries, grouped by `(fingerprint, statement)`.
-    pub fn wp(&self) -> &[WpArtifactGroup] {
+    /// The statement section: the canonical bytes of every statement an
+    /// entry names (`expresso_vcgen::statement_bytes`), ascending. The
+    /// loader hands them over as they are; nothing decodes them.
+    pub fn statements(&self) -> &[Box<[u8]>] {
+        &self.statements
+    }
+
+    /// WP-store entries, ascending by `(statement row, postcondition row)`.
+    pub fn wp(&self) -> &[WpArtifactEntry] {
         &self.wp
     }
 
@@ -307,11 +310,6 @@ impl Artifact {
     /// content.
     pub fn disjointness(&self) -> &[DisjointnessArtifactEntry] {
         &self.disjointness
-    }
-
-    /// WP-store entries across every group.
-    pub fn wp_entries(&self) -> usize {
-        self.wp.iter().map(|group| group.entries.len()).sum()
     }
 
     /// Monitor-level outcome records, ascending by key.
@@ -346,7 +344,7 @@ pub struct SaveReport {
     pub sat: usize,
     /// Quantifier-elimination entries written.
     pub qe: usize,
-    /// Always 0: format v5 has no theory section (the solver's theory lemmas
+    /// Always 0: the format has no theory section (the solver's theory lemmas
     /// are not persisted). The field stays because the frozen `benchmark/`
     /// package reads it; it leaves with the next PR that owns that package
     /// (ROADMAP 6(b)).
@@ -419,39 +417,11 @@ pub enum LoadResult {
 // Export: memo tables → artifact (ids → canonical rows)
 // ---------------------------------------------------------------------------
 
-fn write_fingerprint(w: &mut Writer, fingerprint: &[(String, Option<Type>)]) {
-    w.seq(fingerprint.len());
-    for (name, ty) in fingerprint {
-        w.str(name);
-        write_opt_type(w, *ty);
-    }
-}
-
-fn read_fingerprint(r: &mut Reader) -> Result<Fingerprint, DecodeError> {
-    (0..r.seq()?)
-        .map(|_| Ok((r.str()?, read_opt_type(r)?)))
-        .collect()
-}
-
-/// The bytes a `(fingerprint, statement)` key is written as — also what
-/// groups and disjointness entries are ordered by, statements having no
-/// order of their own.
-fn key_bytes(fingerprint: &[(String, Option<Type>)], stmt: &Stmt) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_fingerprint(&mut w, fingerprint);
-    write_stmt(&mut w, stmt);
-    w.into_bytes()
-}
-
 /// Snapshots the solver's two memo tables, the WP store and the
 /// disjointness store into a process-independent [`Artifact`]: one walk of
 /// the arena DAG from the cached ids numbers every reachable node (see the
 /// module documentation), and every section is put in an order that depends
 /// on its content alone.
-///
-/// A statement nested deeper than [`MAX_NESTING`] is left out with its
-/// entries — the loader would refuse the file over it — and is simply
-/// recomputed by the next run.
 pub fn export_artifact(
     solver: &Solver,
     wp_store: &WpStore,
@@ -464,7 +434,7 @@ pub fn export_artifact(
 /// invariants by ids of `solver`'s arena, which join the roots of the
 /// numbering walk. A record whose invariant is a larger tree than replay
 /// will rebuild ([`MAX_NESTING`] levels, [`MAX_TREE_NODES`] nodes) is left
-/// out like a too-deep statement: the loader would refuse the file over it.
+/// out: the loader would refuse the file over it.
 pub fn export_with_outcomes(
     solver: &Solver,
     wp_store: &WpStore,
@@ -473,10 +443,8 @@ pub fn export_with_outcomes(
 ) -> Artifact {
     let sat = solver.export_sat_cache();
     let qe = solver.export_qe_cache();
-    let mut wp = wp_store.export_groups();
-    wp.retain(|(_, stmt, _)| nesting(stmt) <= MAX_NESTING);
-    let mut pairs = disjointness.export_entries();
-    pairs.retain(|(_, _, a, _, _, b, _)| nesting(a).max(nesting(b)) <= MAX_NESTING);
+    let wp = wp_store.export();
+    let pairs = disjointness.export_entries();
 
     let mut roots: Vec<FormulaId> = Vec::new();
     roots.extend(sat.iter().map(|(key, _)| *key));
@@ -484,18 +452,37 @@ pub fn export_with_outcomes(
         roots.push(*key);
         roots.extend(result.as_ref().ok());
     }
-    for (_, _, entries) in &wp {
-        for (post, result) in entries {
-            roots.push(*post);
-            roots.extend(result.as_ref().ok());
-        }
+    for (_, post, result) in &wp.entries {
+        roots.push(*post);
+        roots.extend(result.as_ref().ok());
     }
-    for (guard_a, _, _, guard_b, _, _, _) in &pairs {
+    for (guard_a, _, guard_b, _, _) in &pairs {
         roots.extend([*guard_a, *guard_b]);
     }
     roots.extend(outcomes.values().map(|record| record.invariant));
     let numbering = table::number(solver.interner(), roots);
     let row = |id: FormulaId| numbering.row(id);
+
+    // The statement section: every statement an entry names, once,
+    // ascending by its bytes, so its rows depend on content alone.
+    let mut named: Vec<&[u8]> = wp
+        .entries
+        .iter()
+        .map(|(stmt, _, _)| &*wp.statements[*stmt])
+        .chain(pairs.iter().flat_map(|(_, a, _, b, _)| [&**a, &**b]))
+        .collect();
+    named.sort_unstable();
+    named.dedup();
+    let stmt_row = |bytes: &[u8]| {
+        named
+            .binary_search(&bytes)
+            .expect("every named statement is in the section") as Row
+    };
+    let rows_by_key: Vec<Option<Row>> = wp
+        .statements
+        .iter()
+        .map(|bytes| named.binary_search(&&**bytes).ok().map(|at| at as Row))
+        .collect();
 
     let mut sat: Vec<_> = sat.into_iter().map(|(key, v)| (row(key), v)).collect();
     sat.sort_unstable_by_key(|(key, _)| *key);
@@ -504,44 +491,27 @@ pub fn export_with_outcomes(
         .map(|(key, result)| (row(key), result.map(row)))
         .collect();
     qe.sort_unstable_by_key(|(key, _)| *key);
-    let mut wp: Vec<_> = wp
-        .into_iter()
-        .map(|(fingerprint, stmt, entries)| {
-            let mut entries: Vec<_> = entries
-                .into_iter()
-                .map(|(post, result)| (row(post), result.map(row)))
-                .collect();
-            entries.sort_unstable_by_key(|(post, _)| *post);
-            WpArtifactGroup {
-                fingerprint: fingerprint.to_vec(),
-                stmt,
-                entries,
-            }
+    let mut wp_entries: Vec<WpArtifactEntry> = wp
+        .entries
+        .iter()
+        .map(|(stmt, post, result)| {
+            let stmt = rows_by_key[*stmt].expect("an entry's statement is named");
+            (stmt, row(*post), result.clone().map(row))
         })
         .collect();
-    wp.sort_by_cached_key(|group| key_bytes(&group.fingerprint, &group.stmt));
+    wp_entries.sort_unstable_by_key(|(stmt, post, _)| (*stmt, *post));
     let mut disjointness: Vec<_> = pairs
-        .into_iter()
-        .map(
-            |(ga, fa, ba, gb, fb, bb, independent)| DisjointnessArtifactEntry {
-                guard_a: row(ga),
-                fingerprint_a: fa.to_vec(),
-                body_a: ba,
-                guard_b: row(gb),
-                fingerprint_b: fb.to_vec(),
-                body_b: bb,
-                independent,
-            },
-        )
+        .iter()
+        .map(|(ga, ba, gb, bb, independent)| DisjointnessArtifactEntry {
+            guard_a: row(*ga),
+            body_a: stmt_row(ba),
+            guard_b: row(*gb),
+            body_b: stmt_row(bb),
+            independent: *independent,
+        })
         .collect();
-    disjointness.sort_by_cached_key(|e| {
-        (
-            e.guard_a,
-            e.guard_b,
-            key_bytes(&e.fingerprint_a, &e.body_a),
-            key_bytes(&e.fingerprint_b, &e.body_b),
-        )
-    });
+    disjointness.sort_unstable_by_key(|e| (e.guard_a, e.guard_b, e.body_a, e.body_b));
+    let statements = named.into_iter().map(Box::from).collect();
     let small = table::small_trees(&numbering.terms, &numbering.formulas);
     let outcomes = outcomes
         .into_iter()
@@ -557,7 +527,8 @@ pub fn export_with_outcomes(
         formulas: numbering.formulas,
         sat,
         qe,
-        wp,
+        statements,
+        wp: wp_entries,
         disjointness,
         outcomes,
     }
@@ -583,13 +554,13 @@ pub fn seed(
 }
 
 impl Artifact {
-    /// [`seed`], moving the entries instead of copying them: statements and
-    /// fingerprints go into the caches as they are, and the four leaf
-    /// sections are left empty — a seeded cache and the section it
-    /// came from would hold the same thing twice for as long as both live.
-    /// The node tables and the outcome records stay. Also returns the arena
-    /// id every formula row was interned as, by row: what turns an outcome
-    /// record's invariant into a root of the next export.
+    /// [`seed`], moving the entries instead of copying them: statement
+    /// bytes go into the WP store as they are, and the leaf sections are
+    /// left empty — a seeded cache and the section it came from would hold
+    /// the same thing twice for as long as both live. The node tables and
+    /// the outcome records stay. Also returns the arena id every formula row
+    /// was interned as, by row: what turns an outcome record's invariant
+    /// into a root of the next export.
     pub fn seed_into(
         &mut self,
         solver: &Solver,
@@ -599,6 +570,19 @@ impl Artifact {
         let _span = expresso_obs::span!("persist.seed");
         let ids = table::intern(solver.interner(), &self.terms, &self.formulas);
         let id = |row: Row| ids[row as usize];
+        let body = |row: Row| Arc::from(&*self.statements[row as usize]);
+        let pairs = std::mem::take(&mut self.disjointness)
+            .into_iter()
+            .map(|e| {
+                (
+                    id(e.guard_a),
+                    body(e.body_a),
+                    id(e.guard_b),
+                    body(e.body_b),
+                    e.independent,
+                )
+            })
+            .collect();
         let report = SeedReport {
             outcomes: 0,
             sat: solver.seed_sat_cache(
@@ -613,33 +597,14 @@ impl Artifact {
                     .map(|(key, result)| (id(key), result.map(id)))
                     .collect(),
             ),
-            wp: std::mem::take(&mut self.wp)
-                .into_iter()
-                .map(|group| {
-                    let entries = group
-                        .entries
-                        .into_iter()
-                        .map(|(post, result)| (id(post), result.map(id)))
-                        .collect();
-                    wp_store.seed_group((group.fingerprint.into(), group.stmt, entries))
-                })
-                .sum(),
-            disjointness: disjointness.seed_entries(
-                std::mem::take(&mut self.disjointness)
+            disjointness: disjointness.seed_entries(pairs),
+            wp: wp_store.seed(WpExport {
+                statements: std::mem::take(&mut self.statements),
+                entries: std::mem::take(&mut self.wp)
                     .into_iter()
-                    .map(|entry| {
-                        (
-                            id(entry.guard_a),
-                            entry.fingerprint_a.into(),
-                            entry.body_a,
-                            id(entry.guard_b),
-                            entry.fingerprint_b.into(),
-                            entry.body_b,
-                            entry.independent,
-                        )
-                    })
+                    .map(|(stmt, post, result)| (stmt as usize, id(post), result.map(id)))
                     .collect(),
-            ),
+            }),
         };
         (report, ids)
     }
@@ -655,8 +620,9 @@ impl Artifact {
 //             formulas seq of formula rows
 //             sat      seq of (row, sat result)
 //             qe       seq of (row, Ok row | Err translate error)
-//             wp       seq of (fingerprint, stmt, seq of (row, Ok row | Err wp error))
-//             pairs    seq of (row, fingerprint, stmt, row, fingerprint, stmt, verdict)
+//             stmts    seq of byte strings (canonical statement bytes), ascending
+//             wp       seq of (stmt row, row, Ok row | Err wp error), ascending
+//             pairs    seq of (row, stmt row, row, stmt row, verdict)
 //             outcomes seq of (key hash, key bytes, invariant row, candidates, conjuncts,
 //                              triples, seq of (ccr, guard, flags)), ascending by key
 
@@ -724,24 +690,20 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
         w.u32(*key);
         write_result(&mut w, result, write_translate_error);
     }
+    w.seq(artifact.statements.len());
+    artifact.statements.iter().for_each(|bytes| w.bytes(bytes));
     w.seq(artifact.wp.len());
-    for group in &artifact.wp {
-        write_fingerprint(&mut w, &group.fingerprint);
-        write_stmt(&mut w, &group.stmt);
-        w.seq(group.entries.len());
-        for (post, result) in &group.entries {
-            w.u32(*post);
-            write_result(&mut w, result, write_wp_error);
-        }
+    for (stmt, post, result) in &artifact.wp {
+        w.u32(*stmt);
+        w.u32(*post);
+        write_result(&mut w, result, write_wp_error);
     }
     w.seq(artifact.disjointness.len());
     for entry in &artifact.disjointness {
         w.u32(entry.guard_a);
-        write_fingerprint(&mut w, &entry.fingerprint_a);
-        write_stmt(&mut w, &entry.body_a);
+        w.u32(entry.body_a);
         w.u32(entry.guard_b);
-        write_fingerprint(&mut w, &entry.fingerprint_b);
-        write_stmt(&mut w, &entry.body_b);
+        w.u32(entry.body_b);
         w.bool(entry.independent);
     }
     w.seq(artifact.outcomes.len());
@@ -753,7 +715,9 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
 }
 
 /// Decodes and validates a payload: every row reference must name a strictly
-/// earlier row of its table (children) or a row inside the table (entries),
+/// earlier row of its table (children) or a row inside the table (entries:
+/// a statement row one of the statement section, whose bytes are taken as
+/// they are),
 /// the outcome records must ascend strictly by key (so no key is filed
 /// twice) and each must name an invariant whose tree is small enough to
 /// rebuild.
@@ -778,39 +742,22 @@ fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
         artifact.qe.push((key, result));
     }
     for _ in 0..r.seq()? {
-        let fingerprint = read_fingerprint(&mut r)?;
-        let stmt = read_stmt(&mut r)?;
-        let entries = (0..r.seq()?)
-            .map(|_| {
-                let post = r.row(formulas)?;
-                Ok((post, read_result(&mut r, formulas, read_wp_error)?))
-            })
-            .collect::<Result<_, DecodeError>>()?;
-        artifact.wp.push(WpArtifactGroup {
-            fingerprint,
-            stmt,
-            entries,
-        });
+        artifact.statements.push(r.bytes()?.into_boxed_slice());
+    }
+    let statements = artifact.statements.len();
+    for _ in 0..r.seq()? {
+        let stmt = r.row(statements)?;
+        let post = r.row(formulas)?;
+        let result = read_result(&mut r, formulas, read_wp_error)?;
+        artifact.wp.push((stmt, post, result));
     }
     for _ in 0..r.seq()? {
-        let mut side = || -> Result<_, DecodeError> {
-            Ok((
-                r.row(formulas)?,
-                read_fingerprint(&mut r)?,
-                read_stmt(&mut r)?,
-            ))
-        };
-        let (guard_a, fingerprint_a, body_a) = side()?;
-        let (guard_b, fingerprint_b, body_b) = side()?;
-        let independent = r.bool()?;
         artifact.disjointness.push(DisjointnessArtifactEntry {
-            guard_a,
-            fingerprint_a,
-            body_a,
-            guard_b,
-            fingerprint_b,
-            body_b,
-            independent,
+            guard_a: r.row(formulas)?,
+            body_a: r.row(statements)?,
+            guard_b: r.row(formulas)?,
+            body_b: r.row(statements)?,
+            independent: r.bool()?,
         });
     }
     let small = table::small_trees(&artifact.terms, &artifact.formulas);
@@ -964,9 +911,10 @@ mod tests {
     use super::*;
     use expresso_logic::{CmpOp, FormulaNode, Term};
     use expresso_monitor_lang::{
-        parse_expr, parse_monitor, Ccr, CcrId, Expr, Field, Method, Monitor, NotificationKind,
-        SignalCondition, UnOp,
+        check_monitor, parse_expr, parse_monitor, Ccr, CcrId, Expr, Field, Method, Monitor,
+        NotificationKind, SignalCondition, Stmt, Type, UnOp, VarTable,
     };
+    use expresso_vcgen::statement_bytes;
 
     struct Caches {
         solver: Solver,
@@ -1005,6 +953,31 @@ mod tests {
         )
     }
 
+    /// The symbol table of a monitor with the one field `int <var>`.
+    fn table_of(var: &str) -> VarTable {
+        let source = format!("monitor M {{ int {var} = 0; atomic void nop() {{ skip; }} }}");
+        check_monitor(&parse_monitor(&source).unwrap()).unwrap()
+    }
+
+    /// Seeds `wp` with one statement and its `(post, result)` entries, as a
+    /// loaded artifact would.
+    fn seed_statement(
+        wp: &WpStore,
+        stmt: &Stmt,
+        table: &VarTable,
+        entries: Vec<(FormulaId, Result<FormulaId, WpError>)>,
+    ) {
+        let entries = entries
+            .into_iter()
+            .map(|(post, result)| (0, post, result))
+            .collect();
+        let statements = vec![statement_bytes(stmt, table).into()];
+        wp.seed(WpExport {
+            statements,
+            entries,
+        });
+    }
+
     /// One entry per section over a handful of shared nodes. `shuffled`
     /// fills the same caches through a differently populated arena and in
     /// the opposite order: other ids, other insertion order, same content.
@@ -1039,24 +1012,16 @@ mod tests {
         }
         caches.solver.seed_sat_cache(sat);
         caches.solver.seed_qe_cache(vec![(exists, Ok(truth))]);
-        let fingerprint: expresso_vcgen::LoweringFingerprint =
-            vec![("count".to_string(), Some(Type::Int))].into();
+        let table = table_of("count");
         let mut posts = vec![(guard, Ok(shifted)), (nonneg, Ok(nonneg))];
         if shuffled {
             posts.reverse();
         }
+        seed_statement(&caches.wp, &bump("+ 1"), &table, posts);
+        let body = |delta| Arc::from(statement_bytes(&bump(delta), &table));
         caches
-            .wp
-            .seed_group((fingerprint.clone(), bump("+ 1"), posts));
-        caches.pairs.seed_entries(vec![(
-            guard,
-            fingerprint.clone(),
-            bump("+ 1"),
-            truth,
-            fingerprint,
-            bump("- 1"),
-            true,
-        )]);
+            .pairs
+            .seed_entries(vec![(guard, body("+ 1"), truth, body("- 1"), true)]);
         caches
     }
 
@@ -1093,7 +1058,9 @@ mod tests {
     fn encode_decode_round_trips() {
         let artifact = sample_caches(false).export();
         assert_eq!(artifact.len(), 6);
-        assert_eq!(artifact.wp_entries(), 2);
+        assert_eq!(artifact.wp().len(), 2);
+        // The WP entries' statement and both bodies of the pair, once each.
+        assert_eq!(artifact.statements().len(), 2);
         // count, 0, 3, 4 — each once, however many formulas mention them.
         assert_eq!(artifact.terms().len(), 4);
         let bytes = encode_artifact(&artifact);
@@ -1104,11 +1071,10 @@ mod tests {
             (artifact.formula(*key) == count_lt(4)) == (*verdict == SatResult::Unsat),
             "sat entry lost its key"
         );
-        let group = &artifact.wp()[0];
-        assert!(group
-            .entries
+        assert!(artifact
+            .wp()
             .iter()
-            .any(|(post, wp)| artifact.formula(*post) == count_lt(4)
+            .any(|(_, post, wp)| artifact.formula(*post) == count_lt(4)
                 && wp.as_ref().map(|r| artifact.formula(*r)) == Ok(count_lt(3))));
     }
 
@@ -1200,11 +1166,11 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_corrupt() {
-        // A future version, the format with a theory section and models, the
-        // one without outcome records and the tree format before it: each is
-        // a cold start, none is decoded.
+        // A future version, the format that decoded statements, the one with
+        // a theory section and models, the one without outcome records and
+        // the tree format before it: each is a cold start, none is decoded.
         let bytes = encode_artifact(&sample_caches(false).export());
-        for version in [FORMAT_VERSION + 1, 4, 3, 2] {
+        for version in [FORMAT_VERSION + 1, 5, 4, 3, 2] {
             let mut bytes = bytes.clone();
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             assert_corrupt("ver", &bytes, "format version");
@@ -1236,9 +1202,7 @@ mod tests {
                 a.formulas[at] = FormulaRow::Divides(2, terms)
             }),
             ("entry", |a, _, formulas, _| a.sat[0].0 = formulas),
-            ("wp-result", |a, _, formulas, _| {
-                a.wp[0].entries[0].1 = Ok(formulas)
-            }),
+            ("wp-result", |a, _, formulas, _| a.wp[0].2 = Ok(formulas)),
         ];
         for (tag, mangle) in mangles {
             let mut artifact = pristine.clone();
@@ -1247,70 +1211,124 @@ mod tests {
         }
     }
 
-    /// A payload whose only entry is a WP group over `stmt_bytes`.
-    fn payload_with_statement(stmt_bytes: &[u8]) -> Vec<u8> {
+    /// A payload whose only entry is a WP entry over the statement `blob`,
+    /// for the postcondition `true` and with the result `true`.
+    fn payload_with_statement(blob: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
-        (0..4).for_each(|_| w.seq(0)); // terms, formulas, sat, qe
+        w.seq(0); // terms
         w.seq(1);
-        w.seq(0); // empty fingerprint
-        w.raw(stmt_bytes);
-        w.seq(0); // no entries
+        write_formula_row(&mut w, &FormulaRow::True);
+        w.seq(0); // sat
+        w.seq(0); // qe
+        w.seq(1);
+        w.bytes(blob);
+        w.seq(1);
+        w.u32(0); // statement row
+        w.u32(0); // postcondition row
+        write_result(&mut w, &Ok::<Row, WpError>(0), write_wp_error);
         w.seq(0); // disjointness
+        w.seq(0); // outcomes
         w.into_bytes()
     }
 
+    /// `levels` unary negations around `x`, assigned to `x`.
+    fn nested(levels: usize) -> Stmt {
+        let mut expr = Expr::Var("x".into());
+        (0..levels).for_each(|_| expr = Expr::Unary(UnOp::Neg, Box::new(expr.clone())));
+        Stmt::Assign("x".into(), expr)
+    }
+
     #[test]
-    fn bottomless_statements_are_corrupt_not_a_stack_overflow() {
-        const DEPTH: usize = 100_000;
-        let mut unary = Writer::new();
-        unary.u8(2); // Assign
-        unary.str("x");
-        (0..DEPTH).for_each(|_| unary.raw(&[4, 0])); // Unary(Neg, …
-        let mut seq = Writer::new();
-        (0..DEPTH).for_each(|_| {
-            seq.u8(1); // Seq of one …
-            seq.seq(1);
-        });
-        for (tag, stmt) in [("unary", unary), ("seq", seq)] {
-            let file = frame(&payload_with_statement(&stmt.into_bytes()));
-            assert_corrupt(tag, &file, "nests deeper");
+    fn statement_blobs_load_undecoded_and_match_no_live_statement() {
+        // Statements are bytes to compare, not trees to rebuild: a blob no
+        // encoder wrote — random bytes, a tag no statement has, a tower of
+        // 100 000 one-byte `Unary` tags that a recursive decoder would
+        // overflow the stack on — loads as it is, under a checksum that
+        // agrees, and seeds an entry no live statement ever finds.
+        let mut tower = Writer::new();
+        tower.u8(2); // Assign
+        tower.str("x");
+        (0..100_000).for_each(|_| tower.raw(&[4, 0])); // Unary(Neg, …
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let random: Vec<u8> = (0..4096)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect();
+        let live_table = table_of("x");
+        let live = [Stmt::Skip, nested(3), nested(MAX_NESTING + 50)];
+        for (tag, blob) in [
+            ("tower", tower.into_bytes()),
+            ("random", random),
+            ("bad-tag", vec![0xff; 16]),
+            ("empty", Vec::new()),
+        ] {
+            let loaded = match load_bytes(tag, &frame(&payload_with_statement(&blob))) {
+                LoadResult::Loaded(loaded) => loaded,
+                other => panic!("{tag}: expected Loaded, got {other:?}"),
+            };
+            assert_eq!(loaded.statements(), [blob.into_boxed_slice()], "{tag}");
+            let (warm, report) = Caches::seeded_from(&loaded);
+            assert_eq!(report.wp, 1, "{tag}");
+            let session = Arc::new(warm.wp).session();
+            let truth = warm.solver.interner().true_id();
+            for stmt in &live {
+                let got = session.get_or_compute(stmt, &live_table, truth, || {
+                    Err(WpError::ArrayWrite("computed".into()))
+                });
+                assert!(got.is_err(), "{tag}: {stmt:?} was served the blob's entry");
+            }
+            assert_eq!(session.stats().hits, 0, "{tag}");
+        }
+        // A statement row is a row reference like any other: one past the
+        // section is refused, from a WP entry and from either side of a pair.
+        let pristine = sample_caches(false).export();
+        let past = pristine.statements().len() as Row;
+        type Mangle = fn(&mut Artifact, Row);
+        let mangles: [(&str, Mangle); 3] = [
+            ("wp-statement", |a, past| a.wp[0].0 = past),
+            ("pair-body-a", |a, past| a.disjointness[0].body_a = past),
+            ("pair-body-b", |a, past| a.disjointness[0].body_b = past),
+        ];
+        for (tag, mangle) in mangles {
+            let mut artifact = pristine.clone();
+            mangle(&mut artifact, past);
+            assert_corrupt(tag, &encode_artifact(&artifact), "row reference");
         }
     }
 
     #[test]
-    fn the_exporter_leaves_out_what_the_loader_would_refuse() {
-        let nested = |levels: usize| {
-            let mut expr = Expr::Var("x".into());
-            (0..levels).for_each(|_| expr = Expr::Unary(UnOp::Neg, Box::new(expr.clone())));
-            Stmt::Assign("x".into(), expr)
-        };
-        let round_trip = |stmt: &Stmt| {
-            let mut w = Writer::new();
-            write_stmt(&mut w, stmt);
-            read_stmt(&mut Reader::new(&w.into_bytes()))
-        };
-        let deepest = nested(MAX_NESTING - 2);
-        assert_eq!(nesting(&deepest), MAX_NESTING);
-        assert_eq!(round_trip(&deepest).as_ref(), Ok(&deepest));
-        let too_deep = nested(MAX_NESTING - 1);
-        assert!(round_trip(&too_deep).is_err());
-
-        let caches = Caches::new();
-        let truth = caches.solver.interner().true_id();
-        let fingerprint: expresso_vcgen::LoweringFingerprint =
-            vec![("x".to_string(), Some(Type::Int))].into();
-        for stmt in [deepest.clone(), too_deep] {
-            caches
-                .wp
-                .seed_group((fingerprint.clone(), stmt, vec![(truth, Ok(truth))]));
-        }
-        let artifact = caches.export();
+    fn statements_past_the_parser_nesting_round_trip_as_bytes() {
+        // Nothing decodes a statement, so nothing caps its nesting: one far
+        // deeper than the parser accepts is exported with its entry, loads,
+        // and is served from disk to a live lookup of the same statement.
+        let table = table_of("x");
+        let deep = nested(MAX_NESTING + 50);
+        let cold = Caches::new();
+        let truth = cold.solver.interner().true_id();
+        seed_statement(&cold.wp, &deep, &table, vec![(truth, Ok(truth))]);
+        let artifact = cold.export();
         assert_eq!(artifact.wp().len(), 1);
-        assert_eq!(artifact.wp()[0].stmt, deepest);
-        assert!(matches!(
-            load_bytes("deep", &encode_artifact(&artifact)),
-            LoadResult::Loaded(_)
-        ));
+        assert_eq!(
+            artifact.statements(),
+            [statement_bytes(&deep, &table).into_boxed_slice()]
+        );
+        let loaded = match load_bytes("deep", &encode_artifact(&artifact)) {
+            LoadResult::Loaded(loaded) => loaded,
+            other => panic!("expected Loaded, got {other:?}"),
+        };
+        assert_eq!(*loaded, artifact);
+        let (warm, _) = Caches::seeded_from(&loaded);
+        let session = Arc::new(warm.wp).session();
+        let truth = warm.solver.interner().true_id();
+        let served = session.get_or_compute(&deep, &table, truth, || {
+            panic!("the deep statement must be served from disk")
+        });
+        assert_eq!(served, Ok(truth));
+        assert_eq!(session.stats().disk_hits, 1);
     }
 
     const COUNTER: &str = "monitor Counter {
@@ -1493,15 +1511,12 @@ mod tests {
 
     #[test]
     fn a_monitor_nested_past_the_statement_cap_keeps_its_record() {
-        // `MAX_NESTING` protects the recursive statement *decoder*. An
-        // outcome key is bytes the loader copies and compares, never
-        // decodes, so there is nothing for it to refuse: the WP group of a
-        // too-deep body is left out of the artifact, the record of the
-        // monitor around it stays, and the next run replays it.
-        let mut body = Expr::Var("x".into());
-        (0..MAX_NESTING + 50).for_each(|_| body = Expr::Unary(UnOp::Neg, Box::new(body.clone())));
-        let body = Stmt::Assign("x".into(), body);
-        assert!(nesting(&body) > MAX_NESTING);
+        // An outcome key and a statement are both bytes the loader copies
+        // and compares, never decodes, so there is nothing for it to refuse
+        // in a body nested past the parser's cap: the WP entry of the body
+        // and the record of the monitor around it both stay, and the next
+        // run replays the record.
+        let body = nested(MAX_NESTING + 50);
         let monitor = Monitor {
             name: "Deep".into(),
             params: Vec::new(),
@@ -1527,15 +1542,11 @@ mod tests {
         };
         let caches = Caches::new();
         let truth = caches.solver.interner().true_id();
-        let fingerprint: expresso_vcgen::LoweringFingerprint =
-            vec![("x".to_string(), Some(Type::Int))].into();
-        caches
-            .wp
-            .seed_group((fingerprint, body, vec![(truth, Ok(truth))]));
+        seed_statement(&caches.wp, &body, &table_of("x"), vec![(truth, Ok(truth))]);
         let key = OutcomeKey::of(&monitor, true, true);
         let records = BTreeMap::from([(key.clone(), record_of(truth))]);
         let artifact = export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records);
-        assert!(artifact.wp().is_empty());
+        assert_eq!(artifact.wp().len(), 1);
         match load_bytes("deep-monitor", &encode_artifact(&artifact)) {
             LoadResult::Loaded(loaded) => assert!(loaded.outcome(&key).is_some()),
             other => panic!("expected Loaded, got {other:?}"),

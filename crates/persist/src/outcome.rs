@@ -15,8 +15,8 @@
 //! the bytes: a hash collision (or a forged hash) can only ever be a miss.
 
 use crate::codec::{self, checksum, DecodeError, Reader, Writer};
-use crate::encode::write_monitor;
 use crate::table::Row;
+use expresso_monitor_lang::canon::write_monitor;
 use expresso_monitor_lang::{Monitor, NotificationKind, SignalCondition};
 
 /// What an outcome record is found by. Ordered by hash, then bytes — the
@@ -30,9 +30,9 @@ pub struct OutcomeKey {
 impl OutcomeKey {
     /// The key of analysing `monitor` with invariant inference and the §4.3
     /// commutativity improvement switched as given: every field of the AST
-    /// (see `encode::write_monitor`) and the two switches. Whitespace and
-    /// comments are not in the AST and so not in the key; a changed constant,
-    /// a renamed variable or two reordered methods are.
+    /// (see `expresso_monitor_lang::canon`) and the two switches. Whitespace
+    /// and comments are not in the AST and so not in the key; a changed
+    /// constant, a renamed variable or two reordered methods are.
     pub fn of(monitor: &Monitor, infer_invariant: bool, use_commutativity: bool) -> Self {
         let mut w = Writer::new();
         w.bool(infer_invariant);

@@ -279,7 +279,7 @@ pub(crate) fn intern(
 pub const MAX_TREE_NODES: u32 = 1 << 12;
 
 /// The tallest such a tree may be: the statement decoders' cap.
-const MAX_TREE_HEIGHT: u32 = crate::encode::MAX_NESTING as u32;
+const MAX_TREE_HEIGHT: u32 = crate::MAX_NESTING as u32;
 
 /// Height and node count of the tree a row stands for, both saturating.
 #[derive(Clone, Copy)]

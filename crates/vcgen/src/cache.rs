@@ -11,84 +11,103 @@
 //!
 //! Two layers implement the memo:
 //!
-//! * [`WpStore`] is the suite-wide table. Entries are keyed on
-//!   `(lowering fingerprint, body, post-id)`, where the **fingerprint** is
-//!   the slice of the symbol table that `wp` actually consults for that
-//!   statement — the sorted `(variable, type)` pairs of every variable the
-//!   statement reads or writes, used verbatim as the key, so distinct
-//!   slices can never alias. `wp` is a pure function of that triple
-//!   (fresh-name generation depends only on the formulas involved, and
-//!   lowering consults nothing but variable types), so a hit is always the
-//!   exact id a recomputation would produce — even when the hit was
-//!   inserted by a *different* monitor's analysis. Restricting the
-//!   fingerprint to the statement's own variables (instead of hashing the
-//!   whole table) is what makes that cross-monitor reuse possible: two
-//!   monitors rarely share a whole symbol table, but they frequently share a
-//!   counter update.
+//! * [`WpStore`] is the suite-wide table. A statement's identity is its
+//!   **canonical bytes** ([`statement_bytes`]): its lowering fingerprint —
+//!   the sorted `(variable, type)` pairs of every variable the statement
+//!   reads or writes, the slice of the symbol table `wp` actually consults —
+//!   followed by the statement's [canonical encoding](expresso_monitor_lang::canon).
+//!   The store interns each distinct byte string once into a dense
+//!   [`StmtKey`] and keeps one flat table keyed `(StmtKey, post-id)`. `wp` is
+//!   a pure function of `(fingerprint, statement, post)` (fresh-name
+//!   generation depends only on the formulas involved, and lowering consults
+//!   nothing but variable types), and the bytes are injective, so a hit is
+//!   always the exact id a recomputation would produce — even when the hit
+//!   was inserted by a *different* monitor's analysis. Restricting the
+//!   fingerprint to the statement's own variables (instead of the whole
+//!   table) is what makes that cross-monitor reuse possible: two monitors
+//!   rarely share a whole symbol table, but they frequently share a counter
+//!   update. The same bytes are what the persisted artifact stores, as they
+//!   are: loading one decodes no statement.
 //! * [`WpCache`] is a per-analysis **session** over a store: it carries the
 //!   analysis id used to attribute cross-monitor reuse and its own exact
 //!   hit/miss counters, which stay meaningful even when many analyses run
 //!   concurrently against one store on the work-stealing pool.
 //!
-//! The store is one table behind one mutex, held for a lookup or an insert
-//! and never while `wp` runs, and statistics are relaxed atomics. One store
-//! is only ever valid for **one formula arena**:
-//! the cached [`FormulaId`]s are only meaningful in the arena that minted
-//! them. `SharedAnalysisContext` therefore owns one store next to its arena
-//! and hands a fresh session to every analysis.
+//! The statement table and the entry table each sit behind one mutex, held
+//! for a lookup or an insert and never while `wp` runs, and statistics are
+//! relaxed atomics. A lookup or an insert copies two `u32`s into its key and
+//! clones no statement. One store is only ever valid for **one formula
+//! arena**: the cached [`FormulaId`]s are only meaningful in the arena that
+//! minted them. `SharedAnalysisContext` therefore owns one store next to its
+//! arena and hands a fresh session to every analysis.
 
 use crate::wp::WpError;
-use expresso_logic::FormulaId;
-use expresso_monitor_lang::{Stmt, Type, VarTable};
+use expresso_logic::{FormulaId, FxHasher};
+use expresso_monitor_lang::canon::{write_opt_type, write_stmt, Writer};
+use expresso_monitor_lang::{Stmt, VarTable};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// The session id recorded on entries seeded from a persisted artifact of an
-/// earlier process ([`WpStore::seed_group`]). Real sessions count up from
-/// 0, so the marker never collides in practice; a hit on a disk-seeded entry
-/// is therefore always attributed as cross-monitor *and* counted into
+/// earlier process ([`WpStore::seed`]). Real sessions count up from 0, so
+/// the marker never collides in practice; a hit on a disk-seeded entry is
+/// therefore always attributed as cross-monitor *and* counted into
 /// [`WpCacheStats::disk_hits`].
 const DISK_SESSION: u32 = u32::MAX;
+
+/// A store lock is poisoned only by a bug: `wp` runs outside it, and the
+/// one panic under it is [`WpStore::seed`] handed an entry its caller did
+/// not validate.
+const POISONED: &str = "a WP store lock holder panicked";
 
 /// A memoized result plus the id of the analysis session that inserted it
 /// (which funds the cross-monitor reuse accounting).
 type WpEntry = (Result<FormulaId, WpError>, u32);
 
-/// The memoized results of one `(fingerprint, statement)` pair, in the shape
-/// the persistence layer serializes: the pair once, then every `(post-id,
-/// result)` recorded under it — the store's own nesting, so a statement that
-/// was asked about forty postconditions is exported and seeded once, not
-/// forty times. The [`FormulaId`]s are only meaningful in the arena the store
-/// was filled against; `expresso-persist` swaps them for node-table rows on
-/// disk.
-pub type WpExportGroup = (
-    LoweringFingerprint,
-    Stmt,
-    Vec<(FormulaId, Result<FormulaId, WpError>)>,
-);
+/// A statement's identity in one [`WpStore`]: the dense index its canonical
+/// bytes were interned as. Meaningful only in the store that minted it, as a
+/// [`FormulaId`] is only in its arena; a [`VcGen`](crate::VcGen) memoizes it
+/// per statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StmtKey(u32);
 
-/// The store's table: lowering fingerprint → statement → (post-id →
-/// entry). The statement level lets lookups borrow the caller's `&Stmt`
-/// instead of cloning it per query; the clone happens once, on first insert.
-type WpTable = HashMap<LoweringFingerprint, HashMap<Stmt, HashMap<FormulaId, WpEntry>>>;
+impl StmtKey {
+    /// The key's position in [`WpExport::statements`].
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
-/// The exact slice of a symbol table that `wp(stmt, _)` consults: the sorted
-/// `(variable, type)` pairs of every variable the statement reads or writes
-/// (guard expressions included). This is used *verbatim* as a cache-key
-/// component — not merely hashed — so two different table slices can never
-/// alias a store entry. Cheap to clone (it is an `Arc`), which is what lets
-/// [`VcGen`](crate::VcGen) memoize it per statement.
+/// A store's contents in the shape the persistence layer serializes: every
+/// interned statement's canonical bytes, by [`StmtKey`] index, and every
+/// memoized `(statement index, post-id, result)`. The [`FormulaId`]s are only
+/// meaningful in the arena the store was filled against; `expresso-persist`
+/// swaps them for node-table rows on disk.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WpExport {
+    /// Canonical statement bytes ([`statement_bytes`]).
+    pub statements: Vec<Box<[u8]>>,
+    /// Entries, naming their statement by position in `statements`.
+    pub entries: Vec<(usize, FormulaId, Result<FormulaId, WpError>)>,
+}
+
+/// The canonical bytes of `stmt` under `table`: its lowering fingerprint —
+/// the sorted `(variable, type)` pairs of every variable it reads or writes
+/// (guard expressions included), as a length-prefixed sequence — then the
+/// statement itself. The fingerprint is part of the identity, not merely
+/// hashed into it, so two different table slices can never alias a store
+/// entry; the encoding is injective, so two keys are equal exactly when the
+/// fingerprints and the statements are.
 ///
-/// Two statements with equal ASTs and equal fingerprints have identical
-/// `wp` results for every postcondition, regardless of which monitor they
-/// came from — the soundness condition for sharing one [`WpStore`] across a
-/// suite.
-pub type LoweringFingerprint = Arc<[(String, Option<Type>)]>;
-
-/// Computes the [`LoweringFingerprint`] of `stmt` against `table`.
-pub fn lowering_fingerprint(stmt: &Stmt, table: &VarTable) -> LoweringFingerprint {
+/// Two statements with equal bytes have identical `wp` results for every
+/// postcondition, regardless of which monitor they came from — the
+/// soundness condition for sharing one [`WpStore`] across a suite.
+pub fn statement_bytes(stmt: &Stmt, table: &VarTable) -> Vec<u8> {
     let mut vars: Vec<String> = stmt.assigned_vars().into_iter().collect();
     for v in stmt.read_vars() {
         if !vars.contains(&v) {
@@ -96,12 +115,14 @@ pub fn lowering_fingerprint(stmt: &Stmt, table: &VarTable) -> LoweringFingerprin
         }
     }
     vars.sort_unstable();
-    vars.into_iter()
-        .map(|v| {
-            let ty = table.ty(&v);
-            (v, ty)
-        })
-        .collect()
+    let mut w = Writer::new();
+    w.seq(vars.len());
+    for v in &vars {
+        w.str(v);
+        write_opt_type(&mut w, table.ty(v));
+    }
+    write_stmt(&mut w, stmt);
+    w.into_bytes()
 }
 
 /// Hit/miss counters of one [`WpCache`] session (or, via
@@ -117,7 +138,7 @@ pub struct WpCacheStats {
     /// private per-analysis store.
     pub cross_monitor_hits: usize,
     /// Hits served by an entry seeded from a persisted artifact of an earlier
-    /// process ([`WpStore::seed_group`]) — the warm-start reuse
+    /// process ([`WpStore::seed`]) — the warm-start reuse
     /// `expresso-persist` buys. Disk hits are also counted as cross-monitor
     /// hits (the inserting "session" is never the current one), so this is a
     /// refinement of `cross_monitor_hits`, not a separate population. Always
@@ -182,11 +203,15 @@ impl WpCounters {
     }
 }
 
-/// The suite-wide `(fingerprint, body, post-id) → wp` memo table. See the
-/// module documentation.
+/// The suite-wide `(statement, post-id) → wp` memo table: the statement
+/// table that interns canonical bytes into [`StmtKey`]s, and one flat entry
+/// table. See the module documentation.
 #[derive(Debug, Default)]
 pub struct WpStore {
-    table: Mutex<WpTable>,
+    /// Keyed by bytes a loaded artifact supplies, so with the default,
+    /// collision-resistant hasher; the entry table below hashes ids only.
+    statements: Mutex<HashMap<Box<[u8]>, StmtKey>>,
+    table: Mutex<FxMap<(StmtKey, FormulaId), WpEntry>>,
     counters: WpCounters,
     next_session: AtomicU32,
 }
@@ -214,44 +239,82 @@ impl WpStore {
         self.counters.snapshot()
     }
 
+    /// The key of a statement's canonical bytes ([`statement_bytes`]),
+    /// interning them (one copy) on first sight.
+    pub fn intern(&self, bytes: &[u8]) -> StmtKey {
+        let mut statements = self.statements.lock().expect(POISONED);
+        if let Some(&key) = statements.get(bytes) {
+            return key;
+        }
+        let key = StmtKey(statements.len() as u32);
+        statements.insert(bytes.into(), key);
+        key
+    }
+
     // ------------------------------------------------------------------
     // Persistence hooks (`expresso-persist`)
     // ------------------------------------------------------------------
 
-    /// Snapshot of every memoized entry (whoever inserted it), grouped by
-    /// `(fingerprint, statement)` in no particular order, for serialization
-    /// by the persistence layer. Callers wanting a deterministic artifact
-    /// sort the result themselves.
-    pub fn export_groups(&self) -> Vec<WpExportGroup> {
-        let table = self.table.lock().unwrap();
-        let mut out = Vec::new();
-        for (fingerprint, by_stmt) in table.iter() {
-            for (stmt, by_post) in by_stmt {
-                let entries = by_post
-                    .iter()
-                    .map(|(&post, (result, _session))| (post, result.clone()))
-                    .collect();
-                out.push((Arc::clone(fingerprint), stmt.clone(), entries));
+    /// Snapshot of every interned statement and every memoized entry
+    /// (whoever inserted it), in no particular order, for serialization by
+    /// the persistence layer. Callers wanting a deterministic artifact sort
+    /// the result themselves.
+    pub fn export(&self) -> WpExport {
+        let statements = {
+            let interned = self.statements.lock().expect(POISONED);
+            let mut statements = vec![Box::default(); interned.len()];
+            for (bytes, key) in interned.iter() {
+                statements[key.index()] = bytes.clone();
             }
+            statements
+        };
+        let entries = self
+            .table
+            .lock()
+            .expect(POISONED)
+            .iter()
+            .map(|(&(stmt, post), (result, _session))| (stmt.index(), post, result.clone()))
+            .collect();
+        WpExport {
+            statements,
+            entries,
         }
-        out
     }
 
-    /// Seeds the store with one group of a persisted artifact, its ids
-    /// already translated into this store's arena. Entries are marked with
-    /// the reserved disk session id so hits on them count as cross-monitor
-    /// reuse *and* into [`WpCacheStats::disk_hits`]. Existing entries win
-    /// over seeded ones. Returns the number of entries inserted.
-    pub fn seed_group(&self, (fingerprint, stmt, entries): WpExportGroup) -> usize {
-        let mut table = self.table.lock().unwrap();
-        let by_post = table
-            .entry(fingerprint)
-            .or_default()
-            .entry(stmt)
-            .or_default();
+    /// Seeds the store from a persisted artifact, its ids already translated
+    /// into this store's arena: interns every statement (taking the bytes as
+    /// they are), then inserts the entries into a table grown once for all
+    /// of them. Entries are marked with the reserved disk session id so hits
+    /// on them count as cross-monitor reuse *and* into
+    /// [`WpCacheStats::disk_hits`]. Existing entries win over seeded ones.
+    /// Returns the number of entries inserted.
+    ///
+    /// # Panics
+    ///
+    /// If an entry names a statement position past `statements`.
+    pub fn seed(
+        &self,
+        WpExport {
+            statements,
+            entries,
+        }: WpExport,
+    ) -> usize {
+        let keys: Vec<StmtKey> = {
+            let mut interned = self.statements.lock().expect(POISONED);
+            interned.reserve(statements.len());
+            statements
+                .into_iter()
+                .map(|bytes| {
+                    let next = StmtKey(interned.len() as u32);
+                    *interned.entry(bytes).or_insert(next)
+                })
+                .collect()
+        };
+        let mut table = self.table.lock().expect(POISONED);
+        table.reserve(entries.len());
         let mut inserted = 0;
-        for (post, result) in entries {
-            if let Entry::Vacant(slot) = by_post.entry(post) {
+        for (stmt, post, result) in entries {
+            if let Entry::Vacant(slot) = table.entry((keys[stmt], post)) {
                 slot.insert((result, DISK_SESSION));
                 inserted += 1;
             }
@@ -261,13 +324,7 @@ impl WpStore {
 
     /// Total number of memoized entries currently in the store.
     pub fn entry_count(&self) -> usize {
-        self.table
-            .lock()
-            .unwrap()
-            .values()
-            .flat_map(|by_stmt| by_stmt.values())
-            .map(|by_post| by_post.len())
-            .sum()
+        self.table.lock().expect(POISONED).len()
     }
 }
 
@@ -299,10 +356,16 @@ impl WpCache {
         &self.store
     }
 
-    /// Returns the memoized `wp(stmt, post)` under `stmt`'s lowering
-    /// fingerprint for `table`, computing and recording it on a miss. The
-    /// computation runs outside the store's lock; a racing duplicate computes
-    /// the same pure result, so last-write-wins is harmless.
+    /// The store's key for `stmt` under `table` (see [`statement_bytes`]).
+    pub fn key(&self, stmt: &Stmt, table: &VarTable) -> StmtKey {
+        self.store.intern(&statement_bytes(stmt, table))
+    }
+
+    /// Returns the memoized `wp(stmt, post)` for `stmt` under `table`,
+    /// computing and recording it on a miss. Encodes and interns the
+    /// statement on every call; a caller that asks about one statement
+    /// repeatedly keeps its [`key`](Self::key) and calls
+    /// [`get_or_compute_keyed`](Self::get_or_compute_keyed).
     pub fn get_or_compute(
         &self,
         stmt: &Stmt,
@@ -310,28 +373,21 @@ impl WpCache {
         post: FormulaId,
         compute: impl FnOnce() -> Result<FormulaId, WpError>,
     ) -> Result<FormulaId, WpError> {
-        self.get_or_compute_fingerprinted(&lowering_fingerprint(stmt, table), stmt, post, compute)
+        self.get_or_compute_keyed(self.key(stmt, table), post, compute)
     }
 
-    /// [`WpCache::get_or_compute`] with a precomputed fingerprint — the hot
-    /// path for callers that memoize the fingerprint per statement (the
-    /// fingerprint of a given `(stmt, table)` pair never changes, and a
-    /// `VcGen` is bound to one table for its whole life).
-    pub fn get_or_compute_fingerprinted(
+    /// Returns the memoized `wp` of the statement `key` names for `post`,
+    /// computing and recording it on a miss. The computation runs outside
+    /// the store's lock; a racing duplicate computes the same pure result,
+    /// so last-write-wins is harmless.
+    pub fn get_or_compute_keyed(
         &self,
-        fingerprint: &LoweringFingerprint,
-        stmt: &Stmt,
+        key: StmtKey,
         post: FormulaId,
         compute: impl FnOnce() -> Result<FormulaId, WpError>,
     ) -> Result<FormulaId, WpError> {
         let table = &self.store.table;
-        let hit = table
-            .lock()
-            .unwrap()
-            .get(fingerprint)
-            .and_then(|by_stmt| by_stmt.get(stmt))
-            .and_then(|by_post| by_post.get(&post))
-            .cloned();
+        let hit = table.lock().expect(POISONED).get(&(key, post)).cloned();
         if let Some((cached, inserted_by)) = hit {
             let cross = inserted_by != self.analysis;
             let disk = inserted_by == DISK_SESSION;
@@ -347,12 +403,8 @@ impl WpCache {
         self.store.counters.record(false, false, false);
         table
             .lock()
-            .unwrap()
-            .entry(Arc::clone(fingerprint))
-            .or_default()
-            .entry(stmt.clone())
-            .or_default()
-            .insert(post, (result.clone(), self.analysis));
+            .expect(POISONED)
+            .insert((key, post), (result.clone(), self.analysis));
         result
     }
 }
@@ -428,7 +480,8 @@ mod tests {
     #[test]
     fn fingerprint_separates_conflicting_tables() {
         // The same statement AST lowers differently when the assigned
-        // variable changes type; the fingerprint must keep the entries apart.
+        // variable changes type; the fingerprint in its bytes must keep the
+        // entries apart.
         let int_table = check_monitor(
             &parse_monitor("monitor A { int x = 0; atomic void nop() { skip; } }").unwrap(),
         )
@@ -439,8 +492,8 @@ mod tests {
         .unwrap();
         let stmt = Stmt::Assign("x".into(), expresso_monitor_lang::parse_expr("x").unwrap());
         assert_ne!(
-            lowering_fingerprint(&stmt, &int_table),
-            lowering_fingerprint(&stmt, &bool_table)
+            statement_bytes(&stmt, &int_table),
+            statement_bytes(&stmt, &bool_table)
         );
 
         let interner = Interner::new();
@@ -484,8 +537,8 @@ mod tests {
             expresso_monitor_lang::parse_expr("readers + 1").unwrap(),
         );
         assert_eq!(
-            lowering_fingerprint(&stmt, &table_a),
-            lowering_fingerprint(&stmt, &table_b)
+            statement_bytes(&stmt, &table_a),
+            statement_bytes(&stmt, &table_b)
         );
 
         let interner = Interner::new();

@@ -1,6 +1,6 @@
 //! Hoare-triple discharge and commutativity checking.
 
-use crate::cache::{lowering_fingerprint, LoweringFingerprint, WpCache};
+use crate::cache::{StmtKey, WpCache};
 use crate::wp::{wp_id, WpError};
 use expresso_logic::{fresh_name, Formula, FormulaId, Interner, Subst, Term};
 use expresso_monitor_lang::{Monitor, Stmt, Type, VarTable};
@@ -69,17 +69,17 @@ pub struct VcGen<'a> {
     monitor: &'a Monitor,
     table: &'a VarTable,
     solver: &'a Solver,
-    /// Memoized `(fingerprint, body, post-id) → wp` session. The pipeline
-    /// shares one session between the abduction and placement passes of a
-    /// single analysis; the session's store may be suite-wide.
+    /// Memoized `(statement, post-id) → wp` session. The pipeline shares
+    /// one session between the abduction and placement passes of a single
+    /// analysis; the session's store may be suite-wide.
     wp_cache: Arc<WpCache>,
-    /// Per-statement lowering fingerprints. A fingerprint is a pure function
-    /// of `(stmt, table)` and this generator is bound to one table, so it is
-    /// computed once per distinct statement instead of on every WP lookup
-    /// (recomputation walks the statement and allocates variable sets). The
-    /// map is read-locked on the hit path so parallel pair tasks sharing one
-    /// generator do not serialize on it.
-    fingerprints: RwLock<HashMap<Stmt, LoweringFingerprint>>,
+    /// Per-statement store keys. A statement's canonical bytes are a pure
+    /// function of `(stmt, table)` and this generator is bound to one table
+    /// and one session, so they are encoded and interned once per distinct
+    /// statement instead of on every WP lookup. The map is read-locked on
+    /// the hit path so parallel pair tasks sharing one generator do not
+    /// serialize on it.
+    keys: RwLock<HashMap<Stmt, StmtKey>>,
 }
 
 impl<'a> VcGen<'a> {
@@ -91,8 +91,8 @@ impl<'a> VcGen<'a> {
     /// Creates a generator sharing an existing WP session. The session's
     /// store must have been populated against the **same formula arena**
     /// (`solver.interner()`): cached `FormulaId`s are only meaningful in the
-    /// arena that minted them. Entries from other monitors are safe — keys
-    /// carry a lowering fingerprint of the statement's table slice.
+    /// arena that minted them. Entries from other monitors are safe — a key
+    /// carries the lowering fingerprint of the statement's table slice.
     pub fn with_wp_cache(
         monitor: &'a Monitor,
         table: &'a VarTable,
@@ -104,7 +104,7 @@ impl<'a> VcGen<'a> {
             table,
             solver,
             wp_cache,
-            fingerprints: RwLock::new(HashMap::new()),
+            keys: RwLock::default(),
         }
     }
 
@@ -145,33 +145,37 @@ impl<'a> VcGen<'a> {
     }
 
     /// Computes `wp(stmt, post)` over interned formulas, memoized on the
-    /// generator's WP session under the statement's lowering fingerprint
-    /// (so a suite-wide store can serve hits across monitors soundly).
+    /// generator's WP session under the statement's canonical bytes (which
+    /// carry its lowering fingerprint, so a suite-wide store can serve hits
+    /// across monitors soundly).
     ///
     /// # Errors
     ///
     /// Propagates [`WpError`] from the underlying computation.
     pub fn wp_id(&self, stmt: &Stmt, post: FormulaId) -> Result<FormulaId, WpError> {
-        let fingerprint = self.fingerprint(stmt);
         self.wp_cache
-            .get_or_compute_fingerprinted(&fingerprint, stmt, post, || {
+            .get_or_compute_keyed(self.key(stmt), post, || {
                 wp_id(stmt, post, self.table, self.interner())
             })
     }
 
-    /// The statement's lowering fingerprint against this generator's table,
-    /// memoized per distinct statement (read-locked on the hit path).
-    fn fingerprint(&self, stmt: &Stmt) -> LoweringFingerprint {
-        if let Some(fingerprint) = self.fingerprints.read().unwrap().get(stmt) {
-            return Arc::clone(fingerprint);
+    /// The statement's store key, memoized per distinct statement
+    /// (read-locked on the hit path).
+    fn key(&self, stmt: &Stmt) -> StmtKey {
+        if let Some(&key) = self
+            .keys
+            .read()
+            .expect("no key memo holder panics")
+            .get(stmt)
+        {
+            return key;
         }
-        let fingerprint = lowering_fingerprint(stmt, self.table);
-        self.fingerprints
+        let key = self.wp_cache.key(stmt, self.table);
+        self.keys
             .write()
-            .unwrap()
-            .entry(stmt.clone())
-            .or_insert_with(|| Arc::clone(&fingerprint));
-        fingerprint
+            .expect("no key memo holder panics")
+            .insert(stmt.clone(), key);
+        key
     }
 
     /// Renames every thread-local variable occurring in `formula` to a fresh

@@ -24,20 +24,21 @@
 //! variable- and queue-conflict edge, so "q tried before p enabled it"
 //! reorderings are still explored through the block shape.
 //!
-//! Verdicts are cached suite-wide in a [`DisjointnessStore`] keyed on
-//! guard-formula and body content (with the bodies' lowering fingerprints,
-//! so a type change re-keys the pair), and the store is persisted by
+//! Verdicts are cached suite-wide in a [`DisjointnessStore`] keyed on the
+//! guard formulas and the bodies' canonical bytes (the WP store's statement
+//! identity, lowering fingerprint included, so a type change re-keys the
+//! pair), and the store is persisted by
 //! `expresso-persist`: a warm run serves every verdict from disk and issues
 //! zero fresh queries.
 
-use crate::cache::{lowering_fingerprint, LoweringFingerprint};
+use crate::cache::statement_bytes;
 use crate::hoare::VcGen;
 use expresso_logic::{fresh_name, Formula, FormulaId, Term};
 use expresso_monitor_lang::{expr_to_formula, Ccr, CcrId, Monitor, Stmt, Type, VarTable};
 use expresso_smt::Solver;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Pairwise fire-independence verdicts for one monitor, keyed on
 /// `(CcrId, CcrId)` with the smaller id first. `true` means the two fires
@@ -46,32 +47,18 @@ use std::sync::Mutex;
 pub type IndependenceTable = BTreeMap<(CcrId, CcrId), bool>;
 
 /// Content-addressed key of one pair verdict: the interned guard formulas
-/// plus the bodies with their lowering fingerprints. Guard trees carry the
-/// boolean/integer distinction structurally; the fingerprints pin the
-/// symbol-table slice the `wp` computations consult, so two monitors share
-/// a verdict exactly when every proof input is identical.
-type PairKey = (
-    FormulaId,
-    LoweringFingerprint,
-    Stmt,
-    FormulaId,
-    LoweringFingerprint,
-    Stmt,
-);
+/// plus the bodies' canonical bytes ([`statement_bytes`]). Guard trees carry
+/// the boolean/integer distinction structurally; the bytes carry each body's
+/// lowering fingerprint, the symbol-table slice the `wp` computations
+/// consult, so two monitors share a verdict exactly when every proof input
+/// is identical.
+type PairKey = (FormulaId, Arc<[u8]>, FormulaId, Arc<[u8]>);
 
 /// One exported store entry in the shape the persistence layer serializes:
-/// both sides' `(guard-id, fingerprint, body)` plus the verdict. The two
+/// both sides' `(guard-id, body bytes)` plus the verdict. The two
 /// [`FormulaId`]s are only meaningful in the arena the store was filled
 /// against; `expresso-persist` swaps them for node-table rows on disk.
-pub type DisjointnessExportEntry = (
-    FormulaId,
-    LoweringFingerprint,
-    Stmt,
-    FormulaId,
-    LoweringFingerprint,
-    Stmt,
-    bool,
-);
+pub type DisjointnessExportEntry = (FormulaId, Arc<[u8]>, FormulaId, Arc<[u8]>, bool);
 
 /// Counters of a [`DisjointnessStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -129,17 +116,7 @@ impl DisjointnessStore {
             .lock()
             .unwrap()
             .iter()
-            .map(|((ga, fa, ba, gb, fb, bb), &verdict)| {
-                (
-                    *ga,
-                    fa.clone(),
-                    ba.clone(),
-                    *gb,
-                    fb.clone(),
-                    bb.clone(),
-                    verdict,
-                )
-            })
+            .map(|((ga, ba, gb, bb), &verdict)| (*ga, Arc::clone(ba), *gb, Arc::clone(bb), verdict))
             .collect()
     }
 
@@ -148,10 +125,8 @@ impl DisjointnessStore {
     pub fn seed_entries(&self, entries: Vec<DisjointnessExportEntry>) -> usize {
         let mut map = self.entries.lock().unwrap();
         let mut inserted = 0;
-        for (ga, fa, ba, gb, fb, bb, verdict) in entries {
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                map.entry((ga, fa, ba, gb, fb, bb))
-            {
+        for (ga, ba, gb, bb, verdict) in entries {
+            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry((ga, ba, gb, bb)) {
                 slot.insert(verdict);
                 inserted += 1;
             }
@@ -183,23 +158,27 @@ pub fn refine_independence(
 ) -> IndependenceTable {
     let _span = expresso_obs::span!("vcgen.refine", "{}", monitor.name);
     let vc = VcGen::new(monitor, table, solver);
-    let ccrs: Vec<&Ccr> = monitor.all_ccrs().collect();
+    let ccrs: Vec<(&Ccr, Arc<[u8]>)> = monitor
+        .all_ccrs()
+        .map(|ccr| (ccr, statement_bytes(&ccr.body, table).into()))
+        .collect();
     let mut out = IndependenceTable::new();
     for (i, p) in ccrs.iter().enumerate() {
         for q in &ccrs[i..] {
-            out.insert((p.id, q.id), pair_independent(&vc, table, store, p, q));
+            out.insert((p.0.id, q.0.id), pair_independent(&vc, table, store, p, q));
         }
     }
     out
 }
 
-/// One pair's verdict: store lookup, then the proof obligations on a miss.
+/// One pair's verdict, each side a CCR and its body's canonical bytes: store
+/// lookup, then the proof obligations on a miss.
 fn pair_independent(
     vc: &VcGen,
     table: &VarTable,
     store: &DisjointnessStore,
-    p: &Ccr,
-    q: &Ccr,
+    (p, p_bytes): &(&Ccr, Arc<[u8]>),
+    (q, q_bytes): &(&Ccr, Arc<[u8]>),
 ) -> bool {
     // A guard outside the lowerable fragment gets no refinement.
     let (Ok(gp), Ok(gq)) = (
@@ -211,11 +190,9 @@ fn pair_independent(
     let interner = vc.interner();
     let key = (
         interner.intern(&gp),
-        lowering_fingerprint(&p.body, table),
-        p.body.clone(),
+        Arc::clone(p_bytes),
         interner.intern(&gq),
-        lowering_fingerprint(&q.body, table),
-        q.body.clone(),
+        Arc::clone(q_bytes),
     );
     if let Some(verdict) = store.lookup(&key) {
         return verdict;

@@ -12,9 +12,7 @@ pub mod hoare;
 pub mod independence;
 pub mod wp;
 
-pub use cache::{
-    lowering_fingerprint, LoweringFingerprint, WpCache, WpCacheStats, WpExportGroup, WpStore,
-};
+pub use cache::{statement_bytes, StmtKey, WpCache, WpCacheStats, WpExport, WpStore};
 pub use hoare::{HoareTriple, TripleStatus, VcGen};
 pub use independence::{
     refine_independence, DisjointnessExportEntry, DisjointnessStats, DisjointnessStore,

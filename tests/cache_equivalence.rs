@@ -13,7 +13,7 @@ use expresso_repro::core::{
 };
 use expresso_repro::exec::Executor;
 use expresso_repro::logic::{EvalError, Formula, FormulaId, Valuation};
-use expresso_repro::monitor_lang::{check_monitor, parse_monitor, ExplicitMonitor, Monitor, Stmt};
+use expresso_repro::monitor_lang::{check_monitor, parse_monitor, ExplicitMonitor, Monitor};
 use expresso_repro::persist::{self, Artifact, FormulaRow, LoadResult, Row};
 use expresso_repro::smt::{SatResult, SolverStats};
 use expresso_repro::suite::all;
@@ -246,7 +246,8 @@ fn load_artifact(dir: &std::path::Path) -> Box<Artifact> {
 }
 
 /// Every memo-table section in tree form: one `Debug`-printed line per
-/// entry, sorted. Row numbers and arena ids are both gone from it, so an
+/// entry, sorted, with statements as their canonical bytes (nothing decodes
+/// them). Row numbers, arena ids and store keys are all gone from it, so an
 /// artifact, the arena that exported it and an arena seeded from it can be
 /// compared entry for entry.
 struct TreeView {
@@ -292,22 +293,11 @@ impl TreeView {
     }
 }
 
-type Fingerprint = [(String, Option<expresso_repro::monitor_lang::Type>)];
-
-fn wp_line(
-    fingerprint: &Fingerprint,
-    stmt: &Stmt,
-    post: Formula,
-    result: Result<Formula, WpError>,
-) -> String {
-    format!("{fingerprint:?} {stmt:?} {post:?} => {result:?}")
+fn wp_line(stmt: &[u8], post: Formula, result: Result<Formula, WpError>) -> String {
+    format!("{stmt:?} {post:?} => {result:?}")
 }
 
-fn pair_line(
-    a: (Formula, &Fingerprint, &Stmt),
-    b: (Formula, &Fingerprint, &Stmt),
-    independent: bool,
-) -> String {
+fn pair_line(a: (Formula, &[u8]), b: (Formula, &[u8]), independent: bool) -> String {
     format!("{a:?} | {b:?} => {independent}")
 }
 
@@ -328,24 +318,22 @@ fn view_of_artifact(artifact: &Artifact) -> TreeView {
         wp: artifact
             .wp()
             .iter()
-            .flat_map(|group| {
-                group.entries.iter().map(move |(post, result)| {
-                    wp_line(
-                        &group.fingerprint,
-                        &group.stmt,
-                        tree(*post),
-                        result.clone().map(tree),
-                    )
-                })
+            .map(|(stmt, post, result)| {
+                wp_line(
+                    &artifact.statements()[*stmt as usize],
+                    tree(*post),
+                    result.clone().map(tree),
+                )
             })
             .collect(),
         disjointness: artifact
             .disjointness()
             .iter()
             .map(|e| {
+                let body = |row: Row| &*artifact.statements()[row as usize];
                 pair_line(
-                    (tree(e.guard_a), &e.fingerprint_a, &e.body_a),
-                    (tree(e.guard_b), &e.fingerprint_b, &e.body_b),
+                    (tree(e.guard_a), body(e.body_a)),
+                    (tree(e.guard_b), body(e.body_b)),
                     e.independent,
                 )
             })
@@ -370,22 +358,21 @@ fn view_of_context(context: &SharedAnalysisContext) -> TreeView {
             .into_iter()
             .map(|(key, result)| format!("{:?} => {:?}", tree(key), result.map(tree)))
             .collect(),
-        wp: context
-            .wp_store()
-            .export_groups()
-            .into_iter()
-            .flat_map(|(fingerprint, stmt, entries)| {
-                entries.into_iter().map(move |(post, result)| {
-                    wp_line(&fingerprint, &stmt, tree(post), result.map(tree))
+        wp: {
+            let wp = context.wp_store().export();
+            wp.entries
+                .into_iter()
+                .map(|(stmt, post, result)| {
+                    wp_line(&wp.statements[stmt], tree(post), result.map(tree))
                 })
-            })
-            .collect(),
+                .collect()
+        },
         disjointness: context
             .disjointness()
             .export_entries()
             .into_iter()
-            .map(|(ga, fa, ba, gb, fb, bb, independent)| {
-                pair_line((tree(ga), &fa, &ba), (tree(gb), &fb, &bb), independent)
+            .map(|(ga, ba, gb, bb, independent)| {
+                pair_line((tree(ga), &ba), (tree(gb), &bb), independent)
             })
             .collect(),
     }
@@ -1021,6 +1008,76 @@ fn mutating_one_monitor_reanalyzes_exactly_that_monitor() {
         dirty[MUTATED].report.pairs_considered > cold[MUTATED].report.pairs_considered,
         "the mutation must enlarge the mutated monitor's pair grid"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn live_and_loaded_wp_keys_agree_on_the_staged_route() {
+    // The key a live analysis computes for a statement and the key a loaded
+    // artifact seeds must be the same bytes. Cold: the 16 suite monitors
+    // through `analyze_suite` on a cache directory, persisted. Warm: a fresh
+    // context on that directory runs the staged pipeline — what the traced
+    // warm-edit benchmark pass runs, on the context's pool — over every
+    // monitor, one of them edited. Every unchanged monitor must find every
+    // weakest precondition it asks for on disk and the edited one must
+    // compute some: an encoder that drifted between the live key and the
+    // artifact would show here as misses in every monitor.
+    let dir = scratch_cache_dir("keys");
+    let config = persistent_config(&dir);
+    let suite = all();
+    let monitors: Vec<_> = suite.iter().map(|b| b.monitor()).collect();
+    let cold_context = SharedAnalysisContext::new(&config);
+    for outcome in Expresso::with_config(config.clone()).analyze_suite(&cold_context, &monitors) {
+        outcome.expect("cold analysis succeeds");
+    }
+    cold_context
+        .persist()
+        .expect("saving the artifact")
+        .expect("cache directory configured");
+
+    const EDITED: usize = 5;
+    let mut warm_monitors = monitors.clone();
+    warm_monitors[EDITED] =
+        parse_monitor(&mutate_source(suite[EDITED].source)).expect("edited source parses");
+    let warm_context = SharedAnalysisContext::new(&config);
+    assert!(
+        warm_context.warm_start().is_some(),
+        "the artifact must load"
+    );
+    let slots: Vec<std::sync::Mutex<Option<WpCacheStats>>> =
+        warm_monitors.iter().map(|_| Default::default()).collect();
+    warm_context.scheduler().scope(|scope| {
+        for (monitor, slot) in warm_monitors.iter().zip(&slots) {
+            let context = &warm_context;
+            scope.spawn(move || {
+                *slot.lock().unwrap() = Some(staged_analysis(context, monitor).wp);
+            });
+        }
+    });
+    for (i, (benchmark, slot)) in suite.iter().zip(slots).enumerate() {
+        let wp = slot
+            .into_inner()
+            .unwrap()
+            .expect("every monitor was analysed");
+        if i == EDITED {
+            assert!(
+                wp.misses > 0,
+                "{}: the edited monitor computed no wp",
+                benchmark.name
+            );
+        } else {
+            assert_eq!(
+                wp.misses, 0,
+                "{}: a live key missed the artifact",
+                benchmark.name
+            );
+            assert!(
+                wp.disk_hits > 0,
+                "{}: nothing was served from disk",
+                benchmark.name
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
