@@ -1,6 +1,7 @@
 //! Monitor-invariant inference (paper Algorithm 2).
 
 use crate::abduce::{abduce_ids, AbductionConfig};
+use crate::refute::ReachableStates;
 use expresso_logic::{Formula, FormulaId};
 use expresso_monitor_lang::{expr_to_formula, Monitor, VarTable};
 use expresso_smt::Solver;
@@ -13,13 +14,23 @@ use std::sync::Arc;
 pub struct InvariantOutcome {
     /// The inferred monitor invariant (a conjunction of surviving candidates).
     pub invariant: Formula,
-    /// Number of candidate predicates produced by abduction.
+    /// Number of candidate predicates produced by abduction (after the cap).
     pub candidates: usize,
+    /// Number of candidates a concretely reached state falsified, dropped
+    /// before the solver was asked about them.
+    pub refuted: usize,
+    /// Whether abduction produced more candidates than the cap keeps.
+    pub truncated: bool,
     /// Number of candidates that survived the fixpoint.
     pub kept: usize,
-    /// Number of fixpoint rounds executed.
+    /// Number of consecution rounds executed.
     pub rounds: usize,
 }
+
+/// The most candidates the fixpoint is given. The invariant is a best-effort
+/// strengthening, and extra candidates only cost analysis time, never
+/// correctness.
+const MAX_CANDIDATES: usize = 32;
 
 /// Infers a monitor invariant for `monitor`, generating the property-directed
 /// triple set Θ from the signal-placement algorithm with `I = true`.
@@ -45,10 +56,18 @@ pub fn infer_monitor_invariant_configured(
 
 /// Infers a monitor invariant using an explicit triple set Θ (Algorithm 2).
 ///
-/// The algorithm abduces candidate strengthenings for every triple, then runs
-/// a monomial predicate-abstraction fixpoint keeping only candidates that
-/// (a) hold after the constructor (with the `requires` clause assumed) and
-/// (b) are preserved by every CCR under the conjunction of the survivors.
+/// 1. *Abduce*: candidate strengthenings for every triple, with their
+///    sub-formulas, up to the first 32.
+/// 2. *Refute*: drop every candidate that a state reached by running the
+///    monitor concretely falsifies (`refute.rs`). None of them can be in an
+///    inductive invariant, so no proof is spent on them.
+/// 3. *Initiation*, once per survivor: keep those that hold after the
+///    constructor, with the `requires` clause assumed.
+/// 4. *Consecution* rounds: keep those that every CCR preserves under the
+///    conjunction of the survivors, until a round drops nothing.
+///
+/// What is left is the greatest inductive subset of the candidates — the
+/// answer of the per-candidate fixpoint that re-checks everything each round.
 pub fn infer_with_triples(
     monitor: &Monitor,
     table: &VarTable,
@@ -71,42 +90,28 @@ pub fn infer_with_triples_configured(
         None => VcGen::new(monitor, table, solver),
     };
     let interner = vcgen.interner().clone();
-
-    // Phase 1: abduce candidate predicates. The pre/goal pair, the abduction
-    // search and the candidate expansion all stay on interned ids — the
-    // fixpoint hot path never reconstructs a formula tree — and deduplication
-    // is a set lookup instead of a tree comparison.
-    let mut candidates: Vec<FormulaId> = Vec::new();
-    let mut seen: HashSet<FormulaId> = HashSet::new();
-    'outer: for triple in triples {
-        let post = interner.intern(&triple.post);
-        let goal = match vcgen.wp_id(&triple.stmt, post) {
-            Ok(g) => g,
-            Err(_) => continue,
-        };
-        let pre = interner.intern(&triple.pre);
-        for psi in abduce_ids(solver, pre, goal, config) {
-            for candidate in expand_candidates_ids(&interner, psi) {
-                if seen.insert(candidate) {
-                    candidates.push(candidate);
-                }
-            }
-        }
-        // Keep the fixpoint tractable for large monitors: the invariant is a
-        // best-effort strengthening, and extra candidates only cost analysis
-        // time, never correctness.
-        if candidates.len() > 32 {
-            candidates.truncate(32);
-            break 'outer;
-        }
-    }
+    let Candidates {
+        ids: mut candidates,
+        truncated,
+    } = abduce_candidates(&vcgen, triples, config);
     let total_candidates = candidates.len();
 
-    // Phase 2: monomial predicate abstraction fixpoint, entirely over ids.
-    // The same initiation/consecution VCs recur across rounds, so the solver
-    // cache answers every repeated obligation without re-solving.
+    if let Some(states) = ReachableStates::walk(monitor) {
+        candidates.retain(|&psi| !states.refutes(&interner, psi));
+    }
+    let refuted = total_candidates - candidates.len();
+
+    // Initiation: {requires} Ctr(M) {ψ}, one triple per candidate.
     let requires = interner.intern(&requires_formula(monitor, table));
     let constructor = monitor.constructor_body();
+    candidates.retain(|&psi| {
+        vcgen
+            .check_triple_ids(requires, &constructor, psi)
+            .is_valid()
+    });
+
+    // Consecution: {I ∧ Guard(w)} Body(w) {ψ} for every CCR, with I the
+    // conjunction of the round's survivors, entirely over ids.
     let guards: Vec<(FormulaId, &expresso_monitor_lang::Ccr)> = monitor
         .all_ccrs()
         .map(|ccr| {
@@ -115,18 +120,9 @@ pub fn infer_with_triples_configured(
         })
         .collect();
     let mut rounds = 0usize;
-    loop {
+    while !candidates.is_empty() {
         rounds += 1;
         let before = candidates.len();
-
-        // (a) Initiation: {requires} Ctr(M) {ψ}, one triple per candidate.
-        candidates.retain(|&psi| {
-            vcgen
-                .check_triple_ids(requires, &constructor, psi)
-                .is_valid()
-        });
-
-        // (b) Consecution: {I ∧ Guard(w)} Body(w) {ψ} for every CCR.
         let invariant = interner.mk_and(candidates.clone());
         candidates.retain(|&psi| {
             guards.iter().all(|&(guard, ccr)| {
@@ -134,11 +130,7 @@ pub fn infer_with_triples_configured(
                 vcgen.check_triple_ids(pre, &ccr.body, psi).is_valid()
             })
         });
-
-        if candidates.len() == before || candidates.is_empty() {
-            break;
-        }
-        if rounds > total_candidates + 1 {
+        if candidates.len() == before {
             break;
         }
     }
@@ -148,8 +140,61 @@ pub fn infer_with_triples_configured(
     InvariantOutcome {
         invariant: interner.formula(invariant),
         candidates: total_candidates,
+        refuted,
+        truncated,
         kept,
         rounds,
+    }
+}
+
+/// The candidates Algorithm 2 starts from, in preference order.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Candidates {
+    /// At most 32, deduplicated.
+    pub ids: Vec<FormulaId>,
+    /// Whether abduction offered more than the cap kept.
+    pub truncated: bool,
+}
+
+/// Abduces the candidate invariants for `triples`: every strengthening of
+/// every triple, with its sub-formulas, until the cap. The pre/goal pair,
+/// the abduction search and the candidate expansion all stay on interned
+/// ids, and deduplication is a set lookup instead of a tree comparison.
+#[doc(hidden)]
+pub fn abduce_candidates(
+    vcgen: &VcGen,
+    triples: &[HoareTriple],
+    config: &AbductionConfig,
+) -> Candidates {
+    let interner = vcgen.interner();
+    let mut ids: Vec<FormulaId> = Vec::new();
+    let mut seen: HashSet<FormulaId> = HashSet::new();
+    for triple in triples {
+        let post = interner.intern(&triple.post);
+        let goal = match vcgen.wp_id(&triple.stmt, post) {
+            Ok(g) => g,
+            Err(_) => continue,
+        };
+        let pre = interner.intern(&triple.pre);
+        for psi in abduce_ids(vcgen.solver(), pre, goal, config) {
+            for candidate in expand_candidates_ids(interner, psi) {
+                if seen.insert(candidate) {
+                    ids.push(candidate);
+                }
+            }
+        }
+        if ids.len() > MAX_CANDIDATES {
+            ids.truncate(MAX_CANDIDATES);
+            return Candidates {
+                ids,
+                truncated: true,
+            };
+        }
+    }
+    Candidates {
+        ids,
+        truncated: false,
     }
 }
 

@@ -7,6 +7,14 @@
 //! candidates that are genuine invariants (they hold after the constructor and
 //! are preserved by every CCR).
 //!
+//! Between the two, the monitor is run concretely for a few seeded walks,
+//! and every candidate that a reached state falsifies is dropped: it cannot
+//! be an invariant, so it needs no proof. The order is therefore abduce →
+//! refute on walked states → initiation, once per survivor → consecution
+//! rounds (see [`infer_with_triples`]). On the Table 1 suite the walks
+//! refute 275 of the 322 candidates, and the answers are those of the
+//! fixpoint alone.
+//!
 //! # Example
 //!
 //! ```
@@ -38,9 +46,14 @@
 
 pub mod abduce;
 pub mod invariant;
+mod refute;
 
 pub use abduce::{abduce_ids, AbductionConfig};
+#[doc(hidden)]
+pub use invariant::{abduce_candidates, Candidates};
 pub use invariant::{
     infer_monitor_invariant, infer_monitor_invariant_configured, infer_with_triples,
     infer_with_triples_configured, InvariantOutcome,
 };
+#[doc(hidden)]
+pub use refute::ReachableStates;

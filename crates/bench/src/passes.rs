@@ -99,6 +99,8 @@ pub fn benchmarks(ledger: &mut Ledger) {
                 "quantifier_eliminations" => solver.quantifier_eliminations,
                 "qe_cache_hits" => solver.qe_cache_hits,
                 "invariant_conjuncts" => best.stats.invariant_conjuncts,
+                "invariant_refuted" => best.stats.invariant_refuted,
+                "invariant_truncated" => best.stats.invariant_truncated,
                 "triples_checked" => best.report.triples_checked,
                 "pairs_considered" => best.report.pairs_considered,
                 "cache_hits" => solver.cache_hits,

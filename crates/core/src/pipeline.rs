@@ -4,7 +4,7 @@ use crate::placement::{
     assemble, place_signals_with, PlacementConfig, PlacementReport, SignalDecision,
 };
 use crate::scheduler::{Scheduler, SchedulerStats};
-use expresso_abduction::{infer_monitor_invariant_configured, AbductionConfig};
+use expresso_abduction::{infer_monitor_invariant_configured, AbductionConfig, InvariantOutcome};
 use expresso_exec::Executor;
 use expresso_logic::{Formula, FormulaId, Interner, InternerStats};
 use expresso_monitor_lang::{check_monitor, CheckError, ExplicitMonitor, Monitor, VarTable};
@@ -571,6 +571,12 @@ pub struct AnalysisStats {
     pub invariant_candidates: usize,
     /// Number of candidates that survived the fixpoint.
     pub invariant_conjuncts: usize,
+    /// Number of candidates a concretely reached state refuted before the
+    /// solver was asked (0 for a replayed outcome: not recorded).
+    pub invariant_refuted: usize,
+    /// Whether abduction offered more candidates than the cap keeps (`false`
+    /// for a replayed outcome: not recorded).
+    pub invariant_truncated: bool,
     /// Solver statistics accumulated across the whole run. Exact for
     /// stand-alone runs; approximate (overlapping deltas) when many analyses
     /// run concurrently against one shared context via
@@ -791,6 +797,8 @@ impl Expresso {
                 triples_checked: replayed.report.triples_checked,
                 invariant_candidates: replayed.candidates,
                 invariant_conjuncts: replayed.conjuncts,
+                invariant_refuted: 0,
+                invariant_truncated: false,
                 solver: SolverStats::default(),
                 wp_cache: WpCacheStats::default(),
                 interner: context.interner_stats(),
@@ -814,18 +822,25 @@ impl Expresso {
         let wp_cache = context.wp_store().session();
 
         let invariant_start = Instant::now();
-        let (invariant, candidates, conjuncts) = if self.config.infer_invariant {
+        let inferred = if self.config.infer_invariant {
             let _span = expresso_obs::span!("core.invariant", "{}", monitor.name);
             let abduction = AbductionConfig {
                 executor: Some(Arc::clone(fan_out) as Arc<dyn Executor>),
                 wp_cache: Some(Arc::clone(&wp_cache)),
                 ..AbductionConfig::default()
             };
-            let outcome = infer_monitor_invariant_configured(monitor, &table, solver, &abduction);
-            (outcome.invariant, outcome.candidates, outcome.kept)
+            infer_monitor_invariant_configured(monitor, &table, solver, &abduction)
         } else {
-            (Formula::True, 0, 0)
+            InvariantOutcome {
+                invariant: Formula::True,
+                candidates: 0,
+                refuted: 0,
+                truncated: false,
+                kept: 0,
+                rounds: 0,
+            }
         };
+        let invariant = inferred.invariant;
         let invariant_time = invariant_start.elapsed();
 
         let placement_start = Instant::now();
@@ -849,8 +864,10 @@ impl Expresso {
             placement_time,
             total_time: start.elapsed(),
             triples_checked: report.triples_checked,
-            invariant_candidates: candidates,
-            invariant_conjuncts: conjuncts,
+            invariant_candidates: inferred.candidates,
+            invariant_conjuncts: inferred.kept,
+            invariant_refuted: inferred.refuted,
+            invariant_truncated: inferred.truncated,
             solver: solver.stats().delta_since(&stats_before),
             wp_cache: wp_cache.stats(),
             interner: context.interner_stats(),

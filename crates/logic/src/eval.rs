@@ -1,6 +1,7 @@
 //! Concrete evaluation of terms and formulas.
 
 use crate::formula::{Formula, Quantifier};
+use crate::intern::{FormulaId, FormulaNode, Interner, TermId, TermNode};
 use crate::term::Term;
 use crate::Ident;
 use std::collections::HashMap;
@@ -201,6 +202,105 @@ impl Valuation {
     }
 }
 
+/// Variable values an interned formula is evaluated under by
+/// [`Interner::eval`]. `None` is "no value": the evaluation of whatever reads
+/// it is unknown, never a guess.
+pub trait Env {
+    /// The value of an integer variable.
+    fn int(&self, var: &str) -> Option<i64>;
+    /// The value of a boolean variable.
+    fn boolean(&self, var: &str) -> Option<bool>;
+    /// The element `array[index]`.
+    fn select(&self, array: &str, index: i64) -> Option<i64>;
+}
+
+impl Env for Valuation {
+    fn int(&self, var: &str) -> Option<i64> {
+        Valuation::int(self, var)
+    }
+
+    fn boolean(&self, var: &str) -> Option<bool> {
+        Valuation::boolean(self, var)
+    }
+
+    fn select(&self, array: &str, index: i64) -> Option<i64> {
+        let values = self.arrays.get(array)?;
+        values.get(usize::try_from(index).ok()?).copied()
+    }
+}
+
+impl Interner {
+    /// Evaluates an interned formula under `env` in Kleene's three-valued
+    /// logic, walking the arena's nodes (no tree is rebuilt). `None` means
+    /// unknown: an unbound variable, an array read out of bounds, integer
+    /// overflow (arithmetic is exact, not wrapping) or a quantifier. A
+    /// connective still decides when its known operands do — `false && ?` is
+    /// `false` — so `Some(false)` is a proof that `env` falsifies `f`.
+    pub fn eval(&self, f: FormulaId, env: &dyn Env) -> Option<bool> {
+        match self.node_ref(f) {
+            FormulaNode::True => Some(true),
+            FormulaNode::False => Some(false),
+            FormulaNode::BoolVar(b) => env.boolean(b),
+            FormulaNode::Cmp(op, lhs, rhs) => {
+                Some(op.eval(self.eval_term(*lhs, env)?, self.eval_term(*rhs, env)?))
+            }
+            FormulaNode::Divides(d, t) => {
+                let d = i64::try_from(*d).ok().filter(|&d| d > 0)?;
+                Some(self.eval_term(*t, env)?.rem_euclid(d) == 0)
+            }
+            FormulaNode::Not(inner) => self.eval(*inner, env).map(|b| !b),
+            FormulaNode::And(parts) => self.eval_all(parts.iter().copied(), false, env),
+            FormulaNode::Or(parts) => self.eval_all(parts.iter().copied(), true, env),
+            FormulaNode::Implies(a, b) => match (self.eval(*a, env), self.eval(*b, env)) {
+                (Some(false), _) | (_, Some(true)) => Some(true),
+                (Some(true), Some(false)) => Some(false),
+                _ => None,
+            },
+            FormulaNode::Iff(a, b) => Some(self.eval(*a, env)? == self.eval(*b, env)?),
+            FormulaNode::Quant(..) => None,
+        }
+    }
+
+    /// A conjunction (`decisive == false`) or disjunction (`decisive ==
+    /// true`): the decisive value wins over unknown operands.
+    fn eval_all(
+        &self,
+        parts: impl Iterator<Item = FormulaId>,
+        decisive: bool,
+        env: &dyn Env,
+    ) -> Option<bool> {
+        let mut known = true;
+        for part in parts {
+            match self.eval(part, env) {
+                Some(value) if value == decisive => return Some(decisive),
+                Some(_) => {}
+                None => known = false,
+            }
+        }
+        known.then_some(!decisive)
+    }
+
+    /// Evaluates an interned term under `env`; `None` as in
+    /// [`Interner::eval`].
+    fn eval_term(&self, t: TermId, env: &dyn Env) -> Option<i64> {
+        match self.term_node_ref(t) {
+            TermNode::Int(v) => Some(*v),
+            TermNode::Var(v) => env.int(v),
+            TermNode::Add(parts) => parts
+                .iter()
+                .try_fold(0i64, |sum, &p| sum.checked_add(self.eval_term(p, env)?)),
+            TermNode::Sub(a, b) => self
+                .eval_term(*a, env)?
+                .checked_sub(self.eval_term(*b, env)?),
+            TermNode::Neg(a) => self.eval_term(*a, env)?.checked_neg(),
+            TermNode::Mul(a, b) => self
+                .eval_term(*a, env)?
+                .checked_mul(self.eval_term(*b, env)?),
+            TermNode::Select(array, index) => env.select(array, self.eval_term(*index, env)?),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +365,54 @@ mod tests {
         let v = valuation();
         let f = Formula::forall(vec!["x".into()], Term::var("x").ge(Term::int(0)));
         assert_eq!(v.eval(&f), Err(EvalError::Quantified));
+    }
+
+    /// On every sample formula and a grid of small states, the arena
+    /// evaluator gives the tree evaluator's value wherever the tree evaluator
+    /// gives one (no arithmetic here comes near overflow).
+    #[test]
+    fn interned_evaluation_agrees_with_the_tree_evaluator() {
+        let arena = Interner::new();
+        let mut decided = 0;
+        for f in crate::random_formulas::samples() {
+            let id = arena.intern(&f);
+            for x in -2..=2 {
+                for y in -1..=1 {
+                    let mut v = Valuation::new();
+                    v.set_int("x", x)
+                        .set_int("y", y)
+                        .set_int("z", x - y)
+                        .set_int("n", 3)
+                        .set_bool("p", x > 0)
+                        .set_bool("q", y == 0)
+                        .set_bool("r", true)
+                        .set_array("buf", vec![4, -1, 0]);
+                    if let Ok(tree) = v.eval(&f) {
+                        assert_eq!(arena.eval(id, &v), Some(tree), "{f} at x={x}, y={y}");
+                        decided += 1;
+                    }
+                }
+            }
+        }
+        assert!(decided > 1000, "only {decided} evaluations decided");
+    }
+
+    #[test]
+    fn interned_evaluation_is_three_valued_and_exact() {
+        let arena = Interner::new();
+        let mut v = Valuation::new();
+        v.set_int("x", i64::MAX);
+        let unbound = Term::var("missing").ge(Term::int(0));
+        let falsified = Formula::and(vec![unbound.clone(), Formula::False]);
+        assert_eq!(arena.eval(arena.intern(&falsified), &v), Some(false));
+        let unknown = Formula::and(vec![unbound.clone(), Formula::True]);
+        assert_eq!(arena.eval(arena.intern(&unknown), &v), None);
+        let satisfied = Formula::or(vec![unbound, Formula::True]);
+        assert_eq!(arena.eval(arena.intern(&satisfied), &v), Some(true));
+        // Wrapping would make `x + 1 > x` false; exact arithmetic refuses.
+        let overflow = Term::var("x").add(Term::int(1)).gt(Term::var("x"));
+        assert_eq!(v.eval(&overflow), Ok(false));
+        assert_eq!(arena.eval(arena.intern(&overflow), &v), None);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod simplify;
 mod subst;
 mod term;
 
-pub use eval::{EvalError, Valuation};
+pub use eval::{Env, EvalError, Valuation};
 pub use formula::{CmpOp, Formula, Quantifier};
 pub use intern::{FormulaId, FormulaNode, FxHasher, Interner, InternerStats, TermId, TermNode};
 // Test-support only: the deterministic generator every workspace harness

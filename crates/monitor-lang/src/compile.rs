@@ -64,11 +64,14 @@ use crate::interp::{RuntimeError, LOOP_BUDGET};
 use expresso_logic::{Ident, Valuation};
 use std::collections::HashMap;
 
-/// Where a name lives in the dense layout.
+/// Where a name lives in the dense layout ([`Layout::slot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
+pub enum Slot {
+    /// An index into [`Frame::scalars`].
     Shared(u32),
+    /// An index into [`Locals::slots`].
     Local(u32),
+    /// An index into [`Frame::arrays`].
     Array(u32),
 }
 
@@ -126,6 +129,11 @@ impl Layout {
             layout.slots.insert(name.clone(), slot);
         }
         layout
+    }
+
+    /// Where `name` lives, if the monitor declares it.
+    pub fn slot(&self, name: &str) -> Option<Slot> {
+        self.slots.get(name).copied()
     }
 
     /// Builds the shared frame from a state that binds every shared variable

@@ -36,7 +36,7 @@ pub mod target;
 
 pub use ast::{BinOp, Ccr, CcrId, Expr, Field, Method, Monitor, Param, Stmt, Type, UnOp};
 pub use check::{check_monitor, infer_type, CheckError, Scope, VarInfo, VarTable};
-pub use compile::{CodeId, Frame, Layout, Locals, Program};
+pub use compile::{CodeId, Frame, Layout, Locals, Program, Slot};
 pub use interp::{initial_state, Interpreter, RuntimeError, LOOP_BUDGET};
 pub use lexer::{tokenize, LexError};
 pub use lower::{expr_to_formula, expr_to_term, LowerError};

@@ -161,11 +161,17 @@ pub fn expr_to_formula(expr: &Expr, table: &VarTable) -> Result<Formula, LowerEr
 }
 
 /// Recognises `a % k` compared against a constant `c`, returning `k | (a - c)`.
+/// The remainder is Euclidean (in `0..k`, as the interpreter computes it), so
+/// a `c` outside that range is never equal to it: the atom is `false`.
 fn rem_pattern(lhs: &Expr, rhs: &Expr, table: &VarTable) -> Result<Option<Formula>, LowerError> {
     if let Expr::Binary(BinOp::Rem, a, k) = lhs {
         if let (Expr::Int(k), Expr::Int(c)) = (k.as_ref(), rhs) {
             if *k > 0 {
-                let dividend = expr_to_term(a, table)?.sub(Term::int(*c));
+                let dividend = expr_to_term(a, table)?;
+                if !(0..*k).contains(c) {
+                    return Ok(Some(Formula::False));
+                }
+                let dividend = dividend.sub(Term::int(*c));
                 return Ok(Some(Formula::divides(*k as u64, dividend)));
             }
         }
@@ -227,6 +233,31 @@ mod tests {
         let e = parse_expr("count % 3 != 1").unwrap();
         let f = expr_to_formula(&e, &t).unwrap();
         assert!(matches!(f, Formula::Not(_)));
+    }
+
+    /// The lowered `%` comparison means what the interpreter computes, also
+    /// for a constant outside the remainder's range `0..k`.
+    #[test]
+    fn rem_comparison_agrees_with_the_interpreter() {
+        let t = table();
+        let interp = crate::interp::Interpreter::new(&t);
+        for k in 1..=4 {
+            for c in 0..=6 {
+                for op in ["==", "!="] {
+                    let e = parse_expr(&format!("count % {k} {op} {c}")).unwrap();
+                    let f = expr_to_formula(&e, &t).unwrap();
+                    for x in -6..=6 {
+                        let mut state = expresso_logic::Valuation::new();
+                        state.set_int("count", x);
+                        assert_eq!(
+                            state.eval(&f).unwrap(),
+                            interp.eval_bool(&e, &state).unwrap(),
+                            "`{e}` lowered to `{f}` at count = {x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
