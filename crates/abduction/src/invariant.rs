@@ -96,9 +96,8 @@ pub fn infer_with_triples_configured(
     } = abduce_candidates(&vcgen, triples, config);
     let total_candidates = candidates.len();
 
-    if let Some(states) = ReachableStates::walk(monitor) {
-        candidates.retain(|&psi| !states.refutes(&interner, psi));
-    }
+    let states = ReachableStates::walk(monitor, table);
+    candidates.retain(|&psi| !states.refutes(&interner, psi));
     let refuted = total_candidates - candidates.len();
 
     // Initiation: {requires} Ctr(M) {ψ}, one triple per candidate.

@@ -38,7 +38,9 @@
 use expresso_logic::{
     Env, FormulaId, FormulaNode, FxHasher, Interner, Lcg, TermId, TermNode, Valuation,
 };
-use expresso_monitor_lang::{initial_state, Frame, Interpreter, Monitor, Program, Slot, Type};
+use expresso_monitor_lang::{
+    initial_state, Frame, Interpreter, Monitor, Program, Slot, Type, VarTable,
+};
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 use std::ops::RangeInclusive;
@@ -120,9 +122,10 @@ impl Env for Point<'_> {
 }
 
 impl ReachableStates {
-    /// Walks `monitor` (see the module docs); `None` if it does not check.
-    pub fn walk(monitor: &Monitor) -> Option<ReachableStates> {
-        let program = Program::new(monitor).ok()?;
+    /// Walks `monitor` (see the module docs), which `table` is the checked
+    /// symbol table of.
+    pub fn walk(monitor: &Monitor, table: &VarTable) -> ReachableStates {
+        let program = Program::checked(monitor, table.clone());
         let layout = program.layout();
         let mut seen: HashSet<Vec<i64>, BuildHasherDefault<FxHasher>> = HashSet::default();
         let mut flat = Vec::new();
@@ -187,11 +190,11 @@ impl ReachableStates {
         let mut states: Vec<Vec<i64>> = seen.into_iter().collect();
         states.sort_unstable();
         let scalars = starts.first().map_or(0, |f| f.scalars().len());
-        Some(ReachableStates {
+        ReachableStates {
             program,
             scalars,
             states,
-        })
+        }
     }
 
     /// The states as named valuations of the shared variables.
@@ -421,7 +424,7 @@ fn initial_frames(monitor: &Monitor, program: &Program) -> Vec<Frame> {
 mod tests {
     use super::*;
     use expresso_logic::{Formula, Term};
-    use expresso_monitor_lang::parse_monitor;
+    use expresso_monitor_lang::{check_monitor, parse_monitor};
 
     fn pool() -> ReachableStates {
         let monitor = parse_monitor(
@@ -436,7 +439,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        ReachableStates::walk(&monitor).unwrap()
+        let table = check_monitor(&monitor).unwrap();
+        ReachableStates::walk(&monitor, &table)
     }
 
     fn count() -> Term {

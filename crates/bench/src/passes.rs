@@ -103,6 +103,7 @@ pub fn benchmarks(ledger: &mut Ledger) {
                 "invariant_truncated" => best.stats.invariant_truncated,
                 "triples_checked" => best.report.triples_checked,
                 "pairs_considered" => best.report.pairs_considered,
+                "commutativity_pairs" => best.report.commutativity_pairs,
                 "cache_hits" => solver.cache_hits,
                 "cache_misses" => solver.cache_misses,
                 "cache_hit_rate" => fixed(solver.cache_hit_rate(), 4),

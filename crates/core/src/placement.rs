@@ -24,7 +24,7 @@ use expresso_monitor_lang::{
 use expresso_smt::Solver;
 use expresso_vcgen::{VcGen, WpCache};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Options for [`place_signals_with`].
 #[derive(Debug, Clone)]
@@ -89,6 +89,9 @@ pub struct PlacementReport {
     pub pairs_considered: usize,
     /// Number of `(CCR, guard)` pairs proven to need no notification.
     pub skipped: usize,
+    /// Number of unordered CCR pairs whose commutation the §4.3 step had to
+    /// decide (0 for a replayed outcome: not recorded).
+    pub commutativity_pairs: usize,
 }
 
 impl PlacementReport {
@@ -129,8 +132,63 @@ struct PairCtx<'a> {
     invariant: FormulaId,
     guards: &'a [GuardInfo],
     own_guards: &'a HashMap<CcrId, Option<FormulaId>>,
-    commutes_all: &'a HashMap<CcrId, bool>,
-    use_commutativity: bool,
+    /// `None` when the §4.3 improvement is off.
+    commutativity: Option<&'a Commutativity<'a>>,
+}
+
+/// The paper's `Comm(w, M)`, decided on demand: only for a waiter `w` whose
+/// pair reaches the §4.3 step, and from each unordered CCR pair's
+/// [`VcGen::commutes`] (which is symmetric), asked once.
+///
+/// Pair tasks on several workers may wait on one another's cell here. That
+/// cannot deadlock a join: `commutes` submits no pool work, so the thread
+/// that initialises a cell never helps run a task that could wait on it.
+/// Nor can the cells wait in a cycle: a `with_all` cell's initialiser waits
+/// only on pair cells, and a pair cell's on none.
+struct Commutativity<'a> {
+    vcgen: &'a VcGen<'a>,
+    /// `Comm(w, M)` per CCR.
+    with_all: Vec<OnceLock<bool>>,
+    /// `commutes` per unordered pair `{a, b}`, `a < b`, at `b(b-1)/2 + a`.
+    pairs: Vec<OnceLock<bool>>,
+}
+
+impl<'a> Commutativity<'a> {
+    fn new(vcgen: &'a VcGen<'a>) -> Self {
+        let n = vcgen.monitor().ccrs.len();
+        Commutativity {
+            vcgen,
+            with_all: (0..n).map(|_| OnceLock::new()).collect(),
+            pairs: (0..n * n.saturating_sub(1) / 2)
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    /// Does the body of `w` commute with the body of every other CCR?
+    fn with_all(&self, w: CcrId) -> bool {
+        *self.with_all[w.0].get_or_init(|| {
+            self.vcgen
+                .monitor()
+                .all_ccrs()
+                .filter(|other| other.id != w)
+                .all(|other| self.pair(w, other.id))
+        })
+    }
+
+    fn pair(&self, a: CcrId, b: CcrId) -> bool {
+        let (lo, hi) = if a.0 < b.0 { (a, b) } else { (b, a) };
+        *self.pairs[hi.0 * (hi.0 - 1) / 2 + lo.0].get_or_init(|| {
+            let monitor = self.vcgen.monitor();
+            self.vcgen
+                .commutes(&monitor.ccr(lo).body, &monitor.ccr(hi).body)
+        })
+    }
+
+    /// The unordered pairs decided so far.
+    fn decided(&self) -> usize {
+        self.pairs.iter().filter(|p| p.get().is_some()).count()
+    }
 }
 
 /// Runs the signal-placement algorithm with a given monitor invariant,
@@ -161,6 +219,13 @@ pub fn place_signals(
 
 /// Runs the signal-placement algorithm with explicit [`PlacementConfig`]
 /// options.
+///
+/// With `use_commutativity`, `Comm(w, M)` is decided only when a pair's
+/// signal-vs-broadcast step reaches waiter `w` and cannot prove the signal
+/// without it, and each unordered CCR pair's commutation at most once.
+/// [`VcGen::commutes`] settles a variable from the two bodies' footprints
+/// alone when only one body writes it and that body reads nothing the other
+/// writes; only the remaining variables cost a WP and a solver query.
 pub fn place_signals_with(
     monitor: &Monitor,
     table: &VarTable,
@@ -175,17 +240,7 @@ pub fn place_signals_with(
     let interner = vcgen.interner().clone();
     let invariant_id = interner.intern(invariant);
 
-    // Pre-compute commutativity of every CCR's body with all others (used by
-    // the §4.3 improvement); only needed when the option is on.
-    let commutes_all: HashMap<CcrId, bool> = if config.use_commutativity {
-        monitor
-            .ccrs
-            .iter()
-            .map(|c| (c.id, vcgen.commutes_with_all(c.id)))
-            .collect()
-    } else {
-        HashMap::new()
-    };
+    let commutativity = config.use_commutativity.then(|| Commutativity::new(&vcgen));
 
     // Lower every guard and every CCR's own guard exactly once.
     let guards: Vec<GuardInfo> = monitor
@@ -221,8 +276,7 @@ pub fn place_signals_with(
         invariant: invariant_id,
         guards: &guards,
         own_guards: &own_guards,
-        commutes_all: &commutes_all,
-        use_commutativity: config.use_commutativity,
+        commutativity: commutativity.as_ref(),
     };
 
     let pairs: Vec<(CcrId, usize)> = monitor
@@ -242,7 +296,9 @@ pub fn place_signals_with(
             decision
         })
         .collect();
-    assemble(monitor, decisions, triples_checked)
+    let (explicit, mut report) = assemble(monitor, decisions, triples_checked);
+    report.commutativity_pairs = commutativity.as_ref().map_or(0, Commutativity::decided);
+    (explicit, report)
 }
 
 /// Σ and the report that follow from one decision per pair considered: the
@@ -279,6 +335,7 @@ pub(crate) fn assemble(
         decisions,
         triples_checked,
         skipped,
+        commutativity_pairs: 0,
     };
     (explicit, report)
 }
@@ -392,7 +449,10 @@ fn decide(ctx: &PairCtx<'_>, ccr_id: CcrId, guard_idx: usize) -> (SignalDecision
             }
             // §4.3 improvement: if the waiter's body commutes with every other
             // CCR, check the sequential composition Body(w); Body(w').
-            if ctx.use_commutativity && ctx.commutes_all.get(&other.id).copied().unwrap_or(false) {
+            if ctx
+                .commutativity
+                .is_some_and(|comm| comm.with_all(other.id))
+            {
                 triples += 1;
                 let seq =
                     expresso_monitor_lang::Stmt::seq(vec![ccr.body.clone(), other.body.clone()]);
@@ -522,10 +582,13 @@ mod tests {
         let table = check_monitor(&monitor).unwrap();
         let solver = Solver::new();
         let inv = infer_monitor_invariant(&monitor, &table, &solver).invariant;
-        let (with, _) = place_signals(&monitor, &table, &solver, &inv, true);
-        let (without, _) = place_signals(&monitor, &table, &solver, &inv, false);
+        let (with, with_report) = place_signals(&monitor, &table, &solver, &inv, true);
+        let (without, without_report) = place_signals(&monitor, &table, &solver, &inv, false);
         assert!(with.broadcast_count() <= without.broadcast_count());
         assert!(without.broadcast_count() >= 1);
+        // Two CCRs, one pair; nothing is decided with the improvement off.
+        assert_eq!(with_report.commutativity_pairs, 1);
+        assert_eq!(without_report.commutativity_pairs, 0);
     }
 
     #[test]
@@ -551,6 +614,7 @@ mod tests {
         assert_eq!(parallel, sequential);
         assert_eq!(preport.decisions, sreport.decisions);
         assert_eq!(preport.triples_checked, sreport.triples_checked);
+        assert_eq!(preport.commutativity_pairs, sreport.commutativity_pairs);
     }
 
     #[test]
@@ -605,5 +669,9 @@ mod tests {
         assert_eq!(report.skipped, 5);
         assert!(report.triples_checked > 8);
         assert!(report.triples_per_pair() > 1.0);
+        // Of the 6 CCR pairs only one is asked: the §4.3 step is reached
+        // for the waiter `enterReader` alone, and its first pair, with
+        // `exitReader`, does not commute.
+        assert_eq!(report.commutativity_pairs, 1);
     }
 }

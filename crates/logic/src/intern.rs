@@ -922,9 +922,46 @@ impl Interner {
         out
     }
 
-    /// Arrays read anywhere in an interned formula.
+    /// Arrays read anywhere in an interned formula, matching
+    /// [`Formula::arrays`]. Walks the DAG (each shared node once) without
+    /// reconstructing trees or taking locks.
     pub fn arrays(&self, f: FormulaId) -> HashSet<Ident> {
-        self.formula(f).arrays()
+        let mut out = HashSet::new();
+        let mut formulas = vec![f];
+        let mut terms = Vec::new();
+        let mut seen_formulas = HashSet::new();
+        let mut seen_terms = HashSet::new();
+        while let Some(id) = formulas.pop() {
+            if !seen_formulas.insert(id) {
+                continue;
+            }
+            match self.fnode(id) {
+                FormulaNode::True | FormulaNode::False | FormulaNode::BoolVar(_) => {}
+                FormulaNode::Cmp(_, lhs, rhs) => terms.extend([*lhs, *rhs]),
+                FormulaNode::Divides(_, t) => terms.push(*t),
+                FormulaNode::Not(inner) | FormulaNode::Quant(_, _, inner) => formulas.push(*inner),
+                FormulaNode::And(parts) | FormulaNode::Or(parts) => {
+                    formulas.extend(parts.iter().copied())
+                }
+                FormulaNode::Implies(a, b) | FormulaNode::Iff(a, b) => formulas.extend([*a, *b]),
+            }
+        }
+        while let Some(id) = terms.pop() {
+            if !seen_terms.insert(id) {
+                continue;
+            }
+            match self.tnode(id) {
+                TermNode::Int(_) | TermNode::Var(_) => {}
+                TermNode::Add(parts) => terms.extend(parts.iter().copied()),
+                TermNode::Sub(a, b) | TermNode::Mul(a, b) => terms.extend([*a, *b]),
+                TermNode::Neg(a) => terms.push(*a),
+                TermNode::Select(array, index) => {
+                    out.insert(array.clone());
+                    terms.push(*index);
+                }
+            }
+        }
+        out
     }
 
     /// Structural size (number of nodes, counting shared subtrees once per
@@ -1795,6 +1832,43 @@ mod tests {
         assert_eq!(arena.free_vars(id), f.free_vars());
         assert_eq!(arena.arrays(id), f.arrays());
         assert_eq!(arena.size(id), f.size());
+    }
+
+    #[test]
+    fn array_walk_agrees_with_trees_under_quantifiers() {
+        let arena = Interner::new();
+        // `a[b[i]]`, shared between both quantifiers, and a select inside a
+        // divisibility atom, a negation and a sum.
+        let nested = Term::select("a", Term::select("b", Term::var("i")));
+        let cases = [
+            Formula::forall(vec!["i".into()], nested.clone().ge(Term::int(0))),
+            Formula::forall(
+                vec!["i".into()],
+                Formula::exists(
+                    vec!["j".into()],
+                    Formula::implies(
+                        nested.clone().lt(Term::var("j")),
+                        Formula::iff(
+                            Formula::not(Formula::divides(
+                                2,
+                                Term::select("c", Term::var("j").neg()),
+                            )),
+                            Formula::bool_var("p"),
+                        ),
+                    ),
+                ),
+            ),
+            Formula::or(vec![
+                Formula::exists(vec!["k".into()], nested.clone().eq(Term::var("k"))),
+                Term::select("d", nested.add(Term::select("e", Term::int(1))))
+                    .le(Term::var("x").sub(Term::var("y"))),
+            ]),
+            Term::var("x").ge(Term::int(0)),
+        ];
+        for f in cases {
+            let id = arena.intern(&f);
+            assert_eq!(arena.arrays(id), arena.formula(id).arrays(), "{f}");
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! the `Valuation` the frame and locals stand for: wrapping arithmetic,
 //! Euclidean remainder, `DivisionByZero`, `ArrayAccess(name, index)`,
 //! `Unbound(name)`, the same [`LOOP_BUDGET`]. Guards and bodies are
-//! well-sorted because [`Program::new`] checks the monitor, but a
+//! well-sorted because [`Program::new`] checks the monitor (and
+//! [`Program::checked`] is handed a checked one), but a
 //! hand-written notification predicate need not be: the interpreter finds a
 //! sort error only when evaluation reaches it, so the compiler plants the
 //! `SortMismatch` as a fault node at that very position, after the operands
@@ -407,7 +408,12 @@ impl Program {
     /// Returns what [`check_monitor`] finds; only a well-typed monitor has a
     /// program.
     pub fn new(monitor: &Monitor) -> Result<Program, Vec<CheckError>> {
-        let table = check_monitor(monitor)?;
+        Ok(Program::checked(monitor, check_monitor(monitor)?))
+    }
+
+    /// Compiles every CCR guard and body of a monitor its caller has already
+    /// checked: `table` must be what [`check_monitor`] returned for it.
+    pub fn checked(monitor: &Monitor, table: VarTable) -> Program {
         let mut program = Program {
             layout: Layout::new(&table),
             table,
@@ -423,7 +429,7 @@ impl Program {
             let body = program.step(&ccr.body);
             program.bodies.push(body);
         }
-        Ok(program)
+        program
     }
 
     /// The symbol table the monitor checked to.

@@ -795,8 +795,7 @@ impl Solver {
     /// Checks whether two interned formulas are logically equivalent.
     ///
     /// The query is canonicalized by id (`iff` is commutative), so both
-    /// argument orders share one cache entry — the commutativity
-    /// precomputation asks both orders for every CCR pair.
+    /// argument orders share one cache entry.
     pub fn check_equiv_ids(&self, lhs: FormulaId, rhs: FormulaId) -> ValidityResult {
         let (l, r) = if rhs < lhs { (rhs, lhs) } else { (lhs, rhs) };
         self.check_valid_id(self.interner.mk_iff(l, r))

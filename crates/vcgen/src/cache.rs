@@ -3,9 +3,9 @@
 //! Signal placement and the invariant fixpoint recompute `wp(body, post)` for
 //! the same `(CCR body, postcondition)` pair over and over: every fixpoint
 //! round re-proves consecution for each surviving candidate, the §4.3
-//! commutativity improvement asks for the same sequential compositions under
-//! both orders, and the `while` havoc path rebuilds an identical quantified
-//! exit condition each time. The same recomputation also happens *across*
+//! commutativity check composes the same pairs of bodies in variant after
+//! variant of a corpus, and the `while` havoc path rebuilds an identical
+//! quantified exit condition each time. The same recomputation also happens *across*
 //! monitors: structurally identical CCR bodies (`readers++`,
 //! `if (readers > 0) readers--`) recur throughout a benchmark suite.
 //!

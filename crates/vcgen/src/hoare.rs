@@ -3,7 +3,7 @@
 use crate::cache::{StmtKey, WpCache};
 use crate::wp::{wp_id, WpError};
 use expresso_logic::{fresh_name, Formula, FormulaId, Interner, Subst, Term};
-use expresso_monitor_lang::{Monitor, Stmt, Type, VarTable};
+use expresso_monitor_lang::{expr_to_formula, expr_to_term, Monitor, Stmt, Type, VarTable};
 use expresso_smt::{Solver, ValidityResult};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -207,51 +207,70 @@ impl<'a> VcGen<'a> {
         subst.apply(formula)
     }
 
-    /// The paper's `Comm(w, M)` check: does `body` commute with the body of
-    /// every *other* CCR of the monitor?
-    pub fn commutes_with_all(&self, ccr: expresso_monitor_lang::CcrId) -> bool {
-        let body = &self.monitor.ccr(ccr).body;
-        self.monitor
-            .all_ccrs()
-            .filter(|other| other.id != ccr)
-            .all(|other| self.commutes(body, &other.body))
-    }
-
     /// Checks whether two statements commute: `s1; s2 ≡ s2; s1` on every
-    /// shared scalar variable. Conservative (`false`) when either statement
-    /// writes arrays, contains loops, or leaves the decidable fragment.
+    /// variable either writes. Symmetric in its arguments. Conservative
+    /// (`false`) when either statement writes arrays, contains loops, writes
+    /// a variable that is neither an int nor a bool, or does not lower to the
+    /// decidable fragment.
+    ///
+    /// Footprint first: a variable that only one body writes, when that body
+    /// reads nothing the other body writes, ends with the same value in both
+    /// orders — the static independence test of partial-order reduction —
+    /// and costs no WP and no solver query. The two compositions are built,
+    /// and one equivalence asked per variable, only for the variables left.
     pub fn commutes(&self, s1: &Stmt, s2: &Stmt) -> bool {
         if has_loop(s1) || has_loop(s2) {
             return false;
         }
-        let writes_arrays = |s: &Stmt| s.assigned_vars().iter().any(|v| self.table.is_array(v));
-        if writes_arrays(s1) || writes_arrays(s2) {
+        let (writes1, writes2) = (s1.assigned_vars(), s2.assigned_vars());
+        let mut affected: Vec<&String> = writes1.union(&writes2).collect();
+        if affected.iter().any(|v| self.table.is_array(v)) {
             // Array writes are havoc; only the trivial case of disjoint
             // variables would commute, and that is rare enough to skip.
             return false;
         }
+        if affected.is_empty() {
+            return true;
+        }
+        if affected
+            .iter()
+            .any(|v| !matches!(self.table.ty(v), Some(Type::Int | Type::Bool)))
+        {
+            return false;
+        }
+        // Both compositions' WPs lower every expression of both bodies,
+        // whatever the post; a variable settled by footprint must not skip
+        // that verdict.
+        if !lowers(s1, self.table) || !lowers(s2, self.table) {
+            return false;
+        }
+        let (reads1, reads2) = (s1.read_vars(), s2.read_vars());
+        let independent1 = reads1.is_disjoint(&writes2);
+        let independent2 = reads2.is_disjoint(&writes1);
+        affected.retain(
+            |&var| match (writes1.contains(var), writes2.contains(var)) {
+                (true, false) => !independent1,
+                (false, true) => !independent2,
+                _ => true,
+            },
+        );
+        if affected.is_empty() {
+            return true;
+        }
+        affected.sort();
         let order_a = Stmt::seq(vec![s1.clone(), s2.clone()]);
         let order_b = Stmt::seq(vec![s2.clone(), s1.clone()]);
         let interner = self.interner().clone();
-        let mut affected: Vec<String> = s1
-            .assigned_vars()
-            .union(&s2.assigned_vars())
-            .cloned()
-            .collect();
-        affected.sort();
         for var in affected {
             // Both orders run on interned ids so the (body, post) WP cache
-            // serves the symmetric recomputations across CCR pairs.
-            let post = match self.table.ty(&var) {
-                Some(Type::Bool) => Formula::bool_var(var.clone()),
-                Some(Type::Int) => {
-                    let mut taken: HashSet<String> = s1.read_vars();
-                    taken.extend(s2.read_vars());
-                    taken.insert(var.clone());
-                    let observer = fresh_name(&format!("{var}!obs"), &taken);
-                    Term::var(var.clone()).eq(Term::var(observer))
-                }
-                _ => return false,
+            // serves the same compositions across the monitors of a suite.
+            let post = if self.table.is_bool(var) {
+                Formula::bool_var(var.clone())
+            } else {
+                let mut taken: HashSet<String> = reads1.union(&reads2).cloned().collect();
+                taken.insert(var.clone());
+                let observer = fresh_name(&format!("{var}!obs"), &taken);
+                Term::var(var.clone()).eq(Term::var(observer))
             };
             let post = interner.intern(&post);
             let (Ok(a), Ok(b)) = (self.wp_id(&order_a, post), self.wp_id(&order_b, post)) else {
@@ -262,6 +281,28 @@ impl<'a> VcGen<'a> {
             }
         }
         true
+    }
+}
+
+/// Whether every expression [`wp_id`] lowers in `stmt` — assigned values,
+/// `if` conditions — lowers. Loops and array writes are rejected before
+/// [`VcGen::commutes`] asks.
+fn lowers(stmt: &Stmt, table: &VarTable) -> bool {
+    match stmt {
+        Stmt::Skip | Stmt::ArrayAssign(..) | Stmt::While(..) => true,
+        Stmt::Seq(parts) => parts.iter().all(|s| lowers(s, table)),
+        Stmt::Assign(name, value) | Stmt::Local(name, _, value) => {
+            if table.is_bool(name) {
+                expr_to_formula(value, table).is_ok()
+            } else {
+                expr_to_term(value, table).is_ok()
+            }
+        }
+        Stmt::If(cond, then_branch, else_branch) => {
+            expr_to_formula(cond, table).is_ok()
+                && lowers(then_branch, table)
+                && lowers(else_branch, table)
+        }
     }
 }
 

@@ -107,7 +107,7 @@ fn every_walked_state_satisfies_the_invariant() {
         let solver = Solver::new();
         let (kept, _) = reference_fixpoint(&monitor, &table, &solver);
         let interner = solver.interner();
-        let states = ReachableStates::walk(&monitor).expect("checked monitors walk");
+        let states = ReachableStates::walk(&monitor, &table);
         let states = states.valuations();
         assert!(!states.is_empty(), "{}: no state reached", monitor.name);
         for state in states {
