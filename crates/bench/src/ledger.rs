@@ -472,7 +472,7 @@ pub const DIFF: &[(&str, Rule)] = &[
     ("persistence.dirty_ms", Rule::AtMost3x),
     // Every other timing, and what is computed from one.
     ("*_ms", Rule::Ignore),
-    ("explore.ns_per_live_transition", Rule::Ignore),
+    ("explore.ns_per_transition", Rule::Ignore),
     ("*_us", Rule::Ignore),
     ("*_us_per_op", Rule::Ignore),
     ("*.speedup_vs_autosynch", Rule::Ignore),

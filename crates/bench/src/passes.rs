@@ -622,7 +622,7 @@ pub fn exploration(
     let mut rows = Vec::new();
     let (mut dpor_total, mut naive_total, mut reduction_sum) = (0, 0, 0.0);
     let (mut blocked, mut queries, mut cache_hits, mut divergences) = (0, 0, 0, 0);
-    let (mut dpor_time, mut live_total) = (Duration::ZERO, 0);
+    let (mut dpor_time, mut transitions) = (Duration::ZERO, 0);
     for benchmark in benchmarks {
         let outcome = pipeline
             .analyze_with_context(&context, &benchmark.monitor())
@@ -637,9 +637,8 @@ pub fn exploration(
         );
         let naive_executions = naive_run.map(|(executions, _)| executions);
         let reduction = naive_executions.map(|n| ratio(n as f64, dpor.executions() as f64));
-        let live = dpor.implicit.live_transitions + dpor.explicit.live_transitions;
         dpor_time += dpor_wall;
-        live_total += live;
+        transitions += dpor.transitions();
         dpor_total += dpor.executions();
         naive_total += naive_executions.unwrap_or(0);
         reduction_sum += reduction.unwrap_or(0.0);
@@ -653,8 +652,6 @@ pub fn exploration(
             "naive_executions" => naive_executions,
             "reduction" => reduction.map(|r| fixed(r, 3)),
             "transitions" => dpor.transitions(),
-            "live_transitions" => live,
-            "dedup_hits" => dpor.implicit.dedup_hits + dpor.explicit.dedup_hits,
             "sleep_prunes" => dpor.implicit.sleep_prunes + dpor.explicit.sleep_prunes,
             "sleep_set_blocked" => dpor.sleep_set_blocked(),
             "disjointness_queries" => dpor.disjointness_queries,
@@ -676,7 +673,7 @@ pub fn exploration(
         "preemption_bound" => preemption_bound,
         "total_dpor_executions" => dpor_total,
         "total_dpor_ms" => ms(dpor_time),
-        "ns_per_live_transition" => fixed(ratio(dpor_time.as_secs_f64() * 1e9, live_total as f64), 1),
+        "ns_per_transition" => fixed(ratio(dpor_time.as_secs_f64() * 1e9, transitions as f64), 1),
         "total_naive_executions" => naive.then_some(naive_total),
         "reduction_factor" => naive.then(|| fixed(reduction_factor, 3)),
         "mean_reduction" => naive.then(|| fixed(mean_reduction, 3)),

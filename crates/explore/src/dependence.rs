@@ -25,13 +25,12 @@ use expresso_monitor_lang::{CcrId, ExplicitMonitor, Monitor, VarTable};
 use expresso_semantics::{Event, ExecError};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A set of events — a sleep set, or everything a subtree executed — as one
-/// word: bit `thread * shapes + shape` (see [`Dependence::slot`]). The
-/// explorer only ever asks such a set for membership, union and equality,
-/// which are then single instructions, and a search frame or a dedup key
-/// that holds one owns no heap. [`Dependence::check_width`] refuses the
-/// workloads whose events do not fit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+/// A set of events — a sleep set — as one word: bit `thread * shapes +
+/// shape` (see [`Dependence::slot`]). The explorer only ever asks such a set
+/// for membership and insertion, which are then single instructions, and a
+/// search frame that holds one owns no heap. [`Dependence::check_width`]
+/// refuses the workloads whose events do not fit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct EventSet(u128);
 
 impl EventSet {
@@ -41,10 +40,6 @@ impl EventSet {
 
     pub fn insert(&mut self, dep: &Dependence, event: Event) {
         self.0 |= 1 << dep.slot(event);
-    }
-
-    pub fn union(&mut self, other: EventSet) {
-        self.0 |= other.0;
     }
 
     /// The members, in slot order.

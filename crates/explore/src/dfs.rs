@@ -1,6 +1,5 @@
 //! The per-root DFS engine: source sets with wakeup trees (Optimal DPOR),
-//! sleep sets, preemption bounding and fingerprint dedup over the paired
-//! steppers.
+//! sleep sets and preemption bounding over the paired steppers.
 //!
 //! The search walks *one* pair of steppers down and up
 //! ([`Pair::step`] / [`Pair::unstep`]); a frame of its stack holds
@@ -11,10 +10,8 @@
 
 use crate::dependence::{Dependence, EventSet};
 use crate::{DirectionStats, ExploreConfig, Strategy};
-use expresso_logic::FxHasher;
 use expresso_semantics::{Event, ExecError, Stepper};
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::collections::VecDeque;
 
 /// The two semantics run in lockstep: scheduling choices are drawn from the
 /// *driver*'s enabled set; the *follower* (absent in counting-only runs)
@@ -87,49 +84,6 @@ impl Pair<'_> {
             }
         }
     }
-
-    fn fingerprint(&self) -> (u64, u64) {
-        (
-            self.driver.fingerprint(),
-            self.follower.as_ref().map_or(0, |f| f.fingerprint()),
-        )
-    }
-}
-
-/// Dedup-cache key: the paired state plus everything else that determines
-/// the subtree a deterministic DFS explores from it — the sleep set, the
-/// forced wakeup-sequence suffix the node was entered under, the remaining
-/// depth and preemption budget, and (since a preemption is relative to the
-/// previously scheduled thread) which thread ran last.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    fingerprint: (u64, u64),
-    sleep: EventSet,
-    forced: Vec<Event>,
-    steps: usize,
-    budget: Option<usize>,
-    last_thread: Option<usize>,
-    /// The event that created the subtree's root. Parent-frame wakeup
-    /// insertions race against it, so replaying a cached subtree is only
-    /// exact when the incoming event matches.
-    incoming: Event,
-}
-
-/// What a fully explored subtree contributes on a dedup hit: its counters,
-/// the set of events it executed, and the wakeup sequences its races
-/// scheduled at its *parent* frame. Those sequences are context-independent
-/// — their contents and the decision to schedule them are functions of the
-/// subtree and its incoming event alone (both part of the cache key) — so
-/// replaying them at another occurrence reproduces a live walk exactly,
-/// which is what keeps dedup'd execution counts identical to a dedup-free
-/// run. Races reaching *beyond* the parent frame are not relocatable, so a
-/// hit is only taken when no cached event can race with the live ancestry
-/// (the `relocatable` guard at the merge site).
-struct CacheEntry {
-    summary: EventSet,
-    /// The subtree's logical counters; none of it is live work on a hit.
-    stats: DirectionStats,
-    parent_inserts: Vec<Vec<Event>>,
 }
 
 /// One frame of the DFS stack: the exploration bookkeeping of the
@@ -157,16 +111,8 @@ struct Node {
     budget: Option<usize>,
     /// Thread of the event that created this node (preemption accounting).
     last_thread: Option<usize>,
-    /// Dedup key this node was created under, when caching is on.
-    key: Option<CacheKey>,
-    /// Counters of the subtree rooted here (cache merges included).
+    /// Counters of the subtree rooted here.
     sub: DirectionStats,
-    /// Every event executed in the subtree rooted here.
-    summary: EventSet,
-    /// Wakeup-sequence candidates races in this node's subtree aimed at its
-    /// parent frame (recorded before the reversibility filter, which is the
-    /// one context-dependent condition — re-evaluated on replay).
-    parent_inserts: Vec<Vec<Event>>,
 }
 
 impl Node {
@@ -176,14 +122,12 @@ impl Node {
     }
 
     /// A frame whose `enabled` events sit at `from` in the shared buffer.
-    #[allow(clippy::too_many_arguments)]
     fn new(
         from: usize,
         enabled: &[Event],
         sleep: EventSet,
         budget: Option<usize>,
         last_thread: Option<usize>,
-        key: Option<CacheKey>,
         forced: Vec<Event>,
         dpor: bool,
     ) -> Self {
@@ -203,10 +147,7 @@ impl Node {
             sleep,
             budget,
             last_thread,
-            key,
             sub: DirectionStats::default(),
-            summary: EventSet::default(),
-            parent_inserts: Vec::new(),
         }
     }
 }
@@ -279,7 +220,19 @@ fn register_races(
         if !dep.dependent(path[i], event) {
             continue;
         }
-        if path[i].thread != event.thread && !mask_bit(covered, i) {
+        // A race is only schedulable when it is *reversible*: `event`'s
+        // thread must have been schedulable at `stack[i]` at all. When it
+        // was sitting in the blocked queue there (the raced-out event is
+        // what woke it), the "reversal" is not an execution — the blocked
+        // interleavings were already covered through the block event's own
+        // races when it was executed upstream.
+        if path[i].thread != event.thread
+            && !mask_bit(covered, i)
+            && stack[i]
+                .enabled(events)
+                .iter()
+                .any(|e| e.thread == event.thread)
+        {
             // The reversal's content is the conservative notdep: events
             // conservatively ordered after `path[i]` are dropped, and the
             // conservative hb masks are transitively closed, so the
@@ -290,30 +243,9 @@ fn register_races(
                 .map(|k| path[k])
                 .collect();
             v.push(event);
-            // A race is only schedulable when it is *reversible*: `event`'s
-            // thread must have been schedulable at `stack[i]` at all. When
-            // it was sitting in the blocked queue there (the raced-out
-            // event is what woke it), the "reversal" is not an execution —
-            // the blocked interleavings were already covered through the
-            // block event's own races when it was executed upstream.
-            let reversible = stack[i]
-                .enabled(events)
-                .iter()
-                .any(|e| e.thread == event.thread);
-            // Record the candidate on the frame directly above i before
-            // the reversibility filter: everything else about this
-            // insertion is a function of that frame's subtree and
-            // incoming event, while reversibility reads `stack[i]` and
-            // is re-checked when a cached copy of the subtree replays
-            // the candidate under a different parent.
-            if !stack[i + 1].parent_inserts.contains(&v) {
-                stack[i + 1].parent_inserts.push(v.clone());
-            }
-            if reversible {
-                let node = &mut stack[i];
-                if !node.pending.contains(&v) {
-                    node.pending.push_back(v);
-                }
+            let node = &mut stack[i];
+            if !node.pending.contains(&v) {
+                node.pending.push_back(v);
             }
         }
         covered |= hb[i].refined | 1 << i;
@@ -391,33 +323,41 @@ pub(crate) fn spend_preemption_budget(
     }
 }
 
+/// A schedule prefix produced by the split phase: the root of one subtree.
+pub(crate) struct Prefix<'a> {
+    pub pair: Pair<'a>,
+    pub path: Vec<Event>,
+    /// Sleep set inherited across earlier siblings (DPOR strategy only): the
+    /// split phase takes *every* enabled choice — a superset of any DPOR
+    /// backtrack set, so the split stays complete — but later siblings still
+    /// needn't re-explore schedules equivalent to an earlier sibling's.
+    pub sleep: EventSet,
+    pub budget: Option<usize>,
+    pub last_thread: Option<usize>,
+}
+
 /// A subtree exploration result: the counters plus, when the lockstep check
 /// failed, the full diverging event sequence with the follower's reason.
 pub(crate) type RootOutcome = Result<(DirectionStats, Option<(Vec<Event>, String)>), ExecError>;
 
-/// Exhaustively explores the subtree rooted at `pair`'s configuration
-/// (created by executing `prefix` from the initial one). Returns the
+/// Exhaustively explores the subtree rooted at `root`'s configuration
+/// (created by executing `root.path` from the initial one). Returns the
 /// subtree's counters and, when the lockstep check failed, the full
 /// diverging event sequence with the follower's reason.
-pub(crate) fn explore_root(
-    mut pair: Pair<'_>,
-    prefix: Vec<Event>,
-    sleep: EventSet,
-    budget: Option<usize>,
-    last_thread: Option<usize>,
-    dep: &Dependence,
-    cfg: &ExploreConfig,
-) -> RootOutcome {
+pub(crate) fn explore_root(root: Prefix<'_>, dep: &Dependence, cfg: &ExploreConfig) -> RootOutcome {
+    let Prefix {
+        mut pair,
+        path: prefix,
+        sleep,
+        budget,
+        last_thread,
+    } = root;
     let _span = expresso_obs::span!("explore.subtree");
     let dpor = cfg.strategy == Strategy::Dpor;
-    let dedup = dpor && cfg.dedup_states;
-    // Only ever probed, never iterated, so the hasher cannot change the
-    // order of anything the search does.
-    let mut cache: HashMap<CacheKey, CacheEntry, BuildHasherDefault<FxHasher>> = HashMap::default();
     let mut stats = DirectionStats::default();
-    // Live executions actually walked by this DFS (cache merges excluded):
-    // the wall-clock governor behind `max_executions_per_root`.
-    let mut live_execs = 0usize;
+    // Executions this DFS has walked: the wall-clock governor behind
+    // `max_executions_per_root`.
+    let mut walked = 0usize;
 
     // The enabled events of every frame on the stack, bottom frame first.
     let mut events: Vec<Event> = Vec::new();
@@ -450,7 +390,6 @@ pub(crate) fn explore_root(
         sleep,
         budget,
         last_thread,
-        None,
         Vec::new(),
         dpor,
     )];
@@ -460,7 +399,7 @@ pub(crate) fn explore_root(
     let mut hb: Vec<Hb> = Vec::new();
 
     loop {
-        if live_execs >= cfg.max_executions_per_root {
+        if walked >= cfg.max_executions_per_root {
             stats.capped_roots = 1;
             for node in stack {
                 stats.merge(&node.sub);
@@ -546,8 +485,7 @@ pub(crate) fn explore_root(
             }
         }
         let Some((event, child_budget, forced_rest)) = selection else {
-            // Node exhausted: fold the completed subtree into the parent and
-            // keep it for the next configuration that matches its key.
+            // Node exhausted: fold the completed subtree into the parent.
             let node = stack.pop().expect("loop runs with a non-empty stack");
             events.truncate(node.enabled.0);
             let Some(parent) = stack.last_mut() else {
@@ -560,21 +498,6 @@ pub(crate) fn explore_root(
             parent.sub.merge(&node.sub);
             if dpor {
                 parent.sleep.insert(dep, incoming);
-            }
-            parent.summary.insert(dep, incoming);
-            parent.summary.union(node.summary);
-            if let Some(key) = node.key {
-                cache.insert(
-                    key,
-                    CacheEntry {
-                        summary: node.summary,
-                        stats: DirectionStats {
-                            live_transitions: 0,
-                            ..node.sub
-                        },
-                        parent_inserts: node.parent_inserts,
-                    },
-                );
             }
             continue;
         };
@@ -595,13 +518,11 @@ pub(crate) fn explore_root(
                     stats.merge(&node.sub);
                 }
                 stats.transitions += 1;
-                stats.live_transitions += 1;
                 return Ok((stats, Some((full, reason))));
             }
         }
         let top = &mut stack[top_idx];
         top.sub.transitions += 1;
-        top.sub.live_transitions += 1;
 
         let child_sleep = if dpor {
             dep.inherit_sleep(top.sleep, event)
@@ -649,55 +570,10 @@ pub(crate) fn explore_root(
             top.sub.depth_capped += capped;
             top.sub.sleep_set_blocked += blocked;
             top.sub.sleep_prunes += starved;
-            live_execs += execs;
+            walked += execs;
             if dpor {
                 top.sleep.insert(dep, event);
             }
-            top.summary.insert(dep, event);
-            continue;
-        }
-
-        let key = dedup.then(|| CacheKey {
-            fingerprint: pair.fingerprint(),
-            sleep: child_sleep,
-            forced: forced_rest.clone(),
-            steps: pair.driver.steps(),
-            budget: child_budget,
-            // Which thread ran last shapes the subtree only while a
-            // preemption bound is active; keying on it unconditionally would
-            // needlessly split identical unbounded subtrees.
-            last_thread: child_budget.and(Some(event.thread)),
-            incoming: event,
-        });
-        // Exactness guard: a live walk of the subtree must register no race
-        // against any frame strictly above the current one — those reversals
-        // are not captured by the entry. The incoming event itself is part
-        // of the key, so its parent-frame races are.
-        let merge = key.as_ref().and_then(|k| cache.get(k)).filter(|entry| {
-            entry.summary.iter(dep).all(|ev| {
-                path.iter()
-                    .all(|p| p.thread == ev.thread || !dep.dependent(*p, ev))
-            })
-        });
-        if let Some(entry) = merge {
-            // Replay the wakeup sequences the subtree scheduled at its
-            // parent frame, re-checking reversibility (the one condition
-            // that reads this frame rather than the subtree).
-            let enabled = top.enabled(&events);
-            for v in &entry.parent_inserts {
-                let target = *v.last().expect("wakeup sequences are non-empty");
-                let reversible = enabled.iter().any(|e| e.thread == target.thread);
-                if reversible && !top.pending.contains(v) {
-                    top.pending.push_back(v.clone());
-                }
-            }
-            top.sub.dedup_hits += 1;
-            top.sub.merge(&entry.stats);
-            top.sleep.insert(dep, event);
-            top.summary.insert(dep, event);
-            top.summary.union(entry.summary);
-            events.truncate(child_from);
-            pair.unstep();
             continue;
         }
 
@@ -709,7 +585,6 @@ pub(crate) fn explore_root(
             child_sleep,
             child_budget,
             Some(event.thread),
-            key,
             forced_rest,
             dpor,
         ));

@@ -34,20 +34,15 @@
 //!   discarding the ones the sleep set proves redundant *before* running
 //!   them, means no sleep-set-blocked execution is ever run to completion
 //!   ([`DirectionStats::sleep_set_blocked`] stays 0);
-//! * **state-fingerprint dedup** — configurations are fingerprinted
-//!   (driver and follower state, via `expresso_logic`'s deterministic
-//!   `FxHasher`); a revisited `(fingerprint, sleep set, bounds, incoming
-//!   event)` key merges the cached subtree's counters and replays, exactly,
-//!   the wakeup sequences the subtree scheduled at its parent frame (those
-//!   are a function of the key alone). Subtrees whose races escape beyond
-//!   their parent frame are never cached, and a hit is only taken when the
-//!   cached events have no potential race with the current ancestry — so a
-//!   dedup'd run explores the same schedule set, with identical counters,
-//!   as a dedup-free run.
 //! * **preemption bounding** (optional) — schedules with more than
 //!   `preemption_bound` preemptions are cut off; unlike the above this
 //!   sacrifices completeness for depth, so it is off by default and meant
 //!   for CI-budgeted deep runs.
+//!
+//! The search is stateless: it keeps no table of visited configurations.
+//! Sleep sets and wakeup sequences already walk each Mazurkiewicz trace
+//! once, and a state-fingerprint cache spared too few transitions (6–8 % at
+//! 3 threads × 2–3 operations) to pay for hashing every frame.
 //!
 //! # Parallelism
 //!
@@ -57,8 +52,11 @@
 //! a superset of any DPOR backtrack set, so every cross-prefix reordering
 //! is covered by some sibling root — while later siblings still inherit
 //! earlier choices into their sleep sets; each prefix's subtree is then an
-//! independent DFS task. Per-subtree determinism plus exhaustive splitting
-//! makes the reported counters bit-identical across worker counts.
+//! independent DFS task. Both directions are split first and all their
+//! subtrees go to one pool scope, so neither direction waits for the
+//! other's stragglers. Per-subtree determinism plus exhaustive splitting,
+//! with outcomes merged per direction in frontier order, makes the reported
+//! counters and divergences bit-identical across worker counts.
 
 mod dependence;
 mod dfs;
@@ -66,7 +64,7 @@ mod dfs;
 pub use dependence::{Dependence, IndependenceTable};
 
 use dependence::EventSet;
-use dfs::{explore_root, Pair, StepOutcome};
+use dfs::{explore_root, Pair, Prefix, RootOutcome, StepOutcome};
 use expresso_core::Scheduler;
 use expresso_logic::Valuation;
 use expresso_monitor_lang::{initial_state, ExplicitMonitor, Monitor, VarTable};
@@ -97,8 +95,8 @@ pub struct RefinedIndependence {
 /// How schedules are enumerated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Sleep sets + classic DPOR backtracking (+ dedup when enabled):
-    /// explores at least one schedule per Mazurkiewicz trace.
+    /// Sleep sets + source sets with wakeup sequences: explores at least one
+    /// schedule per Mazurkiewicz trace.
     Dpor,
     /// Full enumeration of every schedule — the baseline the DPOR reduction
     /// factor is measured against.
@@ -115,17 +113,14 @@ pub struct ExploreConfig {
     /// Maximum preemptions per schedule (`None` = unbounded, the default:
     /// the bound trades completeness for depth).
     pub preemption_bound: Option<usize>,
-    /// Per-subtree cap on DFS-walked executions — a deterministic time
-    /// governor for CI; capped subtrees are counted in
-    /// [`DirectionStats::capped_roots`].
+    /// Per-subtree cap on executions — a deterministic time governor for
+    /// CI; capped subtrees are counted in [`DirectionStats::capped_roots`].
     pub max_executions_per_root: usize,
     /// Prefix length expanded without pruning before subtrees are handed to
     /// the scheduler.
     pub split_depth: usize,
     /// Enumeration strategy.
     pub strategy: Strategy,
-    /// State-fingerprint dedup (DPOR strategy only).
-    pub dedup_states: bool,
     /// Run the follower semantics in lockstep and flag divergences. Disabled
     /// for pure schedule-counting (the naive baseline).
     pub check: bool,
@@ -152,7 +147,6 @@ impl Default for ExploreConfig {
             max_executions_per_root: 50_000,
             split_depth: 2,
             strategy: Strategy::Dpor,
-            dedup_states: true,
             check: true,
             explore_spurious: false,
             scheduler: None,
@@ -161,20 +155,13 @@ impl Default for ExploreConfig {
     }
 }
 
-/// Counters of one exploration direction. With dedup enabled the counters
-/// still report the *logical* totals (cached subtrees contribute their
-/// stored counts), so they are comparable across dedup settings and worker
-/// counts.
+/// Counters of one exploration direction, identical at every worker count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirectionStats {
     /// Complete executions checked: maximal schedules plus depth-capped ones.
     pub executions: usize,
     /// Events executed across the DFS.
     pub transitions: usize,
-    /// The events of [`DirectionStats::transitions`] a stepper actually
-    /// executed; the rest were answered by the dedup cache. What the
-    /// explorer's time divides by.
-    pub live_transitions: usize,
     /// Executions cut by [`ExploreConfig::max_steps`].
     pub depth_capped: usize,
     /// Choices and continuations skipped because the sleep set proved them
@@ -182,7 +169,9 @@ pub struct DirectionStats {
     pub sleep_prunes: usize,
     /// Choices skipped by the preemption bound.
     pub preemption_prunes: usize,
-    /// Subtrees answered by the state-fingerprint dedup cache.
+    /// Always 0: the search keeps no state cache. The frozen `benchmark/`
+    /// harness still reads the field; it goes when 6(b) re-freezes that
+    /// harness.
     pub dedup_hits: usize,
     /// Executions run to completion with every enabled transition asleep —
     /// pure waste a DPOR explores only out of imprecision. The wakeup-tree
@@ -202,11 +191,9 @@ impl DirectionStats {
         vec![
             Metric::counter("executions", self.executions as u64),
             Metric::counter("transitions", self.transitions as u64),
-            Metric::counter("live_transitions", self.live_transitions as u64),
             Metric::counter("depth_capped", self.depth_capped as u64),
             Metric::counter("sleep_prunes", self.sleep_prunes as u64),
             Metric::counter("preemption_prunes", self.preemption_prunes as u64),
-            Metric::counter("dedup_hits", self.dedup_hits as u64),
             Metric::counter("sleep_set_blocked", self.sleep_set_blocked as u64),
             Metric::counter("frontier_roots", self.frontier_roots as u64),
             Metric::counter("capped_roots", self.capped_roots as u64),
@@ -219,11 +206,9 @@ impl DirectionStats {
     pub fn merge(&mut self, other: &DirectionStats) {
         self.executions += other.executions;
         self.transitions += other.transitions;
-        self.live_transitions += other.live_transitions;
         self.depth_capped += other.depth_capped;
         self.sleep_prunes += other.sleep_prunes;
         self.preemption_prunes += other.preemption_prunes;
-        self.dedup_hits += other.dedup_hits;
         self.sleep_set_blocked += other.sleep_set_blocked;
         self.frontier_roots += other.frontier_roots;
         self.capped_roots += other.capped_roots;
@@ -358,26 +343,52 @@ pub fn explore(
     let programs = || workload.programs.clone();
     let implicit = Stepper::implicit(monitor, table, initial(), programs())?.record_trace(false);
     let explicit = Stepper::explicit(explicit, table, initial(), programs())?.record_trace(false);
-    for mode in [SemanticsMode::Implicit, SemanticsMode::Explicit] {
-        let (driver, follower) = match mode {
-            SemanticsMode::Implicit => (implicit.clone(), &explicit),
-            SemanticsMode::Explicit => (
-                explicit
-                    .clone()
-                    .with_spurious_wakeups(config.explore_spurious),
-                &implicit,
-            ),
-        };
-        let pair = Pair {
-            driver,
-            follower: config.check.then(|| follower.clone()),
-        };
-        let (stats, divergence) = explore_direction(mode, &pair, &dep, config)?;
+    let directions = [
+        (
+            SemanticsMode::Implicit,
+            Pair {
+                driver: implicit.clone(),
+                follower: config.check.then(|| explicit.clone()),
+            },
+        ),
+        (
+            SemanticsMode::Explicit,
+            Pair {
+                driver: explicit.with_spurious_wakeups(config.explore_spurious),
+                follower: config.check.then_some(implicit),
+            },
+        ),
+    ];
+    // Phase 1 for both directions, then every subtree of both in one pool
+    // scope. A direction whose split failed submits nothing; its error is
+    // reported where a direction-by-direction run would have met it.
+    let mut splits = directions
+        .each_ref()
+        .map(|(_, pair)| split(pair, &dep, config));
+    let roots = splits
+        .iter_mut()
+        .filter_map(|split| split.as_mut().ok())
+        .flat_map(|split| std::mem::take(&mut split.frontier))
+        .collect();
+    let mut outcomes = explore_roots(roots, &dep, config).into_iter();
+    for ((mode, pair), split) in directions.iter().zip(splits) {
+        let Split {
+            mut stats,
+            mut divergence,
+            ..
+        } = split?;
+        for outcome in outcomes.by_ref().take(stats.frontier_roots) {
+            let (sub, div) = outcome?;
+            stats.merge(&sub);
+            divergence = divergence.or(div);
+        }
         match mode {
             SemanticsMode::Implicit => report.implicit = stats,
             SemanticsMode::Explicit => report.explicit = stats,
         }
-        report.divergences.extend(divergence);
+        report.divergences.extend(
+            divergence.map(|(trace, reason)| minimize_divergence(*mode, pair, trace, reason)),
+        );
     }
     Ok(report)
 }
@@ -400,34 +411,24 @@ pub fn render_trace(monitor: &Monitor, trace: &[Event]) -> String {
         .join("\n")
 }
 
-/// A schedule prefix produced by the split phase.
-struct Prefix<'a> {
-    pair: Pair<'a>,
-    path: Vec<Event>,
-    /// Sleep set inherited across earlier siblings (DPOR strategy only): the
-    /// split phase takes *every* enabled choice — a superset of any DPOR
-    /// backtrack set, so the split stays complete — but later siblings still
-    /// needn't re-explore schedules equivalent to an earlier sibling's.
-    sleep: EventSet,
-    budget: Option<usize>,
-    last_thread: Option<usize>,
+/// Phase 1 of one direction: its counters so far, the divergence the split
+/// itself ran into (which ends the direction: the frontier is then empty),
+/// and the subtree roots.
+struct Split<'a> {
+    stats: DirectionStats,
+    divergence: Option<(Vec<Event>, String)>,
+    frontier: Vec<Prefix<'a>>,
 }
 
-/// Explores one direction from `initial`, the lockstep pair of that
-/// direction in its initial configuration.
-fn explore_direction(
-    mode: SemanticsMode,
-    initial: &Pair<'_>,
+/// Expands every schedule prefix of length `split_depth` from `initial`, the
+/// lockstep pair of one direction in its initial configuration, with no
+/// pruning, so sibling roots cover every cross-prefix reordering.
+fn split<'a>(
+    initial: &Pair<'a>,
     dep: &Dependence,
     cfg: &ExploreConfig,
-) -> Result<(DirectionStats, Option<Divergence>), ExecError> {
+) -> Result<Split<'a>, ExecError> {
     let mut stats = DirectionStats::default();
-    let minimize = |trace: Vec<Event>, reason: String| -> Divergence {
-        minimize_divergence(mode, initial, trace, reason)
-    };
-
-    // Phase 1: expand every schedule prefix of length `split_depth`, with no
-    // pruning, so sibling roots cover every cross-prefix reordering.
     let dpor = cfg.strategy == Strategy::Dpor;
     let mut frontier = vec![Prefix {
         pair: initial.clone(),
@@ -473,20 +474,16 @@ fn explore_direction(
                     }
                 };
                 let mut pair = prefix.pair.clone();
-                match pair.step(event)? {
-                    StepOutcome::Ok => {}
-                    StepOutcome::Divergence(reason) => {
-                        stats.transitions += 1;
-                        stats.live_transitions += 1;
-                        let mut trace = prefix.path.clone();
-                        trace.push(event);
-                        return Ok((stats, Some(minimize(trace, reason))));
-                    }
-                }
-                stats.transitions += 1;
-                stats.live_transitions += 1;
                 let mut path = prefix.path.clone();
                 path.push(event);
+                stats.transitions += 1;
+                if let StepOutcome::Divergence(reason) = pair.step(event)? {
+                    return Ok(Split {
+                        stats,
+                        divergence: Some((path, reason)),
+                        frontier: Vec::new(),
+                    });
+                }
                 next.push(Prefix {
                     pair,
                     path,
@@ -502,49 +499,35 @@ fn explore_direction(
         frontier = next;
     }
     stats.frontier_roots = frontier.len();
+    Ok(Split {
+        stats,
+        divergence: None,
+        frontier,
+    })
+}
 
-    // Phase 2: one independent DFS per prefix, fanned out on the pool when
-    // one is configured. Results are merged in frontier order either way, so
-    // counters and the reported divergence are deterministic.
-    use dfs::RootOutcome;
-    let outcomes: Vec<RootOutcome> = match &cfg.scheduler {
-        None => frontier
-            .into_iter()
-            .map(|p| explore_root(p.pair, p.path, p.sleep, p.budget, p.last_thread, dep, cfg))
-            .collect(),
-        Some(scheduler) => {
-            let mut slots: Vec<Option<RootOutcome>> = Vec::new();
-            slots.resize_with(frontier.len(), || None);
-            scheduler.scope(|scope| {
-                for (prefix, slot) in frontier.into_iter().zip(slots.iter_mut()) {
-                    scope.spawn(move || {
-                        *slot = Some(explore_root(
-                            prefix.pair,
-                            prefix.path,
-                            prefix.sleep,
-                            prefix.budget,
-                            prefix.last_thread,
-                            dep,
-                            cfg,
-                        ));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every subtree explored"))
-                .collect()
-        }
+/// Phase 2: one independent DFS per root, fanned out on the pool when one
+/// is configured. The outcomes come back in `roots` order either way.
+fn explore_roots(
+    roots: Vec<Prefix<'_>>,
+    dep: &Dependence,
+    cfg: &ExploreConfig,
+) -> Vec<RootOutcome> {
+    let explore = |root| explore_root(root, dep, cfg);
+    let Some(scheduler) = &cfg.scheduler else {
+        return roots.into_iter().map(explore).collect();
     };
-    let mut divergence = None;
-    for outcome in outcomes {
-        let (sub, div) = outcome?;
-        stats.merge(&sub);
-        if divergence.is_none() {
-            divergence = div.map(|(trace, reason)| minimize(trace, reason));
+    let mut slots: Vec<Option<RootOutcome>> = Vec::new();
+    slots.resize_with(roots.len(), || None);
+    scheduler.scope(|scope| {
+        for (root, slot) in roots.into_iter().zip(slots.iter_mut()) {
+            scope.spawn(move || *slot = Some(explore(root)));
         }
-    }
-    Ok((stats, divergence))
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every subtree explored"))
+        .collect()
 }
 
 /// Shrinks a diverging schedule with the shared greedy minimizer, replaying
@@ -687,75 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_changes_work_not_counters() {
-        // Two counters with disjoint footprints: the `b`-phase subtrees are
-        // reachable through either `a`-race order and have no races with the
-        // `a` ancestry, so the relocatable guard admits cache hits — and the
-        // merged counts must match a dedup-free run exactly. The fully
-        // conflicting COUNTER monitor is the negative control: every subtree
-        // races with its ancestry, so nothing merges, and counts trivially
-        // agree.
-        const SPLIT: &str = r#"
-            monitor Split {
-                int a = 0;
-                int b = 0;
-                atomic void bumpa() { a++; }
-                atomic void bumpb() { b++; }
-            }
-        "#;
-        let cases = [
-            (
-                SPLIT,
-                vec![
-                    vec!["bumpa", "bumpa"],
-                    vec!["bumpa", "bumpa"],
-                    vec!["bumpb", "bumpb"],
-                ],
-                true,
-            ),
-            (
-                COUNTER,
-                vec![
-                    vec!["acquire"],
-                    vec!["release"],
-                    vec!["acquire"],
-                    vec!["release"],
-                ],
-                false,
-            ),
-        ];
-        for (source, threads, expect_hits) in cases {
-            let monitor = parse_monitor(source).unwrap();
-            let table = check_monitor(&monitor).unwrap();
-            let explicit = ExplicitMonitor::broadcast_all(monitor.clone());
-            let w = Workload {
-                initial: initial_state(&monitor, &table, &Valuation::new()).unwrap(),
-                programs: threads
-                    .iter()
-                    .map(|calls| calls.iter().map(|m| ThreadSpec::new(*m)).collect())
-                    .collect(),
-            };
-            let with = explore(&monitor, &table, &explicit, &w, &ExploreConfig::default()).unwrap();
-            let without = explore(
-                &monitor,
-                &table,
-                &explicit,
-                &w,
-                &ExploreConfig {
-                    dedup_states: false,
-                    ..ExploreConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(with.executions(), without.executions());
-            assert_eq!(without.implicit.dedup_hits + without.explicit.dedup_hits, 0);
-            if expect_hits {
-                assert!(with.implicit.dedup_hits + with.explicit.dedup_hits > 0);
-            }
-        }
-    }
-
-    #[test]
     fn spurious_wakeups_are_not_false_divergences() {
         // Regression: an *unconditional* signal notifies a waiter whose guard
         // is false; the waiter's rule-1b re-block is a driver-internal
@@ -883,48 +797,5 @@ mod tests {
         assert_eq!(widest.executions(), 2);
         let dep = Dependence::new(&monitor, &table, &explicit, false);
         assert!(dep.check_width(32).is_ok(), "128 events fill the set");
-    }
-
-    #[test]
-    fn dedup_respects_the_preemption_bound() {
-        // Regression: under a preemption bound the subtree below a state also
-        // depends on which thread ran last (switching away from it is what
-        // costs budget), so the dedup key must include it — otherwise a
-        // cached subtree pruned from one entry path is wrongly reused on a
-        // path where those schedules were affordable.
-        let monitor = parse_monitor(COUNTER).unwrap();
-        let table = check_monitor(&monitor).unwrap();
-        let explicit = ExplicitMonitor::broadcast_all(monitor.clone());
-        let w = Workload {
-            initial: initial_state(&monitor, &table, &Valuation::new()).unwrap(),
-            programs: vec![
-                vec![ThreadSpec::new("release"), ThreadSpec::new("release")],
-                vec![ThreadSpec::new("release"), ThreadSpec::new("release")],
-                vec![ThreadSpec::new("acquire"), ThreadSpec::new("acquire")],
-            ],
-        };
-        for bound in [Some(0), Some(1), Some(2)] {
-            let base = ExploreConfig {
-                preemption_bound: bound,
-                ..ExploreConfig::default()
-            };
-            let with = explore(&monitor, &table, &explicit, &w, &base).unwrap();
-            let without = explore(
-                &monitor,
-                &table,
-                &explicit,
-                &w,
-                &ExploreConfig {
-                    dedup_states: false,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                with.executions(),
-                without.executions(),
-                "bound {bound:?}: dedup changed the explored schedule set"
-            );
-        }
     }
 }

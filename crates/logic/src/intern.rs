@@ -58,8 +58,8 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// attacker-controlled.
 ///
 /// Public because other layers reuse the same deterministic hashing: the
-/// schedule explorer fingerprints simulator states with it, so its dedup
-/// cache is reproducible across runs and thread counts.
+/// solver, WP and Cooper memo tables key on it, and `Stepper::fingerprint`
+/// hashes configurations with it, so a fingerprint is the same in every run.
 #[derive(Debug, Default)]
 pub struct FxHasher(u64);
 

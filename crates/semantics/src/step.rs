@@ -15,8 +15,9 @@
 //!   search walks one configuration down and up instead of copying it per
 //!   branch;
 //! * [`Stepper::fingerprint`] — a deterministic hash of the full
-//!   configuration (shared state, locals, program counters, B and N), used by
-//!   the explorer's state-dedup cache.
+//!   configuration (shared state, locals, program counters, B and N), which
+//!   `tests/stepper_lockstep` holds injective over every reached
+//!   configuration.
 //!
 //! The random `Simulator` in [`crate::trace`] and the systematic explorer in
 //! `expresso-explore` both drive this one stepper, so the two modes cannot
@@ -118,6 +119,7 @@ struct Resolved {
 impl Resolved {
     fn new(
         monitor: &Monitor,
+        table: &VarTable,
         explicit: Option<&ExplicitMonitor>,
         programs: &[ThreadProgram],
     ) -> Result<Resolved, ExecError> {
@@ -127,13 +129,7 @@ impl Resolved {
                 programs.len()
             )));
         }
-        let program = Program::new(monitor).map_err(|errors| {
-            ExecError::MalformedTrace(format!(
-                "monitor `{}` does not check: {} error(s)",
-                monitor.name,
-                errors.len()
-            ))
-        })?;
+        let program = Program::checked(monitor, table.clone());
         let mut plans = Vec::with_capacity(programs.len());
         for (t, calls) in programs.iter().enumerate() {
             let mut plan = Plan {
@@ -261,7 +257,9 @@ pub struct Stepper<'a> {
 }
 
 impl<'a> Stepper<'a> {
-    /// Creates a stepper for the implicit-signal relation.
+    /// Creates a stepper for the implicit-signal relation. `table` must be
+    /// what [`check_monitor`](expresso_monitor_lang::check_monitor) returned
+    /// for `monitor`: the monitor is compiled against it, not checked again.
     ///
     /// # Errors
     ///
@@ -279,7 +277,8 @@ impl<'a> Stepper<'a> {
     }
 
     /// Creates a stepper for the explicit-signal relation of `explicit`
-    /// (which must wrap the same monitor).
+    /// (which must wrap the same monitor); `table` as for
+    /// [`Stepper::implicit`].
     ///
     /// # Errors
     ///
@@ -295,12 +294,12 @@ impl<'a> Stepper<'a> {
 
     fn new(
         monitor: &'a Monitor,
-        _table: &'a VarTable,
+        table: &'a VarTable,
         explicit: Option<&'a ExplicitMonitor>,
         initial: Valuation,
         programs: Vec<ThreadProgram>,
     ) -> Result<Self, ExecError> {
-        let resolved = Resolved::new(monitor, explicit, &programs)?;
+        let resolved = Resolved::new(monitor, table, explicit, &programs)?;
         let layout = resolved.program.layout();
         let frame = layout.frame(&initial)?;
         let unbound = layout
@@ -697,8 +696,8 @@ impl<'a> Stepper<'a> {
     /// A deterministic fingerprint of the full configuration: shared state,
     /// per-thread locals and program counters, and the B and N sets. Two
     /// configurations with equal fingerprints are (modulo hash collisions)
-    /// identical, so the explorer may treat a revisited fingerprint as an
-    /// already-explored subtree.
+    /// identical, which is what a cycle check over reached configurations
+    /// needs.
     pub fn fingerprint(&self) -> u64 {
         let mut hasher = FxHasher::default();
         self.frame.scalars().hash(&mut hasher);
