@@ -26,15 +26,11 @@ pub struct AbductionConfig {
     /// The executor candidate-subset evaluations are dispatched on, in
     /// [`max_results`](AbductionConfig::max_results)-sized waves (see
     /// [`abduce_ids`]). `None` (the default) evaluates inline on the calling
-    /// thread. Under `Expresso::analyze_suite` the pipeline passes the shared
-    /// analysis scheduler here, so the fixpoint's candidate evaluations fan
-    /// out on the same pool that runs suite- and pair-level tasks; for a
-    /// monitor analysed on its own it passes a zero-worker scheduler, which
-    /// is inline evaluation again (a wave of four ≈ 175 µs tasks does not
-    /// repay waking a pool from outside it — measured at 2 CPUs only).
-    /// Whatever is passed here is used as passed. Results are bit-identical
-    /// across every executor: each wave's outcomes are folded back in
-    /// enumeration order.
+    /// thread. The pipeline passes the scheduler the monitor runs on; a wave
+    /// opened inside a suite's monitor task, or on the zero-worker scheduler
+    /// of a monitor analysed on its own, runs inline too. Results are
+    /// bit-identical across every executor: each wave's outcomes are folded
+    /// back in enumeration order.
     pub executor: Option<Arc<dyn Executor>>,
     /// The WP memo session invariant inference builds its VCs through.
     /// `None` (the default) gives the inference run a fresh private cache;

@@ -483,8 +483,7 @@ pub const DIFF: &[(&str, Rule)] = &[
     ("scheduler_suite.workers", Rule::Ignore),
     ("scheduler_suite.per_worker_executed*", Rule::Ignore),
     ("scheduler_suite.worker_utilization*", Rule::Ignore),
-    // Real threads: who stole, who blocked, who woke whom.
-    ("scheduler_suite.steals", Rule::Ignore),
+    // Real threads: who ran what inline, who blocked, who woke whom.
     ("scheduler_suite.helper_executed", Rule::Ignore),
     ("runtime_load.measurements[*].wakeups", Rule::Ignore),
     (

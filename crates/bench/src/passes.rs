@@ -229,7 +229,7 @@ fn analyze_suite(config: &ExpressoConfig, monitors: &[Monitor]) -> SuiteRun {
 /// Wall-clock samples per scheduler mode; the minimum is reported.
 const SCHEDULER_SUITE_SAMPLES: usize = 5;
 
-/// The whole suite analysed concurrently on the work-stealing pool against
+/// The whole suite analysed on the default (auto-sized) scheduler against
 /// the sequential (`analysis_threads = 1`) configuration, one fresh shared
 /// context per pass. Writes `scheduler_suite`.
 pub fn scheduler_suite(ledger: &mut Ledger) {
@@ -244,8 +244,7 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
 
     // Interleave the two modes so process-level warm-up (allocator growth,
     // page faults, lazy statics) biases neither. The scheduler counters are
-    // summed over the pool samples: which pass steals how much depends on
-    // scheduling, so the sum is the stable observable.
+    // summed over the pool samples.
     let mut pool_wall = Duration::MAX;
     let mut sequential_wall = Duration::MAX;
     let mut scheduler = SchedulerStats::default();
@@ -289,7 +288,6 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
         "sequential_wp_cache_hits" => wp.hits,
         "workers" => scheduler.workers,
         "tasks_executed" => scheduler.tasks_executed,
-        "steals" => scheduler.steals,
         "injector_pops" => scheduler.injector_pops,
         "helper_executed" => scheduler.helper_executed,
         "abduction_tasks" => scheduler.abduction_tasks,

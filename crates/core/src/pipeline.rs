@@ -42,17 +42,13 @@ pub struct ExpressoConfig {
     /// Apply the §4.3 commutativity improvement.
     pub use_commutativity: bool,
     /// Number of threads a *suite* is analysed on
-    /// ([`Expresso::analyze_suite`]). `0` sizes the work-stealing
-    /// [`Scheduler`] automatically (one worker per available core) and
-    /// shares the process-wide pool across contexts; `1` is the fully
-    /// sequential analysis (no worker threads: every suite, pair and
-    /// abduction task runs inline on the submitting thread, in submission
-    /// order); `n >= 2` builds a dedicated pool of `n` workers. Results are
-    /// bit-identical across all settings. One monitor on its own
+    /// ([`Expresso::analyze_suite`]). `0` uses the process-wide
+    /// [`Scheduler::global`] (one thread per available core); `1` is the
+    /// sequential analysis (every task runs inline on the calling thread, in
+    /// submission order); `n >= 2` fans the monitors out on `n` threads.
+    /// Results are bit-identical across all settings. One monitor on its own
     /// ([`Expresso::analyze`], [`Expresso::analyze_with_context`]) is
-    /// analysed on the calling thread whatever this says: the pool is for
-    /// suites (see [`Expresso::analyze`] for the measurement, taken at 2
-    /// CPUs, the only box there is).
+    /// analysed on the calling thread whatever this says.
     pub analysis_threads: usize,
     /// Directory of the persistent warm-start cache. `None` (the default)
     /// consults the `EXPRESSO_CACHE_DIR` environment variable; when that is
@@ -86,7 +82,7 @@ impl Default for ExpressoConfig {
 }
 
 /// One formula arena, one memoizing solver, one suite-wide WP store and one
-/// work-stealing scheduler shared across many analyses.
+/// scheduler shared across many analyses.
 ///
 /// `Expresso::analyze` builds a private context per monitor, which is the
 /// right default for isolated runs — but a suite harness that analyses many
@@ -182,9 +178,9 @@ fn rebuild(artifact: &Artifact, record: &OutcomeRecord, monitor: &Monitor) -> Op
 
 impl SharedAnalysisContext {
     /// Creates a context with a fresh arena, solver and WP store. With
-    /// [`ExpressoConfig::analysis_threads`] `== 0` the context shares the
-    /// process-wide [`Scheduler::global`] pool; any other value builds a
-    /// dedicated pool (torn down when the context is dropped).
+    /// [`ExpressoConfig::analysis_threads`] `== 0` the context shares
+    /// [`Scheduler::global`]; any other value builds a scheduler of its own.
+    /// Neither starts a thread.
     ///
     /// When a cache directory is in effect ([`ExpressoConfig::cache_dir`],
     /// else the `EXPRESSO_CACHE_DIR` environment variable), the on-disk
@@ -502,7 +498,8 @@ impl SharedAnalysisContext {
         self.disjointness.stats()
     }
 
-    /// The work-stealing pool all analyses of this context run on.
+    /// The scheduler [`Expresso::analyze_suite`] fans this context's
+    /// monitors out on.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.scheduler
     }
@@ -523,8 +520,8 @@ impl SharedAnalysisContext {
         self.wp_store.stats()
     }
 
-    /// Counters of the context's scheduler (cumulative; the pool may be the
-    /// shared process-wide one).
+    /// Counters of the context's scheduler (cumulative; it may be the
+    /// process-wide one).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.scheduler.stats()
     }
@@ -590,9 +587,9 @@ pub struct AnalysisStats {
     /// contended-lock counter). For a shared context the counters are
     /// cumulative across every analysis run against it so far.
     pub interner: InternerStats,
-    /// Snapshot of the work-stealing pool after this analysis (tasks
-    /// executed, steals, per-worker utilization). Cumulative for the pool,
-    /// which may be shared across contexts.
+    /// Snapshot of the context's scheduler after this analysis (tasks
+    /// executed, per-thread counts). Cumulative for the scheduler, which may
+    /// be shared across contexts.
     pub scheduler: SchedulerStats,
 }
 
@@ -662,19 +659,11 @@ impl Expresso {
     /// **One monitor is one task.** This and
     /// [`analyze_with_context`](Self::analyze_with_context) run abduction's
     /// waves and placement's pair obligations inline on the calling thread,
-    /// in submission order — the zero-worker path `analysis_threads = 1` has
-    /// always pinned as bit-identical to the pool — and hand the context's
-    /// pool nothing. The work of one monitor is ≈ 300 tasks of ≈ 175 µs
-    /// behind ≈ 130 joins: handed through the injector to workers that have
-    /// gone back to sleep, each join paid two park/unpark round trips of
-    /// 20–50 µs, and a Table 1 pass read 120–123 ms where the same pass
-    /// inline reads 76–81 (medians of 20 passes, three rounds, 2 CPUs — the
-    /// only box these numbers exist for; a wider one may want the fan-out
-    /// back). Fan-out pays where there is a suite to fill the pool with:
+    /// in submission order, on a zero-worker scheduler: ≈ 130 scopes of
+    /// ≈ 175 µs tasks do not repay fanning out one by one (a Table 1 pass
+    /// took half as long again when they did; 2 CPUs). Only
     /// [`analyze_suite`](Self::analyze_suite), one-element suites included,
-    /// keeps the pool and its nested, stealable tasks exactly as they were.
-    /// Which of the two a caller gets is decided by the entry point it
-    /// called, not by a threshold or a setting.
+    /// fans out, one task per monitor.
     ///
     /// # Errors
     ///
@@ -696,7 +685,7 @@ impl Expresso {
     ///
     /// Runs on the calling thread, like [`Expresso::analyze`] (which says
     /// why): the context's arena, solver — its verdicts and theory lemmas —
-    /// and WP store are shared, its pool is not used.
+    /// and WP store are shared, its scheduler is not used.
     ///
     /// # Errors
     ///
@@ -712,33 +701,22 @@ impl Expresso {
     }
 
     /// Analyses every monitor of a suite concurrently on the context's
-    /// work-stealing pool: one task per monitor, whose placement obligations
-    /// fan out as further tasks on the same pool. Results are index-aligned
-    /// with `monitors` and bit-identical to analysing each monitor alone
-    /// against the same kind of context — the pool only changes wall-clock
-    /// time, never outcomes. With `analysis_threads == 1` everything runs
-    /// inline on the calling thread in a fixed deterministic order (a later
-    /// monitor's task may execute nested inside an earlier monitor's join
-    /// while that join helps the pool, exactly as if the analyses were
-    /// called recursively; on worker pools the scheduler's per-thread
-    /// help-depth cap additionally bounds that nesting on arbitrarily large
-    /// suites).
+    /// scheduler: one task per monitor, whose abduction waves and placement
+    /// pairs run inline inside it. Results are index-aligned with `monitors`
+    /// and bit-identical to analysing each monitor alone against the same
+    /// kind of context — the thread count only changes wall-clock time,
+    /// never outcomes. With `analysis_threads == 1` the monitors run one
+    /// after the other on the calling thread, in the order below.
     ///
     /// Monitors the context holds no outcome record for are submitted first,
     /// in suite order: they are the long poles, and the replays of the rest
     /// fill the other workers meanwhile. If there is one, the deferred seed
-    /// runs here, on the submitting thread, before the pool gets anything:
+    /// runs here, on the submitting thread, before any task starts:
     /// the caches then live in the heap of the thread that will free them,
     /// which measured faster than hiding the seed behind the replays (they
     /// are a tenth of it) and left the other threads' heaps alone.
-    ///
-    /// Abduction's candidate-subset waves run on the same pool as everything
-    /// else: a suite task mid-inference submits its waves as nested scoped
-    /// tasks and helps drain them while it joins, so the most expensive
-    /// phase — invariant inference — stays parallel under suite analysis
-    /// without spawning a single extra thread. The pool's
-    /// [`SchedulerStats::abduction_tasks`] counter attributes exactly that
-    /// work.
+    /// The scheduler's [`SchedulerStats::abduction_tasks`] counts the
+    /// abduction waves' tasks.
     pub fn analyze_suite(
         &self,
         context: &SharedAnalysisContext,
@@ -773,8 +751,9 @@ impl Expresso {
 
     /// One monitor, with `key` what its outcome is looked up and filed
     /// under (`None`: neither) and `fan_out` where its abduction waves and
-    /// pair obligations run: the context's pool under a suite, a zero-worker
-    /// scheduler — the calling thread — for a monitor on its own.
+    /// pair obligations run: the context's scheduler under a suite (inline in
+    /// the monitor's task), a zero-worker scheduler — the calling thread —
+    /// for a monitor on its own.
     fn analyze_keyed(
         &self,
         context: &SharedAnalysisContext,
@@ -1100,16 +1079,17 @@ mod tests {
     #[test]
     fn abduction_waves_run_on_the_context_scheduler() {
         let monitor = parse_monitor(RW).unwrap();
-        // analysis_threads != 0 builds a dedicated pool, so the counter below
-        // is exactly this analysis's traffic; `1` is the zero-worker pool,
-        // which still receives (and runs inline) every abduction task.
+        // analysis_threads != 0 builds a scheduler of its own, so the counter
+        // below is exactly this analysis's traffic; `1` is the zero-worker
+        // scheduler, which still receives (and runs inline) every abduction
+        // task.
         for threads in [1usize, 2] {
             let pipeline = Expresso::with_config(ExpressoConfig {
                 analysis_threads: threads,
                 ..ExpressoConfig::default()
             });
-            // A suite of one: the pool is for suites, and a monitor analysed
-            // on its own hands it nothing.
+            // A suite of one: only a suite reaches the context's scheduler,
+            // and a monitor analysed on its own hands it nothing.
             let context = SharedAnalysisContext::new(pipeline.config());
             let alone = pipeline.analyze_with_context(&context, &monitor).unwrap();
             assert_eq!(context.scheduler_stats().tasks_executed, 0);
@@ -1122,7 +1102,7 @@ mod tests {
             );
             assert_eq!(
                 outcome.stats.scheduler.abduction_tasks, abduction_tasks,
-                "AnalysisStats must surface the pool's abduction counter"
+                "AnalysisStats must surface the scheduler's abduction counter"
             );
             assert_eq!(outcome.explicit, alone.explicit, "threads={threads}");
             assert_eq!(outcome.invariant, alone.invariant, "threads={threads}");

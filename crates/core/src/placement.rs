@@ -3,17 +3,15 @@
 //! Every `(CCR, guard)` pair's obligations are constructed exactly once as
 //! interned formula ids ([`expresso_logic::FormulaId`]) against the solver's
 //! shared arena — no invariant or guard tree is ever cloned per pair — and
-//! independent pairs are submitted as tasks to the work-stealing
-//! [`Scheduler`] (under suite analysis the same pool the suite-level tasks
-//! run on, so a pair decided inside one monitor's task can be stolen by a
-//! worker that finished another monitor; a zero-worker one, i.e. this
-//! thread, for a monitor analysed on its own). Within a pair, the triples are
-//! asked one at a time in the order Algorithm 1 states them: the no-signal
-//! triple, then — only when it is not proved — the conditional one, then the
-//! signal-vs-broadcast triples. Decisions are pure functions of the monitor
+//! independent pairs are spawned as tasks of one [`Scheduler`] scope (run
+//! inline in grid order under suite analysis and for a monitor analysed on
+//! its own; fanned out when placement is called from any other thread).
+//! Within a pair, the triples are asked one at a time in the order
+//! Algorithm 1 states them: the no-signal triple, then — only when it is not
+//! proved — the conditional one, then the signal-vs-broadcast triples. Decisions are pure functions of the monitor
 //! and invariant, so the resulting [`ExplicitMonitor`] is identical whatever
-//! the pool's size (the equivalence tests in the workspace root assert
-//! exactly that).
+//! the scheduler's thread count (the equivalence tests in the workspace root
+//! assert exactly that).
 
 use crate::scheduler::Scheduler;
 use expresso_logic::{Formula, FormulaId, Interner};
@@ -36,12 +34,11 @@ pub struct PlacementConfig {
     /// session shared with invariant inference (whose store may be
     /// suite-wide). Must belong to the same formula arena as the solver.
     pub wp_cache: Option<Arc<WpCache>>,
-    /// The work-stealing pool pair tasks are submitted to. `None` uses the
-    /// process-wide [`Scheduler::global`] pool. Under
-    /// `Expresso::analyze_suite` the pipeline passes its context's pool so
-    /// suite- and pair-level work share one substrate; for a monitor
-    /// analysed on its own it passes a zero-worker scheduler, which decides
-    /// the pairs inline, in grid order.
+    /// The scheduler pair tasks are spawned on. `None` uses
+    /// [`Scheduler::global`]. The pipeline passes its context's scheduler
+    /// under `Expresso::analyze_suite` (where the pairs run inline in their
+    /// monitor's task) and a zero-worker scheduler for a monitor analysed on
+    /// its own; either way the pairs are decided inline, in grid order.
     pub scheduler: Option<Arc<Scheduler>>,
 }
 
@@ -140,11 +137,9 @@ struct PairCtx<'a> {
 /// pair reaches the §4.3 step, and from each unordered CCR pair's
 /// [`VcGen::commutes`] (which is symmetric), asked once.
 ///
-/// Pair tasks on several workers may wait on one another's cell here. That
-/// cannot deadlock a join: `commutes` submits no pool work, so the thread
-/// that initialises a cell never helps run a task that could wait on it.
-/// Nor can the cells wait in a cycle: a `with_all` cell's initialiser waits
-/// only on pair cells, and a pair cell's on none.
+/// Pair tasks on several threads may wait on one another's cell here. They
+/// cannot wait in a cycle: a `with_all` cell's initialiser waits only on
+/// pair cells, and a pair cell's on none, and `commutes` spawns no task.
 struct Commutativity<'a> {
     vcgen: &'a VcGen<'a>,
     /// `Comm(w, M)` per CCR.
@@ -340,12 +335,9 @@ pub(crate) fn assemble(
     (explicit, report)
 }
 
-/// Discharges all pairs as one task each on the work-stealing pool. Every
-/// task writes its own result slot, so the output is re-assembled in pair
-/// order and deterministic regardless of scheduling. When the placement runs
-/// inside a suite-level analysis task, these pair tasks land on that
-/// worker's own queue and idle workers steal them — the pool is the
-/// single load balancer across all three granularities of work.
+/// Discharges all pairs as one task each of one scope. Every task writes its
+/// own result slot, so the output is re-assembled in pair order and
+/// deterministic regardless of scheduling.
 fn discharge_on_scheduler(
     scheduler: &Scheduler,
     ctx: &PairCtx<'_>,

@@ -1,92 +1,68 @@
-//! The suite-level work-stealing analysis scheduler.
+//! The analysis fan-out: one level of scoped parallelism.
 //!
-//! One persistent thread pool is the single concurrency substrate for the
-//! whole analysis stack. Three granularities of work flow through it:
+//! [`Scheduler::scope`] collects the tasks its closure spawns and, once the
+//! closure returns, runs them on `min(workers, tasks)` threads of one
+//! `std::thread::scope`; each thread claims the next task in submission
+//! order until none is left. A scope opened inside one of those tasks, or on
+//! a zero-worker scheduler, runs its tasks inline on the calling thread, in
+//! submission order. Constructing a scheduler starts no thread.
 //!
-//! * **suite-level** — [`crate::Expresso::analyze_suite`] submits one task
-//!   per monitor, so a whole benchmark suite saturates the machine instead of
-//!   analysing monitors one at a time;
-//! * **pair-level** — signal placement submits every `(CCR, guard)`
-//!   obligation as a task instead of spawning fresh scoped threads per
-//!   analysis;
-//! * **wave-level** — invariant inference evaluates abduction's candidate
-//!   subsets in waves on it (`AbductionConfig::executor`).
+//! Three granularities of work use it:
 //!
-//! **The pool is for suites.** A monitor analysed on its own
-//! ([`crate::Expresso::analyze`], [`crate::Expresso::analyze_with_context`])
-//! never reaches it: the pipeline hands such an analysis a zero-worker
-//! scheduler of its own, so its waves and pair tasks run inline on the
-//! calling thread. A thread outside the pool that fans one monitor out pays
-//! for ≈ 130 joins, each two park/unpark round trips (20–50 µs) against
-//! tasks of ≈ 175 µs, and a Table 1 pass took half as long again for it
-//! (120–123 ms against 76–81; 2 CPUs, which is all that has been measured).
-//! Under `analyze_suite` the fan-out is nested inside a worker — pushed on
-//! its own queue, stolen by whoever is idle — and that is where it pays.
+//! * **suite-level** — [`crate::Expresso::analyze_suite`] spawns one task per
+//!   monitor; this is the level that fans out;
+//! * **pair-level** — signal placement spawns one task per `(CCR, guard)`
+//!   pair;
+//! * **wave-level** — invariant inference runs abduction's candidate-subset
+//!   waves through the [`expresso_exec::Executor`] impl below.
 //!
-//! # Design
+//! Under a suite the inner two run inline inside their monitor's task, in the
+//! order the sequential analysis uses. A monitor analysed on its own runs them
+//! on a zero-worker scheduler, inline as well. Moving nested tasks between
+//! threads (work stealing) moved 2.6 % of a 500-monitor suite's tasks and
+//! saved no time, so nothing nests in parallel.
 //!
-//! The pool is std-only: a global **injector** deque (FIFO) receives work
-//! submitted from threads outside the pool, each worker owns a deque for
-//! work it spawns itself, and an idle worker **steals** from the back of
-//! another worker's queue. A worker drains its *own* queue in submission
-//! order (front first): the placement layer submits its pairs in the same
-//! grid order the sequential analysis uses, and preserving that order lets
-//! a pair meet the verdicts and theory lemmas the pairs before it filed —
-//! measured, a LIFO own-queue made the concurrent suite re-derive dozens of
-//! refutations that the sequential order has already learned. Stealers take the
-//! opposite end. Every queue is a small mutex-guarded `VecDeque`; with
-//! tasks that each perform solver work, queue locking is noise.
-//!
-//! Tasks are submitted through [`Scheduler::scope`], which mirrors
-//! `std::thread::scope`: closures may borrow from the enclosing frame, and
-//! `scope` does not return until every spawned task has finished. While
-//! waiting, the scoping thread **helps** — it executes pool tasks itself —
-//! so a task that submits nested scopes (a suite task running placement,
-//! which submits pair tasks) can never deadlock the pool: whoever joins a
-//! scope is itself a worker for as long as the scope is open. A pool with
-//! zero workers is therefore a valid configuration: every task runs inline
-//! on the joining thread, in submission order — the deterministic
-//! sequential baseline the equivalence tests compare against.
-//!
-//! Panics in tasks are contained: the first payload is captured and
-//! re-thrown from `scope` on the submitting thread after every other task
-//! of the scope has completed; the pool itself survives.
+//! Panics in tasks are contained: every task of the scope still runs, and
+//! the first payload is re-thrown from `scope` afterwards.
 
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// A unit of work. Jobs are only ever created by [`Scope::spawn`], which
-/// erases the scope lifetime after arranging (via the scope's completion
-/// latch) that the job cannot outlive the borrows it captures.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use expresso_exec::Task;
+
+type Payload = Box<dyn std::any::Any + Send + 'static>;
+
+/// Why the scheduler's own mutexes are never poisoned: no code panics while
+/// holding one, since every task runs under `catch_unwind`.
+const UNPOISONED: &str = "no panic while a scheduler lock is held";
 
 /// Counters describing the work a [`Scheduler`] has performed since it was
 /// created. Snapshots are taken with relaxed atomics: individual counters
 /// are exact, cross-counter consistency is best-effort.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Number of worker threads the pool was created with.
+    /// Number of fan-out threads a top-level scope may use.
     pub workers: usize,
-    /// Total tasks executed (by workers and by helping joiners).
+    /// Total tasks executed (on fan-out threads and inline).
     pub tasks_executed: usize,
-    /// Tasks an idle worker took from *another* worker's queue.
+    /// Always 0: nothing is stolen. Leaves with ROADMAP item 6(b).
     pub steals: usize,
-    /// Tasks taken from the shared injector deque.
+    /// Tasks a fan-out thread took from a top-level scope.
     pub injector_pops: usize,
-    /// Tasks executed by threads outside the pool while waiting in
-    /// [`Scheduler::scope`] (the "help while joining" path).
+    /// Tasks run inline on a thread that is not one of this scheduler's
+    /// fan-out threads (every task of a zero-worker scheduler).
     pub helper_executed: usize,
     /// Tasks submitted through the [`expresso_exec::Executor`] façade — the
     /// batch-shaped entry point lower crates fan work out on. Today its only
     /// client is abduction's candidate-subset evaluation, so this counts the
-    /// invariant-inference tasks the pool absorbed; zero under a suite
-    /// analysis means abduction silently fell off the shared pool (the
+    /// invariant-inference tasks; zero under a suite analysis means
+    /// abduction silently stopped going through the scheduler (the
     /// `reproduce` tripwire fails loud on exactly that).
     pub abduction_tasks: usize,
-    /// Tasks executed by each worker, index-aligned with the pool.
+    /// Tasks run on each fan-out thread, by thread index: the ones it
+    /// claimed and the ones of the scopes nested in them.
     pub per_worker_executed: Vec<usize>,
 }
 
@@ -97,7 +73,6 @@ impl SchedulerStats {
         vec![
             Metric::counter("workers", self.workers as u64),
             Metric::counter("tasks_executed", self.tasks_executed as u64),
-            Metric::counter("steals", self.steals as u64),
             Metric::counter("injector_pops", self.injector_pops as u64),
             Metric::counter("helper_executed", self.helper_executed as u64),
             Metric::counter("abduction_tasks", self.abduction_tasks as u64),
@@ -110,7 +85,6 @@ impl SchedulerStats {
     pub fn merge(&mut self, other: &SchedulerStats) {
         self.workers = self.workers.max(other.workers);
         self.tasks_executed += other.tasks_executed;
-        self.steals += other.steals;
         self.injector_pops += other.injector_pops;
         self.helper_executed += other.helper_executed;
         self.abduction_tasks += other.abduction_tasks;
@@ -128,12 +102,13 @@ impl SchedulerStats {
     }
 
     /// Field-wise difference `self - earlier` (saturating), used to attribute
-    /// a shared pool's counters to the work that ran between two snapshots.
+    /// a shared scheduler's counters to the work that ran between two
+    /// snapshots.
     pub fn delta_since(&self, earlier: &SchedulerStats) -> SchedulerStats {
         SchedulerStats {
             workers: self.workers,
             tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
-            steals: self.steals.saturating_sub(earlier.steals),
+            steals: 0,
             injector_pops: self.injector_pops.saturating_sub(earlier.injector_pops),
             helper_executed: self.helper_executed.saturating_sub(earlier.helper_executed),
             abduction_tasks: self.abduction_tasks.saturating_sub(earlier.abduction_tasks),
@@ -148,8 +123,8 @@ impl SchedulerStats {
         }
     }
 
-    /// Fraction of all executed tasks each worker ran — the per-worker
-    /// utilization profile of the pool (empty for a zero-worker pool).
+    /// Fraction of all executed tasks each fan-out thread ran (empty for a
+    /// zero-worker scheduler).
     pub fn worker_utilization(&self) -> Vec<f64> {
         if self.tasks_executed == 0 {
             return vec![0.0; self.per_worker_executed.len()];
@@ -161,114 +136,40 @@ impl SchedulerStats {
     }
 }
 
-/// Wakeup bookkeeping shared by all workers (classic eventcount: pushes bump
-/// the generation under the lock, sleepers re-scan and then wait for the
-/// generation to move, so a push can never be missed).
-#[derive(Debug, Default)]
-struct SleepState {
-    generation: u64,
-    sleepers: usize,
+thread_local! {
+    /// `(scheduler address, thread index)` while the current thread is a
+    /// fan-out thread of some scope; a scope opened here runs inline.
+    static FAN_OUT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
-#[derive(Debug, Default)]
-struct Counters {
+/// The analysis fan-out. See the module documentation.
+#[derive(Debug)]
+pub struct Scheduler {
     tasks_executed: AtomicUsize,
-    steals: AtomicUsize,
     injector_pops: AtomicUsize,
     helper_executed: AtomicUsize,
     abduction_tasks: AtomicUsize,
     per_worker_executed: Box<[AtomicUsize]>,
 }
 
-struct Shared {
-    injector: Mutex<VecDeque<Job>>,
-    queues: Box<[Mutex<VecDeque<Job>>]>,
-    sleep: Mutex<SleepState>,
-    /// Mirror of `SleepState::sleepers`, maintained with `SeqCst` so `push`
-    /// can skip the sleep lock entirely while every worker is awake (the
-    /// common case once the pool is saturated). The eventcount argument for
-    /// why no wakeup is lost: a worker bumps the mirror *before* its final
-    /// re-scan (both under the sleep lock), so a pusher that reads 0 after
-    /// publishing its job is ordered before that re-scan, which therefore
-    /// sees the job.
-    sleeper_count: AtomicUsize,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    counters: Counters,
-}
-
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("workers", &self.queues.len())
-            .field("shutdown", &self.shutdown.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-thread_local! {
-    /// `(pool identity, worker index)` of the current thread, when it is a
-    /// worker. The identity is the address of the pool's `Shared` allocation,
-    /// so workers of one pool never mis-push into another pool's queues.
-    static WORKER: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, usize::MAX)) };
-    /// How many help-executed jobs are currently nested on this thread's
-    /// stack (jobs run from inside [`Scheduler::join_scope`]).
-    static HELP_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Beyond this nesting depth a joining thread stops taking *injector* work
-/// (fresh top-level tasks that would recurse another full task tree onto the
-/// current stack); in-flight subtask work remains available at any depth and
-/// workers keep draining the injector from their own top-level loops, so
-/// progress is never lost — at worst the joiner naps until its scope drains.
-/// Zero-worker pools are exempt (see `join_scope`): inline execution nests
-/// by construction, like calling the tasks directly.
-const MAX_HELP_DEPTH: usize = 32;
-
-/// The work-stealing analysis pool. See the module documentation.
-#[derive(Debug)]
-pub struct Scheduler {
-    shared: Arc<Shared>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
 impl Scheduler {
-    /// Creates a pool with `workers` worker threads. `0` is the sequential
-    /// configuration: tasks run inline on the thread that joins the scope.
+    /// Creates a scheduler whose top-level scopes run on up to `workers`
+    /// threads. `0` is the sequential configuration: every task runs inline
+    /// on the thread that opened its scope.
     pub fn with_workers(workers: usize) -> Self {
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            queues: (0..workers).map(|_| Mutex::default()).collect(),
-            sleep: Mutex::default(),
-            sleeper_count: AtomicUsize::new(0),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            counters: Counters {
-                per_worker_executed: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-                ..Counters::default()
-            },
-        });
-        let handles = (0..workers)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("expresso-worker-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
-                    .expect("spawning an analysis worker thread")
-            })
-            .collect();
         Scheduler {
-            shared,
-            handles: Mutex::new(handles),
+            tasks_executed: AtomicUsize::new(0),
+            injector_pops: AtomicUsize::new(0),
+            helper_executed: AtomicUsize::new(0),
+            abduction_tasks: AtomicUsize::new(0),
+            per_worker_executed: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
-    /// Creates a pool sized by `analysis_threads`: `0` asks for one worker
-    /// per available core, `1` is the sequential zero-worker pool (every
-    /// task runs inline on the joining thread), and `n >= 2` builds `n`
-    /// workers. A thread outside the pool that joins a scope is not counted:
-    /// it only steals in-flight subtasks, lazily, and never pops the
-    /// injector, so the workers alone provide the requested parallelism.
+    /// Creates a scheduler sized by `analysis_threads`: `0` asks for one
+    /// thread per available core, `1` is the sequential zero-worker
+    /// scheduler, and `n >= 2` fans out on `n` threads. The thread that opens
+    /// a scope only waits, so it is not counted.
     pub fn with_analysis_threads(analysis_threads: usize) -> Self {
         Scheduler::with_workers(match analysis_threads {
             0 => std::thread::available_parallelism()
@@ -279,263 +180,112 @@ impl Scheduler {
         })
     }
 
-    /// The process-wide default pool (auto-sized), shared by every analysis
-    /// that does not carry an explicit scheduler. Created on first use and
-    /// never torn down.
+    /// The process-wide default scheduler (auto-sized), shared by every
+    /// analysis that does not carry an explicit one.
     pub fn global() -> &'static Arc<Scheduler> {
         static GLOBAL: OnceLock<Arc<Scheduler>> = OnceLock::new();
         GLOBAL.get_or_init(|| Arc::new(Scheduler::with_analysis_threads(0)))
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of threads a top-level scope may fan out on.
     pub fn workers(&self) -> usize {
-        self.shared.queues.len()
+        self.per_worker_executed.len()
     }
 
-    /// Snapshot of the pool's counters.
+    /// Snapshot of the scheduler's counters.
     pub fn stats(&self) -> SchedulerStats {
-        let c = &self.shared.counters;
+        let load = |n: &AtomicUsize| n.load(Ordering::Relaxed);
         SchedulerStats {
-            workers: self.shared.queues.len(),
-            tasks_executed: c.tasks_executed.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
-            injector_pops: c.injector_pops.load(Ordering::Relaxed),
-            helper_executed: c.helper_executed.load(Ordering::Relaxed),
-            abduction_tasks: c.abduction_tasks.load(Ordering::Relaxed),
-            per_worker_executed: c
-                .per_worker_executed
-                .iter()
-                .map(|n| n.load(Ordering::Relaxed))
-                .collect(),
+            workers: self.workers(),
+            tasks_executed: load(&self.tasks_executed),
+            steals: 0,
+            injector_pops: load(&self.injector_pops),
+            helper_executed: load(&self.helper_executed),
+            abduction_tasks: load(&self.abduction_tasks),
+            per_worker_executed: self.per_worker_executed.iter().map(load).collect(),
         }
     }
 
     /// Runs `f` with a [`Scope`] on which tasks borrowing from the enclosing
-    /// frame can be spawned; returns only after every spawned task (including
-    /// tasks spawned by tasks) has finished. The calling thread executes pool
-    /// work while it waits. If `f` or any task panics, the panic is re-thrown
-    /// here once the scope has fully drained.
+    /// frame can be spawned, then runs those tasks (see the module docs) and
+    /// returns once every one has finished. If a task panics, the first
+    /// payload is re-thrown here after the others have run; if `f` panics,
+    /// no task runs.
     pub fn scope<'scope, R>(&'scope self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
         let scope = Scope {
             scheduler: self,
-            state: Arc::new(ScopeState::default()),
-            _marker: std::marker::PhantomData,
+            tasks: RefCell::new(Vec::new()),
         };
-        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        self.join_scope(&scope.state);
-        let task_panic = scope.state.panic.lock().unwrap().take();
-        match result {
-            Err(payload) => panic::resume_unwind(payload),
-            Ok(value) => {
-                if let Some(payload) = task_panic {
-                    panic::resume_unwind(payload);
-                }
-                value
-            }
-        }
+        let result = f(&scope);
+        self.run(scope.tasks.into_inner());
+        result
     }
 
-    /// Pushes a job: onto the current thread's own queue when it is a worker
-    /// of this pool (drained in submission order — see the module docs for
-    /// why not LIFO), onto the shared injector otherwise.
-    fn push(&self, job: Job) {
-        self.shared.push(job);
-    }
-
-    /// Blocks until `state.pending` reaches zero, executing pool work while
-    /// waiting. The short wait timeout bounds the latency of picking up work
-    /// that was enqueued after the last failed search (e.g. a task spawned by
-    /// a task this joiner's scope is still waiting on).
-    ///
-    /// How much a joiner helps depends on who it is. A *worker* (joining a
-    /// nested scope) executes anything — its own queue first, then stolen
-    /// work, then the injector. A *foreign* thread only **steals** from
-    /// worker queues: stolen jobs are subtasks of work already in flight, so
-    /// draining them moves open scopes (often its own) toward completion —
-    /// whereas popping the injector would start fresh top-level work on a
-    /// thread the pool was deliberately not sized to include, oversubscribing
-    /// the machine. The exception is a zero-worker pool, where the joiner is
-    /// the only executor and drains everything inline.
-    fn join_scope(&self, state: &ScopeState) {
-        let worker = {
-            let (tls_pool, index) = WORKER.with(|w| w.get());
-            (tls_pool == self.shared.id() && index < self.shared.queues.len()).then_some(index)
-        };
-        let full_help = worker.is_some() || self.shared.queues.is_empty();
-        // Workers poll for new work eagerly; a foreign joiner polls an order
-        // of magnitude more lazily — its stealing is a bounded starvation
-        // fallback, and on few-core machines aggressive foreign helping only
-        // interleaves two working sets on one cache. Scope completion always
-        // wakes the joiner promptly via the completion condvar regardless.
-        let nap = if full_help {
-            Duration::from_millis(2)
-        } else {
-            Duration::from_millis(20)
-        };
-        loop {
-            if *state.pending.lock().unwrap() == 0 {
-                return;
-            }
-            // Popping the injector inside a join nests fresh top-level work
-            // (e.g. a whole monitor analysis) into the current task's stack
-            // frame; the per-thread depth cap bounds that recursion on
-            // arbitrarily large suites. Subtask (own-queue / stolen) work
-            // stays available at any depth, and the gate never applies to a
-            // zero-worker pool — there the injector is the only queue and
-            // the joiner the only executor, so gating it would deadlock;
-            // inline execution nests by construction, exactly like calling
-            // the tasks directly.
-            let allow_injector =
-                self.shared.queues.is_empty() || HELP_DEPTH.with(|d| d.get()) < MAX_HELP_DEPTH;
-            let found = if full_help {
-                self.shared.find_job(worker, allow_injector)
-            } else {
-                self.shared.steal_job()
-            };
-            if let Some((job, source)) = found {
-                HELP_DEPTH.with(|d| d.set(d.get() + 1));
-                self.shared.execute(job, source);
-                HELP_DEPTH.with(|d| d.set(d.get() - 1));
-                continue;
-            }
-            let pending = state.pending.lock().unwrap();
-            if *pending == 0 {
-                return;
-            }
-            let _ = state.complete.wait_timeout(pending, nap).unwrap();
-        }
-    }
-}
-
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let mut sleep = self.shared.sleep.lock().unwrap();
-            sleep.generation = sleep.generation.wrapping_add(1);
-            self.shared.wake.notify_all();
-        }
-        for handle in self.handles.lock().unwrap().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-enum JobSource {
-    Own,
-    Injector,
-    Stolen,
-}
-
-impl Shared {
-    /// Identity of this pool, used to validate the worker TLS registration.
     fn id(&self) -> usize {
-        self as *const Shared as usize
+        self as *const Scheduler as usize
     }
 
-    fn push(&self, job: Job) {
-        let (tls_pool, index) = WORKER.with(|w| w.get());
-        if tls_pool == self.id() && index < self.queues.len() {
-            self.queues[index].lock().unwrap().push_back(job);
+    /// Runs `tasks` to completion: on fan-out threads from a top-level
+    /// scope, inline otherwise. Re-throws the first task panic.
+    fn run(&self, tasks: Vec<Task<'_>>) {
+        let first_panic = Mutex::new(None);
+        let threads = self.workers().min(tasks.len());
+        let nested = FAN_OUT.with(Cell::get);
+        if threads == 0 || nested.is_some() {
+            let index = nested.and_then(|(id, index)| (id == self.id()).then_some(index));
+            for task in tasks {
+                self.execute(task, index, &first_panic);
+            }
         } else {
-            self.injector.lock().unwrap().push_back(job);
+            self.injector_pops.fetch_add(tasks.len(), Ordering::Relaxed);
+            let queue = Mutex::new(tasks.into_iter());
+            std::thread::scope(|s| {
+                for index in 0..threads {
+                    let (queue, first_panic) = (&queue, &first_panic);
+                    std::thread::Builder::new()
+                        .name(format!("expresso-worker-{index}"))
+                        .spawn_scoped(s, move || {
+                            FAN_OUT.with(|f| f.set(Some((self.id(), index))));
+                            loop {
+                                let task = queue.lock().expect(UNPOISONED).next();
+                                let Some(task) = task else { break };
+                                self.execute(task, Some(index), first_panic);
+                            }
+                        })
+                        .expect("spawning an analysis thread");
+                }
+            });
         }
-        if self.sleeper_count.load(Ordering::SeqCst) > 0 {
-            let mut sleep = self.sleep.lock().unwrap();
-            sleep.generation = sleep.generation.wrapping_add(1);
-            self.wake.notify_all();
+        if let Some(payload) = first_panic.into_inner().expect(UNPOISONED) {
+            panic::resume_unwind(payload);
         }
     }
 
-    /// Takes one job for the current thread to execute: the front of the
-    /// thread's own queue (workers only — submission order, see the module
-    /// docs), then the back of another worker's queue (a steal), then the
-    /// front of the injector. `allow_injector = false` restricts the search
-    /// to in-flight subtask work; see [`Scheduler::join_scope`].
-    fn find_job(&self, worker: Option<usize>, allow_injector: bool) -> Option<(Job, JobSource)> {
-        if let Some(w) = worker {
-            if let Some(job) = self.queues[w].lock().unwrap().pop_front() {
-                return Some((job, JobSource::Own));
-            }
+    /// Executes one task on the current thread — fan-out thread `index` of
+    /// this scheduler, or (`None`) some other thread — keeping its panic.
+    fn execute(&self, task: Task<'_>, index: Option<usize>, first_panic: &Mutex<Option<Payload>>) {
+        self.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        match index {
+            Some(index) => &self.per_worker_executed[index],
+            None => &self.helper_executed,
         }
-        // Steal before draining the injector: another worker's queued tasks
-        // belong to work already in flight (a monitor mid-placement), so
-        // finishing them first completes open scopes — and unblocks their
-        // joiners — before fresh top-level work is started.
-        let start = worker.map(|w| w + 1).unwrap_or(0);
-        for offset in 0..self.queues.len() {
-            let victim = (start + offset) % self.queues.len();
-            if Some(victim) == worker {
-                continue;
-            }
-            if let Some(job) = self.queues[victim].lock().unwrap().pop_back() {
-                return Some((job, JobSource::Stolen));
-            }
-        }
-        if allow_injector {
-            if let Some(job) = self.injector.lock().unwrap().pop_front() {
-                return Some((job, JobSource::Injector));
-            }
-        }
-        None
-    }
-
-    /// Takes a job from some worker's queue only (the foreign-joiner help
-    /// path: in-flight subtasks, never fresh injector work).
-    fn steal_job(&self) -> Option<(Job, JobSource)> {
-        for queue in self.queues.iter() {
-            if let Some(job) = queue.lock().unwrap().pop_back() {
-                return Some((job, JobSource::Stolen));
-            }
-        }
-        None
-    }
-
-    /// Executes one job on the current thread, attributing the counters.
-    fn execute(&self, job: Job, source: JobSource) {
-        let c = &self.counters;
-        c.tasks_executed.fetch_add(1, Ordering::Relaxed);
-        match source {
-            JobSource::Own => {}
-            JobSource::Injector => {
-                c.injector_pops.fetch_add(1, Ordering::Relaxed);
-            }
-            JobSource::Stolen => {
-                c.steals.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let (tls_pool, index) = WORKER.with(|w| w.get());
-        if tls_pool == self.id() && index < c.per_worker_executed.len() {
-            c.per_worker_executed[index].fetch_add(1, Ordering::Relaxed);
-        } else {
-            c.helper_executed.fetch_add(1, Ordering::Relaxed);
-        }
+        .fetch_add(1, Ordering::Relaxed);
         let _span = expresso_obs::span!("sched.task");
-        job();
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(task)) {
+            first_panic.lock().expect(UNPOISONED).get_or_insert(payload);
+        }
     }
 }
 
-/// The work-stealing pool as an [`expresso_exec::Executor`]: each task of a
-/// batch becomes one scoped pool job, and `run_batch` joins the whole batch
-/// before returning (helping with pool work while it waits). Crates below
-/// `core` — abduction's candidate-subset waves — fan out on the *same* pool
-/// that runs suite- and pair-level tasks through this impl, with the
-/// dependency arrow still pointing down: they see only the trait. Dispatch
-/// from inside a pool task is deadlock-free because the joining task is a
-/// worker for as long as its scope is open (see the module docs), which is
-/// what lets `Expresso::analyze_suite` keep abduction parallel instead of
-/// serializing its most expensive phase.
+/// The scheduler as an [`expresso_exec::Executor`]: a batch is one scope.
+/// Crates below `core` — abduction's candidate-subset waves — reach the
+/// scheduler through this impl with the dependency arrow still pointing
+/// down: they see only the trait.
 impl expresso_exec::Executor for Scheduler {
-    fn run_batch(&self, tasks: Vec<expresso_exec::Task<'_>>) {
-        self.shared
-            .counters
-            .abduction_tasks
+    fn run_batch(&self, tasks: Vec<Task<'_>>) {
+        self.abduction_tasks
             .fetch_add(tasks.len(), Ordering::Relaxed);
-        self.scope(|scope| {
-            for task in tasks {
-                scope.spawn(task);
-            }
-        });
+        self.run(tasks);
     }
 
     fn name(&self) -> &'static str {
@@ -543,107 +293,28 @@ impl expresso_exec::Executor for Scheduler {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set((shared.id(), index)));
-    loop {
-        if let Some((job, source)) = shared.find_job(Some(index), true) {
-            shared.execute(job, source);
-            continue;
-        }
-        {
-            let sleep = shared.sleep.lock().unwrap();
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            drop(sleep);
-        }
-        // Re-scan after taking (and releasing) the sleep lock once: any push
-        // that completed before the lock round-trip is visible now, and any
-        // later push bumps the generation under that lock and wakes us below.
-        if let Some((job, source)) = shared.find_job(Some(index), true) {
-            shared.execute(job, source);
-            continue;
-        }
-        let mut sleep = shared.sleep.lock().unwrap();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let generation = sleep.generation;
-        sleep.sleepers += 1;
-        shared.sleeper_count.store(sleep.sleepers, Ordering::SeqCst);
-        // Final re-scan with the registration published: a push that missed
-        // the sleeper count saw it before this scan, so the job is visible.
-        if let Some((job, source)) = shared.find_job(Some(index), true) {
-            sleep.sleepers -= 1;
-            shared.sleeper_count.store(sleep.sleepers, Ordering::SeqCst);
-            drop(sleep);
-            shared.execute(job, source);
-            continue;
-        }
-        while sleep.generation == generation && !shared.shutdown.load(Ordering::SeqCst) {
-            sleep = shared.wake.wait(sleep).unwrap();
-        }
-        sleep.sleepers -= 1;
-        shared.sleeper_count.store(sleep.sleepers, Ordering::SeqCst);
-    }
+/// Handle for spawning tasks that may borrow from the frame enclosing a
+/// [`Scheduler::scope`] call. It is not `Sync`, so a task cannot spawn into
+/// its own scope.
+pub struct Scope<'scope> {
+    scheduler: &'scope Scheduler,
+    tasks: RefCell<Vec<Task<'scope>>>,
 }
 
-/// Completion latch of one [`Scheduler::scope`] call.
-#[derive(Default)]
-struct ScopeState {
-    pending: Mutex<usize>,
-    complete: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-}
-
-impl std::fmt::Debug for ScopeState {
+impl std::fmt::Debug for Scope<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScopeState")
-            .field("pending", &*self.pending.lock().unwrap())
+        f.debug_struct("Scope")
+            .field("tasks", &self.tasks.borrow().len())
             .finish()
     }
 }
 
-/// Handle for spawning tasks that may borrow from the frame enclosing a
-/// [`Scheduler::scope`] call.
-#[derive(Debug)]
-pub struct Scope<'scope> {
-    scheduler: &'scope Scheduler,
-    state: Arc<ScopeState>,
-    /// Invariant in `'scope`, exactly like `std::thread::Scope`.
-    _marker: std::marker::PhantomData<&'scope mut &'scope ()>,
-}
-
 impl<'scope> Scope<'scope> {
-    /// Spawns a task on the pool. The closure may borrow anything that
-    /// outlives `'scope`; the enclosing [`Scheduler::scope`] call joins every
-    /// task before returning, which is what makes the lifetime erasure below
-    /// sound. A panicking task marks the scope panicked (first payload wins)
-    /// without taking down the worker that ran it.
+    /// Adds a task to the scope. It starts once the closure given to
+    /// [`Scheduler::scope`] has returned. A panicking task does not stop the
+    /// others; the first payload is re-thrown from `scope`.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'scope) {
-        *self.state.pending.lock().unwrap() += 1;
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = state.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            let mut pending = state.pending.lock().unwrap();
-            *pending -= 1;
-            if *pending == 0 {
-                state.complete.notify_all();
-            }
-        });
-        // SAFETY: the job is joined by `Scheduler::scope` before the `'scope`
-        // borrows it captures can expire — `scope` does not return (normally
-        // or by unwind) until `pending` reaches zero, and `pending` was
-        // incremented before this job became reachable by any worker.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.scheduler.push(job);
+        self.tasks.borrow_mut().push(Box::new(f));
     }
 
     /// The scheduler this scope spawns onto.
@@ -655,7 +326,9 @@ impl<'scope> Scope<'scope> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     #[test]
     fn zero_worker_pool_runs_tasks_inline_in_order() {
@@ -671,7 +344,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.tasks_executed, 8);
         assert_eq!(stats.helper_executed, 8);
-        assert_eq!(stats.steals, 0);
     }
 
     #[test]
@@ -740,40 +412,115 @@ mod tests {
         assert_eq!(after.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn work_submitted_from_a_worker_is_stolen() {
-        // Tasks that fan out subtasks from inside a worker put them on that
-        // worker's own queue, where only stealing can redistribute them.
-        // Which thread picks up each fan-out task is scheduling-dependent (the
-        // joining thread helps too, and its subtasks go to the injector), so
-        // repeat the experiment until a steal is observed, bounded by time.
-        let pool = Scheduler::with_workers(4);
-        let count = AtomicUsize::new(0);
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while pool.stats().steals == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "no steal observed within the budget"
-            );
-            pool.scope(|outer| {
-                let count = &count;
-                let scheduler = outer.scheduler();
-                for _ in 0..8 {
-                    outer.spawn(move || {
+    thread_local! {
+        /// How many task bodies are open on this thread's stack.
+        static DEPTH: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Runs `body` as one level of task nesting, recording the deepest level
+    /// seen in `max_depth`.
+    fn nest(max_depth: &AtomicUsize, body: impl FnOnce()) {
+        let depth = DEPTH.with(|d| d.get() + 1);
+        DEPTH.with(|d| d.set(depth));
+        max_depth.fetch_max(depth, Ordering::Relaxed);
+        body();
+        DEPTH.with(|d| d.set(depth - 1));
+    }
+
+    /// An outer scope of 1 000 tasks, each opening an inner scope of two.
+    /// Returns, per outer task, what ran for it — `(label, thread)` in call
+    /// order — and the deepest task nesting seen.
+    fn outer_and_inner(pool: &Scheduler) -> (Vec<Vec<(String, ThreadId)>>, usize) {
+        const OUTER: usize = 1_000;
+        let max_depth = AtomicUsize::new(0);
+        let logs: Vec<Mutex<Vec<(String, ThreadId)>>> =
+            (0..OUTER).map(|_| Mutex::default()).collect();
+        pool.scope(|outer| {
+            for (i, log) in logs.iter().enumerate() {
+                let (scheduler, max_depth) = (outer.scheduler(), &max_depth);
+                let record = move |label: String| {
+                    log.lock()
+                        .unwrap()
+                        .push((label, std::thread::current().id()));
+                };
+                outer.spawn(move || {
+                    nest(max_depth, || {
+                        record(format!("outer{i}"));
                         scheduler.scope(|inner| {
-                            for _ in 0..16 {
-                                inner.spawn(|| {
-                                    count.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::sleep(Duration::from_micros(100));
+                            for j in 0..2 {
+                                inner.spawn(move || {
+                                    nest(max_depth, || record(format!("inner{i}.{j}")))
                                 });
                             }
                         });
+                    })
+                });
+            }
+        });
+        let logs = logs.into_iter().map(|l| l.into_inner().unwrap());
+        (logs.collect(), max_depth.into_inner())
+    }
+
+    #[test]
+    fn nested_scopes_run_inline_and_do_not_deepen_the_stack() {
+        let caller = std::thread::current().id();
+        // Zero workers: everything runs on the caller, in call order. On two
+        // fan-out threads: a nested scope runs on the thread that opened it,
+        // in submission order.
+        for workers in [0, 2] {
+            let (logs, depth) = outer_and_inner(&Scheduler::with_workers(workers));
+            assert_eq!(depth, 2, "workers={workers}: a task ran inside a sibling");
+            for (i, log) in logs.iter().enumerate() {
+                let labels: Vec<&str> = log.iter().map(|(l, _)| l.as_str()).collect();
+                let expected = [
+                    format!("outer{i}"),
+                    format!("inner{i}.0"),
+                    format!("inner{i}.1"),
+                ];
+                assert_eq!(labels, expected, "workers={workers}");
+                let opener = log[0].1;
+                assert_eq!(opener == caller, workers == 0, "workers={workers}");
+                assert!(log.iter().all(|&(_, t)| t == opener), "outer{i}: {log:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_top_level_scope_fans_out_on_min_workers_tasks_threads() {
+        let caller = std::thread::current().id();
+        for (workers, n) in [(1usize, 3usize), (2, 5), (3, 2), (4, 4)] {
+            let pool = Scheduler::with_workers(workers);
+            let threads = workers.min(n);
+            // The first `threads` tasks wait for each other, so each of them
+            // holds a thread of its own until all have started.
+            let start = Barrier::new(threads);
+            let ran: Vec<Mutex<Vec<ThreadId>>> = (0..n).map(|_| Mutex::default()).collect();
+            pool.scope(|scope| {
+                for (i, ran) in ran.iter().enumerate() {
+                    let start = &start;
+                    scope.spawn(move || {
+                        if i < threads {
+                            start.wait();
+                        }
+                        ran.lock().unwrap().push(std::thread::current().id());
                     });
                 }
             });
+            let ran: Vec<Vec<ThreadId>> =
+                ran.into_iter().map(|r| r.into_inner().unwrap()).collect();
+            assert!(ran.iter().all(|r| r.len() == 1), "each task runs once");
+            let distinct: HashSet<ThreadId> = ran.iter().map(|r| r[0]).collect();
+            assert_eq!(distinct.len(), threads, "workers={workers} tasks={n}");
+            assert!(!distinct.contains(&caller));
+            let stats = pool.stats();
+            assert_eq!(stats.tasks_executed, n);
+            assert_eq!(stats.injector_pops, n);
+            assert_eq!(stats.helper_executed, 0);
+            assert_eq!(
+                stats.tasks_executed,
+                stats.per_worker_executed.iter().sum::<usize>() + stats.helper_executed
+            );
         }
-        assert!(count.load(Ordering::Relaxed) > 0);
-        assert!(pool.stats().steals > 0, "expected nonzero steals");
     }
 
     #[test]

@@ -1,24 +1,20 @@
 //! The executor abstraction the analysis stack fans work out on.
 //!
-//! The workspace has exactly one thread pool — `expresso_core::Scheduler`,
-//! the work-stealing pool behind suite-, pair- and VC-level analysis tasks —
-//! but the crates *below* `core` (notably `expresso_abduction`, whose
-//! candidate-subset evaluations dominate analysis wall clock) cannot depend
-//! on it without inverting the dependency arrow. This crate breaks the cycle:
-//! it defines the minimal [`Executor`] trait those lower crates program
-//! against, plus the zero-dependency sequential [`Inline`] implementation.
-//! `expresso_core` implements `Executor` for its `Scheduler`, so the pipeline
-//! hands the *same* pool that runs monitor and placement tasks down to
-//! abduction — one executor everywhere, no ad-hoc `std::thread` spawns and no
-//! oversubscription when every layer fans out at once.
+//! The workspace's analysis scheduler is `expresso_core::Scheduler`, but the
+//! crates *below* `core` (notably `expresso_abduction`, whose candidate-subset
+//! evaluations dominate analysis wall clock) cannot depend on it without
+//! inverting the dependency arrow. This crate breaks the cycle: it defines
+//! the minimal [`Executor`] trait those lower crates program against, plus
+//! the sequential [`Inline`] implementation. `expresso_core` implements
+//! `Executor` for its `Scheduler`, and the pipeline hands abduction the same
+//! scheduler its monitor runs on.
 //!
-//! The contract is deliberately batch-shaped rather than spawn-shaped: a
-//! caller that wants budget-aware speculation (dispatch a wave, harvest it,
-//! decide whether the next wave is still worth paying for) submits one
-//! bounded batch at a time and [`Executor::run_batch`] blocks until the whole
-//! batch has completed. Tasks within a batch may run concurrently and in any
-//! order; the caller owns result ordering (e.g. by giving each task a
-//! dedicated output slot).
+//! The contract is batch-shaped: a caller submits one bounded batch at a
+//! time (dispatch a wave, harvest it, decide whether the next is worth
+//! paying for) and [`Executor::run_batch`] blocks until the whole batch has
+//! completed. Tasks within a batch may run concurrently and in any order;
+//! the caller owns result ordering (e.g. by giving each task a dedicated
+//! output slot).
 
 use std::fmt;
 

@@ -46,17 +46,14 @@
 //!
 //! # Parallelism
 //!
-//! Exploration fans out over the workspace's work-stealing
-//! [`expresso_core::Scheduler`]: every schedule prefix of length
-//! [`ExploreConfig::split_depth`] is expanded with *every* enabled choice —
-//! a superset of any DPOR backtrack set, so every cross-prefix reordering
-//! is covered by some sibling root — while later siblings still inherit
-//! earlier choices into their sleep sets; each prefix's subtree is then an
-//! independent DFS task. Both directions are split first and all their
-//! subtrees go to one pool scope, so neither direction waits for the
-//! other's stragglers. Per-subtree determinism plus exhaustive splitting,
-//! with outcomes merged per direction in frontier order, makes the reported
-//! counters and divergences bit-identical across worker counts.
+//! Every schedule prefix of length [`ExploreConfig::split_depth`] is
+//! expanded with *every* enabled choice — a superset of any DPOR backtrack
+//! set, so every cross-prefix reordering is covered by some sibling root —
+//! while later siblings still inherit earlier choices into their sleep sets.
+//! Each prefix's subtree is then an independent DFS task, and the subtrees of
+//! both directions go to one [`expresso_core::Scheduler`] scope. Outcomes are
+//! merged per direction in frontier order, so the counters and divergences
+//! are bit-identical across thread counts.
 
 mod dependence;
 mod dfs;
@@ -128,7 +125,7 @@ pub struct ExploreConfig {
     /// semantics (they re-block without changing state, so they multiply
     /// schedules without adding coverage; off by default).
     pub explore_spurious: bool,
-    /// Pool the per-prefix subtrees are submitted to; `None` explores them
+    /// Scheduler the per-prefix subtrees are spawned on; `None` explores them
     /// sequentially on the calling thread. Counters are identical either
     /// way.
     pub scheduler: Option<Arc<Scheduler>>,
@@ -182,23 +179,6 @@ pub struct DirectionStats {
     pub frontier_roots: usize,
     /// Subtrees that hit [`ExploreConfig::max_executions_per_root`].
     pub capped_roots: usize,
-}
-
-impl DirectionStats {
-    /// Adapt into a metric group for [`expresso_obs::MetricsRegistry`].
-    pub fn metrics(&self) -> Vec<expresso_obs::Metric> {
-        use expresso_obs::Metric;
-        vec![
-            Metric::counter("executions", self.executions as u64),
-            Metric::counter("transitions", self.transitions as u64),
-            Metric::counter("depth_capped", self.depth_capped as u64),
-            Metric::counter("sleep_prunes", self.sleep_prunes as u64),
-            Metric::counter("preemption_prunes", self.preemption_prunes as u64),
-            Metric::counter("sleep_set_blocked", self.sleep_set_blocked as u64),
-            Metric::counter("frontier_roots", self.frontier_roots as u64),
-            Metric::counter("capped_roots", self.capped_roots as u64),
-        ]
-    }
 }
 
 impl DirectionStats {
@@ -359,8 +339,8 @@ pub fn explore(
             },
         ),
     ];
-    // Phase 1 for both directions, then every subtree of both in one pool
-    // scope. A direction whose split failed submits nothing; its error is
+    // Phase 1 for both directions, then every subtree of both in one
+    // scheduler scope. A direction whose split failed submits nothing; its error is
     // reported where a direction-by-direction run would have met it.
     let mut splits = directions
         .each_ref()
@@ -506,8 +486,8 @@ fn split<'a>(
     })
 }
 
-/// Phase 2: one independent DFS per root, fanned out on the pool when one
-/// is configured. The outcomes come back in `roots` order either way.
+/// Phase 2: one independent DFS per root, fanned out on the scheduler when
+/// one is configured. The outcomes come back in `roots` order either way.
 fn explore_roots(
     roots: Vec<Prefix<'_>>,
     dep: &Dependence,

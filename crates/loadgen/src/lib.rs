@@ -29,7 +29,6 @@ pub mod hist;
 
 pub use hist::Histogram;
 
-use expresso_core::Scheduler;
 use expresso_monitor_lang::ExplicitMonitor;
 use expresso_runtime::{
     AutoSynchRuntime, ExplicitRuntime, MonitorRuntime, RuntimeBuildError, SignalMode,
@@ -239,14 +238,13 @@ struct WorkerTally {
     call_errors: u64,
 }
 
-/// Runs `script` sessions against `runtime` on a dedicated worker pool.
+/// Runs `script` sessions against `runtime` on `config.workers` threads.
 ///
-/// The pool is created (threads spawned) before the measurement window opens
-/// and each worker executes its stripe of sessions in increasing session
-/// order, which is the termination contract the suite's session scripts are
-/// written against (see [`expresso_suite::loadmix`]). Counters in the report
-/// are the runtime's totals at the end of the run, so callers should pass a
-/// freshly built runtime.
+/// Each worker executes its stripe of sessions in increasing session order,
+/// which is the termination contract the suite's session scripts are written
+/// against (see [`expresso_suite::loadmix`]). Counters in the report are the
+/// runtime's totals at the end of the run, so callers should pass a freshly
+/// built runtime.
 pub fn run_load(
     runtime: &dyn MonitorRuntime,
     engine: EngineKind,
@@ -255,7 +253,6 @@ pub fn run_load(
 ) -> LoadReport {
     let workers = config.workers.max(1);
     let sessions = config.effective_sessions();
-    let pool = Scheduler::with_workers(workers);
     let mut tallies: Vec<WorkerTally> = (0..workers)
         .map(|_| WorkerTally {
             latency: Histogram::new(),
@@ -264,7 +261,7 @@ pub fn run_load(
         })
         .collect();
     let start = Instant::now();
-    pool.scope(|scope| {
+    std::thread::scope(|scope| {
         for (worker, tally) in tallies.iter_mut().enumerate() {
             let config = *config;
             scope.spawn(move || {

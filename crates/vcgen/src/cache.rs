@@ -31,7 +31,7 @@
 //! * [`WpCache`] is a per-analysis **session** over a store: it carries the
 //!   analysis id used to attribute cross-monitor reuse and its own exact
 //!   hit/miss counters, which stay meaningful even when many analyses run
-//!   concurrently against one store on the work-stealing pool.
+//!   concurrently against one store.
 //!
 //! The statement table and the entry table each sit behind one mutex, held
 //! for a lookup or an insert and never while `wp` runs, and statistics are

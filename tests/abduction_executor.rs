@@ -1,6 +1,6 @@
 //! Abduction executor conformance: routing candidate evaluation through any
-//! [`Executor`] — the zero-dep inline one, the work-stealing pool at any
-//! worker count (including the zero-worker pool a 1-core host gets), or a
+//! [`Executor`] — the zero-dep inline one, the analysis scheduler at any
+//! thread count (including the zero-worker one a 1-core host gets), or a
 //! custom instrumented one — must never change the returned candidates, and
 //! dispatch must respect the `max_results` budget instead of speculating
 //! over the whole subset space.
@@ -61,9 +61,9 @@ fn every_executor_returns_identical_candidates() {
 
     let executors: Vec<(&str, Arc<dyn Executor>)> = vec![
         ("inline", Arc::new(Inline)),
-        // The zero-worker pool is what a 1-core host gets: every task runs
-        // on the submitting thread. Abduction must not force extra workers
-        // into existence for it.
+        // The zero-worker scheduler is what a 1-core host gets: every task
+        // runs on the submitting thread. Abduction must not force extra
+        // threads into existence for it.
         ("pool-0", Arc::new(Scheduler::with_workers(0))),
         ("pool-2", Arc::new(Scheduler::with_workers(2))),
         ("recording", Arc::new(Recording::default())),

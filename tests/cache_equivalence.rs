@@ -1,5 +1,5 @@
-//! Cache/parallelism correctness: the shared memo tables, the work-stealing
-//! pool, the on-disk warm start and span recording are pure optimisations.
+//! Cache/parallelism correctness: the shared memo tables, the analysis
+//! fan-out, the on-disk warm start and span recording are pure optimisations.
 //! For every monitor in the benchmark suite (and generated corpora), every
 //! scheduling mode and every cache temperature must produce exactly the same
 //! explicit-signal monitor, invariant and placement counters; any observable
@@ -99,10 +99,10 @@ fn assert_expected_placement(name: &str, outcome: &AnalysisOutcome) {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Route {
     /// `analyze_with_context`, monitor by monitor: each is one task on the
-    /// calling thread and the pool sees nothing.
+    /// calling thread and the scheduler sees nothing.
     OneByOne,
-    /// One `analyze_suite` call per monitor: a single pool task whose
-    /// abduction waves and pair obligations fan out nested.
+    /// One `analyze_suite` call per monitor: a single fan-out task whose
+    /// abduction waves and pair obligations run in scopes nested in it.
     OneElementSuites,
     /// One `analyze_suite` call for all sixteen.
     WholeSuite,
@@ -110,7 +110,7 @@ enum Route {
 
 #[test]
 fn scheduler_modes_are_bit_identical_across_the_suite() {
-    // The work-stealing pool is a pure scheduling substrate: for every suite
+    // The scheduler is a pure scheduling substrate: for every suite
     // monitor, `analysis_threads ∈ {1, 8}` × every route into the pipeline
     // must all produce bit-identical outcomes, candidate counts and
     // placement counters — both against each other and against a
@@ -135,7 +135,7 @@ fn scheduler_modes_are_bit_identical_across_the_suite() {
                 analysis_threads: threads,
                 ..ExpressoConfig::default()
             });
-            // `analysis_threads != 0` builds a dedicated pool, so its
+            // `analysis_threads != 0` builds a scheduler of its own, so its
             // counters are this arm's traffic and nobody else's.
             let context = SharedAnalysisContext::new(pipeline.config());
             let outcomes: Vec<_> = match route {
@@ -162,13 +162,13 @@ fn scheduler_modes_are_bit_identical_across_the_suite() {
                 assert_eq!(
                     (pool.tasks_executed, pool.abduction_tasks),
                     (0, 0),
-                    "analysis_threads={threads} {route:?}: the pool was handed work"
+                    "analysis_threads={threads} {route:?}: the scheduler was handed work"
                 );
             } else {
                 // Under a suite, abduction must actually be routed through
                 // the context's scheduler: its executor façade counts every
-                // dispatched closure. One-element suites keep the nested
-                // fan-out exercised monitor by monitor.
+                // dispatched closure. One-element suites exercise the nested
+                // scopes monitor by monitor.
                 assert!(
                     pool.abduction_tasks > 0 && pool.tasks_executed > pool.abduction_tasks,
                     "analysis_threads={threads} {route:?}: no nested fan-out reached the \
@@ -1017,7 +1017,7 @@ fn live_and_loaded_wp_keys_agree_on_the_staged_route() {
     // artifact seeds must be the same bytes. Cold: the 16 suite monitors
     // through `analyze_suite` on a cache directory, persisted. Warm: a fresh
     // context on that directory runs the staged pipeline — what the traced
-    // warm-edit benchmark pass runs, on the context's pool — over every
+    // warm-edit benchmark pass runs, on the context's scheduler — over every
     // monitor, one of them edited. Every unchanged monitor must find every
     // weakest precondition it asks for on disk and the edited one must
     // compute some: an encoder that drifted between the live key and the

@@ -1,11 +1,11 @@
 //! One monitor is one task: `Expresso::analyze` and `analyze_with_context`
 //! run a monitor's abduction waves and pair obligations on the calling
-//! thread and hand the pool nothing; `analyze_suite` — a one-element suite
-//! included — keeps the pool and its nested fan-out, and decides the same.
+//! thread and hand the context's scheduler nothing; `analyze_suite` — a
+//! one-element suite included — goes through it, and decides the same.
 //!
 //! This is the only test of its binary, on purpose: the default
-//! configuration shares the process-wide pool, and "its counters did not
-//! move" can only be asserted in a process where nobody else is using it.
+//! configuration shares the process-wide scheduler, and "its counters did
+//! not move" can only be asserted in a process where nobody else uses it.
 
 use expresso_repro::core::{Expresso, Scheduler, SharedAnalysisContext};
 use expresso_repro::suite::all;
@@ -36,7 +36,7 @@ fn a_single_monitor_leaves_the_global_pool_alone_and_matches_its_one_element_sui
         let fanned_out = pool.stats().delta_since(&before);
         assert!(
             fanned_out.tasks_executed > fanned_out.abduction_tasks,
-            "{name}: a one-element suite must still fan out on the pool: {fanned_out:?}"
+            "{name}: a one-element suite must still go through the scheduler: {fanned_out:?}"
         );
 
         for (route, outcome) in [("analyze_with_context", &in_context), ("suite", &suite)] {
