@@ -7,12 +7,17 @@
 //! of "kept" variables and eliminating the quantifiers; iterating over kept
 //! variable sets of increasing size yields the simplest explanations first.
 
-use expresso_exec::{Executor, Inline, Task};
 use expresso_logic::{Formula, FormulaId, Ident, Interner, Subst};
 use expresso_smt::Solver;
 use expresso_vcgen::WpCache;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// A marker with no methods, left so that existing callers that name it
+/// still compile: abduction runs on the calling thread. Leaves with ROADMAP
+/// item 6(b2).
+#[doc(hidden)]
+pub trait Executor: std::fmt::Debug + Send + Sync {}
 
 /// Tunables for [`abduce_ids`].
 #[derive(Debug, Clone)]
@@ -23,14 +28,9 @@ pub struct AbductionConfig {
     pub max_subsets: usize,
     /// Maximum number of candidates returned.
     pub max_results: usize,
-    /// The executor candidate-subset evaluations are dispatched on, in
-    /// [`max_results`](AbductionConfig::max_results)-sized waves (see
-    /// [`abduce_ids`]). `None` (the default) evaluates inline on the calling
-    /// thread. The pipeline passes the scheduler the monitor runs on; a wave
-    /// opened inside a suite's monitor task, or on the zero-worker scheduler
-    /// of a monitor analysed on its own, runs inline too. Results are
-    /// bit-identical across every executor: each wave's outcomes are folded
-    /// back in enumeration order.
+    /// Ignored: subsets are evaluated in order on the calling thread. Kept
+    /// only so existing callers compile; leaves with ROADMAP item 6(b2).
+    #[doc(hidden)]
     pub executor: Option<Arc<dyn Executor>>,
     /// The WP memo session invariant inference builds its VCs through.
     /// `None` (the default) gives the inference run a fresh private cache;
@@ -92,64 +92,38 @@ pub fn abduce_ids(
     }
     kept_sets.truncate(config.max_subsets);
 
-    // Each subset is evaluated independently: quantifier elimination produces
-    // the candidate, then the consistency and sufficiency checks accept or
-    // reject it. This is the expensive part (Cooper's procedure), so it fans
-    // out as executor tasks below.
-    let evaluate = |kept: &BTreeSet<Ident>| -> Option<FormulaId> {
+    // Scan the subsets in preference order, stopping as soon as the result
+    // budget is met. For each, quantifier elimination (Cooper's procedure,
+    // the expensive part) produces the candidate, then the consistency and
+    // sufficiency checks accept or reject it.
+    let mut results: Vec<FormulaId> = Vec::new();
+    for kept in &kept_sets {
+        if results.len() >= config.max_results {
+            break;
+        }
         let eliminate: Vec<Ident> = all_vars
             .iter()
             .filter(|v| !kept.contains(*v))
             .cloned()
             .collect();
-        let candidate =
-            universally_eliminate_ids(solver, &interner, implication, &eliminate, &bool_vars)?;
+        let Some(candidate) =
+            universally_eliminate_ids(solver, &interner, implication, &eliminate, &bool_vars)
+        else {
+            continue;
+        };
         let candidate = interner.simplify(candidate);
-        if interner.is_true(candidate) || interner.is_false(candidate) {
-            return None;
+        let trivial = interner.is_true(candidate) || interner.is_false(candidate);
+        if trivial || results.contains(&candidate) {
+            continue;
         }
         let strengthened = interner.mk_and(vec![pre, candidate]);
-        // ψ must be consistent with the precondition.
-        if !solver.check_sat_id(strengthened).is_sat() {
-            return None;
+        // ψ must be consistent with the precondition and actually make the
+        // triple go through.
+        if solver.check_sat_id(strengthened).is_sat()
+            && solver.check_implies_ids(strengthened, goal).is_valid()
+        {
+            results.push(candidate);
         }
-        // ψ must actually make the triple go through.
-        if !solver.check_implies_ids(strengthened, goal).is_valid() {
-            return None;
-        }
-        Some(candidate)
-    };
-    // Budget-aware wave dispatch: subsets become executor tasks in
-    // `max_results`-sized waves, each wave's outcomes are folded back in
-    // enumeration order, and dispatching stops as soon as the result budget
-    // is met. The accepted set is therefore exactly the first `max_results`
-    // distinct candidates a fully sequential scan would have kept —
-    // bit-identical across every executor — while speculation is bounded to
-    // one wave instead of the whole subset space.
-    let executor: &dyn Executor = config.executor.as_deref().unwrap_or(&Inline);
-    let wave = config.max_results.max(1);
-    let mut results: Vec<FormulaId> = Vec::new();
-    let mut next = 0usize;
-    while next < kept_sets.len() && results.len() < config.max_results {
-        let end = kept_sets.len().min(next + wave);
-        let batch = &kept_sets[next..end];
-        let mut slots: Vec<Option<FormulaId>> = vec![None; batch.len()];
-        executor.run_batch(
-            batch
-                .iter()
-                .zip(slots.iter_mut())
-                .map(|(kept, slot)| Box::new(move || *slot = evaluate(kept)) as Task<'_>)
-                .collect(),
-        );
-        for candidate in slots.into_iter().flatten() {
-            if results.len() >= config.max_results {
-                break;
-            }
-            if !results.contains(&candidate) {
-                results.push(candidate);
-            }
-        }
-        next = end;
     }
     finalize(&interner, results)
 }
@@ -245,6 +219,35 @@ mod tests {
         assert_eq!(subsets_of_size(&items, 2).len(), 3);
         assert_eq!(subsets_of_size(&items, 3).len(), 1);
         assert!(subsets_of_size(&items, 4).is_empty());
+    }
+
+    #[test]
+    fn dispatch_stops_once_the_result_budget_is_met() {
+        // Four variables under max_kept_vars = 2 give ten subsets, each one
+        // quantifier elimination the solver has not seen. With
+        // max_results = 1 the first subset already yields an accepted
+        // candidate, so the scan must stop well short of the tenth.
+        let s = Solver::new();
+        let goal = Formula::or(vec![
+            Term::var("x").ge(Term::int(0)),
+            Term::var("y").gt(Term::int(10)),
+            Term::var("z").gt(Term::int(5)),
+            Term::var("w").gt(Term::int(2)),
+        ]);
+        let config = AbductionConfig {
+            max_results: 1,
+            ..AbductionConfig::default()
+        };
+        let interner = s.interner();
+        let (pre, goal) = (interner.intern(&Formula::True), interner.intern(&goal));
+        let before = s.stats();
+        let candidates = abduce_ids(&s, pre, goal, &config);
+        assert_eq!(candidates.len(), 1, "budget of one candidate not honoured");
+        let evaluated = s.stats().delta_since(&before).qe_cache_misses;
+        assert!(
+            (1..10).contains(&evaluated),
+            "evaluated {evaluated} of 10 subsets despite a budget of one result"
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn infer_monitor_invariant(
 }
 
 /// [`infer_monitor_invariant`] with explicit abduction tunables (the pipeline
-/// threads its parallelism flag through here).
+/// passes its WP session through here).
 pub fn infer_monitor_invariant_configured(
     monitor: &Monitor,
     table: &VarTable,

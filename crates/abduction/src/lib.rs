@@ -48,6 +48,8 @@ pub mod abduce;
 pub mod invariant;
 mod refute;
 
+#[doc(hidden)]
+pub use abduce::Executor;
 pub use abduce::{abduce_ids, AbductionConfig};
 #[doc(hidden)]
 pub use invariant::{abduce_candidates, Candidates};

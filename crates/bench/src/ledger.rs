@@ -104,15 +104,6 @@ pub const GATES: &[Gate] = &[
          determinism bug in the scheduler or an unsound cache key, not a pure optimisation",
     },
     Gate {
-        name: "abduction_on_pool",
-        modes: "json",
-        path: "scheduler_suite.abduction_tasks",
-        cmp: Cmp::Ge,
-        bound: 1.0,
-        why: "suite analysis dispatched no abduction task onto the shared scheduler; invariant \
-         inference silently fell back to sequential inline evaluation",
-    },
-    Gate {
         name: "wp_store_shares_across_monitors",
         modes: "json",
         path: "scheduler_suite.wp_cross_monitor_hits",
@@ -229,11 +220,12 @@ pub const GATES: &[Gate] = &[
         path: "runtime_load.targeted.worst_excess_wakeups_per_call",
         cmp: Cmp::Le,
         bound: 1.0 / 12.0,
-        why: "per benchmark, targeted minus implicit wakeups (less 16 or 4 per worker for the \
-         start-up race) per call. Calls that block for real differ run to run on every \
-         engine: over 18 144 sampled pairs the difference had sigma 1.8 % of the calls and \
-         maximum 7.0 %, so 1/12 is 4.6 sigma; a broadcast storm re-waking every waiter puts \
-         half the calls or more above the line",
+        why: "per benchmark, the median over the sample passes of targeted minus implicit \
+         wakeups (less 16 or 4 per worker for the start-up race) per call, the two runs of a \
+         pass back to back. Calls that block for real differ run to run on every engine: over \
+         18 144 sampled pairs the difference had sigma 1.8 % of the calls and maximum 7.0 %, so \
+         1/12 is 4.6 sigma; a broadcast storm re-waking every waiter puts half the calls or more \
+         above the line",
     },
     Gate {
         name: "targeted_wakeups_suite",
@@ -241,8 +233,9 @@ pub const GATES: &[Gate] = &[
         path: "runtime_load.targeted.excess_wakeups_per_call",
         cmp: Cmp::Le,
         bound: 1.0 / 64.0,
-        why: "the same difference summed over the run: most benchmarks never block, so the totals \
-         are steadier (maximum 1.2 % of all calls over 40 000 resampled runs)",
+        why: "the same median, each pass's difference summed over the suite: most benchmarks \
+         never block, so the totals are steadier (maximum 1.2 % of all calls over 40 000 \
+         resampled runs)",
     },
     Gate {
         name: "wakeups_avoided",
@@ -483,8 +476,7 @@ pub const DIFF: &[(&str, Rule)] = &[
     ("scheduler_suite.workers", Rule::Ignore),
     ("scheduler_suite.per_worker_executed*", Rule::Ignore),
     ("scheduler_suite.worker_utilization*", Rule::Ignore),
-    // Real threads: who ran what inline, who blocked, who woke whom.
-    ("scheduler_suite.helper_executed", Rule::Ignore),
+    // Real threads: who blocked, who woke whom.
     ("runtime_load.measurements[*].wakeups", Rule::Ignore),
     (
         "runtime_load.measurements[*].predicate_evaluations",

@@ -5,7 +5,6 @@ use crate::placement::{
 };
 use crate::scheduler::{Scheduler, SchedulerStats};
 use expresso_abduction::{infer_monitor_invariant_configured, AbductionConfig, InvariantOutcome};
-use expresso_exec::Executor;
 use expresso_logic::{Formula, FormulaId, Interner, InternerStats};
 use expresso_monitor_lang::{check_monitor, CheckError, ExplicitMonitor, Monitor, VarTable};
 use expresso_persist::{
@@ -656,14 +655,12 @@ impl Expresso {
     /// [`Expresso::analyze_with_context`] to share an arena and solver across
     /// a whole suite.
     ///
-    /// **One monitor is one task.** This and
-    /// [`analyze_with_context`](Self::analyze_with_context) run abduction's
-    /// waves and placement's pair obligations inline on the calling thread,
-    /// in submission order, on a zero-worker scheduler: ≈ 130 scopes of
-    /// ≈ 175 µs tasks do not repay fanning out one by one (a Table 1 pass
-    /// took half as long again when they did; 2 CPUs). Only
-    /// [`analyze_suite`](Self::analyze_suite), one-element suites included,
-    /// fans out, one task per monitor.
+    /// **One monitor is sequential code.** This and
+    /// [`analyze_with_context`](Self::analyze_with_context) run on the
+    /// calling thread: abduction scans its subsets and placement decides its
+    /// pairs one after the other (fanning those out made a Table 1 pass half
+    /// as long again; 2 CPUs). Only [`analyze_suite`](Self::analyze_suite),
+    /// one-element suites included, fans out, one task per monitor.
     ///
     /// # Errors
     ///
@@ -696,13 +693,12 @@ impl Expresso {
         monitor: &Monitor,
     ) -> Result<AnalysisOutcome, ExpressoError> {
         let key = context.outcome_key(monitor, &self.config);
-        let inline = Arc::new(Scheduler::with_workers(0));
-        self.analyze_keyed(context, monitor, key, &inline)
+        self.analyze_keyed(context, monitor, key)
     }
 
     /// Analyses every monitor of a suite concurrently on the context's
-    /// scheduler: one task per monitor, whose abduction waves and placement
-    /// pairs run inline inside it. Results are index-aligned with `monitors`
+    /// scheduler: one task per monitor, analysed sequentially inside it.
+    /// Results are index-aligned with `monitors`
     /// and bit-identical to analysing each monitor alone against the same
     /// kind of context — the thread count only changes wall-clock time,
     /// never outcomes. With `analysis_threads == 1` the monitors run one
@@ -715,8 +711,6 @@ impl Expresso {
     /// the caches then live in the heap of the thread that will free them,
     /// which measured faster than hiding the seed behind the replays (they
     /// are a tenth of it) and left the other threads' heaps alone.
-    /// The scheduler's [`SchedulerStats::abduction_tasks`] counts the
-    /// abduction waves' tasks.
     pub fn analyze_suite(
         &self,
         context: &SharedAnalysisContext,
@@ -740,7 +734,7 @@ impl Expresso {
         let pool = context.scheduler();
         pool.scope(|scope| {
             for (_, monitor, key, slot) in tasks {
-                scope.spawn(move || *slot = Some(self.analyze_keyed(context, monitor, key, pool)));
+                scope.spawn(move || *slot = Some(self.analyze_keyed(context, monitor, key)));
             }
         });
         slots
@@ -749,17 +743,13 @@ impl Expresso {
             .collect()
     }
 
-    /// One monitor, with `key` what its outcome is looked up and filed
-    /// under (`None`: neither) and `fan_out` where its abduction waves and
-    /// pair obligations run: the context's scheduler under a suite (inline in
-    /// the monitor's task), a zero-worker scheduler — the calling thread —
-    /// for a monitor on its own.
+    /// One monitor, on the calling thread, with `key` what its outcome is
+    /// looked up and filed under (`None`: neither).
     fn analyze_keyed(
         &self,
         context: &SharedAnalysisContext,
         monitor: &Monitor,
         key: Option<OutcomeKey>,
-        fan_out: &Arc<Scheduler>,
     ) -> Result<AnalysisOutcome, ExpressoError> {
         let _analyze_span = expresso_obs::span!("core.analyze", "{}", monitor.name);
         let start = Instant::now();
@@ -804,7 +794,6 @@ impl Expresso {
         let inferred = if self.config.infer_invariant {
             let _span = expresso_obs::span!("core.invariant", "{}", monitor.name);
             let abduction = AbductionConfig {
-                executor: Some(Arc::clone(fan_out) as Arc<dyn Executor>),
                 wp_cache: Some(Arc::clone(&wp_cache)),
                 ..AbductionConfig::default()
             };
@@ -832,7 +821,7 @@ impl Expresso {
             &PlacementConfig {
                 use_commutativity: self.config.use_commutativity,
                 wp_cache: Some(Arc::clone(&wp_cache)),
-                scheduler: Some(Arc::clone(fan_out)),
+                ..PlacementConfig::default()
             },
         );
         drop(placement_span);
@@ -1073,39 +1062,6 @@ mod tests {
                 outcome.report.triples_checked, reference.report.triples_checked,
                 "threads={threads}"
             );
-        }
-    }
-
-    #[test]
-    fn abduction_waves_run_on_the_context_scheduler() {
-        let monitor = parse_monitor(RW).unwrap();
-        // analysis_threads != 0 builds a scheduler of its own, so the counter
-        // below is exactly this analysis's traffic; `1` is the zero-worker
-        // scheduler, which still receives (and runs inline) every abduction
-        // task.
-        for threads in [1usize, 2] {
-            let pipeline = Expresso::with_config(ExpressoConfig {
-                analysis_threads: threads,
-                ..ExpressoConfig::default()
-            });
-            // A suite of one: only a suite reaches the context's scheduler,
-            // and a monitor analysed on its own hands it nothing.
-            let context = SharedAnalysisContext::new(pipeline.config());
-            let alone = pipeline.analyze_with_context(&context, &monitor).unwrap();
-            assert_eq!(context.scheduler_stats().tasks_executed, 0);
-            let mut suite = pipeline.analyze_suite(&context, std::slice::from_ref(&monitor));
-            let outcome = suite.pop().unwrap().unwrap();
-            let abduction_tasks = context.scheduler_stats().abduction_tasks;
-            assert!(
-                abduction_tasks > 0,
-                "threads={threads}: no abduction task reached the scheduler"
-            );
-            assert_eq!(
-                outcome.stats.scheduler.abduction_tasks, abduction_tasks,
-                "AnalysisStats must surface the scheduler's abduction counter"
-            );
-            assert_eq!(outcome.explicit, alone.explicit, "threads={threads}");
-            assert_eq!(outcome.invariant, alone.invariant, "threads={threads}");
         }
     }
 

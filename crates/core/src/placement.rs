@@ -3,15 +3,11 @@
 //! Every `(CCR, guard)` pair's obligations are constructed exactly once as
 //! interned formula ids ([`expresso_logic::FormulaId`]) against the solver's
 //! shared arena — no invariant or guard tree is ever cloned per pair — and
-//! independent pairs are spawned as tasks of one [`Scheduler`] scope (run
-//! inline in grid order under suite analysis and for a monitor analysed on
-//! its own; fanned out when placement is called from any other thread).
-//! Within a pair, the triples are asked one at a time in the order
+//! the pairs are decided one after the other, in grid order, on the calling
+//! thread. Within a pair, the triples are asked one at a time in the order
 //! Algorithm 1 states them: the no-signal triple, then — only when it is not
-//! proved — the conditional one, then the signal-vs-broadcast triples. Decisions are pure functions of the monitor
-//! and invariant, so the resulting [`ExplicitMonitor`] is identical whatever
-//! the scheduler's thread count (the equivalence tests in the workspace root
-//! assert exactly that).
+//! proved — the conditional one, then the signal-vs-broadcast triples.
+//! Decisions are pure functions of the monitor and invariant.
 
 use crate::scheduler::Scheduler;
 use expresso_logic::{Formula, FormulaId, Interner};
@@ -21,8 +17,9 @@ use expresso_monitor_lang::{
 };
 use expresso_smt::Solver;
 use expresso_vcgen::{VcGen, WpCache};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Options for [`place_signals_with`].
 #[derive(Debug, Clone)]
@@ -34,11 +31,9 @@ pub struct PlacementConfig {
     /// session shared with invariant inference (whose store may be
     /// suite-wide). Must belong to the same formula arena as the solver.
     pub wp_cache: Option<Arc<WpCache>>,
-    /// The scheduler pair tasks are spawned on. `None` uses
-    /// [`Scheduler::global`]. The pipeline passes its context's scheduler
-    /// under `Expresso::analyze_suite` (where the pairs run inline in their
-    /// monitor's task) and a zero-worker scheduler for a monitor analysed on
-    /// its own; either way the pairs are decided inline, in grid order.
+    /// Ignored: the pairs are decided on the calling thread. Kept only so
+    /// existing callers compile; leaves with ROADMAP item 6(b2).
+    #[doc(hidden)]
     pub scheduler: Option<Arc<Scheduler>>,
 }
 
@@ -120,8 +115,7 @@ struct GuardInfo {
     has_locals: bool,
 }
 
-/// Everything a worker needs to decide one pair; shared immutably across
-/// threads.
+/// Everything needed to decide one pair.
 struct PairCtx<'a> {
     vcgen: &'a VcGen<'a>,
     monitor: &'a Monitor,
@@ -136,16 +130,12 @@ struct PairCtx<'a> {
 /// The paper's `Comm(w, M)`, decided on demand: only for a waiter `w` whose
 /// pair reaches the §4.3 step, and from each unordered CCR pair's
 /// [`VcGen::commutes`] (which is symmetric), asked once.
-///
-/// Pair tasks on several threads may wait on one another's cell here. They
-/// cannot wait in a cycle: a `with_all` cell's initialiser waits only on
-/// pair cells, and a pair cell's on none, and `commutes` spawns no task.
 struct Commutativity<'a> {
     vcgen: &'a VcGen<'a>,
     /// `Comm(w, M)` per CCR.
-    with_all: Vec<OnceLock<bool>>,
+    with_all: Vec<Cell<Option<bool>>>,
     /// `commutes` per unordered pair `{a, b}`, `a < b`, at `b(b-1)/2 + a`.
-    pairs: Vec<OnceLock<bool>>,
+    pairs: Vec<Cell<Option<bool>>>,
 }
 
 impl<'a> Commutativity<'a> {
@@ -153,16 +143,14 @@ impl<'a> Commutativity<'a> {
         let n = vcgen.monitor().ccrs.len();
         Commutativity {
             vcgen,
-            with_all: (0..n).map(|_| OnceLock::new()).collect(),
-            pairs: (0..n * n.saturating_sub(1) / 2)
-                .map(|_| OnceLock::new())
-                .collect(),
+            with_all: vec![Cell::new(None); n],
+            pairs: vec![Cell::new(None); n * n.saturating_sub(1) / 2],
         }
     }
 
     /// Does the body of `w` commute with the body of every other CCR?
     fn with_all(&self, w: CcrId) -> bool {
-        *self.with_all[w.0].get_or_init(|| {
+        memo(&self.with_all[w.0], || {
             self.vcgen
                 .monitor()
                 .all_ccrs()
@@ -173,7 +161,7 @@ impl<'a> Commutativity<'a> {
 
     fn pair(&self, a: CcrId, b: CcrId) -> bool {
         let (lo, hi) = if a.0 < b.0 { (a, b) } else { (b, a) };
-        *self.pairs[hi.0 * (hi.0 - 1) / 2 + lo.0].get_or_init(|| {
+        memo(&self.pairs[hi.0 * (hi.0 - 1) / 2 + lo.0], || {
             let monitor = self.vcgen.monitor();
             self.vcgen
                 .commutes(&monitor.ccr(lo).body, &monitor.ccr(hi).body)
@@ -184,6 +172,13 @@ impl<'a> Commutativity<'a> {
     fn decided(&self) -> usize {
         self.pairs.iter().filter(|p| p.get().is_some()).count()
     }
+}
+
+/// The value in `cell`, computed by `decide` on first use.
+fn memo(cell: &Cell<Option<bool>>, decide: impl FnOnce() -> bool) -> bool {
+    let value = cell.get().unwrap_or_else(decide);
+    cell.set(Some(value));
+    value
 }
 
 /// Runs the signal-placement algorithm with a given monitor invariant,
@@ -274,19 +269,12 @@ pub fn place_signals_with(
         commutativity: commutativity.as_ref(),
     };
 
-    let pairs: Vec<(CcrId, usize)> = monitor
+    let mut triples_checked = 0;
+    let decisions = monitor
         .all_ccrs()
         .flat_map(|ccr| (0..guards.len()).map(move |g| (ccr.id, g)))
-        .collect();
-
-    let scheduler = config
-        .scheduler
-        .as_ref()
-        .unwrap_or_else(|| Scheduler::global());
-    let mut triples_checked = 0;
-    let decisions = discharge_on_scheduler(scheduler, &ctx, &pairs)
-        .into_iter()
-        .map(|(decision, triples)| {
+        .map(|(ccr, guard)| {
+            let (decision, triples) = decide(&ctx, ccr, guard);
             triples_checked += triples;
             decision
         })
@@ -333,27 +321,6 @@ pub(crate) fn assemble(
         commutativity_pairs: 0,
     };
     (explicit, report)
-}
-
-/// Discharges all pairs as one task each of one scope. Every task writes its
-/// own result slot, so the output is re-assembled in pair order and
-/// deterministic regardless of scheduling.
-fn discharge_on_scheduler(
-    scheduler: &Scheduler,
-    ctx: &PairCtx<'_>,
-    pairs: &[(CcrId, usize)],
-) -> Vec<(SignalDecision, usize)> {
-    let mut slots: Vec<Option<(SignalDecision, usize)>> = Vec::new();
-    slots.resize_with(pairs.len(), || None);
-    scheduler.scope(|scope| {
-        for (&(ccr, guard), slot) in pairs.iter().zip(slots.iter_mut()) {
-            scope.spawn(move || *slot = Some(decide(ctx, ccr, guard)));
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every pair decided"))
-        .collect()
 }
 
 /// Decides one `(CCR, guard)` pair, returning the decision and the number of
@@ -581,32 +548,6 @@ mod tests {
         // Two CCRs, one pair; nothing is decided with the improvement off.
         assert_eq!(with_report.commutativity_pairs, 1);
         assert_eq!(without_report.commutativity_pairs, 0);
-    }
-
-    #[test]
-    fn sequential_and_parallel_placement_agree() {
-        let monitor = parse_monitor(RW).unwrap();
-        let table = check_monitor(&monitor).unwrap();
-        let solver = Solver::new();
-        let inv = infer_monitor_invariant(&monitor, &table, &solver).invariant;
-        let place_on = |threads: usize| {
-            place_signals_with(
-                &monitor,
-                &table,
-                &solver,
-                &inv,
-                &PlacementConfig {
-                    scheduler: Some(Arc::new(Scheduler::with_analysis_threads(threads))),
-                    ..PlacementConfig::default()
-                },
-            )
-        };
-        let (parallel, preport) = place_on(8);
-        let (sequential, sreport) = place_on(1);
-        assert_eq!(parallel, sequential);
-        assert_eq!(preport.decisions, sreport.decisions);
-        assert_eq!(preport.triples_checked, sreport.triples_checked);
-        assert_eq!(preport.commutativity_pairs, sreport.commutativity_pairs);
     }
 
     #[test]

@@ -7,20 +7,12 @@
 //! a zero-worker scheduler, runs its tasks inline on the calling thread, in
 //! submission order. Constructing a scheduler starts no thread.
 //!
-//! Three granularities of work use it:
-//!
-//! * **suite-level** — [`crate::Expresso::analyze_suite`] spawns one task per
-//!   monitor; this is the level that fans out;
-//! * **pair-level** — signal placement spawns one task per `(CCR, guard)`
-//!   pair;
-//! * **wave-level** — invariant inference runs abduction's candidate-subset
-//!   waves through the [`expresso_exec::Executor`] impl below.
-//!
-//! Under a suite the inner two run inline inside their monitor's task, in the
-//! order the sequential analysis uses. A monitor analysed on its own runs them
-//! on a zero-worker scheduler, inline as well. Moving nested tasks between
-//! threads (work stealing) moved 2.6 % of a 500-monitor suite's tasks and
-//! saved no time, so nothing nests in parallel.
+//! Its one client in the pipeline is [`crate::Expresso::analyze_suite`],
+//! which spawns one task per monitor. A monitor's own analysis — abduction's
+//! subset scan and placement's `(CCR, guard)` pairs — is sequential code
+//! inside that task: fanning out within one monitor made a Table 1 pass half
+//! as long again, and moving nested tasks between threads (work stealing)
+//! saved no time on a 500-monitor suite.
 //!
 //! Panics in tasks are contained: every task of the scope still runs, and
 //! the first payload is re-thrown from `scope` afterwards.
@@ -30,7 +22,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use expresso_exec::Task;
+/// One task of a scope; it may borrow from the frame enclosing the scope.
+type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 type Payload = Box<dyn std::any::Any + Send + 'static>;
 
@@ -51,18 +44,12 @@ pub struct SchedulerStats {
     pub steals: usize,
     /// Tasks a fan-out thread took from a top-level scope.
     pub injector_pops: usize,
-    /// Tasks run inline on a thread that is not one of this scheduler's
-    /// fan-out threads (every task of a zero-worker scheduler).
-    pub helper_executed: usize,
-    /// Tasks submitted through the [`expresso_exec::Executor`] façade — the
-    /// batch-shaped entry point lower crates fan work out on. Today its only
-    /// client is abduction's candidate-subset evaluation, so this counts the
-    /// invariant-inference tasks; zero under a suite analysis means
-    /// abduction silently stopped going through the scheduler (the
-    /// `reproduce` tripwire fails loud on exactly that).
+    /// Always 0: abduction runs inline in its monitor's task. Leaves with
+    /// ROADMAP item 6(b2).
+    #[doc(hidden)]
     pub abduction_tasks: usize,
-    /// Tasks run on each fan-out thread, by thread index: the ones it
-    /// claimed and the ones of the scopes nested in them.
+    /// Tasks each fan-out thread claimed from a top-level scope, by thread
+    /// index (a nested scope's tasks are counted in `tasks_executed` only).
     pub per_worker_executed: Vec<usize>,
 }
 
@@ -74,8 +61,6 @@ impl SchedulerStats {
             Metric::counter("workers", self.workers as u64),
             Metric::counter("tasks_executed", self.tasks_executed as u64),
             Metric::counter("injector_pops", self.injector_pops as u64),
-            Metric::counter("helper_executed", self.helper_executed as u64),
-            Metric::counter("abduction_tasks", self.abduction_tasks as u64),
         ]
     }
 
@@ -86,8 +71,6 @@ impl SchedulerStats {
         self.workers = self.workers.max(other.workers);
         self.tasks_executed += other.tasks_executed;
         self.injector_pops += other.injector_pops;
-        self.helper_executed += other.helper_executed;
-        self.abduction_tasks += other.abduction_tasks;
         if self.per_worker_executed.len() < other.per_worker_executed.len() {
             self.per_worker_executed
                 .resize(other.per_worker_executed.len(), 0);
@@ -110,8 +93,7 @@ impl SchedulerStats {
             tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
             steals: 0,
             injector_pops: self.injector_pops.saturating_sub(earlier.injector_pops),
-            helper_executed: self.helper_executed.saturating_sub(earlier.helper_executed),
-            abduction_tasks: self.abduction_tasks.saturating_sub(earlier.abduction_tasks),
+            abduction_tasks: 0,
             per_worker_executed: self
                 .per_worker_executed
                 .iter()
@@ -137,9 +119,9 @@ impl SchedulerStats {
 }
 
 thread_local! {
-    /// `(scheduler address, thread index)` while the current thread is a
-    /// fan-out thread of some scope; a scope opened here runs inline.
-    static FAN_OUT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// Set while the current thread is a fan-out thread of some scope; a
+    /// scope opened here runs inline.
+    static FAN_OUT: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The analysis fan-out. See the module documentation.
@@ -147,8 +129,6 @@ thread_local! {
 pub struct Scheduler {
     tasks_executed: AtomicUsize,
     injector_pops: AtomicUsize,
-    helper_executed: AtomicUsize,
-    abduction_tasks: AtomicUsize,
     per_worker_executed: Box<[AtomicUsize]>,
 }
 
@@ -160,8 +140,6 @@ impl Scheduler {
         Scheduler {
             tasks_executed: AtomicUsize::new(0),
             injector_pops: AtomicUsize::new(0),
-            helper_executed: AtomicUsize::new(0),
-            abduction_tasks: AtomicUsize::new(0),
             per_worker_executed: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
@@ -200,8 +178,7 @@ impl Scheduler {
             tasks_executed: load(&self.tasks_executed),
             steals: 0,
             injector_pops: load(&self.injector_pops),
-            helper_executed: load(&self.helper_executed),
-            abduction_tasks: load(&self.abduction_tasks),
+            abduction_tasks: 0,
             per_worker_executed: self.per_worker_executed.iter().map(load).collect(),
         }
     }
@@ -213,7 +190,6 @@ impl Scheduler {
     /// no task runs.
     pub fn scope<'scope, R>(&'scope self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
         let scope = Scope {
-            scheduler: self,
             tasks: RefCell::new(Vec::new()),
         };
         let result = f(&scope);
@@ -221,20 +197,14 @@ impl Scheduler {
         result
     }
 
-    fn id(&self) -> usize {
-        self as *const Scheduler as usize
-    }
-
     /// Runs `tasks` to completion: on fan-out threads from a top-level
     /// scope, inline otherwise. Re-throws the first task panic.
     fn run(&self, tasks: Vec<Task<'_>>) {
         let first_panic = Mutex::new(None);
         let threads = self.workers().min(tasks.len());
-        let nested = FAN_OUT.with(Cell::get);
-        if threads == 0 || nested.is_some() {
-            let index = nested.and_then(|(id, index)| (id == self.id()).then_some(index));
+        if threads == 0 || FAN_OUT.with(Cell::get) {
             for task in tasks {
-                self.execute(task, index, &first_panic);
+                self.execute(task, &first_panic);
             }
         } else {
             self.injector_pops.fetch_add(tasks.len(), Ordering::Relaxed);
@@ -245,11 +215,12 @@ impl Scheduler {
                     std::thread::Builder::new()
                         .name(format!("expresso-worker-{index}"))
                         .spawn_scoped(s, move || {
-                            FAN_OUT.with(|f| f.set(Some((self.id(), index))));
+                            FAN_OUT.with(|f| f.set(true));
                             loop {
                                 let task = queue.lock().expect(UNPOISONED).next();
                                 let Some(task) = task else { break };
-                                self.execute(task, Some(index), first_panic);
+                                self.per_worker_executed[index].fetch_add(1, Ordering::Relaxed);
+                                self.execute(task, first_panic);
                             }
                         })
                         .expect("spawning an analysis thread");
@@ -261,15 +232,9 @@ impl Scheduler {
         }
     }
 
-    /// Executes one task on the current thread — fan-out thread `index` of
-    /// this scheduler, or (`None`) some other thread — keeping its panic.
-    fn execute(&self, task: Task<'_>, index: Option<usize>, first_panic: &Mutex<Option<Payload>>) {
+    /// Executes one task on the current thread, keeping its panic.
+    fn execute(&self, task: Task<'_>, first_panic: &Mutex<Option<Payload>>) {
         self.tasks_executed.fetch_add(1, Ordering::Relaxed);
-        match index {
-            Some(index) => &self.per_worker_executed[index],
-            None => &self.helper_executed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
         let _span = expresso_obs::span!("sched.task");
         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(task)) {
             first_panic.lock().expect(UNPOISONED).get_or_insert(payload);
@@ -277,27 +242,16 @@ impl Scheduler {
     }
 }
 
-/// The scheduler as an [`expresso_exec::Executor`]: a batch is one scope.
-/// Crates below `core` — abduction's candidate-subset waves — reach the
-/// scheduler through this impl with the dependency arrow still pointing
-/// down: they see only the trait.
-impl expresso_exec::Executor for Scheduler {
-    fn run_batch(&self, tasks: Vec<Task<'_>>) {
-        self.abduction_tasks
-            .fetch_add(tasks.len(), Ordering::Relaxed);
-        self.run(tasks);
-    }
-
-    fn name(&self) -> &'static str {
-        "pool"
-    }
-}
+/// A leftover so that callers that pass the scheduler as an abduction
+/// executor still compile; abduction ignores it. Leaves with ROADMAP item
+/// 6(b2).
+#[doc(hidden)]
+impl expresso_abduction::Executor for Scheduler {}
 
 /// Handle for spawning tasks that may borrow from the frame enclosing a
 /// [`Scheduler::scope`] call. It is not `Sync`, so a task cannot spawn into
 /// its own scope.
 pub struct Scope<'scope> {
-    scheduler: &'scope Scheduler,
     tasks: RefCell<Vec<Task<'scope>>>,
 }
 
@@ -315,11 +269,6 @@ impl<'scope> Scope<'scope> {
     /// others; the first payload is re-thrown from `scope`.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'scope) {
         self.tasks.borrow_mut().push(Box::new(f));
-    }
-
-    /// The scheduler this scope spawns onto.
-    pub fn scheduler(&self) -> &'scope Scheduler {
-        self.scheduler
     }
 }
 
@@ -343,7 +292,7 @@ mod tests {
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
         let stats = pool.stats();
         assert_eq!(stats.tasks_executed, 8);
-        assert_eq!(stats.helper_executed, 8);
+        assert_eq!(stats.injector_pops, 0);
     }
 
     #[test]
@@ -368,7 +317,7 @@ mod tests {
         pool.scope(|outer| {
             for _ in 0..4 {
                 let count = &count;
-                let scheduler = outer.scheduler();
+                let scheduler = &pool;
                 outer.spawn(move || {
                     scheduler.scope(|inner| {
                         for _ in 0..8 {
@@ -437,7 +386,7 @@ mod tests {
             (0..OUTER).map(|_| Mutex::default()).collect();
         pool.scope(|outer| {
             for (i, log) in logs.iter().enumerate() {
-                let (scheduler, max_depth) = (outer.scheduler(), &max_depth);
+                let (scheduler, max_depth) = (pool, &max_depth);
                 let record = move |label: String| {
                     log.lock()
                         .unwrap()
@@ -515,11 +464,7 @@ mod tests {
             let stats = pool.stats();
             assert_eq!(stats.tasks_executed, n);
             assert_eq!(stats.injector_pops, n);
-            assert_eq!(stats.helper_executed, 0);
-            assert_eq!(
-                stats.tasks_executed,
-                stats.per_worker_executed.iter().sum::<usize>() + stats.helper_executed
-            );
+            assert_eq!(stats.per_worker_executed.iter().sum::<usize>(), n);
         }
     }
 
@@ -534,9 +479,7 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.tasks_executed, 32);
-        let attributed: usize =
-            stats.per_worker_executed.iter().sum::<usize>() + stats.helper_executed;
-        assert_eq!(attributed, 32);
+        assert_eq!(stats.per_worker_executed.iter().sum::<usize>(), 32);
         let utilization: f64 = stats.worker_utilization().iter().sum();
         assert!(utilization <= 1.0 + 1e-9);
     }

@@ -1,7 +1,6 @@
-//! Stress tests for the analysis scheduler: deeply nested scopes, panic
-//! containment under load, many concurrent scopes from several threads, and
-//! counter consistency — the patterns the pipeline relies on (suite tasks
-//! opening placement and abduction scopes that run inline inside them).
+//! Stress tests for the analysis scheduler: deeply nested scopes (which run
+//! inline), panic containment under load, many concurrent scopes from
+//! several threads, and counter consistency.
 
 use expresso_core::scheduler::Scheduler;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,9 +21,8 @@ fn deeply_nested_scopes_complete() {
             return;
         }
         pool.scope(|scope| {
-            let scheduler = scope.scheduler();
             for _ in 0..3 {
-                scope.spawn(move || fan_out(scheduler, count, depth - 1));
+                scope.spawn(move || fan_out(pool, count, depth - 1));
             }
         });
     }
@@ -44,7 +42,7 @@ fn sequential_pool_nested_scopes_run_inline() {
     pool.scope(|outer| {
         for _ in 0..4 {
             let count = &count;
-            let scheduler = outer.scheduler();
+            let scheduler = &pool;
             outer.spawn(move || {
                 scheduler.scope(|inner| {
                     for _ in 0..4 {
@@ -60,7 +58,7 @@ fn sequential_pool_nested_scopes_run_inline() {
     let stats = pool.stats();
     assert_eq!(stats.workers, 0);
     assert_eq!(stats.tasks_executed, 20);
-    assert_eq!(stats.helper_executed, 20);
+    assert_eq!(stats.injector_pops, 0);
 }
 
 #[test]
@@ -70,7 +68,7 @@ fn panic_in_nested_task_reaches_the_outer_scope_and_pool_survives() {
     let result = catch_unwind(AssertUnwindSafe(|| {
         pool.scope(|outer| {
             let finished = &finished;
-            let scheduler = outer.scheduler();
+            let scheduler = &pool;
             outer.spawn(move || {
                 scheduler.scope(|inner| {
                     inner.spawn(|| panic!("inner task exploded"));
@@ -135,8 +133,8 @@ fn many_foreign_threads_share_one_pool() {
     assert_eq!(total.load(Ordering::Relaxed), 6 * 10 * 8);
     let stats = pool.stats();
     assert_eq!(stats.tasks_executed, 480);
-    let attributed: usize = stats.per_worker_executed.iter().sum::<usize>() + stats.helper_executed;
-    assert_eq!(attributed, stats.tasks_executed);
+    let claimed: usize = stats.per_worker_executed.iter().sum();
+    assert_eq!(claimed, stats.tasks_executed);
 }
 
 #[test]

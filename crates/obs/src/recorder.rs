@@ -6,7 +6,9 @@
 //! reads plus a push onto a buffer only its own thread ever appends to (the
 //! buffer's mutex is uncontended except during [`drain`]). Buffers are
 //! registered in a process-wide list so spans recorded by pool workers and
-//! dead threads survive until drained.
+//! dead threads survive until drained; a drain drops the buffers of threads
+//! that have exited, so the list holds at most one per live thread plus the
+//! exited ones not yet drained.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -194,22 +196,22 @@ pub struct ThreadTrace {
 /// whose guards are still open are not included — they record at drop and
 /// will surface in a later drain.
 pub fn drain() -> Vec<ThreadTrace> {
-    let registry = REGISTRY.lock().unwrap();
-    let mut traces: Vec<ThreadTrace> = registry
-        .iter()
-        .filter_map(|buffer| {
-            let records = std::mem::take(&mut *buffer.records.lock().unwrap());
-            if records.is_empty() {
-                None
-            } else {
-                Some(ThreadTrace {
-                    tid: buffer.tid,
-                    thread_name: buffer.thread_name.clone(),
-                    records,
-                })
-            }
-        })
-        .collect();
+    let mut registry = REGISTRY.lock().unwrap();
+    let mut traces = Vec::new();
+    registry.retain(|buffer| {
+        // Only the registry holds the buffer of a thread that has exited.
+        // Read that before taking the records, so none can arrive after.
+        let exited = Arc::strong_count(buffer) == 1;
+        let records = std::mem::take(&mut *buffer.records.lock().unwrap());
+        if !records.is_empty() {
+            traces.push(ThreadTrace {
+                tid: buffer.tid,
+                thread_name: buffer.thread_name.clone(),
+                records,
+            });
+        }
+        !exited
+    });
     traces.sort_by_key(|trace| trace.tid);
     traces
 }
@@ -218,8 +220,13 @@ pub fn drain() -> Vec<ThreadTrace> {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that switch recording on or drain: both are
+    /// process-wide.
+    static GLOBALS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn disabled_records_nothing_enabled_records_nested() {
+        let _guard = GLOBALS.lock().unwrap();
         let _ = drain();
         {
             let _span = crate::span!("test.off");
@@ -250,5 +257,31 @@ mod tests {
         assert!(records[1].end_ns <= records[2].end_ns);
 
         assert!(drain().is_empty(), "drain must flush");
+    }
+
+    #[test]
+    fn a_drain_drops_the_buffers_of_exited_threads() {
+        let _guard = GLOBALS.lock().unwrap();
+        set_enabled(true);
+        let names: Vec<String> = (0..50).map(|i| format!("short-lived-{i}")).collect();
+        for name in &names {
+            std::thread::Builder::new()
+                .name(name.clone())
+                .spawn(|| drop(crate::span!("test.short_lived")))
+                .unwrap()
+                .join()
+                .unwrap();
+        }
+        set_enabled(false);
+        let drained = drain();
+        // Every exited thread's records are delivered once …
+        for name in &names {
+            assert!(drained.iter().any(|t| &t.thread_name == name), "{name}");
+        }
+        // … and its buffer leaves with them: what stays is the few threads
+        // of the test harness, not one lane per thread that ever recorded.
+        let registry = REGISTRY.lock().unwrap();
+        assert!(!registry.iter().any(|b| names.contains(&b.thread_name)));
+        assert!(registry.len() < names.len(), "{} buffers", registry.len());
     }
 }

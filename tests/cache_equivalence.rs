@@ -11,7 +11,6 @@ use expresso_repro::core::{
     place_signals_with, AnalysisOutcome, Expresso, ExpressoConfig, PlacementConfig,
     PlacementReport, SharedAnalysisContext,
 };
-use expresso_repro::exec::Executor;
 use expresso_repro::logic::{EvalError, Formula, FormulaId, Valuation};
 use expresso_repro::monitor_lang::{check_monitor, parse_monitor, ExplicitMonitor, Monitor};
 use expresso_repro::persist::{self, Artifact, FormulaRow, LoadResult, Row};
@@ -98,11 +97,10 @@ fn assert_expected_placement(name: &str, outcome: &AnalysisOutcome) {
 /// to the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Route {
-    /// `analyze_with_context`, monitor by monitor: each is one task on the
-    /// calling thread and the scheduler sees nothing.
+    /// `analyze_with_context`, monitor by monitor, on the calling thread:
+    /// the scheduler sees nothing.
     OneByOne,
-    /// One `analyze_suite` call per monitor: a single fan-out task whose
-    /// abduction waves and pair obligations run in scopes nested in it.
+    /// One `analyze_suite` call per monitor: a single fan-out task each.
     OneElementSuites,
     /// One `analyze_suite` call for all sixteen.
     WholeSuite,
@@ -160,19 +158,16 @@ fn scheduler_modes_are_bit_identical_across_the_suite() {
             if route == Route::OneByOne {
                 // A monitor on its own is analysed where it was asked for.
                 assert_eq!(
-                    (pool.tasks_executed, pool.abduction_tasks),
-                    (0, 0),
+                    pool.tasks_executed, 0,
                     "analysis_threads={threads} {route:?}: the scheduler was handed work"
                 );
             } else {
-                // Under a suite, abduction must actually be routed through
-                // the context's scheduler: its executor façade counts every
-                // dispatched closure. One-element suites exercise the nested
-                // scopes monitor by monitor.
-                assert!(
-                    pool.abduction_tasks > 0 && pool.tasks_executed > pool.abduction_tasks,
-                    "analysis_threads={threads} {route:?}: no nested fan-out reached the \
-                     scheduler: {pool:?}"
+                // Under a suite, one task per monitor and nothing nested: a
+                // monitor's own analysis is sequential code.
+                assert_eq!(
+                    pool.tasks_executed,
+                    monitors.len(),
+                    "analysis_threads={threads} {route:?}: {pool:?}"
                 );
             }
         }
@@ -399,14 +394,12 @@ fn staged_analysis(context: &SharedAnalysisContext, monitor: &Monitor) -> Staged
     solver.begin_analysis_epoch();
     let wp_cache = context.wp_store().session();
     let abduction = AbductionConfig {
-        executor: Some(Arc::clone(context.scheduler()) as Arc<dyn Executor>),
         wp_cache: Some(Arc::clone(&wp_cache)),
         ..AbductionConfig::default()
     };
     let inferred = infer_monitor_invariant_configured(monitor, &table, solver, &abduction);
     let placement = PlacementConfig {
         wp_cache: Some(Arc::clone(&wp_cache)),
-        scheduler: Some(Arc::clone(context.scheduler())),
         ..PlacementConfig::default()
     };
     let (explicit, report) =

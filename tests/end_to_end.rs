@@ -3,14 +3,13 @@
 //! runtime.
 
 use expresso_repro::abduction::infer_monitor_invariant;
-use expresso_repro::core::{place_signals_with, to_java, Expresso, PlacementConfig, Scheduler};
+use expresso_repro::core::{place_signals_with, to_java, Expresso, PlacementConfig};
 use expresso_repro::logic::Valuation;
 use expresso_repro::monitor_lang::{check_monitor, initial_state, NotificationKind};
 use expresso_repro::runtime::{run_saturation, AutoSynchRuntime, ExplicitRuntime, MonitorRuntime};
 use expresso_repro::semantics::{check_equivalence, EquivalenceConfig, ThreadSpec};
 use expresso_repro::smt::Solver;
 use expresso_repro::suite::{all, autosynch_benchmarks};
-use std::sync::Arc;
 
 #[test]
 fn every_benchmark_analyzes_and_generates_code() {
@@ -49,7 +48,6 @@ fn placement_asks_at_most_one_query_per_triple() {
         let before = solver.stats();
         let config = PlacementConfig {
             use_commutativity: false,
-            scheduler: Some(Arc::new(Scheduler::with_analysis_threads(1))),
             ..PlacementConfig::default()
         };
         let (_, report) = place_signals_with(&monitor, &table, &solver, &invariant, &config);
