@@ -288,7 +288,6 @@ pub fn scheduler_suite(ledger: &mut Ledger) {
         "sequential_wp_cache_hits" => wp.hits,
         "workers" => scheduler.workers,
         "tasks_executed" => scheduler.tasks_executed,
-        "injector_pops" => scheduler.injector_pops,
         "per_worker_executed" => Value::from_iter(scheduler.per_worker_executed.iter().copied()),
         "worker_utilization" => Value::from_iter(utilization.iter().map(|&u| fixed(u, 4))),
         "wp_cache_hits" => wp.hits,

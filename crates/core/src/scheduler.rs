@@ -42,8 +42,6 @@ pub struct SchedulerStats {
     pub tasks_executed: usize,
     /// Always 0: nothing is stolen. Leaves with ROADMAP item 6(b).
     pub steals: usize,
-    /// Tasks a fan-out thread took from a top-level scope.
-    pub injector_pops: usize,
     /// Always 0: abduction runs inline in its monitor's task. Leaves with
     /// ROADMAP item 6(b2).
     #[doc(hidden)]
@@ -60,7 +58,6 @@ impl SchedulerStats {
         vec![
             Metric::counter("workers", self.workers as u64),
             Metric::counter("tasks_executed", self.tasks_executed as u64),
-            Metric::counter("injector_pops", self.injector_pops as u64),
         ]
     }
 
@@ -70,7 +67,6 @@ impl SchedulerStats {
     pub fn merge(&mut self, other: &SchedulerStats) {
         self.workers = self.workers.max(other.workers);
         self.tasks_executed += other.tasks_executed;
-        self.injector_pops += other.injector_pops;
         if self.per_worker_executed.len() < other.per_worker_executed.len() {
             self.per_worker_executed
                 .resize(other.per_worker_executed.len(), 0);
@@ -92,7 +88,6 @@ impl SchedulerStats {
             workers: self.workers,
             tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
             steals: 0,
-            injector_pops: self.injector_pops.saturating_sub(earlier.injector_pops),
             abduction_tasks: 0,
             per_worker_executed: self
                 .per_worker_executed
@@ -128,7 +123,6 @@ thread_local! {
 #[derive(Debug)]
 pub struct Scheduler {
     tasks_executed: AtomicUsize,
-    injector_pops: AtomicUsize,
     per_worker_executed: Box<[AtomicUsize]>,
 }
 
@@ -139,7 +133,6 @@ impl Scheduler {
     pub fn with_workers(workers: usize) -> Self {
         Scheduler {
             tasks_executed: AtomicUsize::new(0),
-            injector_pops: AtomicUsize::new(0),
             per_worker_executed: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
@@ -177,7 +170,6 @@ impl Scheduler {
             workers: self.workers(),
             tasks_executed: load(&self.tasks_executed),
             steals: 0,
-            injector_pops: load(&self.injector_pops),
             abduction_tasks: 0,
             per_worker_executed: self.per_worker_executed.iter().map(load).collect(),
         }
@@ -207,7 +199,6 @@ impl Scheduler {
                 self.execute(task, &first_panic);
             }
         } else {
-            self.injector_pops.fetch_add(tasks.len(), Ordering::Relaxed);
             let queue = Mutex::new(tasks.into_iter());
             std::thread::scope(|s| {
                 for index in 0..threads {
@@ -292,7 +283,7 @@ mod tests {
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
         let stats = pool.stats();
         assert_eq!(stats.tasks_executed, 8);
-        assert_eq!(stats.injector_pops, 0);
+        assert_eq!(stats.per_worker_executed.iter().sum::<usize>(), 0);
     }
 
     #[test]
@@ -463,7 +454,6 @@ mod tests {
             assert!(!distinct.contains(&caller));
             let stats = pool.stats();
             assert_eq!(stats.tasks_executed, n);
-            assert_eq!(stats.injector_pops, n);
             assert_eq!(stats.per_worker_executed.iter().sum::<usize>(), n);
         }
     }

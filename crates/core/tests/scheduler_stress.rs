@@ -58,7 +58,7 @@ fn sequential_pool_nested_scopes_run_inline() {
     let stats = pool.stats();
     assert_eq!(stats.workers, 0);
     assert_eq!(stats.tasks_executed, 20);
-    assert_eq!(stats.injector_pops, 0);
+    assert_eq!(stats.per_worker_executed.iter().sum::<usize>(), 0);
 }
 
 #[test]

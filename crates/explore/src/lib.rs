@@ -316,13 +316,11 @@ pub fn explore(
         report.disjointness_cache_hits = independence.cache_hits;
     }
     // The workload is resolved and the monitor compiled here, once per
-    // relation; every pair below is a copy of these two. The explorer
-    // reconstructs counterexamples from its own search path, so neither
-    // stepper records a trace.
+    // relation; every pair below is a copy of these two.
     let initial = || workload.initial.clone();
     let programs = || workload.programs.clone();
-    let implicit = Stepper::implicit(monitor, table, initial(), programs())?.record_trace(false);
-    let explicit = Stepper::explicit(explicit, table, initial(), programs())?.record_trace(false);
+    let implicit = Stepper::implicit(monitor, table, initial(), programs())?;
+    let explicit = Stepper::explicit(explicit, table, initial(), programs())?;
     let directions = [
         (
             SemanticsMode::Implicit,

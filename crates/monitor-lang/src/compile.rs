@@ -52,11 +52,10 @@
 //! the `semantics::Stepper` of the schedule explorer that judges them. A
 //! judge may not silently inherit a bug of this file, so the tree-walking
 //! interpreter stays as the reference everywhere one is needed, and shares
-//! nothing with what it checks: `initial_state`; `run_implicit` /
-//! `run_explicit`, which replay on named state every trace the compiled
-//! stepper generates for `check_equivalence`; the reference stepper of
+//! nothing with what it checks: `initial_state`; the reference stepper of
 //! `tests/stepper_lockstep`, stepped side by side with the compiled one over
-//! every schedule of every suite monitor at small bounds; and
+//! every schedule of every suite monitor at small bounds and on seeded
+//! random schedules of four-thread workloads; and
 //! `tests/compile_differential.rs`, guard by guard and body by body.
 
 use crate::ast::{BinOp, CcrId, Expr, Monitor, Stmt, Type, UnOp};

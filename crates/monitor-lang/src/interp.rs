@@ -4,10 +4,9 @@
 //! [`Valuation`]s, by name. Nothing hot runs on it any more: the concurrent
 //! runtime (`expresso-runtime`) and the stepper the schedule explorer drives
 //! (`expresso-semantics`) run the same code compiled ([`crate::compile`]).
-//! It is the reference they are held to — the compiler's test oracle, the
-//! evaluator of whole-trace replay (`run_implicit` / `run_explicit`) and of
-//! the reference stepper in `tests/stepper_lockstep` — and what builds a
-//! monitor's initial state.
+//! It is the reference they are held to — the compiler's test oracle and the
+//! evaluator of the reference stepper in `tests/stepper_lockstep` — and what
+//! builds a monitor's initial state.
 
 use crate::ast::{BinOp, Expr, Monitor, Stmt, Type, UnOp};
 use crate::check::VarTable;

@@ -1,5 +1,4 @@
-//! Trace semantics for implicit- and explicit-signal monitors (paper §3) and
-//! the Definition 3.4 equivalence check used by the differential tests.
+//! Trace semantics for implicit- and explicit-signal monitors (paper §3).
 //!
 //! A *trace* is a sequence of events `(thread, ccr, fired)`; `fired = false`
 //! records that the thread attempted the CCR and blocked, `fired = true` that
@@ -8,22 +7,14 @@
 //! (Figs. 5–6) wakes only the threads selected by the CCR's `signal` /
 //! `broadcast` annotations.
 //!
-//! Because monitors are infinite-state, the equivalence of Definition 3.4 is
-//! checked on *sampled* traces: the [`Simulator`] generates feasible
-//! (normalized) traces of one semantics and replays them under the other,
-//! comparing feasibility and final states. Generation and replay share no
-//! evaluator: the [`Stepper`] behind the simulator (and behind the schedule
-//! explorer) runs compiled code over flat state, [`run_implicit`] /
-//! [`run_explicit`] the tree-walking interpreter over named state.
+//! Both relations are one type, the [`Stepper`], which runs compiled code over
+//! flat state. Definition 3.4 is checked on it by the schedule explorer
+//! (`expresso-explore`), which steps both relations over every schedule of a
+//! bounded workload; `tests/stepper_lockstep` holds the stepper to a
+//! tree-walking reference on every configuration it reaches.
 
-pub mod equivalence;
 pub mod minimize;
 pub mod step;
-pub mod trace;
 
-pub use equivalence::{check_equivalence, EquivalenceConfig, EquivalenceReport};
 pub use minimize::{minimize_schedule, ReplayVerdict};
-pub use step::{SemanticsMode, Stepper, ThreadProgram};
-pub use trace::{
-    run_explicit, run_implicit, Event, ExecError, Simulator, ThreadSpec, Trace, TraceOutcome,
-};
+pub use step::{Event, ExecError, SemanticsMode, Stepper, ThreadProgram, ThreadSpec, Trace};

@@ -1,5 +1,5 @@
-//! The controllable step API shared by the random simulator and the
-//! systematic schedule explorer.
+//! The implicit and explicit transition relations as one controllable
+//! executor, the one the systematic schedule explorer drives.
 //!
 //! A [`Stepper`] holds one configuration of either transition relation — the
 //! shared state, each thread's position in its call sequence, and the paper's
@@ -9,24 +9,13 @@
 //! * [`Stepper::enabled_events`] — enumerate every transition the relation
 //!   permits from the current configuration, in deterministic thread order;
 //! * [`Stepper::step`] — take one transition, validating it against the
-//!   relation (the feasibility rules `run_implicit` / `run_explicit` enforce
-//!   during whole-trace replay);
+//!   relation's feasibility rules;
 //! * [`Stepper::unstep`] — take the last transition back, so a depth-first
 //!   search walks one configuration down and up instead of copying it per
-//!   branch;
-//! * [`Stepper::fingerprint`] — a deterministic hash of the full
-//!   configuration (shared state, locals, program counters, B and N), which
-//!   `tests/stepper_lockstep` holds injective over every reached
-//!   configuration.
+//!   branch.
 //!
-//! The random `Simulator` in [`crate::trace`] and the systematic explorer in
-//! `expresso-explore` both drive this one stepper, so the two modes cannot
-//! drift apart semantically.
-//!
-//! Unlike the trace-replay entry points, a stepper runs each thread through a
-//! *sequence* of monitor-method calls (a [`ThreadProgram`]), which is what a
-//! bounded exploration workload needs; a single-call program reproduces the
-//! classic `ThreadSpec` behaviour exactly.
+//! A stepper runs each thread through a *sequence* of monitor-method calls
+//! (a [`ThreadProgram`]), which is what a bounded exploration workload needs.
 //!
 //! # Representation
 //!
@@ -43,25 +32,112 @@
 //!
 //! # What keeps this honest
 //!
-//! The explorer built on this stepper judges the engines, and it now runs the
-//! evaluator they run. Two things stand between a `compile` bug and a wrong
-//! verdict. `run_implicit` / `run_explicit` still replay whole traces on the
-//! tree-walking interpreter, so every trace `check_equivalence` samples is
-//! generated here and replayed there. And `tests/stepper_lockstep` keeps the
-//! stepper this one replaced — named state, tree evaluator — and steps the
-//! two side by side over every schedule of every suite monitor at small
-//! bounds: same enabled sets, same acceptances and rejections, same
-//! configurations, `unstep` exact, fingerprints injective.
+//! The explorer built on this stepper judges the engines, and it runs the
+//! evaluator they run. What stands between a `compile` bug and a wrong
+//! verdict is `tests/stepper_lockstep`: it keeps a stepper over named state
+//! and the tree-walking interpreter, and steps the two side by side — over
+//! every schedule of every suite monitor at small bounds, and on seeded
+//! random schedules of four-thread workloads: same enabled sets, same
+//! acceptances and rejections, same configurations, `unstep` exact.
 
-use crate::trace::{Event, ExecError, ThreadSpec, Trace};
-use expresso_logic::{FxHasher, Valuation};
+use expresso_logic::Valuation;
 use expresso_monitor_lang::{
-    CcrId, ExplicitMonitor, Frame, Locals, Monitor, NotificationKind, Program, SignalCondition,
-    VarTable,
+    CcrId, ExplicitMonitor, Frame, Locals, Monitor, NotificationKind, Program, RuntimeError,
+    SignalCondition, VarTable,
 };
-use std::hash::{Hash, Hasher};
+use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
+
+/// A monitor event: thread `thread` attempted CCR `ccr`; `fired` tells whether
+/// the guard held (body executed) or the thread blocked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Event {
+    /// Thread identifier (index into the workload's thread list).
+    pub thread: usize,
+    /// The CCR attempted.
+    pub ccr: CcrId,
+    /// `true` when the body executed, `false` when the thread blocked.
+    pub fired: bool,
+}
+
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "({}, {}, {})",
+            self.thread,
+            self.ccr,
+            if self.fired { "true" } else { "false" }
+        )
+    }
+}
+
+/// A sequence of events.
+pub type Trace = Vec<Event>;
+
+/// One call of a thread's program: the monitor method it runs and its
+/// thread-local variables (method parameters).
+#[derive(Debug, Clone)]
+pub struct ThreadSpec {
+    /// Name of the monitor method the call executes.
+    pub method: String,
+    /// Values of the method's parameters (thread-local state).
+    pub locals: Valuation,
+}
+
+impl ThreadSpec {
+    /// Creates a thread spec with no parameters.
+    pub fn new(method: impl Into<String>) -> Self {
+        ThreadSpec {
+            method: method.into(),
+            locals: Valuation::new(),
+        }
+    }
+
+    /// Creates a thread spec with explicit parameter values.
+    pub fn with_locals(method: impl Into<String>, locals: Valuation) -> Self {
+        ThreadSpec {
+            method: method.into(),
+            locals,
+        }
+    }
+}
+
+/// Errors from building or stepping a [`Stepper`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecError {
+    /// The event is not feasible under the given transition relation.
+    Infeasible(String),
+    /// Evaluation failed (unbound variable, bad array access, …).
+    Runtime(RuntimeError),
+    /// An event referenced an unknown thread or a CCR other than the
+    /// thread's current one, or a program names an unknown method or binds
+    /// shared state as a local.
+    MalformedTrace(String),
+    /// The workload or a bound is past the width of a fixed-size set (threads
+    /// of a stepper, events or depth of an exploration).
+    TooLarge(String),
+}
+
+impl fmt::Display for ExecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExecError::Infeasible(m) => write!(f, "trace is infeasible: {m}"),
+            ExecError::Runtime(e) => write!(f, "runtime error: {e}"),
+            ExecError::MalformedTrace(m) => write!(f, "malformed trace: {m}"),
+            ExecError::TooLarge(m) => write!(f, "too large to run: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+impl From<RuntimeError> for ExecError {
+    fn from(e: RuntimeError) -> Self {
+        ExecError::Runtime(e)
+    }
+}
 
 /// One thread's workload: the monitor-method calls it performs, in order.
 pub type ThreadProgram = Vec<ThreadSpec>;
@@ -146,10 +222,13 @@ impl Resolved {
                         spec.method
                     )));
                 }
-                let locals = program
-                    .layout()
-                    .bind(&spec.locals)
-                    .map_err(|name| shared_binding(t, &name))?;
+                // Merged over the shared state by name, a local that names
+                // a shared variable would forge it.
+                let locals = program.layout().bind(&spec.locals).map_err(|name| {
+                    ExecError::MalformedTrace(format!(
+                        "thread {t} binds `{name}`, which is shared state, as a local"
+                    ))
+                })?;
                 plan.ccrs.extend_from_slice(&method.ccrs);
                 plan.calls.push(Call {
                     end: plan.ccrs.len(),
@@ -183,14 +262,6 @@ impl Resolved {
             notifications,
         })
     }
-}
-
-/// The rejection of a thread whose locals name a shared variable: merged
-/// over the shared state by name, such a binding would forge it.
-pub(crate) fn shared_binding(thread: usize, name: &str) -> ExecError {
-    ExecError::MalformedTrace(format!(
-        "thread {thread} binds `{name}`, which is shared state, as a local"
-    ))
 }
 
 /// One thread's part of a configuration.
@@ -236,8 +307,8 @@ pub struct Stepper<'a> {
     resolved: Arc<Resolved>,
     /// Whether [`Stepper::enabled_events`] offers spurious wake-ups (a
     /// notified thread re-checking a false guard and going back to sleep).
-    /// [`Stepper::step`] always *accepts* them, mirroring `run_implicit`'s
-    /// rule (1b) — the flag only controls enumeration.
+    /// [`Stepper::step`] always *accepts* them (rule 1b) — the flag only
+    /// controls enumeration.
     allow_spurious: bool,
     frame: Frame,
     threads: Vec<Thread>,
@@ -245,11 +316,8 @@ pub struct Stepper<'a> {
     blocked: u64,
     notified: u64,
     undo: Undo,
-    /// Executed events, when recording is on (see [`Stepper::record_trace`]).
-    trace: Trace,
-    /// Events executed so far (tracked independently of recording).
+    /// Events executed so far.
     steps: usize,
-    recording: bool,
     used_spurious: bool,
     /// The constructors borrow the monitor and callers name `Stepper<'_>`;
     /// everything a step needs was resolved out of the borrow.
@@ -325,28 +393,17 @@ impl<'a> Stepper<'a> {
             blocked: 0,
             notified: 0,
             undo: Undo::default(),
-            trace: Vec::new(),
             steps: 0,
-            recording: true,
             used_spurious: false,
             monitor: PhantomData,
         })
     }
 
     /// Sets whether spurious wake-ups are *enumerated* (they are always
-    /// accepted by [`Stepper::step`]). Defaults to the historical simulator
-    /// behaviour: off for implicit steppers (normalized traces), on for
-    /// explicit ones.
+    /// accepted by [`Stepper::step`]). Defaults to off for implicit steppers
+    /// (normalized traces), on for explicit ones.
     pub fn with_spurious_wakeups(mut self, allow: bool) -> Self {
         self.allow_spurious = allow;
-        self
-    }
-
-    /// Sets whether executed events are recorded in [`Stepper::trace`]
-    /// (default: on). An explorer that reconstructs counterexamples from its
-    /// own search path turns recording off.
-    pub fn record_trace(mut self, record: bool) -> Self {
-        self.recording = record;
         self
     }
 
@@ -389,16 +446,6 @@ impl<'a> Stepper<'a> {
             call => self.resolved.plans[t].calls[call - 1].end,
         };
         (thread.call, thread.pc - start)
-    }
-
-    /// The events executed so far (empty when recording is off).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the stepper, returning the executed trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
     }
 
     /// Number of events executed so far.
@@ -508,9 +555,8 @@ impl<'a> Stepper<'a> {
         Ok(())
     }
 
-    /// Executes one event, validating it against the transition relation —
-    /// the same feasibility rules `run_implicit` / `run_explicit` enforce
-    /// during whole-trace replay, including acceptance of spurious wake-ups.
+    /// Executes one event, validating it against the transition relation's
+    /// feasibility rules, which accept spurious wake-ups.
     ///
     /// # Errors
     ///
@@ -576,9 +622,6 @@ impl<'a> Stepper<'a> {
             self.blocked |= bit;
         }
         self.steps += 1;
-        if self.recording {
-            self.trace.push(event);
-        }
         Ok(())
     }
 
@@ -652,16 +695,13 @@ impl<'a> Stepper<'a> {
 
     /// Takes the last executed step back and returns its event, or `None`
     /// when no step has been executed (a copy of a stepper can take back the
-    /// steps the original had made). Exact: the configuration, counters and
-    /// fingerprint are those before the step.
+    /// steps the original had made). Exact: the configuration and counters are
+    /// those before the step.
     pub fn unstep(&mut self) -> Option<Event> {
         if self.undo.taken.is_empty() {
             return None;
         }
         self.steps -= 1;
-        if self.recording {
-            self.trace.pop();
-        }
         Some(self.revert())
     }
 
@@ -692,25 +732,6 @@ impl<'a> Stepper<'a> {
             fired: taken.fired,
         }
     }
-
-    /// A deterministic fingerprint of the full configuration: shared state,
-    /// per-thread locals and program counters, and the B and N sets. Two
-    /// configurations with equal fingerprints are (modulo hash collisions)
-    /// identical, which is what a cycle check over reached configurations
-    /// needs.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hasher = FxHasher::default();
-        self.frame.scalars().hash(&mut hasher);
-        self.frame.arrays().hash(&mut hasher);
-        for thread in &self.threads {
-            thread.call.hash(&mut hasher);
-            thread.pc.hash(&mut hasher);
-            thread.locals.slots().hash(&mut hasher);
-        }
-        self.blocked.hash(&mut hasher);
-        self.notified.hash(&mut hasher);
-        hasher.finish()
-    }
 }
 
 /// The set bits of `mask`, lowest first.
@@ -727,7 +748,6 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{run_implicit, TraceOutcome};
     use expresso_monitor_lang::{check_monitor, parse_monitor};
 
     fn counter() -> (Monitor, VarTable) {
@@ -750,29 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn stepper_traces_replay_under_run_implicit() {
-        let (m, t) = counter();
-        let programs: Vec<ThreadProgram> = vec![
-            vec![ThreadSpec::new("acquire"), ThreadSpec::new("acquire")],
-            vec![ThreadSpec::new("release"), ThreadSpec::new("release")],
-        ];
-        let mut stepper = Stepper::implicit(&m, &t, init(&m, &t), programs).unwrap();
-        // Drive to completion taking the first enabled event each time.
-        while let Some(&event) = stepper.enabled_events().unwrap().first() {
-            stepper.step(event).unwrap();
-        }
-        assert!(stepper.all_finished());
-        assert_eq!(stepper.shared().int("count"), Some(0));
-        // Single-call threads replay through the classic entry point; the
-        // multi-call trace reuses CCR ids across calls, which run_implicit's
-        // single-method model also accepts for this monitor.
-        let flat: Vec<ThreadSpec> = vec![ThreadSpec::new("acquire"), ThreadSpec::new("release")];
-        let TraceOutcome { final_state, .. } =
-            run_implicit(&m, &t, &init(&m, &t), &flat, stepper.trace()).unwrap();
-        assert_eq!(final_state.int("count"), Some(0));
-    }
-
-    #[test]
     fn step_rejects_infeasible_events() {
         let (m, t) = counter();
         let acquire = m.method("acquire").unwrap().ccrs[0];
@@ -786,7 +783,7 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, ExecError::Infeasible(_)));
-        // Blocking is the feasible move; the trace records it.
+        // Blocking is the feasible move; it is counted.
         stepper
             .step(Event {
                 thread: 0,
@@ -797,27 +794,6 @@ mod tests {
         assert_eq!(stepper.steps(), 1);
         assert!(stepper.enabled_events().unwrap().is_empty(), "deadlocked");
         assert!(!stepper.all_finished());
-    }
-
-    #[test]
-    fn fingerprints_are_deterministic_and_state_sensitive() {
-        let (m, t) = counter();
-        let programs = vec![
-            vec![ThreadSpec::new("release")],
-            vec![ThreadSpec::new("acquire")],
-        ];
-        let a = Stepper::implicit(&m, &t, init(&m, &t), programs.clone()).unwrap();
-        let b = Stepper::implicit(&m, &t, init(&m, &t), programs).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let mut c = b.clone();
-        let release = m.method("release").unwrap().ccrs[0];
-        c.step(Event {
-            thread: 0,
-            ccr: release,
-            fired: true,
-        })
-        .unwrap();
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
@@ -887,14 +863,7 @@ mod tests {
                 )
             })
             .collect();
-        (
-            s.shared(),
-            threads,
-            s.steps(),
-            s.used_spurious_wakeup(),
-            s.trace().clone(),
-            s.fingerprint(),
-        )
+        (s.shared(), threads, s.steps(), s.used_spurious_wakeup())
     }
 
     #[test]

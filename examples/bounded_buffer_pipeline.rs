@@ -1,14 +1,16 @@
 //! Bounded buffer: inspect every stage of the pipeline on the classic
-//! producer/consumer monitor — the inferred invariant, the decision table,
-//! the generated code, and a differential check of Definition 3.4 equivalence
-//! on sampled traces.
+//! producer/consumer monitor — the inferred invariant, the generated code,
+//! and Definition 3.4 checked by the schedule explorer on every schedule of
+//! two producers and two consumers. Exits 1 when the explorer reports a
+//! divergence.
 //!
 //! Run with `cargo run --example bounded_buffer_pipeline`.
 
 use expresso_repro::core::{to_java, Expresso};
+use expresso_repro::explore::{explore, render_trace, ExploreConfig, Workload};
 use expresso_repro::logic::Valuation;
 use expresso_repro::monitor_lang::{check_monitor, initial_state, parse_monitor};
-use expresso_repro::semantics::{check_equivalence, EquivalenceConfig, ThreadSpec};
+use expresso_repro::semantics::ThreadSpec;
 
 const SOURCE: &str = r#"
     monitor BoundedBuffer(int capacity) requires capacity > 0 {
@@ -45,31 +47,41 @@ fn main() {
         to_java(&outcome.explicit)
     );
 
-    // Differential testing: Definition 3.4 on sampled traces.
+    // Definition 3.4 on every schedule of two producers and two consumers.
     let mut ctor = Valuation::new();
     ctor.set_int("capacity", 3);
     let initial = initial_state(&monitor, &table, &ctor).expect("initial state");
     let mut producer_locals = Valuation::new();
     producer_locals.set_int("item", 42);
-    let threads = vec![
-        ThreadSpec::with_locals("put", producer_locals.clone()),
-        ThreadSpec::with_locals("put", producer_locals),
-        ThreadSpec::new("take"),
-        ThreadSpec::new("take"),
-    ];
-    let report = check_equivalence(
+    let put = vec![ThreadSpec::with_locals("put", producer_locals)];
+    let take = vec![ThreadSpec::new("take")];
+    let workload = Workload {
+        initial,
+        programs: vec![put.clone(), put, take.clone(), take],
+    };
+    let report = explore(
         &monitor,
-        &outcome.explicit,
         &table,
-        &initial,
-        &threads,
-        &EquivalenceConfig::default(),
+        &outcome.explicit,
+        &workload,
+        &ExploreConfig::default(),
     )
-    .expect("equivalence check runs");
+    .expect("exploration runs");
     println!(
-        "Definition 3.4 sampling: {} implicit→explicit and {} explicit→implicit traces replayed, {} violations.",
-        report.implicit_to_explicit_ok,
-        report.explicit_to_implicit_ok,
-        report.violations.len()
+        "Definition 3.4 exploration: {} implicit-driven and {} explicit-driven executions, {} divergences.",
+        report.implicit.executions,
+        report.explicit.executions,
+        report.divergences.len()
     );
+    for divergence in &report.divergences {
+        println!(
+            "{:?}-driven divergence: {}\n{}",
+            divergence.driver,
+            divergence.reason,
+            render_trace(&monitor, &divergence.trace)
+        );
+    }
+    if !report.holds() {
+        std::process::exit(1);
+    }
 }

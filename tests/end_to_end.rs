@@ -1,13 +1,13 @@
 //! Workspace-level integration tests: the full pipeline on the benchmark
-//! suite, cross-checked against the trace semantics and the concurrent
-//! runtime.
+//! suite, cross-checked against the trace semantics (through the schedule
+//! explorer) and the concurrent runtime.
 
 use expresso_repro::abduction::infer_monitor_invariant;
 use expresso_repro::core::{place_signals_with, to_java, Expresso, PlacementConfig};
+use expresso_repro::explore::{benchmark_workload, explore, ExploreConfig};
 use expresso_repro::logic::Valuation;
-use expresso_repro::monitor_lang::{check_monitor, initial_state, NotificationKind};
+use expresso_repro::monitor_lang::{check_monitor, NotificationKind};
 use expresso_repro::runtime::{run_saturation, AutoSynchRuntime, ExplicitRuntime, MonitorRuntime};
-use expresso_repro::semantics::{check_equivalence, EquivalenceConfig, ThreadSpec};
 use expresso_repro::smt::Solver;
 use expresso_repro::suite::{all, autosynch_benchmarks};
 
@@ -87,39 +87,28 @@ fn readers_writers_runtime_agrees_across_engines() {
 
 #[test]
 fn synthesized_monitors_are_trace_equivalent_on_samples() {
-    // Definition 3.4 sampling for a representative subset (running it for all
-    // 14 benchmarks is covered by the per-crate tests and the examples).
+    // Definition 3.4 on every schedule of four one-call threads, for a
+    // representative subset (`tests/exploration.rs` explores all 16 at 2x2).
     for name in ["ReadersWriters", "ConcurrencyThrottle", "PendingPostQueue"] {
         let benchmark = all().into_iter().find(|b| b.name == name).unwrap();
         let monitor = benchmark.monitor();
         let table = check_monitor(&monitor).unwrap();
         let outcome = Expresso::new().analyze(&monitor).unwrap();
-        let ctor = (benchmark.ctor_args)(4);
-        let initial = initial_state(&monitor, &table, &ctor).unwrap();
-        let plans = (benchmark.plans)(4, 1);
-        let threads: Vec<ThreadSpec> = plans
-            .iter()
-            .filter_map(|plan| plan.first())
-            .map(|op| ThreadSpec::with_locals(op.method.clone(), op.locals.clone()))
-            .collect();
-        let report = check_equivalence(
+        let workload = benchmark_workload(&benchmark, &monitor, &table, 4, 1).unwrap();
+        let report = explore(
             &monitor,
-            &outcome.explicit,
             &table,
-            &initial,
-            &threads,
-            &EquivalenceConfig {
-                samples: 8,
-                max_events: 30,
-                seed: 11,
-            },
+            &outcome.explicit,
+            &workload,
+            &ExploreConfig::default(),
         )
         .unwrap();
         assert!(
             report.holds(),
             "{name}: equivalence violations {:?}",
-            report.violations
+            report.divergences
         );
+        assert!(report.implicit.executions > 0 && report.explicit.executions > 0);
     }
 }
 

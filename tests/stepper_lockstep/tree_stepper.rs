@@ -10,17 +10,16 @@
 //! slow and obviously right, which is what a reference is for. The logic of
 //! `enabled_events` and `step` is the retired stepper's, line for line; what
 //! changed is the type's name and the visibility of its fields (the harness
-//! reads them), and what went is what nobody here calls: the trace-recording
-//! switch and the fingerprint (the harness compares whole configurations).
+//! reads them), and what went is what nobody here calls: the recorded trace
+//! and the fingerprint (the harness keeps its own path and compares whole
+//! configurations).
 //! No library target contains this file.
 
 use expresso_repro::logic::Valuation;
 use expresso_repro::monitor_lang::{
     CcrId, ExplicitMonitor, Interpreter, Monitor, NotificationKind, SignalCondition, VarTable,
 };
-use expresso_repro::semantics::{
-    Event, ExecError, SemanticsMode, ThreadProgram, ThreadSpec, Trace,
-};
+use expresso_repro::semantics::{Event, ExecError, SemanticsMode, ThreadProgram, ThreadSpec};
 use std::collections::BTreeSet;
 
 /// A blocked/notified entry: `(thread, ccr)` as in the paper's B and N sets.
@@ -85,8 +84,8 @@ pub struct TreeStepper<'a> {
     explicit: Option<&'a ExplicitMonitor>,
     /// Whether [`TreeStepper::enabled_events`] offers spurious wake-ups (a
     /// notified thread re-checking a false guard and going back to sleep).
-    /// [`TreeStepper::step`] always *accepts* them, mirroring `run_implicit`'s
-    /// rule (1b) — the flag only controls enumeration.
+    /// [`TreeStepper::step`] always *accepts* them (rule 1b) — the flag only
+    /// controls enumeration.
     allow_spurious: bool,
     pub shared: Valuation,
     /// Immutable after construction; shared so cloning a stepper is a
@@ -101,8 +100,6 @@ pub struct TreeStepper<'a> {
     pub ccr_idx: Vec<usize>,
     pub blocked: BTreeSet<Entry>,
     pub notified: BTreeSet<Entry>,
-    /// Executed events.
-    trace: Trace,
     /// Events executed so far.
     steps: usize,
     used_spurious: bool,
@@ -171,16 +168,14 @@ impl<'a> TreeStepper<'a> {
             ccr_idx: vec![0; n],
             blocked: BTreeSet::new(),
             notified: BTreeSet::new(),
-            trace: Vec::new(),
             steps: 0,
             used_spurious: false,
         })
     }
 
     /// Sets whether spurious wake-ups are *enumerated* (they are always
-    /// accepted by [`TreeStepper::step`]). Defaults to the historical simulator
-    /// behaviour: off for implicit steppers (normalized traces), on for
-    /// explicit ones.
+    /// accepted by [`TreeStepper::step`]). Defaults to off for implicit
+    /// steppers (normalized traces), on for explicit ones.
     pub fn with_spurious_wakeups(mut self, allow: bool) -> Self {
         self.allow_spurious = allow;
         self
@@ -193,11 +188,6 @@ impl<'a> TreeStepper<'a> {
         } else {
             SemanticsMode::Implicit
         }
-    }
-
-    /// The events executed so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Number of events executed so far.
@@ -323,9 +313,8 @@ impl<'a> TreeStepper<'a> {
         Ok(actions)
     }
 
-    /// Executes one event, validating it against the transition relation —
-    /// the same feasibility rules `run_implicit` / `run_explicit` enforce
-    /// during whole-trace replay, including acceptance of spurious wake-ups.
+    /// Executes one event, validating it against the transition relation's
+    /// feasibility rules, which accept spurious wake-ups.
     ///
     /// # Errors
     ///
@@ -448,7 +437,6 @@ impl<'a> TreeStepper<'a> {
             self.advance(t);
         }
         self.steps += 1;
-        self.trace.push(event);
         Ok(())
     }
 
