@@ -19,13 +19,15 @@ use std::sync::Arc;
 #[doc(hidden)]
 pub trait Executor: std::fmt::Debug + Send + Sync {}
 
+/// Maximum number of variables a candidate may mention.
+const MAX_KEPT_VARS: usize = 2;
+
+/// Maximum number of candidate subsets explored.
+const MAX_SUBSETS: usize = 48;
+
 /// Tunables for [`abduce_ids`].
 #[derive(Debug, Clone)]
 pub struct AbductionConfig {
-    /// Maximum number of variables a candidate may mention.
-    pub max_kept_vars: usize,
-    /// Maximum number of candidate subsets explored.
-    pub max_subsets: usize,
     /// Maximum number of candidates returned.
     pub max_results: usize,
     /// Ignored: subsets are evaluated in order on the calling thread. Kept
@@ -45,8 +47,6 @@ pub struct AbductionConfig {
 impl Default for AbductionConfig {
     fn default() -> Self {
         AbductionConfig {
-            max_kept_vars: 2,
-            max_subsets: 48,
             max_results: 4,
             executor: None,
             wp_cache: None,
@@ -84,13 +84,13 @@ pub fn abduce_ids(
     // Enumerate the kept-variable subsets in preference order (fewer
     // variables first) up to the exploration budget.
     let mut kept_sets: Vec<BTreeSet<Ident>> = Vec::new();
-    for size in 1..=config.max_kept_vars.min(all_vars.len()) {
+    for size in 1..=MAX_KEPT_VARS.min(all_vars.len()) {
         kept_sets.extend(subsets_of_size(&all_vars, size));
-        if kept_sets.len() >= config.max_subsets {
+        if kept_sets.len() >= MAX_SUBSETS {
             break;
         }
     }
-    kept_sets.truncate(config.max_subsets);
+    kept_sets.truncate(MAX_SUBSETS);
 
     // Scan the subsets in preference order, stopping as soon as the result
     // budget is met. For each, quantifier elimination (Cooper's procedure,
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn dispatch_stops_once_the_result_budget_is_met() {
-        // Four variables under max_kept_vars = 2 give ten subsets, each one
+        // Four variables under MAX_KEPT_VARS = 2 give ten subsets, each one
         // quantifier elimination the solver has not seen. With
         // max_results = 1 the first subset already yields an accepted
         // candidate, so the scan must stop well short of the tenth.

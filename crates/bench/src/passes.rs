@@ -566,9 +566,10 @@ type Explored = (ExploreReport, Duration, Option<(usize, Duration)>);
 /// Explores `benchmark`'s workload of `shape` (threads, operations per
 /// thread) on the shared pool: DPOR with lockstep conformance checking under
 /// the solver-refined independence relation (its pairwise guard-disjointness
-/// / commutation conditions go through the context's memoizing store, once
-/// per monitor), then, if `naive`, plain enumeration counting only. A
-/// divergence is printed with its minimised schedule.
+/// / commutation proofs go through the context's memoizing solver, once per
+/// monitor, and are counted in its `disjointness()`), then, if `naive`,
+/// plain enumeration counting only. A divergence is printed with its
+/// minimised schedule.
 fn explore_benchmark(
     context: &SharedAnalysisContext,
     benchmark: &Benchmark,
@@ -581,16 +582,13 @@ fn explore_benchmark(
     let table = check_monitor(&monitor).expect("benchmark checks");
     let workload = benchmark_workload(benchmark, &monitor, &table, threads, ops_per_thread)
         .unwrap_or_else(|e| panic!("{} failed workload construction: {e}", benchmark.name));
-    let before = context.disjointness_stats();
     let refined = refine_independence(&monitor, &table, context.solver(), context.disjointness());
-    let after = context.disjointness_stats();
     let dpor_config = ExploreConfig {
         preemption_bound,
         scheduler: Some(Arc::clone(Scheduler::global())),
         independence: Some(Arc::new(RefinedIndependence {
             table: refined,
-            queries: after.queries - before.queries,
-            cache_hits: after.hits - before.hits,
+            ..RefinedIndependence::default()
         })),
         ..ExploreConfig::default()
     };
@@ -636,12 +634,13 @@ pub fn exploration(
     let context = SharedAnalysisContext::new(pipeline.config());
     let mut rows = Vec::new();
     let (mut dpor_total, mut naive_total, mut reduction_sum) = (0, 0, 0.0);
-    let (mut blocked, mut queries, mut cache_hits, mut divergences) = (0, 0, 0, 0);
+    let (mut blocked, mut divergences) = (0, 0);
     let (mut dpor_time, mut transitions) = (Duration::ZERO, 0);
     for benchmark in benchmarks {
         let outcome = pipeline
             .analyze_with_context(&context, &benchmark.monitor())
             .unwrap_or_else(|e| panic!("{} failed analysis: {e}", benchmark.name));
+        let before = context.disjointness_stats().queries;
         let (dpor, dpor_wall, naive_run) = explore_benchmark(
             &context,
             benchmark,
@@ -650,6 +649,7 @@ pub fn exploration(
             preemption_bound,
             naive,
         );
+        let proofs = context.disjointness_stats().queries - before;
         let naive_executions = naive_run.map(|(executions, _)| executions);
         let reduction = naive_executions.map(|n| ratio(n as f64, dpor.executions() as f64));
         dpor_time += dpor_wall;
@@ -658,8 +658,6 @@ pub fn exploration(
         naive_total += naive_executions.unwrap_or(0);
         reduction_sum += reduction.unwrap_or(0.0);
         blocked += dpor.sleep_set_blocked();
-        queries += dpor.disjointness_queries;
-        cache_hits += dpor.disjointness_cache_hits;
         divergences += dpor.divergences.len();
         rows.push(obj! {
             "name" => benchmark.name,
@@ -669,8 +667,7 @@ pub fn exploration(
             "transitions" => dpor.transitions(),
             "sleep_prunes" => dpor.implicit.sleep_prunes + dpor.explicit.sleep_prunes,
             "sleep_set_blocked" => dpor.sleep_set_blocked(),
-            "disjointness_queries" => dpor.disjointness_queries,
-            "disjointness_cache_hits" => dpor.disjointness_cache_hits,
+            "disjointness_queries" => proofs,
             "capped_subtrees" => dpor.implicit.capped_roots + dpor.explicit.capped_roots,
             "divergences" => dpor.divergences.len(),
             "dpor_ms" => ms(dpor_wall),
@@ -693,8 +690,7 @@ pub fn exploration(
         "reduction_factor" => naive.then(|| fixed(reduction_factor, 3)),
         "mean_reduction" => naive.then(|| fixed(mean_reduction, 3)),
         "sleep_set_blocked" => blocked,
-        "disjointness_queries" => queries,
-        "disjointness_cache_hits" => cache_hits,
+        "disjointness_queries" => context.disjointness_stats().queries,
         "divergences" => divergences,
         "per_benchmark" => rows,
     };

@@ -187,13 +187,12 @@ impl SharedAnalysisContext {
     /// nothing more. Its outcome records answer for the monitors they were
     /// computed from without any cache being filled. Its leaf sections are
     /// **seeded on first use**: [`solver`](Self::solver),
-    /// [`wp_store`](Self::wp_store), [`disjointness`](Self::disjointness)
-    /// and [`persist`](Self::persist) intern the node tables through this
-    /// context's own arena — each distinct node once, so arena-local ids
-    /// never cross processes — and fill the memo tables by row, once,
-    /// before they return; whoever gets there first pays, everybody else
-    /// waits for it or never asks. A pass in which every monitor is replayed
-    /// therefore never seeds, and anything built on those four accessors
+    /// [`wp_store`](Self::wp_store) and [`persist`](Self::persist) intern the
+    /// node tables through this context's own arena — each distinct node
+    /// once, so arena-local ids never cross processes — and fill the memo
+    /// tables by row, once, before they return; whoever gets there first
+    /// pays, everybody else waits for it or never asks. A pass in which every monitor is replayed
+    /// therefore never seeds, and anything built on those three accessors
     /// sees exactly the caches an eager seed would have left. A corrupt
     /// artifact (truncated, bit-flipped, wrong format version, dangling row
     /// reference) degrades to a cold start with a warning on stderr — it
@@ -258,7 +257,7 @@ impl SharedAnalysisContext {
             let (_, ids) = artifact
                 .write()
                 .expect("no reader of the artifact panics")
-                .seed_into(&self.solver, &self.wp_store, &self.disjointness);
+                .seed_into(&self.solver, &self.wp_store);
             self.outcome_counters
                 .seed_forced
                 .store(true, Ordering::Relaxed);
@@ -298,10 +297,10 @@ impl SharedAnalysisContext {
     }
 
     /// A [`expresso_obs::MetricsRegistry`] with every one of this context's
-    /// subsystems pre-registered: solver, arena, WP store, disjointness
-    /// store, scheduler and the outcome lookups (`core.outcomes`: monitors
-    /// replayed, monitors analysed for want of a record, whether the
-    /// deferred seed ran). Snapshots read live values — reading forces
+    /// subsystems pre-registered: solver, arena, WP store, the refinement's
+    /// pair-proof counter, scheduler and the outcome lookups
+    /// (`core.outcomes`: monitors replayed, monitors analysed for want of a
+    /// record, whether the deferred seed ran). Snapshots read live values — reading forces
     /// nothing — so one registry built up front can be sampled before,
     /// during and after analyses.
     pub fn metrics_registry(&self) -> expresso_obs::MetricsRegistry {
@@ -375,7 +374,7 @@ impl SharedAnalysisContext {
         outcomes.extend(analysed.iter().map(|(k, r)| (k.clone(), r.clone())));
         drop(analysed);
         let (solver, wp_store) = (&self.solver, &self.wp_store);
-        expresso_persist::save(dir, solver, wp_store, &self.disjointness, outcomes).map(Some)
+        expresso_persist::save(dir, solver, wp_store, outcomes).map(Some)
     }
 
     /// The key `monitor`'s outcome is recorded under — when a cache
@@ -482,17 +481,19 @@ impl SharedAnalysisContext {
         &self.wp_store
     }
 
-    /// The suite-wide CCR-pair disjointness/independence store backing the
-    /// explorer's refined dependence relation. Seeded from the warm-start
-    /// artifact (see [`Self::new`]) and persisted alongside the other memo
-    /// tables.
+    /// The counter of the pair proofs `expresso_vcgen::refine_independence`
+    /// runs against this context (the `vcgen.disjointness` metric group). It
+    /// holds no verdict and nothing seeds it. Hidden: any store counts as
+    /// well, and this one stays only so existing callers compile; it leaves
+    /// with ROADMAP item 6(b2).
+    #[doc(hidden)]
     pub fn disjointness(&self) -> &Arc<DisjointnessStore> {
-        self.force_seed();
         &self.disjointness
     }
 
-    /// Cumulative disjointness-store counters (fresh computations vs verdicts
-    /// served from the store) across every refinement run so far.
+    /// The pair proofs counted by `disjointness()` so far. Kept only so
+    /// existing callers compile; leaves with ROADMAP item 6(b2).
+    #[doc(hidden)]
     pub fn disjointness_stats(&self) -> DisjointnessStats {
         self.disjointness.stats()
     }

@@ -46,7 +46,7 @@
 //!
 //! # Parallelism
 //!
-//! Every schedule prefix of length [`ExploreConfig::split_depth`] is
+//! Every schedule prefix of length two is
 //! expanded with *every* enabled choice — a superset of any DPOR backtrack
 //! set, so every cross-prefix reordering is covered by some sibling root —
 //! while later siblings still inherit earlier choices into their sleep sets.
@@ -72,20 +72,26 @@ use expresso_semantics::{
 use expresso_suite::Benchmark;
 use std::sync::Arc;
 
-/// A solver-refined independence table plus the cost of computing it.
+/// Prefix length expanded without pruning before subtrees are handed to the
+/// scheduler.
+const SPLIT_DEPTH: usize = 2;
+
+/// A solver-refined independence table.
 ///
 /// Built once per monitor (see `expresso_vcgen::refine_independence`) and
-/// shared across exploration runs; the query counters are copied into the
-/// [`ExploreReport`] so benchmark output can attribute the analysis cost.
+/// shared across exploration runs.
 #[derive(Debug, Clone, Default)]
 pub struct RefinedIndependence {
     /// Pairwise fire×fire verdicts (`true` = proven independent), keyed on
     /// `(smaller CcrId, larger CcrId)`.
     pub table: IndependenceTable,
-    /// Disjointness/commutation computations that had to run (suite-wide
-    /// store misses) while building this table.
+    /// Ignored. Kept only so existing callers compile; leaves with ROADMAP
+    /// item 6(b2).
+    #[doc(hidden)]
     pub queries: usize,
-    /// Verdicts served from the suite-wide disjointness store.
+    /// Ignored. Kept only so existing callers compile; leaves with ROADMAP
+    /// item 6(b2).
+    #[doc(hidden)]
     pub cache_hits: usize,
 }
 
@@ -113,9 +119,6 @@ pub struct ExploreConfig {
     /// Per-subtree cap on executions — a deterministic time governor for
     /// CI; capped subtrees are counted in [`DirectionStats::capped_roots`].
     pub max_executions_per_root: usize,
-    /// Prefix length expanded without pruning before subtrees are handed to
-    /// the scheduler.
-    pub split_depth: usize,
     /// Enumeration strategy.
     pub strategy: Strategy,
     /// Run the follower semantics in lockstep and flag divergences. Disabled
@@ -142,7 +145,6 @@ impl Default for ExploreConfig {
             max_steps: 48,
             preemption_bound: None,
             max_executions_per_root: 50_000,
-            split_depth: 2,
             strategy: Strategy::Dpor,
             check: true,
             explore_spurious: false,
@@ -216,11 +218,6 @@ pub struct ExploreReport {
     /// Every divergence found (at most one per direction: a direction stops
     /// at its first violation).
     pub divergences: Vec<Divergence>,
-    /// Disjointness/commutation computations run to build the independence
-    /// table this report used (0 when unrefined or fully cache-served).
-    pub disjointness_queries: usize,
-    /// Independence verdicts served from the suite-wide disjointness store.
-    pub disjointness_cache_hits: usize,
 }
 
 impl ExploreReport {
@@ -311,10 +308,6 @@ pub fn explore(
     dep.check_width(workload.programs.len())?;
     dfs::check_depth(config.max_steps)?;
     let mut report = ExploreReport::default();
-    if let Some(independence) = &config.independence {
-        report.disjointness_queries = independence.queries;
-        report.disjointness_cache_hits = independence.cache_hits;
-    }
     // The workload is resolved and the monitor compiled here, once per
     // relation; every pair below is a copy of these two.
     let initial = || workload.initial.clone();
@@ -398,7 +391,7 @@ struct Split<'a> {
     frontier: Vec<Prefix<'a>>,
 }
 
-/// Expands every schedule prefix of length `split_depth` from `initial`, the
+/// Expands every schedule prefix of length `SPLIT_DEPTH` from `initial`, the
 /// lockstep pair of one direction in its initial configuration, with no
 /// pruning, so sibling roots cover every cross-prefix reordering.
 fn split<'a>(
@@ -415,7 +408,7 @@ fn split<'a>(
         budget: cfg.preemption_bound,
         last_thread: None,
     }];
-    for _ in 0..cfg.split_depth {
+    for _ in 0..SPLIT_DEPTH {
         let mut next = Vec::new();
         for prefix in frontier {
             if prefix.pair.driver.steps() >= cfg.max_steps {

@@ -90,14 +90,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => err(format!("invalid bool byte {other}")),
-        }
-    }
-
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -161,7 +153,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
+        assert_eq!(r.u8().unwrap(), 1);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.i64().unwrap(), -42);
@@ -185,12 +177,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.seq().is_err());
-    }
-
-    #[test]
-    fn invalid_bool_is_rejected() {
-        let mut r = Reader::new(&[3]);
-        assert!(r.bool().is_err());
     }
 
     #[test]

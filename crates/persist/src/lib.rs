@@ -17,7 +17,7 @@
 //! `SharedAnalysisContext` in `expresso-core`, which loads the artifact,
 //! replays what it can and seeds only when something has to be analysed).
 //!
-//! # What format v6 holds
+//! # What format v7 holds
 //!
 //! [`FormulaId`]s are arena-local — dense indices minted in interning order
 //! — so the artifact names formulas by rows, one per distinct arena node:
@@ -31,12 +31,13 @@
 //!   bytes the live WP store keys on. The loader checksums them with the
 //!   rest of the payload and never decodes them: a statement is a key to
 //!   compare, not a tree to rebuild;
-//! * the sat / QE / WP / disjointness sections are row numbers plus
-//!   verdicts. A sat verdict is a tag and carries no model. There is no
-//!   theory section: the solver's lemmas are re-learned in well under a
-//!   millisecond per monitor. The WP section is flat `(statement row,
-//!   postcondition row, result)` triples, ascending; a disjointness entry
-//!   names each side by guard row and body statement row;
+//! * the sat / QE / WP sections are row numbers plus verdicts. A sat
+//!   verdict is a tag and carries no model. There is no theory section: the
+//!   solver's lemmas are re-learned in well under a millisecond per monitor.
+//!   There is no section for the explorer's fire-independence refinement
+//!   either: each of its verdicts is a conjunction of solver queries, which
+//!   the sat section holds. The WP section is flat `(statement row,
+//!   postcondition row, result)` triples, ascending;
 //! * the outcome section is one record per monitor: its key — a hash and
 //!   the canonical bytes of the monitor's AST plus the two configuration
 //!   fields that change the answer — the invariant as a row of the same
@@ -74,7 +75,7 @@
 //! Seeding is **deferred**. [`load`] validates everything and seeds nothing;
 //! a `SharedAnalysisContext` keeps the artifact and seeds — once, moving the
 //! leaf entries out of it rather than copying them — the first time its
-//! `solver()`, `wp_store()`, `disjointness()` or `persist()` is called, or
+//! `solver()`, `wp_store()` or `persist()` is called, or
 //! when `analyze_suite` finds a monitor it has to analyse. A run that
 //! replays every monitor never pays for the leaf sections beyond loading
 //! them; anything built on those accessors sees what an eager seed would
@@ -113,7 +114,7 @@
 //! * **Corruption:** the payload is guarded by a magic, a format version, its
 //!   length and a word-wise, folded FNV-1a checksum, all verified *before*
 //!   decoding; a truncated, bit-flipped or version-mismatched file (any
-//!   artifact of v2 to v5 included: there is one format) loads as
+//!   artifact of v2 to v6 included: there is one format) loads as
 //!   [`LoadResult::Corrupt`] and the caller falls back to a cold start with
 //!   a warning — never a panic, never a wrong verdict.
 //! * **Hostile payloads:** a file whose checksum is *right* still cannot
@@ -170,7 +171,6 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Default cache directory, relative to the working directory, used when no
 /// explicit path is configured (see `ExpressoConfig::cache_dir` and the
@@ -203,29 +203,14 @@ const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 /// taught the QE section `TranslateError::Overflow`. v6 stores statements as
 /// opaque canonical bytes in one section that the WP and disjointness
 /// sections name by row, and writes the WP section as flat `(statement,
-/// postcondition, result)` triples instead of per-statement groups.
-pub const FORMAT_VERSION: u32 = 6;
+/// postcondition, result)` triples instead of per-statement groups. v7
+/// dropped the disjointness section again: its verdicts are conjunctions of
+/// solver queries that the sat section already holds.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// One persisted WP-store entry: the statement's row in the statement
 /// section, the postcondition's row and the memoized `wp(stmt, post)`.
 pub type WpArtifactEntry = (Row, Row, Result<Row, WpError>);
-
-/// One persisted CCR-pair independence verdict: both sides' guard rows and
-/// body statement rows (the content-addressed key), plus the verdict. Any
-/// edit to either CCR re-keys the pair, so stale verdicts never match again.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DisjointnessArtifactEntry {
-    /// Lowered guard of the first CCR (a formula row).
-    pub guard_a: Row,
-    /// Body of the first CCR (a statement row).
-    pub body_a: Row,
-    /// Lowered guard of the second CCR (a formula row).
-    pub guard_b: Row,
-    /// Body of the second CCR (a statement row).
-    pub body_b: Row,
-    /// Whether the pair was proven conditionally independent.
-    pub independent: bool,
-}
 
 /// The process-independent snapshot of every memo table, as written to and
 /// read from disk.
@@ -243,7 +228,6 @@ pub struct Artifact {
     /// Canonical statement bytes, never decoded.
     statements: Vec<Box<[u8]>>,
     wp: Vec<WpArtifactEntry>,
-    disjointness: Vec<DisjointnessArtifactEntry>,
     /// Strictly ascending by key; every invariant names a row
     /// [`table::small_trees`] vouches for.
     outcomes: Vec<(OutcomeKey, OutcomeRecord)>,
@@ -264,7 +248,6 @@ impl Artifact {
             sat: self.sat.len(),
             qe: self.qe.len(),
             wp: self.wp.len(),
-            disjointness: self.disjointness.len(),
             outcomes: self.outcomes.len(),
         }
     }
@@ -306,12 +289,6 @@ impl Artifact {
         &self.wp
     }
 
-    /// CCR-pair independence verdicts keyed on both sides' guard + body
-    /// content.
-    pub fn disjointness(&self) -> &[DisjointnessArtifactEntry] {
-        &self.disjointness
-    }
-
     /// Monitor-level outcome records, ascending by key.
     pub fn outcomes(&self) -> &[(OutcomeKey, OutcomeRecord)] {
         &self.outcomes
@@ -351,8 +328,6 @@ pub struct SaveReport {
     pub theory: usize,
     /// WP-store entries written.
     pub wp: usize,
-    /// Disjointness verdicts written.
-    pub disjointness: usize,
     /// Monitor-level outcome records written.
     pub outcomes: usize,
     /// Size of the artifact file in bytes.
@@ -371,8 +346,6 @@ pub struct SeedReport {
     pub qe: usize,
     /// WP-store entries seeded.
     pub wp: usize,
-    /// Disjointness verdicts seeded.
-    pub disjointness: usize,
     /// Monitor-level outcome records on offer. [`seed`] reports none: a
     /// record is looked up in the artifact, not copied into a cache.
     pub outcomes: usize,
@@ -381,7 +354,7 @@ pub struct SeedReport {
 impl SeedReport {
     /// Total entries across every section.
     pub fn total(&self) -> usize {
-        self.sat + self.qe + self.wp + self.disjointness + self.outcomes
+        self.sat + self.qe + self.wp + self.outcomes
     }
 }
 
@@ -389,12 +362,11 @@ impl fmt::Display for SeedReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} entries (sat {}, qe {}, wp {}, disjointness {}, outcomes {})",
+            "{} entries (sat {}, qe {}, wp {}, outcomes {})",
             self.total(),
             self.sat,
             self.qe,
             self.wp,
-            self.disjointness,
             self.outcomes
         )
     }
@@ -417,17 +389,15 @@ pub enum LoadResult {
 // Export: memo tables → artifact (ids → canonical rows)
 // ---------------------------------------------------------------------------
 
-/// Snapshots the solver's two memo tables, the WP store and the
-/// disjointness store into a process-independent [`Artifact`]: one walk of
-/// the arena DAG from the cached ids numbers every reachable node (see the
-/// module documentation), and every section is put in an order that depends
-/// on its content alone.
-pub fn export_artifact(
-    solver: &Solver,
-    wp_store: &WpStore,
-    disjointness: &DisjointnessStore,
-) -> Artifact {
-    export_with_outcomes(solver, wp_store, disjointness, BTreeMap::new())
+/// Snapshots the solver's two memo tables and the WP store into a
+/// process-independent [`Artifact`]: one walk of the arena DAG from the
+/// cached ids numbers every reachable node (see the module documentation),
+/// and every section is put in an order that depends on its content alone.
+///
+/// The store is ignored: it holds a counter, not a verdict. The parameter
+/// stays only so existing callers compile; it leaves with ROADMAP item 6(b2).
+pub fn export_artifact(solver: &Solver, wp_store: &WpStore, _: &DisjointnessStore) -> Artifact {
+    export_with_outcomes(solver, wp_store, BTreeMap::new())
 }
 
 /// [`export_artifact`] plus the outcome section: `outcomes` name their
@@ -438,13 +408,11 @@ pub fn export_artifact(
 pub fn export_with_outcomes(
     solver: &Solver,
     wp_store: &WpStore,
-    disjointness: &DisjointnessStore,
     outcomes: BTreeMap<OutcomeKey, OutcomeRecord<FormulaId>>,
 ) -> Artifact {
     let sat = solver.export_sat_cache();
     let qe = solver.export_qe_cache();
     let wp = wp_store.export();
-    let pairs = disjointness.export_entries();
 
     let mut roots: Vec<FormulaId> = Vec::new();
     roots.extend(sat.iter().map(|(key, _)| *key));
@@ -456,9 +424,6 @@ pub fn export_with_outcomes(
         roots.push(*post);
         roots.extend(result.as_ref().ok());
     }
-    for (guard_a, _, guard_b, _, _) in &pairs {
-        roots.extend([*guard_a, *guard_b]);
-    }
     roots.extend(outcomes.values().map(|record| record.invariant));
     let numbering = table::number(solver.interner(), roots);
     let row = |id: FormulaId| numbering.row(id);
@@ -469,15 +434,9 @@ pub fn export_with_outcomes(
         .entries
         .iter()
         .map(|(stmt, _, _)| &*wp.statements[*stmt])
-        .chain(pairs.iter().flat_map(|(_, a, _, b, _)| [&**a, &**b]))
         .collect();
     named.sort_unstable();
     named.dedup();
-    let stmt_row = |bytes: &[u8]| {
-        named
-            .binary_search(&bytes)
-            .expect("every named statement is in the section") as Row
-    };
     let rows_by_key: Vec<Option<Row>> = wp
         .statements
         .iter()
@@ -500,17 +459,6 @@ pub fn export_with_outcomes(
         })
         .collect();
     wp_entries.sort_unstable_by_key(|(stmt, post, _)| (*stmt, *post));
-    let mut disjointness: Vec<_> = pairs
-        .iter()
-        .map(|(ga, ba, gb, bb, independent)| DisjointnessArtifactEntry {
-            guard_a: row(*ga),
-            body_a: stmt_row(ba),
-            guard_b: row(*gb),
-            body_b: stmt_row(bb),
-            independent: *independent,
-        })
-        .collect();
-    disjointness.sort_unstable_by_key(|e| (e.guard_a, e.guard_b, e.body_a, e.body_b));
     let statements = named.into_iter().map(Box::from).collect();
     let small = table::small_trees(&numbering.terms, &numbering.formulas);
     let outcomes = outcomes
@@ -529,7 +477,6 @@ pub fn export_with_outcomes(
         qe,
         statements,
         wp: wp_entries,
-        disjointness,
         outcomes,
     }
 }
@@ -539,18 +486,12 @@ pub fn export_with_outcomes(
 // ---------------------------------------------------------------------------
 
 /// Interns the artifact's node tables into `solver`'s arena — each row once,
-/// in row order — and seeds the solver's caches, the WP store and the
-/// disjointness store by row number. Entries already present (a live run
-/// that got there first) are never overwritten. Returns per-table insert
-/// counts. The artifact is left as it was: this seeds from a copy, which is
+/// in row order — and seeds the solver's caches and the WP store by row
+/// number. Entries already present (a live run that got there first) are
+/// never overwritten. Returns per-table insert counts. The artifact is left as it was: this seeds from a copy, which is
 /// what a test wants; a context seeds with [`Artifact::seed_into`].
-pub fn seed(
-    artifact: &Artifact,
-    solver: &Solver,
-    wp_store: &WpStore,
-    disjointness: &DisjointnessStore,
-) -> SeedReport {
-    artifact.clone().seed_into(solver, wp_store, disjointness).0
+pub fn seed(artifact: &Artifact, solver: &Solver, wp_store: &WpStore) -> SeedReport {
+    artifact.clone().seed_into(solver, wp_store).0
 }
 
 impl Artifact {
@@ -565,24 +506,10 @@ impl Artifact {
         &mut self,
         solver: &Solver,
         wp_store: &WpStore,
-        disjointness: &DisjointnessStore,
     ) -> (SeedReport, Vec<FormulaId>) {
         let _span = expresso_obs::span!("persist.seed");
         let ids = table::intern(solver.interner(), &self.terms, &self.formulas);
         let id = |row: Row| ids[row as usize];
-        let body = |row: Row| Arc::from(&*self.statements[row as usize]);
-        let pairs = std::mem::take(&mut self.disjointness)
-            .into_iter()
-            .map(|e| {
-                (
-                    id(e.guard_a),
-                    body(e.body_a),
-                    id(e.guard_b),
-                    body(e.body_b),
-                    e.independent,
-                )
-            })
-            .collect();
         let report = SeedReport {
             outcomes: 0,
             sat: solver.seed_sat_cache(
@@ -597,7 +524,6 @@ impl Artifact {
                     .map(|(key, result)| (id(key), result.map(id)))
                     .collect(),
             ),
-            disjointness: disjointness.seed_entries(pairs),
             wp: wp_store.seed(WpExport {
                 statements: std::mem::take(&mut self.statements),
                 entries: std::mem::take(&mut self.wp)
@@ -622,7 +548,6 @@ impl Artifact {
 //             qe       seq of (row, Ok row | Err translate error)
 //             stmts    seq of byte strings (canonical statement bytes), ascending
 //             wp       seq of (stmt row, row, Ok row | Err wp error), ascending
-//             pairs    seq of (row, stmt row, row, stmt row, verdict)
 //             outcomes seq of (key hash, key bytes, invariant row, candidates, conjuncts,
 //                              triples, seq of (ccr, guard, flags)), ascending by key
 
@@ -698,14 +623,6 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
         w.u32(*post);
         write_result(&mut w, result, write_wp_error);
     }
-    w.seq(artifact.disjointness.len());
-    for entry in &artifact.disjointness {
-        w.u32(entry.guard_a);
-        w.u32(entry.body_a);
-        w.u32(entry.guard_b);
-        w.u32(entry.body_b);
-        w.bool(entry.independent);
-    }
     w.seq(artifact.outcomes.len());
     artifact
         .outcomes
@@ -750,15 +667,6 @@ fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
         let post = r.row(formulas)?;
         let result = read_result(&mut r, formulas, read_wp_error)?;
         artifact.wp.push((stmt, post, result));
-    }
-    for _ in 0..r.seq()? {
-        artifact.disjointness.push(DisjointnessArtifactEntry {
-            guard_a: r.row(formulas)?,
-            body_a: r.row(statements)?,
-            guard_b: r.row(formulas)?,
-            body_b: r.row(statements)?,
-            independent: r.bool()?,
-        });
     }
     let small = table::small_trees(&artifact.terms, &artifact.formulas);
     for _ in 0..r.seq()? {
@@ -814,17 +722,16 @@ pub fn save_artifact(dir: &Path, artifact: &Artifact) -> io::Result<(u64, PathBu
     }
 }
 
-/// Exports the caches of `solver`, `wp_store` and `disjointness` together
-/// with `outcomes` (see [`export_with_outcomes`]) and writes them to `dir`.
+/// Exports the caches of `solver` and `wp_store` together with `outcomes`
+/// (see [`export_with_outcomes`]) and writes them to `dir`.
 pub fn save(
     dir: &Path,
     solver: &Solver,
     wp_store: &WpStore,
-    disjointness: &DisjointnessStore,
     outcomes: BTreeMap<OutcomeKey, OutcomeRecord<FormulaId>>,
 ) -> io::Result<SaveReport> {
     let _span = expresso_obs::span!("persist.save");
-    let artifact = export_with_outcomes(solver, wp_store, disjointness, outcomes);
+    let artifact = export_with_outcomes(solver, wp_store, outcomes);
     let (bytes, path) = save_artifact(dir, &artifact)?;
     let written = artifact.offers();
     let report = SaveReport {
@@ -832,7 +739,6 @@ pub fn save(
         qe: written.qe,
         theory: 0,
         wp: written.wp,
-        disjointness: written.disjointness,
         outcomes: written.outcomes,
         bytes,
         path,
@@ -915,11 +821,11 @@ mod tests {
         NotificationKind, SignalCondition, Stmt, Type, UnOp, VarTable,
     };
     use expresso_vcgen::statement_bytes;
+    use std::sync::Arc;
 
     struct Caches {
         solver: Solver,
         wp: WpStore,
-        pairs: DisjointnessStore,
     }
 
     impl Caches {
@@ -927,17 +833,16 @@ mod tests {
             Caches {
                 solver: Solver::new(),
                 wp: WpStore::new(),
-                pairs: DisjointnessStore::new(),
             }
         }
 
         fn export(&self) -> Artifact {
-            export_artifact(&self.solver, &self.wp, &self.pairs)
+            export_with_outcomes(&self.solver, &self.wp, BTreeMap::new())
         }
 
         fn seeded_from(artifact: &Artifact) -> (Self, SeedReport) {
             let caches = Caches::new();
-            let report = seed(artifact, &caches.solver, &caches.wp, &caches.pairs);
+            let report = seed(artifact, &caches.solver, &caches.wp);
             (caches, report)
         }
     }
@@ -1018,10 +923,6 @@ mod tests {
             posts.reverse();
         }
         seed_statement(&caches.wp, &bump("+ 1"), &table, posts);
-        let body = |delta| Arc::from(statement_bytes(&bump(delta), &table));
-        caches
-            .pairs
-            .seed_entries(vec![(guard, body("+ 1"), truth, body("- 1"), true)]);
         caches
     }
 
@@ -1057,10 +958,10 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let artifact = sample_caches(false).export();
-        assert_eq!(artifact.len(), 6);
+        assert_eq!(artifact.len(), 5);
         assert_eq!(artifact.wp().len(), 2);
-        // The WP entries' statement and both bodies of the pair, once each.
-        assert_eq!(artifact.statements().len(), 2);
+        // The WP entries' statement, once.
+        assert_eq!(artifact.statements().len(), 1);
         // count, 0, 3, 4 — each once, however many formulas mention them.
         assert_eq!(artifact.terms().len(), 4);
         let bytes = encode_artifact(&artifact);
@@ -1166,11 +1067,12 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_corrupt() {
-        // A future version, the format that decoded statements, the one with
-        // a theory section and models, the one without outcome records and
-        // the tree format before it: each is a cold start, none is decoded.
+        // A future version, the format with a disjointness section, the one
+        // that decoded statements, the one with a theory section and models,
+        // the one without outcome records and the tree format before it: each
+        // is a cold start, none is decoded.
         let bytes = encode_artifact(&sample_caches(false).export());
-        for version in [FORMAT_VERSION + 1, 5, 4, 3, 2] {
+        for version in [FORMAT_VERSION + 1, 6, 5, 4, 3, 2] {
             let mut bytes = bytes.clone();
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             assert_corrupt("ver", &bytes, "format version");
@@ -1226,7 +1128,6 @@ mod tests {
         w.u32(0); // statement row
         w.u32(0); // postcondition row
         write_result(&mut w, &Ok::<Row, WpError>(0), write_wp_error);
-        w.seq(0); // disjointness
         w.seq(0); // outcomes
         w.into_bytes()
     }
@@ -1284,20 +1185,10 @@ mod tests {
             assert_eq!(session.stats().hits, 0, "{tag}");
         }
         // A statement row is a row reference like any other: one past the
-        // section is refused, from a WP entry and from either side of a pair.
-        let pristine = sample_caches(false).export();
-        let past = pristine.statements().len() as Row;
-        type Mangle = fn(&mut Artifact, Row);
-        let mangles: [(&str, Mangle); 3] = [
-            ("wp-statement", |a, past| a.wp[0].0 = past),
-            ("pair-body-a", |a, past| a.disjointness[0].body_a = past),
-            ("pair-body-b", |a, past| a.disjointness[0].body_b = past),
-        ];
-        for (tag, mangle) in mangles {
-            let mut artifact = pristine.clone();
-            mangle(&mut artifact, past);
-            assert_corrupt(tag, &encode_artifact(&artifact), "row reference");
-        }
+        // section is refused.
+        let mut artifact = sample_caches(false).export();
+        artifact.wp[0].0 = artifact.statements().len() as Row;
+        assert_corrupt("wp-statement", &encode_artifact(&artifact), "row reference");
     }
 
     #[test]
@@ -1369,14 +1260,14 @@ mod tests {
             .iter()
             .map(|source| (key_of(source), record_of(invariant)))
             .collect();
-        export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records)
+        export_with_outcomes(&caches.solver, &caches.wp, records)
     }
 
     #[test]
     fn outcome_records_round_trip_in_key_order() {
         let artifact = sample_with_outcomes(false);
         assert_eq!(artifact.outcomes().len(), 2);
-        assert_eq!(artifact.len(), 6 + 2);
+        assert_eq!(artifact.len(), 5 + 2);
         assert!(artifact.outcomes()[0].0 < artifact.outcomes()[1].0);
         let bytes = encode_artifact(&artifact);
         assert_eq!(decode_artifact(payload_of(&bytes)).unwrap(), artifact);
@@ -1500,7 +1391,7 @@ mod tests {
             (kept.clone(), record_of(small)),
             (dropped.clone(), record_of(huge)),
         ]);
-        let artifact = export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records);
+        let artifact = export_with_outcomes(&caches.solver, &caches.wp, records);
         assert!(artifact.outcome(&kept).is_some());
         assert!(artifact.outcome(&dropped).is_none());
         match load_bytes("huge", &encode_artifact(&artifact)) {
@@ -1545,7 +1436,7 @@ mod tests {
         seed_statement(&caches.wp, &body, &table_of("x"), vec![(truth, Ok(truth))]);
         let key = OutcomeKey::of(&monitor, true, true);
         let records = BTreeMap::from([(key.clone(), record_of(truth))]);
-        let artifact = export_with_outcomes(&caches.solver, &caches.wp, &caches.pairs, records);
+        let artifact = export_with_outcomes(&caches.solver, &caches.wp, records);
         assert_eq!(artifact.wp().len(), 1);
         match load_bytes("deep-monitor", &encode_artifact(&artifact)) {
             LoadResult::Loaded(loaded) => assert!(loaded.outcome(&key).is_some()),

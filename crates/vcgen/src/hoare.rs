@@ -212,23 +212,31 @@ impl<'a> VcGen<'a> {
     /// (`false`) when either statement writes arrays, contains loops, writes
     /// a variable that is neither an int nor a bool, or does not lower to the
     /// decidable fragment.
+    pub fn commutes(&self, s1: &Stmt, s2: &Stmt) -> bool {
+        // Array writes are havoc; only the trivial case of disjoint
+        // variables would commute, and that is rare enough to skip.
+        let writes_array = |s: &Stmt| s.assigned_vars().iter().any(|v| self.table.is_array(v));
+        !writes_array(s1) && !writes_array(s2) && self.scalars_commute(s1, s2)
+    }
+
+    /// [`Self::commutes`] on the scalar variables either statement writes,
+    /// leaving its array writes to the caller (the fire-independence
+    /// refinement admits one-sided ones).
     ///
     /// Footprint first: a variable that only one body writes, when that body
     /// reads nothing the other body writes, ends with the same value in both
     /// orders — the static independence test of partial-order reduction —
     /// and costs no WP and no solver query. The two compositions are built,
     /// and one equivalence asked per variable, only for the variables left.
-    pub fn commutes(&self, s1: &Stmt, s2: &Stmt) -> bool {
+    pub(crate) fn scalars_commute(&self, s1: &Stmt, s2: &Stmt) -> bool {
         if has_loop(s1) || has_loop(s2) {
             return false;
         }
         let (writes1, writes2) = (s1.assigned_vars(), s2.assigned_vars());
-        let mut affected: Vec<&String> = writes1.union(&writes2).collect();
-        if affected.iter().any(|v| self.table.is_array(v)) {
-            // Array writes are havoc; only the trivial case of disjoint
-            // variables would commute, and that is rare enough to skip.
-            return false;
-        }
+        let mut affected: Vec<&String> = writes1
+            .union(&writes2)
+            .filter(|v| !self.table.is_array(v))
+            .collect();
         if affected.is_empty() {
             return true;
         }
@@ -285,8 +293,9 @@ impl<'a> VcGen<'a> {
 }
 
 /// Whether every expression [`wp_id`] lowers in `stmt` — assigned values,
-/// `if` conditions — lowers. Loops and array writes are rejected before
-/// [`VcGen::commutes`] asks.
+/// `if` conditions — lowers. Loops are rejected before
+/// [`VcGen::scalars_commute`] asks, and an array write lowers nothing a
+/// scalar postcondition needs.
 fn lowers(stmt: &Stmt, table: &VarTable) -> bool {
     match stmt {
         Stmt::Skip | Stmt::ArrayAssign(..) | Stmt::While(..) => true,
@@ -306,7 +315,8 @@ fn lowers(stmt: &Stmt, table: &VarTable) -> bool {
     }
 }
 
-fn has_loop(stmt: &Stmt) -> bool {
+/// Whether `stmt` contains a `while` loop.
+pub(crate) fn has_loop(stmt: &Stmt) -> bool {
     match stmt {
         Stmt::While(..) => true,
         Stmt::Seq(parts) => parts.iter().any(has_loop),

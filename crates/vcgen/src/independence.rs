@@ -12,8 +12,10 @@
 //! * **Guard disjointness** — `unsat(g_p ∧ g_q)` means the two fires are
 //!   never co-enabled, so no reachable configuration can reorder them.
 //! * **Conditional independence** — otherwise the pair is independent when
-//!   the bodies commute on every shared scalar (`wp`-equality of both
-//!   orders) *and* each body preserves the other's guard
+//!   the bodies commute (the scalar check of [`VcGen::commutes`]: footprint
+//!   first, then `wp`-equality of both orders for each variable left; an
+//!   array may be written by one side only) *and* each body preserves the
+//!   other's guard
 //!   (`{g_p ∧ g_q} s_p {g_q}` and symmetrically), so from any co-enabled
 //!   configuration either order reaches the same state and neither fire
 //!   disables the other.
@@ -24,21 +26,18 @@
 //! variable- and queue-conflict edge, so "q tried before p enabled it"
 //! reorderings are still explored through the block shape.
 //!
-//! Verdicts are cached suite-wide in a [`DisjointnessStore`] keyed on the
-//! guard formulas and the bodies' canonical bytes (the WP store's statement
-//! identity, lowering fingerprint included, so a type change re-keys the
-//! pair), and the store is persisted by
-//! `expresso-persist`: a warm run serves every verdict from disk and issues
-//! zero fresh queries.
+//! Nothing here caches a verdict. A pair's verdict is a conjunction of
+//! solver queries, and the solver's verdict memo files every one of them —
+//! and `expresso-persist` saves that memo — so a repeat refinement, in the
+//! same process or warm from disk, asks the solver nothing outside its memo.
+//! [`DisjointnessStore`] only counts the pair proofs.
 
-use crate::cache::statement_bytes;
-use crate::hoare::VcGen;
-use expresso_logic::{fresh_name, Formula, FormulaId, Term};
-use expresso_monitor_lang::{expr_to_formula, Ccr, CcrId, Monitor, Stmt, Type, VarTable};
+use crate::hoare::{has_loop, VcGen};
+use expresso_logic::Formula;
+use expresso_monitor_lang::{expr_to_formula, Ccr, CcrId, Monitor, Stmt, VarTable};
 use expresso_smt::Solver;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Pairwise fire-independence verdicts for one monitor, keyed on
 /// `(CcrId, CcrId)` with the smaller id first. `true` means the two fires
@@ -46,110 +45,52 @@ use std::sync::{Arc, Mutex};
 /// conservative relation.
 pub type IndependenceTable = BTreeMap<(CcrId, CcrId), bool>;
 
-/// Content-addressed key of one pair verdict: the interned guard formulas
-/// plus the bodies' canonical bytes ([`statement_bytes`]). Guard trees carry
-/// the boolean/integer distinction structurally; the bytes carry each body's
-/// lowering fingerprint, the symbol-table slice the `wp` computations
-/// consult, so two monitors share a verdict exactly when every proof input
-/// is identical.
-type PairKey = (FormulaId, Arc<[u8]>, FormulaId, Arc<[u8]>);
-
-/// One exported store entry in the shape the persistence layer serializes:
-/// both sides' `(guard-id, body bytes)` plus the verdict. The two
-/// [`FormulaId`]s are only meaningful in the arena the store was filled
-/// against; `expresso-persist` swaps them for node-table rows on disk.
-pub type DisjointnessExportEntry = (FormulaId, Arc<[u8]>, FormulaId, Arc<[u8]>, bool);
-
 /// Counters of a [`DisjointnessStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DisjointnessStats {
-    /// Pair verdicts computed fresh (solver queries issued).
+    /// Pair proofs run: one per pair of lowerable guards.
     pub queries: usize,
-    /// Pair verdicts served from the store (seeded or same-process).
+    /// Always 0: no verdict is served from anywhere but the solver's memo.
+    /// Kept only so existing callers compile; leaves with ROADMAP item 6(b2).
+    #[doc(hidden)]
     pub hits: usize,
 }
 
 impl DisjointnessStats {
     /// Adapt into a metric group for [`expresso_obs::MetricsRegistry`].
     pub fn metrics(&self) -> Vec<expresso_obs::Metric> {
-        use expresso_obs::Metric;
-        vec![
-            Metric::counter("queries", self.queries as u64),
-            Metric::counter("hits", self.hits as u64),
-        ]
+        vec![expresso_obs::Metric::counter(
+            "queries",
+            self.queries as u64,
+        )]
     }
 }
 
-/// The suite-wide memo table of pair-independence verdicts. One store is
-/// only ever valid for **one formula arena** (keys hold interned guard
-/// ids); `SharedAnalysisContext` owns one next to its arena.
+/// The pair-proof counter [`refine_independence`] reports to. It holds no
+/// verdict; `SharedAnalysisContext` owns one so that a suite's refinements
+/// add up.
 #[derive(Debug, Default)]
 pub struct DisjointnessStore {
-    entries: Mutex<HashMap<PairKey, bool>>,
     queries: AtomicUsize,
-    hits: AtomicUsize,
 }
 
 impl DisjointnessStore {
-    /// Creates an empty store.
+    /// Creates a store with its counter at 0.
     pub fn new() -> Self {
         DisjointnessStore::default()
     }
 
-    /// Snapshot of the query/hit counters.
+    /// Snapshot of the counter.
     pub fn stats(&self) -> DisjointnessStats {
         DisjointnessStats {
             queries: self.queries.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: 0,
         }
-    }
-
-    /// Number of cached pair verdicts.
-    pub fn entry_count(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// Snapshot of every verdict for serialization by the persistence
-    /// layer. Callers wanting a deterministic artifact sort the result.
-    pub fn export_entries(&self) -> Vec<DisjointnessExportEntry> {
-        self.entries
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|((ga, ba, gb, bb), &verdict)| (*ga, Arc::clone(ba), *gb, Arc::clone(bb), verdict))
-            .collect()
-    }
-
-    /// Seeds the store with entries re-interned from a persisted artifact.
-    /// Existing entries win over seeded ones. Returns the number inserted.
-    pub fn seed_entries(&self, entries: Vec<DisjointnessExportEntry>) -> usize {
-        let mut map = self.entries.lock().unwrap();
-        let mut inserted = 0;
-        for (ga, ba, gb, bb, verdict) in entries {
-            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry((ga, ba, gb, bb)) {
-                slot.insert(verdict);
-                inserted += 1;
-            }
-        }
-        inserted
-    }
-
-    fn lookup(&self, key: &PairKey) -> Option<bool> {
-        let verdict = self.entries.lock().unwrap().get(key).copied();
-        if verdict.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        verdict
-    }
-
-    fn record(&self, key: PairKey, verdict: bool) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().unwrap().insert(key, verdict);
     }
 }
 
-/// Computes the refined fire-independence table of `monitor`, serving every
-/// pair it can from `store` and recording fresh verdicts back into it.
+/// Computes the refined fire-independence table of `monitor`, counting each
+/// pair proof in `store`.
 pub fn refine_independence(
     monitor: &Monitor,
     table: &VarTable,
@@ -158,27 +99,23 @@ pub fn refine_independence(
 ) -> IndependenceTable {
     let _span = expresso_obs::span!("vcgen.refine", "{}", monitor.name);
     let vc = VcGen::new(monitor, table, solver);
-    let ccrs: Vec<(&Ccr, Arc<[u8]>)> = monitor
-        .all_ccrs()
-        .map(|ccr| (ccr, statement_bytes(&ccr.body, table).into()))
-        .collect();
+    let ccrs: Vec<&Ccr> = monitor.all_ccrs().collect();
     let mut out = IndependenceTable::new();
     for (i, p) in ccrs.iter().enumerate() {
         for q in &ccrs[i..] {
-            out.insert((p.0.id, q.0.id), pair_independent(&vc, table, store, p, q));
+            out.insert((p.id, q.id), pair_independent(&vc, table, store, p, q));
         }
     }
     out
 }
 
-/// One pair's verdict, each side a CCR and its body's canonical bytes: store
-/// lookup, then the proof obligations on a miss.
+/// One pair's verdict: `true` only when the proof obligations hold.
 fn pair_independent(
     vc: &VcGen,
     table: &VarTable,
     store: &DisjointnessStore,
-    (p, p_bytes): &(&Ccr, Arc<[u8]>),
-    (q, q_bytes): &(&Ccr, Arc<[u8]>),
+    p: &Ccr,
+    q: &Ccr,
 ) -> bool {
     // A guard outside the lowerable fragment gets no refinement.
     let (Ok(gp), Ok(gq)) = (
@@ -187,30 +124,10 @@ fn pair_independent(
     ) else {
         return false;
     };
+    store.queries.fetch_add(1, Ordering::Relaxed);
     let interner = vc.interner();
-    let key = (
-        interner.intern(&gp),
-        Arc::clone(p_bytes),
-        interner.intern(&gq),
-        Arc::clone(q_bytes),
-    );
-    if let Some(verdict) = store.lookup(&key) {
-        return verdict;
-    }
-    let verdict = prove_independent(vc, table, p, q, &gp, &gq);
-    store.record(key, verdict);
-    verdict
-}
+    let (gp_id, gq_id) = (interner.intern(&gp), interner.intern(&gq));
 
-/// The actual proof obligations (no caching).
-fn prove_independent(
-    vc: &VcGen,
-    table: &VarTable,
-    p: &Ccr,
-    q: &Ccr,
-    gp: &Formula,
-    gq: &Formula,
-) -> bool {
     // Thread-local namespaces: the VCs identify equal names, so two sides
     // sharing a local name (or a CCR paired with itself while using any
     // local) would conflate distinct threads' values — bail conservatively.
@@ -236,8 +153,7 @@ fn prove_independent(
     }
 
     // Fast path: guard-disjoint fires are never co-enabled.
-    let interner = vc.interner();
-    let pre = interner.intern(&Formula::and(vec![gp.clone(), gq.clone()]));
+    let pre = interner.intern(&Formula::and(vec![gp, gq]));
     if vc.solver().check_sat_id(pre).is_unsat() {
         return true;
     }
@@ -247,18 +163,16 @@ fn prove_independent(
     if !bodies_commute(vc, table, p, q) {
         return false;
     }
-    let gp_id = interner.intern(gp);
-    let gq_id = interner.intern(gq);
     vc.check_triple_ids(pre, &p.body, gq_id).is_valid()
         && vc.check_triple_ids(pre, &q.body, gp_id).is_valid()
 }
 
-/// Do the two bodies commute (`s_p; s_q ≡ s_q; s_p`) on every shared
-/// variable? Unlike [`VcGen::commutes`] this handles **one-sided** array
-/// writes: `wp` passes an array assignment through unchanged when the
-/// postcondition never mentions the array, so scalar observers see through
-/// it, and [`array_writes_commute`] separately checks that the written
-/// cells themselves are order-insensitive.
+/// Do the two bodies commute (`s_p; s_q ≡ s_q; s_p`)? [`VcGen::commutes`]
+/// refuses every array write; this admits **one-sided** ones: `wp` passes an
+/// array assignment through unchanged when the postcondition never mentions
+/// the array, so the scalar check sees through it, and
+/// [`array_writes_commute`] separately checks that the written cells
+/// themselves are order-insensitive.
 fn bodies_commute(vc: &VcGen, table: &VarTable, p: &Ccr, q: &Ccr) -> bool {
     if p.id == q.id {
         // `s; s ≡ s; s` syntactically.
@@ -281,39 +195,7 @@ fn bodies_commute(vc: &VcGen, table: &VarTable, p: &Ccr, q: &Ccr) -> bool {
     if !qa.is_empty() && !array_writes_commute(&q.body, &p.body, &qa) {
         return false;
     }
-
-    let order_a = Stmt::seq(vec![p.body.clone(), q.body.clone()]);
-    let order_b = Stmt::seq(vec![q.body.clone(), p.body.clone()]);
-    let interner = vc.interner().clone();
-    let mut affected: Vec<String> = p
-        .body
-        .assigned_vars()
-        .union(&q.body.assigned_vars())
-        .filter(|v| !table.is_array(v))
-        .cloned()
-        .collect();
-    affected.sort();
-    for var in affected {
-        let post = match table.ty(&var) {
-            Some(Type::Bool) => Formula::bool_var(var.clone()),
-            Some(Type::Int) => {
-                let mut taken: HashSet<String> = p.body.read_vars();
-                taken.extend(q.body.read_vars());
-                taken.insert(var.clone());
-                let observer = fresh_name(&format!("{var}!obs"), &taken);
-                Term::var(var.clone()).eq(Term::var(observer))
-            }
-            _ => return false,
-        };
-        let post = interner.intern(&post);
-        let (Ok(a), Ok(b)) = (vc.wp_id(&order_a, post), vc.wp_id(&order_b, post)) else {
-            return false;
-        };
-        if !vc.solver().check_equiv_ids(a, b).is_valid() {
-            return false;
-        }
-    }
-    true
+    vc.scalars_commute(&p.body, &q.body)
 }
 
 /// Soundness of one-sided array writes in `writer` against `other`: every
@@ -399,15 +281,6 @@ fn contains_array_assign(stmt: &Stmt) -> bool {
         Stmt::Seq(parts) => parts.iter().any(contains_array_assign),
         Stmt::If(_, t, e) => contains_array_assign(t) || contains_array_assign(e),
         Stmt::While(_, b) => contains_array_assign(b),
-        _ => false,
-    }
-}
-
-fn has_loop(stmt: &Stmt) -> bool {
-    match stmt {
-        Stmt::While(..) => true,
-        Stmt::Seq(parts) => parts.iter().any(has_loop),
-        Stmt::If(_, t, e) => has_loop(t) || has_loop(e),
         _ => false,
     }
 }
@@ -544,33 +417,18 @@ mod tests {
     }
 
     #[test]
-    fn store_serves_repeat_analyses_without_new_queries() {
+    fn a_repeat_refinement_is_served_by_the_solver_memo() {
         let (monitor, table, solver, store) = analyzed(BOUNDED_BUFFER);
         let first = refine_independence(&monitor, &table, &solver, &store);
-        let after_cold = store.stats();
-        assert!(after_cold.queries > 0);
-        assert_eq!(after_cold.hits, 0);
+        let (cold, proofs) = (solver.stats(), store.stats().queries);
+        assert!(proofs > 0 && cold.cache_misses > 0);
         let second = refine_independence(&monitor, &table, &solver, &store);
-        let after_warm = store.stats();
+        let warm = solver.stats();
         assert_eq!(first, second);
-        assert_eq!(
-            after_warm.queries, after_cold.queries,
-            "second analysis must be served entirely from the store"
-        );
-        assert_eq!(after_warm.hits, after_cold.queries);
-    }
-
-    #[test]
-    fn export_seed_round_trips_verdicts() {
-        let (monitor, table, solver, store) = analyzed(BOUNDED_BUFFER);
-        let first = refine_independence(&monitor, &table, &solver, &store);
-        let entries = store.export_entries();
-        assert_eq!(entries.len(), store.entry_count());
-        let seeded = DisjointnessStore::new();
-        assert_eq!(seeded.seed_entries(entries), store.entry_count());
-        // Same arena, so the interned keys line up directly.
-        let warm = refine_independence(&monitor, &table, &solver, &seeded);
-        assert_eq!(first, warm);
-        assert_eq!(seeded.stats().queries, 0, "warm run must not recompute");
+        // Every pair is proved again, and every query of the proofs is one
+        // the solver has filed.
+        assert_eq!(store.stats().queries, 2 * proofs);
+        assert_eq!(warm.cache_misses, cold.cache_misses);
+        assert!(warm.cache_hits > cold.cache_hits);
     }
 }

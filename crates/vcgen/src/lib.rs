@@ -15,7 +15,6 @@ pub mod wp;
 pub use cache::{statement_bytes, StmtKey, WpCache, WpCacheStats, WpExport, WpStore};
 pub use hoare::{HoareTriple, TripleStatus, VcGen};
 pub use independence::{
-    refine_independence, DisjointnessExportEntry, DisjointnessStats, DisjointnessStore,
-    IndependenceTable,
+    refine_independence, DisjointnessStats, DisjointnessStore, IndependenceTable,
 };
 pub use wp::{wp_id, WpError};

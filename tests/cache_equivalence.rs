@@ -249,17 +249,11 @@ struct TreeView {
     sat: Vec<String>,
     qe: Vec<String>,
     wp: Vec<String>,
-    disjointness: Vec<String>,
 }
 
 impl TreeView {
     fn sorted(mut self) -> Self {
-        for section in [
-            &mut self.sat,
-            &mut self.qe,
-            &mut self.wp,
-            &mut self.disjointness,
-        ] {
+        for section in [&mut self.sat, &mut self.qe, &mut self.wp] {
             section.sort_unstable();
         }
         self
@@ -272,7 +266,6 @@ impl TreeView {
             ("sat", &self.sat, &other.sat),
             ("qe", &self.qe, &other.qe),
             ("wp", &self.wp, &other.wp),
-            ("disjointness", &self.disjointness, &other.disjointness),
         ] {
             if let Some(lost) = mine.iter().find(|e| theirs.binary_search(e).is_err()) {
                 return Err(format!("{name} entry without a counterpart: {lost}"));
@@ -290,10 +283,6 @@ impl TreeView {
 
 fn wp_line(stmt: &[u8], post: Formula, result: Result<Formula, WpError>) -> String {
     format!("{stmt:?} {post:?} => {result:?}")
-}
-
-fn pair_line(a: (Formula, &[u8]), b: (Formula, &[u8]), independent: bool) -> String {
-    format!("{a:?} | {b:?} => {independent}")
 }
 
 /// The tree view of an artifact, through [`Artifact::formula`].
@@ -318,18 +307,6 @@ fn view_of_artifact(artifact: &Artifact) -> TreeView {
                     &artifact.statements()[*stmt as usize],
                     tree(*post),
                     result.clone().map(tree),
-                )
-            })
-            .collect(),
-        disjointness: artifact
-            .disjointness()
-            .iter()
-            .map(|e| {
-                let body = |row: Row| &*artifact.statements()[row as usize];
-                pair_line(
-                    (tree(e.guard_a), body(e.body_a)),
-                    (tree(e.guard_b), body(e.body_b)),
-                    e.independent,
                 )
             })
             .collect(),
@@ -362,14 +339,6 @@ fn view_of_context(context: &SharedAnalysisContext) -> TreeView {
                 })
                 .collect()
         },
-        disjointness: context
-            .disjointness()
-            .export_entries()
-            .into_iter()
-            .map(|(ga, ba, gb, bb, independent)| {
-                pair_line((tree(ga), &ba), (tree(gb), &bb), independent)
-            })
-            .collect(),
     }
     .sorted()
 }
@@ -479,20 +448,8 @@ fn warm_start_from_artifact_is_bit_identical_and_served_from_disk() {
         .warm_start()
         .expect("second context must warm-start from the artifact");
     assert_eq!(
-        (
-            offered.sat,
-            offered.qe,
-            offered.wp,
-            offered.disjointness,
-            offered.outcomes
-        ),
-        (
-            saved.sat,
-            saved.qe,
-            saved.wp,
-            saved.disjointness,
-            saved.outcomes
-        ),
+        (offered.sat, offered.qe, offered.wp, offered.outcomes),
+        (saved.sat, saved.qe, saved.wp, saved.outcomes),
         "every saved entry of every table must be on offer"
     );
     // Loading, and asking what was loaded, seeds nothing: the arena is a
@@ -733,15 +690,11 @@ fn resaving_a_warm_context_loses_no_entry_and_keeps_warm_starting() {
 
 #[test]
 fn node_tables_agree_with_the_trees_of_both_arenas() {
-    // The table-vs-tree oracle. For the 16 suite monitors (with their
-    // independence tables, so the disjointness section is populated) plus a
-    // 32-monitor corpus, every entry of every section must read the same
-    // three ways: as the tree the exporting arena gives for the source id,
-    // as the tree the artifact's tables spell for the row, and as the tree a
-    // freshly seeded arena gives for the seeded id.
-    use expresso_repro::monitor_lang::check_monitor;
-    use expresso_repro::vcgen::refine_independence;
-
+    // The table-vs-tree oracle. For the 16 suite monitors plus a 32-monitor
+    // corpus, every entry of every section must read the same three ways: as
+    // the tree the exporting arena gives for the source id, as the tree the
+    // artifact's tables spell for the row, and as the tree a freshly seeded
+    // arena gives for the seeded id.
     let dir = scratch_cache_dir("oracle");
     let benchmarks = all();
     let mut monitors: Vec<_> = benchmarks.iter().map(|b| b.monitor()).collect();
@@ -753,17 +706,8 @@ fn node_tables_agree_with_the_trees_of_both_arenas() {
     for outcome in Expresso::with_config(config.clone()).analyze_suite(&cold_context, &monitors) {
         outcome.expect("cold analysis succeeds");
     }
-    for monitor in &monitors[..benchmarks.len()] {
-        let table = check_monitor(monitor).expect("suite monitors check");
-        refine_independence(
-            monitor,
-            &table,
-            cold_context.solver(),
-            cold_context.disjointness(),
-        );
-    }
     let saved = cold_context.persist().unwrap().unwrap();
-    assert!(saved.qe > 0 && saved.disjointness > 0);
+    assert!(saved.qe > 0);
     assert_eq!(saved.theory, 0, "format v5 has no theory section");
 
     let artifact = load_artifact(&dir);
@@ -824,17 +768,16 @@ fn node_tables_agree_with_the_trees_of_both_arenas() {
 }
 
 #[test]
-fn warm_start_serves_every_disjointness_verdict_from_disk() {
-    // The queue-disjointness refinement is persisted alongside the solver
-    // caches (since artifact v2): building the independence tables for the whole
-    // benchmark suite against a warm-started context must issue *zero* fresh
-    // disjointness computations — every fire×fire verdict comes back from
-    // the store seeded off disk — and must reproduce the cold tables
-    // bit-for-bit.
+fn a_warm_refinement_asks_the_solver_nothing_outside_its_memo() {
+    // The fire-independence refinement keeps no verdict of its own: each is
+    // a conjunction of solver queries, and the solver's memo is persisted.
+    // Refining the whole suite against a context warm-started from a cold
+    // refinement's artifact must reproduce the cold tables, miss the memo
+    // not once, and find every lookup among the entries seeded from disk.
     use expresso_repro::monitor_lang::check_monitor;
-    use expresso_repro::vcgen::refine_independence;
+    use expresso_repro::vcgen::{refine_independence, DisjointnessStore};
 
-    let dir = scratch_cache_dir("disjoint");
+    let dir = scratch_cache_dir("refine");
     let benchmarks = all();
     let monitors: Vec<_> = benchmarks.iter().map(|b| b.monitor()).collect();
     let tables: Vec<_> = monitors
@@ -842,43 +785,88 @@ fn warm_start_serves_every_disjointness_verdict_from_disk() {
         .map(|m| check_monitor(m).expect("suite monitors check"))
         .collect();
     let config = persistent_config(&dir);
+    let refine_all = |context: &SharedAnalysisContext| -> Vec<_> {
+        let proofs = DisjointnessStore::new();
+        monitors
+            .iter()
+            .zip(&tables)
+            .map(|(m, t)| refine_independence(m, t, context.solver(), &proofs))
+            .collect()
+    };
 
     let cold_context = SharedAnalysisContext::new(&config);
-    let cold: Vec<_> = monitors
-        .iter()
-        .zip(&tables)
-        .map(|(m, t)| refine_independence(m, t, cold_context.solver(), cold_context.disjointness()))
-        .collect();
-    let cold_stats = cold_context.disjointness_stats();
-    assert!(
-        cold_stats.queries > 0,
-        "cold run must compute disjointness verdicts: {cold_stats:?}"
-    );
+    let cold = refine_all(&cold_context);
+    assert!(cold_context.stats().cache_misses > 0, "cold run must solve");
     cold_context.persist().unwrap().unwrap();
 
     let warm_context = SharedAnalysisContext::new(&config);
-    assert!(
-        warm_context.warm_start().is_some(),
-        "second context must warm-start from the artifact"
-    );
-    let warm: Vec<_> = monitors
-        .iter()
-        .zip(&tables)
-        .map(|(m, t)| refine_independence(m, t, warm_context.solver(), warm_context.disjointness()))
-        .collect();
-    let warm_stats = warm_context.disjointness_stats();
-    assert_eq!(
-        warm_stats.queries, 0,
-        "warm run recomputed a disjointness verdict: {warm_stats:?}"
-    );
-    assert!(
-        warm_stats.hits >= cold_stats.queries,
-        "warm run must serve at least the cold query volume from the store: \
-         cold {cold_stats:?} vs warm {warm_stats:?}"
-    );
+    let before = warm_context.solver().stats();
+    let warm = refine_all(&warm_context);
+    let after = warm_context.stats();
     for ((c, w), b) in cold.iter().zip(&warm).zip(&benchmarks) {
         assert_eq!(c, w, "{}: independence table diverged warm", b.name);
     }
+    let lookups =
+        |s: &SolverStats| s.cache_hits + s.cache_misses + s.qe_cache_hits + s.qe_cache_misses;
+    assert_eq!(
+        after.cache_misses - before.cache_misses,
+        0,
+        "the warm refinement solved a query afresh: {after:?}"
+    );
+    assert!(lookups(&after) > lookups(&before));
+    assert_eq!(
+        after.disk_hits - before.disk_hits,
+        lookups(&after) - lookups(&before),
+        "every memo lookup of the warm refinement must be a disk hit: {after:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_equivalence_verdict_is_a_disk_hit_whatever_ids_the_seeded_arena_gives_its_operands() {
+    // Arena ids are creation order. The cold run below creates `both` (a
+    // conjunction) before `z > 5`; an arena seeded from the artifact numbers
+    // its nodes by row, level by level, so there `z > 5` comes first. An
+    // equivalence asked in the same caller order must still find the
+    // verdict on disk.
+    use expresso_repro::logic::Term;
+
+    let dir = scratch_cache_dir("iff");
+    let config = persistent_config(&dir);
+    let both = Formula::and(vec![
+        Term::var("x").gt(Term::int(0)),
+        Term::var("y").gt(Term::int(0)),
+    ]);
+    let single = Term::var("z").gt(Term::int(5));
+
+    let cold_context = SharedAnalysisContext::new(&config);
+    let cold = cold_context.solver();
+    let (a, b) = (
+        cold.interner().intern(&both),
+        cold.interner().intern(&single),
+    );
+    assert!(a < b);
+    assert!(!cold.check_equiv_ids(a, b).is_valid());
+    cold_context.persist().unwrap().unwrap();
+
+    let warm_context = SharedAnalysisContext::new(&config);
+    let warm = warm_context.solver();
+    let (a, b) = (
+        warm.interner().intern(&both),
+        warm.interner().intern(&single),
+    );
+    assert!(a > b, "the seeded arena numbers the operands the other way");
+    let before = warm.stats();
+    assert!(!warm.check_equiv_ids(a, b).is_valid());
+    let after = warm.stats();
+    assert_eq!(
+        (
+            after.cache_misses - before.cache_misses,
+            after.disk_hits - before.disk_hits
+        ),
+        (0, 1),
+        "the warm equivalence query must be served from disk"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -137,8 +137,7 @@ fn an_unknown_verdict_degrades_every_decision_conservatively() {
         let config = ExploreConfig {
             independence: Some(Arc::new(RefinedIndependence {
                 table: independence,
-                queries: 0,
-                cache_hits: 0,
+                ..RefinedIndependence::default()
             })),
             ..ExploreConfig::default()
         };

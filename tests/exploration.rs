@@ -15,26 +15,23 @@ use expresso_repro::monitor_lang::{
     check_monitor, initial_state, parse_monitor, ExplicitMonitor, Monitor, NotificationKind,
 };
 use expresso_repro::semantics::{SemanticsMode, ThreadSpec};
-use expresso_repro::vcgen::refine_independence;
+use expresso_repro::vcgen::{refine_independence, DisjointnessStore};
 use std::sync::Arc;
 
-/// Builds the solver-refined independence config for one monitor, drawing
-/// verdicts through (and recording them into) the context's suite-wide
-/// disjointness store — the same path the benchmark harness takes.
+/// Builds the solver-refined independence config for one monitor, proving
+/// its pairs through the context's memoizing solver — the same path the
+/// benchmark harness takes.
 fn refined_config(
     context: &SharedAnalysisContext,
     monitor: &Monitor,
     table: &expresso_repro::monitor_lang::VarTable,
     base: &ExploreConfig,
 ) -> ExploreConfig {
-    let before = context.disjointness_stats();
-    let refined = refine_independence(monitor, table, context.solver(), context.disjointness());
-    let after = context.disjointness_stats();
+    let refined = refine_independence(monitor, table, context.solver(), &DisjointnessStore::new());
     ExploreConfig {
         independence: Some(Arc::new(RefinedIndependence {
             table: refined,
-            queries: after.queries - before.queries,
-            cache_hits: after.hits - before.hits,
+            ..RefinedIndependence::default()
         })),
         ..base.clone()
     }
