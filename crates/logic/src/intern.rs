@@ -11,8 +11,9 @@
 //!
 //! Each node kind (terms, formulas) has
 //!
-//! * an append-only node store whose reads are **lock-free** (published slots
-//!   are immutable and reached through two acquire loads), the one place a
+//! * an append-only node store whose reads are **lock-free** (nodes sit
+//!   inline in doubling chunks that never move; published slots are
+//!   immutable and reached through two acquire loads), the one place a
 //!   node is kept — a node's id is its slot, so ids count up in creation
 //!   order, per kind, and
 //! * an `RwLock`ed index from node hash to slot consulted on interning
@@ -25,6 +26,17 @@
 //! derived value is a pure function of the node, so the loser of a race
 //! inserts the same result. Contended lock acquisitions are counted and
 //! surfaced via [`Interner::stats`].
+//!
+//! # Publication
+//!
+//! A new node is pushed under its index's write lock: the store writes the
+//! slot, then release-stores its length. A read acquire-loads the length
+//! and panics on a slot past it, so the lock-free read path is safe even
+//! for an id whose push it cannot see. It always sees it: an id reaches a
+//! reader only through a lock or a join — from the index, under the lock
+//! the push happened under, or from the interning thread, through the
+//! mutex, channel or thread join that carried the id over — and each of
+//! those orders the push before the read.
 //!
 //! # Example
 //!
@@ -45,6 +57,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -240,25 +253,40 @@ const MAX_CHUNKS: usize = 27;
 fn locate(slot: usize) -> (usize, usize) {
     let bucket = (slot >> FIRST_CHUNK_BITS) + 1;
     let k = bucket.ilog2() as usize;
-    let base = ((1usize << k) - 1) << FIRST_CHUNK_BITS;
-    (k, slot - base)
+    (k, slot - chunk_base(k))
 }
 
 fn chunk_len(k: usize) -> usize {
     FIRST_CHUNK_LEN << k
 }
 
+/// The first slot of chunk `k`: the slots of every smaller chunk.
+fn chunk_base(k: usize) -> usize {
+    chunk_len(k) - FIRST_CHUNK_LEN
+}
+
 /// Append-only slot store with lock-free reads.
 ///
-/// Writers are externally serialized (pushes happen only under the store's
-/// dedup write lock); readers follow two acquire-loaded pointers and never
-/// block. Published slots are immutable and individually boxed, so later
-/// pushes never move them. Chunks double in size, so an empty store costs a
-/// fixed 27-pointer table and growth never copies.
+/// Nodes live inline in geometrically sized chunks: chunk `k` is one
+/// allocation of `chunk_len(k)` slots, made when its first slot is pushed
+/// and never moved, so growth never copies and an empty store is a fixed
+/// 27-pointer table.
+///
+/// **Publication.** Writers are externally serialized (pushes happen only
+/// under the store's dedup write lock). A push writes its slot, then
+/// release-stores `len`; a slot below `len` is published and immutable from
+/// then on. [`AppendStore::get`] acquire-loads `len` and panics on a slot at
+/// or past it, so reading a slot whose push it has not seen is an error, not
+/// undefined behaviour. In the arena that check never fires: every id
+/// reaches a reader through a lock or a join — the dedup index's lock that
+/// the push happened under, or the lock, channel or thread join that carried
+/// the id from the thread that interned it — and each of those orders the
+/// push, and its store of `len`, before the read.
 struct AppendStore<T> {
-    /// `chunks[k]` points at the first cell of a `chunk_len(k)`-cell
-    /// allocation (null until chunk `k` is needed).
-    chunks: [AtomicPtr<AtomicPtr<T>>; MAX_CHUNKS],
+    /// `chunks[k]` points at the first slot of a `chunk_len(k)`-slot
+    /// allocation (null until chunk `k` is needed). Slots below `len` are
+    /// initialised; the rest are not.
+    chunks: [AtomicPtr<T>; MAX_CHUNKS],
     len: AtomicUsize,
 }
 
@@ -275,31 +303,41 @@ impl<T> AppendStore<T> {
     }
 
     /// Lock-free read of a published slot.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is not published yet.
     fn get(&self, slot: usize) -> &T {
+        assert!(slot < self.len(), "read of unpublished arena slot");
         let (k, offset) = locate(slot);
         let chunk = self.chunks[k].load(Ordering::Acquire);
-        assert!(!chunk.is_null(), "read of unpublished arena chunk");
-        let node = unsafe { &*chunk.add(offset) }.load(Ordering::Acquire);
-        assert!(!node.is_null(), "read of unpublished arena slot");
-        unsafe { &*node }
+        // SAFETY: `slot < len`, and the acquire load of `len` saw the push
+        // that published it, which allocated its chunk and initialised it
+        // first. A published slot is never written again nor freed before
+        // the store.
+        unsafe { &*chunk.add(offset) }
     }
 
-    /// Appends a node and returns its slot. Caller must hold the store's
-    /// dedup write lock (single writer per store).
-    fn push(&self, value: T) -> usize {
+    /// Appends a node and returns its slot.
+    ///
+    /// # Safety
+    ///
+    /// No other push to this store may run at the same time: the caller
+    /// holds the store's dedup write lock, under which every push happens.
+    unsafe fn push(&self, value: T) -> usize {
         let slot = self.len.load(Ordering::Relaxed);
         let (k, offset) = locate(slot);
         assert!(k < MAX_CHUNKS, "arena overflow");
         let mut chunk = self.chunks[k].load(Ordering::Acquire);
         if chunk.is_null() {
-            let fresh: Box<[AtomicPtr<T>]> = (0..chunk_len(k))
-                .map(|_| AtomicPtr::new(ptr::null_mut()))
-                .collect();
-            chunk = Box::into_raw(fresh) as *mut AtomicPtr<T>;
+            let fresh = Box::<[T]>::new_uninit_slice(chunk_len(k));
+            chunk = Box::into_raw(fresh).cast::<T>();
             self.chunks[k].store(chunk, Ordering::Release);
         }
-        let boxed = Box::into_raw(Box::new(value));
-        unsafe { &*chunk.add(offset) }.store(boxed, Ordering::Release);
+        // SAFETY: `offset` is inside chunk `k`, and the slot is unpublished
+        // (`slot == len`, and this is the only push running), so nothing
+        // else reads or writes it.
+        unsafe { chunk.add(offset).write(value) };
         self.len.store(slot + 1, Ordering::Release);
         slot
     }
@@ -307,18 +345,22 @@ impl<T> AppendStore<T> {
 
 impl<T> Drop for AppendStore<T> {
     fn drop(&mut self) {
+        let len = *self.len.get_mut();
         for (k, chunk_cell) in self.chunks.iter_mut().enumerate() {
             let chunk = *chunk_cell.get_mut();
             if chunk.is_null() {
                 continue;
             }
-            let cells =
-                unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(chunk, chunk_len(k))) };
-            for cell in cells.iter() {
-                let node = cell.load(Ordering::Relaxed);
-                if !node.is_null() {
-                    drop(unsafe { Box::from_raw(node) });
-                }
+            let published = len.saturating_sub(chunk_base(k)).min(chunk_len(k));
+            // SAFETY: the chunk is a `chunk_len(k)`-slot allocation from
+            // `push` whose first `published` slots are initialised; they are
+            // dropped once, then the allocation is freed as it was made.
+            unsafe {
+                ptr::drop_in_place(ptr::slice_from_raw_parts_mut(chunk, published));
+                drop(Box::from_raw(ptr::slice_from_raw_parts_mut(
+                    chunk.cast::<MaybeUninit<T>>(),
+                    chunk_len(k),
+                )));
             }
         }
     }
@@ -332,8 +374,10 @@ impl<T> fmt::Debug for AppendStore<T> {
     }
 }
 
-// The store hands out `&T` to immutable, never-moved, never-freed-while-alive
-// slots; the raw pointers are plain ownership.
+// SAFETY: `chunks` owns the `T`s it points at and `len` is atomic. Moving
+// the store moves its `T`s to another thread (`T: Send`); sharing it lets
+// any thread push a `T` (under the dedup lock, `T: Send`) and read `&T` from
+// published slots (`T: Sync`).
 unsafe impl<T: Send> Send for AppendStore<T> {}
 unsafe impl<T: Send + Sync> Sync for AppendStore<T> {}
 
@@ -503,7 +547,9 @@ impl Interner {
         if let Some(slot) = index.find(hash, &node, store) {
             return slot;
         }
-        let slot = u32::try_from(store.push(node)).expect("arena overflow");
+        // SAFETY: every push to `store` happens under `index`'s write lock,
+        // which this thread holds.
+        let slot = u32::try_from(unsafe { store.push(node) }).expect("arena overflow");
         index.insert(hash, slot);
         slot
     }
@@ -1888,6 +1934,46 @@ mod tests {
         // The table covers more than the id encoding can address.
         let (k, _) = locate(u32::MAX as usize);
         assert!(k < MAX_CHUNKS);
+    }
+
+    #[test]
+    fn the_store_reads_back_and_drops_each_published_value_once() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// Counts its drops in `drops[self.1]`.
+        struct Counted(Arc<Vec<AtomicUsize>>, usize);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0[self.1].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        // Chunks 0, 1 and 2 end at slots 64, 192 and 448: stop on each side
+        // of every boundary, and inside chunk 3.
+        for n in [0, 1, 63, 64, 65, 191, 192, 193, 447, 448, 449, 500] {
+            let drops: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
+            let store = AppendStore::new();
+            for v in 0..n {
+                // SAFETY: one thread, so one push at a time.
+                assert_eq!(unsafe { store.push(Counted(Arc::clone(&drops), v)) }, v);
+            }
+            assert_eq!(store.len(), n);
+            for v in 0..n {
+                assert_eq!(store.get(v).1, v, "slot {v} of {n}");
+            }
+            // The next slot, one in a chunk not allocated yet, and the last
+            // one an id can name are all unpublished.
+            for slot in [n, 1000, u32::MAX as usize] {
+                let read = catch_unwind(AssertUnwindSafe(|| store.get(slot).1));
+                assert!(read.is_err(), "slot {slot} of {n} read");
+            }
+            assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 0));
+            drop(store);
+            for (v, d) in drops.iter().enumerate() {
+                assert_eq!(d.load(Ordering::Relaxed), 1, "slot {v} of {n}");
+            }
+        }
     }
 
     #[test]

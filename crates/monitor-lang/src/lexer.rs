@@ -1,12 +1,19 @@
-//! Lexer for the monitor language.
+//! Lexer for the monitor language: a byte scanner over the source text.
+//!
+//! [`tokenize`] returns each token with the line it starts on, and the line
+//! the source ends on. A token holds no heap data: an identifier borrows its
+//! text from the source, and the parser allocates its `String` once, for the
+//! tree. Every token is ASCII, so the scanner decodes a `char` only at a
+//! non-ASCII byte, which can only be whitespace or an error.
 
 use std::fmt;
 
-/// Tokens produced by the lexer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+/// Tokens produced by the lexer. An identifier borrows its text from the
+/// source, so lexing allocates nothing per token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Token<'src> {
     /// Identifier (may contain `.` to model simple member accesses like `queue.size`).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// A keyword.
@@ -65,7 +72,7 @@ pub enum Punct {
     MinusAssign,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "identifier `{s}`"),
@@ -77,12 +84,22 @@ impl fmt::Display for Token {
 }
 
 /// A token together with the line it starts on (1-based), for error reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedToken {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpannedToken<'src> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'src>,
     /// 1-based source line.
     pub line: usize,
+}
+
+/// What [`tokenize`] makes of a source: its tokens and the line it ends on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tokens<'src> {
+    /// The tokens, in source order.
+    pub tokens: Vec<SpannedToken<'src>>,
+    /// The 1-based line the source ends on (one more than its `\n`s):
+    /// where an error in a source with no token at all is.
+    pub last_line: usize,
 }
 
 /// Errors produced by the lexer.
@@ -104,141 +121,172 @@ impl std::error::Error for LexError {}
 
 /// Tokenises monitor source text.
 ///
-/// Line comments (`// ...`) and block comments (`/* ... */`) are skipped.
+/// Line comments (`// ...`) and block comments (`/* ... */`) are skipped,
+/// and so is whitespace: every character [`char::is_whitespace`] accepts,
+/// `\x0B` and the Unicode spaces included; only `\n` starts a new line.
+///
+/// The scanner walks the source's bytes. Every token is ASCII, and a
+/// comment ends at an ASCII byte, which never occurs inside a multi-byte
+/// character; so a `char` is decoded only at a non-ASCII byte outside a
+/// comment, to skip it as whitespace or to report it.
 ///
 /// # Errors
 ///
-/// Returns a [`LexError`] on unrecognised characters or malformed literals.
-pub fn tokenize(source: &str) -> Result<Vec<SpannedToken>, LexError> {
-    let chars: Vec<char> = source.chars().collect();
-    let mut tokens = Vec::new();
+/// Returns a [`LexError`] on unrecognised characters, malformed literals and
+/// an unterminated block comment.
+pub fn tokenize(source: &str) -> Result<Tokens<'_>, LexError> {
+    let bytes = source.as_bytes();
+    // The suite and generated sources run 4.2 to 6 bytes a token: one
+    // allocation instead of a growth step every doubling.
+    let mut tokens = Vec::with_capacity(bytes.len() / 4);
     let mut i = 0usize;
     let mut line = 1usize;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
-            line += 1;
-            i += 1;
-            continue;
-        }
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        // Comments.
-        if c == '/' && i + 1 < chars.len() {
-            if chars[i + 1] == '/' {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+    while let Some(&b) = bytes.get(i) {
+        let start = i;
+        let token = match b {
+            b'\n' => {
+                line += 1;
+                i += 1;
                 continue;
             }
-            if chars[i + 1] == '*' {
-                i += 2;
-                while i + 1 < chars.len() && !(chars[i] == '*' && chars[i + 1] == '/') {
-                    if chars[i] == '\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                }
-                if i + 1 >= chars.len() {
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                i = run_end(bytes, i, |b| b != b'\n');
+                continue;
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                let body = &bytes[i + 2..];
+                let Some(end) = body.windows(2).position(|w| w == b"*/") else {
+                    // The error is on the line of the source's last byte.
+                    line += newlines(&body[..body.len().saturating_sub(1)]);
                     return Err(LexError {
                         message: "unterminated block comment".into(),
                         line,
                     });
-                }
-                i += 2;
+                };
+                line += newlines(&body[..end]);
+                i += 2 + end + 2;
                 continue;
             }
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < chars.len() && chars[i].is_ascii_digit() {
-                i += 1;
+            b'0'..=b'9' => {
+                i = run_end(bytes, i, |b| b.is_ascii_digit());
+                let text = &source[start..i];
+                let value = text.parse::<i64>().map_err(|_| LexError {
+                    message: format!("integer literal `{text}` is out of range"),
+                    line,
+                })?;
+                Token::Int(value)
             }
-            let text: String = chars[start..i].iter().collect();
-            let value = text.parse::<i64>().map_err(|_| LexError {
-                message: format!("integer literal `{text}` is out of range"),
-                line,
-            })?;
-            tokens.push(SpannedToken {
-                token: Token::Int(value),
-                line,
-            });
-            continue;
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < chars.len()
-                && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '.')
-            {
-                i += 1;
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                i = run_end(bytes, i, |b| {
+                    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+                });
+                word(&source[start..i])
             }
-            let text: String = chars[start..i].iter().collect();
-            let token = match text.as_str() {
-                "monitor" => Token::Keyword(Keyword::Monitor),
-                "atomic" => Token::Keyword(Keyword::Atomic),
-                "void" => Token::Keyword(Keyword::Void),
-                "int" => Token::Keyword(Keyword::Int),
-                "bool" | "boolean" => Token::Keyword(Keyword::Bool),
-                "if" => Token::Keyword(Keyword::If),
-                "else" => Token::Keyword(Keyword::Else),
-                "while" => Token::Keyword(Keyword::While),
-                "waituntil" => Token::Keyword(Keyword::Waituntil),
-                "true" => Token::Keyword(Keyword::True),
-                "false" => Token::Keyword(Keyword::False),
-                "requires" => Token::Keyword(Keyword::Requires),
-                "new" => Token::Keyword(Keyword::New),
-                "skip" => Token::Keyword(Keyword::Skip),
-                _ => Token::Ident(text),
-            };
-            tokens.push(SpannedToken { token, line });
-            continue;
-        }
-        let two: String = chars[i..chars.len().min(i + 2)].iter().collect();
-        let (punct, len) = match two.as_str() {
-            "==" => (Punct::EqEq, 2),
-            "!=" => (Punct::NotEq, 2),
-            "<=" => (Punct::Le, 2),
-            ">=" => (Punct::Ge, 2),
-            "&&" => (Punct::AndAnd, 2),
-            "||" => (Punct::OrOr, 2),
-            "++" => (Punct::PlusPlus, 2),
-            "--" => (Punct::MinusMinus, 2),
-            "+=" => (Punct::PlusAssign, 2),
-            "-=" => (Punct::MinusAssign, 2),
-            _ => match c {
-                '(' => (Punct::LParen, 1),
-                ')' => (Punct::RParen, 1),
-                '{' => (Punct::LBrace, 1),
-                '}' => (Punct::RBrace, 1),
-                '[' => (Punct::LBracket, 1),
-                ']' => (Punct::RBracket, 1),
-                ';' => (Punct::Semi, 1),
-                ',' => (Punct::Comma, 1),
-                '=' => (Punct::Assign, 1),
-                '+' => (Punct::Plus, 1),
-                '-' => (Punct::Minus, 1),
-                '*' => (Punct::Star, 1),
-                '%' => (Punct::Percent, 1),
-                '!' => (Punct::Bang, 1),
-                '<' => (Punct::Lt, 1),
-                '>' => (Punct::Gt, 1),
-                other => {
-                    return Err(LexError {
-                        message: format!("unexpected character `{other}`"),
-                        line,
-                    })
+            _ if b.is_ascii() => {
+                // `char::is_whitespace`, not `u8::is_ascii_whitespace`: the
+                // latter leaves out `\x0B`.
+                if char::from(b).is_whitespace() {
+                    i += 1;
+                    continue;
                 }
-            },
+                let (punct, len) = punct(b, bytes.get(i + 1).copied()).ok_or_else(|| LexError {
+                    message: format!("unexpected character `{}`", char::from(b)),
+                    line,
+                })?;
+                i += len;
+                Token::Punct(punct)
+            }
+            _ => {
+                let c = source[i..].chars().next().expect("a char starts here");
+                if !c.is_whitespace() {
+                    return Err(LexError {
+                        message: format!("unexpected character `{c}`"),
+                        line,
+                    });
+                }
+                i += c.len_utf8();
+                continue;
+            }
         };
-        tokens.push(SpannedToken {
-            token: Token::Punct(punct),
-            line,
-        });
-        i += len;
+        tokens.push(SpannedToken { token, line });
     }
-    Ok(tokens)
+    Ok(Tokens {
+        tokens,
+        last_line: line,
+    })
+}
+
+/// The index just past the run of bytes from `start` on that `part_of` accepts.
+fn run_end(bytes: &[u8], start: usize, part_of: impl Fn(u8) -> bool) -> usize {
+    bytes[start..]
+        .iter()
+        .position(|&b| !part_of(b))
+        .map_or(bytes.len(), |len| start + len)
+}
+
+fn newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// The keyword `text` spells, or else the identifier.
+fn word(text: &str) -> Token<'_> {
+    Token::Keyword(match text {
+        "monitor" => Keyword::Monitor,
+        "atomic" => Keyword::Atomic,
+        "void" => Keyword::Void,
+        "int" => Keyword::Int,
+        "bool" | "boolean" => Keyword::Bool,
+        "if" => Keyword::If,
+        "else" => Keyword::Else,
+        "while" => Keyword::While,
+        "waituntil" => Keyword::Waituntil,
+        "true" => Keyword::True,
+        "false" => Keyword::False,
+        "requires" => Keyword::Requires,
+        "new" => Keyword::New,
+        "skip" => Keyword::Skip,
+        _ => return Token::Ident(text),
+    })
+}
+
+/// The operator starting with byte `b` (followed by `next`) and its length
+/// in bytes; a two-byte operator wins over its one-byte prefix.
+fn punct(b: u8, next: Option<u8>) -> Option<(Punct, usize)> {
+    let pair = match (b, next) {
+        (b'=', Some(b'=')) => Punct::EqEq,
+        (b'!', Some(b'=')) => Punct::NotEq,
+        (b'<', Some(b'=')) => Punct::Le,
+        (b'>', Some(b'=')) => Punct::Ge,
+        (b'&', Some(b'&')) => Punct::AndAnd,
+        (b'|', Some(b'|')) => Punct::OrOr,
+        (b'+', Some(b'+')) => Punct::PlusPlus,
+        (b'-', Some(b'-')) => Punct::MinusMinus,
+        (b'+', Some(b'=')) => Punct::PlusAssign,
+        (b'-', Some(b'=')) => Punct::MinusAssign,
+        _ => {
+            let single = match b {
+                b'(' => Punct::LParen,
+                b')' => Punct::RParen,
+                b'{' => Punct::LBrace,
+                b'}' => Punct::RBrace,
+                b'[' => Punct::LBracket,
+                b']' => Punct::RBracket,
+                b';' => Punct::Semi,
+                b',' => Punct::Comma,
+                b'=' => Punct::Assign,
+                b'+' => Punct::Plus,
+                b'-' => Punct::Minus,
+                b'*' => Punct::Star,
+                b'%' => Punct::Percent,
+                b'!' => Punct::Bang,
+                b'<' => Punct::Lt,
+                b'>' => Punct::Gt,
+                _ => return None,
+            };
+            return Some((single, 1));
+        }
+    };
+    Some((pair, 2))
 }
 
 #[cfg(test)]
@@ -247,9 +295,11 @@ mod tests {
 
     #[test]
     fn tokenizes_readers_writers_header() {
-        let tokens = tokenize("monitor RWLock { int readers = 0; }").unwrap();
+        let tokens = tokenize("monitor RWLock { int readers = 0; }")
+            .unwrap()
+            .tokens;
         assert_eq!(tokens[0].token, Token::Keyword(Keyword::Monitor));
-        assert_eq!(tokens[1].token, Token::Ident("RWLock".into()));
+        assert_eq!(tokens[1].token, Token::Ident("RWLock"));
         assert_eq!(tokens[3].token, Token::Keyword(Keyword::Int));
         assert_eq!(tokens[5].token, Token::Punct(Punct::Assign));
         assert_eq!(tokens[6].token, Token::Int(0));
@@ -257,7 +307,7 @@ mod tests {
 
     #[test]
     fn two_character_operators() {
-        let tokens = tokenize("a <= b && c != d || e++ >= 3").unwrap();
+        let tokens = tokenize("a <= b && c != d || e++ >= 3").unwrap().tokens;
         let puncts: Vec<Punct> = tokens
             .iter()
             .filter_map(|t| match t.token {
@@ -280,14 +330,14 @@ mod tests {
 
     #[test]
     fn dotted_identifiers_are_single_tokens() {
-        let tokens = tokenize("queue.size < maxQueueSize").unwrap();
-        assert_eq!(tokens[0].token, Token::Ident("queue.size".into()));
+        let tokens = tokenize("queue.size < maxQueueSize").unwrap().tokens;
+        assert_eq!(tokens[0].token, Token::Ident("queue.size"));
     }
 
     #[test]
     fn comments_are_skipped_and_lines_tracked() {
         let src = "// line comment\nint x; /* block\ncomment */ bool y;";
-        let tokens = tokenize(src).unwrap();
+        let tokens = tokenize(src).unwrap().tokens;
         assert_eq!(tokens[0].token, Token::Keyword(Keyword::Int));
         assert_eq!(tokens[0].line, 2);
         let y_decl = tokens
@@ -305,7 +355,7 @@ mod tests {
 
     #[test]
     fn boolean_keyword_alias() {
-        let tokens = tokenize("boolean writerIn = false;").unwrap();
+        let tokens = tokenize("boolean writerIn = false;").unwrap().tokens;
         assert_eq!(tokens[0].token, Token::Keyword(Keyword::Bool));
         assert_eq!(tokens[3].token, Token::Keyword(Keyword::False));
     }

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the monitor language.
 
 use crate::ast::{BinOp, Ccr, CcrId, Expr, Field, Method, Monitor, Param, Stmt, Type, UnOp};
-use crate::lexer::{tokenize, Keyword, LexError, Punct, SpannedToken, Token};
+use crate::lexer::{tokenize, Keyword, LexError, Punct, SpannedToken, Token, Tokens};
 use std::fmt;
 
 /// Errors produced while parsing monitor source text.
@@ -60,8 +60,7 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_monitor(source: &str) -> Result<Monitor, ParseError> {
     let _span = expresso_obs::span!("parse.monitor");
-    let tokens = tokenize(source)?;
-    let mut parser = Parser::new(tokens, source);
+    let mut parser = Parser::new(tokenize(source)?);
     let monitor = parser.monitor()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing input after monitor declaration"));
@@ -76,8 +75,7 @@ pub fn parse_monitor(source: &str) -> Result<Monitor, ParseError> {
 ///
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(source)?;
-    let mut parser = Parser::new(tokens, source);
+    let mut parser = Parser::new(tokenize(source)?);
     let expr = parser.expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing input after expression"));
@@ -94,8 +92,8 @@ pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
 /// an error. Far above anything a real monitor reaches.
 pub const MAX_NESTING: usize = 256;
 
-struct Parser {
-    tokens: Vec<SpannedToken>,
+struct Parser<'src> {
+    tokens: Vec<SpannedToken<'src>>,
     pos: usize,
     /// Levels of nesting around the token at `pos` (see [`MAX_NESTING`]).
     depth: usize,
@@ -104,13 +102,13 @@ struct Parser {
     last_line: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<SpannedToken>, source: &str) -> Self {
+impl<'src> Parser<'src> {
+    fn new(Tokens { tokens, last_line }: Tokens<'src>) -> Self {
         Parser {
             tokens,
             pos: 0,
             depth: 0,
-            last_line: 1 + source.matches('\n').count(),
+            last_line,
         }
     }
 
@@ -134,12 +132,12 @@ impl Parser {
         parsed
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|t| &t.token)
+    fn peek(&self) -> Option<Token<'src>> {
+        self.tokens.get(self.pos).map(|t| t.token)
     }
 
-    fn peek2(&self) -> Option<&Token> {
-        self.tokens.get(self.pos + 1).map(|t| &t.token)
+    fn peek2(&self) -> Option<Token<'src>> {
+        self.tokens.get(self.pos + 1).map(|t| t.token)
     }
 
     fn line(&self) -> usize {
@@ -157,7 +155,7 @@ impl Parser {
 
     fn expect_punct(&mut self, p: Punct) -> Result<(), ParseError> {
         match self.peek() {
-            Some(Token::Punct(found)) if *found == p => {
+            Some(Token::Punct(found)) if found == p => {
                 self.pos += 1;
                 Ok(())
             }
@@ -168,7 +166,7 @@ impl Parser {
 
     fn expect_keyword(&mut self, k: Keyword) -> Result<(), ParseError> {
         match self.peek() {
-            Some(Token::Keyword(found)) if *found == k => {
+            Some(Token::Keyword(found)) if found == k => {
                 self.pos += 1;
                 Ok(())
             }
@@ -178,10 +176,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Token::Ident(name)) => {
                 self.pos += 1;
-                Ok(name)
+                Ok(name.to_owned())
             }
             Some(other) => Err(self.error(format!("expected identifier, found {other}"))),
             None => Err(self.error("expected identifier, found end of input")),
@@ -189,11 +187,11 @@ impl Parser {
     }
 
     fn at_punct(&self, p: Punct) -> bool {
-        matches!(self.peek(), Some(Token::Punct(found)) if *found == p)
+        matches!(self.peek(), Some(Token::Punct(found)) if found == p)
     }
 
     fn at_keyword(&self, k: Keyword) -> bool {
-        matches!(self.peek(), Some(Token::Keyword(found)) if *found == k)
+        matches!(self.peek(), Some(Token::Keyword(found)) if found == k)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -628,7 +626,7 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Token::Int(v)) => {
                 self.pos += 1;
                 Ok(Expr::Int(v))
@@ -655,9 +653,9 @@ impl Parser {
                     self.expect_punct(Punct::LBracket)?;
                     let index = self.expr()?;
                     self.expect_punct(Punct::RBracket)?;
-                    Ok(Expr::Index(name, Box::new(index)))
+                    Ok(Expr::Index(name.to_owned(), Box::new(index)))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok(Expr::Var(name.to_owned()))
                 }
             }
             Some(other) => Err(self.error(format!("expected an expression, found {other}"))),

@@ -448,6 +448,34 @@ fn analyze_under_the_cache_dir_variable_replays_a_known_monitor() {
 /// section) under the same digest.
 const ANSWERS_PINNED: (u32, u64) = (7, 0x4dad_8620_fe9c_0537);
 
+/// A digest of the canonical bytes (`canon::write_monitor`) of every parsed
+/// monitor of the Table 1 suite and of the 500-monitor corpora of seeds 1
+/// and 2, recorded before the lexer scanned bytes.
+const TREES_PINNED: u64 = 0xf000_832b_bd62_654e;
+
+#[test]
+fn parsed_trees_keep_their_canonical_bytes() {
+    // An outcome record's key is made of these bytes: a front-end change
+    // that moves one byte of one tree leaves every record on disk for that
+    // monitor unreachable, without a version check to say so.
+    use expresso_repro::monitor_lang::canon::{write_monitor, Writer};
+    let mut w = Writer::new();
+    let suite = expresso_repro::suite::benchmarks::all();
+    for benchmark in &suite {
+        write_monitor(&mut w, &benchmark.monitor());
+    }
+    for seed in [1, 2] {
+        for variant in generate(&CorpusSpec { size: 500, seed }) {
+            write_monitor(&mut w, &variant.monitor());
+        }
+    }
+    let digest = persist::checksum(&w.into_bytes());
+    assert_eq!(
+        digest, TREES_PINNED,
+        "the parser now builds other trees for the same sources: {digest:#x}"
+    );
+}
+
 #[test]
 fn changed_answers_need_a_format_version_bump() {
     // A record is replayed with nothing re-derived, and its key covers the
