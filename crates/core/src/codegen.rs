@@ -23,10 +23,10 @@ pub fn to_java(explicit: &ExplicitMonitor) -> String {
     }
 
     let _ = writeln!(out, "class {} {{", monitor.name);
-    for p in &monitor.params {
+    for p in monitor.params.iter() {
         let _ = writeln!(out, "    final {} {};", java_type(p.ty), p.name);
     }
-    for f in &monitor.fields {
+    for f in monitor.fields.iter() {
         match f.ty {
             Type::IntArray => {
                 let len = f

@@ -52,8 +52,9 @@ impl Default for PlacementConfig {
 pub struct SignalDecision {
     /// The CCR that may have to notify.
     pub ccr: CcrId,
-    /// The blocked predicate under consideration (a guard of the monitor).
-    pub predicate: Expr,
+    /// The blocked predicate under consideration: the guard of a CCR of the
+    /// monitor, shared with it.
+    pub predicate: Arc<Expr>,
     /// Whether any notification is needed at all.
     pub needed: bool,
     /// Conditional (`?`) vs. unconditional (`✓`) notification (meaningful only
@@ -91,7 +92,7 @@ impl PlacementReport {
     pub fn decision(&self, ccr: CcrId, predicate: &Expr) -> Option<&SignalDecision> {
         self.decisions
             .iter()
-            .find(|d| d.ccr == ccr && &d.predicate == predicate)
+            .find(|d| d.ccr == ccr && *d.predicate == *predicate)
     }
 
     /// Average number of Hoare triples discharged per `(CCR, guard)` pair —
@@ -107,7 +108,7 @@ impl PlacementReport {
 
 /// A guard predicate lowered once, shared by every pair that considers it.
 struct GuardInfo {
-    expr: Expr,
+    expr: Arc<Expr>,
     /// The lowered formula, both as a tree (for §4.2 local renaming, which
     /// generates fresh names) and interned.
     lowered: Option<(Formula, FormulaId)>,
@@ -301,7 +302,7 @@ pub(crate) fn assemble(
                 .entry(decision.ccr)
                 .or_default()
                 .push(Notification {
-                    predicate: decision.predicate.clone(),
+                    predicate: Arc::clone(&decision.predicate),
                     condition: decision.condition,
                     kind: decision.kind,
                 });
@@ -332,7 +333,7 @@ fn decide(ctx: &PairCtx<'_>, ccr_id: CcrId, guard_idx: usize) -> (SignalDecision
     let mut triples = 0usize;
     let conservative = SignalDecision {
         ccr: ccr_id,
-        predicate: guard.expr.clone(),
+        predicate: Arc::clone(&guard.expr),
         needed: true,
         condition: SignalCondition::Conditional,
         kind: NotificationKind::Broadcast,
@@ -433,13 +434,11 @@ fn decide(ctx: &PairCtx<'_>, ccr_id: CcrId, guard_idx: usize) -> (SignalDecision
 
     (
         SignalDecision {
-            ccr: ccr_id,
-            predicate: guard.expr.clone(),
-            needed: true,
             condition,
             kind,
             used_commutativity,
             conservative_fallback: false,
+            ..conservative
         },
         triples,
     )
@@ -485,7 +484,7 @@ mod tests {
         // exitReader conditionally signals (not broadcasts) one writer.
         let exit_reader = explicit.notifications_for(ccr_of("exitReader"));
         assert_eq!(exit_reader.len(), 1);
-        assert_eq!(exit_reader[0].predicate, writer_guard);
+        assert_eq!(*exit_reader[0].predicate, writer_guard);
         assert_eq!(exit_reader[0].kind, NotificationKind::Signal);
         assert_eq!(exit_reader[0].condition, SignalCondition::Conditional);
 
@@ -495,13 +494,13 @@ mod tests {
         assert_eq!(exit_writer.len(), 2);
         let to_writers = exit_writer
             .iter()
-            .find(|n| n.predicate == writer_guard)
+            .find(|n| *n.predicate == writer_guard)
             .unwrap();
         assert_eq!(to_writers.kind, NotificationKind::Signal);
         assert_eq!(to_writers.condition, SignalCondition::Conditional);
         let to_readers = exit_writer
             .iter()
-            .find(|n| n.predicate == reader_guard)
+            .find(|n| *n.predicate == reader_guard)
             .unwrap();
         assert_eq!(to_readers.kind, NotificationKind::Broadcast);
         assert_eq!(to_readers.condition, SignalCondition::Unconditional);

@@ -21,9 +21,10 @@
 //!   can notify someone) is dependent with any fire whose enabledness can
 //!   hinge on being the minimum (a fire of a blocking CCR).
 
-use expresso_monitor_lang::{CcrId, ExplicitMonitor, Monitor, VarTable};
+use expresso_monitor_lang::{CcrId, ExplicitMonitor, Expr, Monitor, VarTable};
 use expresso_semantics::{Event, ExecError};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A set of events — a sleep set — as one word: bit `thread * shapes +
 /// shape` (see [`Dependence::slot`]). The explorer only ever asks such a set
@@ -152,9 +153,8 @@ impl Dependence {
         refined: Option<&IndependenceTable>,
     ) -> Self {
         let guards = monitor.guards();
-        let queue_of = |guard: &expresso_monitor_lang::Expr| -> Option<usize> {
-            guards.iter().position(|g| g == guard)
-        };
+        let queue_of =
+            |guard: &Arc<Expr>| -> Option<usize> { guards.iter().position(|g| g == guard) };
         let shared = |vars: std::collections::HashSet<String>| -> BTreeSet<String> {
             vars.into_iter().filter(|v| table.is_shared(v)).collect()
         };

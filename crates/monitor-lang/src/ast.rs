@@ -1,7 +1,22 @@
 //! Abstract syntax of the implicit-signal monitor language (paper Fig. 3).
+//!
+//! # Sharing
+//!
+//! A syntax tree is immutable after parsing; clones share. The parser
+//! builds each of a [`Monitor`]'s parameter, field, method and CCR lists
+//! once, as an `Arc<[_]>`, and puts every guard and the `requires` clause
+//! behind an `Arc<Expr>`, so cloning a monitor copies its name and bumps
+//! reference counts. Whatever is derived from the monitor —
+//! [`Monitor::guards`], a notification's or a placement decision's
+//! predicate — holds the very `Arc` of the CCR guard it names:
+//! `Arc::ptr_eq` with that guard, and `==` against it answers from the
+//! pointer before it looks at the tree. Nothing deep-clones a tree to pass
+//! it on; code that wants a changed monitor (a test planting a bug, say)
+//! builds new lists with `to_vec`, edits them and collects them back.
 
 use expresso_logic::Ident;
 use std::fmt;
+use std::sync::Arc;
 
 /// Types of monitor variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -357,8 +372,9 @@ pub struct Ccr {
     pub method: usize,
     /// Position of this CCR within its method.
     pub position: usize,
-    /// The blocking guard.
-    pub guard: Expr,
+    /// The blocking guard, shared with every notification and decision
+    /// that names it.
+    pub guard: Arc<Expr>,
     /// The body executed atomically once the guard holds.
     pub body: Stmt,
 }
@@ -366,7 +382,7 @@ pub struct Ccr {
 impl Ccr {
     /// Whether the guard is syntactically `true` (the CCR never blocks).
     pub fn never_blocks(&self) -> bool {
-        self.guard == Expr::Bool(true)
+        *self.guard == Expr::Bool(true)
     }
 }
 
@@ -381,21 +397,22 @@ pub struct Method {
     pub ccrs: Vec<CcrId>,
 }
 
-/// An implicit-signal monitor (paper Fig. 3).
+/// An implicit-signal monitor (paper Fig. 3). Cloning it shares every list
+/// (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Monitor {
     /// Monitor name.
     pub name: Ident,
     /// Constructor parameters (shared, immutable after construction).
-    pub params: Vec<Param>,
+    pub params: Arc<[Param]>,
     /// Constructor precondition (`requires` clause), assumed at initialisation.
-    pub requires: Option<Expr>,
+    pub requires: Option<Arc<Expr>>,
     /// Field declarations.
-    pub fields: Vec<Field>,
+    pub fields: Arc<[Field]>,
     /// Methods.
-    pub methods: Vec<Method>,
+    pub methods: Arc<[Method]>,
     /// All CCRs, indexed by [`CcrId`].
-    pub ccrs: Vec<Ccr>,
+    pub ccrs: Arc<[Ccr]>,
 }
 
 impl Monitor {
@@ -419,12 +436,13 @@ impl Monitor {
     }
 
     /// Returns the distinct blocking guards of the monitor (the paper's
-    /// `Guards(M)`), excluding the trivial guard `true`.
-    pub fn guards(&self) -> Vec<Expr> {
-        let mut out: Vec<Expr> = Vec::new();
-        for ccr in &self.ccrs {
+    /// `Guards(M)`), excluding the trivial guard `true`: each is the `Arc`
+    /// of the first CCR that waits on it.
+    pub fn guards(&self) -> Vec<Arc<Expr>> {
+        let mut out: Vec<Arc<Expr>> = Vec::new();
+        for ccr in self.ccrs.iter() {
             if !ccr.never_blocks() && !out.contains(&ccr.guard) {
-                out.push(ccr.guard.clone());
+                out.push(Arc::clone(&ccr.guard));
             }
         }
         out
@@ -445,7 +463,7 @@ impl Monitor {
     /// declaration order (the paper's `Ctr(M)`).
     pub fn constructor_body(&self) -> Stmt {
         let mut stmts = Vec::new();
-        for field in &self.fields {
+        for field in self.fields.iter() {
             match field.ty {
                 Type::Int => {
                     let init = field.init.clone().unwrap_or(Expr::Int(0));
@@ -479,7 +497,7 @@ impl fmt::Display for Monitor {
             write!(f, " requires {req}")?;
         }
         writeln!(f, " {{")?;
-        for field in &self.fields {
+        for field in self.fields.iter() {
             match field.ty {
                 Type::IntArray => {
                     let len = field
@@ -495,7 +513,7 @@ impl fmt::Display for Monitor {
                 },
             }
         }
-        for method in &self.methods {
+        for method in self.methods.iter() {
             let params: Vec<String> = method
                 .params
                 .iter()

@@ -232,9 +232,9 @@ pub fn write_monitor(w: &mut Writer, monitor: &Monitor) {
     } = monitor;
     w.str(name);
     write_params(w, params);
-    write_opt_expr(w, requires.as_ref());
+    write_opt_expr(w, requires.as_deref());
     w.seq(fields.len());
-    for field in fields {
+    for field in fields.iter() {
         let Field {
             name,
             ty,
@@ -247,7 +247,7 @@ pub fn write_monitor(w: &mut Writer, monitor: &Monitor) {
         write_opt_expr(w, array_len.as_ref());
     }
     w.seq(methods.len());
-    for method in methods {
+    for method in methods.iter() {
         let Method { name, params, ccrs } = method;
         w.str(name);
         write_params(w, params);
@@ -255,7 +255,7 @@ pub fn write_monitor(w: &mut Writer, monitor: &Monitor) {
         ccrs.iter().for_each(|CcrId(id)| w.u64(*id as u64));
     }
     w.seq(ccrs.len());
-    for ccr in ccrs {
+    for ccr in ccrs.iter() {
         let Ccr {
             id: CcrId(id),
             method,

@@ -161,7 +161,7 @@ pub fn check_monitor(monitor: &Monitor) -> Result<VarTable, Vec<CheckError>> {
     let mut errors = Vec::new();
     let mut table = VarTable::default();
 
-    for p in &monitor.params {
+    for p in monitor.params.iter() {
         table.declare(
             &p.name,
             VarInfo {
@@ -173,7 +173,7 @@ pub fn check_monitor(monitor: &Monitor) -> Result<VarTable, Vec<CheckError>> {
             "constructor parameters",
         );
     }
-    for f in &monitor.fields {
+    for f in monitor.fields.iter() {
         table.declare(
             &f.name,
             VarInfo {
@@ -185,7 +185,7 @@ pub fn check_monitor(monitor: &Monitor) -> Result<VarTable, Vec<CheckError>> {
             "field declarations",
         );
     }
-    for m in &monitor.methods {
+    for m in monitor.methods.iter() {
         for p in &m.params {
             table.declare(
                 &p.name,
@@ -207,7 +207,7 @@ pub fn check_monitor(monitor: &Monitor) -> Result<VarTable, Vec<CheckError>> {
     if let Some(req) = &monitor.requires {
         expect_type(req, Type::Bool, &table, &mut errors, "requires clause");
     }
-    for f in &monitor.fields {
+    for f in monitor.fields.iter() {
         if let Some(init) = &f.init {
             let expected = match f.ty {
                 Type::IntArray => Type::Int,

@@ -256,7 +256,7 @@ pub fn initial_state(
 ) -> Result<Valuation, RuntimeError> {
     let interp = Interpreter::new(table);
     let mut state = Valuation::new();
-    for p in &monitor.params {
+    for p in monitor.params.iter() {
         match p.ty {
             Type::Int => {
                 let v = ctor_args
@@ -278,7 +278,7 @@ pub fn initial_state(
             }
         }
     }
-    for field in &monitor.fields {
+    for field in monitor.fields.iter() {
         match field.ty {
             Type::Int => {
                 let init = field.init.clone().unwrap_or(Expr::Int(0));

@@ -3,6 +3,7 @@
 use crate::ast::{BinOp, Ccr, CcrId, Expr, Field, Method, Monitor, Param, Stmt, Type, UnOp};
 use crate::lexer::{tokenize, Keyword, LexError, Punct, SpannedToken, Token, Tokens};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced while parsing monitor source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,6 +92,15 @@ pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
 /// per level, so an unbounded depth is a stack overflow, an abort rather than
 /// an error. Far above anything a real monitor reaches.
 pub const MAX_NESTING: usize = 256;
+
+/// The lists of a monitor while its body is parsed; frozen into the
+/// monitor's shared slices once the closing brace is read.
+#[derive(Default)]
+struct MonitorBody {
+    fields: Vec<Field>,
+    methods: Vec<Method>,
+    ccrs: Vec<Ccr>,
+}
 
 struct Parser<'src> {
     tokens: Vec<SpannedToken<'src>>,
@@ -225,27 +235,27 @@ impl<'src> Parser<'src> {
             Vec::new()
         };
         let requires = if self.eat_keyword(Keyword::Requires) {
-            Some(self.expr()?)
+            Some(Arc::new(self.expr()?))
         } else {
             None
         };
         self.expect_punct(Punct::LBrace)?;
-        let mut monitor = Monitor {
-            name,
-            params,
-            requires,
-            fields: Vec::new(),
-            methods: Vec::new(),
-            ccrs: Vec::new(),
-        };
+        let mut body = MonitorBody::default();
         while !self.at_punct(Punct::RBrace) {
             if self.peek().is_none() {
                 return Err(self.error("unexpected end of input inside monitor body"));
             }
-            self.item(&mut monitor)?;
+            self.item(&mut body)?;
         }
         self.expect_punct(Punct::RBrace)?;
-        Ok(monitor)
+        Ok(Monitor {
+            name,
+            params: params.into(),
+            requires,
+            fields: body.fields.into(),
+            methods: body.methods.into(),
+            ccrs: body.ccrs.into(),
+        })
     }
 
     fn param_list(&mut self) -> Result<Vec<Param>, ParseError> {
@@ -276,7 +286,7 @@ impl<'src> Parser<'src> {
     }
 
     /// Parses either a field declaration or a method.
-    fn item(&mut self, monitor: &mut Monitor) -> Result<(), ParseError> {
+    fn item(&mut self, monitor: &mut MonitorBody) -> Result<(), ParseError> {
         // A method starts with optional `atomic` then `void`/type then ident then `(`.
         let start = self.pos;
         let is_method = {
@@ -378,7 +388,7 @@ impl<'src> Parser<'src> {
         Err(self.error("expected a field declaration (`int`, `bool` or `int[]`)"))
     }
 
-    fn method(&mut self, monitor: &mut Monitor) -> Result<(), ParseError> {
+    fn method(&mut self, monitor: &mut MonitorBody) -> Result<(), ParseError> {
         self.eat_keyword(Keyword::Atomic);
         // Return types are accepted but ignored; the language models procedures.
         if !self.eat_keyword(Keyword::Void) {
@@ -406,7 +416,7 @@ impl<'src> Parser<'src> {
                         id,
                         method: method_index,
                         position,
-                        guard: Expr::Bool(true),
+                        guard: Arc::new(Expr::Bool(true)),
                         body: Stmt::seq(std::mem::take(&mut pending)),
                     });
                     method.ccrs.push(id);
@@ -428,7 +438,7 @@ impl<'src> Parser<'src> {
                     id,
                     method: method_index,
                     position,
-                    guard,
+                    guard: Arc::new(guard),
                     body,
                 });
                 method.ccrs.push(id);
@@ -444,7 +454,7 @@ impl<'src> Parser<'src> {
                 id,
                 method: method_index,
                 position,
-                guard: Expr::Bool(true),
+                guard: Arc::new(Expr::Bool(true)),
                 body: Stmt::seq(pending),
             });
             method.ccrs.push(id);

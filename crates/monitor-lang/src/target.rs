@@ -10,6 +10,7 @@ use crate::check::VarTable;
 use expresso_logic::Ident;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Whether a notification is guarded by a run-time check of the predicate.
 ///
@@ -55,8 +56,9 @@ impl fmt::Display for NotificationKind {
 /// runtime must notify threads blocked on `predicate`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Notification {
-    /// The blocked predicate being notified (a guard of the monitor).
-    pub predicate: Expr,
+    /// The blocked predicate being notified: the guard of a CCR of the
+    /// monitor, shared with it.
+    pub predicate: Arc<Expr>,
     /// Conditional (`?`) or unconditional (`✓`).
     pub condition: SignalCondition,
     /// Signal one waiter or broadcast to all of them.
@@ -190,7 +192,7 @@ impl fmt::Display for GuardId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardInfo {
     /// A representative expression of the class (the first guard seen).
-    pub expr: Expr,
+    pub expr: Arc<Expr>,
     /// Whether the guard reads any thread-local variable. Local-mentioning
     /// guards cannot be decided by the notifier alone (paper §6): each waiter
     /// must be judged against its own local snapshot.
@@ -204,7 +206,7 @@ pub struct ResolvedNotification {
     /// guard of the monitor (the notification is a no-op at run time).
     pub target: Option<GuardId>,
     /// The predicate as written by the analysis.
-    pub predicate: Expr,
+    pub predicate: Arc<Expr>,
     /// Conditional (`?`) or unconditional (`✓`).
     pub condition: SignalCondition,
     /// Signal one waiter or broadcast to all of them.
@@ -246,7 +248,7 @@ impl NotificationPlan {
             let key = canonical_guard_key(&ccr.guard, table);
             let id = *key_to_id.entry(key).or_insert_with(|| {
                 guards.push(GuardInfo {
-                    expr: ccr.guard.clone(),
+                    expr: Arc::clone(&ccr.guard),
                     mentions_local: mentions_local(&ccr.guard, table),
                 });
                 GuardId(guards.len() - 1)
@@ -263,7 +265,7 @@ impl NotificationPlan {
                         target: key_to_id
                             .get(&canonical_guard_key(&n.predicate, table))
                             .copied(),
-                        predicate: n.predicate.clone(),
+                        predicate: Arc::clone(&n.predicate),
                         condition: n.condition,
                         kind: n.kind,
                         mentions_local: mentions_local(&n.predicate, table),

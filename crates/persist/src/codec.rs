@@ -75,6 +75,11 @@ impl<'a> Reader<'a> {
         self.pos >= self.buf.len()
     }
 
+    /// Bytes left to read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let end = self
             .pos
@@ -130,7 +135,7 @@ impl<'a> Reader<'a> {
     /// so a corrupt length cannot trigger a huge allocation.
     pub fn seq(&mut self) -> Result<usize, DecodeError> {
         let len = self.u32()? as usize;
-        if len > self.buf.len().saturating_sub(self.pos) {
+        if len > self.remaining() {
             return err(format!("sequence length {len} exceeds remaining payload"));
         }
         Ok(len)

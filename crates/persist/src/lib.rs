@@ -631,6 +631,40 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
     frame(&w.into_bytes())
 }
 
+/// The fewest bytes one row of each section encodes to: a term `Neg`, a
+/// formula `True`, a sat key and verdict tag, a qe key and `Ok` row (every
+/// error is longer), a statement's length prefix, a wp entry's two rows and
+/// `Ok` row, an outcome record with empty key bytes and no decision.
+struct MinRowBytes {
+    term: usize,
+    formula: usize,
+    sat: usize,
+    qe: usize,
+    statement: usize,
+    wp: usize,
+    outcome: usize,
+}
+
+const MIN_ROW_BYTES: MinRowBytes = MinRowBytes {
+    term: 1 + 4,
+    formula: 1,
+    sat: 4 + 1,
+    qe: 4 + 1 + 4,
+    statement: 4,
+    wp: 4 + 4 + 1 + 4,
+    outcome: 8 + 4 + 4 + 3 * 8 + 4,
+};
+
+/// Reads the row count a section announces and reserves `rows` for it —
+/// but for no more rows than the rest of the payload can hold at `min_row`
+/// bytes a row, so a hostile count costs an allocation the size of the
+/// file, not of the count.
+fn section_len<T>(r: &mut Reader, rows: &mut Vec<T>, min_row: usize) -> Result<usize, DecodeError> {
+    let count = r.seq()?;
+    rows.reserve(count.min(r.remaining() / min_row));
+    Ok(count)
+}
+
 /// Decodes and validates a payload: every row reference must name a strictly
 /// earlier row of its table (children) or a row inside the table (entries:
 /// a statement row one of the statement section, whose bytes are taken as
@@ -641,35 +675,35 @@ fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
 fn decode_artifact(payload: &[u8]) -> Result<Artifact, DecodeError> {
     let mut r = Reader::new(payload);
     let mut artifact = Artifact::default();
-    for i in 0..r.seq()? {
+    for i in 0..section_len(&mut r, &mut artifact.terms, MIN_ROW_BYTES.term)? {
         artifact.terms.push(read_term_row(&mut r, i)?);
     }
     let terms = artifact.terms.len();
-    for i in 0..r.seq()? {
+    for i in 0..section_len(&mut r, &mut artifact.formulas, MIN_ROW_BYTES.formula)? {
         artifact.formulas.push(read_formula_row(&mut r, i, terms)?);
     }
     let formulas = artifact.formulas.len();
-    for _ in 0..r.seq()? {
+    for _ in 0..section_len(&mut r, &mut artifact.sat, MIN_ROW_BYTES.sat)? {
         let key = r.row(formulas)?;
         artifact.sat.push((key, read_sat_result(&mut r)?));
     }
-    for _ in 0..r.seq()? {
+    for _ in 0..section_len(&mut r, &mut artifact.qe, MIN_ROW_BYTES.qe)? {
         let key = r.row(formulas)?;
         let result = read_result(&mut r, formulas, read_translate_error)?;
         artifact.qe.push((key, result));
     }
-    for _ in 0..r.seq()? {
+    for _ in 0..section_len(&mut r, &mut artifact.statements, MIN_ROW_BYTES.statement)? {
         artifact.statements.push(r.bytes()?.into_boxed_slice());
     }
     let statements = artifact.statements.len();
-    for _ in 0..r.seq()? {
+    for _ in 0..section_len(&mut r, &mut artifact.wp, MIN_ROW_BYTES.wp)? {
         let stmt = r.row(statements)?;
         let post = r.row(formulas)?;
         let result = read_result(&mut r, formulas, read_wp_error)?;
         artifact.wp.push((stmt, post, result));
     }
     let small = table::small_trees(&artifact.terms, &artifact.formulas);
-    for _ in 0..r.seq()? {
+    for _ in 0..section_len(&mut r, &mut artifact.outcomes, MIN_ROW_BYTES.outcome)? {
         let (key, record) = read_outcome(&mut r, formulas)?;
         if artifact
             .outcomes
@@ -1229,6 +1263,45 @@ mod tests {
     }";
 
     /// A record whose invariant is `invariant` in some table or arena.
+    #[test]
+    fn the_smallest_row_of_each_section_is_min_row_bytes_long() {
+        fn len(write: impl FnOnce(&mut Writer)) -> usize {
+            let mut w = Writer::new();
+            write(&mut w);
+            w.into_bytes().len()
+        }
+        let min = MIN_ROW_BYTES;
+        assert_eq!(len(|w| write_term_row(w, &TermRow::Neg(0))), min.term);
+        assert_eq!(
+            len(|w| write_formula_row(w, &FormulaRow::True)),
+            min.formula
+        );
+        let sat = |w: &mut Writer| {
+            w.u32(0);
+            write_sat_result(w, &SatResult::Sat);
+        };
+        assert_eq!(len(sat), min.sat);
+        let qe = |w: &mut Writer| {
+            w.u32(0);
+            write_result(w, &Ok::<_, TranslateError>(0), write_translate_error);
+        };
+        assert_eq!(len(qe), min.qe);
+        assert_eq!(len(|w| w.bytes(&[])), min.statement);
+        let wp = |w: &mut Writer| {
+            w.u32(0);
+            w.u32(0);
+            write_result(w, &Ok::<_, WpError>(0), write_wp_error);
+        };
+        assert_eq!(len(wp), min.wp);
+        let key = OutcomeKey::of(&parse_monitor("monitor M { }").unwrap(), true, true);
+        let record = OutcomeRecord {
+            decisions: Vec::new(),
+            ..record_of(0)
+        };
+        let outcome = len(|w| write_outcome(w, &key, &record));
+        assert_eq!(outcome - key.bytes().len(), min.outcome);
+    }
+
     fn record_of<F>(invariant: F) -> OutcomeRecord<F> {
         OutcomeRecord {
             invariant,
@@ -1410,26 +1483,29 @@ mod tests {
         let body = nested(MAX_NESTING + 50);
         let monitor = Monitor {
             name: "Deep".into(),
-            params: Vec::new(),
+            params: [].into(),
             requires: None,
-            fields: vec![Field {
+            fields: [Field {
                 name: "x".into(),
                 ty: Type::Int,
                 init: None,
                 array_len: None,
-            }],
-            methods: vec![Method {
+            }]
+            .into(),
+            methods: [Method {
                 name: "flip".into(),
                 params: Vec::new(),
                 ccrs: vec![CcrId(0)],
-            }],
-            ccrs: vec![Ccr {
+            }]
+            .into(),
+            ccrs: [Ccr {
                 id: CcrId(0),
                 method: 0,
                 position: 0,
-                guard: Expr::Bool(true),
+                guard: Expr::Bool(true).into(),
                 body: body.clone(),
-            }],
+            }]
+            .into(),
         };
         let caches = Caches::new();
         let truth = caches.solver.interner().true_id();

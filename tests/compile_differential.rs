@@ -90,7 +90,7 @@ fn check_monitor_against_interpreter(
 
         let guards = monitor
             .all_ccrs()
-            .map(|ccr| (&ccr.guard, program.guard(ccr.id)));
+            .map(|ccr| (&*ccr.guard, program.guard(ccr.id)));
         for (expr, code) in guards.chain(predicates.iter().copied()) {
             let expected = interp.eval_bool(expr, &view);
             assert_eq!(
@@ -120,7 +120,7 @@ fn suite_monitors_and_their_notification_predicates_agree() {
         let predicates: Vec<Expr> = monitor
             .all_ccrs()
             .flat_map(|ccr| explicit.notifications_for(ccr.id))
-            .map(|n| n.predicate.clone())
+            .map(|n| Expr::clone(&n.predicate))
             .collect();
         assert!(!predicates.is_empty(), "{}", benchmark.name);
         check_monitor_against_interpreter(benchmark.name, &monitor, &predicates, &mut rng);

@@ -40,6 +40,7 @@ use expresso_repro::monitor_lang::{
 };
 use expresso_repro::semantics::{Event, ExecError, SemanticsMode, Stepper, ThreadSpec, Trace};
 use expresso_repro::suite::Benchmark;
+use std::sync::Arc;
 use tree_stepper::TreeStepper;
 
 /// One thread as both steppers must see it.
@@ -469,12 +470,16 @@ fn the_harness_notices_a_guard_that_differs_by_one() {
     let table = check_monitor(&monitor).unwrap();
     let explicit = Expresso::new().analyze(&monitor).unwrap().explicit;
     let take = monitor.method("take").unwrap().ccrs[0];
-    let mut altered = monitor.clone();
+    let mut ccrs = monitor.ccrs.to_vec();
     assert!(
-        bump_first_constant(&mut altered.ccrs[take.0].guard),
+        bump_first_constant(Arc::make_mut(&mut ccrs[take.0].guard)),
         "`take` waits on a constant: {}",
         monitor.ccr(take).guard
     );
+    let altered = Monitor {
+        ccrs: ccrs.into(),
+        ..monitor.clone()
+    };
     let altered_explicit = ExplicitMonitor {
         monitor: altered.clone(),
         ..explicit.clone()
